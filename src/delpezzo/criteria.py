@@ -14,13 +14,19 @@ Searches in definite eigenlattices are complete; in an indefinite
 eigenlattice they run slice by slice against an anchor vector of positive
 square (the canonical class when it is fixed), which makes the outcome
 stable under conjugation by anchor-preserving isometries.
+
+This is the one search engine of the package: check_reducible runs the
+routes on eigen_data, and decompose builds the eigen sides of each piece
+with _side and draws its candidates from _search_batches.  When no
+preferred anchor applies, the caller chooses the radius of the coordinate
+box searched for one (ANCHOR_RADIUS for eigen_data).
 """
 from __future__ import annotations
 
 import itertools
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import InputError
 from . import enumeration as en
@@ -32,10 +38,12 @@ from .lattice import (
     fixed_and_antifixed,
     has_even_products,
     is_even,
+    sign_canonical,
 )
 
 DEFAULT_HEIGHT_BOUND = 10
 FLAG_BOUND = 4
+ANCHOR_RADIUS = 3     # coordinate box radius of the anchor search in eigen_data
 
 CLOSED = "closed"
 WITNESS = "witness"
@@ -79,11 +87,14 @@ class EigenData:
     minus: _EigenSide
 
 
-def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
+def _find_anchor(gram, preferred: Optional[List[int]],
+                 max_radius: int) -> Optional[List[int]]:
+    """The preferred coordinates, else the first vector of positive square
+    in coordinate boxes of growing radius up to max_radius."""
     if preferred is not None:
         return preferred
     n = len(gram)
-    for radius in (1, 2, 3):
+    for radius in range(1, max_radius + 1):
         if (2 * radius + 1) ** n > 5 * 10 ** 6:
             return None
         for c in itertools.product(range(-radius, radius + 1), repeat=n):
@@ -94,7 +105,8 @@ def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
     return None
 
 
-def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector]) -> _EigenSide:
+def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector],
+          anchor_radius: int) -> _EigenSide:
     gram = sub.gram()
     if sub.rank == 0:
         return _EigenSide(sub, gram, True, None)
@@ -109,7 +121,7 @@ def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector]) -> _EigenSide:
             c = sub.coords_of(anchor_vec)
             if c is not None:
                 preferred = list(c)
-        anchor = _find_anchor(gram, preferred)
+        anchor = _find_anchor(gram, preferred, anchor_radius)
     return _EigenSide(sub, gram, definite, anchor)
 
 
@@ -119,47 +131,46 @@ def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData
         raise InputError("not an involution")
     plus, minus = fixed_and_antifixed(g)
     fixed_anchor = anchor if (anchor is not None and g.apply(anchor) == anchor) else None
-    return EigenData(g, _side(plus, fixed_anchor), _side(minus, None))
-
-
-def _sign_canonical(v: LatticeVector) -> LatticeVector:
-    for c in v.coords:
-        if c:
-            return v if c > 0 else -v
-    return v
+    return EigenData(g, _side(plus, fixed_anchor, ANCHOR_RADIUS),
+                     _side(minus, None, ANCHOR_RADIUS))
 
 
 def _search_batches(side: _EigenSide, target: int, t_bound: int):
-    """Yield complete batches of vectors of the exact square, cheapest first.
+    """Yield complete batches of coordinates (in the side's basis) of the
+    vectors of the exact square, cheapest first.
 
-    A definite eigenlattice gives a single exhaustive batch; an indefinite
-    one is sliced against its anchor in order of increasing |<anchor, c>|.
+    A definite eigenlattice gives a single exhaustive batch in
+    definite_vectors order; an indefinite one is sliced against its anchor
+    in order of increasing |<anchor, c>|, each slab as anchored_norm_slices
+    yields it.
     """
     sub, gram = side.sub, side.gram
     if sub.rank == 0:
         return
     if side.definite:
-        pos, neg, _ = xl.sylvester_signature(gram)
-        if neg == 0:
-            coords = en.definite_vectors([list(r) for r in gram], target) if target > 0 else []
+        if gram[0][0] > 0:  # a definite form has the sign of its diagonal
+            yield en.definite_vectors([list(r) for r in gram], target) if target > 0 else []
         else:
-            coords = en.definite_vectors([[-x for x in r] for r in gram], -target) if target < 0 else []
-        yield sorted(sub.from_coords(c) for c in coords)
+            yield en.definite_vectors([[-x for x in r] for r in gram], -target) if target < 0 else []
         return
     if side.anchor is None:
         return
     for _, batch in en.anchored_norm_slices([list(r) for r in gram],
                                             side.anchor, target, t_bound):
-        yield sorted(sub.from_coords(c) for c in batch)
+        yield batch
+
+
+def _vectors(side: _EigenSide, batch) -> List[LatticeVector]:
+    """Ambient vectors of a batch of side coordinates, sorted."""
+    return sorted(side.sub.from_coords(c) for c in batch)
 
 
 def _search(side: _EigenSide, target: int, t_bound: int):
     """(vectors of the exact square in the eigenlattice, complete?)."""
     if side.sub.rank == 0:
         return [], True
-    out: List[LatticeVector] = []
-    for batch in _search_batches(side, target, t_bound):
-        out.extend(batch)
+    out = [side.sub.from_coords(c)
+           for batch in _search_batches(side, target, t_bound) for c in batch]
     return sorted(out), side.definite
 
 
@@ -169,7 +180,7 @@ def _first_hit(side: _EigenSide, target: int, t_bound: int):
         return None, True
     for batch in _search_batches(side, target, t_bound):
         if batch:
-            return min(_sign_canonical(v) for v in batch), side.definite
+            return min(sign_canonical(side.sub.from_coords(c)) for c in batch), side.definite
     return None, side.definite
 
 
@@ -194,7 +205,8 @@ def route_b(data: EigenData, n: int, t_bound: int) -> RouteResult:
     if data.plus.definite:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
     seen: List[LatticeVector] = []
-    for batch in _search_batches(data.plus, 0, t_bound):
+    for coords in _search_batches(data.plus, 0, t_bound):
+        batch = _vectors(data.plus, coords)
         pool = sorted(seen + batch)
         # first hit in sorted scan order; deterministic since slabs are
         # visited in a fixed order and each batch is complete
@@ -245,10 +257,11 @@ def route_d(data: EigenData, n: int, t_bound: int) -> RouteResult:
             return None
         lat = data.g.lattice
         c1 = lat.vector(tuple((x + y) // 2 for x, y in zip(a.coords, b.coords)))
-        c1 = _sign_canonical(c1)
+        c1 = sign_canonical(c1)
         return (c1, data.g.apply(c1))
 
-    for batch in _search_batches(other, -2, t_bound):
+    for coords in _search_batches(other, -2, t_bound):
+        batch = _vectors(other, coords)
         best = None
         for a in congruent:
             for b in batch:
@@ -282,20 +295,14 @@ def iter_routes(data: EigenData, n: int, t_bound: int):
     yield "e", route_e(data, t_bound)
 
 
-def run_routes(data: EigenData, n: int, t_bound: int) -> List[Tuple[str, RouteResult]]:
-    """All five routes in priority order a..e."""
-    return list(iter_routes(data, n, t_bound))
-
-
 def route_flags(data: EigenData, n: int) -> Tuple[Optional[bool], ...]:
     """Tristate search flags at the small conjugation-stable bound.
 
     With the canonical class as anchor, the slice search commutes with
     conjugation by isometries fixing it, so these are class invariants.
     """
-    results = run_routes(data, n, FLAG_BOUND)
     flags = []
-    for _, res in results[:4]:
+    for _, res in itertools.islice(iter_routes(data, n, FLAG_BOUND), 4):
         if res.status == WITNESS:
             flags.append(True)
         elif res.status == CLOSED:

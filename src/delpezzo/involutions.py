@@ -29,13 +29,13 @@ from .lattice import (
     has_even_products,
     is_even,
     orthogonal_complement,
+    sign_canonical,
     span,
 )
 from .weyl import (
     canonical_class,
     enumerate_roots,
     product_of_reflections,
-    sign_canonical,
     stabilizes_canonical_class,
     weyl_generators,
 )

@@ -4,27 +4,29 @@ A K-fixing involution is reducible when it admits one of five kinds of
 witness (see criteria).  The verdict is Irreducible only when every route
 is closed by an exact argument; a bounded search that merely found
 nothing leaves the verdict Unknown.
+
+decompose asks the same questions of each piece through the criteria
+search engine, with its own anchor box radius and its own pick rules: the
+lex-min sign-canonical eigen coordinates for a fixed or antifixed class,
+the first congruent root pair for a swapped one.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 from . import criteria
-from . import enumeration as en
 from . import exactlinalg as xl
 from .lattice import (
     Isometry,
-    Lattice,
     LatticeVector,
     Sublattice,
     del_pezzo_lattice,
-    fixed_and_antifixed,
     full_sublattice,
     is_even,
     orthogonal_complement,
+    sign_canonical_coords,
     span,
 )
 from .weyl import canonical_class
@@ -245,108 +247,52 @@ def _sub_isometry(sub: Sublattice, g: Isometry) -> List[List[int]]:
     return [[cols[j][i] for j in range(r)] for i in range(r)]
 
 
-def _positive_anchor(gram) -> Optional[List[int]]:
-    n = len(gram)
-    for radius in (1, 2, 3, 4):
-        if (2 * radius + 1) ** n > 5 * 10 ** 6:
-            break
-        for c in _box_norm_positive(gram, radius):
-            return list(c)
+# Anchor box radius for the pieces: radius 3, as in check_reducible, misses
+# anchors that later pieces need; radius 4 there would slow every check.
+_DECOMPOSE_ANCHOR_RADIUS = 4
+
+
+def _piece_sides(piece: Sublattice, g_sub):
+    """The (+1)- and (-1)-eigen sides of g on a piece, in kernel bases of g_sub."""
+    sides = []
+    for sign in (1, -1):
+        eig = xl.kernel(xl.mat_add_scaled_identity(g_sub, -sign))
+        sub = Sublattice(piece.ambient, tuple(piece.from_coords(e) for e in eig),
+                         saturated=True)
+        sides.append(criteria._side(sub, None, _DECOMPOSE_ANCHOR_RADIUS))
+    return sides
+
+
+def _norm_minus1(side, bound: int) -> Optional[LatticeVector]:
+    """A class of square -1 on one eigen side: the lex-min sign-canonical
+    side coordinates of the first nonempty batch.  An even side has none."""
+    if is_even(side.sub):
+        return None
+    for batch in criteria._search_batches(side, -1, bound):
+        if batch:
+            return side.sub.from_coords(min(sign_canonical_coords(c) for c in batch))
     return None
 
 
-def _box_norm_positive(gram, radius):
-    import itertools
-    n = len(gram)
-    for c in itertools.product(range(-radius, radius + 1), repeat=n):
-        if not any(c):
-            continue
-        val = sum(c[i] * gram[i][j] * c[j] for i in range(n) for j in range(n))
-        if val > 0:
-            yield c
+def _swapped_pair(minus, plus, bound: int):
+    """Orthogonal classes c1, c2 of square -1 with g(c1) = c2.
 
-
-def _canon_coords(c):
-    """Sign-normalize so the first nonzero coordinate is positive."""
-    for x in c:
-        if x:
-            return tuple(c) if x > 0 else tuple(-y for y in c)
-    return tuple(c)
-
-
-def _search_norm(sub: Sublattice, g_sub, target: int, fixed_sign: int,
-                 bound: int) -> Optional[LatticeVector]:
-    """A vector v in sub with the given norm and g(v) = fixed_sign * v."""
-    r = sub.rank
-    if r == 0:
+    They are (a + b)/2 and (b - a)/2 for the first roots a of a negative
+    definite minus side and b of the plus side with a = b mod 2.
+    """
+    if not minus.definite:
         return None
-    eig = xl.kernel(xl.mat_add_scaled_identity(g_sub, -fixed_sign))
-    if not eig:
-        return None
-    b = [[eig[j][i] for j in range(len(eig))] for i in range(r)]
-    gram_e = xl.mat_mul(xl.mat_mul(xl.transpose(b), sub.gram()), b)
-    pos, neg, zero = xl.sylvester_signature(gram_e)
-    best = None
-    if zero == 0 and pos == 0:
-        coords = en.definite_vectors([[-x for x in row] for row in gram_e], -target)
-        best = min((_canon_coords(c) for c in coords), default=None)
-    elif zero == 0 and neg == 0:
-        coords = en.definite_vectors([list(r_) for r_ in gram_e], target)
-        best = min((_canon_coords(c) for c in coords), default=None)
-    else:
-        anchor = _positive_anchor(gram_e)
-        if anchor is None:
-            return None
-        for _, batch in en.anchored_norm_slices(gram_e, anchor, target, bound):
-            if batch:
-                best = min(_canon_coords(c) for c in batch)
-                break
-    if best is None:
-        return None
-    in_sub = [sum(eig[j][i] * best[j] for j in range(len(eig))) for i in range(r)]
-    return sub.from_coords(in_sub)
-
-
-def _search_swapped_pair(sub: Sublattice, g_sub, bound: int):
-    """Orthogonal classes c1, c2 of square -1 in sub with g(c1) = c2."""
-    r = sub.rank
-    minus = xl.kernel(xl.mat_add_scaled_identity(g_sub, 1))
-    plus = xl.kernel(xl.mat_add_scaled_identity(g_sub, -1))
-    if not minus or not plus:
-        return None
-
-    def _restricted(eig):
-        b = [[eig[j][i] for j in range(len(eig))] for i in range(r)]
-        return b, xl.mat_mul(xl.mat_mul(xl.transpose(b), sub.gram()), b)
-
-    bm, gm = _restricted(minus)
-    bp, gp = _restricted(plus)
-    pos, neg, zero = xl.sylvester_signature(gm)
-    if pos or zero:
-        return None
-    a_list = [
-        [sum(minus[j][i] * c[j] for j in range(len(minus))) for i in range(r)]
-        for c in en.definite_vectors([[-x for x in row] for row in gm], 2)
-    ]
-    ppos, pneg, pzero = xl.sylvester_signature(gp)
-    if pzero == 0 and ppos == 0:
-        batches = [en.definite_vectors([[-x for x in row] for row in gp], 2)]
-    else:
-        anchor = _positive_anchor(gp)
-        if anchor is None:
-            return None
-        batches = (b for _, b in en.anchored_norm_slices(gp, anchor, -2, bound))
-    for b_coords in batches:
-        b_list = [
-            [sum(plus[j][i] * c[j] for j in range(len(plus))) for i in range(r)]
-            for c in sorted(_canon_coords(c) for c in b_coords)
-        ]
+    a_list = [minus.sub.from_coords(c).coords
+              for batch in criteria._search_batches(minus, -2, bound) for c in batch]
+    for batch in criteria._search_batches(plus, -2, bound):
+        b_list = [plus.sub.from_coords(c).coords
+                  for c in sorted(sign_canonical_coords(c) for c in batch)]
         for a in a_list:
             for b in b_list:
                 if all((x - y) % 2 == 0 for x, y in zip(a, b)):
-                    c1 = sub.from_coords([(x + y) // 2 for x, y in zip(a, b)])
-                    c2 = sub.from_coords([(y - x) // 2 for x, y in zip(a, b)])
-                    return c1, c2
+                    lat = plus.sub.ambient
+                    return (lat.vector([(x + y) // 2 for x, y in zip(a, b)]),
+                            lat.vector([(y - x) // 2 for x, y in zip(a, b)]))
     return None
 
 
@@ -358,29 +304,6 @@ def _leaf_type(sub: Sublattice) -> str:
     if all(gram[i][i] % 2 == 0 for i in range(sub.rank)) and (pos, neg) == (1, 1):
         return "quadric"
     return "blowup"
-
-
-def _leaf_verdict(sub: Sublattice, g_sub, bound: int) -> str:
-    """Irreducible when both eigenparts provably carry no further witness."""
-    r = sub.rank
-
-    def _eig_gram(sign):
-        eig = xl.kernel(xl.mat_add_scaled_identity(g_sub, -sign))
-        b = [[eig[j][i] for j in range(len(eig))] for i in range(r)]
-        return xl.mat_mul(xl.mat_mul(xl.transpose(b), sub.gram()), b)
-
-    decided = True
-    for sign in (1, -1):
-        gram = _eig_gram(sign)
-        if not gram:
-            continue
-        if all(gram[i][i] % 2 == 0 for i in range(len(gram))):
-            continue  # even eigenlattice: no square -1 class
-        pos, neg, zero = xl.sylvester_signature(gram)
-        if zero == 0 and (pos == 0 or neg == 0):
-            continue  # definite searches above were complete
-        decided = False
-    return IRREDUCIBLE if decided else UNKNOWN
 
 
 def decompose(g: Isometry, n: Optional[int] = None,
@@ -400,17 +323,18 @@ def decompose(g: Isometry, n: Optional[int] = None,
     steps: List[SplitStep] = []
     while True:
         g_sub = _sub_isometry(current, g)
-        c = _search_norm(current, g_sub, -1, 1, bound)
+        plus, minus = _piece_sides(current, g_sub)
+        c = _norm_minus1(plus, bound)
         if c is not None:
             split_basis: Tuple[LatticeVector, ...] = (c,)
             action = "fix"
         else:
-            pair = _search_swapped_pair(current, g_sub, bound)
+            pair = _swapped_pair(minus, plus, bound)
             if pair is not None:
                 split_basis = pair
                 action = "swap"
             else:
-                c = _search_norm(current, g_sub, -1, -1, bound)
+                c = _norm_minus1(minus, bound)
                 if c is not None:
                     split_basis = (c,)
                     action = "negate"
@@ -419,17 +343,19 @@ def decompose(g: Isometry, n: Optional[int] = None,
         steps.append(SplitStep(action, tuple(v.coords for v in split_basis)))
         # complement inside the current piece, re-expressed in the ambient
         comp = orthogonal_complement(span(lat, split_basis))
-        inter = _intersect(current, comp)
-        current = inter
+        current = _intersect(current, comp)
         if current.rank == 0:
             break
-    g_sub = _sub_isometry(current, g) if current.rank else []
-    leaf = DecompositionLeaf(
-        lattice_type=_leaf_type(current) if current.rank else "point",
-        basis=tuple(v.coords for v in current.basis),
-        matrix=tuple(tuple(r) for r in g_sub),
-        verdict=_leaf_verdict(current, g_sub, bound) if current.rank else IRREDUCIBLE,
-    )
+    if current.rank:
+        # no split left: Irreducible when each eigen side is empty, definite
+        # (its search above was complete) or even (no class of square -1)
+        decided = all(s.definite or is_even(s.sub) for s in (plus, minus))
+        leaf = DecompositionLeaf(_leaf_type(current),
+                                 tuple(v.coords for v in current.basis),
+                                 tuple(tuple(r) for r in g_sub),
+                                 IRREDUCIBLE if decided else UNKNOWN)
+    else:
+        leaf = DecompositionLeaf("point", (), (), IRREDUCIBLE)
     return Decomposition(tuple(steps), leaf)
 
 

@@ -7,10 +7,9 @@ basis (S_1, S_2, e_1, ..., e_{n-1}).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from . import exactlinalg as xl
@@ -97,6 +96,19 @@ class LatticeVector:
         return g == 1
 
 
+def sign_canonical_coords(coords: Sequence[int]) -> Coords:
+    """The coordinates up to sign, with the first nonzero entry positive."""
+    for x in coords:
+        if x:
+            return tuple(coords) if x > 0 else tuple(-y for y in coords)
+    return tuple(coords)
+
+
+def sign_canonical(v: LatticeVector) -> LatticeVector:
+    """v or -v, whichever has its first nonzero coordinate positive."""
+    return LatticeVector(v.lattice, sign_canonical_coords(v.coords))
+
+
 def _same_lattice(u: LatticeVector, v: LatticeVector) -> None:
     if u.lattice != v.lattice:
         raise InputError("vectors live in different lattices")
@@ -136,6 +148,14 @@ def del_pezzo_lattice(n: int) -> Lattice:
     )
     labels = ("H",) + tuple(f"E{i}" for i in range(1, n + 1))
     return Lattice(gram, labels)
+
+
+def del_pezzo_vector(n: int, h: int, es: Dict[int, int]) -> LatticeVector:
+    """The class h H + sum of es[i] E_i in the rank n+1 blowup lattice."""
+    coords = [h] + [0] * n
+    for i, c in es.items():
+        coords[i] = c
+    return del_pezzo_lattice(n).vector(coords)
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import InputError
 from . import exactlinalg as xl
@@ -11,21 +11,17 @@ from .lattice import (
     Isometry,
     Lattice,
     LatticeVector,
-    Sublattice,
     blowup_quadric_lattice,
     del_pezzo_lattice,
+    del_pezzo_vector,
     fixed_and_antifixed,
     full_sublattice,
     orthogonal_complement,
+    sign_canonical,
     signature,
     span,
 )
-from .weyl import (
-    canonical_class,
-    product_of_reflections,
-    reflection,
-    sign_canonical,
-)
+from .weyl import canonical_class, product_of_reflections, reflection
 
 
 @dataclass(frozen=True)
@@ -46,13 +42,6 @@ class NamedInvolution:
         }
 
 
-def _vec(n: int, h: int, es) -> LatticeVector:
-    coords = [h] + [0] * n
-    for i, c in es.items():
-        coords[i] = c
-    return del_pezzo_lattice(n).vector(coords)
-
-
 @lru_cache(maxsize=None)
 def de_jonquieres(n: int) -> NamedInvolution:
     """Product of (n-1)/2 commuting reflection pairs fixing H - E_1.
@@ -64,8 +53,8 @@ def de_jonquieres(n: int) -> NamedInvolution:
         raise InputError("this model requires odd n with 5 <= n <= 7")
     vecs = []
     for k in range(1, (n - 1) // 2 + 1):
-        vecs.append(_vec(n, 1, {1: -1, 2 * k: -1, 2 * k + 1: -1}))
-        vecs.append(_vec(n, 0, {2 * k: 1, 2 * k + 1: -1}))
+        vecs.append(del_pezzo_vector(n, 1, {1: -1, 2 * k: -1, 2 * k + 1: -1}))
+        vecs.append(del_pezzo_vector(n, 0, {2 * k: 1, 2 * k + 1: -1}))
     g = product_of_reflections(vecs)
     return NamedInvolution("dejonquieres", n, g, degree=(n + 1) // 2)
 
@@ -125,13 +114,13 @@ def geiser_roots() -> Tuple[LatticeVector, ...]:
     """Seven mutually orthogonal roots whose product negates K-perp (n=7)."""
     n = 7
     return (
-        _vec(n, 1, {1: -1, 2: -1, 7: -1}),
-        _vec(n, 1, {3: -1, 4: -1, 7: -1}),
-        _vec(n, 1, {5: -1, 6: -1, 7: -1}),
-        _vec(n, 0, {1: 1, 2: -1}),
-        _vec(n, 0, {3: 1, 4: -1}),
-        _vec(n, 0, {5: 1, 6: -1}),
-        _vec(n, 2, {1: -1, 2: -1, 3: -1, 4: -1, 5: -1, 6: -1}),
+        del_pezzo_vector(n, 1, {1: -1, 2: -1, 7: -1}),
+        del_pezzo_vector(n, 1, {3: -1, 4: -1, 7: -1}),
+        del_pezzo_vector(n, 1, {5: -1, 6: -1, 7: -1}),
+        del_pezzo_vector(n, 0, {1: 1, 2: -1}),
+        del_pezzo_vector(n, 0, {3: 1, 4: -1}),
+        del_pezzo_vector(n, 0, {5: 1, 6: -1}),
+        del_pezzo_vector(n, 2, {1: -1, 2: -1, 3: -1, 4: -1, 5: -1, 6: -1}),
     )
 
 
@@ -229,11 +218,11 @@ def quadric_basis_change(n: int) -> BasisChange:
         raise InputError("basis change requires 2 <= n <= 8")
     src = blowup_quadric_lattice(n)
     tgt = del_pezzo_lattice(n)
-    images = [_vec(n, 1, {1: -1}), _vec(n, 1, {2: -1})]
+    images = [del_pezzo_vector(n, 1, {1: -1}), del_pezzo_vector(n, 1, {2: -1})]
     if n >= 2:
-        images.append(_vec(n, 1, {1: -1, 2: -1}))
+        images.append(del_pezzo_vector(n, 1, {1: -1, 2: -1}))
     for j in range(2, n):
-        images.append(_vec(n, 0, {j + 1: 1}))
+        images.append(del_pezzo_vector(n, 0, {j + 1: 1}))
     matrix = tuple(tuple(images[j].coords[i] for j in range(n + 1))
                    for i in range(n + 1))
     return BasisChange(src, tgt, matrix)

@@ -6,7 +6,7 @@ is a single bytes.translate call.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Sequence, Set
 
 from .errors import InputError, UnsupportedError
 from . import exactlinalg as xl
@@ -153,32 +153,3 @@ def group_order(gens: Sequence[Perm], degree: int) -> int:
         return 1
     sym = [Permutation(list(g)) for g in gens]
     return int(PermutationGroup(sym).order())
-
-
-def set_orbit(indices: FrozenSet[int], gens: Sequence[Perm],
-              limit: int = 10 ** 7,
-              canon: Optional[bytes] = None) -> Set[FrozenSet[int]]:
-    """Orbit of an index set under the generated group, as sets.
-
-    When canon is given, every image index is first mapped through it;
-    this folds points identified by canon (e.g. +-pairs) into one id.
-    """
-    if canon is not None:
-        indices = frozenset(canon[i] for i in indices)
-    seen = {indices}
-    frontier = [indices]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                if canon is None:
-                    img = frozenset(g[i] for i in s)
-                else:
-                    img = frozenset(canon[g[i]] for i in s)
-                if img not in seen:
-                    if len(seen) >= limit:
-                        raise UnsupportedError("set orbit exceeded the safety limit")
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen

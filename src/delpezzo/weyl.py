@@ -9,20 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError, UnsupportedError
 from . import enumeration as en
-from . import exactlinalg as xl
 from .lattice import (
     Isometry,
     Lattice,
     LatticeVector,
-    Sublattice,
     del_pezzo_lattice,
-    identity_isometry,
-    inner,
+    del_pezzo_vector,
     orthogonal_complement,
+    sign_canonical_coords,
     span,
 )
 
@@ -70,13 +68,6 @@ class GeneratorSet:
         return len(self.vectors)
 
 
-def _vec(n: int, h: int, es: Dict[int, int]) -> LatticeVector:
-    coords = [h] + [0] * n
-    for i, c in es.items():
-        coords[i] = c
-    return del_pezzo_lattice(n).vector(coords)
-
-
 @lru_cache(maxsize=None)
 def wall_generators(n: int) -> GeneratorSet:
     """Reflections generating the full isometry group of the blowup lattice.
@@ -86,15 +77,16 @@ def wall_generators(n: int) -> GeneratorSet:
     """
     lat = del_pezzo_lattice(n)
     if n == 2:
-        vecs = (_vec(2, 1, {1: 1, 2: 1}), _vec(2, 0, {1: 1, 2: -1}), _vec(2, 0, {2: 1}))
+        vecs = (del_pezzo_vector(2, 1, {1: 1, 2: 1}), del_pezzo_vector(2, 0, {1: 1, 2: -1}),
+                del_pezzo_vector(2, 0, {2: 1}))
         labels = ("H+E1+E2", "E1-E2", "E2")
     elif 3 <= n <= 9:
-        vecs = [_vec(n, 1, {1: 1, 2: 1, 3: 1})]
+        vecs = [del_pezzo_vector(n, 1, {1: 1, 2: 1, 3: 1})]
         labels = ["H+E1+E2+E3"]
         for i in range(1, n):
-            vecs.append(_vec(n, 0, {i: 1, i + 1: -1}))
+            vecs.append(del_pezzo_vector(n, 0, {i: 1, i + 1: -1}))
             labels.append(f"E{i}-E{i + 1}")
-        vecs.append(_vec(n, 0, {n: 1}))
+        vecs.append(del_pezzo_vector(n, 0, {n: 1}))
         labels.append(f"E{n}")
         vecs = tuple(vecs)
         labels = tuple(labels)
@@ -108,13 +100,14 @@ def weyl_generators(n: int) -> GeneratorSet:
     """Simple-root reflections generating the stabilizer of K."""
     lat = del_pezzo_lattice(n)
     if n == 2:
-        vecs = (_vec(2, 1, {1: -1, 2: -1}), _vec(2, 0, {1: 1, 2: -1}))
+        vecs = (del_pezzo_vector(2, 1, {1: -1, 2: -1}),
+                del_pezzo_vector(2, 0, {1: 1, 2: -1}))
         labels = ("H-E1-E2", "E1-E2")
     elif 3 <= n <= 9:
-        vecs = [_vec(n, 1, {1: -1, 2: -1, 3: -1})]
+        vecs = [del_pezzo_vector(n, 1, {1: -1, 2: -1, 3: -1})]
         labels = ["H-E1-E2-E3"]
         for i in range(1, n):
-            vecs.append(_vec(n, 0, {i: 1, i + 1: -1}))
+            vecs.append(del_pezzo_vector(n, 0, {i: 1, i + 1: -1}))
             labels.append(f"E{i}-E{i + 1}")
         vecs = tuple(vecs)
         labels = tuple(labels)
@@ -139,18 +132,7 @@ class RootSystem:
 
     def positive(self) -> Tuple[LatticeVector, ...]:
         """One representative per +-pair, canonical sign."""
-        return tuple(r for r in self.roots if _sign_canonical(r.coords))
-
-
-def _sign_canonical(coords: Sequence[int]) -> bool:
-    for c in coords:
-        if c:
-            return c > 0
-    return False
-
-
-def sign_canonical(v: LatticeVector) -> LatticeVector:
-    return v if _sign_canonical(v.coords) else -v
+        return tuple(r for r in self.roots if sign_canonical_coords(r.coords) == r.coords)
 
 
 @lru_cache(maxsize=None)

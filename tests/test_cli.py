@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from delpezzo.cli import EXIT_INPUT, EXIT_OK, build_parser, main
+from delpezzo import irreducibility as irr
+from delpezzo.cli import EXIT_INPUT, EXIT_OK, EXIT_UNDECIDED, build_parser, main
 
 
 def run(capsys, *argv):
@@ -144,3 +145,26 @@ def test_height_bound_env(monkeypatch, tmp_path, capsys):
     code, out, _ = run(capsys, "check", str(path), "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["height_bound"] == 3
+
+
+def _swap_file(tmp_path):
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"matrix": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]}))
+    return str(path)
+
+
+def test_check_unknown_verdict_exits_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(irr, "check_reducible",
+                        lambda g, n: irr.Verdict(irr.UNKNOWN, None, 10))
+    code, out, _ = run(capsys, "check", _swap_file(tmp_path), "--format", "json")
+    assert code == EXIT_UNDECIDED == 3
+    assert json.loads(out)["status"] == "Unknown"
+
+
+def test_decompose_unknown_leaf_exits_3(monkeypatch, tmp_path, capsys):
+    leaf = irr.DecompositionLeaf("blowup", ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                                 ((1, 0, 0), (0, 0, 1), (0, 1, 0)), irr.UNKNOWN)
+    monkeypatch.setattr(irr, "decompose", lambda g, n: irr.Decomposition((), leaf))
+    code, out, _ = run(capsys, "decompose", _swap_file(tmp_path), "--format", "json")
+    assert code == EXIT_UNDECIDED == 3
+    assert json.loads(out)["leaf"]["verdict"] == "Unknown"

@@ -1,11 +1,13 @@
 """Reducibility verdicts, certificates, and orthogonal splittings."""
 import json
+import random
 
 import pytest
 
 from delpezzo import (
     IRREDUCIBLE,
     REDUCIBLE,
+    UNKNOWN,
     InputError,
     ReducibilityCertificate,
     check_reducible,
@@ -15,8 +17,16 @@ from delpezzo import (
     irreducible_involution_classes,
     negation_twist,
 )
-from delpezzo.lattice import del_pezzo_lattice, inner, span, signature
-from delpezzo.weyl import canonical_class, reflection
+from delpezzo import exactlinalg as xl
+from delpezzo.lattice import (
+    Sublattice,
+    del_pezzo_lattice,
+    inner,
+    is_even,
+    signature,
+    span,
+)
+from delpezzo.weyl import canonical_class, reflection, wall_generators
 
 IRREDUCIBLE_LABELS = {2: [], 3: [], 4: [], 5: ["m4"], 6: [],
                       7: ["m6", "m7"], 8: ["m8"]}
@@ -178,3 +188,53 @@ def test_decomposition_json():
     loaded = json.loads(blob)
     assert loaded["leaf"]["lattice_type"] == "point"
     assert len(loaded["steps"]) == 2
+
+
+def _skewed_conjugates():
+    """Three O(M_n)-conjugates of every catalog representative, n = 3..6.
+
+    The conjugating words in the wall reflections include odd reflections,
+    so K moves and the eigenlattices come in skewed bases.
+    """
+    rng = random.Random(2202)
+    out = []
+    for n in range(3, 7):
+        lat = del_pezzo_lattice(n)
+        gens = wall_generators(n).isometries()
+        for cls in classify_involutions(n):
+            for _ in range(3):
+                h = identity_isometry(lat)
+                for _ in range(12):
+                    h = h @ rng.choice(gens)
+                out.append((n, h @ cls.representative @ h.inverse()))
+    return out
+
+
+def _leaf_eigenparts(d, lat):
+    """(+1)- and (-1)-eigenlattices of the leaf involution, as sublattices."""
+    leaf = Sublattice(lat, tuple(lat.vector(c) for c in d.leaf.basis))
+    m = [list(row) for row in d.leaf.matrix]
+    parts = []
+    for sign in (1, -1):
+        eig = xl.kernel(xl.mat_add_scaled_identity(m, -sign)) if m else []
+        parts.append(Sublattice(lat, tuple(leaf.from_coords(e) for e in eig)))
+    return parts
+
+
+def test_leaf_verdict_on_skewed_bases():
+    verdicts = set()
+    for n, g in _skewed_conjugates():
+        d = decompose(g, n)
+        verdicts.add(d.leaf.verdict)
+        parts = _leaf_eigenparts(d, g.lattice)
+        kinds = []
+        for part in parts:
+            pos, neg, _ = signature(part)
+            definite = pos == 0 or neg == 0
+            kinds.append((part.rank == 0, definite, is_even(part)))
+        if d.leaf.verdict == IRREDUCIBLE:
+            assert all(empty or definite or even for empty, definite, even in kinds)
+        else:
+            assert d.leaf.verdict == UNKNOWN
+            assert any(not definite and not even for _, definite, even in kinds)
+    assert verdicts == {IRREDUCIBLE, UNKNOWN}
