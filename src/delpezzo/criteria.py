@@ -12,8 +12,18 @@ Each route is either closed by a parity / mod-2 / completeness argument,
 produces an explicit witness, or stays open after a bounded search.
 Searches in definite eigenlattices are complete; in an indefinite
 eigenlattice they run slice by slice against an anchor vector of positive
-square (the canonical class when it is fixed), which makes the outcome
-stable under conjugation by anchor-preserving isometries.
+square, which makes the outcome stable under conjugation by
+anchor-preserving isometries.
+
+The anchor rule: the canonical class K when the involution fixes it, else
+the first vector of positive square in coordinate boxes of growing radius
+(_find_anchor).  irreducibility hands in each involution that does not
+fix K as its chamber conjugate, so the box search runs in that basis, and
+K is the anchor again when the conjugate fixes it.
+
+Route b skips every isotropic vector without a hyperbolic partner, which an
+exact mod-2 test (has_partner) detects, so only vectors that can pair are
+scanned; the scan order and the first pair found are those of the full scan.
 
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, and decompose builds the eigen sides of each piece
@@ -24,6 +34,7 @@ box searched for one (ANCHOR_RADIUS for eigen_data).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -94,14 +105,20 @@ def _find_anchor(gram, preferred: Optional[List[int]],
     if preferred is not None:
         return preferred
     n = len(gram)
+    last = n - 1
+    col, d = [gram[i][last] for i in range(last)], gram[last][last]
     for radius in range(1, max_radius + 1):
         if (2 * radius + 1) ** n > 5 * 10 ** 6:
             return None
-        for c in itertools.product(range(-radius, radius + 1), repeat=n):
-            if not any(c):
-                continue
-            if sum(c[i] * gram[i][j] * c[j] for i in range(n) for j in range(n)) > 0:
-                return list(c)
+        box = range(-radius, radius + 1)
+        # product order; the square of (prefix, t) is a + 2 b t + d t^2
+        for prefix in itertools.product(box, repeat=last):
+            a = sum(prefix[i] * gram[i][j] * prefix[j]
+                    for i in range(last) for j in range(last))
+            b = sum(p * x for p, x in zip(prefix, col))
+            for t in box:
+                if a + 2 * b * t + d * t * t > 0:
+                    return list(prefix) + [t]
     return None
 
 
@@ -197,6 +214,19 @@ def route_a(data: EigenData, n: int, t_bound: int) -> RouteResult:
     return RouteResult(OPEN, f"searched(t<={t_bound})")
 
 
+def has_partner(gram, c1) -> bool:
+    """Whether the isotropic c1 lies in a hyperbolic pair of the lattice.
+
+    With v = G c1, the y with v.y = 1 form y0 + ker v, and y^2 = diag(G).y
+    mod 2 is constant on that coset exactly when diag(G) is 0 or v mod 2.
+    So a partner exists iff gcd(v) = 1 and v != diag(G) mod 2; it is then
+    y - (y^2 / 2) c1 for a y of even square.
+    """
+    v = xl.mat_vec(gram, c1)
+    return (math.gcd(*v) == 1
+            and any((x - gram[i][i]) % 2 for i, x in enumerate(v)))
+
+
 def route_b(data: EigenData, n: int, t_bound: int) -> RouteResult:
     if data.plus.sub.rank < 2:
         return RouteResult(CLOSED, "plus_rank_below_2")
@@ -204,15 +234,19 @@ def route_b(data: EigenData, n: int, t_bound: int) -> RouteResult:
         return RouteResult(CLOSED, "plus_even_products")
     if data.plus.definite:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
-    seen: List[LatticeVector] = []
+    gram = data.plus.gram
+    seen: List[Tuple[LatticeVector, Tuple[int, ...]]] = []
     for coords in _search_batches(data.plus, 0, t_bound):
-        batch = _vectors(data.plus, coords)
+        # an isotropic vector without a partner can be neither c1 nor c2
+        batch = sorted((data.plus.sub.from_coords(c), c)
+                       for c in coords if has_partner(gram, c))
         pool = sorted(seen + batch)
         # first hit in sorted scan order; deterministic since slabs are
         # visited in a fixed order and each batch is complete
-        for c1 in batch:
-            for c2 in pool:
-                if c1 != c2 and c1.dot(c2) == 1:
+        for c1, x in batch:
+            v = xl.mat_vec(gram, x)
+            for c2, y in pool:
+                if sum(a * b for a, b in zip(v, y)) == 1:
                     return RouteResult(WITNESS, "fixed_hyperbolic_pair",
                                        tuple(sorted((c1, c2))))
         seen = pool
@@ -230,6 +264,12 @@ def route_c(data: EigenData, t_bound: int) -> RouteResult:
     return RouteResult(OPEN, f"searched(t<={t_bound})")
 
 
+def congruent_roots(roots: List[LatticeVector], other: _EigenSide) -> List[LatticeVector]:
+    """The roots congruent mod 2 to some vector of the other eigen side."""
+    other_basis = [[x % 2 for x in row] for row in other.sub.basis_matrix()]
+    return [a for a in roots if xl.f2_solvable(other_basis, [x % 2 for x in a.coords])]
+
+
 def route_d(data: EigenData, n: int, t_bound: int) -> RouteResult:
     """Swapped (-1)-pair via roots a in L_minus, b in L_plus, a = b mod 2L.
 
@@ -243,12 +283,7 @@ def route_d(data: EigenData, n: int, t_bound: int) -> RouteResult:
     complete_list, _ = _search(getattr(data, complete_side), -2, t_bound)
     if not complete_list:
         return RouteResult(CLOSED, f"no_{complete_side}_roots")
-    other_basis = other.sub.basis_matrix()
-    congruent = [
-        a for a in complete_list
-        if xl.f2_solvable([[x % 2 for x in row] for row in other_basis],
-                          [x % 2 for x in a.coords])
-    ]
+    congruent = congruent_roots(complete_list, other)
     if not congruent:
         return RouteResult(CLOSED, "mod2_unsolvable")
 

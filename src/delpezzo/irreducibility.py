@@ -1,17 +1,31 @@
 """Reducibility verdicts, machine-checkable certificates, and splittings.
 
-A K-fixing involution is reducible when it admits one of five kinds of
+An involution of M_n is reducible when it admits one of five kinds of
 witness (see criteria).  The verdict is Irreducible only when every route
 is closed by an exact argument; a bounded search that merely found
 nothing leaves the verdict Unknown.
 
+Chamber reduction.  For n <= 9, O+(M_n) is the reflection group of a
+simplex with walls H - E1 - E2 - E3, E_i - E_{i+1} and E_n.  The vector
+x = H + g(H) (or H - g(H)) is fixed or negated by g and has x^2 > 0;
+weyl.chamber_conjugate moves it into the fundamental chamber by a wall
+word h, and the involution is decided as g' = h g h^-1.  Witnesses, split
+bases and leaf bases of g' are mapped back with h^-1, so what is returned
+belongs to g.  A decided verdict is exact, hence the same in every basis;
+the reduction is what keeps the bounded searches decided in any basis.
+check_reducible keeps an involution that fixes K as it is, with K as its
+anchor (the catalog and the invariant flags rest on that); decompose
+reduces every input.
+
 decompose asks the same questions of each piece through the criteria
 search engine, with its own anchor box radius and its own pick rules: the
 lex-min sign-canonical eigen coordinates for a fixed or antifixed class,
-the first congruent root pair for a swapped one.
+the first congruent root pair for a swapped one.  A leaf is Irreducible
+only when the fixed, antifixed and swapped searches are all closed.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -29,7 +43,7 @@ from .lattice import (
     sign_canonical_coords,
     span,
 )
-from .weyl import canonical_class
+from .weyl import canonical_class, chamber_conjugate
 
 REDUCIBLE = "Reducible"
 IRREDUCIBLE = "Irreducible"
@@ -136,7 +150,12 @@ def _obstruction_kind(results) -> str:
 
 def check_reducible(g: Isometry, n: Optional[int] = None,
                     height_bound: Optional[int] = None) -> Verdict:
-    """Decide reducibility of a K-fixing involution of the blowup lattice."""
+    """Decide reducibility of any involution of the blowup lattice M_n.
+
+    An involution that fixes K is decided as given, with K as the anchor of
+    its fixed side.  Any other one is decided as its chamber conjugate
+    g' = h g h^-1, and the witnesses are mapped back with h^-1.
+    """
     if n is None:
         n = g.lattice.rank - 1
     if g.lattice != del_pezzo_lattice(n):
@@ -146,14 +165,18 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     if not g.is_involution():
         raise InputError("not an involution")
     bound = height_bound if height_bound is not None else criteria.height_bound_default()
-    data = criteria.eigen_data(g, canonical_class(n))
+    k = canonical_class(n)
+    h_inv = None
+    if g.apply(k) != k:
+        g, h_inv = chamber_conjugate(g)
+    data = criteria.eigen_data(g, k)
     results = []
     for name, res in criteria.iter_routes(data, n, bound):
         results.append((name, res))
         if res.status == criteria.WITNESS:
             cert = ReducibilityCertificate(
                 kind=_WITNESS_KINDS[name],
-                witnesses=tuple(w.coords for w in res.witnesses),
+                witnesses=tuple(_back(h_inv, w.coords) for w in res.witnesses),
                 narrative=_narrative(results),
             )
             return Verdict(REDUCIBLE, cert, bound)
@@ -168,9 +191,13 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     return Verdict(UNKNOWN, None, bound)
 
 
+def _back(h_inv, coords: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Coordinates of h^-1 w for the chamber conjugation h (None: identity)."""
+    return coords if h_inv is None else tuple(xl.mat_vec(h_inv, coords))
+
+
 def classify_with_verdicts(n: int):
     """Classification entries with the reducibility verdict filled in."""
-    import dataclasses
     from .involutions import classify_involutions
 
     out = []
@@ -311,13 +338,43 @@ def decompose(g: Isometry, n: Optional[int] = None,
     """Split off fixed, swapped, and antifixed (-1)-classes until none remain.
 
     Each split peels a unimodular negative definite block, so the ambient
-    lattice is an orthogonal sum of the peeled blocks and the leaf.
+    lattice is an orthogonal sum of the peeled blocks and the leaf.  On M_n
+    (2 <= n <= 9) the splitting is computed for the chamber conjugate
+    g' = h g h^-1 and its bases are mapped back with h^-1; the leaf matrix
+    is the same in both bases.
     """
     if not g.is_involution():
         raise InputError("not an involution")
     if n is not None and g.lattice.rank != n + 1:
         raise InputError("index does not match the lattice rank")
     bound = height_bound if height_bound is not None else criteria.height_bound_default()
+    rank = g.lattice.rank
+    if not 3 <= rank <= 10 or g.lattice != del_pezzo_lattice(rank - 1):
+        return _decompose_in_basis(g, bound)
+    g_red, h_inv = chamber_conjugate(g)
+    d = _decompose_in_basis(g_red, bound)
+    steps = tuple(SplitStep(s.action, tuple(_back(h_inv, b) for b in s.basis))
+                  for s in d.steps)
+    leaf = dataclasses.replace(d.leaf, basis=tuple(_back(h_inv, b) for b in d.leaf.basis))
+    return Decomposition(steps, leaf)
+
+
+def _swap_closed(plus, minus, bound: int) -> bool:
+    """Whether no swapped pair exists beyond what _swapped_pair searched.
+
+    That holds when both sides are definite (the search was complete), or
+    when no root of the definite side is congruent mod 2 to a vector of the
+    other side (route d's closure).
+    """
+    if plus.definite and minus.definite:
+        return True
+    side, other = (minus, plus) if minus.definite else (plus, minus)
+    roots, _ = criteria._search(side, -2, bound)
+    return not criteria.congruent_roots(roots, other)
+
+
+def _decompose_in_basis(g: Isometry, bound: int) -> Decomposition:
+    """decompose for g as written, with no chamber reduction."""
     lat = g.lattice
     current = full_sublattice(lat)
     steps: List[SplitStep] = []
@@ -348,8 +405,10 @@ def decompose(g: Isometry, n: Optional[int] = None,
             break
     if current.rank:
         # no split left: Irreducible when each eigen side is empty, definite
-        # (its search above was complete) or even (no class of square -1)
-        decided = all(s.definite or is_even(s.sub) for s in (plus, minus))
+        # (its search above was complete) or even (no class of square -1),
+        # and the swapped-pair search is closed as well
+        decided = (all(s.definite or is_even(s.sub) for s in (plus, minus))
+                   and _swap_closed(plus, minus, bound))
         leaf = DecompositionLeaf(_leaf_type(current),
                                  tuple(v.coords for v in current.basis),
                                  tuple(tuple(r) for r in g_sub),

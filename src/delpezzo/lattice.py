@@ -288,6 +288,14 @@ class Isometry:
         if abs(xl.det(m)) != 1:
             raise InputError("matrix is not unimodular")
 
+    @classmethod
+    def _trusted(cls, lattice: Lattice, matrix: Tuple[Tuple[int, ...], ...]) -> "Isometry":
+        """An isometry built from ones already checked: no form or determinant check."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "lattice", lattice)
+        object.__setattr__(obj, "matrix", matrix)
+        return obj
+
     def apply(self, v: LatticeVector) -> LatticeVector:
         if v.lattice != self.lattice:
             raise InputError("vector does not belong to the isometry's lattice")
@@ -297,15 +305,21 @@ class Isometry:
         if other.lattice != self.lattice:
             raise InputError("isometries act on different lattices")
         prod = xl.mat_mul(self.matrix, other.matrix)
-        return Isometry(self.lattice, tuple(tuple(r) for r in prod))
+        return Isometry._trusted(self.lattice, tuple(tuple(r) for r in prod))
 
     def __matmul__(self, other: "Isometry") -> "Isometry":
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        inv = xl.inverse(self.matrix)
-        m = tuple(tuple(int(x) for x in row) for row in inv)
-        return Isometry(self.lattice, m)
+        diag = _diagonal(self.lattice.gram)
+        if diag is not None and all(d in (1, -1) for d in diag):
+            # g^-1 = G^-1 g^T G, and G^-1 = G for a diagonal +-1 form
+            size = len(diag)
+            m = tuple(tuple(diag[i] * self.matrix[j][i] * diag[j] for j in range(size))
+                      for i in range(size))
+        else:
+            m = tuple(tuple(int(x) for x in row) for row in xl.inverse(self.matrix))
+        return Isometry._trusted(self.lattice, m)
 
     def is_identity(self) -> bool:
         return all(self.matrix[i][j] == (1 if i == j else 0)
@@ -319,7 +333,8 @@ class Isometry:
         return sum(self.matrix[i][i] for i in range(self.lattice.rank))
 
     def negated(self) -> "Isometry":
-        return Isometry(self.lattice, tuple(tuple(-x for x in row) for row in self.matrix))
+        return Isometry._trusted(self.lattice,
+                                 tuple(tuple(-x for x in row) for row in self.matrix))
 
 
 def identity_isometry(lattice: Lattice) -> Isometry:

@@ -4,6 +4,11 @@ For the rank n+1 lattice with basis (H, E_1, ..., E_n) the distinguished
 class is K = -3H + E_1 + ... + E_n.  The group of interest is the full
 integral isometry group fixing K; for 2 <= n <= 8 it is finite and
 generated by reflections in roots (norm -2 vectors orthogonal to K).
+
+The whole group O+(M_n), n <= 9, is the reflection group of a simplex
+(wall_generators); reduce_to_chamber moves a vector of positive square into
+its fundamental chamber, and chamber_conjugate uses that to put an
+involution into a normal basis.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError, UnsupportedError
 from . import enumeration as en
+from . import exactlinalg as xl
 from .lattice import (
     Isometry,
     Lattice,
@@ -93,6 +99,66 @@ def wall_generators(n: int) -> GeneratorSet:
     else:
         raise InputError("wall generators are defined for 2 <= n <= 9")
     return GeneratorSet(lat, vecs, labels)
+
+
+def reduce_to_chamber(x: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """(x', h) with x' = h x in the fundamental chamber of O+(M_n), 2 <= n <= 9.
+
+    For n <= 9, O+(M_n) is the reflection group of a simplex with walls
+    alpha0 = H - E1 - E2 - E3 (H - E1 - E2 for n = 2), E_i - E_{i+1} and E_n
+    (Vinberg 1972).  Writing x = aH + sum c_i E_i with x^2 > 0 and a > 0:
+    reflect in E_i while some c_i > 0, sort so that c_1 <= ... <= c_n, and
+    reflect in alpha0 while Q(x, alpha0) = a + c_1 + c_2 (+ c_3) < 0.  Each
+    alpha0 step strictly lowers a, so the loop ends.  Everything runs on
+    plain integers; h comes back as the rows of its matrix.
+    """
+    n = len(x) - 1
+    if not 2 <= n <= 9:
+        raise InputError("chamber reduction is defined for 2 <= n <= 9")
+    a, c = x[0], list(x[1:])
+    if a <= 0 or a * a <= sum(y * y for y in c):
+        raise InputError("chamber reduction needs x^2 > 0 and a positive H coefficient")
+    m = min(n, 3)
+    step = 2 if n == 2 else 1    # -2 / Q(alpha0, alpha0)
+    rows = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    while True:
+        for i in range(n):
+            if c[i] > 0:
+                c[i] = -c[i]
+                rows[i + 1] = [-y for y in rows[i + 1]]
+        order = sorted(range(n), key=c.__getitem__)
+        c = [c[i] for i in order]
+        rows = [rows[0]] + [rows[i + 1] for i in order]
+        q = a + sum(c[:m])
+        if q >= 0:
+            return (a, *c), tuple(tuple(r) for r in rows)
+        # y -> y + step * Q(y, alpha0) * alpha0, on x and on every column of h
+        t = step * q
+        a += t
+        for i in range(m):
+            c[i] -= t
+        w = [step * sum(col[:m + 1]) for col in zip(*rows)]
+        rows[0] = [y + d for y, d in zip(rows[0], w)]
+        for i in range(1, m + 1):
+            rows[i] = [y - d for y, d in zip(rows[i], w)]
+
+
+def chamber_conjugate(g: Isometry) -> Tuple[Isometry, Tuple[Tuple[int, ...], ...]]:
+    """(g', h^-1) with g' = h g h^-1 for the h of reduce_to_chamber(x).
+
+    x = H + g(H), or H - g(H) when Q(H, gH) < 0; either way x^2 > 0 and
+    g(x) = +-x, so the reduced x' is fixed or negated by g'.  A vector w' of
+    g' belongs to g as h^-1 w'.  h^-1 = J h^T J with J = diag(1, -1, ...).
+    """
+    mat = g.matrix
+    size = len(mat)
+    sign = 1 if mat[0][0] > 0 else -1
+    x = [int(i == 0) + sign * mat[i][0] for i in range(size)]
+    _, h = reduce_to_chamber(x)
+    j = [1] + [-1] * (size - 1)
+    h_inv = tuple(tuple(j[r] * h[c][r] * j[c] for c in range(size)) for r in range(size))
+    conj = xl.mat_mul(xl.mat_mul(h, mat), h_inv)
+    return Isometry(g.lattice, tuple(tuple(r) for r in conj)), h_inv
 
 
 @lru_cache(maxsize=None)

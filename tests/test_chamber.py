@@ -1,0 +1,184 @@
+"""Chamber normal form: verdicts and splittings do not depend on the basis.
+
+O+(M_n), n <= 9, is the reflection group of a simplex with walls
+H - E1 - E2 - E3 (H - E1 - E2 for n = 2), E_i - E_{i+1} and E_n.
+Involutions are decided in their chamber conjugates, so conjugating one by
+a word in the wall reflections must not change the outcome.
+"""
+import random
+
+import pytest
+
+from delpezzo import (
+    IRREDUCIBLE,
+    InputError,
+    UNKNOWN,
+    check_reducible,
+    classify_involutions,
+    decompose,
+    identity_isometry,
+)
+from delpezzo import criteria
+from delpezzo import exactlinalg as xl
+from delpezzo.irreducibility import _decompose_in_basis
+from delpezzo.lattice import Isometry, Lattice, del_pezzo_lattice
+from delpezzo.weyl import canonical_class, reduce_to_chamber, wall_generators
+
+
+def _walls(n):
+    """The simplex walls of O+(M_n), as coordinate tuples."""
+    alpha0 = (1,) + (-1,) * min(n, 3) + (0,) * (n - min(n, 3))
+    steps = [tuple(int(j == i) - int(j == i + 1) for j in range(n + 1))
+             for i in range(1, n)]
+    return [alpha0, *steps, tuple(int(j == n) for j in range(n + 1))]
+
+
+def _q(u, v):
+    return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
+
+
+def _word(n, rng, length=12):
+    lat = del_pezzo_lattice(n)
+    gens = wall_generators(n).isometries()
+    h = identity_isometry(lat)
+    for _ in range(length):
+        h = h @ rng.choice(gens)
+    return h
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_reduction_ends_in_the_chamber(n):
+    rng = random.Random(600 + n)
+    for _ in range(40):
+        g = _word(n, rng)
+        x = [int(i == 0) + c for i, c in enumerate(g.apply(
+            del_pezzo_lattice(n).basis_vector(0)).coords)]  # H + gH, x^2 > 0
+        reduced, h = reduce_to_chamber(x)
+        assert reduced == tuple(xl.mat_vec(h, x))
+        assert _q(reduced, reduced) == _q(x, x)
+        j = [[(1 if i == 0 else -1) * int(i == k) for k in range(n + 1)]
+             for i in range(n + 1)]
+        assert xl.mat_mul(xl.mat_mul(xl.transpose(h), j), h) == j
+        assert all(_q(reduced, w) >= 0 for w in _walls(n))
+        # each O+ orbit meets the closed chamber once
+        other = g.apply(del_pezzo_lattice(n).vector(x)).coords
+        assert reduce_to_chamber(other)[0] == reduced
+        assert reduce_to_chamber(reduced)[0] == reduced
+
+
+def test_reduction_rejects_vectors_outside_the_positive_cone():
+    for x in ((-1, 0, 0), (1, 1, 0), (0, 0, 0, 0), (2, 1, 1, 1, 1)):
+        with pytest.raises(InputError):
+            reduce_to_chamber(x)
+
+
+def _conjugates(rng, per_class=2):
+    for n in range(3, 9):
+        for cls in classify_involutions(n):
+            for _ in range(per_class):
+                h = _word(n, rng)
+                yield n, cls, h @ cls.representative @ h.inverse()
+
+
+def test_verdicts_and_witnesses_are_basis_independent():
+    rng = random.Random(6061)
+    base = {}
+    for n, cls, g in _conjugates(rng):
+        if (n, cls.label) not in base:
+            base[n, cls.label] = check_reducible(cls.representative, n, height_bound=2).status
+        verdict = check_reducible(g, n, height_bound=2)
+        assert verdict.status == base[n, cls.label] != UNKNOWN
+        # witnesses are vectors of the input g, not of its chamber conjugate
+        assert verdict.certificate.verify(g)
+
+
+def test_decompositions_are_basis_independent():
+    rng = random.Random(6062)
+    rank = {}
+    for n, cls, g in _conjugates(rng, per_class=1):
+        if (n, cls.label) not in rank:
+            rank[n, cls.label] = len(decompose(cls.representative, n).leaf.basis)
+        d = decompose(g, n)
+        assert d.leaf.verdict != UNKNOWN
+        assert len(d.leaf.basis) == rank[n, cls.label]
+        lat = g.lattice
+        for step in d.steps:
+            vs = [lat.vector(b) for b in step.basis]
+            images = [g.apply(v) for v in vs]
+            want = {"fix": vs, "negate": [-v for v in vs], "swap": vs[::-1]}[step.action]
+            assert images == want
+
+
+def _partner_oracle(gram, c1):
+    """An explicit partner of c1 from an HNF solution of v.y = 1, or None.
+
+    The y with v.y = 1 are y0 + ker v; y^2 mod 2 is affine on that coset, so
+    a y of even square exists iff y0 has one or some kernel vector is odd.
+    """
+    v = xl.mat_vec(gram, c1)
+    y0 = xl.solve_integer([v], [1])
+    if y0 is None:
+        return None
+
+    def sq(y):
+        return sum(a * b for a, b in zip(y, xl.mat_vec(gram, y)))
+
+    y = y0
+    if sq(y) % 2:
+        odd = [k for k in xl.kernel([v]) if sq(k) % 2]
+        if not odd:
+            return None
+        y = [a + b for a, b in zip(y0, odd[0])]
+    return [a - sq(y) // 2 * b for a, b in zip(y, c1)]
+
+
+def test_partner_test_matches_hnf_oracle_on_catalog_plus_sides():
+    checked = 0
+    for n in (6, 7, 8):
+        for cls in classify_involutions(n):
+            plus = criteria.eigen_data(cls.representative, canonical_class(n)).plus
+            if plus.definite or plus.anchor is None:
+                continue
+            gram = [list(r) for r in plus.gram]
+            for batch in criteria._search_batches(plus, 0, 3):
+                for c1 in batch:
+                    partner = _partner_oracle(gram, list(c1))
+                    assert criteria.has_partner(gram, c1) == (partner is not None)
+                    if partner is not None:
+                        pv = xl.mat_vec(gram, partner)
+                        assert sum(a * b for a, b in zip(partner, pv)) == 0
+                        assert sum(a * b for a, b in zip(c1, pv)) == 1
+                    checked += 1
+    assert checked > 1000
+
+
+def test_partner_test_hand_cases():
+    # U + <-1>: (1, 0, 0) pairs with (0, 1, 0); (2, 0, 0) has gcd(v) = 2
+    u1 = Lattice(((0, 1, 0), (1, 0, 0), (0, 0, -1)), ("e", "f", "z"))
+    assert criteria.has_partner(u1.gram, (1, 0, 0))
+    assert not criteria.has_partner(u1.gram, (2, 0, 0))
+    # <1> + <-1>: H + E1 is primitive but characteristic, v = diag mod 2
+    assert not criteria.has_partner(del_pezzo_lattice(1).gram, (1, 1))
+    for c1 in ((1, 0, 0), (2, 0, 0)):
+        assert criteria.has_partner(u1.gram, c1) == (
+            _partner_oracle([list(r) for r in u1.gram], list(c1)) is not None)
+
+
+# seed 17, op 50 of the decompose benchmark stream: an n = 7 m4a K-conjugate
+SEED17_OP50 = (
+    (5, 3, 2, 2, 2, 1, 1, 1), (-3, -2, -1, -1, -1, -1, -1, -1),
+    (-2, -1, -1, -1, -1, -1, 0, 0), (-2, -1, -1, -1, -1, 0, -1, 0),
+    (-2, -1, -1, -1, -1, 0, 0, -1), (-1, -1, -1, 0, 0, 0, 0, 0),
+    (-1, -1, 0, -1, 0, 0, 0, 0), (-1, -1, 0, 0, -1, 0, 0, 0),
+)
+
+
+def test_seed17_op50_leaf_is_not_called_irreducible_early():
+    g = Isometry(del_pezzo_lattice(7), SEED17_OP50)
+    d = decompose(g, 7)
+    assert [s.action for s in d.steps] == ["swap"] * 3
+    assert len(d.leaf.basis) == 2 and d.leaf.verdict == IRREDUCIBLE
+    # as written, the plus side is even and indefinite with no anchor: the
+    # swapped-pair search cannot run, so the rank-6 leaf stays undecided
+    raw = _decompose_in_basis(g, criteria.DEFAULT_HEIGHT_BOUND)
+    assert len(raw.leaf.basis) == 6 and raw.leaf.verdict == UNKNOWN

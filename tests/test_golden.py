@@ -9,6 +9,12 @@ and, in decompose.jsonl, one line per classify_involutions(n) representative,
 json.dumps({"n": n, "label": label, "decomposition": decompose(rep, n).to_json()},
 sort_keys=True).  Any change to a verdict, certificate, witness vector, split
 step or leaf shows up here.
+
+Since decompose works in the chamber conjugate of its input, 14 of the 33
+decompose.jsonl lines were regenerated (n = 4 m2; 5 m2b, m3; 6 m3, m4; 7 m3b,
+m4a, m4b, m5; 8 m4a, m4b, m5, m6, m7): their split and leaf basis vectors, and
+with them the leaf matrices, changed.  Every action, leaf type, leaf rank and
+verdict stayed as written before.
 """
 import json
 from pathlib import Path

@@ -17,7 +17,10 @@ from delpezzo import (
     irreducible_involution_classes,
     negation_twist,
 )
+from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
+from delpezzo.criteria import DEFAULT_HEIGHT_BOUND
+from delpezzo.irreducibility import _decompose_in_basis
 from delpezzo.lattice import (
     Sublattice,
     del_pezzo_lattice,
@@ -221,10 +224,25 @@ def _leaf_eigenparts(d, lat):
     return parts
 
 
+def _has_congruent_root(definite, other):
+    """Whether a root of the definite part is = a vector of the other mod 2."""
+    if definite.rank == 0:
+        return False
+    gram = definite.gram()
+    if gram[0][0] > 0:
+        return False
+    other_basis = [[v.coords[i] % 2 for v in other.basis]
+                   for i in range(definite.ambient.rank)]
+    return any(xl.f2_solvable(other_basis, [x % 2 for x in definite.from_coords(c).coords])
+               for c in en.definite_vectors([[-x for x in r] for r in gram], 2))
+
+
 def test_leaf_verdict_on_skewed_bases():
+    # decompose reduces every input to its chamber conjugate first, and then
+    # no leaf stays Unknown; the leaf rule is checked on the bases as given
     verdicts = set()
     for n, g in _skewed_conjugates():
-        d = decompose(g, n)
+        d = _decompose_in_basis(g, DEFAULT_HEIGHT_BOUND)
         verdicts.add(d.leaf.verdict)
         parts = _leaf_eigenparts(d, g.lattice)
         kinds = []
@@ -232,9 +250,18 @@ def test_leaf_verdict_on_skewed_bases():
             pos, neg, _ = signature(part)
             definite = pos == 0 or neg == 0
             kinds.append((part.rank == 0, definite, is_even(part)))
+        plus, minus = parts
+        if kinds[0][1] and kinds[1][1]:
+            swap_closed = True
+        elif kinds[1][1]:
+            swap_closed = not _has_congruent_root(minus, plus)
+        else:
+            swap_closed = not _has_congruent_root(plus, minus)
         if d.leaf.verdict == IRREDUCIBLE:
             assert all(empty or definite or even for empty, definite, even in kinds)
+            assert swap_closed
         else:
             assert d.leaf.verdict == UNKNOWN
-            assert any(not definite and not even for _, definite, even in kinds)
+            assert (any(not definite and not even for _, definite, even in kinds)
+                    or not swap_closed)
     assert verdicts == {IRREDUCIBLE, UNKNOWN}

@@ -175,3 +175,20 @@ def test_inverse_roundtrip():
     prod = xl.mat_mul(m, inv)
     assert all(prod[i][j] == (1 if i == j else 0)
                for i in range(3) for j in range(3))
+
+
+def test_products_inverses_and_negations_pass_the_full_check():
+    # they skip the form and determinant check; rebuilding them must pass it
+    quadric = blowup_quadric_lattice(4)
+    cases = (
+        (del_pezzo_lattice(5), [(1, 1, 1, 1, 0, 0), (0, 1, -1, 0, 0, 0), (0, 0, 0, 0, 0, 1)]),
+        (quadric, [(1, -1, 0, 0, 0), (0, 0, 1, -1, 0), (0, 0, 0, 0, 1), (1, 0, -1, 0, 0)]),
+    )
+    for lat, vecs in cases:
+        g = identity_isometry(lat)
+        for v in vecs:
+            g = g @ reflection(lat.vector(v))
+        assert not g.is_identity()
+        for h in (g, g.inverse(), g.negated()):
+            assert Isometry(lat, h.matrix) == h
+        assert (g @ g.inverse()).is_identity() and (g.inverse() @ g).is_identity()
