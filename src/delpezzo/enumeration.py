@@ -2,34 +2,27 @@
 
 All routines work over Z / Fraction only; no floating point is used, so
 results never suffer rounding drop-outs.
+
+definite_vectors_by_norm is a Fincke-Pohst search (Math. Comp. 44, 1985)
+in scaled integers.  The rational Cholesky data write the form as
+Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2.  With D the lcm of the
+denominators of the q_ij (j >= i), Q_i = D q_ii and C_ij = D q_ij are
+integers, and at level i the partial sum S = sum_{j>i} C_ij x_j = D s and
+the scaled remainder R = D^3 rem are integers too.  The bound
+q_ii (x_i + s)^2 <= rem multiplied by D^3 reads Q_i (D x_i + S)^2 <= R, and
+since (D x_i + S)^2 is an integer that is |D x_i + S| <= isqrt(R // Q_i).
+Both are equivalences, so the integer bounds admit exactly the x_i the
+rational ones admit, in the same order, and the search stays complete.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import List, Sequence, Tuple
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 
 Coords = Tuple[int, ...]
-
-_BOX_LIMIT = 30_000_000
-
-
-def _floor_sqrt_plus(t: Fraction, s: Fraction) -> int:
-    """floor(sqrt(t) + s) for t >= 0, computed exactly."""
-    approx = Fraction(isqrt(t.numerator * t.denominator), t.denominator) + s
-    x = approx.numerator // approx.denominator
-
-    def le_sqrt(v: Fraction) -> bool:
-        return v <= 0 or v * v <= t
-
-    while le_sqrt((x + 1) - s):
-        x += 1
-    while not le_sqrt(x - s):
-        x -= 1
-    return x
 
 
 def _cholesky(gram: Sequence[Sequence[int]]) -> List[List[Fraction]]:
@@ -48,66 +41,69 @@ def _cholesky(gram: Sequence[Sequence[int]]) -> List[List[Fraction]]:
     return q
 
 
+def _descend(i: int, rem: int, x: List[int], diag: List[int],
+             upper: List[List[int]], scale: int, top: int, out: dict) -> None:
+    """Fill out with the vectors below level i; rem is the scaled remainder R.
+
+    Coordinate n-1 is outermost and every coordinate runs upwards.  A module
+    function, not a closure, so no reference cycle keeps out alive.
+    """
+    row = upper[i]
+    s = 0
+    for j in range(i + 1, len(x)):
+        s += row[j] * x[j]
+    qi = diag[i]
+    r = isqrt(rem // qi)
+    lo = -((r + s) // scale)
+    hi = (r - s) // scale
+    if i:
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            y = scale * xi + s
+            _descend(i - 1, rem - qi * y * y, x, diag, upper, scale, top, out)
+        x[i] = 0
+        return
+    cube = scale ** 3
+    for xi in range(lo, hi + 1):
+        y = scale * xi + s
+        norm = (top - rem + qi * y * y) // cube
+        if norm > 0:
+            x[0] = xi
+            out.setdefault(norm, []).append(tuple(x))
+    x[0] = 0
+
+
 def definite_vectors_by_norm(gram: Sequence[Sequence[int]],
                              max_norm: int) -> dict:
     """Nonzero integer vectors with 0 < x^T gram x <= max_norm, keyed by norm.
 
-    Requires gram positive definite; the enumeration is complete.
+    Requires gram positive definite; the enumeration is complete.  Keys come
+    in order of first occurrence and each list in the order of
+    definite_vectors.
     """
     n = len(gram)
     out: dict = {}
-    if max_norm <= 0:
+    if max_norm <= 0 or not n:
         return out
     q = _cholesky(gram)
-    bound = Fraction(max_norm)
-    x = [0] * n
-
-    def descend(i: int, rem: Fraction) -> None:
-        if i < 0:
-            norm = max_norm - rem
-            if norm > 0:
-                out.setdefault(int(norm), []).append(tuple(x))
-            return
-        s = sum((q[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        t = rem / q[i][i]
-        hi = _floor_sqrt_plus(t, -s)
-        lo = -_floor_sqrt_plus(t, s)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            descend(i - 1, rem - q[i][i] * (xi + s) ** 2)
-        x[i] = 0
-
-    descend(n - 1, bound)
+    scale = lcm(*(q[i][j].denominator for i in range(n) for j in range(i, n)))
+    diag = [int(q[i][i] * scale) for i in range(n)]
+    upper = [[int(q[i][j] * scale) if j > i else 0 for j in range(n)] for i in range(n)]
+    top = max_norm * scale ** 3
+    _descend(n - 1, top, [0] * n, diag, upper, scale, top, out)
     return out
 
 
 def definite_vectors(gram: Sequence[Sequence[int]], target: int) -> List[Coords]:
     """All nonzero integer vectors x with x^T gram x == target.
 
-    Requires gram positive definite; the enumeration is complete.
+    Requires gram positive definite.  The result is the complete solution
+    set, sorted by reversed coordinates (x_{n-1} first, then x_{n-2}, ...),
+    which is the order of the search.
     """
     if target <= 0:
         return []
     return definite_vectors_by_norm(gram, target).get(target, [])
-
-
-def box_vectors(gram: Sequence[Sequence[int]], target: int, bound: int) -> List[Coords]:
-    """Nonzero vectors of the exact norm inside the coordinate box |x_i| <= bound.
-
-    Exhaustive over the box; exponential in the rank, so only suitable for
-    small rank or small bound.
-    """
-    n = len(gram)
-    if (2 * bound + 1) ** n > _BOX_LIMIT:
-        raise UnsupportedError("coordinate box too large for exhaustive search")
-    out = []
-    for c in itertools.product(range(-bound, bound + 1), repeat=n):
-        if not any(c):
-            continue
-        val = sum(c[i] * gram[i][j] * c[j] for i in range(n) for j in range(n) if c[i] and gram[i][j])
-        if val == target:
-            out.append(tuple(c))
-    return out
 
 
 def _anchor_complement(gram: Sequence[Sequence[int]], p: Sequence[int]):
@@ -159,12 +155,3 @@ def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
                     if t:
                         batch.append(tuple(-x for x in c))
         yield t, sorted(set(batch))
-
-
-def anchored_norm_vectors(gram: Sequence[Sequence[int]], p: Sequence[int],
-                          target: int, t_bound: int) -> List[Coords]:
-    """Vectors c with c^T gram c == target and |<p, c>| <= t_bound."""
-    found = []
-    for _, batch in anchored_norm_slices(gram, p, target, t_bound):
-        found.extend(batch)
-    return sorted(set(found))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, UnsupportedError
 from . import exactlinalg as xl
 
 Coords = Tuple[int, ...]
@@ -356,7 +356,7 @@ def fixed_and_antifixed(g: Isometry) -> Tuple[Sublattice, Sublattice]:
 
 @dataclass(frozen=True)
 class ShortVectorResult:
-    """Outcome of a short-vector search; complete=False means truncated."""
+    """Outcome of a short-vector search; short_vectors only returns complete ones."""
 
     vectors: Tuple[LatticeVector, ...]
     complete: bool
@@ -368,12 +368,11 @@ class ShortVectorResult:
         return len(self.vectors)
 
 
-def short_vectors(sub: Sublattice, target_norm: int, height_bound: int = 10) -> ShortVectorResult:
+def short_vectors(sub: Sublattice, target_norm: int) -> ShortVectorResult:
     """Nonzero sublattice vectors of the exact given self-intersection.
 
-    For a definite restricted form the enumeration is complete.  Otherwise
-    all solutions with basis coordinates bounded by height_bound are
-    returned and the result is marked truncated.
+    The restricted form must be definite; the enumeration is then complete.
+    An indefinite or degenerate sublattice raises UnsupportedError.
     """
     from . import enumeration as en
 
@@ -381,13 +380,11 @@ def short_vectors(sub: Sublattice, target_norm: int, height_bound: int = 10) -> 
         return ShortVectorResult((), True)
     gram = sub.gram()
     pos, neg, zero = xl.sylvester_signature(gram)
-    if zero == 0 and (neg == 0 or pos == 0):
-        if pos == 0:
-            coords = en.definite_vectors([[-x for x in row] for row in gram], -target_norm)
-        else:
-            coords = en.definite_vectors([list(row) for row in gram], target_norm)
-        vecs = sorted(sub.from_coords(c) for c in coords)
-        return ShortVectorResult(tuple(vecs), True)
-    coords = en.box_vectors(gram, target_norm, height_bound)
+    if zero or (pos and neg):
+        raise UnsupportedError("short vectors are enumerated only in definite sublattices")
+    if pos == 0:
+        coords = en.definite_vectors([[-x for x in row] for row in gram], -target_norm)
+    else:
+        coords = en.definite_vectors([list(row) for row in gram], target_norm)
     vecs = sorted(sub.from_coords(c) for c in coords)
-    return ShortVectorResult(tuple(vecs), False)
+    return ShortVectorResult(tuple(vecs), True)

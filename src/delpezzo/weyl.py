@@ -40,23 +40,9 @@ def reflection(v: LatticeVector) -> Isometry:
     """The reflection w -> w - (2 Q(v,w) / Q(v,v)) v.
 
     Integral exactly when Q(v,v) divides 2 Q(v, b) for every basis vector b,
-    which holds whenever Q(v,v) is +-1 or +-2.
+    which holds whenever Q(v,v) is +-1 or +-2; other norms are rejected.
     """
-    lat = v.lattice
-    nv = v.norm()
-    if nv not in (1, -1, 2, -2):
-        raise InputError("reflection requires self-intersection in {+-1, +-2}")
-    n = lat.rank
-    cols = []
-    for j in range(n):
-        b = lat.basis_vector(j)
-        t = 2 * v.dot(b)
-        if t % nv:
-            raise InputError("reflection in this vector is not integral")
-        k = t // nv
-        cols.append(tuple(b.coords[i] - k * v.coords[i] for i in range(n)))
-    matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return Isometry(lat, matrix)
+    return product_of_reflections([v])
 
 
 @dataclass(frozen=True)
@@ -255,12 +241,30 @@ def stabilizes_canonical_class(g: Isometry, n: int) -> bool:
 
 
 def product_of_reflections(vectors: Sequence[LatticeVector]) -> Isometry:
+    """Ref_{v_0} Ref_{v_1} ... Ref_{v_k}, each v_i of norm +-1 or +-2.
+
+    Works on the integer columns of the product: the factors act from the
+    last to the first, each column c becoming c - (2 Q(v, c) / Q(v, v)) v,
+    and the finished matrix is checked once as an Isometry.
+    """
     if not vectors:
         raise InputError("empty reflection product")
-    g = reflection(vectors[0])
-    for v in vectors[1:]:
-        g = g @ reflection(v)
-    return g
+    lat = vectors[0].lattice
+    n = lat.rank
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for v in reversed(vectors):
+        if v.lattice != lat:
+            raise InputError("isometries act on different lattices")
+        nv = v.norm()
+        if nv not in (1, -1, 2, -2):
+            raise InputError("reflection requires self-intersection in {+-1, +-2}")
+        gv = xl.mat_vec(lat.gram, list(v.coords))
+        for c in cols:
+            k = 2 * sum(a * b for a, b in zip(gv, c)) // nv
+            if k:
+                for i, vi in enumerate(v.coords):
+                    c[i] -= k * vi
+    return Isometry(lat, tuple(tuple(c[i] for c in cols) for i in range(n)))
 
 
 def orbit(seed, gens, limit: int = 10 ** 6) -> List[LatticeVector]:

@@ -21,6 +21,7 @@ from delpezzo import (
     signature,
     span,
 )
+from delpezzo.errors import UnsupportedError
 from delpezzo.weyl import canonical_class, reflection
 
 
@@ -122,6 +123,14 @@ def test_short_vectors_negative_definite_complete():
     res = short_vectors(kperp, -2)
     assert res.complete
     assert len(res.vectors) == 8  # the roots of the rank-3 system
+
+
+def test_short_vectors_rejects_indefinite_and_degenerate_sublattices():
+    lat = del_pezzo_lattice(3)
+    for basis in (((1, 0, 0, 0), (0, 1, 0, 0)),     # <1> + <-1>
+                  ((1, 1, 0, 0),)):                  # isotropic line
+        with pytest.raises(UnsupportedError):
+            short_vectors(span(lat, tuple(lat.vector(b) for b in basis)), -1)
 
 
 def test_sublattice_determinant_and_from_coords():

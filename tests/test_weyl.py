@@ -1,6 +1,10 @@
 """Roots, reflections, and the canonical-class stabilizer."""
+import random
+from functools import reduce
+
 import pytest
 
+import delpezzo.exactlinalg as xl
 import delpezzo.permgroup as pg
 from delpezzo import InputError
 from delpezzo.lattice import del_pezzo_lattice
@@ -12,6 +16,7 @@ from delpezzo.weyl import (
     orbit,
     product_of_reflections,
     reflection,
+    wall_generators,
     weyl_generators,
     weyl_order,
 )
@@ -46,6 +51,13 @@ def test_reflection_requires_unit_or_root_norm():
     lat = del_pezzo_lattice(3)
     with pytest.raises(InputError):
         reflection(lat.vector((0, 1, 1, 1)))  # norm -3
+    root = lat.vector((0, 1, -1, 0))
+    for coords, square in (((1, 1, 0, 0), 0), ((0, 1, 1, 1), -3), ((2, 1, 0, 0), 3)):
+        v = lat.vector(coords)
+        assert v.norm() == square
+        for word in ([v], [root, v, root]):
+            with pytest.raises(InputError):
+                product_of_reflections(word)
 
 
 def test_weyl_orders():
@@ -117,6 +129,29 @@ def test_product_of_reflections_in_orthogonal_roots_is_involution():
     r2 = lat.vector((0, 0, 0, 1, -1, 0))
     g = product_of_reflections((r1, r2))
     assert g.is_involution() and not g.is_identity()
+
+
+def _reflection_matrix(v):
+    """Columns w - (2 Q(v, w) / Q(v, v)) v for the basis vectors w."""
+    lat, nv = v.lattice, v.norm()
+    cols = [[b - 2 * v.dot(lat.basis_vector(j)) // nv * c
+             for b, c in zip(lat.basis_vector(j).coords, v.coords)]
+            for j in range(lat.rank)]
+    return tuple(zip(*cols))
+
+
+def test_product_of_reflections_equals_composition():
+    rng = random.Random(7171)
+    for n in range(2, 9):
+        pool = list(enumerate_roots(n).roots) + list(wall_generators(n).vectors)
+        non_orthogonal = 0
+        for _ in range(25):
+            word = [rng.choice(pool) for _ in range(rng.randrange(1, 7))]
+            non_orthogonal += any(u.dot(v) for u, v in zip(word, word[1:]))
+            expected = reduce(xl.mat_mul, (_reflection_matrix(v) for v in word))
+            assert product_of_reflections(word).matrix == tuple(map(tuple, expected))
+            assert reflection(word[0]).matrix == _reflection_matrix(word[0])
+        assert non_orthogonal
 
 
 def test_perm_round_trip(rng):
