@@ -25,6 +25,13 @@ Route b skips every isotropic vector without a hyperbolic partner, which an
 exact mod-2 test (has_partner) detects, so only vectors that can pair are
 scanned; the scan order and the first pair found are those of the full scan.
 
+The scans of routes b and d run on int tuples from the slab down to the
+witness: side coordinates are lifted to ambient ones once (Sublattice.lift),
+route b computes G c once per isotropic vector for both the partner test
+and the pair products, route d tests roots mod 2 against one F2 echelon of
+the other side and pairs them by parity, and lattice vectors are built only
+for the witnesses returned.
+
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, and decompose builds the eigen sides of each piece
 with _side and draws its candidates from _search_batches.  When no
@@ -37,7 +44,8 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from operator import mul
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from . import enumeration as en
@@ -50,7 +58,10 @@ from .lattice import (
     has_even_products,
     is_even,
     sign_canonical,
+    sign_canonical_coords,
 )
+
+Coords = Tuple[int, ...]
 
 DEFAULT_HEIGHT_BOUND = 10
 FLAG_BOUND = 4
@@ -143,9 +154,10 @@ def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector],
 
 
 def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData:
-    """Eigenlattice data; the anchor is used only when g fixes it."""
-    if not g.is_involution():
-        raise InputError("not an involution")
+    """Eigenlattice data; the anchor is used only when g fixes it.
+
+    fixed_and_antifixed raises InputError when g is not an involution.
+    """
     plus, minus = fixed_and_antifixed(g)
     fixed_anchor = anchor if (anchor is not None and g.apply(anchor) == anchor) else None
     return EigenData(g, _side(plus, fixed_anchor, ANCHOR_RADIUS),
@@ -175,20 +187,6 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
     for _, batch in en.anchored_norm_slices([list(r) for r in gram],
                                             side.anchor, target, t_bound):
         yield batch
-
-
-def _vectors(side: _EigenSide, batch) -> List[LatticeVector]:
-    """Ambient vectors of a batch of side coordinates, sorted."""
-    return sorted(side.sub.from_coords(c) for c in batch)
-
-
-def _search(side: _EigenSide, target: int, t_bound: int):
-    """(vectors of the exact square in the eigenlattice, complete?)."""
-    if side.sub.rank == 0:
-        return [], True
-    out = [side.sub.from_coords(c)
-           for batch in _search_batches(side, target, t_bound) for c in batch]
-    return sorted(out), side.definite
 
 
 def _first_hit(side: _EigenSide, target: int, t_bound: int):
@@ -222,33 +220,49 @@ def has_partner(gram, c1) -> bool:
     So a partner exists iff gcd(v) = 1 and v != diag(G) mod 2; it is then
     y - (y^2 / 2) c1 for a y of even square.
     """
-    v = xl.mat_vec(gram, c1)
+    return _partner_test(gram, xl.mat_vec(gram, c1))
+
+
+def _partner_test(gram, v) -> bool:
+    """has_partner for the isotropic c1 with v = G c1."""
     return (math.gcd(*v) == 1
             and any((x - gram[i][i]) % 2 for i, x in enumerate(v)))
 
 
 def route_b(data: EigenData, n: int, t_bound: int) -> RouteResult:
+    """A fixed hyperbolic pair: the first c1 of a slab, in ambient order,
+    with a c2 of this or an earlier slab such that c1.c2 = 1.
+
+    The scan runs on int tuples: G c1 is computed once per isotropic vector
+    and serves both the partner test and the products, each vector is
+    lifted to ambient coordinates once, and lattice vectors are built only
+    for the two witnesses.
+    """
     if data.plus.sub.rank < 2:
         return RouteResult(CLOSED, "plus_rank_below_2")
-    if has_even_products(data.plus.sub):
+    if has_even_products(data.plus.gram):
         return RouteResult(CLOSED, "plus_even_products")
     if data.plus.definite:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
-    gram = data.plus.gram
-    seen: List[Tuple[LatticeVector, Tuple[int, ...]]] = []
+    gram, sub = data.plus.gram, data.plus.sub
+    seen: List[Tuple[Coords, Coords]] = []   # (ambient, side coordinates)
     for coords in _search_batches(data.plus, 0, t_bound):
         # an isotropic vector without a partner can be neither c1 nor c2
-        batch = sorted((data.plus.sub.from_coords(c), c)
-                       for c in coords if has_partner(gram, c))
-        pool = sorted(seen + batch)
+        batch = []
+        for c in coords:
+            v = xl.mat_vec(gram, c)
+            if _partner_test(gram, v):
+                batch.append((sub.lift(c), v, c))
+        batch.sort()
+        pool = sorted(seen + [(amb, c) for amb, _, c in batch])
         # first hit in sorted scan order; deterministic since slabs are
         # visited in a fixed order and each batch is complete
-        for c1, x in batch:
-            v = xl.mat_vec(gram, x)
+        for c1, v, _ in batch:
             for c2, y in pool:
-                if sum(a * b for a, b in zip(v, y)) == 1:
+                if sum(map(mul, v, y)) == 1:
+                    lat = sub.ambient
                     return RouteResult(WITNESS, "fixed_hyperbolic_pair",
-                                       tuple(sorted((c1, c2))))
+                                       tuple(lat.vector(w) for w in sorted((c1, c2))))
         seen = pool
     return RouteResult(OPEN, f"searched(t<={t_bound})")
 
@@ -264,47 +278,59 @@ def route_c(data: EigenData, t_bound: int) -> RouteResult:
     return RouteResult(OPEN, f"searched(t<={t_bound})")
 
 
-def congruent_roots(roots: List[LatticeVector], other: _EigenSide) -> List[LatticeVector]:
-    """The roots congruent mod 2 to some vector of the other eigen side."""
-    other_basis = [[x % 2 for x in row] for row in other.sub.basis_matrix()]
-    return [a for a in roots if xl.f2_solvable(other_basis, [x % 2 for x in a.coords])]
+def congruent_roots(roots: Sequence[Coords], other: _EigenSide) -> List[Coords]:
+    """The roots (ambient coordinates) congruent mod 2 to some vector of the
+    other eigen side, in their given order.
+
+    The other side's basis mod 2 goes into one F2 echelon, and each root is
+    reduced against it on packed ints.
+    """
+    return list(_congruent(roots, other))
+
+
+def _congruent(roots: Iterable[Coords], other: _EigenSide) -> Iterator[Coords]:
+    """congruent_roots, lazily."""
+    echelon = xl.f2_echelon(xl.f2_bits(v.coords) for v in other.sub.basis)
+    return (a for a in roots if not xl.f2_reduce(echelon, xl.f2_bits(a)))
+
+
+def _roots(side: _EigenSide, t_bound: int) -> List[Coords]:
+    """Ambient coordinates of the roots found on a side, in search order."""
+    return [side.sub.lift(c) for batch in _search_batches(side, -2, t_bound) for c in batch]
 
 
 def route_d(data: EigenData, n: int, t_bound: int) -> RouteResult:
     """Swapped (-1)-pair via roots a in L_minus, b in L_plus, a = b mod 2L.
 
     One eigenlattice is always definite, so its root list is complete and
-    the mod-2 congruence argument can close the route outright.
+    the mod-2 congruence argument can close the route outright.  The pairs
+    are compared as int tuples; the witnesses are the sign-canonical lex-min
+    c1 = (a + b) / 2 of the first slab with a pair, and g(c1).
     """
     if data.minus.definite:
         complete_side, other = "minus", data.plus
     else:
         complete_side, other = "plus", data.minus
-    complete_list, _ = _search(getattr(data, complete_side), -2, t_bound)
+    complete_list = _roots(getattr(data, complete_side), t_bound)
     if not complete_list:
         return RouteResult(CLOSED, f"no_{complete_side}_roots")
     congruent = congruent_roots(complete_list, other)
     if not congruent:
         return RouteResult(CLOSED, "mod2_unsolvable")
-
-    def _pair(a: LatticeVector, b: LatticeVector):
-        if any((x - y) % 2 for x, y in zip(a.coords, b.coords)):
-            return None
-        lat = data.g.lattice
-        c1 = lat.vector(tuple((x + y) // 2 for x, y in zip(a.coords, b.coords)))
-        c1 = sign_canonical(c1)
-        return (c1, data.g.apply(c1))
-
+    by_parity: dict = {}
+    for a in congruent:
+        by_parity.setdefault(xl.f2_bits(a), []).append(a)
     for coords in _search_batches(other, -2, t_bound):
-        batch = _vectors(other, coords)
         best = None
-        for a in congruent:
-            for b in batch:
-                cand = _pair(a, b)
-                if cand is not None and (best is None or cand < best):
-                    best = cand
+        for c in coords:
+            b = other.sub.lift(c)
+            for a in by_parity.get(xl.f2_bits(b), ()):
+                c1 = sign_canonical_coords(tuple((x + y) // 2 for x, y in zip(a, b)))
+                if best is None or c1 < best:
+                    best = c1
         if best is not None:
-            return RouteResult(WITNESS, "swapped_minus1_pair", best)
+            c1 = data.g.lattice.vector(best)
+            return RouteResult(WITNESS, "swapped_minus1_pair", (c1, data.g.apply(c1)))
     if other.definite:
         return RouteResult(CLOSED, "definite_pairs_exhausted")
     return RouteResult(OPEN, f"searched(t<={t_bound})")

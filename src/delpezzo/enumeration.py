@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
@@ -132,6 +133,8 @@ def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
         raise InputError("anchor vector must have positive self-intersection")
     comp, g_comp = _anchor_complement(gram, p)
     neg = [[-x for x in row] for row in g_comp]
+    # row i of the transposed complement: c_i = (sum_j comp[j][i] d_j + t p_i) / m
+    rows = [tuple(v[i] for v in comp) for i in range(n)]
     for t in range(t_bound + 1):
         # c' = m*c - t*p lies in the complement and has norm m*(m*target - t*t)
         cnorm = m * (t * t - m * target)
@@ -141,17 +144,17 @@ def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
             if cnorm == 0:
                 slice_coords.append((0,) * len(comp))
             slice_coords.extend(definite_vectors(neg, cnorm))
+            shift = [t * x for x in p]
             for d in slice_coords:
-                good = True
                 c = []
-                for i in range(n):
-                    num = sum(comp[j][i] * d[j] for j in range(len(comp))) + t * p[i]
+                for row, s in zip(rows, shift):
+                    num = sum(map(mul, row, d)) + s
                     if num % m:
-                        good = False
                         break
                     c.append(num // m)
-                if good and any(c):
-                    batch.append(tuple(c))
-                    if t:
-                        batch.append(tuple(-x for x in c))
+                else:
+                    if any(c):
+                        batch.append(tuple(c))
+                        if t:
+                            batch.append(tuple(-x for x in c))
         yield t, sorted(set(batch))

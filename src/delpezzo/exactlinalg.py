@@ -6,7 +6,8 @@ noted).  Everything is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 IntMatrix = Sequence[Sequence[int]]
 
@@ -21,11 +22,11 @@ def transpose(a: IntMatrix) -> List[List[int]]:
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> List[List[int]]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: IntMatrix, x: Sequence[int]) -> List[int]:
-    return [sum(c * v for c, v in zip(row, x)) for row in a]
+    return [sum(map(mul, row, x)) for row in a]
 
 
 def mat_add_scaled_identity(a: IntMatrix, s: int) -> List[List[int]]:
@@ -180,19 +181,37 @@ def rational_rank(a: IntMatrix) -> int:
     return len(pivots)
 
 
-def f2_rank(a: IntMatrix) -> int:
-    rows = [int("".join(str(x & 1) for x in row), 2) if any(x & 1 for x in row) else 0
-            for row in a]
-    rank = 0
+def f2_bits(row: Sequence[int]) -> int:
+    """A vector over GF(2) packed into an int, entry i as bit i."""
+    return sum(1 << i for i, x in enumerate(row) if x & 1)
+
+
+def f2_reduce(echelon: Sequence[int], r: int) -> int:
+    """r reduced against an echelon of f2_echelon, in its order; 0 iff r
+    lies in its span."""
+    for b in echelon:
+        r = min(r, r ^ b)   # clears the leading bit of b in r
+    return r
+
+
+def f2_echelon(rows: Iterable[int]) -> List[int]:
+    """An xor basis of the span of packed GF(2) vectors (f2_bits).
+
+    Each element is reduced against the ones before it, so it is zero at
+    their leading bits.  A reduction step in that order therefore never sets
+    a leading bit an earlier step cleared, and any nonzero combination keeps
+    the leading bit of its first member: f2_reduce is exact.
+    """
     basis: List[int] = []
     for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
+        r = f2_reduce(basis, r)
         if r:
             basis.append(r)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+    return basis
+
+
+def f2_rank(a: IntMatrix) -> int:
+    return len(f2_echelon(f2_bits(row) for row in a))
 
 
 def f2_solvable(a: IntMatrix, b: Sequence[int]) -> bool:

@@ -99,8 +99,13 @@ def zg_invariant(g: Isometry) -> ZGInvariant:
     if not g.is_involution():
         raise InputError("not an involution")
     plus, minus = fixed_and_antifixed(g)
+    return _zg(g, plus, minus)
+
+
+def _zg(g: Isometry, plus: Sublattice, minus: Sublattice) -> ZGInvariant:
+    """zg_invariant from the eigenlattices of g."""
     m = xl.mat_add_scaled_identity(g.matrix, 1)
-    r = xl.f2_rank([[x % 2 for x in row] for row in m])
+    r = xl.f2_rank(m)
     return ZGInvariant(plus.rank - r, minus.rank - r, r)
 
 
@@ -146,9 +151,13 @@ class InvolutionInvariant:
         }
 
 
-def _kperp_fixed(g: Isometry, n: int) -> Sublattice:
-    """Saturated intersection of the fixed lattice with K-perp."""
-    plus, _ = fixed_and_antifixed(g)
+def _kperp_fixed(g: Isometry, n: int, plus: Optional[Sublattice] = None) -> Sublattice:
+    """Saturated intersection of the fixed lattice with K-perp.
+
+    plus is the fixed lattice of g when the caller has it already.
+    """
+    if plus is None:
+        plus, _ = fixed_and_antifixed(g)
     k = canonical_class(n)
     rows = [[k.dot(v)] for v in plus.basis]
     ker = xl.kernel(xl.transpose(rows))
@@ -156,10 +165,10 @@ def _kperp_fixed(g: Isometry, n: int) -> Sublattice:
     return Sublattice(g.lattice, basis, saturated=True)
 
 
-def _definite_root_count(sub: Sublattice) -> int:
-    if sub.rank == 0:
+def _definite_root_count(gram) -> int:
+    """Roots of a negative definite lattice with the given Gram matrix."""
+    if not gram:
         return 0
-    gram = sub.gram()
     pos, neg, zero = xl.sylvester_signature(gram)
     if pos or zero:
         raise InputError("root count requires a negative definite lattice")
@@ -169,10 +178,10 @@ def _definite_root_count(sub: Sublattice) -> int:
 def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInvariant:
     if not stabilizes_canonical_class(g, n):
         raise InputError("isometry does not fix the canonical class")
-    if not g.is_involution():
-        raise InputError("not an involution")
+    # fixed_and_antifixed raises InputError when g is not an involution
     plus, minus = fixed_and_antifixed(g)
-    kf = _kperp_fixed(g, n)
+    kf = _kperp_fixed(g, n, plus)
+    plus_gram, minus_gram, kf_gram = plus.gram(), minus.gram(), kf.gram()
     flags: Tuple[Optional[bool], ...] = (None,) * 4
     if with_flags:
         data = criteria.eigen_data(g, canonical_class(n))
@@ -182,14 +191,14 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInv
         n=n,
         carter_exponent=minus.rank,
         trace=g.trace(),
-        zg=zg_invariant(g).as_tuple(),
+        zg=_zg(g, plus, minus).as_tuple(),
         plus_even=is_even(plus),
-        plus_products_even=has_even_products(plus),
-        plus_det=abs(plus.determinant()) if plus.rank else 1,
-        minus_det=abs(minus.determinant()) if minus.rank else 1,
-        minus_root_count=_definite_root_count(minus),
-        kperp_fixed_det=abs(kf.determinant()) if kf.rank else 1,
-        kperp_fixed_roots=_definite_root_count(kf),
+        plus_products_even=has_even_products(plus_gram),
+        plus_det=abs(xl.det(plus_gram)) if plus.rank else 1,
+        minus_det=abs(xl.det(minus_gram)) if minus.rank else 1,
+        minus_root_count=_definite_root_count(minus_gram),
+        kperp_fixed_det=abs(xl.det(kf_gram)) if kf.rank else 1,
+        kperp_fixed_roots=_definite_root_count(kf_gram),
         flags=flags,
     )
 

@@ -301,25 +301,27 @@ def _norm_minus1(side, bound: int) -> Optional[LatticeVector]:
     return None
 
 
-def _swapped_pair(minus, plus, bound: int):
+def _swapped_pair(a_list, plus, bound: int):
     """Orthogonal classes c1, c2 of square -1 with g(c1) = c2.
 
     They are (a + b)/2 and (b - a)/2 for the first roots a of a negative
-    definite minus side and b of the plus side with a = b mod 2.
+    definite minus side (a_list, ambient coordinates in search order; None
+    when the minus side is indefinite) and b of the plus side with a = b
+    mod 2.
     """
-    if not minus.definite:
+    if a_list is None:
         return None
-    a_list = [minus.sub.from_coords(c).coords
-              for batch in criteria._search_batches(minus, -2, bound) for c in batch]
     for batch in criteria._search_batches(plus, -2, bound):
-        b_list = [plus.sub.from_coords(c).coords
-                  for c in sorted(sign_canonical_coords(c) for c in batch)]
+        first_b = {}   # the first b of the sorted batch in each class mod 2
+        for c in sorted(sign_canonical_coords(c) for c in batch):
+            b = plus.sub.lift(c)
+            first_b.setdefault(xl.f2_bits(b), b)
         for a in a_list:
-            for b in b_list:
-                if all((x - y) % 2 == 0 for x, y in zip(a, b)):
-                    lat = plus.sub.ambient
-                    return (lat.vector([(x + y) // 2 for x, y in zip(a, b)]),
-                            lat.vector([(y - x) // 2 for x, y in zip(a, b)]))
+            b = first_b.get(xl.f2_bits(a))
+            if b is not None:
+                lat = plus.sub.ambient
+                return (lat.vector([(x + y) // 2 for x, y in zip(a, b)]),
+                        lat.vector([(y - x) // 2 for x, y in zip(a, b)]))
     return None
 
 
@@ -359,18 +361,21 @@ def decompose(g: Isometry, n: Optional[int] = None,
     return Decomposition(steps, leaf)
 
 
-def _swap_closed(plus, minus, bound: int) -> bool:
+def _swap_closed(plus, minus, bound: int, minus_roots) -> bool:
     """Whether no swapped pair exists beyond what _swapped_pair searched.
 
     That holds when both sides are definite (the search was complete), or
     when no root of the definite side is congruent mod 2 to a vector of the
-    other side (route d's closure).
+    other side (route d's closure).  minus_roots are the roots _swapped_pair
+    was given; the first congruent root settles it.
     """
     if plus.definite and minus.definite:
         return True
-    side, other = (minus, plus) if minus.definite else (plus, minus)
-    roots, _ = criteria._search(side, -2, bound)
-    return not criteria.congruent_roots(roots, other)
+    if minus.definite:
+        roots, other = minus_roots, plus
+    else:
+        roots, other = criteria._roots(plus, bound), minus
+    return next(criteria._congruent(roots, other), None) is None
 
 
 def _decompose_in_basis(g: Isometry, bound: int) -> Decomposition:
@@ -386,7 +391,8 @@ def _decompose_in_basis(g: Isometry, bound: int) -> Decomposition:
             split_basis: Tuple[LatticeVector, ...] = (c,)
             action = "fix"
         else:
-            pair = _swapped_pair(minus, plus, bound)
+            roots = criteria._roots(minus, bound) if minus.definite else None
+            pair = _swapped_pair(roots, plus, bound)
             if pair is not None:
                 split_basis = pair
                 action = "swap"
@@ -408,7 +414,7 @@ def _decompose_in_basis(g: Isometry, bound: int) -> Decomposition:
         # (its search above was complete) or even (no class of square -1),
         # and the swapped-pair search is closed as well
         decided = (all(s.definite or is_even(s.sub) for s in (plus, minus))
-                   and _swap_closed(plus, minus, bound))
+                   and _swap_closed(plus, minus, bound, roots))
         leaf = DecompositionLeaf(_leaf_type(current),
                                  tuple(v.coords for v in current.basis),
                                  tuple(tuple(r) for r in g_sub),

@@ -8,7 +8,8 @@ basis (S_1, S_2, e_1, ..., e_{n-1}).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, UnsupportedError
@@ -192,20 +193,25 @@ class Sublattice:
 
     def basis_matrix(self) -> List[List[int]]:
         """Ambient coordinates of the basis, as matrix columns."""
-        return [[v.coords[i] for v in self.basis] for i in range(self.ambient.rank)]
+        return [list(row) for row in self._rows]
 
     def gram(self) -> Tuple[Tuple[int, ...], ...]:
         b = self.basis_matrix()
         g = xl.mat_mul(xl.mat_mul(xl.transpose(b), self.ambient.gram), b)
         return tuple(tuple(row) for row in g)
 
+    @cached_property
+    def _rows(self) -> Tuple[Coords, ...]:
+        """Row i holds the i-th ambient coordinate of each basis vector."""
+        return tuple(tuple(v.coords[i] for v in self.basis) for i in range(self.ambient.rank))
+
+    def lift(self, coords: Sequence[int]) -> Coords:
+        """Ambient coordinates of the vector with the given sublattice coordinates."""
+        return tuple([sum(map(mul, row, coords)) for row in self._rows])
+
     def from_coords(self, coords: Sequence[int]) -> LatticeVector:
         """Ambient vector with the given coordinates in the sublattice basis."""
-        acc = [0] * self.ambient.rank
-        for c, v in zip(coords, self.basis):
-            for i, x in enumerate(v.coords):
-                acc[i] += c * x
-        return self.ambient.vector(acc)
+        return self.ambient.vector(self.lift(coords))
 
     def coords_of(self, v: LatticeVector) -> Optional[Tuple[int, ...]]:
         """Integer coordinates of an ambient vector in this basis, or None."""
@@ -265,9 +271,9 @@ def is_even(sub: Sublattice) -> bool:
     return all(v.norm() % 2 == 0 for v in sub.basis)
 
 
-def has_even_products(sub: Sublattice) -> bool:
-    """Whether the whole restricted bilinear form takes even values."""
-    return all(x % 2 == 0 for row in sub.gram() for x in row)
+def has_even_products(gram: Sequence[Sequence[int]]) -> bool:
+    """Whether a bilinear form, given by its Gram matrix, takes only even values."""
+    return all(x % 2 == 0 for row in gram for x in row)
 
 
 @dataclass(frozen=True)

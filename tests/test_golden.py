@@ -15,15 +15,25 @@ decompose.jsonl lines were regenerated (n = 4 m2; 5 m2b, m3; 6 m3, m4; 7 m3b,
 m4a, m4b, m5; 8 m4a, m4b, m5, m6, m7): their split and leaf basis vectors, and
 with them the leaf matrices, changed.  Every action, leaf type, leaf rank and
 verdict stayed as written before.
+
+check_conjugates.jsonl pins check_reducible(g, n, height_bound=2) on two
+K-stabilizer and two O(M_n) wall-word conjugates of every catalog class,
+n = 3..8 (_conjugate_checks), as the code wrote it before route b, the slab
+lift and route d's mod-2 test moved to integer tuples.
 """
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from delpezzo.cli import EXIT_OK, main
 from delpezzo.involutions import classify_involutions
-from delpezzo.irreducibility import decompose
+from delpezzo.irreducibility import check_reducible, decompose
+from delpezzo.lattice import identity_isometry
+from delpezzo.weyl import wall_generators
+
+from conftest import canonical_generators
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,3 +54,26 @@ def test_catalog_decompositions_match_golden():
                    "decomposition": decompose(cls.representative, n).to_json()}
             lines.append(json.dumps(rec, sort_keys=True) + "\n")
     assert "".join(lines) == (GOLDEN / "decompose.jsonl").read_text()
+
+
+def _conjugate_checks():
+    """One JSON line per conjugate: K words of length 8, O(M_n) words of 12."""
+    rng = random.Random(8080)
+    lines = []
+    for n in range(3, 9):
+        gens = {"K": canonical_generators(n), "O": wall_generators(n).isometries()}
+        for cls in classify_involutions(n):
+            for kind, length in (("K", 8), ("K", 8), ("O", 12), ("O", 12)):
+                h = identity_isometry(cls.representative.lattice)
+                for _ in range(length):
+                    h = h @ rng.choice(gens[kind])
+                g = h @ cls.representative @ h.inverse()
+                rec = {"n": n, "label": cls.label, "kind": kind,
+                       "matrix": [list(r) for r in g.matrix],
+                       "verdict": check_reducible(g, n, height_bound=2).to_json()}
+                lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def test_conjugate_verdicts_match_golden():
+    assert _conjugate_checks() == (GOLDEN / "check_conjugates.jsonl").read_text()
