@@ -33,10 +33,10 @@ the other side and pairs them by parity, and lattice vectors are built only
 for the witnesses returned.
 
 This is the one search engine of the package: check_reducible runs the
-routes on eigen_data, and decompose builds the eigen sides of each piece
-with _side and draws its candidates from _search_batches.  When no
-preferred anchor applies, the caller chooses the radius of the coordinate
-box searched for one (ANCHOR_RADIUS for eigen_data).
+routes on eigen_data, decompose builds an EigenData for each piece and
+splits with routes c, d and e, and the invariant flags run routes a-d on
+the eigenlattices the invariant already holds.  Every anchor search uses
+one box radius, ANCHOR_RADIUS.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ import math
 import os
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from . import enumeration as en
@@ -57,7 +57,6 @@ from .lattice import (
     fixed_and_antifixed,
     has_even_products,
     is_even,
-    sign_canonical,
     sign_canonical_coords,
 )
 
@@ -65,7 +64,7 @@ Coords = Tuple[int, ...]
 
 DEFAULT_HEIGHT_BOUND = 10
 FLAG_BOUND = 4
-ANCHOR_RADIUS = 3     # coordinate box radius of the anchor search in eigen_data
+ANCHOR_RADIUS = 4     # coordinate box radius of the anchor search
 
 CLOSED = "closed"
 WITNESS = "witness"
@@ -109,16 +108,15 @@ class EigenData:
     minus: _EigenSide
 
 
-def _find_anchor(gram, preferred: Optional[List[int]],
-                 max_radius: int) -> Optional[List[int]]:
+def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
     """The preferred coordinates, else the first vector of positive square
-    in coordinate boxes of growing radius up to max_radius."""
+    in coordinate boxes of growing radius up to ANCHOR_RADIUS."""
     if preferred is not None:
         return preferred
     n = len(gram)
     last = n - 1
     col, d = [gram[i][last] for i in range(last)], gram[last][last]
-    for radius in range(1, max_radius + 1):
+    for radius in range(1, ANCHOR_RADIUS + 1):
         if (2 * radius + 1) ** n > 5 * 10 ** 6:
             return None
         box = range(-radius, radius + 1)
@@ -133,8 +131,7 @@ def _find_anchor(gram, preferred: Optional[List[int]],
     return None
 
 
-def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector],
-          anchor_radius: int) -> _EigenSide:
+def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector] = None) -> _EigenSide:
     gram = sub.gram()
     if sub.rank == 0:
         return _EigenSide(sub, gram, True, None)
@@ -149,7 +146,7 @@ def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector],
             c = sub.coords_of(anchor_vec)
             if c is not None:
                 preferred = list(c)
-        anchor = _find_anchor(gram, preferred, anchor_radius)
+        anchor = _find_anchor(gram, preferred)
     return _EigenSide(sub, gram, definite, anchor)
 
 
@@ -160,8 +157,7 @@ def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData
     """
     plus, minus = fixed_and_antifixed(g)
     fixed_anchor = anchor if (anchor is not None and g.apply(anchor) == anchor) else None
-    return EigenData(g, _side(plus, fixed_anchor, ANCHOR_RADIUS),
-                     _side(minus, None, ANCHOR_RADIUS))
+    return EigenData(g, _side(plus, fixed_anchor), _side(minus))
 
 
 def _search_batches(side: _EigenSide, target: int, t_bound: int):
@@ -193,9 +189,11 @@ def _first_hit(side: _EigenSide, target: int, t_bound: int):
     """(lex-min vector of the first nonempty slab, complete?)."""
     if side.sub.rank == 0:
         return None, True
+    lift = side.sub.lift
     for batch in _search_batches(side, target, t_bound):
         if batch:
-            return min(sign_canonical(side.sub.from_coords(c)) for c in batch), side.definite
+            best = min(sign_canonical_coords(lift(c)) for c in batch)
+            return side.sub.ambient.vector(best), side.definite
     return None, side.definite
 
 
@@ -229,7 +227,7 @@ def _partner_test(gram, v) -> bool:
             and any((x - gram[i][i]) % 2 for i, x in enumerate(v)))
 
 
-def route_b(data: EigenData, n: int, t_bound: int) -> RouteResult:
+def route_b(data: EigenData, t_bound: int) -> RouteResult:
     """A fixed hyperbolic pair: the first c1 of a slab, in ambient order,
     with a c2 of this or an earlier slab such that c1.c2 = 1.
 
@@ -285,13 +283,8 @@ def congruent_roots(roots: Sequence[Coords], other: _EigenSide) -> List[Coords]:
     The other side's basis mod 2 goes into one F2 echelon, and each root is
     reduced against it on packed ints.
     """
-    return list(_congruent(roots, other))
-
-
-def _congruent(roots: Iterable[Coords], other: _EigenSide) -> Iterator[Coords]:
-    """congruent_roots, lazily."""
     echelon = xl.f2_echelon(xl.f2_bits(v.coords) for v in other.sub.basis)
-    return (a for a in roots if not xl.f2_reduce(echelon, xl.f2_bits(a)))
+    return [a for a in roots if not xl.f2_reduce(echelon, xl.f2_bits(a))]
 
 
 def _roots(side: _EigenSide, t_bound: int) -> List[Coords]:
@@ -299,7 +292,7 @@ def _roots(side: _EigenSide, t_bound: int) -> List[Coords]:
     return [side.sub.lift(c) for batch in _search_batches(side, -2, t_bound) for c in batch]
 
 
-def route_d(data: EigenData, n: int, t_bound: int) -> RouteResult:
+def route_d(data: EigenData, t_bound: int) -> RouteResult:
     """Swapped (-1)-pair via roots a in L_minus, b in L_plus, a = b mod 2L.
 
     One eigenlattice is always definite, so its root list is complete and
@@ -350,9 +343,9 @@ def route_e(data: EigenData, t_bound: int) -> RouteResult:
 def iter_routes(data: EigenData, n: int, t_bound: int):
     """The five routes in priority order a..e, evaluated lazily."""
     yield "a", route_a(data, n, t_bound)
-    yield "b", route_b(data, n, t_bound)
+    yield "b", route_b(data, t_bound)
     yield "c", route_c(data, t_bound)
-    yield "d", route_d(data, n, t_bound)
+    yield "d", route_d(data, t_bound)
     yield "e", route_e(data, t_bound)
 
 

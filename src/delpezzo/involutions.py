@@ -184,7 +184,9 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInv
     plus_gram, minus_gram, kf_gram = plus.gram(), minus.gram(), kf.gram()
     flags: Tuple[Optional[bool], ...] = (None,) * 4
     if with_flags:
-        data = criteria.eigen_data(g, canonical_class(n))
+        # g fixes K, so K anchors the fixed side
+        data = criteria.EigenData(g, criteria._side(plus, canonical_class(n)),
+                                  criteria._side(minus))
         a, b, c, d = criteria.route_flags(data, n)
         flags = (a, c, b, d)
     return InvolutionInvariant(
@@ -349,22 +351,22 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
         return ()
     roots, _ = pg._roots_and_index(n)
 
-    # candidate involutions: nonempty subsets of one maximal set per orbit
-    candidates: Dict[RootSetKey, OrthogonalRootSet] = {}
+    # candidate involutions: nonempty subsets of one maximal set per orbit,
+    # each kept with its involution
+    candidates: Dict[RootSetKey, Tuple[OrthogonalRootSet, Isometry]] = {}
     for rep in _maximal_orthogonal_reps(n):
         members = sorted(rep)
         for size in range(1, len(members) + 1):
             for sub in itertools.combinations(members, size):
                 rset = orthogonal_root_set(n, [roots[i] for i in sub])
                 g = rset.involution()
-                key = minus_root_key(g, n)
-                candidates.setdefault(key, rset)
+                candidates.setdefault(minus_root_key(g, n), (rset, g))
 
     # group by cheap invariants, then split groups by orbit equality
     groups: Dict[tuple, List[Tuple[RootSetKey, OrthogonalRootSet]]] = {}
     inv_cache: Dict[RootSetKey, InvolutionInvariant] = {}
-    for key, rset in sorted(candidates.items()):
-        inv = invariant_of(rset.involution(), n)
+    for key, (rset, g) in sorted(candidates.items()):
+        inv = invariant_of(g, n)
         inv_cache[key] = inv
         groups.setdefault(inv.merge_key(), []).append((key, rset))
 
@@ -392,7 +394,7 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
         m = len(rset)
         by_m[m] = by_m.get(m, 0) + 1
         suffix = chr(ord("a") + by_m[m] - 1) if counts[m] > 1 else ""
-        g = rset.involution()
+        g = candidates[key][1]
         inv = invariant_of(g, n, with_flags=True)
         out.append(InvolutionClass(
             n=n,

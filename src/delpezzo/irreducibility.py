@@ -17,11 +17,11 @@ check_reducible keeps an involution that fixes K as it is, with K as its
 anchor (the catalog and the invariant flags rest on that); decompose
 reduces every input.
 
-decompose asks the same questions of each piece through the criteria
-search engine, with its own anchor box radius and its own pick rules: the
-lex-min sign-canonical eigen coordinates for a fixed or antifixed class,
-the first congruent root pair for a swapped one.  A leaf is Irreducible
-only when the fixed, antifixed and swapped searches are all closed.
+decompose splits each piece with routes c, d and e of the criteria search
+engine, run in that order on the piece's eigen data: the first witness is
+the split (a fixed class, a swapped pair c1, g(c1), or an antifixed class).
+A leaf is Irreducible exactly when routes c, d and e are all closed on it,
+the same exact closure that check_reducible uses.
 """
 from __future__ import annotations
 
@@ -34,13 +34,10 @@ from . import criteria
 from . import exactlinalg as xl
 from .lattice import (
     Isometry,
-    LatticeVector,
     Sublattice,
     del_pezzo_lattice,
     full_sublattice,
-    is_even,
     orthogonal_complement,
-    sign_canonical_coords,
     span,
 )
 from .weyl import canonical_class, chamber_conjugate
@@ -274,55 +271,15 @@ def _sub_isometry(sub: Sublattice, g: Isometry) -> List[List[int]]:
     return [[cols[j][i] for j in range(r)] for i in range(r)]
 
 
-# Anchor box radius for the pieces: radius 3, as in check_reducible, misses
-# anchors that later pieces need; radius 4 there would slow every check.
-_DECOMPOSE_ANCHOR_RADIUS = 4
-
-
-def _piece_sides(piece: Sublattice, g_sub):
-    """The (+1)- and (-1)-eigen sides of g on a piece, in kernel bases of g_sub."""
+def _piece_data(piece: Sublattice, g: Isometry, g_sub) -> criteria.EigenData:
+    """The eigen data of g on a piece, with its sides in kernel bases of g_sub."""
     sides = []
     for sign in (1, -1):
         eig = xl.kernel(xl.mat_add_scaled_identity(g_sub, -sign))
         sub = Sublattice(piece.ambient, tuple(piece.from_coords(e) for e in eig),
                          saturated=True)
-        sides.append(criteria._side(sub, None, _DECOMPOSE_ANCHOR_RADIUS))
-    return sides
-
-
-def _norm_minus1(side, bound: int) -> Optional[LatticeVector]:
-    """A class of square -1 on one eigen side: the lex-min sign-canonical
-    side coordinates of the first nonempty batch.  An even side has none."""
-    if is_even(side.sub):
-        return None
-    for batch in criteria._search_batches(side, -1, bound):
-        if batch:
-            return side.sub.from_coords(min(sign_canonical_coords(c) for c in batch))
-    return None
-
-
-def _swapped_pair(a_list, plus, bound: int):
-    """Orthogonal classes c1, c2 of square -1 with g(c1) = c2.
-
-    They are (a + b)/2 and (b - a)/2 for the first roots a of a negative
-    definite minus side (a_list, ambient coordinates in search order; None
-    when the minus side is indefinite) and b of the plus side with a = b
-    mod 2.
-    """
-    if a_list is None:
-        return None
-    for batch in criteria._search_batches(plus, -2, bound):
-        first_b = {}   # the first b of the sorted batch in each class mod 2
-        for c in sorted(sign_canonical_coords(c) for c in batch):
-            b = plus.sub.lift(c)
-            first_b.setdefault(xl.f2_bits(b), b)
-        for a in a_list:
-            b = first_b.get(xl.f2_bits(a))
-            if b is not None:
-                lat = plus.sub.ambient
-                return (lat.vector([(x + y) // 2 for x, y in zip(a, b)]),
-                        lat.vector([(y - x) // 2 for x, y in zip(a, b)]))
-    return None
+        sides.append(criteria._side(sub))
+    return criteria.EigenData(g, *sides)
 
 
 def _leaf_type(sub: Sublattice) -> str:
@@ -361,67 +318,34 @@ def decompose(g: Isometry, n: Optional[int] = None,
     return Decomposition(steps, leaf)
 
 
-def _swap_closed(plus, minus, bound: int, minus_roots) -> bool:
-    """Whether no swapped pair exists beyond what _swapped_pair searched.
-
-    That holds when both sides are definite (the search was complete), or
-    when no root of the definite side is congruent mod 2 to a vector of the
-    other side (route d's closure).  minus_roots are the roots _swapped_pair
-    was given; the first congruent root settles it.
-    """
-    if plus.definite and minus.definite:
-        return True
-    if minus.definite:
-        roots, other = minus_roots, plus
-    else:
-        roots, other = criteria._roots(plus, bound), minus
-    return next(criteria._congruent(roots, other), None) is None
-
-
 def _decompose_in_basis(g: Isometry, bound: int) -> Decomposition:
     """decompose for g as written, with no chamber reduction."""
     lat = g.lattice
     current = full_sublattice(lat)
     steps: List[SplitStep] = []
-    while True:
+    while current.rank:
         g_sub = _sub_isometry(current, g)
-        plus, minus = _piece_sides(current, g_sub)
-        c = _norm_minus1(plus, bound)
-        if c is not None:
-            split_basis: Tuple[LatticeVector, ...] = (c,)
-            action = "fix"
+        data = _piece_data(current, g, g_sub)
+        results = []
+        # the first witness of routes c, d, e is the split
+        for action, route in (("fix", criteria.route_c), ("swap", criteria.route_d),
+                              ("negate", criteria.route_e)):
+            results.append(route(data, bound))
+            if results[-1].status == criteria.WITNESS:
+                break
         else:
-            roots = criteria._roots(minus, bound) if minus.definite else None
-            pair = _swapped_pair(roots, plus, bound)
-            if pair is not None:
-                split_basis = pair
-                action = "swap"
-            else:
-                c = _norm_minus1(minus, bound)
-                if c is not None:
-                    split_basis = (c,)
-                    action = "negate"
-                else:
-                    break
+            # no split left: Irreducible when routes c, d and e are closed
+            closed = all(res.status == criteria.CLOSED for res in results)
+            leaf = DecompositionLeaf(_leaf_type(current),
+                                     tuple(v.coords for v in current.basis),
+                                     tuple(tuple(r) for r in g_sub),
+                                     IRREDUCIBLE if closed else UNKNOWN)
+            return Decomposition(tuple(steps), leaf)
+        split_basis = results[-1].witnesses
         steps.append(SplitStep(action, tuple(v.coords for v in split_basis)))
         # complement inside the current piece, re-expressed in the ambient
-        comp = orthogonal_complement(span(lat, split_basis))
-        current = _intersect(current, comp)
-        if current.rank == 0:
-            break
-    if current.rank:
-        # no split left: Irreducible when each eigen side is empty, definite
-        # (its search above was complete) or even (no class of square -1),
-        # and the swapped-pair search is closed as well
-        decided = (all(s.definite or is_even(s.sub) for s in (plus, minus))
-                   and _swap_closed(plus, minus, bound, roots))
-        leaf = DecompositionLeaf(_leaf_type(current),
-                                 tuple(v.coords for v in current.basis),
-                                 tuple(tuple(r) for r in g_sub),
-                                 IRREDUCIBLE if decided else UNKNOWN)
-    else:
-        leaf = DecompositionLeaf("point", (), (), IRREDUCIBLE)
-    return Decomposition(tuple(steps), leaf)
+        current = _intersect(current, orthogonal_complement(span(lat, split_basis)))
+    return Decomposition(tuple(steps), DecompositionLeaf("point", (), (), IRREDUCIBLE))
 
 
 def _intersect(a: Sublattice, b: Sublattice) -> Sublattice:

@@ -178,7 +178,28 @@ def test_seed17_op50_leaf_is_not_called_irreducible_early():
     d = decompose(g, 7)
     assert [s.action for s in d.steps] == ["swap"] * 3
     assert len(d.leaf.basis) == 2 and d.leaf.verdict == IRREDUCIBLE
-    # as written, the plus side is even and indefinite with no anchor: the
-    # swapped-pair search cannot run, so the rank-6 leaf stays undecided
+    # as written, every plus side is even and indefinite; route d's pairs
+    # leave pieces whose plus sides have an anchor, so the unreduced
+    # splitting reaches the same rank-2 leaf
     raw = _decompose_in_basis(g, criteria.DEFAULT_HEIGHT_BOUND)
-    assert len(raw.leaf.basis) == 6 and raw.leaf.verdict == UNKNOWN
+    assert [s.action for s in raw.steps] == ["swap"] * 3
+    assert len(raw.leaf.basis) == 2 and raw.leaf.verdict == IRREDUCIBLE
+
+
+def test_check_reducible_and_decompose_agree():
+    # one search engine: an Irreducible verdict leaves decompose nothing to
+    # split, and a split is a witness that the involution is reducible
+    rng = random.Random(6063)
+    reps = [(n, cls, cls.representative) for n in range(3, 9) for cls in classify_involutions(n)]
+    irreducible = split = 0
+    for n, cls, g in [*reps, *_conjugates(rng, per_class=1)]:
+        verdict = check_reducible(g, n).status
+        d = decompose(g, n)
+        if verdict == IRREDUCIBLE:
+            assert not d.steps
+            assert d.leaf.verdict == IRREDUCIBLE and len(d.leaf.basis) == n + 1
+            irreducible += 1
+        if d.steps:
+            assert verdict != IRREDUCIBLE
+            split += 1
+    assert irreducible == 8 and split == 56

@@ -76,7 +76,7 @@ def eigen_data():
 def test_route_b_matches_reference_scan(eigen_data, bound):
     witnesses = 0
     for data in eigen_data:
-        got = criteria.route_b(data, data.g.lattice.rank - 1, bound)
+        got = criteria.route_b(data, bound)
         assert got == _reference_route_b(data, bound)
         witnesses += got.status == criteria.WITNESS
     assert witnesses > 20

@@ -16,6 +16,12 @@ m4a, m4b, m5; 8 m4a, m4b, m5, m6, m7): their split and leaf basis vectors, and
 with them the leaf matrices, changed.  Every action, leaf type, leaf rank and
 verdict stayed as written before.
 
+Since decompose splits with routes c, d and e (route c's and e's lex-min
+sign-canonical ambient vector, route d's pair c1, g(c1)), 23 of the 33 lines
+were regenerated again (n = 3 m1b, m2; 4 m2; 5 m1, m2a, m2b, m3; 6 m1, m2, m3;
+7 m1, m2, m3a, m3b, m4a, m4b, m5; 8 m1, m2, m3, m4a, m4b, m5), with the same
+kind of change: basis vectors and leaf matrices only.
+
 check_conjugates.jsonl pins check_reducible(g, n, height_bound=2) on two
 K-stabilizer and two O(M_n) wall-word conjugates of every catalog class,
 n = 3..8 (_conjugate_checks), as the code wrote it before route b, the slab
