@@ -21,16 +21,18 @@ the first vector of positive square in coordinate boxes of growing radius
 fix K as its chamber conjugate, so the box search runs in that basis, and
 K is the anchor again when the conjugate fixes it.
 
-Route b skips every isotropic vector without a hyperbolic partner, which an
-exact mod-2 test (has_partner) detects, so only vectors that can pair are
-scanned; the scan order and the first pair found are those of the full scan.
+Route b skips every c1 without a hyperbolic partner, which an exact mod-2
+test (has_partner) detects, so only vectors that can pair scan for a c2;
+the scan order and the first pair found are those of the full scan.
 
-The scans of routes b and d run on int tuples from the slab down to the
-witness: side coordinates are lifted to ambient ones once (Sublattice.lift),
-route b computes G c once per isotropic vector for both the partner test
-and the pair products, route d tests roots mod 2 against one F2 echelon of
-the other side and pairs them by parity, and lattice vectors are built only
-for the witnesses returned.
+The search engine yields ambient int tuples: _search_batches lifts a
+definite batch once, and anchored_norm_slices lifts each slab vector in the
+same product that solves for it, which is exact because every eigen side is
+saturated (_side checks the flag).  No consumer lifts again.  Route b
+runs the partner test only on the c1 it visits and computes J c1 only for
+the c1 that pass it; route d tests roots mod 2 against one F2
+echelon of the other side and pairs them by parity; lattice vectors are
+built only for the witnesses returned.
 
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, decompose builds an EigenData for each piece and
@@ -114,24 +116,46 @@ def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
     if preferred is not None:
         return preferred
     n = len(gram)
-    last = n - 1
-    col, d = [gram[i][last] for i in range(last)], gram[last][last]
     for radius in range(1, ANCHOR_RADIUS + 1):
         if (2 * radius + 1) ** n > 5 * 10 ** 6:
             return None
-        box = range(-radius, radius + 1)
-        # product order; the square of (prefix, t) is a + 2 b t + d t^2
-        for prefix in itertools.product(box, repeat=last):
-            a = sum(prefix[i] * gram[i][j] * prefix[j]
-                    for i in range(last) for j in range(last))
-            b = sum(p * x for p, x in zip(prefix, col))
-            for t in box:
-                if a + 2 * b * t + d * t * t > 0:
-                    return list(prefix) + [t]
+        hit = _box_search(gram, range(-radius, radius + 1), 0, 0, [0] * n, [0] * n)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _box_search(gram, box, k: int, square: int, lin: List[int],
+                x: List[int]) -> Optional[List[int]]:
+    """The first x in itertools.product(box, repeat=n) order, with x_0..x_{k-1}
+    fixed, of positive square.
+
+    square is Q(x_0..x_{k-1}) and lin[j] = sum_{i<k} G_ji x_i, so setting
+    x_k = v adds 2 v lin[k] + G_kk v^2 and each step costs O(n), not O(n^2).
+    """
+    row, lk = gram[k], lin[k]
+    d = row[k]
+    last = k == len(gram) - 1
+    for v in box:
+        s = square + (2 * lk + d * v) * v
+        x[k] = v
+        if last:
+            if s > 0:
+                return list(x)
+        else:
+            hit = _box_search(gram, box, k + 1, s,
+                              [a + v * b for a, b in zip(lin, row)], x)
+            if hit is not None:
+                return hit
     return None
 
 
 def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector] = None) -> _EigenSide:
+    """The search data of an eigenlattice; it must be saturated, as every
+    kernel basis is, so that the slab lift may test integrality on ambient
+    coordinates."""
+    if not sub.saturated:
+        raise InputError("an eigen side must be a saturated sublattice")
     gram = sub.gram()
     if sub.rank == 0:
         return _EigenSide(sub, gram, True, None)
@@ -161,27 +185,28 @@ def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData
 
 
 def _search_batches(side: _EigenSide, target: int, t_bound: int):
-    """Yield complete batches of coordinates (in the side's basis) of the
-    vectors of the exact square, cheapest first.
+    """Yield complete batches of ambient coordinates of the side's vectors
+    of the exact square, cheapest first.
 
     A definite eigenlattice gives a single exhaustive batch in
-    definite_vectors order; an indefinite one is sliced against its anchor
-    in order of increasing |<anchor, c>|, each slab as anchored_norm_slices
-    yields it.
+    definite_vectors order, lifted once here; an indefinite one is sliced
+    against its anchor in order of increasing |<anchor, c>|, each slab as
+    anchored_norm_slices yields it, sorted and lifted on the fly.
     """
     sub, gram = side.sub, side.gram
     if sub.rank == 0:
         return
     if side.definite:
         if gram[0][0] > 0:  # a definite form has the sign of its diagonal
-            yield en.definite_vectors([list(r) for r in gram], target) if target > 0 else []
+            coords = en.definite_vectors([list(r) for r in gram], target) if target > 0 else []
         else:
-            yield en.definite_vectors([[-x for x in r] for r in gram], -target) if target < 0 else []
+            coords = en.definite_vectors([[-x for x in r] for r in gram], -target) if target < 0 else []
+        yield [sub.lift(c) for c in coords]
         return
     if side.anchor is None:
         return
-    for _, batch in en.anchored_norm_slices([list(r) for r in gram],
-                                            side.anchor, target, t_bound):
+    for _, batch in en.anchored_norm_slices([list(r) for r in gram], side.anchor,
+                                            target, t_bound, sub._rows):
         yield batch
 
 
@@ -189,10 +214,9 @@ def _first_hit(side: _EigenSide, target: int, t_bound: int):
     """(lex-min vector of the first nonempty slab, complete?)."""
     if side.sub.rank == 0:
         return None, True
-    lift = side.sub.lift
     for batch in _search_batches(side, target, t_bound):
         if batch:
-            best = min(sign_canonical_coords(lift(c)) for c in batch)
+            best = min(sign_canonical_coords(c) for c in batch)
             return side.sub.ambient.vector(best), side.definite
     return None, side.definite
 
@@ -231,10 +255,13 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     """A fixed hyperbolic pair: the first c1 of a slab, in ambient order,
     with a c2 of this or an earlier slab such that c1.c2 = 1.
 
-    The scan runs on int tuples: G c1 is computed once per isotropic vector
-    and serves both the partner test and the products, each vector is
-    lifted to ambient coordinates once, and lattice vectors are built only
-    for the two witnesses.
+    The scan runs on the ambient int tuples of the slabs, and only the c1
+    visited are tested.  ((J b_k).c1)_k over the side basis b_k is G times
+    the side coordinates of c1, which the partner test reads to skip a c1
+    that can pair with nothing; for a c1 that passes, w = J c1 gives the
+    pair products w.c2.  The pool is not filtered: an isotropic c2 with
+    c1.c2 = 1 has the partner c1, so the first hit is the one of the
+    filtered scan.  Lattice vectors are built only for the two witnesses.
     """
     if data.plus.sub.rank < 2:
         return RouteResult(CLOSED, "plus_rank_below_2")
@@ -243,24 +270,21 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     if data.plus.definite:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
     gram, sub = data.plus.gram, data.plus.sub
-    seen: List[Tuple[Coords, Coords]] = []   # (ambient, side coordinates)
-    for coords in _search_batches(data.plus, 0, t_bound):
-        # an isotropic vector without a partner can be neither c1 nor c2
-        batch = []
-        for c in coords:
-            v = xl.mat_vec(gram, c)
-            if _partner_test(gram, v):
-                batch.append((sub.lift(c), v, c))
-        batch.sort()
-        pool = sorted(seen + [(amb, c) for amb, _, c in batch])
-        # first hit in sorted scan order; deterministic since slabs are
-        # visited in a fixed order and each batch is complete
-        for c1, v, _ in batch:
-            for c2, y in pool:
-                if sum(map(mul, v, y)) == 1:
-                    lat = sub.ambient
+    lat = sub.ambient
+    j_basis = [xl.mat_vec(lat.gram, v.coords) for v in sub.basis]
+    seen: List[Coords] = []
+    # slabs come sorted and complete, in a fixed order, so the first hit in
+    # this scan order is deterministic
+    for batch in _search_batches(data.plus, 0, t_bound):
+        pool = sorted(seen + batch)
+        for c1 in batch:
+            if not _partner_test(gram, [sum(map(mul, jb, c1)) for jb in j_basis]):
+                continue
+            w = [sum(map(mul, row, c1)) for row in lat.gram]
+            for c2 in pool:
+                if sum(map(mul, w, c2)) == 1:
                     return RouteResult(WITNESS, "fixed_hyperbolic_pair",
-                                       tuple(lat.vector(w) for w in sorted((c1, c2))))
+                                       tuple(lat.vector(c) for c in sorted((c1, c2))))
         seen = pool
     return RouteResult(OPEN, f"searched(t<={t_bound})")
 
@@ -289,7 +313,7 @@ def congruent_roots(roots: Sequence[Coords], other: _EigenSide) -> List[Coords]:
 
 def _roots(side: _EigenSide, t_bound: int) -> List[Coords]:
     """Ambient coordinates of the roots found on a side, in search order."""
-    return [side.sub.lift(c) for batch in _search_batches(side, -2, t_bound) for c in batch]
+    return [a for batch in _search_batches(side, -2, t_bound) for a in batch]
 
 
 def route_d(data: EigenData, t_bound: int) -> RouteResult:
@@ -313,10 +337,9 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
     by_parity: dict = {}
     for a in congruent:
         by_parity.setdefault(xl.f2_bits(a), []).append(a)
-    for coords in _search_batches(other, -2, t_bound):
+    for batch in _search_batches(other, -2, t_bound):
         best = None
-        for c in coords:
-            b = other.sub.lift(c)
+        for b in batch:
             for a in by_parity.get(xl.f2_bits(b), ()):
                 c1 = sign_canonical_coords(tuple((x + y) // 2 for x, y in zip(a, b)))
                 if best is None or c1 < best:

@@ -13,6 +13,15 @@ q_ii (x_i + s)^2 <= rem multiplied by D^3 reads Q_i (D x_i + S)^2 <= R, and
 since (D x_i + S)^2 is an integer that is |D x_i + S| <= isqrt(R // Q_i).
 Both are equivalences, so the integer bounds admit exactly the x_i the
 rational ones admit, in the same order, and the search stays complete.
+
+anchored_norm_slices cuts a form of signature (1, k) into slabs
+<p, c> = t against an anchor p of square m > 0.  Each slab is one such
+search in the negative definite complement of p, whose scaled Cholesky
+data are computed once per call and shared by every slab.  A complement
+vector d gives c = (comp^T d + t p) / m; given the basis rows of a
+saturated sublattice, the rows are composed with them first, so each
+vector comes out in ambient coordinates in one product per coordinate and
+the divisibility by m is tested on the ambient numerators.
 """
 from __future__ import annotations
 
@@ -74,6 +83,26 @@ def _descend(i: int, rem: int, x: List[int], diag: List[int],
     x[0] = 0
 
 
+def _scaled_cholesky(gram: Sequence[Sequence[int]]):
+    """(diag, upper, scale): the integer Fincke-Pohst data Q_i, C_ij and D."""
+    n = len(gram)
+    q = _cholesky(gram)
+    scale = lcm(*(q[i][j].denominator for i in range(n) for j in range(i, n)))
+    diag = [int(q[i][i] * scale) for i in range(n)]
+    upper = [[int(q[i][j] * scale) if j > i else 0 for j in range(n)] for i in range(n)]
+    return diag, upper, scale
+
+
+def _by_norm(data, max_norm: int) -> dict:
+    """definite_vectors_by_norm from the data of _scaled_cholesky."""
+    diag, upper, scale = data
+    n = len(diag)
+    out: dict = {}
+    top = max_norm * scale ** 3
+    _descend(n - 1, top, [0] * n, diag, upper, scale, top, out)
+    return out
+
+
 def definite_vectors_by_norm(gram: Sequence[Sequence[int]],
                              max_norm: int) -> dict:
     """Nonzero integer vectors with 0 < x^T gram x <= max_norm, keyed by norm.
@@ -82,17 +111,9 @@ def definite_vectors_by_norm(gram: Sequence[Sequence[int]],
     in order of first occurrence and each list in the order of
     definite_vectors.
     """
-    n = len(gram)
-    out: dict = {}
-    if max_norm <= 0 or not n:
-        return out
-    q = _cholesky(gram)
-    scale = lcm(*(q[i][j].denominator for i in range(n) for j in range(i, n)))
-    diag = [int(q[i][i] * scale) for i in range(n)]
-    upper = [[int(q[i][j] * scale) if j > i else 0 for j in range(n)] for i in range(n)]
-    top = max_norm * scale ** 3
-    _descend(n - 1, top, [0] * n, diag, upper, scale, top, out)
-    return out
+    if max_norm <= 0 or not gram:
+        return {}
+    return _by_norm(_scaled_cholesky(gram), max_norm)
 
 
 def definite_vectors(gram: Sequence[Sequence[int]], target: int) -> List[Coords]:
@@ -119,13 +140,17 @@ def _anchor_complement(gram: Sequence[Sequence[int]], p: Sequence[int]):
 
 
 def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
-                         target: int, t_bound: int):
+                         target: int, t_bound: int, basis_rows=None):
     """Yield (|t|, vectors) with c^T gram c == target, grouped by |<p, c>|.
 
     Requires gram of signature (1, k) and <p, p> > 0.  Every slice
     <p, c> = t reduces to a complete search in the negative definite
     complement of p, so each yielded batch is complete for its slab and
-    the batches come in order of increasing |t|.
+    the batches come in order of increasing |t|, each one sorted.
+
+    basis_rows, when given, are the rows of a basis matrix B of a saturated
+    sublattice with Gram matrix gram (Sublattice._rows); the vectors are
+    then yielded as B c, in ambient coordinates.
     """
     n = len(gram)
     m = sum(p[i] * gram[i][j] * p[j] for i in range(n) for j in range(n))
@@ -133,8 +158,16 @@ def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
         raise InputError("anchor vector must have positive self-intersection")
     comp, g_comp = _anchor_complement(gram, p)
     neg = [[-x for x in row] for row in g_comp]
-    # row i of the transposed complement: c_i = (sum_j comp[j][i] d_j + t p_i) / m
+    # c = (comp^T d + t p) / m for d in the complement; row i of comp^T is
+    # (comp[j][i])_j
     rows = [tuple(v[i] for v in comp) for i in range(n)]
+    step = list(p)
+    if basis_rows is not None:
+        # B c = (B comp^T d + t B p) / m in one product per coordinate; B c
+        # is integral exactly when c is, because B spans a saturated lattice
+        rows = [tuple(sum(map(mul, b, v)) for v in comp) for b in basis_rows]
+        step = [sum(map(mul, b, p)) for b in basis_rows]
+    cholesky = None   # of the complement, computed once at the first use
     for t in range(t_bound + 1):
         # c' = m*c - t*p lies in the complement and has norm m*(m*target - t*t)
         cnorm = m * (t * t - m * target)
@@ -143,8 +176,11 @@ def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
             slice_coords: List[Coords] = []
             if cnorm == 0:
                 slice_coords.append((0,) * len(comp))
-            slice_coords.extend(definite_vectors(neg, cnorm))
-            shift = [t * x for x in p]
+            elif comp:
+                if cholesky is None:
+                    cholesky = _scaled_cholesky(neg)
+                slice_coords.extend(_by_norm(cholesky, cnorm).get(cnorm, []))
+            shift = [t * x for x in step]
             for d in slice_coords:
                 c = []
                 for row, s in zip(rows, shift):

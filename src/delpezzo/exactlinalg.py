@@ -158,22 +158,28 @@ def kernel(a: IntMatrix) -> List[List[int]]:
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[List[int]]:
     """One integer solution x of a @ x == b, or None when unsolvable."""
+    return solve_integer_many(a, [b])[0]
+
+
+def solve_integer_many(a: IntMatrix, bs: Iterable[Sequence[int]]) -> List[Optional[List[int]]]:
+    """solve_integer for each right-hand side, from one Hermite reduction of a."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     h, u, pivots = hnf_columns(a)
-    res = list(b)
-    y = [0] * ncols
-    for row, col in pivots:
-        if res[row] % h[row][col] != 0:
-            return None
-        t = res[row] // h[row][col]
-        y[col] = t
-        if t:
-            for r in range(nrows):
-                res[r] -= t * h[r][col]
-    if any(res):
-        return None
-    return mat_vec(u, y)
+    out: List[Optional[List[int]]] = []
+    for b in bs:
+        res = list(b)
+        y = [0] * ncols
+        for row, col in pivots:
+            if res[row] % h[row][col] != 0:
+                break
+            t = res[row] // h[row][col]
+            y[col] = t
+            if t:
+                for r in range(nrows):
+                    res[r] -= t * h[r][col]
+        out.append(None if any(res) else mat_vec(u, y))
+    return out
 
 
 def rational_rank(a: IntMatrix) -> int:

@@ -260,13 +260,14 @@ class Decomposition:
 
 
 def _sub_isometry(sub: Sublattice, g: Isometry) -> List[List[int]]:
-    """Matrix of g restricted to an invariant sublattice, in its basis."""
-    cols = []
-    for v in sub.basis:
-        c = sub.coords_of(g.apply(v))
-        if c is None:
-            raise InputError("sublattice is not invariant under the involution")
-        cols.append(c)
+    """Matrix of g restricted to an invariant sublattice, in its basis.
+
+    The basis matrix is reduced once and every image solved against it.
+    """
+    cols = xl.solve_integer_many(sub.basis_matrix(),
+                                 [g.apply(v).coords for v in sub.basis])
+    if any(c is None for c in cols):
+        raise InputError("sublattice is not invariant under the involution")
     r = len(sub.basis)
     return [[cols[j][i] for j in range(r)] for i in range(r)]
 

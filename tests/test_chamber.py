@@ -19,6 +19,7 @@ from delpezzo import (
     identity_isometry,
 )
 from delpezzo import criteria
+from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.irreducibility import _decompose_in_basis
 from delpezzo.lattice import Isometry, Lattice, del_pezzo_lattice
@@ -140,7 +141,8 @@ def test_partner_test_matches_hnf_oracle_on_catalog_plus_sides():
             if plus.definite or plus.anchor is None:
                 continue
             gram = [list(r) for r in plus.gram]
-            for batch in criteria._search_batches(plus, 0, 3):
+            # the side-coordinate slicer: the partner test reads G c1
+            for _, batch in en.anchored_norm_slices(gram, plus.anchor, 0, 3):
                 for c1 in batch:
                     partner = _partner_oracle(gram, list(c1))
                     assert criteria.has_partner(gram, c1) == (partner is not None)

@@ -48,6 +48,26 @@ def test_classify_rejects_out_of_range(capsys):
     assert code == EXIT_INPUT and "error" in err
 
 
+@pytest.mark.parametrize("cmd", ("roots", "order"))
+@pytest.mark.parametrize("n", ("1", "9"))
+def test_roots_and_order_need_n_from_2_to_8(capsys, cmd, n):
+    # classify accepts n = 1; roots and order need 2..8
+    code, out, err = run(capsys, cmd, n)
+    assert code == EXIT_INPUT and "2 <= n <= 8" in err and not out
+
+
+def test_check_needs_n_from_2_to_8(tmp_path, capsys):
+    path = tmp_path / "n1.json"
+    path.write_text(json.dumps({"n": 1, "matrix": [[1, 0], [0, 1]]}))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == EXIT_INPUT and "2 <= n <= 8" in err
+
+
+def test_classify_accepts_n_1(capsys):
+    code, out, _ = run(capsys, "classify", "1", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["classes"] == []
+
+
 def test_model_geiser_matrix(capsys):
     code, out, _ = run(capsys, "model", "--name", "geiser", "--format", "json")
     assert code == EXIT_OK

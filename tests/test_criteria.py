@@ -1,19 +1,24 @@
 """The integer-tuple scans of routes b and d against their reference forms.
 
-route_b pairs isotropic vectors on int tuples and builds lattice vectors
-only for its witnesses; congruent_roots reduces each root against one F2
-echelon of the other side.  Here the first is held against the scan it
-replaced, on sorted (LatticeVector, coords) pairs with one matrix product per
-c1, and the second against one xl.f2_solvable call per root.
+_search_batches yields ambient int tuples; route_b pairs them and builds
+lattice vectors only for its witnesses; congruent_roots reduces each root
+against one F2 echelon of the other side.  Here the batches are held
+against the side-coordinate enumeration lifted vector by vector, route_b
+against the scan it replaced, on sorted (LatticeVector, coords) pairs of
+partner-tested side coordinates with one matrix product per c1, and
+congruent_roots against one xl.f2_solvable call per root.
 """
+import itertools
 import math
 import random
 
 import pytest
 
-from delpezzo import classify_involutions, criteria
+from delpezzo import classify_involutions, criteria, decompose
+from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
-from delpezzo.lattice import has_even_products, identity_isometry
+from delpezzo.errors import InputError
+from delpezzo.lattice import Sublattice, has_even_products, identity_isometry
 from delpezzo.weyl import canonical_class, chamber_conjugate, wall_generators
 
 
@@ -21,6 +26,22 @@ def _reference_partner(gram, c1):
     v = xl.mat_vec(gram, c1)
     return (math.gcd(*v) == 1
             and any((x - gram[i][i]) % 2 for i, x in enumerate(v)))
+
+
+def _side_batches(side, target, t_bound):
+    """The batches of _search_batches in side coordinates, as the search
+    enumerated them before it lifted."""
+    gram = [list(r) for r in side.gram]
+    if side.definite:
+        if gram[0][0] > 0:
+            yield en.definite_vectors(gram, target)
+        else:
+            yield en.definite_vectors([[-x for x in r] for r in gram], -target)
+        return
+    if side.anchor is None:
+        return
+    for _, batch in en.anchored_norm_slices(gram, side.anchor, target, t_bound):
+        yield batch
 
 
 def _reference_route_b(data, t_bound):
@@ -33,7 +54,7 @@ def _reference_route_b(data, t_bound):
         return criteria.RouteResult(criteria.CLOSED, "plus_definite_no_isotropic")
     gram = data.plus.gram
     seen = []
-    for coords in criteria._search_batches(data.plus, 0, t_bound):
+    for coords in _side_batches(data.plus, 0, t_bound):
         for c in coords:
             assert criteria.has_partner(gram, c) == _reference_partner(gram, c)
         batch = sorted((data.plus.sub.from_coords(c), c)
@@ -82,6 +103,37 @@ def test_route_b_matches_reference_scan(eigen_data, bound):
     assert witnesses > 20
 
 
+@pytest.mark.parametrize("target", (1, 0, -1, -2))
+def test_search_batches_lift_the_side_coordinate_enumeration(eigen_data, target):
+    batches = {"definite": 0, "slab": 0}
+    for data in eigen_data:
+        for side in (data.plus, data.minus):
+            if side.sub.rank == 0:
+                continue
+            want = [[side.sub.lift(c) for c in batch]
+                    for batch in _side_batches(side, target, 2)]
+            got = list(criteria._search_batches(side, target, 2))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                if side.definite:
+                    assert g == w     # definite_vectors order, lifted
+                else:
+                    assert g == sorted(set(w)) and len(w) == len(set(w))
+                batches["definite" if side.definite else "slab"] += 1
+    assert batches["definite"] > 50 and batches["slab"] > 50
+
+
+def test_side_rejects_an_unsaturated_sublattice(eigen_data):
+    sub = eigen_data[0].plus.sub
+    assert criteria._side(sub).gram == sub.gram()
+    with pytest.raises(InputError):
+        criteria._side(Sublattice(sub.ambient, sub.basis))
+    # twice the basis spans a sublattice of index 2^rank, so it must not pass
+    doubled = tuple(2 * v for v in sub.basis)
+    with pytest.raises(InputError):
+        criteria._side(Sublattice(sub.ambient, doubled))
+
+
 @pytest.mark.parametrize("bound", (2, 4))
 def test_congruent_roots_match_f2_solvable(eigen_data, bound):
     checked = 0
@@ -106,3 +158,66 @@ def test_f2_echelon_reduces_exactly_its_span():
         span |= {s ^ r for s in span}
     for r in range(16):
         assert (xl.f2_reduce(echelon, r) == 0) == (r in span)
+
+
+def _reference_find_anchor(gram, preferred):
+    """_find_anchor as it was: the square of every box prefix from scratch."""
+    if preferred is not None:
+        return preferred
+    n = len(gram)
+    last = n - 1
+    col, d = [gram[i][last] for i in range(last)], gram[last][last]
+    for radius in range(1, criteria.ANCHOR_RADIUS + 1):
+        if (2 * radius + 1) ** n > 5 * 10 ** 6:
+            return None
+        box = range(-radius, radius + 1)
+        for prefix in itertools.product(box, repeat=last):
+            a = sum(prefix[i] * gram[i][j] * prefix[j]
+                    for i in range(last) for j in range(last))
+            b = sum(p * x for p, x in zip(prefix, col))
+            for t in box:
+                if a + 2 * b * t + d * t * t > 0:
+                    return list(prefix) + [t]
+    return None
+
+
+def test_find_anchor_matches_reference_on_seeded_indefinite_forms():
+    rng = random.Random(4242)
+    late = 0
+    for rank in range(2, 8):
+        made = 0
+        while made < 6:
+            g = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                g[i][i] = rng.choice((-6, -5, -4, -3, -2, -1, 0, 1))
+                for j in range(i):
+                    g[i][j] = g[j][i] = rng.choice((-1, 0, 0, 1))
+            pos, neg, _ = xl.sylvester_signature(g)
+            if not (pos and neg):
+                continue
+            made += 1
+            want = _reference_find_anchor(g, None)
+            assert criteria._find_anchor(g, None) == want
+            late += max(map(abs, want)) > 1
+    assert late >= 2   # some first hits lie past the radius-1 box
+    # positive vectors only outside the box: both give up
+    assert criteria._find_anchor([[-100, 10], [10, 0]], None) is None
+    assert _reference_find_anchor([[-100, 10], [10, 0]], None) is None
+    assert criteria._find_anchor([[1, 0], [0, -1]], [0, 5]) == [0, 5]
+
+
+def test_find_anchor_matches_reference_on_decompose_sides(monkeypatch):
+    grams = []
+    find_anchor = criteria._find_anchor
+
+    def recording(gram, preferred):
+        grams.append((gram, preferred))
+        return find_anchor(gram, preferred)
+
+    monkeypatch.setattr(criteria, "_find_anchor", recording)
+    for n in range(3, 9):
+        for cls in classify_involutions(n):
+            decompose(cls.representative, n)
+    assert len(grams) > 20
+    for gram, preferred in grams:
+        assert find_anchor(gram, preferred) == _reference_find_anchor(gram, preferred)
