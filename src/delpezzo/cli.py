@@ -145,6 +145,11 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
+def _is_int(x) -> bool:
+    # JSON integers only: json.load gives bool for true/false, a bool subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load_matrix(path: str):
     try:
         with open(path) as fh:
@@ -159,14 +164,16 @@ def _load_matrix(path: str):
     basis = data.get("basis", "HE")
     if basis not in ("HE", "quadric"):
         raise InputError('basis must be "HE" or "quadric"')
-    try:
-        matrix = tuple(tuple(int(x) for x in row) for row in raw)
-    except (TypeError, ValueError):
-        raise InputError("matrix entries must be integers")
+    if not isinstance(raw, list) or not all(
+            isinstance(row, list) and all(_is_int(x) for x in row) for row in raw):
+        raise InputError("matrix must be a list of rows of integers")
+    matrix = tuple(tuple(row) for row in raw)
     rank = len(matrix)
     if rank < 2 or any(len(r) != rank for r in matrix):
         raise InputError("matrix must be square of rank at least 2")
     n = rank - 1
+    if "n" in data and not (_is_int(data["n"]) and data["n"] == n):
+        raise InputError(f'"n" must equal the matrix rank minus 1 ({n})')
     if basis == "quadric":
         g_q = Isometry(blowup_quadric_lattice(n), matrix)
         change = models.quadric_basis_change(n)
@@ -267,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("order", help="order of the K-stabilizer for index n")
+    p = sub.add_parser("order", help="order of the group the simple reflections generate "
+                                     "for index n: the K-stabilizer for n >= 3; for n = 2 it "
+                                     "also holds the reflection in H-E1-E2, which moves K")
     p.add_argument("n", type=int)
     add_format(p)
     p.set_defaults(func=cmd_order)

@@ -34,6 +34,7 @@ from .lattice import (
 )
 from .weyl import (
     canonical_class,
+    closure,
     enumerate_roots,
     product_of_reflections,
     stabilizes_canonical_class,
@@ -275,20 +276,8 @@ def _definite_root_vectors(sub: Sublattice) -> List[LatticeVector]:
 def _key_orbit(key: RootSetKey, n: int, limit: int = 3 * 10 ** 6) -> Set[RootSetKey]:
     _, _, gens = pg.root_action_context(n)
     canon = _canon_table(n)
-    seen = {key}
-    frontier = [key]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                img = tuple(sorted({canon[g[i]] for i in s}))
-                if img not in seen:
-                    if len(seen) >= limit:
-                        raise UnsupportedError("class orbit exceeded the safety limit")
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
+    return closure([key], gens, lambda s, g: tuple(sorted({canon[g[i]] for i in s})),
+                   limit, "class orbit")
 
 
 def are_conjugate(g: Isometry, h: Isometry, n: int) -> bool:

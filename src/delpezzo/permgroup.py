@@ -11,7 +11,7 @@ from typing import Sequence, Set
 from .errors import InputError, UnsupportedError
 from . import exactlinalg as xl
 from .lattice import Isometry, del_pezzo_lattice
-from .weyl import canonical_class, enumerate_roots, weyl_generators
+from .weyl import canonical_class, closure, enumerate_roots, reflection, weyl_generators
 
 Perm = bytes
 
@@ -44,10 +44,7 @@ def root_action_context(n: int):
     Only the norm -2 generators act on the root list; this drops the odd
     n=2 generator, whose reflection does not permute the roots.
     """
-    from .weyl import reflection
-
-    roots = enumerate_roots(n).roots
-    index = {r.coords: i for i, r in enumerate(roots)}
+    roots, index = _roots_and_index(n)
     if len(roots) > 255:
         raise UnsupportedError("root action degree exceeds byte range")
     gens = tuple(isometry_to_perm(reflection(v), n)
@@ -108,48 +105,12 @@ def perm_to_isometry(p: Perm, n: int) -> Isometry:
 
 def bfs_closure(gens: Sequence[Perm], degree: int, limit: int = 10 ** 7) -> Set[Perm]:
     """All products of the generators, by breadth-first closure."""
-    ident = perm_identity(degree)
-    seen = {ident}
-    frontier = [ident]
-    tables = [_table(g) for g in gens]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in tables:
-                q = p.translate(g)
-                if q not in seen:
-                    if len(seen) >= limit:
-                        raise UnsupportedError("group closure exceeded the safety limit")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
+    return closure([perm_identity(degree)], [_table(g) for g in gens], bytes.translate,
+                   limit, "group closure")
 
 
 def conjugacy_orbit(p: Perm, gens: Sequence[Perm], limit: int = 10 ** 7) -> Set[Perm]:
     """Orbit of p under conjugation by the generated group."""
-    seen = {p}
-    frontier = [p]
-    inv_gens = [(g, perm_inverse(g)) for g in gens]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for g, gi in inv_gens:
-                r = gi.translate(_table(q)).translate(_table(g))
-                if r not in seen:
-                    if len(seen) >= limit:
-                        raise UnsupportedError("conjugacy orbit exceeded the safety limit")
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return seen
-
-
-def group_order(gens: Sequence[Perm], degree: int) -> int:
-    """Order of the generated permutation group via a stabilizer chain."""
-    from sympy.combinatorics import Permutation, PermutationGroup
-
-    if not gens:
-        return 1
-    sym = [Permutation(list(g)) for g in gens]
-    return int(PermutationGroup(sym).order())
+    pairs = [(perm_inverse(g), g) for g in gens]
+    return closure([p], pairs, lambda q, pair: perm_compose(perm_compose(pair[0], q), pair[1]),
+                   limit, "conjugacy orbit")

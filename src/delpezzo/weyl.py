@@ -149,7 +149,12 @@ def chamber_conjugate(g: Isometry) -> Tuple[Isometry, Tuple[Tuple[int, ...], ...
 
 @lru_cache(maxsize=None)
 def weyl_generators(n: int) -> GeneratorSet:
-    """Simple-root reflections generating the stabilizer of K."""
+    """Simple-root reflections generating the stabilizer of K, for n >= 3.
+
+    For n = 2 the first generator is the norm -1 class H - E1 - E2, whose
+    reflection moves K; the two reflections generate a group of order 4
+    that contains the K-stabilizer <s_{E1-E2}> with index 2.
+    """
     lat = del_pezzo_lattice(n)
     if n == 2:
         vecs = (del_pezzo_vector(2, 1, {1: -1, 2: -1}),
@@ -208,31 +213,33 @@ def is_root(v: LatticeVector, n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def weyl_order(n: int) -> int:
-    """Order of the generated group, via a stabilizer chain on the root action.
+    """Order of the group generated by weyl_generators(n), by orbit-stabilizer.
 
-    For n=2 the root action is not faithful (the odd generator acts
-    trivially), so the closure is taken on matrices directly.
+    For n >= 3 that group is the K-stabilizer W_n.  For n = 2 it also
+    contains the odd reflection in H - E1 - E2, which moves K: the value 4
+    counts the group <s_{H-E1-E2}, s_{E1-E2}>, and the K-stabilizer itself
+    is <s_{E1-E2}>, of order 2.
     """
     if not 2 <= n <= 8:
         raise InputError("group order is available for 2 <= n <= 8")
-    if n == 2:
-        gens = weyl_generators(2).isometries()
-        seen = {g.matrix for g in gens}
-        frontier = list(gens)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in gens:
-                    p = g @ h
-                    if p.matrix not in seen:
-                        seen.add(p.matrix)
-                        nxt.append(p)
-            frontier = nxt
-        return len(seen)
-    from . import permgroup as pg
+    gens = weyl_generators(n)
+    return _reflection_group_order(orbit(gens.vectors, gens))
 
-    _, _, gens = pg.root_action_context(n)
-    return pg.group_order(gens, len(enumerate_roots(n)))
+
+def _reflection_group_order(vectors: Sequence[LatticeVector]) -> int:
+    """Order of the finite group W generated by the reflections in vectors.
+
+    vectors must be closed under W.  |W| = |W v| |W_v| for v = vectors[0],
+    and by Steinberg's theorem the stabilizer W_v is generated by the
+    reflections in the w of vectors with Q(w, v) = 0, a W_v-closed set.
+    """
+    if not vectors:
+        return 1
+    v = vectors[0]
+    # s_w = s_{-w}: one reflection per +-pair
+    gens = [reflection(w) for w in vectors if sign_canonical_coords(w.coords) == w.coords]
+    return len(orbit(v, gens)) * _reflection_group_order(
+        [w for w in vectors if w.dot(v) == 0])
 
 
 def stabilizes_canonical_class(g: Isometry, n: int) -> bool:
@@ -267,30 +274,33 @@ def product_of_reflections(vectors: Sequence[LatticeVector]) -> Isometry:
     return Isometry(lat, tuple(tuple(c[i] for c in cols) for i in range(n)))
 
 
-def orbit(seed, gens, limit: int = 10 ** 6) -> List[LatticeVector]:
-    """Orbit of a seed vector (or vectors) under a generated group."""
-    vectors = [seed] if isinstance(seed, LatticeVector) else list(seed)
-    generators = gens.isometries() if isinstance(gens, GeneratorSet) else list(gens)
-    seen = {v.coords: v for v in vectors}
-    frontier = list(vectors)
+def closure(seeds, gens, act, limit: int, what: str = "orbit") -> set:
+    """Everything reached from the seeds by steps x -> act(x, g), g in gens.
+
+    Breadth first; the items must be hashable.  Raises UnsupportedError
+    ("<what> exceeded the safety limit") rather than hold more than limit.
+    """
+    seen = set(seeds)
+    frontier = list(seen)
     while frontier:
         nxt = []
-        for g in generators:
-            for v in frontier:
-                w = g.apply(v)
-                if w.coords not in seen:
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
                     if len(seen) >= limit:
-                        raise UnsupportedError("orbit exceeded the safety limit")
-                    seen[w.coords] = w
-                    nxt.append(w)
+                        raise UnsupportedError(f"{what} exceeded the safety limit")
+                    seen.add(y)
+                    nxt.append(y)
         frontier = nxt
-    return sorted(seen.values())
+    return seen
 
 
-def _pair_order(u: LatticeVector, v: LatticeVector) -> int:
-    # order of Ref_u Ref_v for norm -2 roots, from Q(u, v)
-    p = u.dot(v)
-    return {0: 2, 1: 3, -1: 3, 2: 4, -2: 4}.get(p, 0)
+def orbit(seed, gens, limit: int = 10 ** 6) -> List[LatticeVector]:
+    """Orbit of a seed vector (or vectors) under a generated group."""
+    vectors = [seed] if isinstance(seed, LatticeVector) else seed
+    generators = gens.isometries() if isinstance(gens, GeneratorSet) else list(gens)
+    return sorted(closure(vectors, generators, lambda v, g: g.apply(v), limit))
 
 
 def coxeter_diagram(gens: GeneratorSet) -> Dict[Tuple[str, str], int]:

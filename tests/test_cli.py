@@ -138,6 +138,19 @@ def test_bad_matrix_file(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("payload", [
+    {"matrix": [[1.9, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    {"matrix": [["1", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    {"matrix": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    {"n": 4, "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+], ids=["float", "string", "bool", "n-mismatch"])
+def test_matrix_file_entries_and_n_are_validated(tmp_path, capsys, payload):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == EXIT_INPUT and not out and "dpz: error:" in err
+
+
 def test_non_involution_matrix_rejected(tmp_path, capsys):
     path = tmp_path / "rot.json"
     # order-3 rotation of E1,E2,E3

@@ -1,12 +1,17 @@
 """Roots, reflections, and the canonical-class stabilizer."""
+import os
 import random
+import subprocess
+import sys
 from functools import reduce
 
 import pytest
 
+import delpezzo
 import delpezzo.exactlinalg as xl
 import delpezzo.permgroup as pg
-from delpezzo import InputError
+from delpezzo import InputError, UnsupportedError
+from delpezzo.involutions import _canon_table, _key_orbit
 from delpezzo.lattice import del_pezzo_lattice
 from delpezzo.weyl import (
     canonical_class,
@@ -70,6 +75,51 @@ def test_weyl_orders_small_n_by_full_closure():
         _, _, gens = pg.root_action_context(n)
         degree = len(enumerate_roots(n))
         assert len(pg.bfs_closure(gens, degree)) == WEYL_ORDERS[n]
+
+
+def test_weyl_order_and_classification_run_without_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(delpezzo.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "from delpezzo.weyl import weyl_order\n"
+            "from delpezzo.involutions import classify_involutions\n"
+            "assert [weyl_order(n) for n in range(2, 9)] == "
+            f"{[WEYL_ORDERS[n] for n in range(2, 9)]}\n"
+            "classify_involutions(5)\n"
+            "assert 'sympy' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _e4_orbit(limit):
+    return orbit(del_pezzo_lattice(4).basis_vector(4), weyl_generators(4), limit=limit)
+
+
+def _n4_group(limit):
+    _, _, gens = pg.root_action_context(4)
+    return pg.bfs_closure(gens, len(enumerate_roots(4)), limit=limit)
+
+
+def _n4_conjugacy_orbit(limit):
+    _, _, gens = pg.root_action_context(4)
+    return pg.conjugacy_orbit(gens[0], gens, limit=limit)
+
+
+def _n4_class_orbit(limit):
+    # one root pair id; its class orbit is all 10 root pairs of A4
+    return _key_orbit((_canon_table(4)[0],), 4, limit=limit)
+
+
+@pytest.mark.parametrize("build, size, what", [
+    (_e4_orbit, 10, "orbit"),
+    (_n4_group, 120, "group closure"),
+    (_n4_conjugacy_orbit, 10, "conjugacy orbit"),
+    (_n4_class_orbit, 10, "class orbit"),
+])
+def test_closure_stops_at_its_safety_limit(build, size, what):
+    # the shared breadth-first closure holds at most limit items
+    assert len(build(size)) == size
+    with pytest.raises(UnsupportedError, match=f"^{what} exceeded the safety limit$"):
+        build(size - 1)
 
 
 def test_generators_fix_canonical_class_for_n_at_least_3():
