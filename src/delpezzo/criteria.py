@@ -28,7 +28,11 @@ the scan order and the first pair found are those of the full scan.
 The search engine yields ambient int tuples: _search_batches lifts a
 definite batch once, and anchored_norm_slices lifts each slab vector in the
 same product that solves for it, which is exact because every eigen side is
-saturated (_side checks the flag).  No consumer lifts again.  Route b
+saturated (_side checks the flag).  No consumer lifts again.  Each slab
+visits only the complement coset whose vectors lift to integral classes,
+at its exact norm, and the anchor frame behind it (complement, residues,
+scaled Cholesky data) is built once per eigen side and shared by every
+route on that side.  Route b
 runs the partner test only on the c1 it visits and computes J c1 only for
 the c1 that pass it; route d tests roots mod 2 against one F2
 echelon of the other side and pairs them by parity; lattice vectors are
@@ -45,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -95,12 +99,19 @@ class RouteResult:
 
 @dataclass
 class _EigenSide:
-    """One eigenlattice with its restricted Gram and search anchor."""
+    """One eigenlattice with its restricted Gram and search anchor.
+
+    An indefinite side with an anchor builds its enumeration.AnchorFrame
+    (the anchor complement, its residue data and, at the first slab that
+    needs them, its scaled Cholesky data) at its first slab, and every
+    route on the side reuses it.
+    """
 
     sub: Sublattice
     gram: Tuple[Tuple[int, ...], ...]
     definite: bool        # complete searches available
     anchor: Optional[List[int]]  # coords in sub basis, positive square
+    frame: Optional[en.AnchorFrame] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -191,7 +202,8 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
     A definite eigenlattice gives a single exhaustive batch in
     definite_vectors order, lifted once here; an indefinite one is sliced
     against its anchor in order of increasing |<anchor, c>|, each slab as
-    anchored_norm_slices yields it, sorted and lifted on the fly.
+    anchored_norm_slices yields it, sorted and lifted on the fly, from the
+    side's AnchorFrame, built here at the first slab of the side.
     """
     sub, gram = side.sub, side.gram
     if sub.rank == 0:
@@ -205,8 +217,10 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
         return
     if side.anchor is None:
         return
-    for _, batch in en.anchored_norm_slices([list(r) for r in gram], side.anchor,
-                                            target, t_bound, sub._rows):
+    if side.frame is None:
+        side.frame = en.AnchorFrame(gram, side.anchor, sub._rows)
+    for _, batch in en.anchored_norm_slices(gram, side.anchor, target, t_bound,
+                                            sub._rows, side.frame):
         yield batch
 
 

@@ -1,10 +1,10 @@
 """Exact vector enumeration in integral quadratic forms.
 
-All routines work over Z / Fraction only; no floating point is used, so
-results never suffer rounding drop-outs.
+All routines work over Z only; no floating point is used, so results
+never suffer rounding drop-outs.
 
-definite_vectors_by_norm is a Fincke-Pohst search (Math. Comp. 44, 1985)
-in scaled integers.  The rational Cholesky data write the form as
+Every search is one exact-norm Fincke-Pohst descent (Math. Comp. 44, 1985)
+in scaled integers, _walk.  The rational Cholesky data write the form as
 Q(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2.  With D the lcm of the
 denominators of the q_ij (j >= i), Q_i = D q_ii and C_ij = D q_ij are
 integers, and at level i the partial sum S = sum_{j>i} C_ij x_j = D s and
@@ -12,21 +12,27 @@ the scaled remainder R = D^3 rem are integers too.  The bound
 q_ii (x_i + s)^2 <= rem multiplied by D^3 reads Q_i (D x_i + S)^2 <= R, and
 since (D x_i + S)^2 is an integer that is |D x_i + S| <= isqrt(R // Q_i).
 Both are equivalences, so the integer bounds admit exactly the x_i the
-rational ones admit, in the same order, and the search stays complete.
+rational ones admit, in the same order, and the search stays complete.  At
+the last level the norm is exact when Q_0 (D x_0 + S)^2 == R, so x_0 is
+solved for, not looped over.  The descent takes a modulus and a residue per
+coordinate and visits only that coset, stepping each coordinate by the
+modulus; definite_vectors and definite_vectors_by_norm use modulus 1.
 
 anchored_norm_slices cuts a form of signature (1, k) into slabs
-<p, c> = t against an anchor p of square m > 0.  Each slab is one such
-search in the negative definite complement of p, whose scaled Cholesky
-data are computed once per call and shared by every slab.  A complement
-vector d gives c = (comp^T d + t p) / m; given the basis rows of a
-saturated sublattice, the rows are composed with them first, so each
-vector comes out in ambient coordinates in one product per coordinate and
-the divisibility by m is tested on the ambient numerators.
+<p, c> = t against an anchor p of square m > 0.  One Hermite reduction of
+the row G p (AnchorFrame) gives g = gcd(G p), the complement basis and p's
+coordinates in a unimodular basis extending it.  Slab t is empty unless
+g | t; otherwise the complement vectors d = m c - t p of its integral c are
+exactly the coset d = -t w (mod m) of the complement at norm m (t^2 - m
+target), with w p's complement coordinates, and the descent visits only
+them.  A complement vector d gives c = (comp^T d + t p) / m, an exact
+division; given the basis rows of a saturated sublattice, the rows are
+composed with them first, so each vector comes out in ambient coordinates
+in one product per coordinate.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -35,71 +41,82 @@ from .errors import InputError
 Coords = Tuple[int, ...]
 
 
-def _cholesky(gram: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    """Rational Cholesky data for a positive definite symmetric matrix."""
+def _scaled_cholesky(gram: Sequence[Sequence[int]]):
+    """(diag, upper, scale): the integer Fincke-Pohst data Q_i, C_ij and D.
+
+    Fraction-free (Bareiss) elimination gives the bordered minors b_ij,
+    i <= j, of the leading rows, and the rational Cholesky data are
+    q_ii = b_ii / b_{i-1,i-1} (b_{-1,-1} = 1) and q_ij = b_ij / b_ii.  The
+    form is positive definite exactly when every b_ii is positive
+    (Sylvester's criterion), and then every division below is exact.
+    """
     n = len(gram)
-    q = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    b = [list(row) for row in gram]
+    prev = 1
     for i in range(n):
-        if q[i][i] <= 0:
+        d = b[i][i]
+        if d <= 0:
             raise InputError("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    return q
+        row = b[i]
+        for r in range(i + 1, n):
+            br, f = b[r], b[r][i]
+            for c in range(i + 1, n):
+                br[c] = (d * br[c] - f * row[c]) // prev
+        prev = d
+    pivots = [1] + [b[i][i] for i in range(n)]     # pivots[i] = b_{i-1,i-1}
+    dens = [pivots[i] // gcd(pivots[i], pivots[i + 1]) for i in range(n)]
+    dens += [b[i][i] // gcd(b[i][i], b[i][j]) for i in range(n) for j in range(i + 1, n)]
+    scale = lcm(*dens)
+    diag = [scale * pivots[i + 1] // pivots[i] for i in range(n)]
+    upper = [[scale * b[i][j] // b[i][i] if j > i else 0 for j in range(n)] for i in range(n)]
+    return diag, upper, scale
 
 
-def _descend(i: int, rem: int, x: List[int], diag: List[int],
-             upper: List[List[int]], scale: int, top: int, out: dict) -> None:
-    """Fill out with the vectors below level i; rem is the scaled remainder R.
+def _walk(i: int, rem: int, x: List[int], diag: List[int], upper: List[List[int]],
+          scale: int, res: Sequence[int], mod: int, out: List[Coords]) -> None:
+    """Append to out the vectors below level i that reach the norm of the
+    search exactly and have x_j = res[j] (mod mod); rem is the scaled
+    remainder R.
 
-    Coordinate n-1 is outermost and every coordinate runs upwards.  A module
-    function, not a closure, so no reference cycle keeps out alive.
+    Coordinate n-1 is outermost and every coordinate runs upwards, from the
+    first value of its residue class in steps of mod.  A module function,
+    not a closure, so no reference cycle keeps out alive.
     """
     row = upper[i]
     s = 0
     for j in range(i + 1, len(x)):
         s += row[j] * x[j]
     qi = diag[i]
-    r = isqrt(rem // qi)
-    lo = -((r + s) // scale)
-    hi = (r - s) // scale
     if i:
-        for xi in range(lo, hi + 1):
+        r = isqrt(rem // qi)
+        lo = -((r + s) // scale)
+        lo += (res[i] - lo) % mod
+        for xi in range(lo, (r - s) // scale + 1, mod):
             x[i] = xi
             y = scale * xi + s
-            _descend(i - 1, rem - qi * y * y, x, diag, upper, scale, top, out)
+            _walk(i - 1, rem - qi * y * y, x, diag, upper, scale, res, mod, out)
         x[i] = 0
         return
-    cube = scale ** 3
-    for xi in range(lo, hi + 1):
-        y = scale * xi + s
-        norm = (top - rem + qi * y * y) // cube
-        if norm > 0:
+    # Q_0 y^2 == R with y = D x_0 + S; y = -r comes first, so x_0 ascends
+    q, rest = divmod(rem, qi)
+    r = isqrt(q)
+    if rest or r * r != q:
+        return
+    for y in ((-r, r) if r else (0,)):
+        xi, rest = divmod(y - s, scale)
+        if not rest and (xi - res[0]) % mod == 0:
             x[0] = xi
-            out.setdefault(norm, []).append(tuple(x))
+            out.append(tuple(x))
     x[0] = 0
 
 
-def _scaled_cholesky(gram: Sequence[Sequence[int]]):
-    """(diag, upper, scale): the integer Fincke-Pohst data Q_i, C_ij and D."""
-    n = len(gram)
-    q = _cholesky(gram)
-    scale = lcm(*(q[i][j].denominator for i in range(n) for j in range(i, n)))
-    diag = [int(q[i][i] * scale) for i in range(n)]
-    upper = [[int(q[i][j] * scale) if j > i else 0 for j in range(n)] for i in range(n)]
-    return diag, upper, scale
-
-
-def _by_norm(data, max_norm: int) -> dict:
-    """definite_vectors_by_norm from the data of _scaled_cholesky."""
+def _exact_norm(data, norm: int, res: Sequence[int], mod: int) -> List[Coords]:
+    """The x with Q(x) == norm >= 0 and x = res (mod mod) coordinatewise,
+    sorted by reversed coordinates; data are those of _scaled_cholesky."""
     diag, upper, scale = data
     n = len(diag)
-    out: dict = {}
-    top = max_norm * scale ** 3
-    _descend(n - 1, top, [0] * n, diag, upper, scale, top, out)
+    out: List[Coords] = []
+    _walk(n - 1, norm * scale ** 3, [0] * n, diag, upper, scale, res, mod, out)
     return out
 
 
@@ -108,12 +125,20 @@ def definite_vectors_by_norm(gram: Sequence[Sequence[int]],
     """Nonzero integer vectors with 0 < x^T gram x <= max_norm, keyed by norm.
 
     Requires gram positive definite; the enumeration is complete.  Keys come
-    in order of first occurrence and each list in the order of
-    definite_vectors.
+    in order of first occurrence in reversed-coordinate order and each list
+    in the order of definite_vectors: one exact-norm search per norm, on one
+    set of Cholesky data.
     """
     if max_norm <= 0 or not gram:
         return {}
-    return _by_norm(_scaled_cholesky(gram), max_norm)
+    data = _scaled_cholesky(gram)
+    zeros = (0,) * len(gram)
+    table = {}
+    for norm in range(1, max_norm + 1):
+        vecs = _exact_norm(data, norm, zeros, 1)
+        if vecs:
+            table[norm] = vecs
+    return dict(sorted(table.items(), key=lambda item: item[1][0][::-1]))
 
 
 def definite_vectors(gram: Sequence[Sequence[int]], target: int) -> List[Coords]:
@@ -121,76 +146,97 @@ def definite_vectors(gram: Sequence[Sequence[int]], target: int) -> List[Coords]
 
     Requires gram positive definite.  The result is the complete solution
     set, sorted by reversed coordinates (x_{n-1} first, then x_{n-2}, ...),
-    which is the order of the search.
+    which is the order of the exact-norm descent with modulus 1.
     """
     if target <= 0:
         return []
-    return definite_vectors_by_norm(gram, target).get(target, [])
+    return _exact_norm(_scaled_cholesky(gram), target, (0,) * len(gram), 1)
 
 
-def _anchor_complement(gram: Sequence[Sequence[int]], p: Sequence[int]):
-    from . import exactlinalg as xl
+class AnchorFrame:
+    """The slab search data of one anchor p in a form of signature (1, k).
 
-    n = len(gram)
-    row = xl.mat_vec(gram, list(p))
-    comp = xl.kernel([row])  # basis of p-orthogonal vectors, saturated
-    b = [[comp[j][i] for j in range(len(comp))] for i in range(n)]
-    g = xl.mat_mul(xl.mat_mul(xl.transpose(b), gram), b)
-    return comp, g
+    One Hermite reduction of the row G p (exactlinalg.row_hermite) gives
+    g = gcd(G p), a unimodular u whose columns past the first are the
+    complement basis kernel returns, and p's coordinates (m / g, w) in the
+    basis of u's columns.  The frame keeps m, g, the residues w mod m and
+    the rows that turn a complement vector into c (ambient rows when
+    basis_rows is given); the scaled Cholesky data of the complement are
+    computed at the first slab that needs them.  Every slab of every
+    target reads the same frame.
+    """
+
+    __slots__ = ("m", "g", "residues", "rows", "step", "neg", "_cholesky")
+
+    def __init__(self, gram: Sequence[Sequence[int]], p: Sequence[int], basis_rows=None):
+        from . import exactlinalg as xl
+
+        n = len(gram)
+        gp = xl.mat_vec(gram, list(p))
+        m = sum(map(mul, p, gp))
+        if m <= 0:
+            raise InputError("anchor vector must have positive self-intersection")
+        g, u, coords = xl.row_hermite(gp, p)
+        comp = [[u[i][j] for i in range(n)] for j in range(1, n)]
+        self.m, self.g = m, g
+        self.residues = tuple(x % m for x in coords[1:])
+        self.neg = [[-sum(map(mul, a, xl.mat_vec(gram, b))) for b in comp] for a in comp]
+        if basis_rows is None:
+            # c = (comp^T d + t p) / m; row i of comp^T is (comp[j][i])_j
+            self.rows = [tuple(v[i] for v in comp) for i in range(n)]
+            self.step = list(p)
+        else:
+            # B c = (B comp^T d + t B p) / m in one product per coordinate
+            self.rows = [tuple(sum(map(mul, b, v)) for v in comp) for b in basis_rows]
+            self.step = [sum(map(mul, b, p)) for b in basis_rows]
+        self._cholesky = None
+
+    def slab(self, target: int, t: int) -> List[Coords]:
+        """The complement vectors d = m c - t p of the integral c with
+        c^2 = target and <p, c> = t.
+
+        c = u (a, e) has <p, c> = g a and m c - t p = u (m a - t m / g,
+        m e - t w), so the slab is empty unless g | t, and then c is
+        integral exactly when d = m e - t w: d runs over the coset -t w
+        (mod m) at norm m (t^2 - m target) in the negated complement.
+        """
+        m = self.m
+        cnorm = m * (t * t - m * target)
+        if cnorm < 0 or t % self.g:
+            return []
+        res = [(-t * w) % m for w in self.residues]
+        if cnorm == 0 or not res:   # d = 0 is the only vector of norm 0
+            return [] if cnorm or any(res) else [(0,) * len(res)]
+        if self._cholesky is None:
+            self._cholesky = _scaled_cholesky(self.neg)
+        return _exact_norm(self._cholesky, cnorm, res, m)
 
 
 def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
-                         target: int, t_bound: int, basis_rows=None):
+                         target: int, t_bound: int, basis_rows=None, frame=None):
     """Yield (|t|, vectors) with c^T gram c == target, grouped by |<p, c>|.
 
     Requires gram of signature (1, k) and <p, p> > 0.  Every slice
-    <p, c> = t reduces to a complete search in the negative definite
-    complement of p, so each yielded batch is complete for its slab and
-    the batches come in order of increasing |t|, each one sorted.
+    <p, c> = t reduces to a complete search of one coset in the negative
+    definite complement of p, so each yielded batch is complete for its
+    slab and the batches come in order of increasing |t|, each one sorted.
 
     basis_rows, when given, are the rows of a basis matrix B of a saturated
     sublattice with Gram matrix gram (Sublattice._rows); the vectors are
-    then yielded as B c, in ambient coordinates.
+    then yielded as B c, in ambient coordinates.  frame, when given, is the
+    AnchorFrame of (gram, p, basis_rows), so that its data serve several
+    calls; otherwise it is built at the first slab.
     """
-    n = len(gram)
-    m = sum(p[i] * gram[i][j] * p[j] for i in range(n) for j in range(n))
-    if m <= 0:
-        raise InputError("anchor vector must have positive self-intersection")
-    comp, g_comp = _anchor_complement(gram, p)
-    neg = [[-x for x in row] for row in g_comp]
-    # c = (comp^T d + t p) / m for d in the complement; row i of comp^T is
-    # (comp[j][i])_j
-    rows = [tuple(v[i] for v in comp) for i in range(n)]
-    step = list(p)
-    if basis_rows is not None:
-        # B c = (B comp^T d + t B p) / m in one product per coordinate; B c
-        # is integral exactly when c is, because B spans a saturated lattice
-        rows = [tuple(sum(map(mul, b, v)) for v in comp) for b in basis_rows]
-        step = [sum(map(mul, b, p)) for b in basis_rows]
-    cholesky = None   # of the complement, computed once at the first use
+    if frame is None:
+        frame = AnchorFrame(gram, p, basis_rows)
+    m, rows, step = frame.m, frame.rows, frame.step
     for t in range(t_bound + 1):
-        # c' = m*c - t*p lies in the complement and has norm m*(m*target - t*t)
-        cnorm = m * (t * t - m * target)
+        shift = [t * x for x in step]
         batch = []
-        if cnorm >= 0:
-            slice_coords: List[Coords] = []
-            if cnorm == 0:
-                slice_coords.append((0,) * len(comp))
-            elif comp:
-                if cholesky is None:
-                    cholesky = _scaled_cholesky(neg)
-                slice_coords.extend(_by_norm(cholesky, cnorm).get(cnorm, []))
-            shift = [t * x for x in step]
-            for d in slice_coords:
-                c = []
-                for row, s in zip(rows, shift):
-                    num = sum(map(mul, row, d)) + s
-                    if num % m:
-                        break
-                    c.append(num // m)
-                else:
-                    if any(c):
-                        batch.append(tuple(c))
-                        if t:
-                            batch.append(tuple(-x for x in c))
+        for d in frame.slab(target, t):
+            c = tuple([(sum(map(mul, row, d)) + s) // m for row, s in zip(rows, shift)])
+            if any(c):
+                batch.append(c)
+                if t:
+                    batch.append(tuple([-x for x in c]))
         yield t, sorted(set(batch))

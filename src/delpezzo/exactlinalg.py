@@ -105,10 +105,30 @@ def hnf_columns(a: IntMatrix) -> Tuple[List[List[int]], List[List[int]], List[Tu
     past the last pivot identically zero, and pivots a list of (row, col)
     positions with positive pivot entries.
     """
+    h, u, pivots, _ = _hnf(a, None)
+    return h, u, pivots
+
+
+def row_hermite(row: Sequence[int], x: Sequence[int]) -> Tuple[int, List[List[int]], List[int]]:
+    """(g, u, y) from hnf_columns([row]) and one vector x.
+
+    row @ u == (g, 0, ..., 0) with g = gcd(row) > 0 (row must be nonzero),
+    u is the unimodular matrix hnf_columns returns, so its columns past the
+    first are the basis kernel([row]) returns, and y = u^-1 x, the
+    coordinates of x in the basis of the columns of u.
+    """
+    h, u, _, y = _hnf([row], x)
+    return h[0][0], u, y
+
+
+def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
+    """hnf_columns, plus u^-1 x when x is given: each column step on u acts
+    on u^-1 as the inverse row step, so x is carried along in O(1) a step."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     h = [list(row) for row in a]
     u = identity(ncols)
+    y = None if x is None else list(x)
     pivots: List[Tuple[int, int]] = []
     col = 0
     for row in range(nrows):
@@ -122,22 +142,28 @@ def hnf_columns(a: IntMatrix) -> Tuple[List[List[int]], List[List[int]], List[Tu
             if j0 != col:
                 _col_swap(h, col, j0)
                 _col_swap(u, col, j0)
+                if y is not None:
+                    y[col], y[j0] = y[j0], y[col]
             if h[row][col] < 0:
                 _col_negate(h, col)
                 _col_negate(u, col)
+                if y is not None:
+                    y[col] = -y[col]
             clean = True
             for j in range(col + 1, ncols):
                 if h[row][j] != 0:
                     q = h[row][j] // h[row][col]
                     _col_axpy(h, j, col, -q)
                     _col_axpy(u, j, col, -q)
+                    if y is not None:
+                        y[col] += q * y[j]
                     if h[row][j] != 0:
                         clean = False
             if clean:
                 pivots.append((row, col))
                 col += 1
                 break
-    return h, u, pivots
+    return h, u, pivots, y
 
 
 def kernel(a: IntMatrix) -> List[List[int]]:
@@ -228,50 +254,54 @@ def f2_solvable(a: IntMatrix, b: Sequence[int]) -> bool:
 
 
 def sylvester_signature(gram: IntMatrix) -> Tuple[int, int, int]:
-    """Signature (positive, negative, zero) of a symmetric rational matrix.
+    """Signature (positive, negative, zero) of a symmetric integer matrix.
 
-    Computed by exact symmetric Gaussian congruence with the classical
-    off-diagonal completion step when every remaining diagonal entry is 0.
+    Symmetric elimination in integers: with pivot d of the remaining block
+    A and prev the pivot before it (1 at the start), the next block is
+    (|d| A' - sgn(d) a a^T) / |prev|, where a is the pivot's column below it
+    and A' the block below and right of it.  That is |d| / |prev| times the
+    Schur complement, a positive multiple, so the signature is kept; and it
+    is |det| of the leading pivot block times the Schur complement, whose
+    entries are bordered minors up to sign (Bareiss), so the division is
+    exact.  When the pivot is 0 a nonzero diagonal entry is swapped in; when
+    every remaining diagonal entry is 0, the classical completion step adds
+    row and column c to row and column r for some a_rc != 0, which makes the
+    diagonal entry 2 a_rc.  Both are congruences of the remaining block, and
+    they leave the leading block alone, so the division stays exact.  A zero
+    remaining block counts as the zero part.
     """
     n = len(gram)
-    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in gram]
     pos = neg = zero = 0
-    i = 0
-    while i < n:
+    prev = 1
+    for i in range(n):
         if a[i][i] == 0:
             k = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-            if k is not None:
-                a[i], a[k] = a[k], a[i]
-                for row in a:
-                    row[i], row[k] = row[k], row[i]
-            else:
+            if k is None:
                 pair = next(((r, c) for r in range(i, n) for c in range(r + 1, n)
                              if a[r][c] != 0), None)
                 if pair is None:
                     zero += n - i
                     break
-                r, c = pair
-                # make a nonzero diagonal entry: row/col r += row/col c
-                for j in range(n):
-                    a[r][j] += a[c][j]
-                for j in range(n):
-                    a[j][r] += a[j][c]
-                if r != i:
-                    a[i], a[r] = a[r], a[i]
-                    for row in a:
-                        row[i], row[r] = row[r], row[i]
+                k, c = pair
+                for row in a:
+                    row[k] += row[c]
+                a[k] = [x + y for x, y in zip(a[k], a[c])]
+            if k != i:
+                a[i], a[k] = a[k], a[i]
+                for row in a:
+                    row[i], row[k] = row[k], row[i]
         d = a[i][i]
         if d > 0:
             pos += 1
         else:
             neg += 1
+        col = [a[r][i] for r in range(n)]
+        if d < 0:
+            d, col = -d, [-x for x in col]
         for r in range(i + 1, n):
-            if a[r][i] != 0:
-                f = a[r][i] / d
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-        for c in range(i + 1, n):
-            a[i][c] = Fraction(0)
-            a[c][i] = Fraction(0)
-        i += 1
+            ar, cr = a[r], col[r]
+            for c in range(i + 1, n):
+                ar[c] = (d * ar[c] - cr * a[i][c]) // prev
+        prev = d
     return pos, neg, zero

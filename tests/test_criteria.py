@@ -10,6 +10,7 @@ congruent_roots against one xl.f2_solvable call per root.
 """
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -121,6 +122,37 @@ def test_search_batches_lift_the_side_coordinate_enumeration(eigen_data, target)
                     assert g == sorted(set(w)) and len(w) == len(set(w))
                 batches["definite" if side.definite else "slab"] += 1
     assert batches["definite"] > 50 and batches["slab"] > 50
+
+
+def test_anchor_frame_is_built_once_per_side(monkeypatch):
+    # every route on a side reads one AnchorFrame, built at its first slab
+    built = []
+
+    class Counting(en.AnchorFrame):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(en, "AnchorFrame", Counting)
+    frames = 0
+    for n in range(3, 9):
+        for cls in classify_involutions(n):
+            data = criteria.eigen_data(cls.representative, canonical_class(n))
+            before = len(built)
+            for _ in range(2):
+                for _name, _res in criteria.iter_routes(data, n, 4):
+                    pass
+            sides = [s for s in (data.plus, data.minus) if s.frame is not None]
+            assert len(built) - before == len(sides)
+            for side in sides:
+                assert not side.definite and side.anchor is not None
+                gp = xl.mat_vec(side.gram, side.anchor)
+                assert side.frame.m == sum(map(operator.mul, side.anchor, gp))
+                assert side.frame.g == math.gcd(*gp)
+            frames += len(sides)
+    assert frames > 10
 
 
 def test_side_rejects_an_unsaturated_sublattice(eigen_data):

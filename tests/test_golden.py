@@ -22,11 +22,20 @@ were regenerated again (n = 3 m1b, m2; 4 m2; 5 m1, m2a, m2b, m3; 6 m1, m2, m3;
 7 m1, m2, m3a, m3b, m4a, m4b, m5; 8 m1, m2, m3, m4a, m4b, m5), with the same
 kind of change: basis vectors and leaf matrices only.
 
+test_stream_digests pins two benchmark streams of perfbench/inputs.py
+(read, not changed) by the first 16 hex digits of the sha256 of
+json.dumps(outputs, sort_keys=True): check_reducible at height bound 2 on
+the 640 conjugates of verify_stream(101), and decompose at the default
+bound 10 on the 160 operations of decompose_stream(17), both as the code
+wrote them before the slab search moved to one coset per slab.
+
 check_conjugates.jsonl pins check_reducible(g, n, height_bound=2) on two
 K-stabilizer and two O(M_n) wall-word conjugates of every catalog class,
 n = 3..8 (_conjugate_checks), as the code wrote it before route b, the slab
 lift and route d's mod-2 test moved to integer tuples.
 """
+import hashlib
+import importlib.util
 import json
 import random
 from pathlib import Path
@@ -36,7 +45,7 @@ import pytest
 from delpezzo.cli import EXIT_OK, main
 from delpezzo.involutions import classify_involutions
 from delpezzo.irreducibility import check_reducible, decompose
-from delpezzo.lattice import identity_isometry
+from delpezzo.lattice import Isometry, del_pezzo_lattice, identity_isometry
 from delpezzo.weyl import wall_generators
 
 from conftest import canonical_generators
@@ -83,3 +92,31 @@ def _conjugate_checks():
 
 def test_conjugate_verdicts_match_golden():
     assert _conjugate_checks() == (GOLDEN / "check_conjugates.jsonl").read_text()
+
+
+def _bench_inputs():
+    path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("stream, seed, want", [
+    ("verify", 101, "9daa9c1169dafd3d"),
+    ("decompose", 17, "577593b4dedfc7c8"),
+])
+def test_stream_digests(stream, seed, want):
+    inputs = _bench_inputs()
+    outs = []
+    if stream == "verify":
+        for op in inputs.verify_stream(seed):
+            g = Isometry(del_pezzo_lattice(op.n), op.matrix)
+            outs.append(check_reducible(g, op.n, height_bound=2).to_json())
+    else:
+        for op in inputs.decompose_stream(seed):
+            g = Isometry(del_pezzo_lattice(op.n), op.matrix)
+            outs.append(decompose(g, op.n, height_bound=10).to_json())
+    assert len(outs) == {"verify": 640, "decompose": 160}[stream]
+    blob = json.dumps(outs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == want

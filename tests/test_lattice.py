@@ -1,4 +1,6 @@
 """Lattices, sublattices, isometries, and exact linear algebra."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +178,130 @@ def test_sylvester_signature_on_known_forms():
     assert xl.sylvester_signature([[1, 0], [0, -1]]) == (1, 1, 0)
     assert xl.sylvester_signature([[0, 1], [1, 0]]) == (1, 1, 0)
     assert xl.sylvester_signature([[2, 0, 0], [0, -2, 0], [0, 0, 0]]) == (1, 1, 1)
+    u_u = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    assert xl.sylvester_signature(u_u) == (2, 2, 0)
+    assert xl.sylvester_signature([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) == (1, 1, 1)
+    assert xl.sylvester_signature([[0] * 3 for _ in range(3)]) == (0, 0, 3)
+    assert xl.sylvester_signature([]) == (0, 0, 0)
+
+
+def _fraction_signature(gram):
+    """Reference: symmetric Gaussian congruence over Fraction, with the
+    off-diagonal completion step when every remaining diagonal entry is 0."""
+    n = len(gram)
+    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    pos = neg = zero = 0
+    i = 0
+    while i < n:
+        if a[i][i] == 0:
+            k = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if k is not None:
+                a[i], a[k] = a[k], a[i]
+                for row in a:
+                    row[i], row[k] = row[k], row[i]
+            else:
+                pair = next(((r, c) for r in range(i, n) for c in range(r + 1, n)
+                             if a[r][c] != 0), None)
+                if pair is None:
+                    zero += n - i
+                    break
+                r, c = pair
+                for j in range(n):
+                    a[r][j] += a[c][j]
+                for j in range(n):
+                    a[j][r] += a[j][c]
+                if r != i:
+                    a[i], a[r] = a[r], a[i]
+                    for row in a:
+                        row[i], row[r] = row[r], row[i]
+        d = a[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(i + 1, n):
+            if a[r][i] != 0:
+                f = a[r][i] / d
+                for c in range(i, n):
+                    a[r][c] -= f * a[i][c]
+        for c in range(i + 1, n):
+            a[i][c] = Fraction(0)
+            a[c][i] = Fraction(0)
+        i += 1
+    return pos, neg, zero
+
+
+def _direct_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    k = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[k + i][k:k + len(b)] = row
+        k += len(b)
+    return out
+
+
+U = [[0, 1], [1, 0]]
+
+
+def test_sylvester_signature_matches_fraction_reference_on_zero_diagonal_forms():
+    forms = [
+        _direct_sum(U, U),
+        _direct_sum(U, [[0]]),
+        _direct_sum([[0]], U, [[0]]),
+        _direct_sum(U, U, U),
+        _direct_sum([[0, 2], [2, 0]], [[0, 3], [3, 0]]),
+        [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        [[0, 2, -1, 0], [2, 0, 0, 3], [-1, 0, 0, 1], [0, 3, 1, 0]],
+    ]
+    for gram in forms:
+        assert all(gram[i][i] == 0 for i in range(len(gram)))
+        assert xl.sylvester_signature(gram) == _fraction_signature(gram)
+    assert xl.sylvester_signature(forms[0]) == (2, 2, 0)
+    assert xl.sylvester_signature(forms[1]) == (1, 1, 1)
+    # a zero pivot after a nonzero one, on a degenerate form
+    gram = _direct_sum([[-2]], U, [[0]], U)
+    assert xl.sylvester_signature(gram) == _fraction_signature(gram) == (2, 3, 1)
+
+
+def test_sylvester_signature_matches_fraction_reference_on_eigen_sides():
+    for n in range(2, 9):
+        lat = del_pezzo_lattice(n)
+        assert xl.sylvester_signature(lat.gram) == _fraction_signature(lat.gram)
+        # products of reflections in the orthogonal roots E1-E2, E3-E4, ...
+        g = identity_isometry(lat)
+        for k in range(1, n, 2):
+            g = g @ reflection(lat.vector([0] * k + [1, -1] + [0] * (n - k - 1)))
+            for h in (g, g.negated()):
+                for side in fixed_and_antifixed(h):
+                    gram = side.gram()
+                    assert xl.sylvester_signature(gram) == _fraction_signature(gram)
+
+
+@st.composite
+def _symmetric_forms(draw):
+    """Symmetric integer matrices of size 1..7: A^T D A with a square A
+    (often singular, so degenerate forms come up) or raw symmetric entries,
+    diagonals often 0."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        a = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(n)]
+        d = draw(st.lists(st.sampled_from((-2, -1, 0, 0, 1, 2)), min_size=n, max_size=n))
+        return [[sum(a[r][i] * d[r] * a[r][j] for r in range(n)) for j in range(n)]
+                for i in range(n)]
+    upper = [draw(st.lists(st.sampled_from((-3, -1, 0, 0, 0, 1, 2)), min_size=n - i,
+                           max_size=n - i)) for i in range(n)]
+    return [[upper[min(i, j)][abs(i - j)] for j in range(n)] for i in range(n)]
+
+
+@given(_symmetric_forms())
+@settings(max_examples=200, deadline=None)
+def test_sylvester_signature_matches_fraction_reference(gram):
+    pos, neg, zero = xl.sylvester_signature(gram)
+    assert (pos, neg, zero) == _fraction_signature(gram)
+    assert pos + neg + zero == len(gram)
+    assert zero == len(gram) - xl.rational_rank(gram)
 
 
 def test_inverse_roundtrip():
