@@ -188,9 +188,10 @@ def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector] = None) -> _Eigen
 def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData:
     """Eigenlattice data; the anchor is used only when g fixes it.
 
-    fixed_and_antifixed raises InputError when g is not an involution.
+    g must be an involution, which the caller has tested (check_reducible
+    does); g^2 is not formed again here.
     """
-    plus, minus = fixed_and_antifixed(g)
+    plus, minus = fixed_and_antifixed(g, checked=True)
     fixed_anchor = anchor if (anchor is not None and g.apply(anchor) == anchor) else None
     return EigenData(g, _side(plus, fixed_anchor), _side(minus))
 

@@ -16,7 +16,7 @@ rational ones admit, in the same order, and the search stays complete.  At
 the last level the norm is exact when Q_0 (D x_0 + S)^2 == R, so x_0 is
 solved for, not looped over.  The descent takes a modulus and a residue per
 coordinate and visits only that coset, stepping each coordinate by the
-modulus; definite_vectors and definite_vectors_by_norm use modulus 1.
+modulus; definite_vectors uses modulus 1.
 
 anchored_norm_slices cuts a form of signature (1, k) into slabs
 <p, c> = t against an anchor p of square m > 0.  One Hermite reduction of
@@ -118,27 +118,6 @@ def _exact_norm(data, norm: int, res: Sequence[int], mod: int) -> List[Coords]:
     out: List[Coords] = []
     _walk(n - 1, norm * scale ** 3, [0] * n, diag, upper, scale, res, mod, out)
     return out
-
-
-def definite_vectors_by_norm(gram: Sequence[Sequence[int]],
-                             max_norm: int) -> dict:
-    """Nonzero integer vectors with 0 < x^T gram x <= max_norm, keyed by norm.
-
-    Requires gram positive definite; the enumeration is complete.  Keys come
-    in order of first occurrence in reversed-coordinate order and each list
-    in the order of definite_vectors: one exact-norm search per norm, on one
-    set of Cholesky data.
-    """
-    if max_norm <= 0 or not gram:
-        return {}
-    data = _scaled_cholesky(gram)
-    zeros = (0,) * len(gram)
-    table = {}
-    for norm in range(1, max_norm + 1):
-        vecs = _exact_norm(data, norm, zeros, 1)
-        if vecs:
-            table[norm] = vecs
-    return dict(sorted(table.items(), key=lambda item: item[1][0][::-1]))
 
 
 def definite_vectors(gram: Sequence[Sequence[int]], target: int) -> List[Coords]:

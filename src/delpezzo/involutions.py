@@ -3,16 +3,25 @@
 Every involution in the group is a product of reflections in mutually
 orthogonal roots.  Its (-1)-eigenlattice is the saturated span of those
 roots, and the involution is recovered from the full root list of that
-eigenlattice; two involutions are conjugate exactly when those root lists
-lie in one orbit of the group.  Classification therefore proceeds by
-clique search in the root orthogonality graph, orbit deduplication, and
-invariant computation.
+eigenlattice, its key; two involutions are conjugate exactly when their
+keys lie in one orbit of the group acting on the roots.
+
+Classification takes one maximal orthogonal frame F per orbit (clique
+search in the root orthogonality graph), and its candidates are the
+nonempty subsets S of F, as root ids.  Their keys come from one table of
+integer dot products x . r, for the sign-canonical roots x and the r in F,
+with no matrix and no lattice algebra: K-perp is negative definite and
+r^2 = -2, so x lies in span_Q(S) exactly when sum_{r in S} (x . r)^2 = 4.
+Orbits act on the keys, and the first key of each orbit in sorted order
+represents its class.  The involution and its invariants are built for
+these representatives only.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, UnsupportedError
@@ -99,7 +108,7 @@ class ZGInvariant:
 def zg_invariant(g: Isometry) -> ZGInvariant:
     if not g.is_involution():
         raise InputError("not an involution")
-    plus, minus = fixed_and_antifixed(g)
+    plus, minus = fixed_and_antifixed(g, checked=True)
     return _zg(g, plus, minus)
 
 
@@ -331,60 +340,96 @@ def _maximal_orthogonal_reps(n: int) -> List[FrozenSet[int]]:
     return reps
 
 
+def _frame_candidates(n: int, frame: FrozenSet[int]):
+    """Yield (subset, key, kperp_fixed_pairs) for each nonempty subset of a frame.
+
+    Subsets come as sorted root ids, by size and then in combinations order.
+    key is minus_root_key of the product of their reflections, and
+    kperp_fixed_pairs counts the sign-canonical roots orthogonal to the
+    subset, half of that involution's kperp_fixed_roots.  Both come from
+    the masks of the sign-canonical roots x, bit i set when x . r_i != 0
+    for the i-th frame root r_i: x lies in the span of a subset S exactly
+    when sum_i (x . r_i)^2 = 4 and its mask lies in S.
+    """
+    roots, _ = pg._roots_and_index(n)
+    gram = del_pezzo_lattice(n).gram
+    members = sorted(frame)
+    rows = [xl.mat_vec(gram, list(roots[i].coords)) for i in members]
+    spanned: List[Tuple[int, int]] = []   # (id, mask) of the roots in span_Q(frame)
+    masks: List[int] = []
+    for x in sorted(set(_canon_table(n))):
+        dots = [sum(map(mul, roots[x].coords, row)) for row in rows]
+        mask = sum(1 << i for i, d in enumerate(dots) if d)
+        masks.append(mask)
+        if sum(d * d for d in dots) == 4:
+            spanned.append((x, mask))
+    for size in range(1, len(members) + 1):
+        for bits in itertools.combinations(range(len(members)), size):
+            s = sum(1 << b for b in bits)
+            key = tuple(x for x, mask in spanned if not mask & ~s)
+            yield (tuple(members[b] for b in bits), key,
+                   sum(1 for mask in masks if not mask & s))
+
+
 @lru_cache(maxsize=None)
 def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
-    """All conjugacy classes of involutions fixing K, for 1 <= n <= 8."""
+    """All conjugacy classes of involutions fixing K, for 1 <= n <= 8.
+
+    The candidates are the nonempty root-id subsets of one maximal
+    orthogonal frame per orbit, each known by its key.  Walking the keys in
+    sorted order, a key starts a class unless it lies in the orbit of an
+    earlier class (n <= 7).  At n = 8 the classes are told apart by
+    (|S|, |key|, kperp root count), a sub-tuple of the invariant merge_key,
+    and the first key of each such group starts a class.  The involution
+    and its invariants (flags included) are computed for the class
+    representatives only; classes are ordered by (|S|, merge_key).
+    """
     if not 1 <= n <= 8:
         raise InputError("classification supports 1 <= n <= 8")
     if n == 1:
         return ()
     roots, _ = pg._roots_and_index(n)
 
-    # candidate involutions: nonempty subsets of one maximal set per orbit,
-    # each kept with its involution
-    candidates: Dict[RootSetKey, Tuple[OrthogonalRootSet, Isometry]] = {}
-    for rep in _maximal_orthogonal_reps(n):
-        members = sorted(rep)
-        for size in range(1, len(members) + 1):
-            for sub in itertools.combinations(members, size):
-                rset = orthogonal_root_set(n, [roots[i] for i in sub])
-                g = rset.involution()
-                candidates.setdefault(minus_root_key(g, n), (rset, g))
+    # key -> (root ids of the first subset giving it, kperp root pairs)
+    candidates: Dict[RootSetKey, Tuple[Tuple[int, ...], int]] = {}
+    for frame in _maximal_orthogonal_reps(n):
+        for sub, key, perp in _frame_candidates(n, frame):
+            candidates.setdefault(key, (sub, perp))
 
-    # group by cheap invariants, then split groups by orbit equality
-    groups: Dict[tuple, List[Tuple[RootSetKey, OrthogonalRootSet]]] = {}
-    inv_cache: Dict[RootSetKey, InvolutionInvariant] = {}
-    for key, (rset, g) in sorted(candidates.items()):
-        inv = invariant_of(g, n)
-        inv_cache[key] = inv
-        groups.setdefault(inv.merge_key(), []).append((key, rset))
-
-    classes: List[Tuple[RootSetKey, OrthogonalRootSet, Optional[int]]] = []
-    for mk in sorted(groups):
-        pending = list(groups[mk])
-        if n <= 7:
-            while pending:
-                key, rset = pending.pop(0)
+    # (key, class size) of each class representative, in key order
+    reps: List[Tuple[RootSetKey, Optional[int]]] = []
+    if n <= 7:
+        pending = set(candidates)
+        for key in sorted(candidates):
+            if key in pending:
                 orb = _key_orbit(key, n)
-                pending = [(k, r) for k, r in pending if k not in orb]
-                classes.append((key, rset, len(orb)))
-        else:
-            # classes here are told apart by the invariants alone
-            key, rset = pending[0]
-            classes.append((key, rset, None))
+                pending -= orb
+                reps.append((key, len(orb)))
+    else:
+        # classes here are told apart by the invariants alone
+        groups: Dict[tuple, RootSetKey] = {}
+        for key in sorted(candidates):
+            sub, perp = candidates[key]
+            groups.setdefault((len(sub), len(key), perp), key)
+        reps = [(key, None) for key in sorted(groups.values())]
 
+    classes = []
+    for key, size in reps:
+        rset = orthogonal_root_set(n, [roots[i] for i in candidates[key][0]])
+        g = rset.involution()
+        classes.append((key, rset, g, invariant_of(g, n, with_flags=True), size))
+    # a stable sort: ties keep the key order
+    classes.sort(key=lambda c: (len(c[1]), c[3].merge_key()))
+
+    counts: Dict[int, int] = {}
+    for _key, rset, _g, _inv, _size in classes:
+        counts[len(rset)] = counts.get(len(rset), 0) + 1
     out = []
     by_m: Dict[int, int] = {}
-    order = sorted(classes, key=lambda item: (len(item[1]), inv_cache[item[0]].merge_key()))
-    counts: Dict[int, int] = {}
-    for key, rset, _size in order:
-        counts[len(rset)] = counts.get(len(rset), 0) + 1
-    for key, rset, size in order:
+    for key, rset, g, inv, size in classes:
         m = len(rset)
         by_m[m] = by_m.get(m, 0) + 1
         suffix = chr(ord("a") + by_m[m] - 1) if counts[m] > 1 else ""
-        g = candidates[key][1]
-        inv = invariant_of(g, n, with_flags=True)
         out.append(InvolutionClass(
             n=n,
             label=f"m{m}{suffix}",

@@ -166,6 +166,7 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     h_inv = None
     if g.apply(k) != k:
         g, h_inv = chamber_conjugate(g)
+    # g^2 = 1 was tested above, and a conjugate of an involution is one
     data = criteria.eigen_data(g, k)
     results = []
     for name, res in criteria.iter_routes(data, n, bound):

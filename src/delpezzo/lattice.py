@@ -347,9 +347,12 @@ def identity_isometry(lattice: Lattice) -> Isometry:
     return Isometry(lattice, tuple(tuple(row) for row in xl.identity(lattice.rank)))
 
 
-def fixed_and_antifixed(g: Isometry) -> Tuple[Sublattice, Sublattice]:
-    """Saturated (+1)- and (-1)-eigenlattices of an involution."""
-    if not g.is_involution():
+def fixed_and_antifixed(g: Isometry, checked: bool = False) -> Tuple[Sublattice, Sublattice]:
+    """Saturated (+1)- and (-1)-eigenlattices of an involution.
+
+    g^2 = 1 is tested unless checked says the caller has tested it.
+    """
+    if not checked and not g.is_involution():
         raise InputError("fixed_and_antifixed expects an involution")
     plus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1))
     minus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, 1))

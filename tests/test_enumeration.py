@@ -149,28 +149,6 @@ def test_scaled_cholesky_matches_fraction_reference():
     assert definite > 100
 
 
-def test_definite_vectors_by_norm_groups_consistently():
-    gram = [[1, 0], [0, 3]]
-    table = en.definite_vectors_by_norm(gram, 9)
-    for norm, vecs in table.items():
-        assert 0 < norm <= 9
-        for v in vecs:
-            assert sum(v[i] * gram[i][j] * v[j]
-                       for i in range(2) for j in range(2)) == norm
-    flat = [v for vecs in table.values() for v in vecs]
-    assert len(flat) == len(set(flat))
-    oracle = set()
-    for t in range(1, 10):
-        oracle |= _box_oracle(gram, t, 3)
-    assert set(flat) == oracle
-    # each group is exactly definite_vectors at that norm, order included
-    for gram in [_a(4), D4, E8] + _random_forms()[::4]:
-        table = en.definite_vectors_by_norm(gram, 6)
-        assert set(table) == {t for t in range(1, 7) if en.definite_vectors(gram, t)}
-        for norm, vecs in table.items():
-            assert vecs == en.definite_vectors(gram, norm)
-
-
 def test_definite_vectors_rejects_indefinite_gram():
     with pytest.raises(InputError):
         en.definite_vectors([[1, 0], [0, -1]], 2)
@@ -348,17 +326,3 @@ def test_anchored_slabs_match_majorant_search(form, target, t_bound):
                       and sum(c[i] * gram[i][j] * c[j]
                               for i in range(n) for j in range(n)) == target)
         assert batch == want
-
-
-def test_definite_vectors_by_norm_key_order_is_first_occurrence():
-    # keys in order of first occurrence in the reversed-coordinate traversal
-    for gram in [_a(3), D4, [[1, 0], [0, 3]]] + _random_forms()[::5]:
-        table = en.definite_vectors_by_norm(gram, 7)
-        flat = sorted((v for vecs in table.values() for v in vecs), key=_reversed_coords)
-        order = []
-        for v in flat:
-            norm = sum(v[i] * gram[i][j] * v[j]
-                       for i in range(len(v)) for j in range(len(v)))
-            if norm not in order:
-                order.append(norm)
-        assert list(table) == order

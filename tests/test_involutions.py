@@ -1,6 +1,7 @@
 """Conjugacy classification of involutions in the canonical-class stabilizer."""
 import pytest
 
+import delpezzo.involutions as inv_mod
 import delpezzo.permgroup as pg
 from delpezzo import (
     InputError,
@@ -151,3 +152,80 @@ def test_invariant_json_is_serializable():
     for cls in classify_involutions(5):
         blob = json.dumps(cls.to_json())
         assert json.loads(blob)["label"] == cls.label
+
+
+def _frame_rows(n):
+    """(subset, mask key, mask kperp pairs, involution) for every subset of
+    every frame the classification walks."""
+    roots, _ = pg._roots_and_index(n)
+    rows = []
+    for frame in inv_mod._maximal_orthogonal_reps(n):
+        for sub, key, perp in inv_mod._frame_candidates(n, frame):
+            rset = orthogonal_root_set(n, [roots[i] for i in sub])
+            rows.append((sub, key, perp, rset.involution()))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def frame_rows():
+    return {n: _frame_rows(n) for n in range(2, 9)}
+
+
+def test_mask_keys_equal_minus_root_keys(frame_rows):
+    for n, rows in frame_rows.items():
+        for sub, key, _perp, g in rows:
+            assert key == minus_root_key(g, n), (n, sub)
+    # 419 subsets over n = 2..8, each with its own key
+    assert sum(len(rows) for rows in frame_rows.values()) == 419
+    assert sum(len({row[1] for row in rows}) for rows in frame_rows.values()) == 419
+
+
+def test_mask_fields_equal_invariants(frame_rows):
+    for n, rows in frame_rows.items():
+        for sub, key, perp, g in rows:
+            inv = invariant_of(g, n)
+            assert inv.minus_root_count == 2 * len(key), (n, sub)
+            assert inv.kperp_fixed_roots == 2 * perp, (n, sub)
+            assert inv.carter_exponent == len(sub)
+
+
+def _partition(items, group_of):
+    groups = {}
+    for item in items:
+        groups.setdefault(group_of(item), set()).add(item[1])
+    return sorted(sorted(g) for g in groups.values())
+
+
+def test_n8_mask_groups_equal_merge_key_groups(frame_rows):
+    # classify_involutions(8) separates classes by (|S|, |key|, kperp root
+    # count), which must cut the candidates exactly as merge_key does
+    rows = {key: (sub, key, perp, g) for sub, key, perp, g in frame_rows[8]}
+    assert len(rows) == 255
+    items = list(rows.values())
+    by_masks = _partition(items, lambda r: (len(r[0]), len(r[1]), r[2]))
+    by_merge_key = _partition(items, lambda r: invariant_of(r[3], 8).merge_key())
+    assert by_masks == by_merge_key
+    assert len(by_masks) == CLASS_COUNTS[8]
+
+
+def test_invariants_are_built_for_representatives_only(monkeypatch):
+    calls = {"invariant_of": 0, "product_of_reflections": 0}
+
+    def counted(name):
+        fn = getattr(inv_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(inv_mod, name, counted(name))
+    for n in range(2, 9):
+        for name in calls:
+            calls[name] = 0
+        # bypass the cache, so the classification really runs
+        classes = inv_mod.classify_involutions.__wrapped__(n)
+        assert calls == {"invariant_of": len(classes),
+                         "product_of_reflections": len(classes)}, n
+        assert [c.label for c in classes] == [c.label for c in classify_involutions(n)]

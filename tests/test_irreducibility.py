@@ -125,6 +125,31 @@ def test_check_reducible_rejects_non_involutions():
         check_reducible(r1 @ r2, 3)  # order 3
 
 
+def test_check_and_decompose_square_g_once(monkeypatch):
+    from delpezzo.lattice import Isometry
+
+    calls = []
+    is_involution = Isometry.is_involution
+
+    def counted(self):
+        calls.append(self)
+        return is_involution(self)
+
+    monkeypatch.setattr(Isometry, "is_involution", counted)
+    g = classify_involutions(5)[2].representative
+    # the negation twist moves K, so both calls also work on a chamber conjugate
+    for h in (g, negation_twist(g)):
+        for run in (check_reducible, decompose):
+            calls.clear()
+            run(h, 5)
+            assert len(calls) == 1, run.__name__
+    lat = del_pezzo_lattice(3)
+    r = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
+    for run in (check_reducible, decompose):
+        with pytest.raises(InputError, match="^not an involution$"):
+            run(r, 3)
+
+
 def test_decompose_identity_peels_to_a_point():
     for n in (2, 3, 4):
         d = decompose(identity_isometry(del_pezzo_lattice(n)))
