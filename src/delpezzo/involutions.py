@@ -6,15 +6,18 @@ roots, and the involution is recovered from the full root list of that
 eigenlattice, its key; two involutions are conjugate exactly when their
 keys lie in one orbit of the group acting on the roots.
 
-Classification takes one maximal orthogonal frame F per orbit (clique
-search in the root orthogonality graph), and its candidates are the
-nonempty subsets S of F, as root ids.  Their keys come from one table of
-integer dot products x . r, for the sign-canonical roots x and the r in F,
-with no matrix and no lattice algebra: K-perp is negative definite and
-r^2 = -2, so x lies in span_Q(S) exactly when sum_{r in S} (x . r)^2 = 4.
-Orbits act on the keys, and the first key of each orbit in sorted order
-represents its class.  The involution and its invariants are built for
-these representatives only.
+The maximal orthogonal root sets form a single orbit for every n = 2..8
+(tests/test_involutions.py::test_maximal_orthogonal_sets_form_one_orbit
+checks this against every maximal clique), so classification takes one
+frame F, the first maximal clique of the root orthogonality graph.  Its
+candidates are the nonempty subsets S of F, as root ids.  Their keys come
+from one table of integer dot products x . r, for the sign-canonical roots
+x and the r in F, with no matrix and no lattice algebra: K-perp is negative
+definite and r^2 = -2, so x lies in span_Q(S) exactly when
+sum_{r in S} (x . r)^2 = 4.  Orbits act on the keys, walked as bytes with
+one translation table per generator, and the first key of each orbit in
+sorted order represents its class.  The involution and its invariants are
+built for these representatives only.
 """
 from __future__ import annotations
 
@@ -255,13 +258,14 @@ def _canon_table(n: int) -> bytes:
     return bytes(out)
 
 
-def minus_root_key(g: Isometry, n: int) -> RootSetKey:
+def minus_root_key(g: Isometry, n: int, checked: bool = False) -> RootSetKey:
     """Sorted pair ids of the roots of the antifixed lattice.
 
     This determines the involution completely and is permuted equivariantly
     under conjugation, so orbits of these keys classify involutions.
+    g^2 = 1 is tested unless checked says the caller has tested it.
     """
-    _, minus = fixed_and_antifixed(g)
+    _, minus = fixed_and_antifixed(g, checked=checked)
     roots, index = pg._roots_and_index(n)
     canon = _canon_table(n)
     vecs = _definite_root_vectors(minus)
@@ -282,10 +286,18 @@ def _definite_root_vectors(sub: Sublattice) -> List[LatticeVector]:
     return [sub.from_coords(c) for c in coords]
 
 
-def _key_orbit(key: RootSetKey, n: int, limit: int = 3 * 10 ** 6) -> Set[RootSetKey]:
+def _key_orbit(key: RootSetKey, n: int, limit: int = 3 * 10 ** 6) -> Set[bytes]:
+    """Orbit of a key under the group, each member as bytes(RootSetKey).
+
+    Root ids fit in a byte (root_action_context checks), so a generator acts
+    on a key by one bytes.translate with the table i -> canon[g[i]].  The
+    images of distinct pair ids are distinct pairs, so sorting the bytes
+    gives the image key.
+    """
     _, _, gens = pg.root_action_context(n)
     canon = _canon_table(n)
-    return closure([key], gens, lambda s, g: tuple(sorted({canon[g[i]] for i in s})),
+    tables = [pg._table(bytes(canon[j] for j in g)) for g in gens]
+    return closure([bytes(key)], tables, lambda s, t: bytes(sorted(s.translate(t))),
                    limit, "class orbit")
 
 
@@ -299,17 +311,21 @@ def are_conjugate(g: Isometry, h: Isometry, n: int) -> bool:
             raise InputError("isometry does not fix the canonical class")
         if not x.is_involution():
             raise InputError("not an involution")
-    kg = minus_root_key(g, n)
-    kh = minus_root_key(h, n)
+    kg = minus_root_key(g, n, checked=True)
+    kh = minus_root_key(h, n, checked=True)
     if len(kg) != len(kh):
         return False
     if kg == kh:
         return True
-    return kh in _key_orbit(kg, n)
+    return bytes(kh) in _key_orbit(kg, n)
 
 
 def orthogonal_root_sets(n: int) -> List[OrthogonalRootSet]:
-    """Maximal orthogonal root sets, one per orbit of the group, up to sign."""
+    """Maximal orthogonal root sets, one per orbit of the group, up to sign.
+
+    There is one orbit for every n = 2..8, so this is a single set: the
+    frame of _maximal_orthogonal_reps.
+    """
     if not 2 <= n <= 8:
         raise InputError("orthogonal root sets require 2 <= n <= 8")
     roots, _ = pg._roots_and_index(n)
@@ -318,26 +334,25 @@ def orthogonal_root_sets(n: int) -> List[OrthogonalRootSet]:
 
 
 def _maximal_orthogonal_reps(n: int) -> List[FrozenSet[int]]:
-    """One maximal orthogonal root set per orbit, as sets of pair ids."""
+    """One maximal orthogonal root set per orbit, as sets of pair ids.
+
+    The maximal orthogonal root sets form one orbit for every n = 2..8
+    (test_involutions.py::test_maximal_orthogonal_sets_form_one_orbit checks
+    every maximal clique against the orbit of this frame), so the first
+    maximal clique of the root orthogonality graph is the only one taken.
+    """
     import networkx as nx
 
-    roots, index = pg._roots_and_index(n)
-    canon = _canon_table(n)
-    pos_ids = sorted({canon[i] for i in range(len(roots))})
+    roots, _ = pg._roots_and_index(n)
+    gram = del_pezzo_lattice(n).gram
+    pos_ids = sorted(set(_canon_table(n)))
+    rows = {a: xl.mat_vec(gram, list(roots[a].coords)) for a in pos_ids}
     graph = nx.Graph()
     graph.add_nodes_from(pos_ids)
     for a, b in itertools.combinations(pos_ids, 2):
-        if roots[a].dot(roots[b]) == 0:
+        if not sum(map(mul, rows[a], roots[b].coords)):
             graph.add_edge(a, b)
-    reps: List[FrozenSet[int]] = []
-    seen: Set[RootSetKey] = set()
-    for clique in nx.find_cliques(graph):
-        key = tuple(sorted(clique))
-        if key in seen:
-            continue
-        seen |= _key_orbit(key, n)
-        reps.append(frozenset(key))
-    return reps
+    return [frozenset(next(nx.find_cliques(graph)))]
 
 
 def _frame_candidates(n: int, frame: FrozenSet[int]):
@@ -375,8 +390,8 @@ def _frame_candidates(n: int, frame: FrozenSet[int]):
 def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
     """All conjugacy classes of involutions fixing K, for 1 <= n <= 8.
 
-    The candidates are the nonempty root-id subsets of one maximal
-    orthogonal frame per orbit, each known by its key.  Walking the keys in
+    The candidates are the nonempty root-id subsets of the one maximal
+    orthogonal frame, each known by its key.  Walking the keys in
     sorted order, a key starts a class unless it lies in the orbit of an
     earlier class (n <= 7).  At n = 8 the classes are told apart by
     (|S|, |key|, kperp root count), a sub-tuple of the invariant merge_key,
@@ -399,9 +414,9 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
     # (key, class size) of each class representative, in key order
     reps: List[Tuple[RootSetKey, Optional[int]]] = []
     if n <= 7:
-        pending = set(candidates)
+        pending = {bytes(key) for key in candidates}
         for key in sorted(candidates):
-            if key in pending:
+            if bytes(key) in pending:
                 orb = _key_orbit(key, n)
                 pending -= orb
                 reps.append((key, len(orb)))
@@ -448,14 +463,14 @@ def find_class(g: Isometry, n: int) -> InvolutionClass:
         raise InputError("isometry does not fix the canonical class")
     if not g.is_involution() or g.is_identity():
         raise InputError("expected a nontrivial involution")
-    key = minus_root_key(g, n)
+    key = minus_root_key(g, n, checked=True)
     cand = [c for c in classify_involutions(n) if len(c.minus_root_key) == len(key)]
     for c in cand:
         if c.minus_root_key == key:
             return c
     if n <= 7:
         for c in cand:
-            if key in _key_orbit(c.minus_root_key, n):
+            if bytes(key) in _key_orbit(c.minus_root_key, n):
                 return c
     else:
         # class separation at n=8 rests on the invariant tuple

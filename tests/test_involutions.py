@@ -13,6 +13,7 @@ from delpezzo import (
     involution_from_roots,
     minus_root_key,
     orthogonal_root_set,
+    orthogonal_root_sets,
     zg_invariant,
 )
 from delpezzo.involutions import ZGInvariant
@@ -229,3 +230,94 @@ def test_invariants_are_built_for_representatives_only(monkeypatch):
         assert calls == {"invariant_of": len(classes),
                          "product_of_reflections": len(classes)}, n
         assert [c.label for c in classes] == [c.label for c in classify_involutions(n)]
+
+
+# maximal cliques of the root orthogonality graph, and the frame the library
+# takes, for n = 2..8
+MAXIMAL_CLIQUE_COUNTS = {2: 1, 3: 3, 4: 15, 5: 15, 6: 135, 7: 135, 8: 2025}
+FRAMES = {
+    2: (1,),
+    3: (4, 7),
+    4: (10, 18),
+    5: (21, 25, 32, 33),
+    6: (36, 39, 61, 66),
+    7: (63, 73, 80, 93, 100, 118, 121),
+    8: (128, 131, 140, 153, 155, 161, 227, 237),
+}
+
+
+def _all_maximal_cliques(n):
+    import networkx as nx
+
+    roots, _ = pg._roots_and_index(n)
+    pos_ids = sorted(set(inv_mod._canon_table(n)))
+    graph = nx.Graph()
+    graph.add_nodes_from(pos_ids)
+    graph.add_edges_from((a, b) for i, a in enumerate(pos_ids) for b in pos_ids[i + 1:]
+                         if roots[a].dot(roots[b]) == 0)
+    return [tuple(sorted(c)) for c in nx.find_cliques(graph)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_maximal_orthogonal_sets_form_one_orbit(n):
+    # classification takes the first maximal clique only; that is complete
+    # because every maximal orthogonal root set lies in the orbit of that frame
+    reps = inv_mod._maximal_orthogonal_reps(n)
+    assert [tuple(sorted(f)) for f in reps] == [FRAMES[n]]
+    cliques = _all_maximal_cliques(n)
+    assert len(cliques) == len(set(cliques)) == MAXIMAL_CLIQUE_COUNTS[n]
+    orbit = inv_mod._key_orbit(FRAMES[n], n)
+    assert {bytes(c) for c in cliques} == orbit
+    assert [r.coords for r in orthogonal_root_sets(n)[0]] == sorted(
+        pg._roots_and_index(n)[0][i].coords for i in FRAMES[n])
+
+
+def _reference_key_orbit(key, n):
+    """The class orbit of a key on sorted id tuples, one set per step."""
+    from delpezzo.weyl import closure
+
+    _, _, gens = pg.root_action_context(n)
+    canon = inv_mod._canon_table(n)
+    return closure([key], gens, lambda s, g: tuple(sorted({canon[g[i]] for i in s})),
+                   3 * 10 ** 6, "class orbit")
+
+
+def test_byte_key_orbit_matches_tuple_reference():
+    keys = [(n, c.minus_root_key) for n in range(2, 8) for c in classify_involutions(n)]
+    keys.append((8, FRAMES[8]))
+    for n, key in keys:
+        ref = _reference_key_orbit(key, n)
+        assert inv_mod._key_orbit(key, n) == {bytes(k) for k in ref}, (n, key)
+    # the n = 8 frame orbit: 2025 keys
+    assert len(_reference_key_orbit(FRAMES[8], 8)) == MAXIMAL_CLIQUE_COUNTS[8]
+
+
+def test_conjugacy_tests_square_g_once(monkeypatch, rng):
+    from delpezzo.lattice import Isometry
+    from delpezzo.weyl import reflection
+
+    calls = []
+    is_involution = Isometry.is_involution
+
+    def counted(self):
+        calls.append(self)
+        return is_involution(self)
+
+    monkeypatch.setattr(Isometry, "is_involution", counted)
+    n = 5
+    cls = classify_involutions(n)[2]
+    h = random_group_element(n, rng)
+    conj = h @ cls.representative @ h.inverse()
+    calls.clear()
+    assert are_conjugate(cls.representative, conj, n)
+    assert len(calls) == 2
+    calls.clear()
+    assert find_class(conj, n).label == cls.label
+    assert len(calls) == 1
+    lat = del_pezzo_lattice(3)
+    r = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
+    g = classify_involutions(3)[0].representative
+    with pytest.raises(InputError, match="^not an involution$"):
+        are_conjugate(g, r, 3)
+    with pytest.raises(InputError, match="^expected a nontrivial involution$"):
+        find_class(r, 3)
