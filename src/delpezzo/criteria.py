@@ -39,10 +39,10 @@ echelon of the other side and pairs them by parity; lattice vectors are
 built only for the witnesses returned.
 
 This is the one search engine of the package: check_reducible runs the
-routes on eigen_data, decompose builds an EigenData for each piece and
-splits with routes c, d and e, and the invariant flags run routes a-d on
-the eigenlattices the invariant already holds.  Every anchor search uses
-one box radius, ANCHOR_RADIUS.
+routes on eigen_data, decompose starts from the same eigen_data, splits
+with routes c, d and e and narrows both sides (_side) after each split, and
+the invariant flags run routes a-d on the eigenlattices the invariant
+already holds.  Every anchor search uses one box radius, ANCHOR_RADIUS.
 """
 from __future__ import annotations
 

@@ -339,20 +339,23 @@ def _maximal_orthogonal_reps(n: int) -> List[FrozenSet[int]]:
     The maximal orthogonal root sets form one orbit for every n = 2..8
     (test_involutions.py::test_maximal_orthogonal_sets_form_one_orbit checks
     every maximal clique against the orbit of this frame), so the first
-    maximal clique of the root orthogonality graph is the only one taken.
+    maximal clique of the root orthogonality graph is the only one taken:
+    the first branch of networkx's find_cliques pivot descent, on which the
+    subgraph and the candidates coincide, so it never backtracks.
     """
-    import networkx as nx
-
     roots, _ = pg._roots_and_index(n)
     gram = del_pezzo_lattice(n).gram
     pos_ids = sorted(set(_canon_table(n)))
     rows = {a: xl.mat_vec(gram, list(roots[a].coords)) for a in pos_ids}
-    graph = nx.Graph()
-    graph.add_nodes_from(pos_ids)
-    for a, b in itertools.combinations(pos_ids, 2):
-        if not sum(map(mul, rows[a], roots[b].coords)):
-            graph.add_edge(a, b)
-    return [frozenset(next(nx.find_cliques(graph)))]
+    adj = {a: {b for b in pos_ids if b != a and not sum(map(mul, rows[a], roots[b].coords))}
+           for a in pos_ids}
+    cand, clique = set(pos_ids), []
+    while cand:
+        u = max(cand, key=lambda u: len(cand & adj[u]))
+        q = (cand - adj[u]).pop()
+        clique.append(q)
+        cand &= adj[q]
+    return [frozenset(clique)]
 
 
 def _frame_candidates(n: int, frame: FrozenSet[int]):

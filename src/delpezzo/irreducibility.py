@@ -15,18 +15,22 @@ belongs to g.  A decided verdict is exact, hence the same in every basis;
 the reduction is what keeps the bounded searches decided in any basis.
 check_reducible keeps an involution that fixes K as it is, with K as its
 anchor (the catalog and the invariant flags rest on that); decompose
-reduces every input.
+reduces every input, and anchors with K the same way when K^2 > 0.
 
-decompose splits each piece with routes c, d and e of the criteria search
-engine, run in that order on the piece's eigen data: the first witness is
-the split (a fixed class, a swapped pair c1, g(c1), or an antifixed class).
-A leaf is Irreducible exactly when routes c, d and e are all closed on it,
-the same exact closure that check_reducible uses.
+decompose starts from the eigen data check_reducible builds and runs routes
+c, d and e of the criteria search engine on it, in that order: the first
+witness is the split (a fixed class, a swapped pair c1, g(c1), or an
+antifixed class).  A split block B is unimodular, so the eigen sides of
+what is left are the old sides cut to B^perp, one kernel each; the leaf's
+basis and matrix are computed once, at the end.  A leaf is Irreducible
+exactly when routes c, d and e are all closed on it, the same exact
+closure that check_reducible uses.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Tuple
 
 from .errors import InputError
@@ -34,9 +38,9 @@ from . import criteria
 from . import exactlinalg as xl
 from .lattice import (
     Isometry,
+    LatticeVector,
     Sublattice,
     del_pezzo_lattice,
-    full_sublattice,
     orthogonal_complement,
     span,
 )
@@ -273,17 +277,6 @@ def _sub_isometry(sub: Sublattice, g: Isometry) -> List[List[int]]:
     return [[cols[j][i] for j in range(r)] for i in range(r)]
 
 
-def _piece_data(piece: Sublattice, g: Isometry, g_sub) -> criteria.EigenData:
-    """The eigen data of g on a piece, with its sides in kernel bases of g_sub."""
-    sides = []
-    for sign in (1, -1):
-        eig = xl.kernel(xl.mat_add_scaled_identity(g_sub, -sign))
-        sub = Sublattice(piece.ambient, tuple(piece.from_coords(e) for e in eig),
-                         saturated=True)
-        sides.append(criteria._side(sub))
-    return criteria.EigenData(g, *sides)
-
-
 def _leaf_type(sub: Sublattice) -> str:
     gram = sub.gram()
     pos, neg, zero = xl.sylvester_signature(gram)
@@ -313,21 +306,26 @@ def decompose(g: Isometry, n: Optional[int] = None,
     if not 3 <= rank <= 10 or g.lattice != del_pezzo_lattice(rank - 1):
         return _decompose_in_basis(g, bound)
     g_red, h_inv = chamber_conjugate(g)
-    d = _decompose_in_basis(g_red, bound)
+    # K anchors the fixed side only where K^2 = 9 - n > 0
+    d = _decompose_in_basis(g_red, bound, canonical_class(rank - 1) if rank <= 9 else None)
     steps = tuple(SplitStep(s.action, tuple(_back(h_inv, b) for b in s.basis))
                   for s in d.steps)
     leaf = dataclasses.replace(d.leaf, basis=tuple(_back(h_inv, b) for b in d.leaf.basis))
     return Decomposition(steps, leaf)
 
 
-def _decompose_in_basis(g: Isometry, bound: int) -> Decomposition:
-    """decompose for g as written, with no chamber reduction."""
-    lat = g.lattice
-    current = full_sublattice(lat)
+def _decompose_in_basis(g: Isometry, bound: int,
+                        anchor: Optional[LatticeVector] = None) -> Decomposition:
+    """decompose for g as written, with no chamber reduction.
+
+    It starts from criteria.eigen_data(g, anchor), as check_reducible does,
+    and narrows both sides to B^perp after each split block B.  The leaf is
+    the complement of everything peeled, built once.
+    """
+    data = criteria.eigen_data(g, anchor)
     steps: List[SplitStep] = []
-    while current.rank:
-        g_sub = _sub_isometry(current, g)
-        data = _piece_data(current, g, g_sub)
+    peeled = []
+    while data.plus.sub.rank + data.minus.sub.rank:
         results = []
         # the first witness of routes c, d, e is the split
         for action, route in (("fix", criteria.route_c), ("swap", criteria.route_d),
@@ -338,30 +336,23 @@ def _decompose_in_basis(g: Isometry, bound: int) -> Decomposition:
         else:
             # no split left: Irreducible when routes c, d and e are closed
             closed = all(res.status == criteria.CLOSED for res in results)
-            leaf = DecompositionLeaf(_leaf_type(current),
-                                     tuple(v.coords for v in current.basis),
-                                     tuple(tuple(r) for r in g_sub),
-                                     IRREDUCIBLE if closed else UNKNOWN)
-            return Decomposition(tuple(steps), leaf)
-        split_basis = results[-1].witnesses
-        steps.append(SplitStep(action, tuple(v.coords for v in split_basis)))
-        # complement inside the current piece, re-expressed in the ambient
-        current = _intersect(current, orthogonal_complement(span(lat, split_basis)))
+            leaf = orthogonal_complement(span(g.lattice, peeled))
+            return Decomposition(tuple(steps), DecompositionLeaf(
+                _leaf_type(leaf), tuple(v.coords for v in leaf.basis),
+                tuple(tuple(r) for r in _sub_isometry(leaf, g)),
+                IRREDUCIBLE if closed else UNKNOWN))
+        block = results[-1].witnesses
+        steps.append(SplitStep(action, tuple(v.coords for v in block)))
+        peeled.extend(block)
+        data = criteria.EigenData(g, _narrow(data.plus.sub, block),
+                                  _narrow(data.minus.sub, block))
     return Decomposition(tuple(steps), DecompositionLeaf("point", (), (), IRREDUCIBLE))
 
 
-def _intersect(a: Sublattice, b: Sublattice) -> Sublattice:
-    """Intersection of two saturated sublattices of one ambient lattice."""
-    lat = a.ambient
-    ma = a.basis_matrix()
-    mb = [[-v.coords[i] for v in b.basis] for i in range(lat.rank)]
-    joint = [ra + rb for ra, rb in zip(ma, mb)]
-    ker = xl.kernel(joint)
-    basis = []
-    for col in ker:
-        xa = col[:a.rank]
-        basis.append(a.from_coords(xa))
-    cols = [[v.coords[i] for v in basis] for i in range(lat.rank)]
-    if basis and xl.rational_rank(cols) != len(basis):
-        raise InputError("intersection basis degenerate")
-    return Sublattice(lat, tuple(basis), saturated=True)
+def _narrow(side: Sublattice, block) -> criteria._EigenSide:
+    """The search data of side & B^perp: one kernel, in side coordinates, of
+    the products b.v of the block vectors b with the side basis v."""
+    jbs = [xl.mat_vec(side.ambient.gram, b.coords) for b in block]
+    rows = [[sum(map(mul, jb, v.coords)) for v in side.basis] for jb in jbs]
+    basis = tuple(side.from_coords(x) for x in xl.kernel(rows))
+    return criteria._side(Sublattice(side.ambient, basis, saturated=True))

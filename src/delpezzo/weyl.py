@@ -144,7 +144,8 @@ def chamber_conjugate(g: Isometry) -> Tuple[Isometry, Tuple[Tuple[int, ...], ...
     j = [1] + [-1] * (size - 1)
     h_inv = tuple(tuple(j[r] * h[c][r] * j[c] for c in range(size)) for r in range(size))
     conj = xl.mat_mul(xl.mat_mul(h, mat), h_inv)
-    return Isometry(g.lattice, tuple(tuple(r) for r in conj)), h_inv
+    # h is a product of wall reflections, so h g h^-1 needs no form check
+    return Isometry._trusted(g.lattice, tuple(tuple(r) for r in conj)), h_inv
 
 
 @lru_cache(maxsize=None)

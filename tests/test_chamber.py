@@ -23,7 +23,8 @@ from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.irreducibility import _decompose_in_basis
 from delpezzo.lattice import Isometry, Lattice, del_pezzo_lattice
-from delpezzo.weyl import canonical_class, reduce_to_chamber, wall_generators
+from delpezzo.weyl import (canonical_class, chamber_conjugate, reduce_to_chamber,
+                           wall_generators)
 
 
 def _walls(n):
@@ -50,8 +51,13 @@ def _word(n, rng, length=12):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_reduction_ends_in_the_chamber(n):
     rng = random.Random(600 + n)
-    for _ in range(40):
+    walls = wall_generators(n).isometries()
+    for step in range(40):
         g = _word(n, rng)
+        # chamber_conjugate skips the form check; the full check accepts it
+        conj, _ = chamber_conjugate(g @ walls[step % len(walls)] @ g.inverse())
+        assert conj == Isometry(conj.lattice, conj.matrix)
+        assert conj.is_involution()
         x = [int(i == 0) + c for i, c in enumerate(g.apply(
             del_pezzo_lattice(n).basis_vector(0)).coords)]  # H + gH, x^2 > 0
         reduced, h = reduce_to_chamber(x)

@@ -151,11 +151,69 @@ def test_check_and_decompose_square_g_once(monkeypatch):
 
 
 def test_decompose_identity_peels_to_a_point():
-    for n in (2, 3, 4):
+    # n = 1 is decomposed as written, with no chamber reduction; at n = 9
+    # K^2 = 0, so K cannot anchor the fixed side
+    for n in (1, 2, 3, 4, 9):
         d = decompose(identity_isometry(del_pezzo_lattice(n)))
         assert [s.action for s in d.steps] == ["fix"] * n
         assert d.leaf.lattice_type == "point"
         assert d.leaf.verdict == IRREDUCIBLE
+
+
+def _peeled_eigen_data(monkeypatch, g, n):
+    """The decomposition, and each EigenData decompose splits on with the
+    blocks peeled before it."""
+    from delpezzo import criteria
+
+    seen = []   # [data, blocks peeled before it]
+    peeled = []
+
+    def recording(route):
+        def run(data, bound):
+            if not seen or seen[-1][0] is not data:
+                seen.append([data, list(peeled)])
+            res = route(data, bound)
+            if res.status == criteria.WITNESS:
+                peeled.extend(res.witnesses)
+            return res
+        return run
+
+    for name in ("route_c", "route_d", "route_e"):
+        monkeypatch.setattr(criteria, name, recording(getattr(criteria, name)))
+    d = decompose(g, n)
+    monkeypatch.undo()
+    return d, seen
+
+
+def test_peeled_sides_are_the_eigenlattices_of_the_complement(monkeypatch):
+    # each side is old side & B^perp; the reference solves (g -+ 1) x = 0 and
+    # b . x = 0 for every peeled b in one kernel of the stacked rows
+    rng = random.Random(1616)
+    for n in range(3, 9):
+        lat = del_pezzo_lattice(n)
+        gens = wall_generators(n).isometries()
+        for cls in classify_involutions(n):
+            h = identity_isometry(lat)
+            for _ in range(12):
+                h = h @ rng.choice(gens)
+            for g in (cls.representative, h @ cls.representative @ h.inverse()):
+                d, seen = _peeled_eigen_data(monkeypatch, g, n)
+                assert len(seen) == len(d.steps) + 1
+                for data, peeled in seen:
+                    jb = [xl.mat_vec(lat.gram, b.coords) for b in peeled]
+                    for sign, side in ((1, data.plus), (-1, data.minus)):
+                        assert side.sub.saturated
+                        rows = xl.mat_add_scaled_identity(data.g.matrix, -sign) + jb
+                        ref = xl.kernel(rows)
+                        assert side.sub.rank == len(ref), (n, cls.label)
+                        mine = [v.coords for v in side.sub.basis]
+                        if ref:
+                            ref_cols = xl.transpose(ref)
+                            mine_cols = xl.transpose(mine)
+                            assert all(xl.solve_integer(ref_cols, v) is not None
+                                       for v in mine), (n, cls.label)
+                            assert all(xl.solve_integer(mine_cols, v) is not None
+                                       for v in ref), (n, cls.label)
 
 
 def test_decompose_blocks_are_orthogonal_and_norm_minus_one():

@@ -86,7 +86,8 @@ def test_weyl_order_and_classification_run_without_sympy():
             "assert [weyl_order(n) for n in range(2, 9)] == "
             f"{[WEYL_ORDERS[n] for n in range(2, 9)]}\n"
             "classify_involutions(5)\n"
-            "assert 'sympy' not in sys.modules\n")
+            "assert 'sympy' not in sys.modules\n"
+            "assert 'networkx' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
