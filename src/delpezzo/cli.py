@@ -53,12 +53,8 @@ def _realizing_name(cls) -> Optional[str]:
     if n == 8:
         named.append(("Bertini", models.bertini().isometry))
     for label, g in named:
-        key = inv.minus_root_key(g, n)
-        if key == cls.minus_root_key:
+        if inv.find_class(g, n).label == cls.label:
             return label
-        if n <= 7 and len(key) == len(cls.minus_root_key):
-            if inv.are_conjugate(g, cls.representative, n):
-                return label
     return None
 
 

@@ -188,10 +188,10 @@ def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector] = None) -> _Eigen
 def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData:
     """Eigenlattice data; the anchor is used only when g fixes it.
 
-    g must be an involution, which the caller has tested (check_reducible
-    does); g^2 is not formed again here.
+    g must be an involution; fixed_and_antifixed tests that from its
+    kernels, without forming g^2.
     """
-    plus, minus = fixed_and_antifixed(g, checked=True)
+    plus, minus = fixed_and_antifixed(g)
     fixed_anchor = anchor if (anchor is not None and g.apply(anchor) == anchor) else None
     return EigenData(g, _side(plus, fixed_anchor), _side(minus))
 
@@ -210,11 +210,7 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
     if sub.rank == 0:
         return
     if side.definite:
-        if gram[0][0] > 0:  # a definite form has the sign of its diagonal
-            coords = en.definite_vectors([list(r) for r in gram], target) if target > 0 else []
-        else:
-            coords = en.definite_vectors([[-x for x in r] for r in gram], -target) if target < 0 else []
-        yield [sub.lift(c) for c in coords]
+        yield [sub.lift(c) for c in en.definite_vectors(gram, target)]
         return
     if side.anchor is None:
         return

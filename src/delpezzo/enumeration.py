@@ -123,10 +123,14 @@ def _exact_norm(data, norm: int, res: Sequence[int], mod: int) -> List[Coords]:
 def definite_vectors(gram: Sequence[Sequence[int]], target: int) -> List[Coords]:
     """All nonzero integer vectors x with x^T gram x == target.
 
-    Requires gram positive definite.  The result is the complete solution
-    set, sorted by reversed coordinates (x_{n-1} first, then x_{n-2}, ...),
-    which is the order of the exact-norm descent with modulus 1.
+    Requires gram definite; a negative definite gram (first diagonal entry
+    < 0) is searched as -gram at -target.  The result is the complete
+    solution set, sorted by reversed coordinates (x_{n-1} first, then
+    x_{n-2}, ...), which is the order of the exact-norm descent with
+    modulus 1.
     """
+    if gram and gram[0][0] < 0:
+        gram, target = [[-x for x in row] for row in gram], -target
     if target <= 0:
         return []
     return _exact_norm(_scaled_cholesky(gram), target, (0,) * len(gram), 1)

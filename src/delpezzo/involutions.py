@@ -1,23 +1,32 @@
 """Classification of order-2 classes in the K-stabilizer of a blowup lattice.
 
 Every involution in the group is a product of reflections in mutually
-orthogonal roots.  Its (-1)-eigenlattice is the saturated span of those
-roots, and the involution is recovered from the full root list of that
-eigenlattice, its key; two involutions are conjugate exactly when their
-keys lie in one orbit of the group acting on the roots.
+orthogonal roots (Carter, Compositio Math. 25, 1972).  Its (-1)-eigenlattice
+is the saturated span of those roots, and the involution is recovered from
+the full root list of that eigenlattice, its key.
 
 The maximal orthogonal root sets form a single orbit for every n = 2..8
 (tests/test_involutions.py::test_maximal_orthogonal_sets_form_one_orbit
-checks this against every maximal clique), so classification takes one
-frame F, the first maximal clique of the root orthogonality graph.  Its
-candidates are the nonempty subsets S of F, as root ids.  Their keys come
-from one table of integer dot products x . r, for the sign-canonical roots
-x and the r in F, with no matrix and no lattice algebra: K-perp is negative
-definite and r^2 = -2, so x lies in span_Q(S) exactly when
-sum_{r in S} (x . r)^2 = 4.  Orbits act on the keys, walked as bytes with
-one translation table per generator, and the first key of each orbit in
-sorted order represents its class.  The involution and its invariants are
-built for these representatives only.
+checks this against every maximal clique), so every class meets the
+candidates of one frame F, the first maximal clique of the root
+orthogonality graph: the nonempty subsets S of F, as root ids.  Their keys
+come from one table of integer dot products x . r, for the sign-canonical
+roots x and the r in F, with no matrix and no lattice algebra: K-perp is
+negative definite and r^2 = -2, so x lies in span_Q(S) exactly when
+sum_{r in S} (x . r)^2 = 4.
+
+Classes are told apart by the triple (|S|, |key|, fixed pairs), with fixed
+pairs the number of sign-canonical roots the involution fixes.  It is a
+conjugation invariant, and it is complete for n = 2..8:
+tests/test_involutions.py::test_frame_triples_are_class_orbits walks the
+orbit of one key of each triple group of frame candidates and finds the
+whole group in it.  _class_triple reads the triple off g in one pass over
+the sign-canonical roots, and are_conjugate, find_class and
+classify_involutions all compare it.  The first key of each group in sorted
+order represents its class; the involution and its invariants are built
+for these representatives only.  Orbits act on the keys, walked as bytes
+with one translation table per generator, and give the class sizes for
+n <= 7 only.
 """
 from __future__ import annotations
 
@@ -111,7 +120,7 @@ class ZGInvariant:
 def zg_invariant(g: Isometry) -> ZGInvariant:
     if not g.is_involution():
         raise InputError("not an involution")
-    plus, minus = fixed_and_antifixed(g, checked=True)
+    plus, minus = fixed_and_antifixed(g)
     return _zg(g, plus, minus)
 
 
@@ -139,6 +148,10 @@ class InvolutionInvariant:
     kperp_fixed_roots: int
     # (fixes norm +1, fixes norm -1, fixes hyperbolic pair, swaps (-1)-pair)
     flags: Tuple[Optional[bool], ...] = field(default=(None,) * 4)
+
+    def class_triple(self) -> Tuple[int, int, int]:
+        """(|S|, |key|, fixed pairs), the complete class invariant."""
+        return (self.carter_exponent, self.minus_root_count // 2, self.kperp_fixed_roots // 2)
 
     def merge_key(self):
         # everything except the bounded-search flags
@@ -180,12 +193,7 @@ def _kperp_fixed(g: Isometry, n: int, plus: Optional[Sublattice] = None) -> Subl
 
 def _definite_root_count(gram) -> int:
     """Roots of a negative definite lattice with the given Gram matrix."""
-    if not gram:
-        return 0
-    pos, neg, zero = xl.sylvester_signature(gram)
-    if pos or zero:
-        raise InputError("root count requires a negative definite lattice")
-    return len(en.definite_vectors([[-x for x in row] for row in gram], 2))
+    return len(en.definite_vectors(gram, -2)) if gram else 0
 
 
 def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInvariant:
@@ -258,32 +266,37 @@ def _canon_table(n: int) -> bytes:
     return bytes(out)
 
 
-def minus_root_key(g: Isometry, n: int, checked: bool = False) -> RootSetKey:
-    """Sorted pair ids of the roots of the antifixed lattice.
+def _class_triple(g: Isometry, n: int) -> Tuple[RootSetKey, Tuple[int, int, int]]:
+    """(key, (|S|, |key|, fixed pairs)) of a K-fixing involution g.
+
+    One pass of g over the sign-canonical roots x: the key holds the ids of
+    the x that g negates, which are the roots of the antifixed lattice, and
+    fixed pairs counts the x that g fixes.  |S| = (n + 1 - tr g) / 2 is the
+    antifixed rank.  The caller has tested that g fixes K and g^2 = 1.
+    """
+    roots, _ = pg._roots_and_index(n)
+    key, fixed = [], 0
+    for x in sorted(set(_canon_table(n))):
+        v = roots[x].coords
+        gv = tuple(sum(map(mul, row, v)) for row in g.matrix)
+        if gv == v:
+            fixed += 1
+        elif all(a == -b for a, b in zip(gv, v)):
+            key.append(x)
+    return tuple(key), ((n + 1 - g.trace()) // 2, len(key), fixed)
+
+
+def minus_root_key(g: Isometry, n: int) -> RootSetKey:
+    """Sorted pair ids of the roots of the antifixed lattice, the roots g negates.
 
     This determines the involution completely and is permuted equivariantly
-    under conjugation, so orbits of these keys classify involutions.
-    g^2 = 1 is tested unless checked says the caller has tested it.
+    under conjugation.
     """
-    _, minus = fixed_and_antifixed(g, checked=checked)
-    roots, index = pg._roots_and_index(n)
-    canon = _canon_table(n)
-    vecs = _definite_root_vectors(minus)
-    ids = set()
-    for v in vecs:
-        j = index.get(v.coords)
-        if j is None:
-            raise InputError("antifixed lattice contains a vector outside the root list")
-        ids.add(canon[j])
-    return tuple(sorted(ids))
-
-
-def _definite_root_vectors(sub: Sublattice) -> List[LatticeVector]:
-    if sub.rank == 0:
-        return []
-    gram = sub.gram()
-    coords = en.definite_vectors([[-x for x in row] for row in gram], 2)
-    return [sub.from_coords(c) for c in coords]
+    if not stabilizes_canonical_class(g, n):
+        raise InputError("isometry does not fix the canonical class")
+    if not g.is_involution():
+        raise InputError("not an involution")
+    return _class_triple(g, n)[0]
 
 
 def _key_orbit(key: RootSetKey, n: int, limit: int = 3 * 10 ** 6) -> Set[bytes]:
@@ -302,22 +315,14 @@ def _key_orbit(key: RootSetKey, n: int, limit: int = 3 * 10 ** 6) -> Set[bytes]:
 
 
 def are_conjugate(g: Isometry, h: Isometry, n: int) -> bool:
-    """Whether two K-fixing involutions are conjugate in the K-stabilizer."""
-    if n > 7:
-        raise UnsupportedError("conjugacy search is limited to n <= 7; "
-                               "compare invariants instead")
+    """Whether two K-fixing involutions are conjugate in the K-stabilizer:
+    whether their class triples agree, for every n = 2..8."""
     for x in (g, h):
         if not stabilizes_canonical_class(x, n):
             raise InputError("isometry does not fix the canonical class")
         if not x.is_involution():
             raise InputError("not an involution")
-    kg = minus_root_key(g, n, checked=True)
-    kh = minus_root_key(h, n, checked=True)
-    if len(kg) != len(kh):
-        return False
-    if kg == kh:
-        return True
-    return bytes(kh) in _key_orbit(kg, n)
+    return _class_triple(g, n)[1] == _class_triple(h, n)[1]
 
 
 def orthogonal_root_sets(n: int) -> List[OrthogonalRootSet]:
@@ -394,13 +399,13 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
     """All conjugacy classes of involutions fixing K, for 1 <= n <= 8.
 
     The candidates are the nonempty root-id subsets of the one maximal
-    orthogonal frame, each known by its key.  Walking the keys in
-    sorted order, a key starts a class unless it lies in the orbit of an
-    earlier class (n <= 7).  At n = 8 the classes are told apart by
-    (|S|, |key|, kperp root count), a sub-tuple of the invariant merge_key,
-    and the first key of each such group starts a class.  The involution
-    and its invariants (flags included) are computed for the class
-    representatives only; classes are ordered by (|S|, merge_key).
+    orthogonal frame, each known by its key.  The candidates with one
+    triple (|S|, |key|, fixed pairs) form one class, and the first key of
+    each group in sorted order represents it.  The involution and its
+    invariants (flags included) are computed for the representatives only;
+    classes are ordered by (|S|, merge_key).  class_size is the length of
+    the class orbit for n <= 7 and None at n = 8, where walking the orbits
+    would take seconds.
     """
     if not 1 <= n <= 8:
         raise InputError("classification supports 1 <= n <= 8")
@@ -414,27 +419,16 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
         for sub, key, perp in _frame_candidates(n, frame):
             candidates.setdefault(key, (sub, perp))
 
-    # (key, class size) of each class representative, in key order
-    reps: List[Tuple[RootSetKey, Optional[int]]] = []
-    if n <= 7:
-        pending = {bytes(key) for key in candidates}
-        for key in sorted(candidates):
-            if bytes(key) in pending:
-                orb = _key_orbit(key, n)
-                pending -= orb
-                reps.append((key, len(orb)))
-    else:
-        # classes here are told apart by the invariants alone
-        groups: Dict[tuple, RootSetKey] = {}
-        for key in sorted(candidates):
-            sub, perp = candidates[key]
-            groups.setdefault((len(sub), len(key), perp), key)
-        reps = [(key, None) for key in sorted(groups.values())]
+    groups: Dict[Tuple[int, int, int], RootSetKey] = {}
+    for key in sorted(candidates):
+        sub, perp = candidates[key]
+        groups.setdefault((len(sub), len(key), perp), key)
 
     classes = []
-    for key, size in reps:
+    for key in sorted(groups.values()):
         rset = orthogonal_root_set(n, [roots[i] for i in candidates[key][0]])
         g = rset.involution()
+        size = len(_key_orbit(key, n)) if n <= 7 else None
         classes.append((key, rset, g, invariant_of(g, n, with_flags=True), size))
     # a stable sort: ties keep the key order
     classes.sort(key=lambda c: (len(c[1]), c[3].merge_key()))
@@ -461,26 +455,16 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
 
 
 def find_class(g: Isometry, n: int) -> InvolutionClass:
-    """The classification entry conjugate to the given involution."""
+    """The classification entry conjugate to the given involution: the
+    class whose invariant has its triple, for every n = 2..8."""
     if not stabilizes_canonical_class(g, n):
         raise InputError("isometry does not fix the canonical class")
     if not g.is_involution() or g.is_identity():
         raise InputError("expected a nontrivial involution")
-    key = minus_root_key(g, n, checked=True)
-    cand = [c for c in classify_involutions(n) if len(c.minus_root_key) == len(key)]
-    for c in cand:
-        if c.minus_root_key == key:
+    _, triple = _class_triple(g, n)
+    for c in classify_involutions(n):
+        if c.invariant.class_triple() == triple:
             return c
-    if n <= 7:
-        for c in cand:
-            if bytes(key) in _key_orbit(c.minus_root_key, n):
-                return c
-    else:
-        # class separation at n=8 rests on the invariant tuple
-        inv = invariant_of(g, n).merge_key()
-        for c in cand:
-            if c.invariant.merge_key() == inv:
-                return c
     raise InputError("involution does not match any class")
 
 

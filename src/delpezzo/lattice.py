@@ -347,16 +347,19 @@ def identity_isometry(lattice: Lattice) -> Isometry:
     return Isometry(lattice, tuple(tuple(row) for row in xl.identity(lattice.rank)))
 
 
-def fixed_and_antifixed(g: Isometry, checked: bool = False) -> Tuple[Sublattice, Sublattice]:
+def fixed_and_antifixed(g: Isometry) -> Tuple[Sublattice, Sublattice]:
     """Saturated (+1)- and (-1)-eigenlattices of an involution.
 
-    g^2 = 1 is tested unless checked says the caller has tested it.
+    g^2 = 1 is read off the two kernels, with no squaring: over Q an
+    involution is diagonalizable with eigenvalues +-1, so the ranks add up
+    to the lattice rank, and when they do, g is +-1 on two complementary
+    subspaces.
     """
-    if not checked and not g.is_involution():
-        raise InputError("fixed_and_antifixed expects an involution")
     plus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1))
     minus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, 1))
     lat = g.lattice
+    if len(plus) + len(minus) != lat.rank:
+        raise InputError("fixed_and_antifixed expects an involution")
     return (
         Sublattice(lat, tuple(lat.vector(c) for c in plus), saturated=True),
         Sublattice(lat, tuple(lat.vector(c) for c in minus), saturated=True),
@@ -391,9 +394,6 @@ def short_vectors(sub: Sublattice, target_norm: int) -> ShortVectorResult:
     pos, neg, zero = xl.sylvester_signature(gram)
     if zero or (pos and neg):
         raise UnsupportedError("short vectors are enumerated only in definite sublattices")
-    if pos == 0:
-        coords = en.definite_vectors([[-x for x in row] for row in gram], -target_norm)
-    else:
-        coords = en.definite_vectors([list(row) for row in gram], target_norm)
+    coords = en.definite_vectors(gram, target_norm)
     vecs = sorted(sub.from_coords(c) for c in coords)
     return ShortVectorResult(tuple(vecs), True)

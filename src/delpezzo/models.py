@@ -232,7 +232,7 @@ def quotient_signature(g: Isometry) -> int:
     """p - m of the form restricted to the fixed lattice of the involution."""
     if not g.is_involution():
         raise InputError("not an involution")
-    plus, _ = fixed_and_antifixed(g, checked=True)
+    plus, _ = fixed_and_antifixed(g)
     if plus.rank == 0:
         return 0
     p, m, _z = signature(plus)

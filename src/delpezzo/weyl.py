@@ -201,9 +201,7 @@ def enumerate_roots(n: int) -> RootSystem:
     lat = del_pezzo_lattice(n)
     k = canonical_class(n)
     kperp = orthogonal_complement(span(lat, [k]))
-    gram = kperp.gram()
-    neg = [[-x for x in row] for row in gram]
-    coords = en.definite_vectors(neg, 2)
+    coords = en.definite_vectors(kperp.gram(), -2)
     roots = sorted(kperp.from_coords(c) for c in coords)
     return RootSystem(n, tuple(roots), weyl_generators(n).vectors)
 

@@ -79,12 +79,14 @@ def test_reduction_rejects_vectors_outside_the_positive_cone():
             reduce_to_chamber(x)
 
 
-def _conjugates(rng, per_class=2):
+def _conjugates(rng, per_class=2, negated=False):
+    """(n, class, conjugate of its representative g, or of -g when negated)."""
     for n in range(3, 9):
         for cls in classify_involutions(n):
+            g = cls.representative.negated() if negated else cls.representative
             for _ in range(per_class):
                 h = _word(n, rng)
-                yield n, cls, h @ cls.representative @ h.inverse()
+                yield n, cls, h @ g @ h.inverse()
 
 
 def test_verdicts_and_witnesses_are_basis_independent():
@@ -100,14 +102,25 @@ def test_verdicts_and_witnesses_are_basis_independent():
 
 
 def test_decompositions_are_basis_independent():
+    """Conjugates of g and of -g end in leaves of the rank of g's and -g's.
+
+    The -g conjugates guard against anchoring every side with a chamber
+    vertex and keeping that anchor through the splits.  The t = 0 slab is
+    searched first, so the anchor survives into the leaf, and an anchor of
+    square 2 cannot lie in a point leaf: conjugates of -m1 and -m2 at
+    n = 5..8 would end in a rank-2 quadric leaf, not a point.
+    """
     rng = random.Random(6062)
     rank = {}
-    for n, cls, g in _conjugates(rng, per_class=1):
-        if (n, cls.label) not in rank:
-            rank[n, cls.label] = len(decompose(cls.representative, n).leaf.basis)
+    cases = [(False, c) for c in _conjugates(rng, per_class=1)]
+    cases += [(True, c) for c in _conjugates(rng, per_class=3, negated=True)]
+    for negated, (n, cls, g) in cases:
+        if (negated, n, cls.label) not in rank:
+            rep = cls.representative.negated() if negated else cls.representative
+            rank[negated, n, cls.label] = len(decompose(rep, n).leaf.basis)
         d = decompose(g, n)
         assert d.leaf.verdict != UNKNOWN
-        assert len(d.leaf.basis) == rank[n, cls.label]
+        assert len(d.leaf.basis) == rank[negated, n, cls.label]
         lat = g.lattice
         for step in d.steps:
             vs = [lat.vector(b) for b in step.basis]

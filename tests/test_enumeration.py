@@ -103,9 +103,13 @@ def test_definite_vectors_matches_box_oracle():
     assert any(en._scaled_cholesky(g)[2] > 1 for g in _random_forms())
     for gram in [_a(n) for n in range(1, 6)] + [D4] + _random_forms():
         oracle = _complete_box_oracle(gram, 8)
+        neg = [[-x for x in row] for row in gram]
         for target in range(1, 9):
             expected = sorted(oracle.get(target, ()), key=_reversed_coords)
             assert en.definite_vectors(gram, target) == expected
+            # a negative definite gram is searched as -gram at -target
+            assert en.definite_vectors(neg, -target) == expected
+            assert en.definite_vectors(neg, target) == []
     assert len(en.definite_vectors(_a(3), 2)) == 12  # A3 roots
 
 
@@ -150,8 +154,9 @@ def test_scaled_cholesky_matches_fraction_reference():
 
 
 def test_definite_vectors_rejects_indefinite_gram():
-    with pytest.raises(InputError):
-        en.definite_vectors([[1, 0], [0, -1]], 2)
+    for gram, target in (([[1, 0], [0, -1]], 2), ([[-1, 0], [0, 1]], -2)):
+        with pytest.raises(InputError):
+            en.definite_vectors(gram, target)
 
 
 def test_definite_vectors_e8_against_theta_series():

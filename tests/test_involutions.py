@@ -61,7 +61,7 @@ def test_class_sizes_sum_to_involution_count_small_n():
 
 
 def test_distinct_classes_are_not_conjugate():
-    for n in (3, 5, 7):
+    for n in (3, 5, 7, 8):
         classes = classify_involutions(n)
         for i, a in enumerate(classes):
             for b in classes[i + 1:]:
@@ -69,7 +69,7 @@ def test_distinct_classes_are_not_conjugate():
 
 
 def test_conjugates_land_in_same_class(rng):
-    for n in (3, 5, 7):
+    for n in (3, 5, 7, 8):
         for cls in classify_involutions(n):
             h = random_group_element(n, rng)
             g = h @ cls.representative @ h.inverse()
@@ -174,8 +174,9 @@ def frame_rows():
 
 def test_mask_keys_equal_minus_root_keys(frame_rows):
     for n, rows in frame_rows.items():
-        for sub, key, _perp, g in rows:
+        for sub, key, perp, g in rows:
             assert key == minus_root_key(g, n), (n, sub)
+            assert inv_mod._class_triple(g, n) == (key, (len(sub), len(key), perp)), (n, sub)
     # 419 subsets over n = 2..8, each with its own key
     assert sum(len(rows) for rows in frame_rows.values()) == 419
     assert sum(len({row[1] for row in rows}) for rows in frame_rows.values()) == 419
@@ -207,6 +208,39 @@ def test_n8_mask_groups_equal_merge_key_groups(frame_rows):
     by_merge_key = _partition(items, lambda r: invariant_of(r[3], 8).merge_key())
     assert by_masks == by_merge_key
     assert len(by_masks) == CLASS_COUNTS[8]
+
+
+# class orbit sizes at n = 8, where classify_involutions leaves class_size None
+N8_CLASS_SIZES = {"m1": 120, "m2": 3780, "m3": 37800, "m4a": 113400, "m4b": 3150,
+                  "m5": 37800, "m6": 3780, "m7": 120, "m8": 1}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_frame_triples_are_class_orbits(n):
+    # The census that makes (|S|, |key|, fixed pairs) a complete class
+    # invariant.  Every involution is a product of reflections in orthogonal
+    # roots (Carter), and the maximal orthogonal sets form one orbit, so
+    # every class meets the frame candidates; each triple group of them lies
+    # in one class orbit, so equal triples mean conjugate involutions.
+    groups = {}
+    for frame in inv_mod._maximal_orthogonal_reps(n):
+        for sub, key, perp in inv_mod._frame_candidates(n, frame):
+            groups.setdefault((len(sub), len(key), perp), set()).add(key)
+    classes = {c.minus_root_key: c for c in classify_involutions(n)}
+    assert len(groups) == len(classes) == CLASS_COUNTS[n]
+    sizes = {}
+    for triple, keys in groups.items():
+        first = min(keys)
+        orbit = inv_mod._key_orbit(first, n)
+        assert {bytes(k) for k in keys} <= orbit, (n, triple)
+        cls = classes[first]
+        assert cls.invariant.class_triple() == triple
+        assert inv_mod._class_triple(cls.representative, n) == (first, triple)
+        sizes[cls.label] = len(orbit)
+    if n <= 7:
+        assert sizes == {c.label: c.class_size for c in classes.values()}
+    else:
+        assert sizes == N8_CLASS_SIZES and sum(sizes.values()) == 199951
 
 
 def test_invariants_are_built_for_representatives_only(monkeypatch):
@@ -304,8 +338,12 @@ def test_conjugacy_tests_square_g_once(monkeypatch, rng):
         return is_involution(self)
 
     monkeypatch.setattr(Isometry, "is_involution", counted)
+    # conjugacy is decided by class triples, with no orbit walk
+    walks = []
     n = 5
     cls = classify_involutions(n)[2]
+    cls8 = classify_involutions(8)[4]
+    monkeypatch.setattr(inv_mod, "_key_orbit", lambda *args, **kw: walks.append(args))
     h = random_group_element(n, rng)
     conj = h @ cls.representative @ h.inverse()
     calls.clear()
@@ -314,6 +352,12 @@ def test_conjugacy_tests_square_g_once(monkeypatch, rng):
     calls.clear()
     assert find_class(conj, n).label == cls.label
     assert len(calls) == 1
+    h = random_group_element(8, rng)
+    conj = h @ cls8.representative @ h.inverse()
+    calls.clear()
+    assert find_class(conj, 8).label == cls8.label == "m4b"
+    assert len(calls) == 1
+    assert walks == []
     lat = del_pezzo_lattice(3)
     r = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
     g = classify_involutions(3)[0].representative

@@ -119,6 +119,25 @@ def test_fixed_and_antifixed_split_ranks():
     assert minus.gram() == ((-2,),)
 
 
+def test_fixed_and_antifixed_rejects_non_involutions():
+    lat = del_pezzo_lattice(3)
+    # two roots at angle 2pi/3: order 3
+    order3 = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
+    # E1 and H - E1 - E2 span a degenerate plane, (E1 + H - E1 - E2)^2 = 0:
+    # the mirrors are parallel and the product has infinite order
+    parabolic = reflection(lat.vector((0, 1, 0, 0))) @ reflection(lat.vector((1, -1, -1, 0)))
+    for g in (order3, parabolic):
+        assert not g.is_involution()
+        ranks = [len(xl.kernel(xl.mat_add_scaled_identity(g.matrix, s))) for s in (-1, 1)]
+        assert ranks == [2, 0]
+        with pytest.raises(InputError, match="^fixed_and_antifixed expects an involution$"):
+            fixed_and_antifixed(g)
+    power = parabolic.matrix
+    for _ in range(12):
+        power = xl.mat_mul(power, parabolic.matrix)
+        assert power != xl.identity(4)
+
+
 def test_short_vectors_negative_definite_complete():
     lat = del_pezzo_lattice(3)
     kperp = orthogonal_complement(span(lat, (canonical_class(3),)))
