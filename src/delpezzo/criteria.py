@@ -25,18 +25,19 @@ Route b skips every c1 without a hyperbolic partner, which an exact mod-2
 test (has_partner) detects, so only vectors that can pair scan for a c2;
 the scan order and the first pair found are those of the full scan.
 
-The search engine yields ambient int tuples: _search_batches lifts a
-definite batch once, and anchored_norm_slices lifts each slab vector in the
-same product that solves for it, which is exact because every eigen side is
-saturated (_side checks the flag).  No consumer lifts again.  Each slab
-visits only the complement coset whose vectors lift to integral classes,
-at its exact norm, and the anchor frame behind it (complement, residues,
-scaled Cholesky data) is built once per eigen side and shared by every
-route on that side.  Route b
-runs the partner test only on the c1 it visits and computes J c1 only for
-the c1 that pass it; route d tests roots mod 2 against one F2
-echelon of the other side and pairs them by parity; lattice vectors are
-built only for the witnesses returned.
+The search engine yields ambient int tuples: the exact-norm descent of
+enumeration lifts each vector as it finds it, from the side's basis
+columns, so _search_batches passes the batches on as they come and no
+consumer lifts.  A slab vector's lift is divided by the anchor's square,
+which is exact because every eigen side is saturated (_side checks the
+flag).  Each slab visits only the complement coset whose vectors lift to
+integral classes, at its exact norm, and the anchor frame behind it
+(complement, residues, scaled Cholesky data) is built once per eigen side
+and shared by every route on that side.  Route b runs the partner test
+only on the c1 it visits and computes J c1 only for the c1 that pass it;
+route d tests roots mod 2 against one F2 echelon of the other side and
+pairs them by parity; lattice vectors are built only for the witnesses
+returned.
 
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, decompose starts from the same eigen_data, splits
@@ -201,16 +202,17 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
     of the exact square, cheapest first.
 
     A definite eigenlattice gives a single exhaustive batch in
-    definite_vectors order, lifted once here; an indefinite one is sliced
-    against its anchor in order of increasing |<anchor, c>|, each slab as
-    anchored_norm_slices yields it, sorted and lifted on the fly, from the
-    side's AnchorFrame, built here at the first slab of the side.
+    definite_vectors order; an indefinite one is sliced against its anchor
+    in order of increasing |<anchor, c>|, each slab as anchored_norm_slices
+    yields it, sorted, from the side's AnchorFrame, built here at the first
+    slab of the side.  Both searches are given the side's basis rows, so
+    their vectors come out lifted.
     """
     sub, gram = side.sub, side.gram
     if sub.rank == 0:
         return
     if side.definite:
-        yield [sub.lift(c) for c in en.definite_vectors(gram, target)]
+        yield en.definite_vectors(gram, target, sub._rows)
         return
     if side.anchor is None:
         return

@@ -18,6 +18,13 @@ solved for, not looped over.  The descent takes a modulus and a residue per
 coordinate and visits only that coset, stepping each coordinate by the
 modulus; definite_vectors uses modulus 1.
 
+The descent also lifts what it finds.  It is given one column per
+coordinate and an offset, and carries the partial sum
+offset + sum_{j>i} x_j col_j down the levels, so each vector comes out as
+that sum, in ambient coordinates, with no product after the search:
+definite_vectors takes unit columns, or the basis columns of a sublattice,
+and the anchor slabs take the complement columns with the offset t p.
+
 anchored_norm_slices cuts a form of signature (1, k) into slabs
 <p, c> = t against an anchor p of square m > 0.  One Hermite reduction of
 the row G p (AnchorFrame) gives g = gcd(G p), the complement basis and p's
@@ -25,10 +32,9 @@ coordinates in a unimodular basis extending it.  Slab t is empty unless
 g | t; otherwise the complement vectors d = m c - t p of its integral c are
 exactly the coset d = -t w (mod m) of the complement at norm m (t^2 - m
 target), with w p's complement coordinates, and the descent visits only
-them.  A complement vector d gives c = (comp^T d + t p) / m, an exact
-division; given the basis rows of a saturated sublattice, the rows are
-composed with them first, so each vector comes out in ambient coordinates
-in one product per coordinate.
+them.  Its sums are m c = comp^T d + t p (B m c, with the columns composed
+with the basis rows B of a saturated sublattice first), and one exact
+division by m gives c.
 """
 from __future__ import annotations
 
@@ -72,68 +78,102 @@ def _scaled_cholesky(gram: Sequence[Sequence[int]]):
     return diag, upper, scale
 
 
-def _walk(i: int, rem: int, x: List[int], diag: List[int], upper: List[List[int]],
-          scale: int, res: Sequence[int], mod: int, out: List[Coords]) -> None:
-    """Append to out the vectors below level i that reach the norm of the
-    search exactly and have x_j = res[j] (mod mod); rem is the scaled
-    remainder R.
+def _walk(i: int, rem: int, x: List[int], amb: List[int], diag: List[int],
+          upper: List[List[int]], scale: int, cols: Sequence[Coords],
+          res: Sequence[int], mod: int, out: List[Coords]) -> None:
+    """Append to out amb + sum_{j<=i} x_j cols[j] for each x of the levels
+    up to i that reaches the norm of the search exactly and has
+    x_j = res[j] (mod mod); rem is the scaled remainder R, x holds the
+    coordinates above level i and amb = offset + sum_{j>i} x_j cols[j].
 
     Coordinate n-1 is outermost and every coordinate runs upwards, from the
-    first value of its residue class in steps of mod.  A module function,
+    first value of its residue class in steps of mod.  Levels 1 and 0 run
+    inline: x_0 is solved, so there is no call per leaf, and on a rank-1
+    form (i == 0) level 1 is a single pass at x_1 = 0.  A module function,
     not a closure, so no reference cycle keeps out alive.
     """
     row = upper[i]
     s = 0
     for j in range(i + 1, len(x)):
         s += row[j] * x[j]
-    qi = diag[i]
-    if i:
+    if i > 1:
+        qi, col = diag[i], cols[i]
         r = isqrt(rem // qi)
         lo = -((r + s) // scale)
         lo += (res[i] - lo) % mod
         for xi in range(lo, (r - s) // scale + 1, mod):
             x[i] = xi
             y = scale * xi + s
-            _walk(i - 1, rem - qi * y * y, x, diag, upper, scale, res, mod, out)
-        x[i] = 0
+            _walk(i - 1, rem - qi * y * y, x, [a + xi * c for a, c in zip(amb, col)],
+                  diag, upper, scale, cols, res, mod, out)
         return
-    # Q_0 y^2 == R with y = D x_0 + S; y = -r comes first, so x_0 ascends
-    q, rest = divmod(rem, qi)
-    r = isqrt(q)
-    if rest or r * r != q:
-        return
-    for y in ((-r, r) if r else (0,)):
-        xi, rest = divmod(y - s, scale)
-        if not rest and (xi - res[0]) % mod == 0:
-            x[0] = xi
-            out.append(tuple(x))
-    x[0] = 0
+    q0, col0, row0 = diag[0], cols[0], upper[0]
+    if i:
+        q1, col1, c01 = diag[1], cols[1], row0[1]
+        s0 = 0
+        for j in range(2, len(x)):
+            s0 += row0[j] * x[j]
+        r = isqrt(rem // q1)
+        lo = -((r + s) // scale)
+        lo += (res[1] - lo) % mod
+        level1 = range(lo, (r - s) // scale + 1, mod)
+    else:
+        q1 = c01 = s0 = 0
+        col1, level1 = col0, (0,)
+    for x1 in level1:
+        # Q_0 y^2 == R with y = D x_0 + S; y = -r comes first, so x_0 ascends
+        y = scale * x1 + s
+        q, rest = divmod(rem - q1 * y * y, q0)
+        if rest:
+            continue
+        r = isqrt(q)
+        if r * r != q:
+            continue
+        s1 = s0 + c01 * x1
+        for y in ((-r, r) if r else (0,)):
+            x0, rest = divmod(y - s1, scale)
+            if not rest and (x0 - res[0]) % mod == 0:
+                out.append(tuple([a + x1 * c + x0 * d for a, c, d in zip(amb, col1, col0)]))
 
 
-def _exact_norm(data, norm: int, res: Sequence[int], mod: int) -> List[Coords]:
-    """The x with Q(x) == norm >= 0 and x = res (mod mod) coordinatewise,
-    sorted by reversed coordinates; data are those of _scaled_cholesky."""
+def _exact_norm(data, norm: int, res: Sequence[int], mod: int,
+                cols: Sequence[Coords], offset: Sequence[int]) -> List[Coords]:
+    """offset + sum_j x_j cols[j] for each x with Q(x) == norm >= 0 and
+    x = res (mod mod) coordinatewise, in the order of the x sorted by
+    reversed coordinates; data are those of _scaled_cholesky."""
     diag, upper, scale = data
     n = len(diag)
     out: List[Coords] = []
-    _walk(n - 1, norm * scale ** 3, [0] * n, diag, upper, scale, res, mod, out)
+    _walk(n - 1, norm * scale ** 3, [0] * n, list(offset), diag, upper, scale, cols, res,
+          mod, out)
     return out
 
 
-def definite_vectors(gram: Sequence[Sequence[int]], target: int) -> List[Coords]:
+def definite_vectors(gram: Sequence[Sequence[int]], target: int,
+                     basis_rows=None) -> List[Coords]:
     """All nonzero integer vectors x with x^T gram x == target.
 
-    Requires gram definite; a negative definite gram (first diagonal entry
-    < 0) is searched as -gram at -target.  The result is the complete
-    solution set, sorted by reversed coordinates (x_{n-1} first, then
-    x_{n-2}, ...), which is the order of the exact-norm descent with
-    modulus 1.
+    Requires gram definite, and raises InputError otherwise, whatever the
+    target; a negative definite gram (first diagonal entry < 0) is searched
+    as -gram at -target.  The result is the complete solution set, sorted
+    by reversed coordinates (x_{n-1} first, then x_{n-2}, ...), which is
+    the order of the exact-norm descent with modulus 1.
+
+    basis_rows, when given, are the rows of a basis matrix B of a
+    sublattice with Gram matrix gram (Sublattice._rows); each x then comes
+    out as B x, in ambient coordinates, in the same order.
     """
     if gram and gram[0][0] < 0:
         gram, target = [[-x for x in row] for row in gram], -target
-    if target <= 0:
+    data = _scaled_cholesky(gram)
+    n = len(gram)
+    if target <= 0 or not n:
         return []
-    return _exact_norm(_scaled_cholesky(gram), target, (0,) * len(gram), 1)
+    if basis_rows is None:
+        cols = [tuple([int(i == j) for i in range(n)]) for j in range(n)]
+    else:
+        cols = list(zip(*basis_rows))
+    return _exact_norm(data, target, (0,) * n, 1, cols, (0,) * len(cols[0]))
 
 
 class AnchorFrame:
@@ -142,14 +182,15 @@ class AnchorFrame:
     One Hermite reduction of the row G p (exactlinalg.row_hermite) gives
     g = gcd(G p), a unimodular u whose columns past the first are the
     complement basis kernel returns, and p's coordinates (m / g, w) in the
-    basis of u's columns.  The frame keeps m, g, the residues w mod m and
-    the rows that turn a complement vector into c (ambient rows when
-    basis_rows is given); the scaled Cholesky data of the complement are
-    computed at the first slab that needs them.  Every slab of every
-    target reads the same frame.
+    basis of u's columns.  The frame keeps m, g, the residues w mod m, the
+    negated complement Gram (one G b per complement vector b) and the
+    complement vectors and p as the columns and step of the descent
+    (ambient columns when basis_rows is given); the scaled Cholesky data of
+    the complement are computed at the first slab that needs them.  Every
+    slab of every target reads the same frame.
     """
 
-    __slots__ = ("m", "g", "residues", "rows", "step", "neg", "_cholesky")
+    __slots__ = ("m", "g", "residues", "cols", "step", "neg", "_cholesky")
 
     def __init__(self, gram: Sequence[Sequence[int]], p: Sequence[int], basis_rows=None):
         from . import exactlinalg as xl
@@ -163,36 +204,37 @@ class AnchorFrame:
         comp = [[u[i][j] for i in range(n)] for j in range(1, n)]
         self.m, self.g = m, g
         self.residues = tuple(x % m for x in coords[1:])
-        self.neg = [[-sum(map(mul, a, xl.mat_vec(gram, b))) for b in comp] for a in comp]
+        gcomp = [xl.mat_vec(gram, b) for b in comp]
+        self.neg = [[-sum(map(mul, a, gb)) for gb in gcomp] for a in comp]
         if basis_rows is None:
-            # c = (comp^T d + t p) / m; row i of comp^T is (comp[j][i])_j
-            self.rows = [tuple(v[i] for v in comp) for i in range(n)]
-            self.step = list(p)
+            self.cols, self.step = [tuple(b) for b in comp], tuple(p)
         else:
-            # B c = (B comp^T d + t B p) / m in one product per coordinate
-            self.rows = [tuple(sum(map(mul, b, v)) for v in comp) for b in basis_rows]
-            self.step = [sum(map(mul, b, p)) for b in basis_rows]
+            # B comp^T d + t B p: B applied once to each complement vector and to p
+            self.cols = [tuple([sum(map(mul, row, b)) for row in basis_rows]) for b in comp]
+            self.step = tuple([sum(map(mul, row, p)) for row in basis_rows])
         self._cholesky = None
 
     def slab(self, target: int, t: int) -> List[Coords]:
-        """The complement vectors d = m c - t p of the integral c with
-        c^2 = target and <p, c> = t.
+        """The vectors m c (B m c with basis rows) of the nonzero integral c
+        with c^2 = target and <p, c> = t, in descent order.
 
-        c = u (a, e) has <p, c> = g a and m c - t p = u (m a - t m / g,
+        c = u (a, e) has <p, c> = g a and d = m c - t p = u (m a - t m / g,
         m e - t w), so the slab is empty unless g | t, and then c is
         integral exactly when d = m e - t w: d runs over the coset -t w
-        (mod m) at norm m (t^2 - m target) in the negated complement.
+        (mod m) at norm m (t^2 - m target) in the negated complement, and
+        the descent sums m c = comp^T d + t p over the frame's columns.
         """
         m = self.m
         cnorm = m * (t * t - m * target)
         if cnorm < 0 or t % self.g:
             return []
+        offset = [t * x for x in self.step]
         res = [(-t * w) % m for w in self.residues]
-        if cnorm == 0 or not res:   # d = 0 is the only vector of norm 0
-            return [] if cnorm or any(res) else [(0,) * len(res)]
+        if cnorm == 0 or not res:   # d = 0 is the only vector of norm 0; c = 0 when t = 0
+            return [tuple(offset)] if t and not cnorm and not any(res) else []
         if self._cholesky is None:
             self._cholesky = _scaled_cholesky(self.neg)
-        return _exact_norm(self._cholesky, cnorm, res, m)
+        return _exact_norm(self._cholesky, cnorm, res, m, self.cols, offset)
 
 
 def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
@@ -208,18 +250,18 @@ def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
     sublattice with Gram matrix gram (Sublattice._rows); the vectors are
     then yielded as B c, in ambient coordinates.  frame, when given, is the
     AnchorFrame of (gram, p, basis_rows), so that its data serve several
-    calls; otherwise it is built at the first slab.
+    calls; otherwise it is built at the first slab.  The slab t vectors come
+    from the frame as m c; the -t slab is their negation, and since c -> B c
+    is injective and the two slabs are disjoint, no vector repeats.
     """
     if frame is None:
         frame = AnchorFrame(gram, p, basis_rows)
-    m, rows, step = frame.m, frame.rows, frame.step
+    m = frame.m
     for t in range(t_bound + 1):
-        shift = [t * x for x in step]
-        batch = []
-        for d in frame.slab(target, t):
-            c = tuple([(sum(map(mul, row, d)) + s) // m for row, s in zip(rows, shift)])
-            if any(c):
-                batch.append(c)
-                if t:
-                    batch.append(tuple([-x for x in c]))
-        yield t, sorted(set(batch))
+        batch = frame.slab(target, t)
+        if m > 1:
+            batch = [tuple([x // m for x in c]) for c in batch]
+        if t:
+            batch += [tuple([-x for x in c]) for c in batch]
+        batch.sort()
+        yield t, batch

@@ -123,6 +123,33 @@ def _diagonal(gram: Tuple[Tuple[int, ...], ...]) -> Optional[Tuple[int, ...]]:
     return None
 
 
+@lru_cache(maxsize=None)
+def _is_degenerate(gram: Tuple[Tuple[int, ...], ...]) -> bool:
+    """Whether det gram == 0; a diagonal form is read off its diagonal."""
+    diag = _diagonal(gram)
+    return 0 in diag if diag is not None else xl.det(gram) == 0
+
+
+def _gram_of(gram: Tuple[Tuple[int, ...], ...], vecs: Sequence[Sequence[int]]):
+    """The Gram matrix (u_i . u_j) of the given vectors under the form gram.
+
+    Each u_i is multiplied by the form once, by its diagonal when the form
+    is diagonal, and each pair i <= j costs one product of length rank.
+    """
+    diag = _diagonal(gram)
+    if diag is not None:
+        left = [tuple(map(mul, diag, u)) for u in vecs]
+    else:
+        left = [xl.mat_vec(gram, u) for u in vecs]
+    k = len(vecs)
+    out = [[0] * k for _ in range(k)]
+    for i in range(k):
+        gu, row = left[i], out[i]
+        for j in range(i, k):
+            row[j] = out[j][i] = sum(map(mul, gu, vecs[j]))
+    return tuple(tuple(row) for row in out)
+
+
 def inner(lattice: Lattice, u: LatticeVector, v: LatticeVector) -> int:
     """The bilinear form Q(u, v) of the given lattice."""
     if u.lattice != lattice or v.lattice != lattice:
@@ -196,9 +223,7 @@ class Sublattice:
         return [list(row) for row in self._rows]
 
     def gram(self) -> Tuple[Tuple[int, ...], ...]:
-        b = self.basis_matrix()
-        g = xl.mat_mul(xl.mat_mul(xl.transpose(b), self.ambient.gram), b)
-        return tuple(tuple(row) for row in g)
+        return _gram_of(self.ambient.gram, [v.coords for v in self.basis])
 
     @cached_property
     def _rows(self) -> Tuple[Coords, ...]:
@@ -278,7 +303,13 @@ def has_even_products(gram: Sequence[Sequence[int]]) -> bool:
 
 @dataclass(frozen=True)
 class Isometry:
-    """An integral isometry, stored column-wise (column j = image of basis j)."""
+    """An integral isometry, stored column-wise (column j = image of basis j).
+
+    The constructor checks g^T G g = G as the Gram matrix of g's columns
+    (_gram_of: on a diagonal form, one product per column pair i <= j).
+    On a nondegenerate form that already forces det(g)^2 = 1, since
+    det(g)^2 det G = det G, so |det g| = 1 is tested only when det G = 0.
+    """
 
     lattice: Lattice
     matrix: Tuple[Tuple[int, ...], ...]
@@ -287,11 +318,10 @@ class Isometry:
         n = self.lattice.rank
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise InputError("matrix size does not match lattice rank")
-        g = [list(r) for r in self.lattice.gram]
-        m = [list(r) for r in self.matrix]
-        if not xl.mat_eq(xl.mat_mul(xl.mat_mul(xl.transpose(m), g), m), g):
+        gram = self.lattice.gram
+        if _gram_of(gram, list(zip(*self.matrix))) != gram:
             raise InputError("matrix does not preserve the intersection form")
-        if abs(xl.det(m)) != 1:
+        if _is_degenerate(gram) and abs(xl.det(self.matrix)) != 1:
             raise InputError("matrix is not unimodular")
 
     @classmethod
@@ -394,6 +424,6 @@ def short_vectors(sub: Sublattice, target_norm: int) -> ShortVectorResult:
     pos, neg, zero = xl.sylvester_signature(gram)
     if zero or (pos and neg):
         raise UnsupportedError("short vectors are enumerated only in definite sublattices")
-    coords = en.definite_vectors(gram, target_norm)
-    vecs = sorted(sub.from_coords(c) for c in coords)
+    coords = en.definite_vectors(gram, target_norm, sub._rows)
+    vecs = sorted(sub.ambient.vector(c) for c in coords)
     return ShortVectorResult(tuple(vecs), True)

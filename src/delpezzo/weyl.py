@@ -201,8 +201,8 @@ def enumerate_roots(n: int) -> RootSystem:
     lat = del_pezzo_lattice(n)
     k = canonical_class(n)
     kperp = orthogonal_complement(span(lat, [k]))
-    coords = en.definite_vectors(kperp.gram(), -2)
-    roots = sorted(kperp.from_coords(c) for c in coords)
+    coords = en.definite_vectors(kperp.gram(), -2, kperp._rows)
+    roots = sorted(lat.vector(c) for c in coords)
     return RootSystem(n, tuple(roots), weyl_generators(n).vectors)
 
 

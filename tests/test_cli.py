@@ -162,6 +162,17 @@ def test_non_involution_matrix_rejected(tmp_path, capsys):
     assert code == EXIT_INPUT and "involution" in err
 
 
+@pytest.mark.parametrize("basis", ["HE", "quadric"])
+def test_check_rejects_a_matrix_that_breaks_the_form(tmp_path, capsys, basis):
+    # square, integral, of the right size and unimodular, but no isometry:
+    # the HE basis checks it on the diagonal form, the quadric basis on U + <-1>
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps({"matrix": [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "basis": basis}))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == EXIT_INPUT and not out
+    assert "does not preserve the intersection form" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])

@@ -1,10 +1,10 @@
 """Exact vector enumeration: completeness against brute-force boxes.
 
-The slab tests use anchors of square m >= 2 and anchors with
-g = gcd(G p) > 1, so the coset step of the slab search (slab t empty
-unless g | t, complement coordinates fixed mod m) is checked against a box
-that is complete for the slabs, and against the majorant search on random
-forms of signature (1, k).
+The slab tests use anchors of square m = 1 (no division after the
+descent), anchors of square m >= 2 and anchors with g = gcd(G p) > 1, so
+the coset step of the slab search (slab t empty unless g | t, complement
+coordinates fixed mod m) is checked against a box that is complete for the
+slabs, and against the majorant search on random forms of signature (1, k).
 """
 import gc
 import itertools
@@ -113,6 +113,19 @@ def test_definite_vectors_matches_box_oracle():
     assert len(en.definite_vectors(_a(3), 2)) == 12  # A3 roots
 
 
+def test_definite_vectors_lift_with_basis_rows():
+    # with basis rows B the descent yields B x, in definite_vectors order
+    rng = random.Random(1818)
+    for gram in [_a(n) for n in range(1, 6)] + [D4] + _random_forms():
+        n = len(gram)
+        rows = [tuple(rng.randrange(-3, 4) for _ in range(n))
+                for _ in range(n + rng.randrange(0, 3))]
+        for g, target in ((gram, 4), ([[-x for x in row] for row in gram], -2)):
+            want = [tuple(sum(a * b for a, b in zip(row, c)) for row in rows)
+                    for c in en.definite_vectors(g, target)]
+            assert en.definite_vectors(g, target, rows) == want
+
+
 def _fraction_scaled_cholesky(gram):
     """Reference: the rational Cholesky data q_ij over Fraction, scaled by
     the lcm D of their denominators."""
@@ -154,7 +167,9 @@ def test_scaled_cholesky_matches_fraction_reference():
 
 
 def test_definite_vectors_rejects_indefinite_gram():
-    for gram, target in (([[1, 0], [0, -1]], 2), ([[-1, 0], [0, 1]], -2)):
+    # whatever the sign of the target against the first diagonal entry
+    for gram, target in (([[1, 0], [0, -1]], 2), ([[-1, 0], [0, 1]], -2),
+                         ([[-1, 0], [0, 1]], 2), ([[1, 0], [0, -1]], -2)):
         with pytest.raises(InputError):
             en.definite_vectors(gram, target)
 
@@ -245,6 +260,7 @@ SLAB_CASES = [   # (gram, anchor, m, gcd(G p))
     ([[2, 1, 0], [1, -2, 0], [0, 0, -6]], [1, 0, 0], 2, 1),
     ([[0, 2, 0], [2, 0, 0], [0, 0, -4]], [1, 1, 0], 4, 2),
     ([[4, 2], [2, -2]], [1, 0], 4, 2),
+    (DIAG3, [1, 0, 0], 1, 1),       # m = 1: no division after the descent
 ]
 SLAB_TARGETS = (1, 0, -1, -2)
 
@@ -254,6 +270,10 @@ def test_anchored_slabs_match_box_oracle_for_every_coset(gram, p, m, g):
     n = len(gram)
     frame = en.AnchorFrame(gram, p)
     assert (frame.m, frame.g) == (m, g)
+    # the complement Gram, from one G b per complement vector b
+    comp = xl.kernel([xl.mat_vec(gram, p)])
+    gram_comp = xl.mat_mul(xl.mat_mul(comp, gram), xl.transpose(comp))
+    assert frame.neg == [[-x for x in row] for row in gram_comp]
     bound = _slab_box_bound(gram, p, SLAB_TARGETS, 4)
     gp = [sum(gram[i][j] * p[j] for j in range(n)) for i in range(n)]
     for target in SLAB_TARGETS:

@@ -1,4 +1,5 @@
 """Lattices, sublattices, isometries, and exact linear algebra."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from delpezzo import (
     span,
 )
 from delpezzo.errors import UnsupportedError
-from delpezzo.weyl import canonical_class, reflection
+from delpezzo.lattice import Lattice, Sublattice
+from delpezzo.weyl import canonical_class, reflection, wall_generators
 
 
 def test_del_pezzo_gram_is_diagonal_one_minus_ones():
@@ -81,6 +83,60 @@ def test_isometry_constructor_validates_form_preservation():
     lat = del_pezzo_lattice(2)
     with pytest.raises(InputError):
         Isometry(lat, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))
+
+
+def _preserves_form(lat, matrix):
+    """The generic check g^T G g = G, by two full matrix products."""
+    gram = [list(r) for r in lat.gram]
+    m = [list(r) for r in matrix]
+    return xl.mat_eq(xl.mat_mul(xl.mat_mul(xl.transpose(m), gram), m), gram)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_isometry_accepts_what_the_generic_product_accepts(n):
+    # wall-word products, each also with one entry perturbed by +-1
+    rng = random.Random(1800 + n)
+    lat = del_pezzo_lattice(n)
+    walls = wall_generators(n).isometries()
+    verdicts = set()
+    for _ in range(30):
+        g = identity_isometry(lat)
+        for _ in range(rng.randrange(0, 12)):
+            g = g @ rng.choice(walls)
+        bad = [list(r) for r in g.matrix]
+        bad[rng.randrange(n + 1)][rng.randrange(n + 1)] += rng.choice((-1, 1))
+        for matrix in (g.matrix, tuple(tuple(r) for r in bad)):
+            want = _preserves_form(lat, matrix)
+            try:
+                Isometry(lat, matrix)
+                got = True
+            except InputError:
+                got = False
+            assert got == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_isometry_of_a_degenerate_form_must_be_unimodular():
+    # g^T G g = G holds for any g when G = 0, so the determinant decides
+    lat = Lattice(((0,),), ("x",))
+    assert Isometry(lat, ((-1,),)).matrix == ((-1,),)
+    with pytest.raises(InputError, match="matrix is not unimodular"):
+        Isometry(lat, ((2,),))
+
+
+@pytest.mark.parametrize("lat", [del_pezzo_lattice(6), blowup_quadric_lattice(6)],
+                         ids=["diagonal", "quadric"])
+def test_sublattice_gram_matches_the_generic_product(lat):
+    rng = random.Random(1801)
+    for _ in range(40):
+        k = rng.randrange(0, lat.rank + 2)
+        basis = tuple(lat.vector([rng.randrange(-3, 4) for _ in range(lat.rank)])
+                      for _ in range(k))
+        sub = Sublattice(lat, basis)
+        b = [list(r) for r in sub.basis_matrix()]
+        want = xl.mat_mul(xl.mat_mul(xl.transpose(b), [list(r) for r in lat.gram]), b)
+        assert sub.gram() == tuple(tuple(r) for r in want)
 
 
 def test_reflection_preserves_form_and_squares_to_identity():
