@@ -10,6 +10,8 @@ An involution g is probed along five routes:
 
 Each route is either closed by a parity / mod-2 / completeness argument,
 produces an explicit witness, or stays open after a bounded search.
+Routes a, c and e are one norm route (_norm_route) for the square +1 or -1
+on one eigen side, closed by parity when its Gram has an even diagonal.
 Searches in definite eigenlattices are complete; in an indefinite
 eigenlattice they run slice by slice against an anchor vector of positive
 square, which makes the outcome stable under conjugation by
@@ -63,7 +65,6 @@ from .lattice import (
     Sublattice,
     fixed_and_antifixed,
     has_even_products,
-    is_even,
     sign_canonical_coords,
 )
 
@@ -78,17 +79,22 @@ WITNESS = "witness"
 OPEN = "open"
 
 
-def height_bound_default() -> int:
-    raw = os.environ.get("DPZ_HEIGHT_BOUND")
-    if raw is None:
-        return DEFAULT_HEIGHT_BOUND
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InputError("DPZ_HEIGHT_BOUND must be an integer")
-    if val < 1:
-        raise InputError("DPZ_HEIGHT_BOUND must be positive")
-    return val
+def resolve_height_bound(height_bound: Optional[int]) -> int:
+    """The given bound, else DPZ_HEIGHT_BOUND, else DEFAULT_HEIGHT_BOUND; a
+    bound below 1 raises InputError."""
+    source = "height bound"
+    if height_bound is None:
+        raw = os.environ.get("DPZ_HEIGHT_BOUND")
+        if raw is None:
+            return DEFAULT_HEIGHT_BOUND
+        source = "DPZ_HEIGHT_BOUND"
+        try:
+            height_bound = int(raw)
+        except ValueError:
+            raise InputError("DPZ_HEIGHT_BOUND must be an integer")
+    if height_bound < 1:
+        raise InputError(f"{source} must be positive")
+    return height_bound
 
 
 @dataclass(frozen=True)
@@ -205,8 +211,8 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
     definite_vectors order; an indefinite one is sliced against its anchor
     in order of increasing |<anchor, c>|, each slab as anchored_norm_slices
     yields it, sorted, from the side's AnchorFrame, built here at the first
-    slab of the side.  Both searches are given the side's basis rows, so
-    their vectors come out lifted.
+    slab of the side.  Both searches lift with the side's basis rows (the
+    frame holds them), so their vectors come out in ambient coordinates.
     """
     sub, gram = side.sub, side.gram
     if sub.rank == 0:
@@ -218,33 +224,33 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
         return
     if side.frame is None:
         side.frame = en.AnchorFrame(gram, side.anchor, sub._rows)
-    for _, batch in en.anchored_norm_slices(gram, side.anchor, target, t_bound,
-                                            sub._rows, side.frame):
+    for _, batch in en.anchored_norm_slices(side.frame, target, t_bound):
         yield batch
 
 
-def _first_hit(side: _EigenSide, target: int, t_bound: int):
-    """(lex-min vector of the first nonempty slab, complete?)."""
-    if side.sub.rank == 0:
-        return None, True
+def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
+                found: str, exhausted: str) -> RouteResult:
+    """Routes a, c and e, for an odd target: closed with reason even when the
+    side's Gram has an even diagonal, as every square is then even; else a
+    witness, the sign-canonical lex-min vector of the first nonempty batch;
+    else closed with reason exhausted on a definite side, open otherwise."""
+    gram = side.gram
+    if all(gram[i][i] % 2 == 0 for i in range(len(gram))):
+        return RouteResult(CLOSED, even)
     for batch in _search_batches(side, target, t_bound):
         if batch:
             best = min(sign_canonical_coords(c) for c in batch)
-            return side.sub.ambient.vector(best), side.definite
-    return None, side.definite
+            return RouteResult(WITNESS, found, (side.sub.ambient.vector(best),))
+    if side.definite:
+        return RouteResult(CLOSED, exhausted)
+    return RouteResult(OPEN, f"searched(t<={t_bound})")
 
 
 def route_a(data: EigenData, n: int, t_bound: int) -> RouteResult:
     if n > 7:
         return RouteResult(CLOSED, "not_applicable")
-    if is_even(data.plus.sub):
-        return RouteResult(CLOSED, "plus_even_norms")
-    hit, complete = _first_hit(data.plus, 1, t_bound)
-    if hit is not None:
-        return RouteResult(WITNESS, "fixed_norm_plus1", (hit,))
-    if complete:
-        return RouteResult(CLOSED, "plus_definite_exhausted")
-    return RouteResult(OPEN, f"searched(t<={t_bound})")
+    return _norm_route(data.plus, 1, t_bound, "plus_even_norms", "fixed_norm_plus1",
+                       "plus_definite_exhausted")
 
 
 def has_partner(gram, c1) -> bool:
@@ -303,14 +309,8 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
 
 
 def route_c(data: EigenData, t_bound: int) -> RouteResult:
-    if is_even(data.plus.sub):
-        return RouteResult(CLOSED, "plus_even_norms")
-    hit, complete = _first_hit(data.plus, -1, t_bound)
-    if hit is not None:
-        return RouteResult(WITNESS, "fixed_norm_minus1", (hit,))
-    if complete:
-        return RouteResult(CLOSED, "plus_definite_exhausted")
-    return RouteResult(OPEN, f"searched(t<={t_bound})")
+    return _norm_route(data.plus, -1, t_bound, "plus_even_norms", "fixed_norm_minus1",
+                       "plus_definite_exhausted")
 
 
 def congruent_roots(roots: Sequence[Coords], other: _EigenSide) -> List[Coords]:
@@ -366,14 +366,8 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
 
 
 def route_e(data: EigenData, t_bound: int) -> RouteResult:
-    if is_even(data.minus.sub):
-        return RouteResult(CLOSED, "minus_even_norms")
-    hit, complete = _first_hit(data.minus, -1, t_bound)
-    if hit is not None:
-        return RouteResult(WITNESS, "antifixed_norm_minus1", (hit,))
-    if complete:
-        return RouteResult(CLOSED, "minus_definite_exhausted")
-    return RouteResult(OPEN, f"searched(t<={t_bound})")
+    return _norm_route(data.minus, -1, t_bound, "minus_even_norms",
+                       "antifixed_norm_minus1", "minus_definite_exhausted")
 
 
 def iter_routes(data: EigenData, n: int, t_bound: int):

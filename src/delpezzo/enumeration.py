@@ -25,16 +25,16 @@ that sum, in ambient coordinates, with no product after the search:
 definite_vectors takes unit columns, or the basis columns of a sublattice,
 and the anchor slabs take the complement columns with the offset t p.
 
-anchored_norm_slices cuts a form of signature (1, k) into slabs
-<p, c> = t against an anchor p of square m > 0.  One Hermite reduction of
-the row G p (AnchorFrame) gives g = gcd(G p), the complement basis and p's
-coordinates in a unimodular basis extending it.  Slab t is empty unless
-g | t; otherwise the complement vectors d = m c - t p of its integral c are
-exactly the coset d = -t w (mod m) of the complement at norm m (t^2 - m
-target), with w p's complement coordinates, and the descent visits only
-them.  Its sums are m c = comp^T d + t p (B m c, with the columns composed
-with the basis rows B of a saturated sublattice first), and one exact
-division by m gives c.
+anchored_norm_slices cuts a form of signature (1, k) into slabs <p, c> = t
+against an anchor p of square m > 0; the AnchorFrame of G, p and the basis
+rows is its only input.  One Hermite reduction of the row G p (AnchorFrame)
+gives g = gcd(G p), the complement basis and p's coordinates in a
+unimodular basis extending it.  Slab t is empty unless g | t; otherwise the
+complement vectors d = m c - t p of its integral c are exactly the coset
+d = -t w (mod m) of the complement at norm m (t^2 - m target), with w p's
+complement coordinates, and the descent visits only them.  Its sums are
+m c = comp^T d + t p (B m c, with the columns composed with the basis rows
+B of a saturated sublattice first), and one exact division by m gives c.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
+from . import exactlinalg as xl
 from .errors import InputError
 
 Coords = Tuple[int, ...]
@@ -193,8 +194,6 @@ class AnchorFrame:
     __slots__ = ("m", "g", "residues", "cols", "step", "neg", "_cholesky")
 
     def __init__(self, gram: Sequence[Sequence[int]], p: Sequence[int], basis_rows=None):
-        from . import exactlinalg as xl
-
         n = len(gram)
         gp = xl.mat_vec(gram, list(p))
         m = sum(map(mul, p, gp))
@@ -237,25 +236,18 @@ class AnchorFrame:
         return _exact_norm(self._cholesky, cnorm, res, m, self.cols, offset)
 
 
-def anchored_norm_slices(gram: Sequence[Sequence[int]], p: Sequence[int],
-                         target: int, t_bound: int, basis_rows=None, frame=None):
-    """Yield (|t|, vectors) with c^T gram c == target, grouped by |<p, c>|.
+def anchored_norm_slices(frame: AnchorFrame, target: int, t_bound: int):
+    """Yield (|t|, vectors) with c^2 == target for |t| = 0..t_bound, grouped
+    by |<p, c>|, from the frame of a form of signature (1, k), an anchor p of
+    square m > 0 and, optionally, basis rows B of a saturated sublattice.
 
-    Requires gram of signature (1, k) and <p, p> > 0.  Every slice
-    <p, c> = t reduces to a complete search of one coset in the negative
-    definite complement of p, so each yielded batch is complete for its
-    slab and the batches come in order of increasing |t|, each one sorted.
-
-    basis_rows, when given, are the rows of a basis matrix B of a saturated
-    sublattice with Gram matrix gram (Sublattice._rows); the vectors are
-    then yielded as B c, in ambient coordinates.  frame, when given, is the
-    AnchorFrame of (gram, p, basis_rows), so that its data serve several
-    calls; otherwise it is built at the first slab.  The slab t vectors come
-    from the frame as m c; the -t slab is their negation, and since c -> B c
-    is injective and the two slabs are disjoint, no vector repeats.
+    Each slice <p, c> = t is a complete search of one coset in the negative
+    definite complement of p, so each batch is complete for its slab, and
+    the batches come in order of increasing |t|, each one sorted, as B c
+    when the frame has basis rows.  Slab t comes from the frame as m c; the
+    -t slab is its negation, and since c -> B c is injective and the two
+    slabs are disjoint, no vector repeats.
     """
-    if frame is None:
-        frame = AnchorFrame(gram, p, basis_rows)
     m = frame.m
     for t in range(t_bound + 1):
         batch = frame.slab(target, t)

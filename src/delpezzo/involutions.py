@@ -38,7 +38,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError, UnsupportedError
 from . import criteria
-from . import enumeration as en
 from . import exactlinalg as xl
 from . import permgroup as pg
 from .lattice import (
@@ -49,9 +48,7 @@ from .lattice import (
     fixed_and_antifixed,
     has_even_products,
     is_even,
-    orthogonal_complement,
     sign_canonical,
-    span,
 )
 from .weyl import (
     canonical_class,
@@ -59,7 +56,6 @@ from .weyl import (
     enumerate_roots,
     product_of_reflections,
     stabilizes_canonical_class,
-    weyl_generators,
 )
 
 RootSetKey = Tuple[int, ...]  # sorted canonical pair ids
@@ -191,11 +187,6 @@ def _kperp_fixed(g: Isometry, n: int, plus: Optional[Sublattice] = None) -> Subl
     return Sublattice(g.lattice, basis, saturated=True)
 
 
-def _definite_root_count(gram) -> int:
-    """Roots of a negative definite lattice with the given Gram matrix."""
-    return len(en.definite_vectors(gram, -2)) if gram else 0
-
-
 def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInvariant:
     if not stabilizes_canonical_class(g, n):
         raise InputError("isometry does not fix the canonical class")
@@ -203,6 +194,9 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInv
     plus, minus = fixed_and_antifixed(g)
     kf = _kperp_fixed(g, n, plus)
     plus_gram, minus_gram, kf_gram = plus.gram(), minus.gram(), kf.gram()
+    # the roots g negates are those of the antifixed lattice, and the roots
+    # it fixes those of (fixed lattice) & K-perp: each pair counts two roots
+    _, (_, minus_pairs, fixed_pairs) = _class_triple(g, n)
     flags: Tuple[Optional[bool], ...] = (None,) * 4
     if with_flags:
         # g fixes K, so K anchors the fixed side
@@ -219,9 +213,9 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInv
         plus_products_even=has_even_products(plus_gram),
         plus_det=abs(xl.det(plus_gram)) if plus.rank else 1,
         minus_det=abs(xl.det(minus_gram)) if minus.rank else 1,
-        minus_root_count=_definite_root_count(minus_gram),
+        minus_root_count=2 * minus_pairs,
         kperp_fixed_det=abs(xl.det(kf_gram)) if kf.rank else 1,
-        kperp_fixed_roots=_definite_root_count(kf_gram),
+        kperp_fixed_roots=2 * fixed_pairs,
         flags=flags,
     )
 

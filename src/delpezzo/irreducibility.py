@@ -165,7 +165,7 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
         raise InputError("reducibility check supports 2 <= n <= 8")
     if not g.is_involution():
         raise InputError("not an involution")
-    bound = height_bound if height_bound is not None else criteria.height_bound_default()
+    bound = criteria.resolve_height_bound(height_bound)
     k = canonical_class(n)
     h_inv = None
     if g.apply(k) != k:
@@ -301,7 +301,7 @@ def decompose(g: Isometry, n: Optional[int] = None,
         raise InputError("not an involution")
     if n is not None and g.lattice.rank != n + 1:
         raise InputError("index does not match the lattice rank")
-    bound = height_bound if height_bound is not None else criteria.height_bound_default()
+    bound = criteria.resolve_height_bound(height_bound)
     rank = g.lattice.rank
     if not 3 <= rank <= 10 or g.lattice != del_pezzo_lattice(rank - 1):
         return _decompose_in_basis(g, bound)

@@ -391,8 +391,8 @@ def fixed_and_antifixed(g: Isometry) -> Tuple[Sublattice, Sublattice]:
     if len(plus) + len(minus) != lat.rank:
         raise InputError("fixed_and_antifixed expects an involution")
     return (
-        Sublattice(lat, tuple(lat.vector(c) for c in plus), saturated=True),
-        Sublattice(lat, tuple(lat.vector(c) for c in minus), saturated=True),
+        Sublattice(lat, tuple(LatticeVector(lat, tuple(c)) for c in plus), saturated=True),
+        Sublattice(lat, tuple(LatticeVector(lat, tuple(c)) for c in minus), saturated=True),
     )
 
 

@@ -21,7 +21,7 @@ from .lattice import (
     signature,
     span,
 )
-from .weyl import canonical_class, product_of_reflections, reflection
+from .weyl import canonical_class, product_of_reflections
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,8 @@ def test_partner_test_matches_hnf_oracle_on_catalog_plus_sides():
                 continue
             gram = [list(r) for r in plus.gram]
             # the side-coordinate slicer: the partner test reads G c1
-            for _, batch in en.anchored_norm_slices(gram, plus.anchor, 0, 3):
+            frame = en.AnchorFrame(gram, plus.anchor)
+            for _, batch in en.anchored_norm_slices(frame, 0, 3):
                 for c1 in batch:
                     partner = _partner_oracle(gram, list(c1))
                     assert criteria.has_partner(gram, c1) == (partner is not None)

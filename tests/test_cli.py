@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from delpezzo import classify_involutions
+from delpezzo import exactlinalg as xl
 from delpezzo import irreducibility as irr
 from delpezzo.cli import EXIT_INPUT, EXIT_OK, EXIT_UNDECIDED, build_parser, main
+from delpezzo.models import quadric_basis_change
 
 
 def run(capsys, *argv):
@@ -119,6 +122,31 @@ def test_decompose_file(tmp_path, capsys):
     data = json.loads(out)
     assert len(data["steps"]) >= 1
     assert data["leaf"]["verdict"] == "Irreducible"
+
+
+@pytest.mark.parametrize("label", ["m1", "m2a", "m2b", "m3", "m4"])
+def test_decompose_quadric_basis_maps_back(tmp_path, capsys, label):
+    # the quadric file holds m^-1 g m, and its output vectors are m^-1 times
+    # those of the HE file of g
+    g = next(c for c in classify_involutions(5) if c.label == label).representative
+    m = [list(r) for r in quadric_basis_change(5).matrix]
+    g_q = xl.mat_mul(xl.mat_mul(xl.inverse(m), [list(r) for r in g.matrix]), m)
+    out = {}
+    for basis, matrix in (("HE", g.matrix), ("quadric", g_q)):
+        path = tmp_path / f"{basis}.json"
+        path.write_text(json.dumps({"matrix": [[int(x) for x in r] for r in matrix],
+                                    "basis": basis}))
+        code, text, _ = run(capsys, "decompose", str(path), "--format", "json")
+        assert code == EXIT_OK
+        out[basis] = json.loads(text)
+    he, quad = out["HE"], out["quadric"]
+    assert quad["basis"] == "quadric"
+    assert [s["action"] for s in quad["steps"]] == [s["action"] for s in he["steps"]]
+    assert quad["leaf"]["matrix"] == he["leaf"]["matrix"]
+    pairs = [(s["basis"], t["basis"]) for s, t in zip(quad["steps"], he["steps"])]
+    pairs.append((quad["leaf"]["basis"], he["leaf"]["basis"]))
+    for vq, vh in pairs:
+        assert [xl.mat_vec(m, v) for v in vq] == vh
 
 
 def test_defect_twist(capsys):

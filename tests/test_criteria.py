@@ -41,7 +41,8 @@ def _side_batches(side, target, t_bound):
         return
     if side.anchor is None:
         return
-    for _, batch in en.anchored_norm_slices(gram, side.anchor, target, t_bound):
+    frame = en.AnchorFrame(gram, side.anchor)
+    for _, batch in en.anchored_norm_slices(frame, target, t_bound):
         yield batch
 
 

@@ -202,7 +202,8 @@ def test_anchored_norm_slices_complete_within_slab():
     # signature (1,1): diag(1, -1), anchor (1, 0)
     gram = [[1, 0], [0, -1]]
     p = [1, 0]
-    got = {c for _, batch in en.anchored_norm_slices(gram, p, -1, 3) for c in batch}
+    got = {c for _, batch in en.anchored_norm_slices(en.AnchorFrame(gram, p), -1, 3)
+           for c in batch}
     oracle = {c for c in _box_oracle(gram, -1, 12) if abs(c[0]) <= 3}
     assert got == oracle
 
@@ -211,7 +212,7 @@ def test_anchored_norm_slices_ordered_and_tagged():
     gram = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
     p = [1, 0, 0]
     heights = []
-    for t, batch in en.anchored_norm_slices(gram, p, -2, 4):
+    for t, batch in en.anchored_norm_slices(en.AnchorFrame(gram, p), -2, 4):
         heights.append(t)
         for c in batch:
             assert abs(c[0]) == t  # <p, c> = c0 for this anchor
@@ -223,7 +224,7 @@ def test_anchored_norm_slices_ordered_and_tagged():
 
 def test_anchored_norm_slices_requires_positive_anchor():
     with pytest.raises(InputError):
-        next(en.anchored_norm_slices([[1, 0], [0, -1]], [0, 1], -1, 2))
+        next(en.anchored_norm_slices(en.AnchorFrame([[1, 0], [0, -1]], [0, 1]), -1, 2))
 
 
 def _majorant(gram, p):
@@ -282,7 +283,7 @@ def test_anchored_slabs_match_box_oracle_for_every_coset(gram, p, m, g):
             t = abs(sum(a * b for a, b in zip(gp, c)))
             if t <= 4:
                 oracle.setdefault(t, set()).add(c)
-        slabs = list(en.anchored_norm_slices(gram, p, target, 4))
+        slabs = list(en.anchored_norm_slices(en.AnchorFrame(gram, p), target, 4))
         assert [t for t, _ in slabs] == [0, 1, 2, 3, 4]
         for t, batch in slabs:
             assert batch == sorted(oracle.get(t, ()))
@@ -299,7 +300,7 @@ def test_anchored_slabs_cover_cosets_with_nonzero_residues():
         seen_residue |= any(frame.residues)
         if g > 1:
             assert any(batch for target in SLAB_TARGETS
-                       for _, batch in en.anchored_norm_slices(gram, p, target, 4))
+                       for _, batch in en.anchored_norm_slices(frame, target, 4))
     assert seen_residue
 
 
@@ -344,7 +345,7 @@ def test_anchored_slabs_match_majorant_search(form, target, t_bound):
     assert xl.sylvester_signature(gram) == (1, n - 1, 0)
     m, gp, major = _majorant(gram, p)
     assert m > 0
-    for t, batch in en.anchored_norm_slices(gram, p, target, t_bound):
+    for t, batch in en.anchored_norm_slices(en.AnchorFrame(gram, p), target, t_bound):
         norm = 2 * t * t - m * target
         want = sorted(c for c in en.definite_vectors(major, norm)
                       if abs(sum(a * b for a, b in zip(gp, c))) == t

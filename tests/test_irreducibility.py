@@ -125,6 +125,20 @@ def test_check_reducible_rejects_non_involutions():
         check_reducible(r1 @ r2, 3)  # order 3
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_height_bound_below_one_is_rejected(monkeypatch, bound):
+    # an explicit bound is held to the DPZ_HEIGHT_BOUND contract; below 1 no
+    # slab is searched, and 6 m4 (Reducible) would end in Unknown
+    g = next(c for c in classify_involutions(6) if c.label == "m4").representative
+    with pytest.raises(InputError, match="height bound must be positive"):
+        check_reducible(g, 6, height_bound=bound)
+    with pytest.raises(InputError, match="height bound must be positive"):
+        decompose(g, 6, height_bound=bound)
+    monkeypatch.setenv("DPZ_HEIGHT_BOUND", str(bound))
+    with pytest.raises(InputError, match="DPZ_HEIGHT_BOUND must be positive"):
+        check_reducible(g, 6)
+
+
 def test_check_and_decompose_square_g_once(monkeypatch):
     from delpezzo.lattice import Isometry
 
