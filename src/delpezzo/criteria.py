@@ -8,10 +8,23 @@ An involution g is probed along five routes:
   d. swapped pair of classes of square -1, built from congruent roots
   e. antifixed class c with Q(c, c) = -1
 
-Each route is either closed by a parity / mod-2 / completeness argument,
-produces an explicit witness, or stays open after a bounded search.
+Each route is either closed by a parity / mod-2 / mod-4 / completeness
+argument, produces an explicit witness, or stays open after a bounded
+search.  The closure order is parity (an even Gram diagonal or even
+products), then mod 4 on L/2L, then the search, whose completeness closes
+a definite side.
 Routes a, c and e are one norm route (_norm_route) for the square +1 or -1
 on one eigen side, closed by parity when its Gram has an even diagonal.
+
+The mod-4 closures rest on one fact: for c in an eigen side L with Gram G,
+c^2 mod 4 and G c mod 2 depend only on c mod 2L.  _classes_mod4 walks the
+nonzero classes of L/2L in Gray-code order at O(1) a class (at most
+2^9 - 1 of them) and stops at the first class that allows the target.  A
+unit route closes when no class has square +-1 mod 4; route b closes when
+no class could hold an isotropic vector with a hyperbolic partner.  On a
+definite side the complete search already decides, so the norm routes run
+the walk only on indefinite sides.
+
 Searches in definite eigenlattices are complete; in an indefinite
 eigenlattice they run slice by slice against an anchor vector of positive
 square, which makes the outcome stable under conjugation by
@@ -168,10 +181,11 @@ def _box_search(gram, box, k: int, square: int, lin: List[int],
     return None
 
 
-def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector] = None) -> _EigenSide:
+def _side(sub: Sublattice, preferred: Optional[Coords] = None) -> _EigenSide:
     """The search data of an eigenlattice; it must be saturated, as every
     kernel basis is, so that the slab lift may test integrality on ambient
-    coordinates."""
+    coordinates.  preferred is the preferred anchor, in the sub basis
+    (fixed_and_antifixed gives K's)."""
     if not sub.saturated:
         raise InputError("an eigen side must be a saturated sublattice")
     gram = sub.gram()
@@ -183,12 +197,7 @@ def _side(sub: Sublattice, anchor_vec: Optional[LatticeVector] = None) -> _Eigen
     definite = pos == 0 or neg == 0
     anchor = None
     if not definite:
-        preferred = None
-        if anchor_vec is not None:
-            c = sub.coords_of(anchor_vec)
-            if c is not None:
-                preferred = list(c)
-        anchor = _find_anchor(gram, preferred)
+        anchor = _find_anchor(gram, None if preferred is None else list(preferred))
     return _EigenSide(sub, gram, definite, anchor)
 
 
@@ -198,9 +207,11 @@ def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData
     g must be an involution; fixed_and_antifixed tests that from its
     kernels, without forming g^2.
     """
-    plus, minus = fixed_and_antifixed(g)
-    fixed_anchor = anchor if (anchor is not None and g.apply(anchor) == anchor) else None
-    return EigenData(g, _side(plus, fixed_anchor), _side(minus))
+    if anchor is None:
+        plus, minus = fixed_and_antifixed(g)
+        return EigenData(g, _side(plus), _side(minus))
+    plus, minus, coords = fixed_and_antifixed(g, anchor)
+    return EigenData(g, _side(plus, coords), _side(minus))
 
 
 def _search_batches(side: _EigenSide, target: int, t_bound: int):
@@ -228,15 +239,52 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
         yield batch
 
 
+def _classes_mod4(gram):
+    """Yield (c^2 mod 4, G c mod 2 packed as in xl.f2_bits) for the nonzero
+    classes c of L/2L, in Gray-code order.
+
+    Both depend only on c mod 2L, since (c + 2y)^2 = c^2 + 4 c.y + 4 y^2.
+    Flipping bit i of c adds +-e_i, so c^2 moves by 2 (G c)_i + G_ii, which
+    mod 4 is 2 w_i + G_ii for w = G c mod 2, and w moves by column i of G:
+    O(1) a class, at most 2^rank - 1 classes.
+    """
+    cols = [xl.f2_bits(row) for row in gram]    # G is symmetric: rows are columns
+    q = w = 0
+    for k in range(1, 1 << len(gram)):
+        i = (k & -k).bit_length() - 1
+        q = (q + 2 * ((w >> i) & 1) + gram[i][i]) & 3
+        w ^= cols[i]
+        yield q, w
+
+
+def _mod4_allows_square(gram, target: int) -> bool:
+    """Whether some class of L/2L has square target mod 4, as any vector of
+    square target must."""
+    return any(q == target % 4 for q, _ in _classes_mod4(gram))
+
+
+def _mod4_allows_partner(gram) -> bool:
+    """Whether some class of L/2L passes has_partner mod 2L: c^2 = 0 mod 4 and
+    G c mod 2 outside {0, diag(G)}, as the class of an isotropic c1 with a
+    hyperbolic partner must (gcd(G c1) = 1 rules out G c1 = 0 mod 2)."""
+    diag = xl.f2_bits([gram[i][i] for i in range(len(gram))])
+    return any(q == 0 and w and w != diag for q, w in _classes_mod4(gram))
+
+
 def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
-                found: str, exhausted: str) -> RouteResult:
+                mod4: str, found: str, exhausted: str) -> RouteResult:
     """Routes a, c and e, for an odd target: closed with reason even when the
-    side's Gram has an even diagonal, as every square is then even; else a
-    witness, the sign-canonical lex-min vector of the first nonempty batch;
-    else closed with reason exhausted on a definite side, open otherwise."""
+    side's Gram has an even diagonal, as every square is then even; on an
+    indefinite side, closed with reason mod4 when no class of L/2L has
+    square target mod 4; else a witness, the sign-canonical lex-min vector
+    of the first nonempty batch; else closed with reason exhausted on a
+    definite side, open otherwise.  A definite side keeps its complete
+    search, so its closures stay the exhausted ones."""
     gram = side.gram
     if all(gram[i][i] % 2 == 0 for i in range(len(gram))):
         return RouteResult(CLOSED, even)
+    if not side.definite and not _mod4_allows_square(gram, target):
+        return RouteResult(CLOSED, mod4)
     for batch in _search_batches(side, target, t_bound):
         if batch:
             best = min(sign_canonical_coords(c) for c in batch)
@@ -249,8 +297,8 @@ def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
 def route_a(data: EigenData, n: int, t_bound: int) -> RouteResult:
     if n > 7:
         return RouteResult(CLOSED, "not_applicable")
-    return _norm_route(data.plus, 1, t_bound, "plus_even_norms", "fixed_norm_plus1",
-                       "plus_definite_exhausted")
+    return _norm_route(data.plus, 1, t_bound, "plus_even_norms", "plus_no_unit_mod4",
+                       "fixed_norm_plus1", "plus_definite_exhausted")
 
 
 def has_partner(gram, c1) -> bool:
@@ -281,6 +329,12 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     pair products w.c2.  The pool is not filtered: an isotropic c2 with
     c1.c2 = 1 has the partner c1, so the first hit is the one of the
     filtered scan.  Lattice vectors are built only for the two witnesses.
+
+    Before any slab, the route closes by parity (rank below 2, even
+    products, a definite side) and then mod 4 (plus_no_partner_mod4): the
+    class of an isotropic c1 with a partner has c1^2 = 0 mod 4 and G c1 mod
+    2 outside {0, diag(G)}, so when no class of L/2L does
+    (_mod4_allows_partner), the side has no hyperbolic pair at all.
     """
     if data.plus.sub.rank < 2:
         return RouteResult(CLOSED, "plus_rank_below_2")
@@ -289,6 +343,8 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     if data.plus.definite:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
     gram, sub = data.plus.gram, data.plus.sub
+    if not _mod4_allows_partner(gram):
+        return RouteResult(CLOSED, "plus_no_partner_mod4")
     lat = sub.ambient
     j_basis = [xl.mat_vec(lat.gram, v.coords) for v in sub.basis]
     seen: List[Coords] = []
@@ -309,8 +365,8 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
 
 
 def route_c(data: EigenData, t_bound: int) -> RouteResult:
-    return _norm_route(data.plus, -1, t_bound, "plus_even_norms", "fixed_norm_minus1",
-                       "plus_definite_exhausted")
+    return _norm_route(data.plus, -1, t_bound, "plus_even_norms", "plus_no_minus1_mod4",
+                       "fixed_norm_minus1", "plus_definite_exhausted")
 
 
 def congruent_roots(roots: Sequence[Coords], other: _EigenSide) -> List[Coords]:
@@ -366,7 +422,7 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
 
 
 def route_e(data: EigenData, t_bound: int) -> RouteResult:
-    return _norm_route(data.minus, -1, t_bound, "minus_even_norms",
+    return _norm_route(data.minus, -1, t_bound, "minus_even_norms", "minus_no_minus1_mod4",
                        "antifixed_norm_minus1", "minus_definite_exhausted")
 
 
@@ -384,6 +440,8 @@ def route_flags(data: EigenData, n: int) -> Tuple[Optional[bool], ...]:
 
     With the canonical class as anchor, the slice search commutes with
     conjugation by isometries fixing it, so these are class invariants.
+    A closed route gives False whether a parity, mod-4 or complete search
+    closed it; None is left only where a bounded search ended open.
     """
     flags = []
     for _, res in itertools.islice(iter_routes(data, n, FLAG_BOUND), 4):

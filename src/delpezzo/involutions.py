@@ -187,21 +187,30 @@ def _kperp_fixed(g: Isometry, n: int, plus: Optional[Sublattice] = None) -> Subl
     return Sublattice(g.lattice, basis, saturated=True)
 
 
-def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInvariant:
+def invariant_of(g: Isometry, n: int, with_flags: bool = False,
+                 triple: Optional[Tuple[int, int, int]] = None) -> InvolutionInvariant:
+    """The conjugation invariants of a K-fixing involution.
+
+    triple is g's class triple (|S|, |key|, fixed pairs) when the caller
+    knows it already, as classify_involutions does from its frame table;
+    else _class_triple reads it off g.
+    """
     if not stabilizes_canonical_class(g, n):
         raise InputError("isometry does not fix the canonical class")
-    # fixed_and_antifixed raises InputError when g is not an involution
-    plus, minus = fixed_and_antifixed(g)
+    # fixed_and_antifixed raises InputError when g is not an involution;
+    # g fixes K, so K has coordinates in the fixed side
+    plus, minus, k_coords = fixed_and_antifixed(g, canonical_class(n))
     kf = _kperp_fixed(g, n, plus)
     plus_gram, minus_gram, kf_gram = plus.gram(), minus.gram(), kf.gram()
     # the roots g negates are those of the antifixed lattice, and the roots
     # it fixes those of (fixed lattice) & K-perp: each pair counts two roots
-    _, (_, minus_pairs, fixed_pairs) = _class_triple(g, n)
+    if triple is None:
+        _, triple = _class_triple(g, n)
+    _, minus_pairs, fixed_pairs = triple
     flags: Tuple[Optional[bool], ...] = (None,) * 4
     if with_flags:
-        # g fixes K, so K anchors the fixed side
-        data = criteria.EigenData(g, criteria._side(plus, canonical_class(n)),
-                                  criteria._side(minus))
+        # K anchors the fixed side
+        data = criteria.EigenData(g, criteria._side(plus, k_coords), criteria._side(minus))
         a, b, c, d = criteria.route_flags(data, n)
         flags = (a, c, b, d)
     return InvolutionInvariant(
@@ -423,7 +432,8 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
         rset = orthogonal_root_set(n, [roots[i] for i in candidates[key][0]])
         g = rset.involution()
         size = len(_key_orbit(key, n)) if n <= 7 else None
-        classes.append((key, rset, g, invariant_of(g, n, with_flags=True), size))
+        triple = (len(rset), len(key), candidates[key][1])
+        classes.append((key, rset, g, invariant_of(g, n, with_flags=True, triple=triple), size))
     # a stable sort: ties keep the key order
     classes.sort(key=lambda c: (len(c[1]), c[3].merge_key()))
 

@@ -25,6 +25,13 @@ what is left are the old sides cut to B^perp, one kernel each; the leaf's
 basis and matrix are computed once, at the end.  A leaf is Irreducible
 exactly when routes c, d and e are all closed on it, the same exact
 closure that check_reducible uses.
+
+An Irreducible verdict names its obstruction by the closing reasons, in
+priority order: an even eigenlattice (EvenFixedLatticeObstruction), an
+argument on L/2L (Mod2Obstruction: route d's congruence test, and the
+mod-4 walks of criteria that close route b and the unit routes a, c, e),
+an even antifixed lattice (AntiFixedObstruction), else complete searches
+(ExhaustedSearchObstruction).
 """
 from __future__ import annotations
 
@@ -60,7 +67,8 @@ _WITNESS_KINDS = {
 
 # obstruction kinds by priority
 _EVEN_REASONS = {"plus_even_norms", "plus_even_products"}
-_MOD2_REASONS = {"mod2_unsolvable"}
+_MOD2_REASONS = {"mod2_unsolvable", "plus_no_partner_mod4", "plus_no_unit_mod4",
+                 "plus_no_minus1_mod4", "minus_no_minus1_mod4"}
 _ANTIFIXED_REASONS = {"minus_even_norms"}
 
 

@@ -377,23 +377,29 @@ def identity_isometry(lattice: Lattice) -> Isometry:
     return Isometry(lattice, tuple(tuple(row) for row in xl.identity(lattice.rank)))
 
 
-def fixed_and_antifixed(g: Isometry) -> Tuple[Sublattice, Sublattice]:
+def fixed_and_antifixed(g: Isometry, along: Optional[LatticeVector] = None):
     """Saturated (+1)- and (-1)-eigenlattices of an involution.
 
     g^2 = 1 is read off the two kernels, with no squaring: over Q an
     involution is diagonalizable with eigenvalues +-1, so the ranks add up
     to the lattice rank, and when they do, g is +-1 on two complementary
-    subspaces.
+    subspaces.  With along, returns (plus, minus, coords): the coordinates
+    of along in the plus basis, or None when g does not fix it, carried
+    through the kernel reduction of g - 1.
     """
-    plus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1))
+    if along is None:
+        plus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1))
+    else:
+        plus, coords = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1), along.coords)
     minus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, 1))
     lat = g.lattice
     if len(plus) + len(minus) != lat.rank:
         raise InputError("fixed_and_antifixed expects an involution")
-    return (
+    sides = (
         Sublattice(lat, tuple(LatticeVector(lat, tuple(c)) for c in plus), saturated=True),
         Sublattice(lat, tuple(LatticeVector(lat, tuple(c)) for c in minus), saturated=True),
     )
+    return sides if along is None else sides + (coords,)
 
 
 @dataclass(frozen=True)

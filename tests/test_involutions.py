@@ -266,6 +266,32 @@ def test_invariants_are_built_for_representatives_only(monkeypatch):
         assert [c.label for c in classes] == [c.label for c in classify_involutions(n)]
 
 
+def test_classify_hands_invariant_of_the_class_triple(monkeypatch):
+    # classify_involutions passes the triple of its frame table, so that
+    # invariant_of need not read it off g again
+    handed = []
+    invariant_of = inv_mod.invariant_of
+
+    def recording(g, n, with_flags=False, triple=None):
+        handed.append((g, n, triple))
+        return invariant_of(g, n, with_flags, triple=triple)
+
+    monkeypatch.setattr(inv_mod, "invariant_of", recording)
+    for n in range(2, 9):
+        inv_mod.classify_involutions.__wrapped__(n)
+    assert len(handed) == 33
+    for g, n, triple in handed:
+        assert triple == inv_mod._class_triple(g, n)[1]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_catalog_flags_are_decided(n):
+    # routes a-d close exactly or find a witness at the flag bound on every
+    # class: the mod-4 closures leave no bounded search open
+    for cls in classify_involutions(n):
+        assert None not in cls.invariant.flags, cls.label
+
+
 # maximal cliques of the root orthogonality graph, and the frame the library
 # takes, for n = 2..8
 MAXIMAL_CLIQUE_COUNTS = {2: 1, 3: 3, 4: 15, 5: 15, 6: 135, 7: 135, 8: 2025}

@@ -11,6 +11,7 @@ from delpezzo import (
     InputError,
     Isometry,
     blowup_quadric_lattice,
+    classify_involutions,
     del_pezzo_lattice,
     fixed_and_antifixed,
     identity_isometry,
@@ -247,6 +248,48 @@ def test_kernel_vectors_annihilate(m):
     for col in xl.kernel(m):
         assert all(sum(m[i][j] * col[j] for j in range(2)) == 0
                    for i in range(2))
+
+
+@given(st.integers(1, 5), st.integers(0, 4), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_kernel_carries_coordinates_along(rows, cols, rnd):
+    a = [[rnd.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    basis = xl.kernel(a)
+    # a kernel vector, or one pushed off the kernel when there is room
+    x = [sum(rnd.randint(-2, 2) * b[i] for b in basis) for i in range(cols)]
+    if basis and rnd.random() < 0.3:
+        x[rnd.randrange(cols)] += 1
+    got, coords = xl.kernel(a, x)
+    assert got == basis
+    if any(sum(r * y for r, y in zip(row, x)) for row in a):
+        assert coords is None
+    else:
+        assert coords is not None and len(coords) == len(basis)
+        assert [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(cols)] == x
+
+
+def test_fixed_side_coordinates_of_k_match_coords_of():
+    # the kernel reduction of g - 1 gives K's fixed-side coordinates, as a
+    # fresh Hermite solve in the fixed basis does, on the catalog and on
+    # O(M_n) conjugates by 12-wall words, which need not fix K
+    rng = random.Random(4040)
+    seen = {True: 0, False: 0}
+    for n in range(2, 9):
+        k = canonical_class(n)
+        walls = wall_generators(n).isometries()
+        for cls in classify_involutions(n):
+            gs = [cls.representative]
+            for _ in range(3):
+                h = identity_isometry(k.lattice)
+                for _ in range(12):
+                    h = h @ rng.choice(walls)
+                gs.append(h @ cls.representative @ h.inverse())
+            for g in gs:
+                plus, minus, coords = fixed_and_antifixed(g, k)
+                assert (plus, minus) == fixed_and_antifixed(g)
+                assert coords == plus.coords_of(k)
+                seen[coords is not None] += 1
+    assert seen[True] > 33 and seen[False] > 20
 
 
 def test_sylvester_signature_on_known_forms():
