@@ -183,15 +183,16 @@ class AnchorFrame:
     One Hermite reduction of the row G p (exactlinalg.row_hermite) gives
     g = gcd(G p), a unimodular u whose columns past the first are the
     complement basis kernel returns, and p's coordinates (m / g, w) in the
-    basis of u's columns.  The frame keeps m, g, the residues w mod m, the
-    negated complement Gram (one G b per complement vector b) and the
+    basis of u's columns.  The frame keeps m, g, whether p is characteristic
+    (G p = diag G mod 2, so that <p, c> = c^2 mod 2), the residues w mod m,
+    the negated complement Gram (one G b per complement vector b) and the
     complement vectors and p as the columns and step of the descent
     (ambient columns when basis_rows is given); the scaled Cholesky data of
     the complement are computed at the first slab that needs them.  Every
     slab of every target reads the same frame.
     """
 
-    __slots__ = ("m", "g", "residues", "cols", "step", "neg", "_cholesky")
+    __slots__ = ("m", "g", "characteristic", "residues", "cols", "step", "neg", "_cholesky")
 
     def __init__(self, gram: Sequence[Sequence[int]], p: Sequence[int], basis_rows=None):
         n = len(gram)
@@ -202,6 +203,8 @@ class AnchorFrame:
         g, u, coords = xl.row_hermite(gp, p)
         comp = [[u[i][j] for i in range(n)] for j in range(1, n)]
         self.m, self.g = m, g
+        # G p = diag G (mod 2): <p, c> = c^2 (mod 2) for every integral c
+        self.characteristic = all((a - gram[i][i]) % 2 == 0 for i, a in enumerate(gp))
         self.residues = tuple(x % m for x in coords[1:])
         gcomp = [xl.mat_vec(gram, b) for b in comp]
         self.neg = [[-sum(map(mul, a, gb)) for gb in gcomp] for a in comp]
@@ -218,14 +221,15 @@ class AnchorFrame:
         with c^2 = target and <p, c> = t, in descent order.
 
         c = u (a, e) has <p, c> = g a and d = m c - t p = u (m a - t m / g,
-        m e - t w), so the slab is empty unless g | t, and then c is
+        m e - t w), so the slab is empty unless g | t, and, for a
+        characteristic p, unless t = target (mod 2); then c is
         integral exactly when d = m e - t w: d runs over the coset -t w
         (mod m) at norm m (t^2 - m target) in the negated complement, and
         the descent sums m c = comp^T d + t p over the frame's columns.
         """
         m = self.m
         cnorm = m * (t * t - m * target)
-        if cnorm < 0 or t % self.g:
+        if cnorm < 0 or t % self.g or (self.characteristic and (t - target) % 2):
             return []
         offset = [t * x for x in self.step]
         res = [(-t * w) % m for w in self.residues]

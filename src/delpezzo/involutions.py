@@ -24,17 +24,21 @@ whole group in it.  _class_triple reads the triple off g in one pass over
 the sign-canonical roots, and are_conjugate, find_class and
 classify_involutions all compare it.  The first key of each group in sorted
 order represents its class; the involution and its invariants are built
-for these representatives only.  Orbits act on the keys, walked as bytes
-with one translation table per generator, and give the class sizes for
-n <= 7 only.
+for these representatives only.
+
+Class sizes are exact for every n = 2..8, with no orbit walked: the pairs
+(F', S') of a maximal orthogonal set and a subset whose involution is in a
+class C number N a(C) = |C| f(C) e(C), for N maximal orthogonal sets, a(C)
+frame subsets in C, and f(C), e(C) the orthogonal |S|- and (|F| - |S|)-sets
+among the roots an involution of C negates and fixes (_orthogonal_set_counter).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache, reduce
+from operator import and_, mul
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InputError, UnsupportedError
 from . import criteria
@@ -52,7 +56,6 @@ from .lattice import (
 )
 from .weyl import (
     canonical_class,
-    closure,
     enumerate_roots,
     product_of_reflections,
     stabilizes_canonical_class,
@@ -302,21 +305,6 @@ def minus_root_key(g: Isometry, n: int) -> RootSetKey:
     return _class_triple(g, n)[0]
 
 
-def _key_orbit(key: RootSetKey, n: int, limit: int = 3 * 10 ** 6) -> Set[bytes]:
-    """Orbit of a key under the group, each member as bytes(RootSetKey).
-
-    Root ids fit in a byte (root_action_context checks), so a generator acts
-    on a key by one bytes.translate with the table i -> canon[g[i]].  The
-    images of distinct pair ids are distinct pairs, so sorting the bytes
-    gives the image key.
-    """
-    _, _, gens = pg.root_action_context(n)
-    canon = _canon_table(n)
-    tables = [pg._table(bytes(canon[j] for j in g)) for g in gens]
-    return closure([bytes(key)], tables, lambda s, t: bytes(sorted(s.translate(t))),
-                   limit, "class orbit")
-
-
 def are_conjugate(g: Isometry, h: Isometry, n: int) -> bool:
     """Whether two K-fixing involutions are conjugate in the K-stabilizer:
     whether their class triples agree, for every n = 2..8."""
@@ -338,11 +326,30 @@ def orthogonal_root_sets(n: int) -> List[OrthogonalRootSet]:
         raise InputError("orthogonal root sets require 2 <= n <= 8")
     roots, _ = pg._roots_and_index(n)
     return [orthogonal_root_set(n, [roots[i] for i in rep])
-            for rep in _maximal_orthogonal_reps(n)]
+            for rep in _maximal_orthogonal_reps(*_orthogonality(n))]
 
 
-def _maximal_orthogonal_reps(n: int) -> List[FrozenSet[int]]:
-    """One maximal orthogonal root set per orbit, as sets of pair ids.
+def _orthogonality(n: int) -> Tuple[List[int], List[int]]:
+    """(ids, orth): the sign-canonical root ids, sorted, and for the i-th one
+    the bitmask of the j != i with roots[ids[j]] orthogonal to roots[ids[i]],
+    from one dot product per pair."""
+    roots, _ = pg._roots_and_index(n)
+    gram = del_pezzo_lattice(n).gram
+    ids = sorted(set(_canon_table(n)))
+    vecs = [roots[a].coords for a in ids]
+    orth = [0] * len(ids)
+    for i, v in enumerate(vecs):
+        row = xl.mat_vec(gram, list(v))
+        for j in range(i + 1, len(ids)):
+            if not sum(map(mul, row, vecs[j])):
+                orth[i] |= 1 << j
+                orth[j] |= 1 << i
+    return ids, orth
+
+
+def _maximal_orthogonal_reps(ids: Sequence[int], orth: Sequence[int]) -> List[FrozenSet[int]]:
+    """One maximal orthogonal root set per orbit, as sets of pair ids, from
+    the table of _orthogonality.
 
     The maximal orthogonal root sets form one orbit for every n = 2..8
     (test_involutions.py::test_maximal_orthogonal_sets_form_one_orbit checks
@@ -351,19 +358,55 @@ def _maximal_orthogonal_reps(n: int) -> List[FrozenSet[int]]:
     the first branch of networkx's find_cliques pivot descent, on which the
     subgraph and the candidates coincide, so it never backtracks.
     """
-    roots, _ = pg._roots_and_index(n)
-    gram = del_pezzo_lattice(n).gram
-    pos_ids = sorted(set(_canon_table(n)))
-    rows = {a: xl.mat_vec(gram, list(roots[a].coords)) for a in pos_ids}
-    adj = {a: {b for b in pos_ids if b != a and not sum(map(mul, rows[a], roots[b].coords))}
-           for a in pos_ids}
-    cand, clique = set(pos_ids), []
+    # sets built in ascending order, so the pick is that of the pinned FRAMES
+    adj = {a: {b for j, b in enumerate(ids) if orth[i] >> j & 1} for i, a in enumerate(ids)}
+    cand, clique = set(ids), []
     while cand:
         u = max(cand, key=lambda u: len(cand & adj[u]))
         q = (cand - adj[u]).pop()
         clique.append(q)
         cand &= adj[q]
     return [frozenset(clique)]
+
+
+def _orthogonal_set_counter(orth: Sequence[int]) -> Callable[[int, int], int]:
+    """count(mask, j): the orthogonal j-sets among the root pairs of mask
+    (bit i for the i-th id of _orthogonality), memoised per (mask, j).
+
+    mask must be a root system closed under its own reflections, such as the
+    roots of a sublattice.  Its counts convolve those of the components of
+    its non-orthogonality graph.  W(R_i) is transitive on the roots of an
+    irreducible component R_i, so count_j(R_i) = |R_i| count_{j-1}(R_i & r-perp) / j
+    for any r in R_i, and R_i & r-perp is closed under its reflections again.
+    """
+    memo: Dict[Tuple[int, int], List[int]] = {}
+
+    def counts(mask: int, j: int) -> List[int]:
+        # [count_0, ..., count_j] of mask
+        if (mask, j) in memo:
+            return memo[mask, j]
+        got = [1] + [0] * j
+        rest = mask
+        while rest:
+            # the component of the lowest root left, by non-orthogonality
+            comp = front = rest & -rest
+            while front:
+                low = front & -front
+                new = rest & ~orth[low.bit_length() - 1] & ~comp
+                comp |= new
+                front = (front ^ low) | new
+            rest &= ~comp
+            size = comp.bit_count()
+            sub = counts(comp & orth[(comp & -comp).bit_length() - 1], j - 1) if j else []
+            terms = [size * c for c in sub]
+            if any(t % i for i, t in enumerate(terms, 1)):
+                raise RuntimeError("orthogonal set count is not integral")
+            poly = [1] + [t // i for i, t in enumerate(terms, 1)]
+            got = [sum(got[a] * poly[i - a] for a in range(i + 1)) for i in range(j + 1)]
+        memo[(mask, j)] = got
+        return got
+
+    return lambda mask, j: counts(mask, j)[j]
 
 
 def _frame_candidates(n: int, frame: FrozenSet[int]):
@@ -406,33 +449,41 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
     triple (|S|, |key|, fixed pairs) form one class, and the first key of
     each group in sorted order represents it.  The involution and its
     invariants (flags included) are computed for the representatives only;
-    classes are ordered by (|S|, merge_key).  class_size is the length of
-    the class orbit for n <= 7 and None at n = 8, where walking the orbits
-    would take seconds.
+    classes are ordered by (|S|, merge_key).  class_size is exact, by the
+    double count of the module docstring.
     """
     if not 1 <= n <= 8:
         raise InputError("classification supports 1 <= n <= 8")
     if n == 1:
         return ()
     roots, _ = pg._roots_and_index(n)
+    ids, orth = _orthogonality(n)
+    [frame] = _maximal_orthogonal_reps(ids, orth)
 
-    # key -> (root ids of the first subset giving it, kperp root pairs)
-    candidates: Dict[RootSetKey, Tuple[Tuple[int, ...], int]] = {}
-    for frame in _maximal_orthogonal_reps(n):
-        for sub, key, perp in _frame_candidates(n, frame):
-            candidates.setdefault(key, (sub, perp))
-
-    groups: Dict[Tuple[int, int, int], RootSetKey] = {}
+    # key -> (root ids of the subset giving it, kperp root pairs), one each
+    candidates = {key: (sub, perp) for sub, key, perp in _frame_candidates(n, frame)}
+    groups: Dict[Tuple[int, int, int], List[RootSetKey]] = {}
     for key in sorted(candidates):
         sub, perp = candidates[key]
-        groups.setdefault((len(sub), len(key), perp), key)
+        groups.setdefault((len(sub), len(key), perp), []).append(key)
 
+    # |C| = N a(C) / (f(C) e(C)) with a(C) = len(keys), as the module says
+    count = _orthogonal_set_counter(orth)
+    pos = {a: i for i, a in enumerate(ids)}
+    everything = (1 << len(ids)) - 1
+    maximal = count(everything, len(frame))
     classes = []
-    for key in sorted(groups.values()):
-        rset = orthogonal_root_set(n, [roots[i] for i in candidates[key][0]])
+    for keys in sorted(groups.values()):
+        key = keys[0]
+        sub, perp = candidates[key]
+        rset = orthogonal_root_set(n, [roots[i] for i in sub])
         g = rset.involution()
-        size = len(_key_orbit(key, n)) if n <= 7 else None
-        triple = (len(rset), len(key), candidates[key][1])
+        fixed = reduce(and_, (orth[pos[r]] for r in sub), everything)
+        size, rest = divmod(maximal * len(keys), count(sum(1 << pos[x] for x in key), len(sub))
+                            * count(fixed, len(frame) - len(sub)))
+        if rest:
+            raise RuntimeError("class size is not integral")
+        triple = (len(sub), len(key), perp)
         classes.append((key, rset, g, invariant_of(g, n, with_flags=True, triple=triple), size))
     # a stable sort: ties keep the key order
     classes.sort(key=lambda c: (len(c[1]), c[3].merge_key()))

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import delpezzo.permgroup as pg
+from delpezzo.involutions import _canon_table
 from delpezzo.lattice import Isometry, del_pezzo_lattice
-from delpezzo.weyl import reflection, weyl_generators
+from delpezzo.weyl import closure, reflection, weyl_generators
 
 
 def canonical_generators(n):
@@ -21,6 +23,22 @@ def random_group_element(n, rng: random.Random, length: int = 8) -> Isometry:
     for _ in range(rng.randrange(1, length + 1)):
         g = g @ rng.choice(gens)
     return g
+
+
+def key_orbit(key, n, limit: int = 3 * 10 ** 6):
+    """The census oracle: the orbit of a key (sorted sign-canonical root ids)
+    under the group, each member as bytes of its sorted ids.
+
+    Root ids fit in a byte (root_action_context checks), so a generator acts
+    on a key by one bytes.translate with the table i -> canon[g[i]].  The
+    images of distinct pair ids are distinct pairs, so sorting the bytes
+    gives the image key.
+    """
+    _, _, gens = pg.root_action_context(n)
+    canon = _canon_table(n)
+    tables = [pg._table(bytes(canon[j] for j in g)) for g in gens]
+    return closure([bytes(key)], tables, lambda s, t: bytes(sorted(s.translate(t))),
+                   limit, "class orbit")
 
 
 def brute_force_root_count(n, coeff_bound: int = 3) -> int:

@@ -291,6 +291,42 @@ def test_anchored_slabs_match_box_oracle_for_every_coset(gram, p, m, g):
                 assert not batch
 
 
+CHARACTERISTIC_CASES = [   # (gram, anchor): G p = diag G (mod 2)
+    ([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], [3, 1, 1, 1]),
+    (DIAG3, [3, 1, 1]),
+    ([[2, 0, 0], [0, -2, 0], [0, 0, -2]], [1, 0, 0]),   # even: every c^2 is even
+]
+
+
+@pytest.mark.parametrize("gram, p", CHARACTERISTIC_CASES)
+def test_characteristic_anchor_skips_wrong_parity_slabs(monkeypatch, gram, p):
+    # <p, c> = c^2 (mod 2), so a slab t of the other parity than the target
+    # is empty, and it is answered without a descent
+    n = len(gram)
+    frame = en.AnchorFrame(gram, p)
+    assert frame.characteristic
+    assert not en.AnchorFrame(DIAG3, [1, 0, 0]).characteristic
+    descents = []
+    exact_norm = en._exact_norm
+
+    def counted(*args):
+        descents.append(args)
+        return exact_norm(*args)
+
+    monkeypatch.setattr(en, "_exact_norm", counted)
+    bound = _slab_box_bound(gram, p, SLAB_TARGETS, 4)
+    gp = [sum(gram[i][j] * p[j] for j in range(n)) for i in range(n)]
+    for target in SLAB_TARGETS:
+        oracle = {}
+        for c in _box_oracle(gram, target, bound):
+            oracle.setdefault(abs(sum(a * b for a, b in zip(gp, c))), set()).add(c)
+        for t, batch in en.anchored_norm_slices(frame, target, 4):
+            descents.clear()
+            assert batch == sorted(oracle.get(t, ()))
+            if (t - target) % 2:
+                assert batch == [] and frame.slab(target, t) == [] and descents == []
+
+
 def test_anchored_slabs_cover_cosets_with_nonzero_residues():
     # the coset step is exercised: some slab has a residue class other than
     # 0 mod m, and every case with g > 1 has a nonempty slab

@@ -54,6 +54,12 @@ each from searched(t<=...) to plus_no_partner_mod4 (route b) or
 plus_no_unit_mod4 (route a); every verdict, certificate kind, witness,
 label and class size stayed as written before.  decompose.jsonl and the
 decompose digest did not move.
+
+Since class sizes come from double counting over the frame, classify_n8.json
+was regenerated: its nine class_size fields moved from null to 120, 3780,
+37800, 113400, 3150, 37800, 3780, 120 and 1 (m1 .. m8), the class orbit
+sizes of the census.  Nothing else in it moved, and classify_n2..n7.json did
+not move.
 """
 import hashlib
 import importlib.util

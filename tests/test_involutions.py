@@ -1,8 +1,11 @@
 """Conjugacy classification of involutions in the canonical-class stabilizer."""
+import itertools
+
 import pytest
 
 import delpezzo.involutions as inv_mod
 import delpezzo.permgroup as pg
+import delpezzo.weyl as weyl_mod
 from delpezzo import (
     InputError,
     all_involutions,
@@ -18,9 +21,9 @@ from delpezzo import (
 )
 from delpezzo.involutions import ZGInvariant
 from delpezzo.lattice import del_pezzo_lattice, fixed_and_antifixed
-from delpezzo.weyl import canonical_class
+from delpezzo.weyl import canonical_class, weyl_order
 
-from conftest import random_group_element
+from conftest import key_orbit, random_group_element
 
 CLASS_COUNTS = {1: 0, 2: 1, 3: 3, 4: 2, 5: 5, 6: 4, 7: 9, 8: 9}
 
@@ -160,7 +163,7 @@ def _frame_rows(n):
     every frame the classification walks."""
     roots, _ = pg._roots_and_index(n)
     rows = []
-    for frame in inv_mod._maximal_orthogonal_reps(n):
+    for frame in inv_mod._maximal_orthogonal_reps(*inv_mod._orthogonality(n)):
         for sub, key, perp in inv_mod._frame_candidates(n, frame):
             rset = orthogonal_root_set(n, [roots[i] for i in sub])
             rows.append((sub, key, perp, rset.involution()))
@@ -210,7 +213,7 @@ def test_n8_mask_groups_equal_merge_key_groups(frame_rows):
     assert len(by_masks) == CLASS_COUNTS[8]
 
 
-# class orbit sizes at n = 8, where classify_involutions leaves class_size None
+# class orbit sizes at n = 8
 N8_CLASS_SIZES = {"m1": 120, "m2": 3780, "m3": 37800, "m4a": 113400, "m4b": 3150,
                   "m5": 37800, "m6": 3780, "m7": 120, "m8": 1}
 
@@ -221,9 +224,10 @@ def test_frame_triples_are_class_orbits(n):
     # invariant.  Every involution is a product of reflections in orthogonal
     # roots (Carter), and the maximal orthogonal sets form one orbit, so
     # every class meets the frame candidates; each triple group of them lies
-    # in one class orbit, so equal triples mean conjugate involutions.
+    # in one class orbit, so equal triples mean conjugate involutions.  The
+    # orbits also check the class sizes of the frame count.
     groups = {}
-    for frame in inv_mod._maximal_orthogonal_reps(n):
+    for frame in inv_mod._maximal_orthogonal_reps(*inv_mod._orthogonality(n)):
         for sub, key, perp in inv_mod._frame_candidates(n, frame):
             groups.setdefault((len(sub), len(key), perp), set()).add(key)
     classes = {c.minus_root_key: c for c in classify_involutions(n)}
@@ -231,16 +235,21 @@ def test_frame_triples_are_class_orbits(n):
     sizes = {}
     for triple, keys in groups.items():
         first = min(keys)
-        orbit = inv_mod._key_orbit(first, n)
+        orbit = key_orbit(first, n)
         assert {bytes(k) for k in keys} <= orbit, (n, triple)
         cls = classes[first]
         assert cls.invariant.class_triple() == triple
         assert inv_mod._class_triple(cls.representative, n) == (first, triple)
         sizes[cls.label] = len(orbit)
-    if n <= 7:
-        assert sizes == {c.label: c.class_size for c in classes.values()}
-    else:
+    assert sizes == {c.label: c.class_size for c in classes.values()}
+    if n == 8:
         assert sizes == N8_CLASS_SIZES and sum(sizes.values()) == 199951
+
+
+def test_class_sizes_divide_the_group_order():
+    for n in range(3, 9):
+        for cls in classify_involutions(n):
+            assert weyl_order(n) % cls.class_size == 0, (n, cls.label)
 
 
 def test_invariants_are_built_for_representatives_only(monkeypatch):
@@ -322,11 +331,11 @@ def _all_maximal_cliques(n):
 def test_maximal_orthogonal_sets_form_one_orbit(n):
     # classification takes the first maximal clique only; that is complete
     # because every maximal orthogonal root set lies in the orbit of that frame
-    reps = inv_mod._maximal_orthogonal_reps(n)
+    reps = inv_mod._maximal_orthogonal_reps(*inv_mod._orthogonality(n))
     assert [tuple(sorted(f)) for f in reps] == [FRAMES[n]]
     cliques = _all_maximal_cliques(n)
     assert len(cliques) == len(set(cliques)) == MAXIMAL_CLIQUE_COUNTS[n]
-    orbit = inv_mod._key_orbit(FRAMES[n], n)
+    orbit = key_orbit(FRAMES[n], n)
     assert {bytes(c) for c in cliques} == orbit
     assert [r.coords for r in orthogonal_root_sets(n)[0]] == sorted(
         pg._roots_and_index(n)[0][i].coords for i in FRAMES[n])
@@ -347,9 +356,55 @@ def test_byte_key_orbit_matches_tuple_reference():
     keys.append((8, FRAMES[8]))
     for n, key in keys:
         ref = _reference_key_orbit(key, n)
-        assert inv_mod._key_orbit(key, n) == {bytes(k) for k in ref}, (n, key)
+        assert key_orbit(key, n) == {bytes(k) for k in ref}, (n, key)
     # the n = 8 frame orbit: 2025 keys
     assert len(_reference_key_orbit(FRAMES[8], 8)) == MAXIMAL_CLIQUE_COUNTS[8]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_frame_count_equals_maximal_cliques(n):
+    # N, the orthogonal |F|-sets of all roots, is the number of maximal
+    # cliques networkx enumerates
+    ids, orth = inv_mod._orthogonality(n)
+    [frame] = inv_mod._maximal_orthogonal_reps(ids, orth)
+    count = inv_mod._orthogonal_set_counter(orth)
+    assert count((1 << len(ids)) - 1, len(frame)) == MAXIMAL_CLIQUE_COUNTS[n]
+
+
+def _listed_set_counts(members, n):
+    """[c_0, c_1, ...]: the orthogonal j-sets among the root ids members, by
+    extending every orthogonal set in combinations order."""
+    roots, _ = pg._roots_and_index(n)
+    members = sorted(members)
+    perp = {(a, b) for a, b in itertools.combinations(members, 2)
+            if roots[a].dot(roots[b]) == 0}
+    counts, level = [1], [()]
+    while level:
+        level = [s + (b,) for s in level for b in members
+                 if (not s or b > s[-1]) and all((a, b) in perp for a in s)]
+        counts.append(len(level))
+    return counts[:-1]
+
+
+def test_set_counter_matches_listed_orthogonal_sets():
+    # on the key roots and the fixed roots of every frame candidate, n <= 7
+    listed = {}
+    for n in range(2, 8):
+        ids, orth = inv_mod._orthogonality(n)
+        [frame] = inv_mod._maximal_orthogonal_reps(ids, orth)
+        bit = {a: 1 << i for i, a in enumerate(ids)}
+        count = inv_mod._orthogonal_set_counter(orth)
+        roots, _ = pg._roots_and_index(n)
+        for sub, key, perp in inv_mod._frame_candidates(n, frame):
+            fixed = tuple(a for a in ids if all(roots[a].dot(roots[r]) == 0 for r in sub))
+            assert len(fixed) == perp
+            for members in (key, fixed):
+                mask = sum(bit[a] for a in members)
+                if (n, mask) not in listed:
+                    listed[n, mask] = _listed_set_counts(members, n)
+                want = listed[n, mask]
+                got = [count(mask, j) for j in range(len(frame) + 2)]
+                assert got == want + [0] * (len(got) - len(want)), (n, sub, members)
 
 
 def test_conjugacy_tests_square_g_once(monkeypatch, rng):
@@ -363,13 +418,25 @@ def test_conjugacy_tests_square_g_once(monkeypatch, rng):
         calls.append(self)
         return is_involution(self)
 
-    monkeypatch.setattr(Isometry, "is_involution", counted)
-    # conjugacy is decided by class triples, with no orbit walk
+    # classes, class sizes and conjugacy come with no closure at all: no
+    # orbit walk, no group closure
     walks = []
+    closure = weyl_mod.closure
+
+    def walked(*args, **kwargs):
+        walks.append(args)
+        return closure(*args, **kwargs)
+
+    for module in (weyl_mod, pg):
+        monkeypatch.setattr(module, "closure", walked)
+    for n in range(2, 9):
+        inv_mod.classify_involutions.__wrapped__(n)
+    assert walks == []
+
+    monkeypatch.setattr(Isometry, "is_involution", counted)
     n = 5
     cls = classify_involutions(n)[2]
     cls8 = classify_involutions(8)[4]
-    monkeypatch.setattr(inv_mod, "_key_orbit", lambda *args, **kw: walks.append(args))
     h = random_group_element(n, rng)
     conj = h @ cls.representative @ h.inverse()
     calls.clear()

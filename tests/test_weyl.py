@@ -11,7 +11,7 @@ import delpezzo
 import delpezzo.exactlinalg as xl
 import delpezzo.permgroup as pg
 from delpezzo import InputError, UnsupportedError
-from delpezzo.involutions import _canon_table, _key_orbit
+from delpezzo.involutions import _canon_table
 from delpezzo.lattice import del_pezzo_lattice
 from delpezzo.weyl import (
     canonical_class,
@@ -26,7 +26,7 @@ from delpezzo.weyl import (
     weyl_order,
 )
 
-from conftest import brute_force_root_count, random_group_element
+from conftest import brute_force_root_count, key_orbit, random_group_element
 
 ROOT_COUNTS = {2: 2, 3: 8, 4: 20, 5: 40, 6: 72, 7: 126, 8: 240}
 WEYL_ORDERS = {2: 4, 3: 12, 4: 120, 5: 1920, 6: 51840, 7: 2903040,
@@ -107,7 +107,7 @@ def _n4_conjugacy_orbit(limit):
 
 def _n4_class_orbit(limit):
     # one root pair id; its class orbit is all 10 root pairs of A4
-    return _key_orbit((_canon_table(4)[0],), 4, limit=limit)
+    return key_orbit((_canon_table(4)[0],), 4, limit=limit)
 
 
 @pytest.mark.parametrize("build, size, what", [
