@@ -40,19 +40,31 @@ Route b skips every c1 without a hyperbolic partner, which an exact mod-2
 test (has_partner) detects, so only vectors that can pair scan for a c2;
 the scan order and the first pair found are those of the full scan.
 
+Route d rests on the Z[G] splitting Z^t + Z_-^c + Z[G]^r of M under g: a
+swapped pair lives in the Z[G]^r part, and since 1 - g = 1 + g mod 2, the
+images of L_plus and L_minus in M/2M meet in a space of dimension exactly
+r.  A pair a = b (mod 2M) therefore has a in the congruent sublattice
+Lambda(L, L') = {v in L : v = w (mod 2M), w in L'} of its side and b in
+that of the other side; each has index 2^(rank L - r) and holds 2L
+(_congruent_sublattice, one F2 elimination).  The definite side's roots
+are one complete search of its Lambda; the other side searches its own
+Lambda, and when that side is indefinite, against the anchor 2p for its
+anchor p, so slab s = 2t holds the vectors of slab t against p and the odd
+slabs are empty.
+
 The search engine yields ambient int tuples: the exact-norm descent of
 enumeration lifts each vector as it finds it, from the side's basis
 columns, so _search_batches passes the batches on as they come and no
 consumer lifts.  A slab vector's lift is divided by the anchor's square,
-which is exact because every eigen side is saturated (_side checks the
-flag).  Each slab visits only the complement coset whose vectors lift to
-integral classes, at its exact norm, and the anchor frame behind it
-(complement, residues, scaled Cholesky data) is built once per eigen side
-and shared by every route on that side.  Route b runs the partner test
-only on the c1 it visits and computes J c1 only for the c1 that pass it;
-route d tests roots mod 2 against one F2 echelon of the other side and
-pairs them by parity; lattice vectors are built only for the witnesses
-returned.
+which is exact because the descent visits only the complement coset whose
+vectors are integral in the frame's own basis; that holds on any
+sublattice, saturated or not.  The anchor frame behind it (complement,
+residues, scaled Cholesky data) is built once per eigen side and shared by
+every route on that side, and route d's frame of the other side's Lambda
+is built once per eigen data.  Route b runs the partner test only on the
+c1 it visits and computes J c1 only for the c1 that pass it; route d pairs
+the roots of the two Lambdas by parity; lattice vectors are built only for
+the witnesses returned.
 
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, decompose starts from the same eigen_data, splits
@@ -66,8 +78,9 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import InputError
 from . import enumeration as en
@@ -136,9 +149,14 @@ class _EigenSide:
 
 @dataclass
 class EigenData:
+    """Both eigen sides of g; glue is the congruent sublattice of route d's
+    other side (_congruent_sublattice), built at its first search and kept,
+    with its AnchorFrame, for every later route_d call."""
+
     g: Isometry
     plus: _EigenSide
     minus: _EigenSide
+    glue: Optional[_EigenSide] = field(default=None, repr=False, compare=False)
 
 
 def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
@@ -181,24 +199,67 @@ def _box_search(gram, box, k: int, square: int, lin: List[int],
     return None
 
 
-def _side(sub: Sublattice, preferred: Optional[Coords] = None) -> _EigenSide:
-    """The search data of an eigenlattice; it must be saturated, as every
-    kernel basis is, so that the slab lift may test integrality on ambient
-    coordinates.  preferred is the preferred anchor, in the sub basis
-    (fixed_and_antifixed gives K's)."""
+def _side(sub: Sublattice, preferred: Optional[Coords] = None,
+          signature: Optional[Tuple[int, int]] = None) -> _EigenSide:
+    """The search data of an eigenlattice.  It must be saturated, as every
+    kernel basis is: the routes search the whole eigenlattice, and a basis
+    of smaller index would miss the classes outside its span.  preferred is
+    the preferred anchor, in the sub basis (fixed_and_antifixed gives K's);
+    signature is the side's (positive, negative) inertia when the caller
+    knows it (_anchored_signatures), else sylvester_signature computes it."""
     if not sub.saturated:
         raise InputError("an eigen side must be a saturated sublattice")
     gram = sub.gram()
     if sub.rank == 0:
         return _EigenSide(sub, gram, True, None)
-    pos, neg, zero = xl.sylvester_signature(gram)
-    if zero:
-        raise InputError("degenerate eigenlattice; input is not an isometry")
+    if signature is None:
+        pos, neg, zero = xl.sylvester_signature(gram)
+        if zero:
+            raise InputError("degenerate eigenlattice; input is not an isometry")
+    else:
+        pos, neg = signature
     definite = pos == 0 or neg == 0
     anchor = None
     if not definite:
         anchor = _find_anchor(gram, None if preferred is None else list(preferred))
     return _EigenSide(sub, gram, definite, anchor)
+
+
+@lru_cache(maxsize=None)
+def _lattice_signature(gram: Tuple[Tuple[int, ...], ...]) -> Tuple[int, int, int]:
+    return xl.sylvester_signature(gram)
+
+
+def _anchored_signatures(plus: Sublattice, minus: Sublattice, anchor: LatticeVector,
+                         coords: Optional[Coords]) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """The (positive, negative) inertia of both eigen sides when g fixes an
+    anchor of positive square (coords, its plus coordinates, not None) in a
+    lattice of signature (1, n), else None.
+
+    The sides are nondegenerate (they are orthogonal and span a subgroup of
+    finite index), so plus, which holds the anchor, has signature (1, r - 1),
+    and minus lies in the anchor's orthogonal complement, which is negative
+    definite.  For K, with K^2 = 9 - n > 0 on M_n, n <= 8, that is every
+    K-fixing involution.
+    """
+    if coords is None or anchor.norm() <= 0:
+        return None
+    lat = anchor.lattice
+    if _lattice_signature(lat.gram) != (1, lat.rank - 1, 0):
+        return None
+    return (1, plus.rank - 1), (0, minus.rank)
+
+
+def _anchored_sides(plus: Sublattice, minus: Sublattice, anchor: LatticeVector,
+                    coords: Optional[Coords]) -> Tuple[_EigenSide, _EigenSide]:
+    """The search data of both eigen sides, the plus side anchored at coords
+    when g fixes the anchor; the signatures come from _anchored_signatures
+    where it knows them, and sylvester_signature runs only where it does
+    not."""
+    known = _anchored_signatures(plus, minus, anchor, coords)
+    if known is None:
+        return _side(plus, coords), _side(minus)
+    return _side(plus, coords, known[0]), _side(minus, None, known[1])
 
 
 def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData:
@@ -211,7 +272,7 @@ def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData
         plus, minus = fixed_and_antifixed(g)
         return EigenData(g, _side(plus), _side(minus))
     plus, minus, coords = fixed_and_antifixed(g, anchor)
-    return EigenData(g, _side(plus, coords), _side(minus))
+    return EigenData(g, *_anchored_sides(plus, minus, anchor, coords))
 
 
 def _search_batches(side: _EigenSide, target: int, t_bound: int):
@@ -369,44 +430,85 @@ def route_c(data: EigenData, t_bound: int) -> RouteResult:
                        "fixed_norm_minus1", "plus_definite_exhausted")
 
 
-def congruent_roots(roots: Sequence[Coords], other: _EigenSide) -> List[Coords]:
-    """The roots (ambient coordinates) congruent mod 2 to some vector of the
-    other eigen side, in their given order.
+def _congruent_sublattice(side: _EigenSide, other: _EigenSide) -> _EigenSide:
+    """The search data of the congruent sublattice Lambda(L, L') = {v in L :
+    v = w (mod 2M) for some w in L'} of the side L against the other side L'.
 
-    The other side's basis mod 2 goes into one F2 echelon, and each root is
-    reduced against it on packed ints.
+    Each basis vector b_i of L, packed as in xl.f2_bits, is reduced against
+    one F2 echelon of L', and one more elimination of those residues tracks
+    the combinations, as f2_echelon reduces.  x in Z^r lies in Lambda
+    exactly when the residues with x_i odd sum to 0, so Lambda has the basis,
+    in index order, of 2 e_i at each pivot i and, at every other i, the 0/1
+    kernel combination (1 at i, its other entries at pivots): 2L lies in
+    Lambda and the index is 2^pivots, with no HNF.  An anchor p of L becomes
+    2p, which lies in Lambda because 2L does: 2 p_j at a non-pivot j, and
+    p_i - sum_j k_j[i] p_j at a pivot i.  Lambda is not saturated, which the
+    search does not need: the slab descent tests integrality in the basis
+    of its own frame.
     """
     echelon = xl.f2_echelon(xl.f2_bits(v.coords) for v in other.sub.basis)
-    return [a for a in roots if not xl.f2_reduce(echelon, xl.f2_bits(a))]
+    rank = side.sub.rank
+    pivots: List[Tuple[int, int]] = []    # (residue, combination mask)
+    cols = []
+    for i, v in enumerate(side.sub.basis):
+        bits, comb = xl.f2_reduce(echelon, xl.f2_bits(v.coords)), 1 << i
+        for b, c in pivots:
+            if bits ^ b < bits:
+                bits, comb = bits ^ b, comb ^ c
+        if bits:
+            pivots.append((bits, comb))
+            cols.append([2 * (j == i) for j in range(rank)])
+        else:
+            cols.append([(comb >> j) & 1 for j in range(rank)])
+    sub = Sublattice(side.sub.ambient, tuple(side.sub.from_coords(c) for c in cols))
+    anchor = None
+    if side.anchor is not None:
+        p, free = side.anchor, [j for j in range(rank) if cols[j][j] == 1]
+        anchor = [2 * p[i] if cols[i][i] == 1 else p[i] - sum(cols[j][i] * p[j] for j in free)
+                  for i in range(rank)]
+    return _EigenSide(sub, sub.gram(), side.definite, anchor)
 
 
-def _roots(side: _EigenSide, t_bound: int) -> List[Coords]:
-    """Ambient coordinates of the roots found on a side, in search order."""
-    return [a for batch in _search_batches(side, -2, t_bound) for a in batch]
+def _has_root(side: _EigenSide) -> bool:
+    """Whether a definite side holds a vector of square -2: a -2 on its Gram
+    diagonal, else one complete search."""
+    gram = side.gram
+    return bool(side.sub.rank) and (any(gram[i][i] == -2 for i in range(len(gram)))
+                                    or bool(en.definite_vectors(gram, -2)))
 
 
 def route_d(data: EigenData, t_bound: int) -> RouteResult:
-    """Swapped (-1)-pair via roots a in L_minus, b in L_plus, a = b mod 2L.
+    """Swapped (-1)-pair via roots a in L_minus, b in L_plus, a = b mod 2M.
 
-    One eigenlattice is always definite, so its root list is complete and
-    the mod-2 congruence argument can close the route outright.  The pairs
-    are compared as int tuples; the witnesses are the sign-canonical lex-min
-    c1 = (a + b) / 2 of the first slab with a pair, and g(c1).
+    One eigenlattice is always definite, so its search is complete and the
+    mod-2 congruence argument can close the route outright.  Only vectors of
+    the congruent sublattices can pair: the complete side searches
+    Lambda(complete, other) for its roots, one definite_vectors call; when
+    it has none, the route closes as mod2_unsolvable if the side has a root
+    at all (_has_root), else as no_{side}_roots.  The other side searches
+    Lambda(other, complete), cached on the eigen data: definite, one batch;
+    indefinite, slabs s = 2t against the anchor 2p, so slab s holds the
+    vectors of slab t = s / 2 against p, and the odd slabs are empty.  The
+    pairs are compared as int tuples by parity; the witnesses are the
+    sign-canonical lex-min c1 = (a + b) / 2 of the first slab with a pair,
+    and g(c1).
     """
     if data.minus.definite:
-        complete_side, other = "minus", data.plus
+        complete_side, complete, other = "minus", data.minus, data.plus
     else:
-        complete_side, other = "plus", data.minus
-    complete_list = _roots(getattr(data, complete_side), t_bound)
-    if not complete_list:
-        return RouteResult(CLOSED, f"no_{complete_side}_roots")
-    congruent = congruent_roots(complete_list, other)
+        complete_side, complete, other = "plus", data.plus, data.minus
+    congruent = [a for batch in _search_batches(_congruent_sublattice(complete, other), -2,
+                                                t_bound) for a in batch]
     if not congruent:
-        return RouteResult(CLOSED, "mod2_unsolvable")
+        if _has_root(complete):
+            return RouteResult(CLOSED, "mod2_unsolvable")
+        return RouteResult(CLOSED, f"no_{complete_side}_roots")
+    if data.glue is None:
+        data.glue = _congruent_sublattice(other, complete)
     by_parity: dict = {}
     for a in congruent:
         by_parity.setdefault(xl.f2_bits(a), []).append(a)
-    for batch in _search_batches(other, -2, t_bound):
+    for batch in _search_batches(data.glue, -2, 2 * t_bound):
         best = None
         for b in batch:
             for a in by_parity.get(xl.f2_bits(b), ()):

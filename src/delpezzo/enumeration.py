@@ -34,7 +34,10 @@ complement vectors d = m c - t p of its integral c are exactly the coset
 d = -t w (mod m) of the complement at norm m (t^2 - m target), with w p's
 complement coordinates, and the descent visits only them.  Its sums are
 m c = comp^T d + t p (B m c, with the columns composed with the basis rows
-B of a saturated sublattice first), and one exact division by m gives c.
+B of a sublattice first), and one exact division by m gives c.  The coset
+makes c integral in the frame's own basis, so B c is an integral class of
+the sublattice whether or not it is saturated; nothing is tested on
+ambient coordinates.
 """
 from __future__ import annotations
 
@@ -243,7 +246,8 @@ class AnchorFrame:
 def anchored_norm_slices(frame: AnchorFrame, target: int, t_bound: int):
     """Yield (|t|, vectors) with c^2 == target for |t| = 0..t_bound, grouped
     by |<p, c>|, from the frame of a form of signature (1, k), an anchor p of
-    square m > 0 and, optionally, basis rows B of a saturated sublattice.
+    square m > 0 and, optionally, basis rows B of a sublattice, saturated or
+    not.
 
     Each slice <p, c> = t is a complete search of one coset in the negative
     definite complement of p, so each batch is complete for its slab, and

@@ -212,8 +212,9 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False,
     _, minus_pairs, fixed_pairs = triple
     flags: Tuple[Optional[bool], ...] = (None,) * 4
     if with_flags:
-        # K anchors the fixed side
-        data = criteria.EigenData(g, criteria._side(plus, k_coords), criteria._side(minus))
+        # K anchors the fixed side, and fixes the signatures of both sides
+        data = criteria.EigenData(g, *criteria._anchored_sides(plus, minus, canonical_class(n),
+                                                              k_coords))
         a, b, c, d = criteria.route_flags(data, n)
         flags = (a, c, b, d)
     return InvolutionInvariant(

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,15 @@ def random_group_element(n, rng: random.Random, length: int = 8) -> Isometry:
     for _ in range(rng.randrange(1, length + 1)):
         g = g @ rng.choice(gens)
     return g
+
+
+def bench_inputs():
+    """perfbench/inputs.py as a module: the benchmark's input streams."""
+    path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def key_orbit(key, n, limit: int = 3 * 10 ** 6):

@@ -1,12 +1,14 @@
 """The integer-tuple scans of routes b and d against their reference forms.
 
 _search_batches yields ambient int tuples; route_b pairs them and builds
-lattice vectors only for its witnesses; congruent_roots reduces each root
-against one F2 echelon of the other side.  Here the batches are held
-against the side-coordinate enumeration lifted vector by vector, route_b
-against the scan it replaced, on sorted (LatticeVector, coords) pairs of
-partner-tested side coordinates with one matrix product per c1, and
-congruent_roots against one xl.f2_solvable call per root.
+lattice vectors only for its witnesses; route_d searches only the congruent
+sublattices of _congruent_sublattice.  Here the batches are held against
+the side-coordinate enumeration lifted vector by vector, route_b against
+the scan it replaced, on sorted (LatticeVector, coords) pairs of
+partner-tested side coordinates with one matrix product per c1, and route_d
+against the route that listed every root of both sides and reduced each
+root against one F2 echelon, whose filter is held against one
+xl.f2_solvable call per root.
 """
 import itertools
 import math
@@ -21,8 +23,18 @@ from delpezzo import classify_involutions, criteria, decompose
 from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.errors import InputError
-from delpezzo.lattice import Sublattice, has_even_products, identity_isometry
-from delpezzo.weyl import canonical_class, chamber_conjugate, wall_generators
+from delpezzo.lattice import (
+    Isometry,
+    Sublattice,
+    del_pezzo_lattice,
+    fixed_and_antifixed,
+    has_even_products,
+    identity_isometry,
+    sign_canonical_coords,
+)
+from delpezzo.weyl import canonical_class, chamber_conjugate, reflection, wall_generators
+
+from conftest import bench_inputs
 
 
 def _reference_partner(gram, c1):
@@ -74,6 +86,69 @@ def _reference_route_b(data, t_bound):
     return criteria.RouteResult(criteria.OPEN, f"searched(t<={t_bound})")
 
 
+def _reference_congruent_roots(roots, other):
+    """The roots (ambient coordinates) congruent mod 2 to some vector of the
+    other eigen side, in their given order.
+
+    The other side's basis mod 2 goes into one F2 echelon, and each root is
+    reduced against it on packed ints.
+    """
+    echelon = xl.f2_echelon(xl.f2_bits(v.coords) for v in other.sub.basis)
+    return [a for a in roots if not xl.f2_reduce(echelon, xl.f2_bits(a))]
+
+
+def _reference_roots(side, t_bound):
+    """Ambient coordinates of the roots found on a side, in search order."""
+    return [a for batch in criteria._search_batches(side, -2, t_bound) for a in batch]
+
+
+def _reference_route_d(data, t_bound):
+    """route_d as it listed every root of the complete side and filtered
+    them mod 2, then searched every root of the other side."""
+    if data.minus.definite:
+        complete_side, other = "minus", data.plus
+    else:
+        complete_side, other = "plus", data.minus
+    complete_list = _reference_roots(getattr(data, complete_side), t_bound)
+    if not complete_list:
+        return criteria.RouteResult(criteria.CLOSED, f"no_{complete_side}_roots")
+    congruent = _reference_congruent_roots(complete_list, other)
+    if not congruent:
+        return criteria.RouteResult(criteria.CLOSED, "mod2_unsolvable")
+    by_parity: dict = {}
+    for a in congruent:
+        by_parity.setdefault(xl.f2_bits(a), []).append(a)
+    for batch in criteria._search_batches(other, -2, t_bound):
+        best = None
+        for b in batch:
+            for a in by_parity.get(xl.f2_bits(b), ()):
+                c1 = sign_canonical_coords(tuple((x + y) // 2 for x, y in zip(a, b)))
+                if best is None or c1 < best:
+                    best = c1
+        if best is not None:
+            c1 = data.g.lattice.vector(best)
+            return criteria.RouteResult(criteria.WITNESS, "swapped_minus1_pair",
+                                        (c1, data.g.apply(c1)))
+    if other.definite:
+        return criteria.RouteResult(criteria.CLOSED, "definite_pairs_exhausted")
+    return criteria.RouteResult(criteria.OPEN, f"searched(t<={t_bound})")
+
+
+def _wall_conjugates(n, g, rng, count):
+    """count O(M_n) wall-word conjugates of g, each replaced by its chamber
+    conjugate when it does not fix K, as check_reducible sees them."""
+    out = []
+    for _ in range(count):
+        h = identity_isometry(g.lattice)
+        for _ in range(12):
+            h = h @ rng.choice(wall_generators(n).isometries())
+        conj = h @ g @ h.inverse()
+        if conj.apply(canonical_class(n)) != canonical_class(n):
+            conj, _ = chamber_conjugate(conj)
+        out.append(conj)
+    return out
+
+
 def _eigen_data():
     """Eigen data of the catalog representatives, n = 3..8, then of 40
     chamber conjugates of wall-word conjugates, as check_reducible sees them."""
@@ -82,12 +157,7 @@ def _eigen_data():
     rng = random.Random(8081)
     for _ in range(40):
         n, g = rng.choice(reps)
-        h = identity_isometry(g.lattice)
-        for _ in range(12):
-            h = h @ rng.choice(wall_generators(n).isometries())
-        conj = h @ g @ h.inverse()
-        if conj.apply(canonical_class(n)) != canonical_class(n):
-            conj, _ = chamber_conjugate(conj)
+        conj, = _wall_conjugates(n, g, rng, 1)
         out.append(criteria.eigen_data(conj, canonical_class(n)))
     return out
 
@@ -208,7 +278,9 @@ def test_search_batches_lift_the_side_coordinate_enumeration(eigen_data, target)
 
 
 def test_anchor_frame_is_built_once_per_side(monkeypatch):
-    # every route on a side reads one AnchorFrame, built at its first slab
+    # every route on a side reads one AnchorFrame, built at its first slab;
+    # route d's congruent sublattice of its other side (data.glue) builds at
+    # most one more per eigen data, and the second pass builds no frame
     built = []
 
     class Counting(en.AnchorFrame):
@@ -219,23 +291,33 @@ def test_anchor_frame_is_built_once_per_side(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(en, "AnchorFrame", Counting)
-    frames = 0
+    frames = glue_frames = 0
     for n in range(3, 9):
         for cls in classify_involutions(n):
             data = criteria.eigen_data(cls.representative, canonical_class(n))
             before = len(built)
-            for _ in range(2):
-                for _name, _res in criteria.iter_routes(data, n, 4):
-                    pass
+            for _name, _res in criteria.iter_routes(data, n, 4):
+                pass
+            first = len(built)
+            for _name, _res in criteria.iter_routes(data, n, 4):
+                pass
+            assert len(built) == first
             sides = [s for s in (data.plus, data.minus) if s.frame is not None]
-            assert len(built) - before == len(sides)
-            for side in sides:
+            glue = [data.glue] if data.glue is not None and data.glue.frame is not None else []
+            assert first - before == len(sides) + len(glue)
+            for side in sides + glue:
                 assert not side.definite and side.anchor is not None
                 gp = xl.mat_vec(side.gram, side.anchor)
                 assert side.frame.m == sum(map(operator.mul, side.anchor, gp))
                 assert side.frame.g == math.gcd(*gp)
+            for side in glue:
+                # the anchor 2p of the plus side's p, read in the sublattice basis
+                assert side.frame.g % 2 == 0
+                assert (side.sub.lift(side.anchor)
+                        == tuple(2 * x for x in data.plus.sub.lift(data.plus.anchor)))
             frames += len(sides)
-    assert frames > 10
+            glue_frames += len(glue)
+    assert frames > 10 and glue_frames > 5
 
 
 def test_side_rejects_an_unsaturated_sublattice(eigen_data):
@@ -251,17 +333,146 @@ def test_side_rejects_an_unsaturated_sublattice(eigen_data):
 
 @pytest.mark.parametrize("bound", (2, 4))
 def test_congruent_roots_match_f2_solvable(eigen_data, bound):
+    # the roots of the congruent sublattice are the complete side's roots
+    # that one f2_solvable call per root keeps, as sets
     checked = 0
     for data in eigen_data:
         for side, other in ((data.minus, data.plus), (data.plus, data.minus)):
             if not side.definite:
                 continue
-            roots = criteria._roots(side, bound)
+            roots = _reference_roots(side, bound)
             other_basis = [[x % 2 for x in row] for row in other.sub.basis_matrix()]
             want = [a for a in roots if xl.f2_solvable(other_basis, [x % 2 for x in a])]
-            assert criteria.congruent_roots(roots, other) == want
+            assert _reference_congruent_roots(roots, other) == want
+            lam = criteria._congruent_sublattice(side, other)
+            got = [a for batch in criteria._search_batches(lam, -2, bound) for a in batch]
+            assert len(got) == len(set(got)) and set(got) == set(want)
             checked += len(roots)
     assert checked > 1000
+
+
+def _catalog_sides():
+    """(class, side, other) for both eigen sides of every catalog
+    representative, n = 2..8."""
+    for n in range(2, 9):
+        for cls in classify_involutions(n):
+            data = criteria.eigen_data(cls.representative, canonical_class(n))
+            yield cls, data.plus, data.minus
+            yield cls, data.minus, data.plus
+
+
+def test_congruent_sublattice_is_the_mod2_glue():
+    # 2L lies in Lambda, x lies in Lambda exactly when it reduces to 0
+    # against the other side's echelon, and the index is 2^(rank - r) for
+    # the r of the class's Z[G] splitting (t, c, r)
+    rng = random.Random(2222)
+    sides = 0
+    for cls, side, other in _catalog_sides():
+        lam = criteria._congruent_sublattice(side, other)
+        rank = side.sub.rank
+        assert lam.sub.rank == rank and lam.definite == side.definite
+        assert lam.gram == lam.sub.gram()
+        if not rank:
+            continue
+        coords = [side.sub.coords_of(v) for v in lam.sub.basis]
+        _, _, r = cls.invariant.zg
+        assert abs(xl.det([list(c) for c in coords])) == 2 ** (rank - r)
+        for v in side.sub.basis:
+            assert lam.sub.coords_of(2 * v) is not None
+        echelon = xl.f2_echelon(xl.f2_bits(v.coords) for v in other.sub.basis)
+        for _ in range(20):
+            v = side.sub.from_coords([rng.randint(-3, 3) for _ in range(rank)])
+            assert ((lam.sub.coords_of(v) is not None)
+                    == (xl.f2_reduce(echelon, xl.f2_bits(v.coords)) == 0))
+        sides += 1
+    assert sides > 60
+
+
+def _route_d_checked(data, bound, outcomes, route_d=criteria.route_d):
+    """route_d's result, asserted equal to the reference's; outcomes counts
+    each status, and each closure reason."""
+    got = route_d(data, bound)
+    assert got == _reference_route_d(data, bound)
+    key = got.reason if got.status == criteria.CLOSED else got.status
+    outcomes[key] = outcomes.get(key, 0) + 1
+    return got
+
+
+@pytest.mark.parametrize("bound", (1, 2, 4, 10))
+def test_route_d_matches_reference_on_catalog(bound):
+    outcomes = {}
+    for n in range(2, 9):
+        for cls in classify_involutions(n):
+            data = criteria.eigen_data(cls.representative, canonical_class(n))
+            _route_d_checked(data, bound, outcomes)
+            # a second call reads the cached congruent sublattice
+            _route_d_checked(data, bound, outcomes)
+    assert set(outcomes) == {"open" if bound == 1 else "witness", "mod2_unsolvable"}
+    # -1 and +-(the reflections in H and E_1), which fix no K: a side with no
+    # root on each side of the route
+    for n in range(2, 9):
+        lat = del_pezzo_lattice(n)
+        minus_one = identity_isometry(lat).negated()
+        for g in (minus_one, reflection(lat.basis_vector(0)), reflection(lat.basis_vector(1))):
+            _route_d_checked(criteria.eigen_data(g), bound, outcomes)
+            _route_d_checked(criteria.eigen_data(g.negated()), bound, outcomes)
+    assert outcomes["no_plus_roots"] and outcomes["no_minus_roots"]
+
+
+@pytest.mark.parametrize("bound", (2, 10))
+def test_route_d_matches_reference_on_wall_conjugates(bound):
+    rng = random.Random(3131)
+    outcomes = {}
+    for n in range(2, 9):
+        for cls in classify_involutions(n):
+            for conj in _wall_conjugates(n, cls.representative, rng, 3):
+                data = criteria.eigen_data(conj, canonical_class(n))
+                _route_d_checked(data, bound, outcomes)
+    assert outcomes["witness"] > 50 and outcomes["mod2_unsolvable"] > 20
+
+
+@pytest.mark.parametrize("seed", (101, 17))
+def test_route_d_matches_reference_on_decompose_streams(monkeypatch, seed):
+    # every route_d call decompose makes, on its chamber conjugates and on
+    # the narrowed sides after each split
+    route_d, outcomes = criteria.route_d, {}
+
+    def checked(data, bound):
+        return _route_d_checked(data, bound, outcomes, route_d)
+
+    monkeypatch.setattr(criteria, "route_d", checked)
+    for op in bench_inputs().decompose_stream(seed):
+        decompose(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n, height_bound=10)
+    assert outcomes["witness"] > 100 and outcomes["definite_pairs_exhausted"] > 50
+    assert outcomes["mod2_unsolvable"] > 20 and outcomes["no_minus_roots"] > 10
+
+
+def test_anchored_signatures_match_sylvester(monkeypatch):
+    # a K-fixing involution's sides have signatures (1, r - 1) and (0, r),
+    # on the catalog and on three O(M_n) conjugates of each class; eigen_data
+    # then runs no sylvester_signature
+    rng = random.Random(5151)
+    inferred = 0
+    for n in range(2, 9):
+        k = canonical_class(n)
+        for cls in classify_involutions(n):
+            for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 3):
+                plus, minus, coords = fixed_and_antifixed(g, k)
+                known = criteria._anchored_signatures(plus, minus, k, coords)
+                if coords is None:
+                    assert known is None
+                    continue
+                for sub, sig in zip((plus, minus), known):
+                    assert xl.sylvester_signature(sub.gram()) == sig + (0,)
+                inferred += 1
+    assert inferred > 100
+    calls = []
+    monkeypatch.setattr(xl, "sylvester_signature",
+                        lambda gram: calls.append(gram) or (_ for _ in ()).throw(AssertionError))
+    for n in range(2, 9):
+        for cls in classify_involutions(n):
+            criteria.eigen_data(cls.representative, canonical_class(n))
+    assert not calls
 
 
 def test_f2_echelon_reduces_exactly_its_span():

@@ -62,7 +62,6 @@ sizes of the census.  Nothing else in it moved, and classify_n2..n7.json did
 not move.
 """
 import hashlib
-import importlib.util
 import json
 import random
 from pathlib import Path
@@ -75,7 +74,7 @@ from delpezzo.irreducibility import check_reducible, decompose
 from delpezzo.lattice import Isometry, del_pezzo_lattice, identity_isometry
 from delpezzo.weyl import wall_generators
 
-from conftest import canonical_generators
+from conftest import bench_inputs, canonical_generators
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,20 +120,12 @@ def test_conjugate_verdicts_match_golden():
     assert _conjugate_checks() == (GOLDEN / "check_conjugates.jsonl").read_text()
 
 
-def _bench_inputs():
-    path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("stream, seed, want", [
     ("verify", 101, "1275c5db61402b1e"),
     ("decompose", 17, "8183f5d7ed5e26d5"),
 ])
 def test_stream_digests(stream, seed, want):
-    inputs = _bench_inputs()
+    inputs = bench_inputs()
     outs = []
     if stream == "verify":
         for op in inputs.verify_stream(seed):
