@@ -252,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact lattice computations for involutions of "
                     "blowup intersection forms.",
         epilog="Environment: DPZ_HEIGHT_BOUND overrides the search height "
-               "bound for indefinite lattices (default 10).",
+               "bound for indefinite lattices (default 10); it must be a "
+               "positive integer, and any other value makes classify, check "
+               "and decompose exit with code 2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -38,7 +38,11 @@ K is the anchor again when the conjugate fixes it.
 
 Route b skips every c1 without a hyperbolic partner, which an exact mod-2
 test (has_partner) detects, so only vectors that can pair scan for a c2;
-the scan order and the first pair found are those of the full scan.
+the scan order and the first pair found are those of the full scan.  It
+reads each slab lazily: the anchor frame's descent is ordered so that a
+slab comes out ascending, and AnchorFrame.ascending merges slabs t and -t
+as they are read, so the scan stops at its witness without enumerating the
+rest of the slab.
 
 Route d rests on the Z[G] splitting Z^t + Z_-^c + Z[G]^r of M under g: a
 swapped pair lives in the Z[G]^r part, and since 1 - g = 1 + g mod 2, the
@@ -60,11 +64,11 @@ which is exact because the descent visits only the complement coset whose
 vectors are integral in the frame's own basis; that holds on any
 sublattice, saturated or not.  The anchor frame behind it (complement,
 residues, scaled Cholesky data) is built once per eigen side and shared by
-every route on that side, and route d's frame of the other side's Lambda
-is built once per eigen data.  Route b runs the partner test only on the
-c1 it visits and computes J c1 only for the c1 that pass it; route d pairs
-the roots of the two Lambdas by parity; lattice vectors are built only for
-the witnesses returned.
+every route on that side (_frame), and route d's frame of the other
+side's Lambda is built once per eigen data.  Route b runs the partner test
+only on the c1 it draws and computes J c1 only for the c1 that pass it;
+route d pairs the roots of the two Lambdas by parity; lattice vectors are
+built only for the witnesses returned.
 
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, decompose starts from the same eigen_data, splits
@@ -74,13 +78,14 @@ already holds.  Every anchor search uses one box radius, ANCHOR_RADIUS.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import InputError
 from . import enumeration as en
@@ -136,14 +141,15 @@ class _EigenSide:
 
     An indefinite side with an anchor builds its enumeration.AnchorFrame
     (the anchor complement, its residue data and, at the first slab that
-    needs them, its scaled Cholesky data) at its first slab, and every
-    route on the side reuses it.
+    needs them, its scaled Cholesky data) at its first slab (_frame), and
+    every route on the side reuses it.
     """
 
     sub: Sublattice
     gram: Tuple[Tuple[int, ...], ...]
     definite: bool        # complete searches available
     anchor: Optional[List[int]]  # coords in sub basis, positive square
+    positive: int         # the positive inertia of gram
     frame: Optional[en.AnchorFrame] = field(default=None, repr=False, compare=False)
 
 
@@ -206,12 +212,13 @@ def _side(sub: Sublattice, preferred: Optional[Coords] = None,
     of smaller index would miss the classes outside its span.  preferred is
     the preferred anchor, in the sub basis (fixed_and_antifixed gives K's);
     signature is the side's (positive, negative) inertia when the caller
-    knows it (_anchored_signatures), else sylvester_signature computes it."""
+    knows it (_anchored_signatures, irreducibility._narrow), else
+    sylvester_signature computes it."""
     if not sub.saturated:
         raise InputError("an eigen side must be a saturated sublattice")
     gram = sub.gram()
     if sub.rank == 0:
-        return _EigenSide(sub, gram, True, None)
+        return _EigenSide(sub, gram, True, None, 0)
     if signature is None:
         pos, neg, zero = xl.sylvester_signature(gram)
         if zero:
@@ -222,7 +229,7 @@ def _side(sub: Sublattice, preferred: Optional[Coords] = None,
     anchor = None
     if not definite:
         anchor = _find_anchor(gram, None if preferred is None else list(preferred))
-    return _EigenSide(sub, gram, definite, anchor)
+    return _EigenSide(sub, gram, definite, anchor, pos)
 
 
 @lru_cache(maxsize=None)
@@ -282,9 +289,9 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
     A definite eigenlattice gives a single exhaustive batch in
     definite_vectors order; an indefinite one is sliced against its anchor
     in order of increasing |<anchor, c>|, each slab as anchored_norm_slices
-    yields it, sorted, from the side's AnchorFrame, built here at the first
-    slab of the side.  Both searches lift with the side's basis rows (the
-    frame holds them), so their vectors come out in ambient coordinates.
+    yields it, ascending, from the side's AnchorFrame (_frame).  Both
+    searches lift with the side's basis rows (the frame holds them), so
+    their vectors come out in ambient coordinates.
     """
     sub, gram = side.sub, side.gram
     if sub.rank == 0:
@@ -294,10 +301,16 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
         return
     if side.anchor is None:
         return
-    if side.frame is None:
-        side.frame = en.AnchorFrame(gram, side.anchor, sub._rows)
-    for _, batch in en.anchored_norm_slices(side.frame, target, t_bound):
+    for _, batch in en.anchored_norm_slices(_frame(side), target, t_bound):
         yield batch
+
+
+def _frame(side: _EigenSide) -> en.AnchorFrame:
+    """The AnchorFrame of an indefinite side with an anchor, built at its
+    first use and kept on the side."""
+    if side.frame is None:
+        side.frame = en.AnchorFrame(side.gram, side.anchor, side.sub._rows)
+    return side.frame
 
 
 def _classes_mod4(gram):
@@ -379,6 +392,22 @@ def _partner_test(gram, v) -> bool:
             and any((x - gram[i][i]) % 2 for i, x in enumerate(v)))
 
 
+def _drawn(got: List[Coords], batch) -> Iterator[Coords]:
+    """Yield the vectors of got, then those drawn from the iterator batch,
+    each appended to got as it is drawn: every scan of one lazy batch reads
+    it from the start, and the batch is computed only as far as the
+    furthest scan reads."""
+    i = 0
+    while True:
+        if i == len(got):
+            c = next(batch, None)
+            if c is None:
+                return
+            got.append(c)
+        yield got[i]
+        i += 1
+
+
 def route_b(data: EigenData, t_bound: int) -> RouteResult:
     """A fixed hyperbolic pair: the first c1 of a slab, in ambient order,
     with a c2 of this or an earlier slab such that c1.c2 = 1.
@@ -391,37 +420,47 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     c1.c2 = 1 has the partner c1, so the first hit is the one of the
     filtered scan.  Lattice vectors are built only for the two witnesses.
 
+    The batch of |t| is read lazily from the side's AnchorFrame
+    (AnchorFrame.ascending), whose ordered descent gives the vectors of
+    slabs t and -t already ascending, so the scan stops at its witness
+    without computing the rest of the slab: c1 is the first vector, in
+    batch order, that passes the partner test, and c2 the first vector of
+    the merge of the earlier batches with this one that pairs with it; the
+    batch is drawn only as far as either scan reads (_drawn).  The witness
+    is the one of the scan over the complete sorted batches.
+
     Before any slab, the route closes by parity (rank below 2, even
     products, a definite side) and then mod 4 (plus_no_partner_mod4): the
     class of an isotropic c1 with a partner has c1^2 = 0 mod 4 and G c1 mod
     2 outside {0, diag(G)}, so when no class of L/2L does
     (_mod4_allows_partner), the side has no hyperbolic pair at all.
     """
-    if data.plus.sub.rank < 2:
+    side = data.plus
+    if side.sub.rank < 2:
         return RouteResult(CLOSED, "plus_rank_below_2")
-    if has_even_products(data.plus.gram):
+    if has_even_products(side.gram):
         return RouteResult(CLOSED, "plus_even_products")
-    if data.plus.definite:
+    if side.definite:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
-    gram, sub = data.plus.gram, data.plus.sub
+    gram, sub = side.gram, side.sub
     if not _mod4_allows_partner(gram):
         return RouteResult(CLOSED, "plus_no_partner_mod4")
-    lat = sub.ambient
-    j_basis = [xl.mat_vec(lat.gram, v.coords) for v in sub.basis]
-    seen: List[Coords] = []
-    # slabs come sorted and complete, in a fixed order, so the first hit in
-    # this scan order is deterministic
-    for batch in _search_batches(data.plus, 0, t_bound):
-        pool = sorted(seen + batch)
-        for c1 in batch:
-            if not _partner_test(gram, [sum(map(mul, jb, c1)) for jb in j_basis]):
-                continue
-            w = [sum(map(mul, row, c1)) for row in lat.gram]
-            for c2 in pool:
-                if sum(map(mul, w, c2)) == 1:
-                    return RouteResult(WITNESS, "fixed_hyperbolic_pair",
-                                       tuple(lat.vector(c) for c in sorted((c1, c2))))
-        seen = pool
+    if side.anchor is not None:
+        lat = sub.ambient
+        frame = _frame(side)
+        j_basis = [xl.mat_vec(lat.gram, v.coords) for v in sub.basis]
+        seen: List[Coords] = []
+        for t in range(t_bound + 1):
+            batch, got = frame.ascending(0, t), []
+            for c1 in _drawn(got, batch):
+                if not _partner_test(gram, [sum(map(mul, jb, c1)) for jb in j_basis]):
+                    continue
+                w = [sum(map(mul, row, c1)) for row in lat.gram]
+                for c2 in heapq.merge(seen, _drawn(got, batch)):
+                    if sum(map(mul, w, c2)) == 1:
+                        return RouteResult(WITNESS, "fixed_hyperbolic_pair",
+                                           tuple(lat.vector(c) for c in sorted((c1, c2))))
+            seen = list(heapq.merge(seen, got))
     return RouteResult(OPEN, f"searched(t<={t_bound})")
 
 
@@ -466,7 +505,7 @@ def _congruent_sublattice(side: _EigenSide, other: _EigenSide) -> _EigenSide:
         p, free = side.anchor, [j for j in range(rank) if cols[j][j] == 1]
         anchor = [2 * p[i] if cols[i][i] == 1 else p[i] - sum(cols[j][i] * p[j] for j in free)
                   for i in range(rank)]
-    return _EigenSide(sub, sub.gram(), side.definite, anchor)
+    return _EigenSide(sub, sub.gram(), side.definite, anchor, side.positive)
 
 
 def _has_root(side: _EigenSide) -> bool:

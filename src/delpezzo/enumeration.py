@@ -27,23 +27,32 @@ and the anchor slabs take the complement columns with the offset t p.
 
 anchored_norm_slices cuts a form of signature (1, k) into slabs <p, c> = t
 against an anchor p of square m > 0; the AnchorFrame of G, p and the basis
-rows is its only input.  One Hermite reduction of the row G p (AnchorFrame)
-gives g = gcd(G p), the complement basis and p's coordinates in a
-unimodular basis extending it.  Slab t is empty unless g | t; otherwise the
-complement vectors d = m c - t p of its integral c are exactly the coset
-d = -t w (mod m) of the complement at norm m (t^2 - m target), with w p's
-complement coordinates, and the descent visits only them.  Its sums are
-m c = comp^T d + t p (B m c, with the columns composed with the basis rows
-B of a sublattice first), and one exact division by m gives c.  The coset
-makes c integral in the frame's own basis, so B c is an integral class of
-the sublattice whether or not it is saturated; nothing is tested on
-ambient coordinates.
+rows B (the identity when there are none) is its only input.  One column
+Hermite reduction of the stacked rows [G p; B] (AnchorFrame) gives
+g = gcd(G p), the complement basis in column echelon form with its ambient
+columns, and p's coordinates in a unimodular basis extending it.  Slab t is
+empty unless g | t; otherwise the complement vectors d = m c - t p of its
+integral c are exactly the coset d = -t w (mod m) of the complement at norm
+m (t^2 - m target), with w p's complement coordinates, and the descent
+visits only them.  Its sums are B m c = h d + t B p over the echelon
+columns h, and one exact division by m gives B c.  The coset makes c
+integral in the frame's own basis, so B c is an integral class of the
+sublattice whether or not it is saturated; nothing is tested on ambient
+coordinates.
+
+The descent is ordered: with the first pivot's column outermost, each slab
+comes out ascending in ambient coordinates (AnchorFrame), so
+anchored_norm_slices merges slab t with the reversed negation that is
+slab -t in linear time and sorts nothing, and AnchorFrame.ascending yields
+the same batch lazily, from a descent whose levels above 1 are generators
+(_walk_lazily), for a scan that stops at its first hit.
 """
 from __future__ import annotations
 
+import heapq
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from . import exactlinalg as xl
 from .errors import InputError
@@ -82,6 +91,15 @@ def _scaled_cholesky(gram: Sequence[Sequence[int]]):
     return diag, upper, scale
 
 
+def _level(rem: int, q: int, s: int, scale: int, r: int, mod: int) -> range:
+    """The x = r (mod mod) with Q (D x + S)^2 <= R, ascending, for q = Q,
+    s = S, scale = D and rem = R."""
+    bound = isqrt(rem // q)
+    lo = -((bound + s) // scale)
+    lo += (r - lo) % mod
+    return range(lo, (bound - s) // scale + 1, mod)
+
+
 def _walk(i: int, rem: int, x: List[int], amb: List[int], diag: List[int],
           upper: List[List[int]], scale: int, cols: Sequence[Coords],
           res: Sequence[int], mod: int, out: List[Coords]) -> None:
@@ -91,7 +109,8 @@ def _walk(i: int, rem: int, x: List[int], amb: List[int], diag: List[int],
     coordinates above level i and amb = offset + sum_{j>i} x_j cols[j].
 
     Coordinate n-1 is outermost and every coordinate runs upwards, from the
-    first value of its residue class in steps of mod.  Levels 1 and 0 run
+    first value of its residue class in steps of mod, so the x come out in
+    lexicographic order of (x_{n-1}, ..., x_0).  Levels 1 and 0 run
     inline: x_0 is solved, so there is no call per leaf, and on a rank-1
     form (i == 0) level 1 is a single pass at x_1 = 0.  A module function,
     not a closure, so no reference cycle keeps out alive.
@@ -102,10 +121,7 @@ def _walk(i: int, rem: int, x: List[int], amb: List[int], diag: List[int],
         s += row[j] * x[j]
     if i > 1:
         qi, col = diag[i], cols[i]
-        r = isqrt(rem // qi)
-        lo = -((r + s) // scale)
-        lo += (res[i] - lo) % mod
-        for xi in range(lo, (r - s) // scale + 1, mod):
+        for xi in _level(rem, qi, s, scale, res[i], mod):
             x[i] = xi
             y = scale * xi + s
             _walk(i - 1, rem - qi * y * y, x, [a + xi * c for a, c in zip(amb, col)],
@@ -117,10 +133,7 @@ def _walk(i: int, rem: int, x: List[int], amb: List[int], diag: List[int],
         s0 = 0
         for j in range(2, len(x)):
             s0 += row0[j] * x[j]
-        r = isqrt(rem // q1)
-        lo = -((r + s) // scale)
-        lo += (res[1] - lo) % mod
-        level1 = range(lo, (r - s) // scale + 1, mod)
+        level1 = _level(rem, q1, s, scale, res[1], mod)
     else:
         q1 = c01 = s0 = 0
         col1, level1 = col0, (0,)
@@ -138,6 +151,26 @@ def _walk(i: int, rem: int, x: List[int], amb: List[int], diag: List[int],
             x0, rest = divmod(y - s1, scale)
             if not rest and (x0 - res[0]) % mod == 0:
                 out.append(tuple([a + x1 * c + x0 * d for a, c, d in zip(amb, col1, col0)]))
+
+
+def _walk_lazily(i: int, rem: int, x: List[int], amb: List[int], data,
+                 cols: Sequence[Coords], res: Sequence[int], mod: int) -> Iterator[Coords]:
+    """Yield what _walk(i, ...) appends, in the same order, computing it
+    only as far as it is read: the levels above 1 loop here, one generator
+    each, and each level-1 subtree is one _walk call."""
+    diag, upper, scale = data
+    if i < 2:
+        out: List[Coords] = []
+        _walk(i, rem, x, amb, diag, upper, scale, cols, res, mod, out)
+        yield from out
+        return
+    row, qi, col = upper[i], diag[i], cols[i]
+    s = sum(map(mul, row[i + 1:], x[i + 1:]))
+    for xi in _level(rem, qi, s, scale, res[i], mod):
+        x[i] = xi
+        y = scale * xi + s
+        yield from _walk_lazily(i - 1, rem - qi * y * y, x,
+                                [a + xi * c for a, c in zip(amb, col)], data, cols, res, mod)
 
 
 def _exact_norm(data, norm: int, res: Sequence[int], mod: int,
@@ -183,16 +216,26 @@ def definite_vectors(gram: Sequence[Sequence[int]], target: int,
 class AnchorFrame:
     """The slab search data of one anchor p in a form of signature (1, k).
 
-    One Hermite reduction of the row G p (exactlinalg.row_hermite) gives
-    g = gcd(G p), a unimodular u whose columns past the first are the
-    complement basis kernel returns, and p's coordinates (m / g, w) in the
-    basis of u's columns.  The frame keeps m, g, whether p is characteristic
+    One column Hermite reduction (exactlinalg.hnf_columns) of the stacked
+    rows [G p; B], B the basis rows or the identity when there are none,
+    gives h = [G p; B] u with u unimodular: column 0 of h carries
+    g = gcd(G p), columns 1.. are a complement basis of p in column echelon
+    form with positive pivots, and their rows past the first are its
+    ambient columns; u^-1 p gives p's coordinates (m / g, w) in the basis of
+    u's columns.  The frame keeps m, g, whether p is characteristic
     (G p = diag G mod 2, so that <p, c> = c^2 mod 2), the residues w mod m,
     the negated complement Gram (one G b per complement vector b) and the
-    complement vectors and p as the columns and step of the descent
-    (ambient columns when basis_rows is given); the scaled Cholesky data of
-    the complement are computed at the first slab that needs them.  Every
-    slab of every target reads the same frame.
+    ambient complement columns and B p as the columns and step of the
+    descent, the first pivot's column outermost; the scaled Cholesky data
+    of the complement are computed at the first slab that needs them.
+    Every slab of every target reads the same frame.
+
+    That order makes each slab come out ascending.  The descent runs every
+    coordinate upwards with the outermost first (_walk), and in the echelon
+    columns an ambient row above a column's pivot depends only on the
+    coordinates outside it, while the pivot row grows with its own
+    coordinate; so the ambient vectors, and their quotients by m > 0,
+    ascend in the order the descent finds them.
     """
 
     __slots__ = ("m", "g", "characteristic", "residues", "cols", "step", "neg", "_cholesky")
@@ -203,25 +246,23 @@ class AnchorFrame:
         m = sum(map(mul, p, gp))
         if m <= 0:
             raise InputError("anchor vector must have positive self-intersection")
-        g, u, coords = xl.row_hermite(gp, p)
-        comp = [[u[i][j] for i in range(n)] for j in range(1, n)]
-        self.m, self.g = m, g
+        rows = xl.identity(n) if basis_rows is None else basis_rows
+        h, u, _, coords = xl.hnf_columns([gp, *rows], p)
+        order = range(n - 1, 0, -1)     # the first pivot's column outermost
+        comp = [[u[i][j] for i in range(n)] for j in order]
+        self.m, self.g = m, h[0][0]
         # G p = diag G (mod 2): <p, c> = c^2 (mod 2) for every integral c
         self.characteristic = all((a - gram[i][i]) % 2 == 0 for i, a in enumerate(gp))
-        self.residues = tuple(x % m for x in coords[1:])
+        self.residues = tuple(coords[j] % m for j in order)
         gcomp = [xl.mat_vec(gram, b) for b in comp]
         self.neg = [[-sum(map(mul, a, gb)) for gb in gcomp] for a in comp]
-        if basis_rows is None:
-            self.cols, self.step = [tuple(b) for b in comp], tuple(p)
-        else:
-            # B comp^T d + t B p: B applied once to each complement vector and to p
-            self.cols = [tuple([sum(map(mul, row, b)) for row in basis_rows]) for b in comp]
-            self.step = tuple([sum(map(mul, row, p)) for row in basis_rows])
+        self.cols = [tuple([row[j] for row in h[1:]]) for j in order]
+        self.step = tuple(xl.mat_vec(rows, p))
         self._cholesky = None
 
-    def slab(self, target: int, t: int) -> List[Coords]:
-        """The vectors m c (B m c with basis rows) of the nonzero integral c
-        with c^2 = target and <p, c> = t, in descent order.
+    def _coset(self, target: int, t: int):
+        """Slab t's descent, as the arguments of _exact_norm, or its vectors
+        when it needs none: [] or [t p].
 
         c = u (a, e) has <p, c> = g a and d = m c - t p = u (m a - t m / g,
         m e - t w), so the slab is empty unless g | t, and, for a
@@ -240,7 +281,36 @@ class AnchorFrame:
             return [tuple(offset)] if t and not cnorm and not any(res) else []
         if self._cholesky is None:
             self._cholesky = _scaled_cholesky(self.neg)
-        return _exact_norm(self._cholesky, cnorm, res, m, self.cols, offset)
+        return self._cholesky, cnorm, res, m, self.cols, offset
+
+    def slab(self, target: int, t: int) -> List[Coords]:
+        """The vectors m c (B m c with basis rows) of the nonzero integral c
+        with c^2 = target and <p, c> = t, ascending (_coset)."""
+        coset = self._coset(target, t)
+        return coset if isinstance(coset, list) else _exact_norm(*coset)
+
+    def ascending(self, target: int, t: int) -> Iterator[Coords]:
+        """The c (B c with basis rows) of slabs t and -t, or of slab 0 when
+        t = 0, ascending: anchored_norm_slices's batch for t >= 0, computed
+        only as far as it is read.
+
+        Each slab is its own lazy descent (_walk_lazily), so a reader that
+        stops early leaves the rest of both trees unvisited, and the two
+        ascending streams are merged as they are read.
+        """
+        slabs = [self._lazy_slab(target, s) for s in ((t, -t) if t else (0,))]
+        merged = heapq.merge(*slabs) if t else slabs[0]
+        m = self.m
+        return merged if m == 1 else (tuple([x // m for x in c]) for c in merged)
+
+    def _lazy_slab(self, target: int, t: int) -> Iterator[Coords]:
+        """slab(target, t), one vector at a time."""
+        coset = self._coset(target, t)
+        if isinstance(coset, list):
+            return iter(coset)
+        data, norm, res, mod, cols, offset = coset
+        n = len(res)
+        return _walk_lazily(n - 1, norm * data[2] ** 3, [0] * n, offset, data, cols, res, mod)
 
 
 def anchored_norm_slices(frame: AnchorFrame, target: int, t_bound: int):
@@ -251,10 +321,13 @@ def anchored_norm_slices(frame: AnchorFrame, target: int, t_bound: int):
 
     Each slice <p, c> = t is a complete search of one coset in the negative
     definite complement of p, so each batch is complete for its slab, and
-    the batches come in order of increasing |t|, each one sorted, as B c
-    when the frame has basis rows.  Slab t comes from the frame as m c; the
-    -t slab is its negation, and since c -> B c is injective and the two
-    slabs are disjoint, no vector repeats.
+    the batches come in order of increasing |t|, each one ascending, as B c
+    when the frame has basis rows.  Slab t comes from the frame as m c,
+    already ascending, and one exact division by m keeps the order.  The -t
+    slab is its negation, so its ascending order is the negation read
+    backwards, and one linear merge of the two gives the batch, with no
+    sort; since c -> B c is injective and the two slabs are disjoint, no
+    vector repeats.  AnchorFrame.ascending yields the same batches lazily.
     """
     m = frame.m
     for t in range(t_bound + 1):
@@ -262,6 +335,5 @@ def anchored_norm_slices(frame: AnchorFrame, target: int, t_bound: int):
         if m > 1:
             batch = [tuple([x // m for x in c]) for c in batch]
         if t:
-            batch += [tuple([-x for x in c]) for c in batch]
-        batch.sort()
+            batch = list(heapq.merge(batch, [tuple([-x for x in c]) for c in reversed(batch)]))
         yield t, batch

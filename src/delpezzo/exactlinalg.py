@@ -98,27 +98,19 @@ def _col_negate(m: List[List[int]], i: int) -> None:
         row[i] = -row[i]
 
 
-def hnf_columns(a: IntMatrix) -> Tuple[List[List[int]], List[List[int]], List[Tuple[int, int]]]:
+def hnf_columns(a: IntMatrix, along: Optional[Sequence[int]] = None):
     """Column-style Hermite reduction.
 
     Returns (h, u, pivots) with a @ u == h, u unimodular, the columns of h
     past the last pivot identically zero, and pivots a list of (row, col)
-    positions with positive pivot entries.
+    positions with positive pivot entries, one per row that has one, in
+    increasing row and column order; h is in column echelon form, since each
+    column past a pivot is zero in that pivot's row and in every earlier row.
+    With along, returns (h, u, pivots, y) with y = u^-1 along, the
+    coordinates of along in the basis of the columns of u.
     """
-    h, u, pivots, _ = _hnf(a, None)
-    return h, u, pivots
-
-
-def row_hermite(row: Sequence[int], x: Sequence[int]) -> Tuple[int, List[List[int]], List[int]]:
-    """(g, u, y) from hnf_columns([row]) and one vector x.
-
-    row @ u == (g, 0, ..., 0) with g = gcd(row) > 0 (row must be nonzero),
-    u is the unimodular matrix hnf_columns returns, so its columns past the
-    first are the basis kernel([row]) returns, and y = u^-1 x, the
-    coordinates of x in the basis of the columns of u.
-    """
-    h, u, _, y = _hnf([row], x)
-    return h[0][0], u, y
+    h, u, pivots, y = _hnf(a, along)
+    return (h, u, pivots) if along is None else (h, u, pivots, y)
 
 
 def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
@@ -134,30 +126,31 @@ def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
     for row in range(nrows):
         if col >= ncols:
             break
+        # every step acts on columns col.., where the rows above row are zero
+        # already, so it needs only the rows from row on and those of u
+        rows = h[row:] + u
+        hr = h[row]
         while True:
-            live = [j for j in range(col, ncols) if h[row][j] != 0]
+            live = [j for j in range(col, ncols) if hr[j] != 0]
             if not live:
                 break
-            j0 = min(live, key=lambda j: (abs(h[row][j]), j))
+            j0 = min(live, key=lambda j: (abs(hr[j]), j))
             if j0 != col:
-                _col_swap(h, col, j0)
-                _col_swap(u, col, j0)
+                _col_swap(rows, col, j0)
                 if y is not None:
                     y[col], y[j0] = y[j0], y[col]
-            if h[row][col] < 0:
-                _col_negate(h, col)
-                _col_negate(u, col)
+            if hr[col] < 0:
+                _col_negate(rows, col)
                 if y is not None:
                     y[col] = -y[col]
             clean = True
             for j in range(col + 1, ncols):
-                if h[row][j] != 0:
-                    q = h[row][j] // h[row][col]
-                    _col_axpy(h, j, col, -q)
-                    _col_axpy(u, j, col, -q)
+                if hr[j] != 0:
+                    q = hr[j] // hr[col]
+                    _col_axpy(rows, j, col, -q)
                     if y is not None:
                         y[col] += q * y[j]
-                    if h[row][j] != 0:
+                    if hr[j] != 0:
                         clean = False
             if clean:
                 pivots.append((row, col))

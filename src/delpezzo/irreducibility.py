@@ -352,15 +352,23 @@ def _decompose_in_basis(g: Isometry, bound: int,
         block = results[-1].witnesses
         steps.append(SplitStep(action, tuple(v.coords for v in block)))
         peeled.extend(block)
-        data = criteria.EigenData(g, _narrow(data.plus.sub, block),
-                                  _narrow(data.minus.sub, block))
+        data = criteria.EigenData(g, _narrow(data.plus, block), _narrow(data.minus, block))
     return Decomposition(tuple(steps), DecompositionLeaf("point", (), (), IRREDUCIBLE))
 
 
-def _narrow(side: Sublattice, block) -> criteria._EigenSide:
+def _narrow(side: criteria._EigenSide, block) -> criteria._EigenSide:
     """The search data of side & B^perp: one kernel, in side coordinates, of
-    the products b.v of the block vectors b with the side basis v."""
-    jbs = [xl.mat_vec(side.ambient.gram, b.coords) for b in block]
-    rows = [[sum(map(mul, jb, v.coords)) for v in side.basis] for jb in jbs]
-    basis = tuple(side.from_coords(x) for x in xl.kernel(rows))
-    return criteria._side(Sublattice(side.ambient, basis, saturated=True))
+    the products b.v of the block vectors b with the side basis v.
+
+    B is negative definite, unimodular and g-invariant, so M = B + B^perp
+    and the side splits as (side & B) + (side & B^perp) with side & B
+    negative definite: side & B^perp keeps the side's positive inertia, and
+    its signature is handed to _side, which then runs no
+    sylvester_signature."""
+    sub = side.sub
+    jbs = [xl.mat_vec(sub.ambient.gram, b.coords) for b in block]
+    rows = [[sum(map(mul, jb, v.coords)) for v in sub.basis] for jb in jbs]
+    basis = tuple(sub.from_coords(x) for x in xl.kernel(rows))
+    pos = side.positive
+    return criteria._side(Sublattice(sub.ambient, basis, saturated=True), None,
+                          (pos, len(basis) - pos))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import delpezzo.permgroup as pg
+from delpezzo import enumeration as en
 from delpezzo.involutions import _canon_table
 from delpezzo.lattice import Isometry, del_pezzo_lattice
 from delpezzo.weyl import closure, reflection, weyl_generators
@@ -25,6 +26,17 @@ def random_group_element(n, rng: random.Random, length: int = 8) -> Isometry:
     for _ in range(rng.randrange(1, length + 1)):
         g = g @ rng.choice(gens)
     return g
+
+
+def assert_slabs_ascend(frame, targets, t_bound):
+    """Each slab t and -t of the frame comes out of the descent ascending,
+    and the lazy merged iterator yields anchored_norm_slices's batch."""
+    for target in targets:
+        for t, batch in en.anchored_norm_slices(frame, target, t_bound):
+            for s in {t, -t}:
+                slab = frame.slab(target, s)
+                assert all(a < b for a, b in zip(slab, slab[1:]))
+            assert list(frame.ascending(target, t)) == batch
 
 
 def bench_inputs():

@@ -225,6 +225,20 @@ def _swap_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("value, message", [("0", "must be positive"),
+                                            ("x", "must be an integer")])
+def test_height_bound_env_must_be_a_positive_integer(monkeypatch, tmp_path, capsys,
+                                                     value, message):
+    # the documented contract: any other value exits 2, whichever command
+    # decides verdicts, and prints nothing on stdout
+    monkeypatch.setenv("DPZ_HEIGHT_BOUND", value)
+    path = _swap_file(tmp_path)
+    for argv in (("classify", "3"), ("check", path), ("decompose", path)):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_INPUT == 2 and not out
+        assert f"DPZ_HEIGHT_BOUND {message}" in err
+
+
 def test_check_unknown_verdict_exits_3(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(irr, "check_reducible",
                         lambda g, n: irr.Verdict(irr.UNKNOWN, None, 10))

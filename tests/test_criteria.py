@@ -34,7 +34,7 @@ from delpezzo.lattice import (
 )
 from delpezzo.weyl import canonical_class, chamber_conjugate, reflection, wall_generators
 
-from conftest import bench_inputs
+from conftest import assert_slabs_ascend, bench_inputs
 
 
 def _reference_partner(gram, c1):
@@ -183,6 +183,82 @@ def test_route_b_matches_reference_scan(eigen_data, bound):
             assert got == want
         witnesses += got.status == criteria.WITNESS
     assert witnesses > 20 and mod4 > 10
+
+
+def _verify_eigen_data(seed, ns):
+    """Eigen data of the verify stream's inputs with n in ns, as
+    check_reducible sees them: chamber conjugates where K is not fixed."""
+    out = []
+    for op in bench_inputs().verify_stream(seed):
+        if op.n in ns:
+            g, k = Isometry(del_pezzo_lattice(op.n), op.matrix), canonical_class(op.n)
+            if g.apply(k) != k:
+                g, _ = chamber_conjugate(g)
+            out.append(criteria.eigen_data(g, k))
+    return out
+
+
+def test_lazy_route_b_matches_reference_on_verify_inputs():
+    # the lazy scan stops at the witness of the scan over complete sorted
+    # slabs, on the inputs where route b costs most
+    witnesses = 0
+    closed = criteria.RouteResult(criteria.CLOSED, "plus_no_partner_mod4")
+    for data in _verify_eigen_data(101, (7, 8)):
+        got = criteria.route_b(data, 2)
+        want = _reference_route_b(data, 2)
+        if want.status == criteria.OPEN and got != want:
+            assert got == closed
+        else:
+            assert got == want
+        witnesses += got.status == criteria.WITNESS
+    assert witnesses >= 100
+
+
+def test_lazy_route_b_draws_a_prefix_of_the_slab(monkeypatch):
+    # at n = 8 with K as the anchor (K^2 = 1) slab 2 of a rank-8 plus side
+    # holds 1512 isotropic vectors; the witness is found after at most 10 of
+    # them have left the descent
+    walk, depth, made = en._walk, [0], [0]
+
+    def counted(*args):
+        out = args[-1]
+        before = len(out)
+        depth[0] += 1
+        try:
+            walk(*args)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            made[0] += len(out) - before
+
+    monkeypatch.setattr(en, "_walk", counted)
+    witnesses = 0
+    for data in _verify_eigen_data(101, (8,)):
+        if data.plus.sub.rank != 8 or data.plus.anchor is None:
+            continue
+        made[0] = 0
+        res = criteria.route_b(data, 2)
+        drawn = made[0]
+        assert res.status == criteria.WITNESS and data.plus.frame.m == 1
+        assert drawn <= 10
+        assert len(next(b for t, b in en.anchored_norm_slices(data.plus.frame, 0, 2)
+                        if t == 2)) == 1512
+        witnesses += 1
+    assert witnesses >= 10
+
+
+def test_lifted_slabs_come_out_ascending(eigen_data):
+    # with basis rows the ambient slabs ascend as they leave the descent,
+    # and the lazy merged iterator yields the batches anchored_norm_slices
+    # yields
+    frames = 0
+    for data in eigen_data:
+        side = data.plus
+        if side.definite or side.anchor is None:
+            continue
+        assert_slabs_ascend(criteria._frame(side), (0, -1, -2), 3)
+        frames += 1
+    assert frames > 20
 
 
 @st.composite

@@ -20,6 +20,8 @@ import delpezzo.enumeration as en
 import delpezzo.exactlinalg as xl
 from delpezzo.errors import InputError
 
+from conftest import assert_slabs_ascend
+
 E8 = [[2, 0, -1, 0, 0, 0, 0, 0],      # Bourbaki labelling, node 4 trivalent
       [0, 2, 0, -1, 0, 0, 0, 0],
       [-1, 0, 2, -1, 0, 0, 0, 0],
@@ -271,8 +273,13 @@ def test_anchored_slabs_match_box_oracle_for_every_coset(gram, p, m, g):
     n = len(gram)
     frame = en.AnchorFrame(gram, p)
     assert (frame.m, frame.g) == (m, g)
-    # the complement Gram, from one G b per complement vector b
-    comp = xl.kernel([xl.mat_vec(gram, p)])
+    # the complement spans the lattice kernel([G p]) spans, in a basis of the
+    # frame's own, and neg is its negated Gram
+    comp = [list(b) for b in frame.cols]
+    kern = xl.kernel([xl.mat_vec(gram, p)])
+    assert len(comp) == len(kern) == n - 1
+    assert all(xl.solve_integer(xl.transpose(comp), b) is not None for b in kern)
+    assert all(xl.solve_integer(xl.transpose(kern), b) is not None for b in comp)
     gram_comp = xl.mat_mul(xl.mat_mul(comp, gram), xl.transpose(comp))
     assert frame.neg == [[-x for x in row] for row in gram_comp]
     bound = _slab_box_bound(gram, p, SLAB_TARGETS, 4)
@@ -388,3 +395,15 @@ def test_anchored_slabs_match_majorant_search(form, target, t_bound):
                       and sum(c[i] * gram[i][j] * c[j]
                               for i in range(n) for j in range(n)) == target)
         assert batch == want
+
+
+@pytest.mark.parametrize("gram, p, m, g", SLAB_CASES)
+def test_anchored_slabs_come_out_ascending(gram, p, m, g):
+    assert_slabs_ascend(en.AnchorFrame(gram, p), SLAB_TARGETS, 4)
+
+
+@given(_hyperbolic_forms())
+@settings(max_examples=60, deadline=None)
+def test_anchored_slabs_come_out_ascending_on_random_forms(form):
+    gram, p = form
+    assert_slabs_ascend(en.AnchorFrame(gram, p), SLAB_TARGETS, 3)

@@ -17,6 +17,7 @@ from delpezzo import (
     irreducible_involution_classes,
     negation_twist,
 )
+from delpezzo import criteria
 from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.criteria import DEFAULT_HEIGHT_BOUND
@@ -177,8 +178,6 @@ def test_decompose_identity_peels_to_a_point():
 def _peeled_eigen_data(monkeypatch, g, n):
     """The decomposition, and each EigenData decompose splits on with the
     blocks peeled before it."""
-    from delpezzo import criteria
-
     seen = []   # [data, blocks peeled before it]
     peeled = []
 
@@ -228,6 +227,37 @@ def test_peeled_sides_are_the_eigenlattices_of_the_complement(monkeypatch):
                                        for v in mine), (n, cls.label)
                             assert all(xl.solve_integer(mine_cols, v) is not None
                                        for v in ref), (n, cls.label)
+
+
+def test_narrowed_sides_are_handed_their_signature(monkeypatch):
+    # a split block B is negative definite and g-invariant, so side & B^perp
+    # keeps the side's positive inertia: _narrow hands _side its signature,
+    # which must be the one sylvester_signature finds, and every narrowed
+    # side of every split gets one
+    handed = []
+    side = criteria._side
+
+    def checked(sub, preferred=None, signature=None):
+        if signature is not None:
+            assert xl.sylvester_signature(sub.gram()) == signature + (0,)
+            handed.append(signature)
+        return side(sub, preferred, signature)
+
+    monkeypatch.setattr(criteria, "_side", checked)
+    rng = random.Random(2323)
+    splits = 0
+    for n in range(3, 9):
+        gens = wall_generators(n).isometries()
+        for cls in classify_involutions(n):
+            h = identity_isometry(del_pezzo_lattice(n))
+            for _ in range(12):
+                h = h @ rng.choice(gens)
+            for g in (cls.representative, h @ cls.representative @ h.inverse()):
+                before = len(handed)
+                steps = len(decompose(g, n).steps)
+                assert len(handed) - before >= 2 * steps
+                splits += steps
+    assert splits > 100
 
 
 def test_decompose_blocks_are_orthogonal_and_norm_minus_one():

@@ -241,6 +241,34 @@ def test_bareiss_determinant_matches_cofactor_expansion(m):
     assert xl.det(m) == cof_det(m)
 
 
+@st.composite
+def _matrix_and_vector(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    return a, draw(st.lists(entry, min_size=cols, max_size=cols))
+
+
+@given(_matrix_and_vector())
+@settings(max_examples=80, deadline=None)
+def test_hnf_columns_is_a_column_echelon_form(case):
+    # a u = h with u unimodular, positive pivots, every column past a pivot
+    # zero in the pivot's row and every row above it, columns past the last
+    # pivot zero, and along's coordinates y with u y = along
+    a, x = case
+    h, u, pivots, y = xl.hnf_columns(a, x)
+    assert (h, u, pivots) == xl.hnf_columns(a)
+    assert xl.mat_mul(a, u) == h and abs(xl.det(u)) == 1
+    assert xl.mat_vec(u, y) == x
+    assert [c for _, c in pivots] == list(range(len(pivots)))
+    assert [r for r, _ in pivots] == sorted(set(r for r, _ in pivots))
+    for r, c in pivots:
+        assert h[r][c] > 0
+        assert all(h[i][j] == 0 for i in range(r + 1) for j in range(c + 1, len(u)))
+    assert all(row[j] == 0 for row in h for j in range(len(pivots), len(u)))
+
+
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
                 min_size=2, max_size=2))
 @settings(max_examples=60, deadline=None)
