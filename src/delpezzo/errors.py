@@ -7,3 +7,8 @@ class InputError(ValueError):
 
 class UnsupportedError(RuntimeError):
     """Raised when an operation is outside the supported parameter range."""
+
+
+class NotAnInvolution(InputError):
+    """Raised by lattice.fixed_and_antifixed when its kernel ranks show that
+    the isometry is not an involution."""

@@ -13,7 +13,10 @@ IntMatrix = Sequence[Sequence[int]]
 
 
 def identity(n: int) -> List[List[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def transpose(a: IntMatrix) -> List[List[int]]:
@@ -83,21 +86,6 @@ def inverse(a: IntMatrix) -> List[List[Fraction]]:
     return [row[n:] for row in m]
 
 
-def _col_axpy(m: List[List[int]], dst: int, src: int, factor: int) -> None:
-    for row in m:
-        row[dst] += factor * row[src]
-
-
-def _col_swap(m: List[List[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _col_negate(m: List[List[int]], i: int) -> None:
-    for row in m:
-        row[i] = -row[i]
-
-
 def hnf_columns(a: IntMatrix, along: Optional[Sequence[int]] = None):
     """Column-style Hermite reduction.
 
@@ -114,8 +102,21 @@ def hnf_columns(a: IntMatrix, along: Optional[Sequence[int]] = None):
 
 
 def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
-    """hnf_columns, plus u^-1 x when x is given: each column step on u acts
-    on u^-1 as the inverse row step, so x is carried along in O(1) a step."""
+    """hnf_columns, plus u^-1 x when x is given.
+
+    One in-place loop (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4).  At each row, while the row has a nonzero entry in the
+    pivot column c or right of it: the column of least |entry| (the first
+    on ties, so the scan stops at a unit) is swapped into c and made
+    positive, and column c is subtracted, floor(h_rj / h_rc) times, from
+    every column j > c with h_rj != 0.  These steps act on columns c..,
+    where the rows above are zero already, so they run on the rows from the
+    current one on and on those of u.  The subtractions of one step all
+    read column c and none writes it, so each row makes them in one pass,
+    and a row that is zero in column c is skipped.  Each column step on u
+    acts on u^-1 as the inverse row step, so x is carried along in O(1) a
+    step.
+    """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     h = [list(row) for row in a]
@@ -126,36 +127,51 @@ def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
     for row in range(nrows):
         if col >= ncols:
             break
-        # every step acts on columns col.., where the rows above row are zero
-        # already, so it needs only the rows from row on and those of u
-        rows = h[row:] + u
         hr = h[row]
+        rows = None
         while True:
-            live = [j for j in range(col, ncols) if hr[j] != 0]
-            if not live:
+            least = 0
+            for j in range(col, ncols):
+                v = abs(hr[j])
+                if v and (not least or v < least):
+                    j0, least = j, v
+                    if v == 1:
+                        break
+            if not least:
                 break
-            j0 = min(live, key=lambda j: (abs(hr[j]), j))
-            if j0 != col:
-                _col_swap(rows, col, j0)
+            if rows is None:
+                rows = h[row:] + u
+            if j0 == col:
+                if hr[col] < 0:
+                    for r in rows:
+                        r[col] = -r[col]
+                    if y is not None:
+                        y[col] = -y[col]
+            elif hr[j0] < 0:
+                for r in rows:
+                    r[col], r[j0] = -r[j0], r[col]
+                if y is not None:
+                    y[col], y[j0] = -y[j0], y[col]
+            else:
+                for r in rows:
+                    r[col], r[j0] = r[j0], r[col]
                 if y is not None:
                     y[col], y[j0] = y[j0], y[col]
-            if hr[col] < 0:
-                _col_negate(rows, col)
+            p = hr[col]
+            steps = [(j, hr[j] // p) for j in range(col + 1, ncols) if hr[j]]
+            if steps:
+                for r in rows:
+                    c = r[col]
+                    if c:
+                        for j, q in steps:
+                            r[j] -= q * c
                 if y is not None:
-                    y[col] = -y[col]
-            clean = True
-            for j in range(col + 1, ncols):
-                if hr[j] != 0:
-                    q = hr[j] // hr[col]
-                    _col_axpy(rows, j, col, -q)
-                    if y is not None:
-                        y[col] += q * y[j]
-                    if hr[j] != 0:
-                        clean = False
-            if clean:
-                pivots.append((row, col))
-                col += 1
-                break
+                    y[col] += sum(q * y[j] for j, q in steps)
+                if any(hr[j] for j, _ in steps):
+                    continue
+            pivots.append((row, col))
+            col += 1
+            break
     return h, u, pivots, y
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, Optional, Tuple
 
-from .errors import InputError
+from .errors import InputError, NotAnInvolution
 from . import criteria
 from . import exactlinalg as xl
 from .lattice import (
@@ -163,7 +163,10 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
 
     An involution that fixes K is decided as given, with K as the anchor of
     its fixed side.  Any other one is decided as its chamber conjugate
-    g' = h g h^-1, and the witnesses are mapped back with h^-1.
+    g' = h g h^-1, and the witnesses are mapped back with h^-1.  g is not
+    squared: the eigen data's two kernels certify g^2 = 1 (_eigen_data),
+    and an isometry that fails their rank test raises InputError("not an
+    involution").
     """
     if n is None:
         n = g.lattice.rank - 1
@@ -171,15 +174,13 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
         raise InputError("isometry is not on the rank n+1 blowup lattice")
     if not 2 <= n <= 8:
         raise InputError("reducibility check supports 2 <= n <= 8")
-    if not g.is_involution():
-        raise InputError("not an involution")
     bound = criteria.resolve_height_bound(height_bound)
     k = canonical_class(n)
     h_inv = None
     if g.apply(k) != k:
+        # defined on any isometry; g' is an involution exactly when g is one
         g, h_inv = chamber_conjugate(g)
-    # g^2 = 1 was tested above, and a conjugate of an involution is one
-    data = criteria.eigen_data(g, k)
+    data = _eigen_data(g, k)
     results = []
     for name, res in criteria.iter_routes(data, n, bound):
         results.append((name, res))
@@ -199,6 +200,17 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
         )
         return Verdict(IRREDUCIBLE, cert, bound)
     return Verdict(UNKNOWN, None, bound)
+
+
+def _eigen_data(g: Isometry, anchor: Optional[LatticeVector]) -> criteria.EigenData:
+    """criteria.eigen_data(g, anchor), which is also the involution test:
+    fixed_and_antifixed raises NotAnInvolution unless the ranks of
+    ker(g - 1) and ker(g + 1) add up to the rank, which holds exactly when
+    g^2 = 1.  Here that is the InputError "not an involution"."""
+    try:
+        return criteria.eigen_data(g, anchor)
+    except NotAnInvolution:
+        raise InputError("not an involution") from None
 
 
 def _back(h_inv, coords: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -303,10 +315,10 @@ def decompose(g: Isometry, n: Optional[int] = None,
     lattice is an orthogonal sum of the peeled blocks and the leaf.  On M_n
     (2 <= n <= 9) the splitting is computed for the chamber conjugate
     g' = h g h^-1 and its bases are mapped back with h^-1; the leaf matrix
-    is the same in both bases.
+    is the same in both bases.  As in check_reducible, g is not squared:
+    the first eigen data certifies g^2 = 1 (_eigen_data), or raises
+    InputError("not an involution").
     """
-    if not g.is_involution():
-        raise InputError("not an involution")
     if n is not None and g.lattice.rank != n + 1:
         raise InputError("index does not match the lattice rank")
     bound = criteria.resolve_height_bound(height_bound)
@@ -330,7 +342,7 @@ def _decompose_in_basis(g: Isometry, bound: int,
     and narrows both sides to B^perp after each split block B.  The leaf is
     the complement of everything peeled, built once.
     """
-    data = criteria.eigen_data(g, anchor)
+    data = _eigen_data(g, anchor)
     steps: List[SplitStep] = []
     peeled = []
     while data.plus.sub.rank + data.minus.sub.rank:
@@ -364,10 +376,19 @@ def _narrow(side: criteria._EigenSide, block) -> criteria._EigenSide:
     and the side splits as (side & B) + (side & B^perp) with side & B
     negative definite: side & B^perp keeps the side's positive inertia, and
     its signature is handed to _side, which then runs no
-    sylvester_signature."""
+    sylvester_signature.
+
+    When every product is zero (a fix block and the minus side, a negate
+    block and the plus side), side & B^perp is the side itself, which is
+    kept with its anchor frame.  Rebuilding it would give the same basis
+    and anchor: _side would re-run the box anchor search, and the one
+    preferred anchor, K, sits on a plus side whose minus side lies in the
+    even lattice K^perp, which no negate block splits."""
     sub = side.sub
     jbs = [xl.mat_vec(sub.ambient.gram, b.coords) for b in block]
     rows = [[sum(map(mul, jb, v.coords)) for v in sub.basis] for jb in jbs]
+    if not any(map(any, rows)):
+        return side
     basis = tuple(sub.from_coords(x) for x in xl.kernel(rows))
     pos = side.positive
     return criteria._side(Sublattice(sub.ambient, basis, saturated=True), None,

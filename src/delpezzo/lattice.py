@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError, NotAnInvolution, UnsupportedError
 from . import exactlinalg as xl
 
 Coords = Tuple[int, ...]
@@ -380,12 +380,14 @@ def identity_isometry(lattice: Lattice) -> Isometry:
 def fixed_and_antifixed(g: Isometry, along: Optional[LatticeVector] = None):
     """Saturated (+1)- and (-1)-eigenlattices of an involution.
 
-    g^2 = 1 is read off the two kernels, with no squaring: over Q an
-    involution is diagonalizable with eigenvalues +-1, so the ranks add up
-    to the lattice rank, and when they do, g is +-1 on two complementary
-    subspaces.  With along, returns (plus, minus, coords): the coordinates
-    of along in the plus basis, or None when g does not fix it, carried
-    through the kernel reduction of g - 1.
+    This is the involution test of check_reducible and decompose: g^2 = 1
+    is read off the two kernels, with no squaring.  Over Q an involution is
+    diagonalizable with eigenvalues +-1, so the ranks add up to the lattice
+    rank, and when they do, g is +-1 on two complementary subspaces, so
+    g^2 = 1; otherwise NotAnInvolution (an InputError) is raised.  With
+    along, returns (plus, minus, coords): the coordinates of along in the
+    plus basis, or None when g does not fix it, carried through the kernel
+    reduction of g - 1.
     """
     if along is None:
         plus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1))
@@ -394,7 +396,7 @@ def fixed_and_antifixed(g: Isometry, along: Optional[LatticeVector] = None):
     minus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, 1))
     lat = g.lattice
     if len(plus) + len(minus) != lat.rank:
-        raise InputError("fixed_and_antifixed expects an involution")
+        raise NotAnInvolution("fixed_and_antifixed expects an involution")
     sides = (
         Sublattice(lat, tuple(LatticeVector(lat, tuple(c)) for c in plus), saturated=True),
         Sublattice(lat, tuple(LatticeVector(lat, tuple(c)) for c in minus), saturated=True),

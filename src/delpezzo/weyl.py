@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, UnsupportedError
 from . import enumeration as en
@@ -96,7 +96,23 @@ def reduce_to_chamber(x: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[Tuple[in
     reflect in E_i while some c_i > 0, sort so that c_1 <= ... <= c_n, and
     reflect in alpha0 while Q(x, alpha0) = a + c_1 + c_2 (+ c_3) < 0.  Each
     alpha0 step strictly lowers a, so the loop ends.  Everything runs on
-    plain integers; h comes back as the rows of its matrix.
+    plain integers; h comes back as the rows of its matrix.  The loop is
+    _wall_word, which chamber_conjugate runs with a matrix carried along.
+    """
+    reduced, h, _ = _wall_word(x, None)
+    return reduced, h
+
+
+def _wall_word(x: Sequence[int], g: Optional[Sequence[Sequence[int]]]):
+    """(x', h, g') for reduce_to_chamber(x), with g' = h g h^-1 when g (the
+    rows of a matrix) is given, else None.
+
+    g' is carried along the word one wall at a time, with no matrix
+    product: a sign flip in E_i negates row and column i, a sort permutes
+    rows and columns alike, and the alpha0 reflection
+    S = S^-1 = 1 + step alpha0 e^T (e the indicator of the first m + 1
+    coordinates, since Q(y, alpha0) = e.y) makes S g' S from two rank-one
+    updates, of rows 0..m and of columns 0..m.
     """
     n = len(x) - 1
     if not 2 <= n <= 9:
@@ -107,45 +123,65 @@ def reduce_to_chamber(x: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[Tuple[in
     m = min(n, 3)
     step = 2 if n == 2 else 1    # -2 / Q(alpha0, alpha0)
     rows = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    conj = None if g is None else [list(r) for r in g]
     while True:
         for i in range(n):
             if c[i] > 0:
                 c[i] = -c[i]
                 rows[i + 1] = [-y for y in rows[i + 1]]
+                if conj is not None:
+                    conj[i + 1] = [-y for y in conj[i + 1]]
+                    for r in conj:
+                        r[i + 1] = -r[i + 1]
         order = sorted(range(n), key=c.__getitem__)
         c = [c[i] for i in order]
-        rows = [rows[0]] + [rows[i + 1] for i in order]
+        perm = [0] + [i + 1 for i in order]
+        rows = [rows[i] for i in perm]
+        if conj is not None:
+            conj = [[r[i] for i in perm] for r in (conj[i] for i in perm)]
         q = a + sum(c[:m])
         if q >= 0:
-            return (a, *c), tuple(tuple(r) for r in rows)
+            return ((a, *c), tuple(tuple(r) for r in rows),
+                    None if conj is None else tuple(tuple(r) for r in conj))
         # y -> y + step * Q(y, alpha0) * alpha0, on x and on every column of h
+        # and of g' (S g')
         t = step * q
         a += t
         for i in range(m):
             c[i] -= t
-        w = [step * sum(col[:m + 1]) for col in zip(*rows)]
-        rows[0] = [y + d for y, d in zip(rows[0], w)]
-        for i in range(1, m + 1):
-            rows[i] = [y - d for y, d in zip(rows[i], w)]
+        for mat in (rows,) if conj is None else (rows, conj):
+            w = [step * sum(col) for col in zip(*mat[:m + 1])]
+            mat[0] = [y + d for y, d in zip(mat[0], w)]
+            for i in range(1, m + 1):
+                mat[i] = [y - d for y, d in zip(mat[i], w)]
+        if conj is not None:
+            # and g' S: column j <= m gains step * (g' alpha0) in each row
+            for r in conj:
+                d = step * (r[0] - sum(r[1:m + 1]))
+                for j in range(m + 1):
+                    r[j] += d
 
 
 def chamber_conjugate(g: Isometry) -> Tuple[Isometry, Tuple[Tuple[int, ...], ...]]:
     """(g', h^-1) with g' = h g h^-1 for the h of reduce_to_chamber(x).
 
-    x = H + g(H), or H - g(H) when Q(H, gH) < 0; either way x^2 > 0 and
-    g(x) = +-x, so the reduced x' is fixed or negated by g'.  A vector w' of
-    g' belongs to g as h^-1 w'.  h^-1 = J h^T J with J = diag(1, -1, ...).
+    x = H + g(H), or H - g(H) when Q(H, gH) < 0, so x^2 = 2 + 2|g_00| > 0
+    and its H coefficient is 1 + |g_00| > 0: the reduction runs on any
+    isometry, and the caller's eigen data (criteria.eigen_data) is what
+    tests g^2 = 1.  For an involution g(x) = +-x, so the reduced x' is fixed
+    or negated by g'.  g' is carried along the wall word (_wall_word).  A
+    vector w' of g' belongs to g as h^-1 w'.  h^-1 = J h^T J with
+    J = diag(1, -1, ...).
     """
     mat = g.matrix
     size = len(mat)
     sign = 1 if mat[0][0] > 0 else -1
     x = [int(i == 0) + sign * mat[i][0] for i in range(size)]
-    _, h = reduce_to_chamber(x)
+    _, h, conj = _wall_word(x, mat)
     j = [1] + [-1] * (size - 1)
     h_inv = tuple(tuple(j[r] * h[c][r] * j[c] for c in range(size)) for r in range(size))
-    conj = xl.mat_mul(xl.mat_mul(h, mat), h_inv)
     # h is a product of wall reflections, so h g h^-1 needs no form check
-    return Isometry._trusted(g.lattice, tuple(tuple(r) for r in conj)), h_inv
+    return Isometry._trusted(g.lattice, conj), h_inv
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,9 @@ from delpezzo import exactlinalg as xl
 from delpezzo.irreducibility import _decompose_in_basis
 from delpezzo.lattice import Isometry, Lattice, del_pezzo_lattice
 from delpezzo.weyl import (canonical_class, chamber_conjugate, reduce_to_chamber,
-                           wall_generators)
+                           reflection, wall_generators)
+
+from conftest import bench_inputs
 
 
 def _walls(n):
@@ -71,6 +73,59 @@ def test_reduction_ends_in_the_chamber(n):
         other = g.apply(del_pezzo_lattice(n).vector(x)).coords
         assert reduce_to_chamber(other)[0] == reduced
         assert reduce_to_chamber(reduced)[0] == reduced
+
+
+def _conjugate_by_products(g):
+    """(h g h^-1, h^-1) for the h of reduce_to_chamber(H +- gH), formed with
+    two xl.mat_mul products; h^-1 = J h^T J is checked against h."""
+    mat = g.matrix
+    size = len(mat)
+    sign = 1 if mat[0][0] > 0 else -1
+    _, h = reduce_to_chamber([int(i == 0) + sign * mat[i][0] for i in range(size)])
+    j = [1] + [-1] * (size - 1)
+    h_inv = [[j[r] * h[c][r] * j[c] for c in range(size)] for r in range(size)]
+    assert xl.mat_mul(h_inv, h) == xl.identity(size)
+    return xl.mat_mul(xl.mat_mul(h, mat), h_inv), h_inv
+
+
+def _assert_conjugated_along_the_word(g):
+    conj, h_inv = chamber_conjugate(g)
+    want, want_inv = _conjugate_by_products(g)
+    assert [list(r) for r in conj.matrix] == want
+    assert [list(r) for r in h_inv] == want_inv
+    return h_inv
+
+
+def test_chamber_conjugate_matches_the_matrix_products_on_the_streams():
+    # g' is carried along the wall word; the products h g h^-1 are the oracle
+    inputs = bench_inputs()
+    for seed in (101, 17):
+        for op in inputs.verify_stream(seed) + inputs.decompose_stream(seed):
+            _assert_conjugated_along_the_word(Isometry(del_pezzo_lattice(op.n), op.matrix))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_chamber_conjugate_matches_the_matrix_products_on_wall_words(n):
+    # conjugates of wall reflections, of their negatives and of the word
+    # itself (no involution: the reduction runs on any isometry).  The words
+    # alternate walls with reflections in H - E_i - E_j (- E_k), alpha0 up
+    # to a permutation of the E_i, so they move H and their reduction takes
+    # alpha0 steps, which leave h_00 > 1; n = 2 has step 2 and a two-root
+    # alpha0
+    rng = random.Random(2400 + n)
+    lat = del_pezzo_lattice(n)
+    walls = wall_generators(n).isometries()
+    moved = 0
+    for step in range(40):
+        w = identity_isometry(lat)
+        for _ in range(4):
+            es = rng.sample(range(1, n + 1), min(n, 3))
+            w = w @ reflection(lat.vector([1] + [-int(i in es) for i in range(1, n + 1)]))
+            w = w @ rng.choice(walls)
+        s = walls[step % len(walls)]
+        for g in (w @ s @ w.inverse(), (w @ s @ w.inverse()).negated(), w):
+            moved += _assert_conjugated_along_the_word(g)[0][0] > 1
+    assert moved >= 20
 
 
 def test_reduction_rejects_vectors_outside_the_positive_cone():

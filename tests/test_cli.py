@@ -190,6 +190,21 @@ def test_non_involution_matrix_rejected(tmp_path, capsys):
     assert code == EXIT_INPUT and "involution" in err
 
 
+@pytest.mark.parametrize("cmd", ["check", "decompose"])
+@pytest.mark.parametrize("matrix", [
+    # order-3 rotation of E1, E2, E3: fixes K
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]],
+    # reflections in E1 and E1 - E2: order 4, moves K
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]],
+], ids=["fixes-K", "moves-K"])
+def test_check_and_decompose_reject_a_non_involution(tmp_path, capsys, cmd, matrix):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = run(capsys, cmd, str(path))
+    assert code == EXIT_INPUT and not out
+    assert err.endswith("not an involution\n")
+
+
 @pytest.mark.parametrize("basis", ["HE", "quadric"])
 def test_check_rejects_a_matrix_that_breaks_the_form(tmp_path, capsys, basis):
     # square, integral, of the right size and unimodular, but no isometry:

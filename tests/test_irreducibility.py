@@ -18,6 +18,7 @@ from delpezzo import (
     negation_twist,
 )
 from delpezzo import criteria
+from delpezzo import irreducibility
 from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.criteria import DEFAULT_HEIGHT_BOUND
@@ -140,7 +141,9 @@ def test_height_bound_below_one_is_rejected(monkeypatch, bound):
         check_reducible(g, 6)
 
 
-def test_check_and_decompose_square_g_once(monkeypatch):
+def test_check_and_decompose_never_square_g(monkeypatch):
+    # the kernels of g - 1 and g + 1 certify g^2 = 1, so neither entry point
+    # squares g, on a K-fixing input or on a chamber conjugate
     from delpezzo.lattice import Isometry
 
     calls = []
@@ -155,14 +158,17 @@ def test_check_and_decompose_square_g_once(monkeypatch):
     # the negation twist moves K, so both calls also work on a chamber conjugate
     for h in (g, negation_twist(g)):
         for run in (check_reducible, decompose):
-            calls.clear()
             run(h, 5)
-            assert len(calls) == 1, run.__name__
+    assert calls == []
     lat = del_pezzo_lattice(3)
     r = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
-    for run in (check_reducible, decompose):
-        with pytest.raises(InputError, match="^not an involution$"):
-            run(r, 3)
+    # order 4 and moves K: the kernel test runs on its chamber conjugate
+    s = reflection(lat.vector((0, 1, 0, 0))) @ reflection(lat.vector((0, 1, -1, 0)))
+    for bad in (r, s, s.negated()):
+        for run in (check_reducible, decompose):
+            with pytest.raises(InputError, match="^not an involution$"):
+                run(bad, 3)
+    assert calls == []
 
 
 def test_decompose_identity_peels_to_a_point():
@@ -232,8 +238,9 @@ def test_peeled_sides_are_the_eigenlattices_of_the_complement(monkeypatch):
 def test_narrowed_sides_are_handed_their_signature(monkeypatch):
     # a split block B is negative definite and g-invariant, so side & B^perp
     # keeps the side's positive inertia: _narrow hands _side its signature,
-    # which must be the one sylvester_signature finds, and every narrowed
-    # side of every split gets one
+    # which must be the one sylvester_signature finds.  Each split narrows
+    # both sides; a side orthogonal to B is kept as it is, and every other
+    # one is rebuilt and gets a signature
     handed = []
     side = criteria._side
 
@@ -243,7 +250,18 @@ def test_narrowed_sides_are_handed_their_signature(monkeypatch):
             handed.append(signature)
         return side(sub, preferred, signature)
 
+    kept = []   # per narrowed side: whether _narrow kept it
+    narrow = irreducibility._narrow
+
+    def recorded(old, block):
+        new = narrow(old, block)
+        touched = any(b.dot(v) for b in block for v in old.sub.basis)
+        assert (new is old) == (not touched)
+        kept.append(new is old)
+        return new
+
     monkeypatch.setattr(criteria, "_side", checked)
+    monkeypatch.setattr(irreducibility, "_narrow", recorded)
     rng = random.Random(2323)
     splits = 0
     for n in range(3, 9):
@@ -253,11 +271,12 @@ def test_narrowed_sides_are_handed_their_signature(monkeypatch):
             for _ in range(12):
                 h = h @ rng.choice(gens)
             for g in (cls.representative, h @ cls.representative @ h.inverse()):
-                before = len(handed)
+                before, narrowed = len(handed), len(kept)
                 steps = len(decompose(g, n).steps)
-                assert len(handed) - before >= 2 * steps
+                assert len(kept) - narrowed == 2 * steps
+                assert len(handed) - before >= kept[narrowed:].count(False) >= steps
                 splits += steps
-    assert splits > 100
+    assert splits > 100 and 0 < kept.count(True) < len(kept)
 
 
 def test_decompose_blocks_are_orthogonal_and_norm_minus_one():

@@ -269,6 +269,97 @@ def test_hnf_columns_is_a_column_echelon_form(case):
     assert all(row[j] == 0 for row in h for j in range(len(pivots), len(u)))
 
 
+def _reference_hnf(a, x):
+    """The column Hermite loop exactlinalg._hnf replaced, kept as its oracle:
+    a list of the live columns and a keyed min per Euclid step, then one
+    column operation at a time over the rows from the current one on and
+    those of u."""
+    def axpy(m, dst, src, factor):
+        for row in m:
+            row[dst] += factor * row[src]
+
+    def swap(m, i, j):
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+    def negate(m, i):
+        for row in m:
+            row[i] = -row[i]
+
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    h = [list(row) for row in a]
+    u = xl.identity(ncols)
+    y = None if x is None else list(x)
+    pivots = []
+    col = 0
+    for row in range(nrows):
+        if col >= ncols:
+            break
+        rows = h[row:] + u
+        hr = h[row]
+        while True:
+            live = [j for j in range(col, ncols) if hr[j] != 0]
+            if not live:
+                break
+            j0 = min(live, key=lambda j: (abs(hr[j]), j))
+            if j0 != col:
+                swap(rows, col, j0)
+                if y is not None:
+                    y[col], y[j0] = y[j0], y[col]
+            if hr[col] < 0:
+                negate(rows, col)
+                if y is not None:
+                    y[col] = -y[col]
+            clean = True
+            for j in range(col + 1, ncols):
+                if hr[j] != 0:
+                    q = hr[j] // hr[col]
+                    axpy(rows, j, col, -q)
+                    if y is not None:
+                        y[col] += q * y[j]
+                    if hr[j] != 0:
+                        clean = False
+            if clean:
+                pivots.append((row, col))
+                col += 1
+                break
+    return h, u, pivots, y
+
+
+@st.composite
+def _hnf_inputs(draw):
+    """A matrix of 0..11 rows and 0..11 columns with entries in -3..3, a few
+    of them replaced by large ones, and a vector of its column count."""
+    rows, cols = draw(st.integers(0, 11)), draw(st.integers(0, 11))
+    entry = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if rows and cols:
+        big = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                        st.integers(-10 ** 12, 10 ** 12))
+        for i, j, v in draw(st.lists(big, max_size=3)):
+            a[i][j] = v
+    return a, draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=cols, max_size=cols))
+
+
+@given(_hnf_inputs())
+@settings(max_examples=200, deadline=None)
+def test_hnf_and_kernel_match_the_reference_loop(case):
+    # the in-place loop returns exactly what the old one did: (h, u, pivots)
+    # and u^-1 along, and hence the same kernel basis and coordinates
+    a, x = case
+    h, u, pivots, y = _reference_hnf(a, x)
+    assert xl.hnf_columns(a) == (h, u, pivots)
+    assert xl.hnf_columns(a, x) == (h, u, pivots, y)
+    if a and a[0]:
+        rank = len(pivots)
+        basis = [[row[j] for row in u] for j in range(rank, len(u))]
+        coords = None if any(y[:rank]) else tuple(y[rank:])
+        assert xl.kernel(a) == basis
+        assert xl.kernel(a, x) == (basis, coords)
+
+
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
                 min_size=2, max_size=2))
 @settings(max_examples=60, deadline=None)
