@@ -5,7 +5,6 @@ from .lattice import (
     Isometry,
     Lattice,
     LatticeVector,
-    ShortVectorResult,
     Sublattice,
     blowup_quadric_lattice,
     del_pezzo_lattice,
@@ -16,8 +15,6 @@ from .lattice import (
     is_even,
     orthogonal_complement,
     quadric_lattice,
-    saturate,
-    short_vectors,
     signature,
     span,
 )
@@ -39,15 +36,12 @@ from .involutions import (
     InvolutionInvariant,
     OrthogonalRootSet,
     ZGInvariant,
-    all_involutions,
     are_conjugate,
     classify_involutions,
     find_class,
     invariant_of,
-    involution_from_roots,
     minus_root_key,
     orthogonal_root_set,
-    orthogonal_root_sets,
     zg_invariant,
 )
 from .irreducibility import (
@@ -60,9 +54,7 @@ from .irreducibility import (
     SplitStep,
     Verdict,
     check_reducible,
-    classify_with_verdicts,
     decompose,
-    irreducible_involution_classes,
     negation_twist,
 )
 from .models import (

@@ -11,7 +11,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError, UnsupportedError, is_json_int
 from . import exactlinalg as xl
 from .lattice import Isometry, blowup_quadric_lattice, del_pezzo_lattice
 from . import involutions as inv
@@ -40,8 +40,9 @@ def _emit(payload, fmt: str, text_lines: List[str], csv_rows=None, csv_header=No
             print(line)
 
 
-def _realizing_name(cls) -> Optional[str]:
-    if cls.verdict != irr.IRREDUCIBLE:
+def _realizing_name(cls, status: str) -> Optional[str]:
+    """The named model in the class of an irreducible representative."""
+    if status != irr.IRREDUCIBLE:
         return None
     n = cls.n
     named = []
@@ -68,21 +69,17 @@ def cmd_classify(args) -> int:
     n = args.n
     if not 1 <= n <= 8:
         raise InputError("classification requires 1 <= n <= 8")
-    import dataclasses
-
-    classes = inv.classify_involutions(n) if n > 1 else ()
     rows = []
-    for cls in classes:
+    for cls in inv.classify_involutions(n):
         verdict = irr.check_reducible(cls.representative, n)
-        cls = dataclasses.replace(cls, verdict=verdict.status)
-        name = _realizing_name(cls)
+        name = _realizing_name(cls, verdict.status)
         cert = verdict.certificate
         rows.append({
             "n": n,
             "label": cls.label,
             "carter": _carter_label(cls),
             "invariant": cls.invariant.to_json(),
-            "verdict": cls.verdict,
+            "verdict": verdict.status,
             "name": name,
             "certificate": cert.to_json() if cert else None,
             "class_size": cls.class_size,
@@ -141,11 +138,6 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
-def _is_int(x) -> bool:
-    # JSON integers only: json.load gives bool for true/false, a bool subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _load_matrix(path: str):
     try:
         with open(path) as fh:
@@ -161,14 +153,14 @@ def _load_matrix(path: str):
     if basis not in ("HE", "quadric"):
         raise InputError('basis must be "HE" or "quadric"')
     if not isinstance(raw, list) or not all(
-            isinstance(row, list) and all(_is_int(x) for x in row) for row in raw):
+            isinstance(row, list) and all(is_json_int(x) for x in row) for row in raw):
         raise InputError("matrix must be a list of rows of integers")
     matrix = tuple(tuple(row) for row in raw)
     rank = len(matrix)
     if rank < 2 or any(len(r) != rank for r in matrix):
         raise InputError("matrix must be square of rank at least 2")
     n = rank - 1
-    if "n" in data and not (_is_int(data["n"]) and data["n"] == n):
+    if "n" in data and not (is_json_int(data["n"]) and data["n"] == n):
         raise InputError(f'"n" must equal the matrix rank minus 1 ({n})')
     if basis == "quadric":
         g_q = Isometry(blowup_quadric_lattice(n), matrix)

@@ -73,8 +73,8 @@ built only for the witnesses returned.
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, decompose starts from the same eigen_data, splits
 with routes c, d and e and narrows both sides (_side) after each split, and
-the invariant flags run routes a-d on the eigenlattices the invariant
-already holds.  Every anchor search uses one box radius, ANCHOR_RADIUS.
+invariant_of builds its eigenlattices with eigen_data and runs the flag
+routes a-d on them.  Every anchor search uses one box radius, ANCHOR_RADIUS.
 """
 from __future__ import annotations
 
@@ -257,29 +257,24 @@ def _anchored_signatures(plus: Sublattice, minus: Sublattice, anchor: LatticeVec
     return (1, plus.rank - 1), (0, minus.rank)
 
 
-def _anchored_sides(plus: Sublattice, minus: Sublattice, anchor: LatticeVector,
-                    coords: Optional[Coords]) -> Tuple[_EigenSide, _EigenSide]:
-    """The search data of both eigen sides, the plus side anchored at coords
-    when g fixes the anchor; the signatures come from _anchored_signatures
-    where it knows them, and sylvester_signature runs only where it does
-    not."""
-    known = _anchored_signatures(plus, minus, anchor, coords)
-    if known is None:
-        return _side(plus, coords), _side(minus)
-    return _side(plus, coords, known[0]), _side(minus, None, known[1])
-
-
 def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData:
-    """Eigenlattice data; the anchor is used only when g fixes it.
+    """Eigenlattice data, the one constructor of both eigen sides; the
+    anchor is used only when g fixes it.
 
-    g must be an involution; fixed_and_antifixed tests that from its
-    kernels, without forming g^2.
+    When g fixes the anchor, the plus side is anchored at its coordinates,
+    and the signatures come from _anchored_signatures where it knows them;
+    sylvester_signature runs only where it does not.  g must be an
+    involution; fixed_and_antifixed tests that from its kernels, without
+    forming g^2.
     """
     if anchor is None:
         plus, minus = fixed_and_antifixed(g)
         return EigenData(g, _side(plus), _side(minus))
     plus, minus, coords = fixed_and_antifixed(g, anchor)
-    return EigenData(g, *_anchored_sides(plus, minus, anchor, coords))
+    known = _anchored_signatures(plus, minus, anchor, coords)
+    if known is None:
+        return EigenData(g, _side(plus, coords), _side(minus))
+    return EigenData(g, _side(plus, coords, known[0]), _side(minus, None, known[1]))
 
 
 def _search_batches(side: _EigenSide, target: int, t_bound: int):

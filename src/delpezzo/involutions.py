@@ -40,10 +40,9 @@ from functools import lru_cache, reduce
 from operator import and_, mul
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 from . import criteria
 from . import exactlinalg as xl
-from . import permgroup as pg
 from .lattice import (
     Isometry,
     LatticeVector,
@@ -94,10 +93,6 @@ def orthogonal_root_set(n: int, roots: Sequence[LatticeVector]) -> OrthogonalRoo
     if len(set(canon)) != len(canon):
         raise InputError("duplicate roots in the set")
     return OrthogonalRootSet(n, tuple(canon))
-
-
-def involution_from_roots(n: int, roots: Sequence[LatticeVector]) -> Isometry:
-    return orthogonal_root_set(n, roots).involution()
 
 
 @dataclass(frozen=True)
@@ -176,35 +171,32 @@ class InvolutionInvariant:
         }
 
 
-def _kperp_fixed(g: Isometry, n: int, plus: Optional[Sublattice] = None) -> Sublattice:
-    """Saturated intersection of the fixed lattice with K-perp.
-
-    plus is the fixed lattice of g when the caller has it already.
-    """
-    if plus is None:
-        plus, _ = fixed_and_antifixed(g)
+def _kperp_fixed(plus: Sublattice, n: int) -> Sublattice:
+    """Saturated intersection of the fixed lattice plus with K-perp."""
     k = canonical_class(n)
     rows = [[k.dot(v)] for v in plus.basis]
     ker = xl.kernel(xl.transpose(rows))
     basis = tuple(plus.from_coords(c) for c in ker)
-    return Sublattice(g.lattice, basis, saturated=True)
+    return Sublattice(plus.ambient, basis, saturated=True)
 
 
 def invariant_of(g: Isometry, n: int, with_flags: bool = False,
                  triple: Optional[Tuple[int, int, int]] = None) -> InvolutionInvariant:
     """The conjugation invariants of a K-fixing involution.
 
-    triple is g's class triple (|S|, |key|, fixed pairs) when the caller
-    knows it already, as classify_involutions does from its frame table;
-    else _class_triple reads it off g.
+    Both eigen sides come from criteria.eigen_data(g, K), as in
+    check_reducible: K anchors the fixed side and fixes the signatures of
+    both sides, and the flags run route_flags on that same data.  triple is
+    g's class triple (|S|, |key|, fixed pairs) when the caller knows it
+    already, as classify_involutions does from its frame table; else
+    _class_triple reads it off g.
     """
     if not stabilizes_canonical_class(g, n):
         raise InputError("isometry does not fix the canonical class")
-    # fixed_and_antifixed raises InputError when g is not an involution;
-    # g fixes K, so K has coordinates in the fixed side
-    plus, minus, k_coords = fixed_and_antifixed(g, canonical_class(n))
-    kf = _kperp_fixed(g, n, plus)
-    plus_gram, minus_gram, kf_gram = plus.gram(), minus.gram(), kf.gram()
+    # eigen_data raises InputError when g is not an involution
+    data = criteria.eigen_data(g, canonical_class(n))
+    plus, minus = data.plus.sub, data.minus.sub
+    kf = _kperp_fixed(plus, n)
     # the roots g negates are those of the antifixed lattice, and the roots
     # it fixes those of (fixed lattice) & K-perp: each pair counts two roots
     if triple is None:
@@ -212,9 +204,6 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False,
     _, minus_pairs, fixed_pairs = triple
     flags: Tuple[Optional[bool], ...] = (None,) * 4
     if with_flags:
-        # K anchors the fixed side, and fixes the signatures of both sides
-        data = criteria.EigenData(g, *criteria._anchored_sides(plus, minus, canonical_class(n),
-                                                              k_coords))
         a, b, c, d = criteria.route_flags(data, n)
         flags = (a, c, b, d)
     return InvolutionInvariant(
@@ -223,11 +212,11 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False,
         trace=g.trace(),
         zg=_zg(g, plus, minus).as_tuple(),
         plus_even=is_even(plus),
-        plus_products_even=has_even_products(plus_gram),
-        plus_det=abs(xl.det(plus_gram)) if plus.rank else 1,
-        minus_det=abs(xl.det(minus_gram)) if minus.rank else 1,
+        plus_products_even=has_even_products(data.plus.gram),
+        plus_det=abs(xl.det(data.plus.gram)) if plus.rank else 1,
+        minus_det=abs(xl.det(data.minus.gram)) if minus.rank else 1,
         minus_root_count=2 * minus_pairs,
-        kperp_fixed_det=abs(xl.det(kf_gram)) if kf.rank else 1,
+        kperp_fixed_det=abs(xl.det(kf.gram())) if kf.rank else 1,
         kperp_fixed_roots=2 * fixed_pairs,
         flags=flags,
     )
@@ -244,7 +233,6 @@ class InvolutionClass:
     invariant: InvolutionInvariant
     minus_root_key: RootSetKey     # canonical id of the class
     class_size: Optional[int] = None
-    verdict: Optional[str] = None  # filled by the irreducibility layer
 
     @property
     def carter_exponent(self) -> int:
@@ -259,14 +247,20 @@ class InvolutionClass:
             "matrix": [list(row) for row in self.representative.matrix],
             "invariant": self.invariant.to_json(),
             "class_size": self.class_size,
-            "verdict": self.verdict,
         }
+
+
+@lru_cache(maxsize=None)
+def _roots_and_index(n: int):
+    """The sorted root list and the index of each root's coordinates in it."""
+    roots = enumerate_roots(n).roots
+    return roots, {r.coords: i for i, r in enumerate(roots)}
 
 
 @lru_cache(maxsize=None)
 def _canon_table(n: int) -> bytes:
     """Maps each root index to the index of its sign-canonical mate."""
-    roots, index = pg._roots_and_index(n)
+    roots, index = _roots_and_index(n)
     out = bytearray(len(roots))
     for i, r in enumerate(roots):
         out[i] = index[sign_canonical(r).coords]
@@ -281,7 +275,7 @@ def _class_triple(g: Isometry, n: int) -> Tuple[RootSetKey, Tuple[int, int, int]
     fixed pairs counts the x that g fixes.  |S| = (n + 1 - tr g) / 2 is the
     antifixed rank.  The caller has tested that g fixes K and g^2 = 1.
     """
-    roots, _ = pg._roots_and_index(n)
+    roots, _ = _roots_and_index(n)
     key, fixed = [], 0
     for x in sorted(set(_canon_table(n))):
         v = roots[x].coords
@@ -317,24 +311,11 @@ def are_conjugate(g: Isometry, h: Isometry, n: int) -> bool:
     return _class_triple(g, n)[1] == _class_triple(h, n)[1]
 
 
-def orthogonal_root_sets(n: int) -> List[OrthogonalRootSet]:
-    """Maximal orthogonal root sets, one per orbit of the group, up to sign.
-
-    There is one orbit for every n = 2..8, so this is a single set: the
-    frame of _maximal_orthogonal_reps.
-    """
-    if not 2 <= n <= 8:
-        raise InputError("orthogonal root sets require 2 <= n <= 8")
-    roots, _ = pg._roots_and_index(n)
-    return [orthogonal_root_set(n, [roots[i] for i in rep])
-            for rep in _maximal_orthogonal_reps(*_orthogonality(n))]
-
-
 def _orthogonality(n: int) -> Tuple[List[int], List[int]]:
     """(ids, orth): the sign-canonical root ids, sorted, and for the i-th one
     the bitmask of the j != i with roots[ids[j]] orthogonal to roots[ids[i]],
     from one dot product per pair."""
-    roots, _ = pg._roots_and_index(n)
+    roots, _ = _roots_and_index(n)
     gram = del_pezzo_lattice(n).gram
     ids = sorted(set(_canon_table(n)))
     vecs = [roots[a].coords for a in ids]
@@ -421,7 +402,7 @@ def _frame_candidates(n: int, frame: FrozenSet[int]):
     for the i-th frame root r_i: x lies in the span of a subset S exactly
     when sum_i (x . r_i)^2 = 4 and its mask lies in S.
     """
-    roots, _ = pg._roots_and_index(n)
+    roots, _ = _roots_and_index(n)
     gram = del_pezzo_lattice(n).gram
     members = sorted(frame)
     rows = [xl.mat_vec(gram, list(roots[i].coords)) for i in members]
@@ -457,7 +438,7 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
         raise InputError("classification supports 1 <= n <= 8")
     if n == 1:
         return ()
-    roots, _ = pg._roots_and_index(n)
+    roots, _ = _roots_and_index(n)
     ids, orth = _orthogonality(n)
     [frame] = _maximal_orthogonal_reps(ids, orth)
 
@@ -522,14 +503,3 @@ def find_class(g: Isometry, n: int) -> InvolutionClass:
         if c.invariant.class_triple() == triple:
             return c
     raise InputError("involution does not match any class")
-
-
-def all_involutions(n: int) -> List[pg.Perm]:
-    """Every involution in the group, by full closure; small n only."""
-    if n > 6:
-        raise UnsupportedError("full enumeration is limited to n <= 6")
-    _, _, gens = pg.root_action_context(n)
-    degree = len(enumerate_roots(n))
-    elems = pg.bfs_closure(gens, degree)
-    ident = pg.perm_identity(degree)
-    return [p for p in elems if p != ident and pg.perm_compose(p, p) == ident]

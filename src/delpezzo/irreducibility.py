@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, Optional, Tuple
 
-from .errors import InputError, NotAnInvolution
+from .errors import InputError, NotAnInvolution, is_json_int
 from . import criteria
 from . import exactlinalg as xl
 from .lattice import (
@@ -89,11 +89,18 @@ class ReducibilityCertificate:
 
     @staticmethod
     def from_json(data: dict) -> "ReducibilityCertificate":
-        return ReducibilityCertificate(
-            kind=str(data["kind"]),
-            witnesses=tuple(tuple(int(x) for x in w) for w in data.get("witnesses", [])),
-            narrative=str(data.get("narrative", "")),
-        )
+        """The certificate of a to_json blob.  kind and narrative must be
+        strings and witnesses a list of lists of JSON integers; a missing or
+        ill-typed field raises InputError."""
+        if not isinstance(data, dict):
+            raise InputError("certificate must be a JSON object")
+        kind, witnesses, narrative = (data.get(f) for f in ("kind", "witnesses", "narrative"))
+        if not isinstance(kind, str) or not isinstance(narrative, str):
+            raise InputError('certificate "kind" and "narrative" must be strings')
+        if not isinstance(witnesses, list) or not all(
+                isinstance(w, list) and all(is_json_int(x) for x in w) for w in witnesses):
+            raise InputError('certificate "witnesses" must be a list of lists of integers')
+        return ReducibilityCertificate(kind, tuple(tuple(w) for w in witnesses), narrative)
 
     def verify(self, g: Isometry) -> bool:
         """Re-check the certified statement against the involution."""
@@ -216,27 +223,6 @@ def _eigen_data(g: Isometry, anchor: Optional[LatticeVector]) -> criteria.EigenD
 def _back(h_inv, coords: Tuple[int, ...]) -> Tuple[int, ...]:
     """Coordinates of h^-1 w for the chamber conjugation h (None: identity)."""
     return coords if h_inv is None else tuple(xl.mat_vec(h_inv, coords))
-
-
-def classify_with_verdicts(n: int):
-    """Classification entries with the reducibility verdict filled in."""
-    from .involutions import classify_involutions
-
-    out = []
-    for cls in classify_involutions(n):
-        verdict = check_reducible(cls.representative, n)
-        if verdict.status == UNKNOWN:
-            raise InputError("catalog involution left undecided; "
-                             "internal consistency failure")
-        out.append(dataclasses.replace(cls, verdict=verdict.status))
-    return tuple(out)
-
-
-def irreducible_involution_classes(n: int) -> List:
-    """Classification entries whose representatives are irreducible."""
-    if n == 1:
-        return []
-    return [c for c in classify_with_verdicts(n) if c.verdict == IRREDUCIBLE]
 
 
 def negation_twist(g: Isometry) -> Isometry:

@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InputError, NotAnInvolution, UnsupportedError
+from .errors import InputError, NotAnInvolution
 from . import exactlinalg as xl
 
 Coords = Tuple[int, ...]
@@ -264,19 +264,6 @@ def full_sublattice(lattice: Lattice) -> Sublattice:
                       saturated=True)
 
 
-def saturate(sub: Sublattice) -> Sublattice:
-    """The saturation: all ambient vectors lying in the rational span."""
-    if sub.saturated:
-        return sub
-    rows = [list(v.coords) for v in sub.basis]
-    annihilator = xl.kernel(rows)  # vectors y with y . v == 0 (standard dot)
-    if not annihilator:
-        return full_sublattice(sub.ambient)
-    sat_cols = xl.kernel([list(y) for y in annihilator])
-    basis = tuple(sub.ambient.vector(col) for col in sat_cols)
-    return Sublattice(sub.ambient, basis, saturated=True)
-
-
 def orthogonal_complement(sub: Sublattice) -> Sublattice:
     """Saturated sublattice of all ambient vectors orthogonal to sub."""
     rows = [xl.mat_vec(sub.ambient.gram, list(v.coords)) for v in sub.basis]
@@ -402,36 +389,3 @@ def fixed_and_antifixed(g: Isometry, along: Optional[LatticeVector] = None):
         Sublattice(lat, tuple(LatticeVector(lat, tuple(c)) for c in minus), saturated=True),
     )
     return sides if along is None else sides + (coords,)
-
-
-@dataclass(frozen=True)
-class ShortVectorResult:
-    """Outcome of a short-vector search; short_vectors only returns complete ones."""
-
-    vectors: Tuple[LatticeVector, ...]
-    complete: bool
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __len__(self):
-        return len(self.vectors)
-
-
-def short_vectors(sub: Sublattice, target_norm: int) -> ShortVectorResult:
-    """Nonzero sublattice vectors of the exact given self-intersection.
-
-    The restricted form must be definite; the enumeration is then complete.
-    An indefinite or degenerate sublattice raises UnsupportedError.
-    """
-    from . import enumeration as en
-
-    if sub.rank == 0:
-        return ShortVectorResult((), True)
-    gram = sub.gram()
-    pos, neg, zero = xl.sylvester_signature(gram)
-    if zero or (pos and neg):
-        raise UnsupportedError("short vectors are enumerated only in definite sublattices")
-    coords = en.definite_vectors(gram, target_norm, sub._rows)
-    vecs = sorted(sub.ambient.vector(c) for c in coords)
-    return ShortVectorResult(tuple(vecs), True)

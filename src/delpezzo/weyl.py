@@ -242,10 +242,6 @@ def enumerate_roots(n: int) -> RootSystem:
     return RootSystem(n, tuple(roots), weyl_generators(n).vectors)
 
 
-def is_root(v: LatticeVector, n: int) -> bool:
-    return v.norm() == -2 and v.dot(canonical_class(n)) == 0
-
-
 @lru_cache(maxsize=None)
 def weyl_order(n: int) -> int:
     """Order of the group generated by weyl_generators(n), by orbit-stabilizer.

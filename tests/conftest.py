@@ -1,15 +1,18 @@
 """Shared helpers for the test suite."""
 import importlib.util
 import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import delpezzo.permgroup as pg
 from delpezzo import enumeration as en
-from delpezzo.involutions import _canon_table
+from delpezzo import exactlinalg as xl
+from delpezzo.errors import InputError, UnsupportedError
+from delpezzo.involutions import _canon_table, _roots_and_index
 from delpezzo.lattice import Isometry, del_pezzo_lattice
-from delpezzo.weyl import closure, reflection, weyl_generators
+from delpezzo.weyl import canonical_class, closure, enumerate_roots, reflection, weyl_generators
 
 
 def canonical_generators(n):
@@ -48,6 +51,88 @@ def bench_inputs():
     return module
 
 
+# The byte-permutation oracles.  A permutation of the sorted root list
+# (pg.root_action_context) is a bytes object, entry i the index of the image
+# of root i, so composition is one bytes.translate call.
+
+
+def _table(q: bytes) -> bytes:
+    """Pad a permutation to the 256-byte table bytes.translate expects."""
+    return q + bytes(range(len(q), 256))
+
+
+def perm_compose(p: bytes, q: bytes) -> bytes:
+    """The permutation 'first p, then q'."""
+    return p.translate(_table(q))
+
+
+def perm_identity(degree: int) -> bytes:
+    return bytes(range(degree))
+
+
+def perm_inverse(p: bytes) -> bytes:
+    out = bytearray(len(p))
+    for i, j in enumerate(p):
+        out[j] = i
+    return bytes(out)
+
+
+@lru_cache(maxsize=None)
+def _perm_to_matrix_data(n: int):
+    # columns: K followed by the simple roots; invertible over Q
+    lat = del_pezzo_lattice(n)
+    vecs = [canonical_class(n)] + list(weyl_generators(n).vectors)
+    cols = [[v.coords[i] for v in vecs] for i in range(lat.rank)]
+    return vecs, cols, xl.inverse(cols)
+
+
+def perm_to_isometry(p: bytes, n: int) -> Isometry:
+    """Reconstruct the isometry from its root permutation (K is fixed)."""
+    if n < 3:
+        raise UnsupportedError("root permutations determine isometries only for n >= 3")
+    roots, index = _roots_and_index(n)
+    vecs, cols, inv = _perm_to_matrix_data(n)
+    lat = del_pezzo_lattice(n)
+    images = [canonical_class(n)]
+    for v in vecs[1:]:
+        images.append(roots[p[index[v.coords]]])
+    img_cols = [[w.coords[i] for w in images] for i in range(lat.rank)]
+    prod = xl.mat_mul(img_cols, inv)
+    matrix = []
+    for row in prod:
+        out_row = []
+        for x in row:
+            if getattr(x, "denominator", 1) != 1:
+                raise InputError("permutation does not come from an integral isometry")
+            out_row.append(int(x))
+        matrix.append(tuple(out_row))
+    return Isometry(lat, tuple(matrix))
+
+
+def bfs_closure(gens, degree: int, limit: int = 10 ** 7):
+    """All products of the generators, by breadth-first closure."""
+    return closure([perm_identity(degree)], [_table(g) for g in gens], bytes.translate,
+                   limit, "group closure")
+
+
+def conjugacy_orbit(p: bytes, gens, limit: int = 10 ** 7):
+    """Orbit of p under conjugation by the generated group."""
+    pairs = [(perm_inverse(g), g) for g in gens]
+    return closure([p], pairs, lambda q, pair: perm_compose(perm_compose(pair[0], q), pair[1]),
+                   limit, "conjugacy orbit")
+
+
+def all_involutions(n: int):
+    """Every involution in the group, by full closure; small n only."""
+    if n > 6:
+        raise UnsupportedError("full enumeration is limited to n <= 6")
+    _, _, gens = pg.root_action_context(n)
+    degree = len(enumerate_roots(n))
+    ident = perm_identity(degree)
+    return [p for p in bfs_closure(gens, degree)
+            if p != ident and perm_compose(p, p) == ident]
+
+
 def key_orbit(key, n, limit: int = 3 * 10 ** 6):
     """The census oracle: the orbit of a key (sorted sign-canonical root ids)
     under the group, each member as bytes of its sorted ids.
@@ -59,7 +144,7 @@ def key_orbit(key, n, limit: int = 3 * 10 ** 6):
     """
     _, _, gens = pg.root_action_context(n)
     canon = _canon_table(n)
-    tables = [pg._table(bytes(canon[j] for j in g)) for g in gens]
+    tables = [_table(bytes(canon[j] for j in g)) for g in gens]
     return closure([bytes(key)], tables, lambda s, t: bytes(sorted(s.translate(t))),
                    limit, "class orbit")
 

@@ -27,16 +27,22 @@ from delpezzo import (
     negation_twist,
     zg_invariant,
 )
-from delpezzo.lattice import Isometry, del_pezzo_lattice, fixed_and_antifixed
+from delpezzo.lattice import del_pezzo_lattice, fixed_and_antifixed
 from delpezzo.weyl import (
-    canonical_class,
     enumerate_roots,
     product_of_reflections,
     reflection,
     weyl_order,
 )
 
-from conftest import brute_force_root_count, random_group_element
+from conftest import (
+    all_involutions,
+    bfs_closure,
+    brute_force_root_count,
+    conjugacy_orbit,
+    perm_to_isometry,
+    random_group_element,
+)
 
 
 def criterion(label):
@@ -110,7 +116,7 @@ def test_criterion_4_weyl_orders():
     for n in (3, 4, 5):
         _, _, gens = pg.root_action_context(n)
         degree = len(enumerate_roots(n))
-        assert len(pg.bfs_closure(gens, degree)) == expected[n]
+        assert len(bfs_closure(gens, degree)) == expected[n]
     assert time.perf_counter() - start < 60
 
 
@@ -229,7 +235,7 @@ def test_criterion_8iv_certificates_verify():
 
 @criterion("8(v) (invariant partition equals conjugacy partition, n <= 6)")
 def test_criterion_8v_partition_oracle():
-    from delpezzo import all_involutions, invariant_of
+    from delpezzo import invariant_of
 
     for n in range(3, 7):
         perms = all_involutions(n)
@@ -237,7 +243,7 @@ def test_criterion_8v_partition_oracle():
 
         by_invariant = {}
         for p in perms:
-            g = pg.perm_to_isometry(p, n)
+            g = perm_to_isometry(p, n)
             key = invariant_of(g, n).merge_key()
             by_invariant.setdefault(key, set()).add(p)
 
@@ -245,7 +251,7 @@ def test_criterion_8v_partition_oracle():
         conjugacy = []
         while remaining:
             p = next(iter(remaining))
-            orb = pg.conjugacy_orbit(p, gens) & set(perms)
+            orb = conjugacy_orbit(p, gens) & set(perms)
             conjugacy.append(frozenset(orb))
             remaining -= orb
 

@@ -169,9 +169,11 @@ def test_scaled_cholesky_matches_fraction_reference():
 
 
 def test_definite_vectors_rejects_indefinite_gram():
-    # whatever the sign of the target against the first diagonal entry
+    # whatever the sign of the target against the first diagonal entry, and
+    # on a degenerate Gram
     for gram, target in (([[1, 0], [0, -1]], 2), ([[-1, 0], [0, 1]], -2),
-                         ([[-1, 0], [0, 1]], 2), ([[1, 0], [0, -1]], -2)):
+                         ([[-1, 0], [0, 1]], 2), ([[1, 0], [0, -1]], -2),
+                         ([[0]], -1), ([[0]], 1)):
         with pytest.raises(InputError):
             en.definite_vectors(gram, target)
 

@@ -8,22 +8,18 @@ import delpezzo.permgroup as pg
 import delpezzo.weyl as weyl_mod
 from delpezzo import (
     InputError,
-    all_involutions,
     are_conjugate,
     classify_involutions,
     find_class,
     invariant_of,
-    involution_from_roots,
     minus_root_key,
     orthogonal_root_set,
-    orthogonal_root_sets,
     zg_invariant,
 )
-from delpezzo.involutions import ZGInvariant
 from delpezzo.lattice import del_pezzo_lattice, fixed_and_antifixed
-from delpezzo.weyl import canonical_class, weyl_order
+from delpezzo.weyl import canonical_class, product_of_reflections, weyl_order
 
-from conftest import key_orbit, random_group_element
+from conftest import all_involutions, key_orbit, random_group_element
 
 CLASS_COUNTS = {1: 0, 2: 1, 3: 3, 4: 2, 5: 5, 6: 4, 7: 9, 8: 9}
 
@@ -53,7 +49,7 @@ def test_carter_exponent_equals_antifixed_rank():
 def test_representative_is_product_of_its_roots():
     for n in (3, 5, 7):
         for cls in classify_involutions(n):
-            g = involution_from_roots(n, cls.roots)
+            g = product_of_reflections(cls.roots.roots)
             assert g.matrix == cls.representative.matrix
 
 
@@ -161,7 +157,7 @@ def test_invariant_json_is_serializable():
 def _frame_rows(n):
     """(subset, mask key, mask kperp pairs, involution) for every subset of
     every frame the classification walks."""
-    roots, _ = pg._roots_and_index(n)
+    roots, _ = inv_mod._roots_and_index(n)
     rows = []
     for frame in inv_mod._maximal_orthogonal_reps(*inv_mod._orthogonality(n)):
         for sub, key, perp in inv_mod._frame_candidates(n, frame):
@@ -318,7 +314,7 @@ FRAMES = {
 def _all_maximal_cliques(n):
     import networkx as nx
 
-    roots, _ = pg._roots_and_index(n)
+    roots, _ = inv_mod._roots_and_index(n)
     pos_ids = sorted(set(inv_mod._canon_table(n)))
     graph = nx.Graph()
     graph.add_nodes_from(pos_ids)
@@ -337,8 +333,9 @@ def test_maximal_orthogonal_sets_form_one_orbit(n):
     assert len(cliques) == len(set(cliques)) == MAXIMAL_CLIQUE_COUNTS[n]
     orbit = key_orbit(FRAMES[n], n)
     assert {bytes(c) for c in cliques} == orbit
-    assert [r.coords for r in orthogonal_root_sets(n)[0]] == sorted(
-        pg._roots_and_index(n)[0][i].coords for i in FRAMES[n])
+    roots, _ = inv_mod._roots_and_index(n)
+    assert [r.coords for r in orthogonal_root_set(n, [roots[i] for i in reps[0]])] == sorted(
+        roots[i].coords for i in FRAMES[n])
 
 
 def _reference_key_orbit(key, n):
@@ -374,7 +371,7 @@ def test_frame_count_equals_maximal_cliques(n):
 def _listed_set_counts(members, n):
     """[c_0, c_1, ...]: the orthogonal j-sets among the root ids members, by
     extending every orthogonal set in combinations order."""
-    roots, _ = pg._roots_and_index(n)
+    roots, _ = inv_mod._roots_and_index(n)
     members = sorted(members)
     perp = {(a, b) for a, b in itertools.combinations(members, 2)
             if roots[a].dot(roots[b]) == 0}
@@ -394,7 +391,7 @@ def test_set_counter_matches_listed_orthogonal_sets():
         [frame] = inv_mod._maximal_orthogonal_reps(ids, orth)
         bit = {a: 1 << i for i, a in enumerate(ids)}
         count = inv_mod._orthogonal_set_counter(orth)
-        roots, _ = pg._roots_and_index(n)
+        roots, _ = inv_mod._roots_and_index(n)
         for sub, key, perp in inv_mod._frame_candidates(n, frame):
             fixed = tuple(a for a in ids if all(roots[a].dot(roots[r]) == 0 for r in sub))
             assert len(fixed) == perp
@@ -427,8 +424,7 @@ def test_conjugacy_tests_square_g_once(monkeypatch, rng):
         walks.append(args)
         return closure(*args, **kwargs)
 
-    for module in (weyl_mod, pg):
-        monkeypatch.setattr(module, "closure", walked)
+    monkeypatch.setattr(weyl_mod, "closure", walked)
     for n in range(2, 9):
         inv_mod.classify_involutions.__wrapped__(n)
     assert walks == []

@@ -14,7 +14,6 @@ from delpezzo import (
     classify_involutions,
     decompose,
     identity_isometry,
-    irreducible_involution_classes,
     negation_twist,
 )
 from delpezzo import criteria
@@ -26,10 +25,8 @@ from delpezzo.irreducibility import _decompose_in_basis
 from delpezzo.lattice import (
     Sublattice,
     del_pezzo_lattice,
-    inner,
     is_even,
     signature,
-    span,
 )
 from delpezzo.weyl import canonical_class, reflection, wall_generators
 
@@ -39,7 +36,8 @@ IRREDUCIBLE_LABELS = {2: [], 3: [], 4: [], 5: ["m4"], 6: [],
 
 def test_irreducible_labels_small_n():
     for n in (2, 3, 4, 5, 6):
-        got = [c.label for c in irreducible_involution_classes(n)]
+        got = [c.label for c in classify_involutions(n)
+               if check_reducible(c.representative, n).status == IRREDUCIBLE]
         assert got == IRREDUCIBLE_LABELS[n]
 
 
@@ -102,6 +100,27 @@ def test_tampered_certificate_fails_verification():
         narrative=v.certificate.narrative,
     )
     assert not bad.verify(cls.representative)
+
+
+def test_certificate_from_json_takes_json_integers_only():
+    # a float witness used to be truncated: [1.7, 0.7, ...] read as [1, 0, ...]
+    # verified as the FixedNormPlus1 witness of 4 m1
+    cls = classify_involutions(4)[0]
+    blob = check_reducible(cls.representative, 4).certificate.to_json()
+    assert blob["kind"] == "FixedNormPlus1"
+    assert ReducibilityCertificate.from_json(blob).verify(cls.representative)
+    for witnesses in ([[1.7, 0.7, 0.7, 0.7, 0.7]], [[1.0, 0, 0, 0, 0]], [["1", 0, 0, 0, 0]],
+                      [[True, 0, 0, 0, 0]], [[1, None, 0, 0, 0]], [(1, 0, 0, 0, 0)],
+                      [1, 0, 0, 0, 0], "[[1, 0, 0, 0, 0]]", None):
+        with pytest.raises(InputError):
+            ReducibilityCertificate.from_json(dict(blob, witnesses=witnesses))
+    for field in ("kind", "witnesses", "narrative"):
+        with pytest.raises(InputError):
+            ReducibilityCertificate.from_json({k: v for k, v in blob.items() if k != field})
+        with pytest.raises(InputError):
+            ReducibilityCertificate.from_json(dict(blob, **{field: 1}))
+    with pytest.raises(InputError):
+        ReducibilityCertificate.from_json([blob])
 
 
 def test_negation_twist_preserves_verdict():

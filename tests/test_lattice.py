@@ -15,17 +15,13 @@ from delpezzo import (
     del_pezzo_lattice,
     fixed_and_antifixed,
     identity_isometry,
-    inner,
     is_even,
     full_sublattice,
     orthogonal_complement,
     quadric_lattice,
-    saturate,
-    short_vectors,
     signature,
     span,
 )
-from delpezzo.errors import UnsupportedError
 from delpezzo.lattice import Lattice, Sublattice
 from delpezzo.weyl import canonical_class, reflection, wall_generators
 
@@ -149,15 +145,6 @@ def test_reflection_preserves_form_and_squares_to_identity():
     assert r.apply(k) == k
 
 
-def test_saturate_recovers_primitive_sublattice():
-    lat = del_pezzo_lattice(3)
-    doubled = span(lat, (lat.vector((0, 2, 0, 0)), lat.vector((0, 0, 2, 2))))
-    sat = saturate(doubled)
-    assert sat.rank == 2
-    assert sat.coords_of(lat.vector((0, 1, 0, 0))) is not None
-    assert sat.coords_of(lat.vector((0, 0, 1, 1))) is not None
-
-
 def test_orthogonal_complement_of_canonical_class():
     for n in range(2, 7):
         lat = del_pezzo_lattice(n)
@@ -193,22 +180,6 @@ def test_fixed_and_antifixed_rejects_non_involutions():
     for _ in range(12):
         power = xl.mat_mul(power, parabolic.matrix)
         assert power != xl.identity(4)
-
-
-def test_short_vectors_negative_definite_complete():
-    lat = del_pezzo_lattice(3)
-    kperp = orthogonal_complement(span(lat, (canonical_class(3),)))
-    res = short_vectors(kperp, -2)
-    assert res.complete
-    assert len(res.vectors) == 8  # the roots of the rank-3 system
-
-
-def test_short_vectors_rejects_indefinite_and_degenerate_sublattices():
-    lat = del_pezzo_lattice(3)
-    for basis in (((1, 0, 0, 0), (0, 1, 0, 0)),     # <1> + <-1>
-                  ((1, 1, 0, 0),)):                  # isotropic line
-        with pytest.raises(UnsupportedError):
-            short_vectors(span(lat, tuple(lat.vector(b) for b in basis)), -1)
 
 
 def test_sublattice_determinant_and_from_coords():
