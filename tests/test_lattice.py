@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delpezzo.enumeration as en
 import delpezzo.exactlinalg as xl
 from delpezzo import (
     InputError,
@@ -180,6 +181,18 @@ def test_fixed_and_antifixed_rejects_non_involutions():
     for _ in range(12):
         power = xl.mat_mul(power, parabolic.matrix)
         assert power != xl.identity(4)
+
+
+def test_short_vectors_rejects_indefinite_and_degenerate_sublattices():
+    # the sublattice search lifts with the basis rows, as the eigenlattice
+    # search does; an indefinite or degenerate form is refused either way
+    lat = del_pezzo_lattice(3)
+    for basis in (((1, 0, 0, 0), (0, 1, 0, 0)),     # <1> + <-1>
+                  ((1, 1, 0, 0),)):                  # isotropic line
+        sub = span(lat, tuple(lat.vector(b) for b in basis))
+        for target in (-1, 1):
+            with pytest.raises(InputError):
+                en.definite_vectors(sub.gram(), target, sub._rows)
 
 
 def test_sublattice_determinant_and_from_coords():
