@@ -56,19 +56,21 @@ Lambda, and when that side is indefinite, against the anchor 2p for its
 anchor p, so slab s = 2t holds the vectors of slab t against p and the odd
 slabs are empty.
 
-The search engine yields ambient int tuples: the exact-norm descent of
-enumeration lifts each vector as it finds it, from the side's basis
-columns, so _search_batches passes the batches on as they come and no
-consumer lifts.  A slab vector's lift is divided by the anchor's square,
-which is exact because the descent visits only the complement coset whose
-vectors are integral in the frame's own basis; that holds on any
-sublattice, saturated or not.  The anchor frame behind it (complement,
-residues, scaled Cholesky data) is built once per eigen side and shared by
-every route on that side (_frame), and route d's frame of the other
-side's Lambda is built once per eigen data.  Route b runs the partner test
-only on the c1 it draws and computes J c1 only for the c1 that pass it;
-route d pairs the roots of the two Lambdas by parity; lattice vectors are
-built only for the witnesses returned.
+The search engine runs on plain int tuples.  An eigen side is a basis of
+ambient coordinate tuples (lattice.eigenbases, one kernel per side) with its
+Gram matrix, and the exact-norm descent of enumeration lifts each vector as
+it finds it, from the side's basis columns, so _search_batches passes the
+batches on as they come and no consumer lifts.  A slab vector's lift is
+divided by the anchor's square, which is exact because the descent visits
+only the complement coset whose vectors are integral in the frame's own
+basis; that holds on any sublattice, saturated or not.  The anchor frame
+behind it (complement, residues, scaled Cholesky data) is built once per
+eigen side and shared by every route on that side (_frame), and route d's
+frame of the other side's Lambda is built once per eigen data.  Route b
+runs the partner test only on the c1 it draws and computes J c1 only for
+the c1 that pass it; route d pairs the roots of the two Lambdas by parity.
+Witnesses are returned as ambient int tuples too, so no route builds a
+lattice vector.
 
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, decompose starts from the same eigen_data, splits
@@ -93,8 +95,8 @@ from . import exactlinalg as xl
 from .lattice import (
     Isometry,
     LatticeVector,
-    Sublattice,
-    fixed_and_antifixed,
+    eigenbases,
+    gram_of,
     has_even_products,
     sign_canonical_coords,
 )
@@ -132,12 +134,13 @@ def resolve_height_bound(height_bound: Optional[int]) -> int:
 class RouteResult:
     status: str           # closed / witness / open
     reason: str           # machine-checkable predicate tag
-    witnesses: Tuple[LatticeVector, ...] = ()
+    witnesses: Tuple[Coords, ...] = ()   # ambient coordinates
 
 
 @dataclass
 class _EigenSide:
-    """One eigenlattice with its restricted Gram and search anchor.
+    """One eigenlattice, by a basis of ambient int tuples, with its
+    restricted Gram and search anchor.
 
     An indefinite side with an anchor builds its enumeration.AnchorFrame
     (the anchor complement, its residue data and, at the first slab that
@@ -145,10 +148,10 @@ class _EigenSide:
     every route on the side reuses it.
     """
 
-    sub: Sublattice
+    basis: Tuple[Coords, ...]
     gram: Tuple[Tuple[int, ...], ...]
     definite: bool        # complete searches available
-    anchor: Optional[List[int]]  # coords in sub basis, positive square
+    anchor: Optional[List[int]]  # coords in the basis, positive square
     positive: int         # the positive inertia of gram
     frame: Optional[en.AnchorFrame] = field(default=None, repr=False, compare=False)
 
@@ -205,20 +208,19 @@ def _box_search(gram, box, k: int, square: int, lin: List[int],
     return None
 
 
-def _side(sub: Sublattice, preferred: Optional[Coords] = None,
+def _side(ambient_gram, basis: Tuple[Coords, ...], preferred: Optional[Coords] = None,
           signature: Optional[Tuple[int, int]] = None) -> _EigenSide:
-    """The search data of an eigenlattice.  It must be saturated, as every
-    kernel basis is: the routes search the whole eigenlattice, and a basis
-    of smaller index would miss the classes outside its span.  preferred is
-    the preferred anchor, in the sub basis (fixed_and_antifixed gives K's);
-    signature is the side's (positive, negative) inertia when the caller
-    knows it (_anchored_signatures, irreducibility._narrow), else
-    sylvester_signature computes it."""
-    if not sub.saturated:
-        raise InputError("an eigen side must be a saturated sublattice")
-    gram = sub.gram()
-    if sub.rank == 0:
-        return _EigenSide(sub, gram, True, None, 0)
+    """The search data of an eigenlattice, given by a basis of ambient int
+    tuples under the form ambient_gram.  The basis must span a saturated
+    sublattice, as every xl.kernel basis does: the routes search the whole
+    eigenlattice, and a basis of smaller index would miss the classes
+    outside its span.  preferred is the preferred anchor, in basis
+    coordinates (eigenbases gives K's); signature is the side's (positive,
+    negative) inertia when the caller knows it (eigen_data,
+    irreducibility._narrow), else sylvester_signature computes it."""
+    gram = gram_of(ambient_gram, basis)
+    if not basis:
+        return _EigenSide(basis, gram, True, None, 0)
     if signature is None:
         pos, neg, zero = xl.sylvester_signature(gram)
         if zero:
@@ -229,7 +231,13 @@ def _side(sub: Sublattice, preferred: Optional[Coords] = None,
     anchor = None
     if not definite:
         anchor = _find_anchor(gram, None if preferred is None else list(preferred))
-    return _EigenSide(sub, gram, definite, anchor, pos)
+    return _EigenSide(basis, gram, definite, anchor, pos)
+
+
+def _lift(basis: Tuple[Coords, ...], xs) -> Tuple[Coords, ...]:
+    """The ambient coordinates of sum_i x_i basis_i, for each x of xs."""
+    rows = list(zip(*basis))
+    return tuple(tuple([sum(map(mul, row, x)) for row in rows]) for x in xs)
 
 
 @lru_cache(maxsize=None)
@@ -237,44 +245,28 @@ def _lattice_signature(gram: Tuple[Tuple[int, ...], ...]) -> Tuple[int, int, int
     return xl.sylvester_signature(gram)
 
 
-def _anchored_signatures(plus: Sublattice, minus: Sublattice, anchor: LatticeVector,
-                         coords: Optional[Coords]) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """The (positive, negative) inertia of both eigen sides when g fixes an
-    anchor of positive square (coords, its plus coordinates, not None) in a
-    lattice of signature (1, n), else None.
-
-    The sides are nondegenerate (they are orthogonal and span a subgroup of
-    finite index), so plus, which holds the anchor, has signature (1, r - 1),
-    and minus lies in the anchor's orthogonal complement, which is negative
-    definite.  For K, with K^2 = 9 - n > 0 on M_n, n <= 8, that is every
-    K-fixing involution.
-    """
-    if coords is None or anchor.norm() <= 0:
-        return None
-    lat = anchor.lattice
-    if _lattice_signature(lat.gram) != (1, lat.rank - 1, 0):
-        return None
-    return (1, plus.rank - 1), (0, minus.rank)
-
-
 def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData:
-    """Eigenlattice data, the one constructor of both eigen sides; the
-    anchor is used only when g fixes it.
+    """Eigenlattice data, the one constructor of both eigen sides, from the
+    bases of lattice.eigenbases, which is also the involution test (no g^2
+    is formed); the anchor is used only when g fixes it.
 
-    When g fixes the anchor, the plus side is anchored at its coordinates,
-    and the signatures come from _anchored_signatures where it knows them;
-    sylvester_signature runs only where it does not.  g must be an
-    involution; fixed_and_antifixed tests that from its kernels, without
-    forming g^2.
+    When g fixes an anchor of positive square in a lattice of signature
+    (1, n), the plus side is anchored at its coordinates and both
+    signatures are known.  The sides are nondegenerate (they are orthogonal
+    and span a subgroup of finite index), so plus, which holds the anchor,
+    has signature (1, r - 1), and minus lies in the anchor's orthogonal
+    complement, which is negative definite.  For K, with K^2 = 9 - n > 0 on
+    M_n, n <= 8, that is every K-fixing involution.  sylvester_signature
+    runs only where the signatures are not known.
     """
-    if anchor is None:
-        plus, minus = fixed_and_antifixed(g)
-        return EigenData(g, _side(plus), _side(minus))
-    plus, minus, coords = fixed_and_antifixed(g, anchor)
-    known = _anchored_signatures(plus, minus, anchor, coords)
-    if known is None:
-        return EigenData(g, _side(plus, coords), _side(minus))
-    return EigenData(g, _side(plus, coords, known[0]), _side(minus, None, known[1]))
+    lat = g.lattice
+    plus, minus, coords = eigenbases(g, None if anchor is None else anchor.coords)
+    known = (None, None)
+    if (coords is not None and anchor.norm() > 0
+            and _lattice_signature(lat.gram) == (1, lat.rank - 1, 0)):
+        known = ((1, len(plus) - 1), (0, len(minus)))
+    return EigenData(g, _side(lat.gram, plus, coords, known[0]),
+                     _side(lat.gram, minus, None, known[1]))
 
 
 def _search_batches(side: _EigenSide, target: int, t_bound: int):
@@ -288,11 +280,10 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
     searches lift with the side's basis rows (the frame holds them), so
     their vectors come out in ambient coordinates.
     """
-    sub, gram = side.sub, side.gram
-    if sub.rank == 0:
+    if not side.basis:
         return
     if side.definite:
-        yield en.definite_vectors(gram, target, sub._rows)
+        yield en.definite_vectors(side.gram, target, tuple(zip(*side.basis)))
         return
     if side.anchor is None:
         return
@@ -304,7 +295,7 @@ def _frame(side: _EigenSide) -> en.AnchorFrame:
     """The AnchorFrame of an indefinite side with an anchor, built at its
     first use and kept on the side."""
     if side.frame is None:
-        side.frame = en.AnchorFrame(side.gram, side.anchor, side.sub._rows)
+        side.frame = en.AnchorFrame(side.gram, side.anchor, tuple(zip(*side.basis)))
     return side.frame
 
 
@@ -357,7 +348,7 @@ def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
     for batch in _search_batches(side, target, t_bound):
         if batch:
             best = min(sign_canonical_coords(c) for c in batch)
-            return RouteResult(WITNESS, found, (side.sub.ambient.vector(best),))
+            return RouteResult(WITNESS, found, (best,))
     if side.definite:
         return RouteResult(CLOSED, exhausted)
     return RouteResult(OPEN, f"searched(t<={t_bound})")
@@ -413,7 +404,7 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     that can pair with nothing; for a c1 that passes, w = J c1 gives the
     pair products w.c2.  The pool is not filtered: an isotropic c2 with
     c1.c2 = 1 has the partner c1, so the first hit is the one of the
-    filtered scan.  Lattice vectors are built only for the two witnesses.
+    filtered scan.
 
     The batch of |t| is read lazily from the side's AnchorFrame
     (AnchorFrame.ascending), whose ordered descent gives the vectors of
@@ -431,30 +422,30 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     (_mod4_allows_partner), the side has no hyperbolic pair at all.
     """
     side = data.plus
-    if side.sub.rank < 2:
+    if len(side.basis) < 2:
         return RouteResult(CLOSED, "plus_rank_below_2")
     if has_even_products(side.gram):
         return RouteResult(CLOSED, "plus_even_products")
     if side.definite:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
-    gram, sub = side.gram, side.sub
+    gram = side.gram
     if not _mod4_allows_partner(gram):
         return RouteResult(CLOSED, "plus_no_partner_mod4")
     if side.anchor is not None:
-        lat = sub.ambient
+        ambient = data.g.lattice.gram
         frame = _frame(side)
-        j_basis = [xl.mat_vec(lat.gram, v.coords) for v in sub.basis]
+        j_basis = [xl.mat_vec(ambient, v) for v in side.basis]
         seen: List[Coords] = []
         for t in range(t_bound + 1):
             batch, got = frame.ascending(0, t), []
             for c1 in _drawn(got, batch):
                 if not _partner_test(gram, [sum(map(mul, jb, c1)) for jb in j_basis]):
                     continue
-                w = [sum(map(mul, row, c1)) for row in lat.gram]
+                w = [sum(map(mul, row, c1)) for row in ambient]
                 for c2 in heapq.merge(seen, _drawn(got, batch)):
                     if sum(map(mul, w, c2)) == 1:
                         return RouteResult(WITNESS, "fixed_hyperbolic_pair",
-                                           tuple(lat.vector(c) for c in sorted((c1, c2))))
+                                           tuple(sorted((c1, c2))))
             seen = list(heapq.merge(seen, got))
     return RouteResult(OPEN, f"searched(t<={t_bound})")
 
@@ -464,7 +455,7 @@ def route_c(data: EigenData, t_bound: int) -> RouteResult:
                        "fixed_norm_minus1", "plus_definite_exhausted")
 
 
-def _congruent_sublattice(side: _EigenSide, other: _EigenSide) -> _EigenSide:
+def _congruent_sublattice(side: _EigenSide, other: _EigenSide, ambient_gram) -> _EigenSide:
     """The search data of the congruent sublattice Lambda(L, L') = {v in L :
     v = w (mod 2M) for some w in L'} of the side L against the other side L'.
 
@@ -480,12 +471,12 @@ def _congruent_sublattice(side: _EigenSide, other: _EigenSide) -> _EigenSide:
     search does not need: the slab descent tests integrality in the basis
     of its own frame.
     """
-    echelon = xl.f2_echelon(xl.f2_bits(v.coords) for v in other.sub.basis)
-    rank = side.sub.rank
+    echelon = xl.f2_echelon(map(xl.f2_bits, other.basis))
+    rank = len(side.basis)
     pivots: List[Tuple[int, int]] = []    # (residue, combination mask)
     cols = []
-    for i, v in enumerate(side.sub.basis):
-        bits, comb = xl.f2_reduce(echelon, xl.f2_bits(v.coords)), 1 << i
+    for i, v in enumerate(side.basis):
+        bits, comb = xl.f2_reduce(echelon, xl.f2_bits(v)), 1 << i
         for b, c in pivots:
             if bits ^ b < bits:
                 bits, comb = bits ^ b, comb ^ c
@@ -494,21 +485,21 @@ def _congruent_sublattice(side: _EigenSide, other: _EigenSide) -> _EigenSide:
             cols.append([2 * (j == i) for j in range(rank)])
         else:
             cols.append([(comb >> j) & 1 for j in range(rank)])
-    sub = Sublattice(side.sub.ambient, tuple(side.sub.from_coords(c) for c in cols))
+    basis = _lift(side.basis, cols)
     anchor = None
     if side.anchor is not None:
         p, free = side.anchor, [j for j in range(rank) if cols[j][j] == 1]
         anchor = [2 * p[i] if cols[i][i] == 1 else p[i] - sum(cols[j][i] * p[j] for j in free)
                   for i in range(rank)]
-    return _EigenSide(sub, sub.gram(), side.definite, anchor, side.positive)
+    return _EigenSide(basis, gram_of(ambient_gram, basis), side.definite, anchor, side.positive)
 
 
 def _has_root(side: _EigenSide) -> bool:
     """Whether a definite side holds a vector of square -2: a -2 on its Gram
     diagonal, else one complete search."""
     gram = side.gram
-    return bool(side.sub.rank) and (any(gram[i][i] == -2 for i in range(len(gram)))
-                                    or bool(en.definite_vectors(gram, -2)))
+    return bool(gram) and (any(gram[i][i] == -2 for i in range(len(gram)))
+                           or bool(en.definite_vectors(gram, -2)))
 
 
 def route_d(data: EigenData, t_bound: int) -> RouteResult:
@@ -531,14 +522,15 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
         complete_side, complete, other = "minus", data.minus, data.plus
     else:
         complete_side, complete, other = "plus", data.plus, data.minus
-    congruent = [a for batch in _search_batches(_congruent_sublattice(complete, other), -2,
-                                                t_bound) for a in batch]
+    ambient = data.g.lattice.gram
+    congruent = [a for batch in _search_batches(_congruent_sublattice(complete, other, ambient),
+                                                -2, t_bound) for a in batch]
     if not congruent:
         if _has_root(complete):
             return RouteResult(CLOSED, "mod2_unsolvable")
         return RouteResult(CLOSED, f"no_{complete_side}_roots")
     if data.glue is None:
-        data.glue = _congruent_sublattice(other, complete)
+        data.glue = _congruent_sublattice(other, complete, ambient)
     by_parity: dict = {}
     for a in congruent:
         by_parity.setdefault(xl.f2_bits(a), []).append(a)
@@ -550,8 +542,8 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
                 if best is None or c1 < best:
                     best = c1
         if best is not None:
-            c1 = data.g.lattice.vector(best)
-            return RouteResult(WITNESS, "swapped_minus1_pair", (c1, data.g.apply(c1)))
+            return RouteResult(WITNESS, "swapped_minus1_pair",
+                               (best, tuple(xl.mat_vec(data.g.matrix, best))))
     if other.definite:
         return RouteResult(CLOSED, "definite_pairs_exhausted")
     return RouteResult(OPEN, f"searched(t<={t_bound})")

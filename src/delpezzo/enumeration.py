@@ -197,8 +197,9 @@ def definite_vectors(gram: Sequence[Sequence[int]], target: int,
     the order of the exact-norm descent with modulus 1.
 
     basis_rows, when given, are the rows of a basis matrix B of a
-    sublattice with Gram matrix gram (Sublattice._rows); each x then comes
-    out as B x, in ambient coordinates, in the same order.
+    sublattice with Gram matrix gram, row i the i-th ambient coordinate of
+    each basis vector; each x then comes out as B x, in ambient
+    coordinates, in the same order.
     """
     if gram and gram[0][0] < 0:
         gram, target = [[-x for x in row] for row in gram], -target

@@ -9,11 +9,6 @@ class UnsupportedError(RuntimeError):
     """Raised when an operation is outside the supported parameter range."""
 
 
-class NotAnInvolution(InputError):
-    """Raised by lattice.fixed_and_antifixed when its kernel ranks show that
-    the isometry is not an involution."""
-
-
 def is_json_int(x) -> bool:
     """Whether x is a JSON integer: json.load gives bool for true/false, a
     bool subclass of int, and float for any number with a point or exponent."""

@@ -46,11 +46,10 @@ from . import exactlinalg as xl
 from .lattice import (
     Isometry,
     LatticeVector,
-    Sublattice,
     del_pezzo_lattice,
-    fixed_and_antifixed,
+    eigenbases,
+    gram_of,
     has_even_products,
-    is_even,
     sign_canonical,
 )
 from .weyl import (
@@ -112,17 +111,16 @@ class ZGInvariant:
 
 
 def zg_invariant(g: Isometry) -> ZGInvariant:
-    if not g.is_involution():
-        raise InputError("not an involution")
-    plus, minus = fixed_and_antifixed(g)
-    return _zg(g, plus, minus)
+    """The ranks (t, c, r); eigenbases raises InputError("not an
+    involution") unless its kernels certify g^2 = 1."""
+    plus, minus, _ = eigenbases(g)
+    return _zg(g, len(plus), len(minus))
 
 
-def _zg(g: Isometry, plus: Sublattice, minus: Sublattice) -> ZGInvariant:
-    """zg_invariant from the eigenlattices of g."""
-    m = xl.mat_add_scaled_identity(g.matrix, 1)
-    r = xl.f2_rank(m)
-    return ZGInvariant(plus.rank - r, minus.rank - r, r)
+def _zg(g: Isometry, plus_rank: int, minus_rank: int) -> ZGInvariant:
+    """zg_invariant from the ranks of the eigenlattices of g."""
+    r = xl.f2_rank(xl.mat_add_scaled_identity(g.matrix, 1))
+    return ZGInvariant(plus_rank - r, minus_rank - r, r)
 
 
 @dataclass(frozen=True)
@@ -171,13 +169,14 @@ class InvolutionInvariant:
         }
 
 
-def _kperp_fixed(plus: Sublattice, n: int) -> Sublattice:
-    """Saturated intersection of the fixed lattice plus with K-perp."""
-    k = canonical_class(n)
-    rows = [[k.dot(v)] for v in plus.basis]
-    ker = xl.kernel(xl.transpose(rows))
-    basis = tuple(plus.from_coords(c) for c in ker)
-    return Sublattice(plus.ambient, basis, saturated=True)
+def _kperp_fixed(plus: criteria._EigenSide, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The Gram matrix of the saturated intersection of the fixed side plus
+    with K-perp: one kernel, in plus coordinates, of the products K.v with
+    the plus basis v, lifted to the ambient lattice."""
+    gram = del_pezzo_lattice(n).gram
+    kj = xl.mat_vec(gram, canonical_class(n).coords)
+    ker = xl.kernel([[sum(map(mul, kj, v)) for v in plus.basis]])
+    return gram_of(gram, criteria._lift(plus.basis, ker))
 
 
 def invariant_of(g: Isometry, n: int, with_flags: bool = False,
@@ -195,8 +194,8 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False,
         raise InputError("isometry does not fix the canonical class")
     # eigen_data raises InputError when g is not an involution
     data = criteria.eigen_data(g, canonical_class(n))
-    plus, minus = data.plus.sub, data.minus.sub
-    kf = _kperp_fixed(plus, n)
+    plus, minus = data.plus.gram, data.minus.gram
+    kf = _kperp_fixed(data.plus, n)
     # the roots g negates are those of the antifixed lattice, and the roots
     # it fixes those of (fixed lattice) & K-perp: each pair counts two roots
     if triple is None:
@@ -208,15 +207,15 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False,
         flags = (a, c, b, d)
     return InvolutionInvariant(
         n=n,
-        carter_exponent=minus.rank,
+        carter_exponent=len(minus),
         trace=g.trace(),
-        zg=_zg(g, plus, minus).as_tuple(),
-        plus_even=is_even(plus),
-        plus_products_even=has_even_products(data.plus.gram),
-        plus_det=abs(xl.det(data.plus.gram)) if plus.rank else 1,
-        minus_det=abs(xl.det(data.minus.gram)) if minus.rank else 1,
+        zg=_zg(g, len(plus), len(minus)).as_tuple(),
+        plus_even=all(plus[i][i] % 2 == 0 for i in range(len(plus))),
+        plus_products_even=has_even_products(plus),
+        plus_det=abs(xl.det(plus)) if plus else 1,
+        minus_det=abs(xl.det(minus)) if minus else 1,
         minus_root_count=2 * minus_pairs,
-        kperp_fixed_det=abs(xl.det(kf.gram())) if kf.rank else 1,
+        kperp_fixed_det=abs(xl.det(kf)) if kf else 1,
         kperp_fixed_roots=2 * fixed_pairs,
         flags=flags,
     )

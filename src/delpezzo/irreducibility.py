@@ -22,9 +22,15 @@ c, d and e of the criteria search engine on it, in that order: the first
 witness is the split (a fixed class, a swapped pair c1, g(c1), or an
 antifixed class).  A split block B is unimodular, so the eigen sides of
 what is left are the old sides cut to B^perp, one kernel each; the leaf's
-basis and matrix are computed once, at the end.  A leaf is Irreducible
-exactly when routes c, d and e are all closed on it, the same exact
-closure that check_reducible uses.
+basis, the kernel of the peeled vectors' products, and its matrix are
+computed once, at the end.  A leaf is Irreducible exactly when routes c, d
+and e are all closed on it, the same exact closure that check_reducible
+uses.
+
+Both run on the criteria engine's plain int tuples: eigen bases, route
+witnesses, split blocks and leaf bases are ambient coordinate tuples, no
+sublattice is built on the way, and the anchor K is the one lattice vector
+read.
 
 An Irreducible verdict names its obstruction by the closing reasons, in
 priority order: an even eigenlattice (EvenFixedLatticeObstruction), an
@@ -40,17 +46,10 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, Optional, Tuple
 
-from .errors import InputError, NotAnInvolution, is_json_int
+from .errors import InputError, is_json_int
 from . import criteria
 from . import exactlinalg as xl
-from .lattice import (
-    Isometry,
-    LatticeVector,
-    Sublattice,
-    del_pezzo_lattice,
-    orthogonal_complement,
-    span,
-)
+from .lattice import Isometry, LatticeVector, del_pezzo_lattice, gram_of
 from .weyl import canonical_class, chamber_conjugate
 
 REDUCIBLE = "Reducible"
@@ -171,9 +170,9 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     An involution that fixes K is decided as given, with K as the anchor of
     its fixed side.  Any other one is decided as its chamber conjugate
     g' = h g h^-1, and the witnesses are mapped back with h^-1.  g is not
-    squared: the eigen data's two kernels certify g^2 = 1 (_eigen_data),
-    and an isometry that fails their rank test raises InputError("not an
-    involution").
+    squared: the eigen data's two kernels certify g^2 = 1
+    (lattice.eigenbases), and an isometry that fails their rank test raises
+    InputError("not an involution").
     """
     if n is None:
         n = g.lattice.rank - 1
@@ -184,17 +183,17 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     bound = criteria.resolve_height_bound(height_bound)
     k = canonical_class(n)
     h_inv = None
-    if g.apply(k) != k:
+    if tuple(xl.mat_vec(g.matrix, k.coords)) != k.coords:
         # defined on any isometry; g' is an involution exactly when g is one
         g, h_inv = chamber_conjugate(g)
-    data = _eigen_data(g, k)
+    data = criteria.eigen_data(g, k)
     results = []
     for name, res in criteria.iter_routes(data, n, bound):
         results.append((name, res))
         if res.status == criteria.WITNESS:
             cert = ReducibilityCertificate(
                 kind=_WITNESS_KINDS[name],
-                witnesses=tuple(_back(h_inv, w.coords) for w in res.witnesses),
+                witnesses=tuple(_back(h_inv, w) for w in res.witnesses),
                 narrative=_narrative(results),
             )
             return Verdict(REDUCIBLE, cert, bound)
@@ -207,17 +206,6 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
         )
         return Verdict(IRREDUCIBLE, cert, bound)
     return Verdict(UNKNOWN, None, bound)
-
-
-def _eigen_data(g: Isometry, anchor: Optional[LatticeVector]) -> criteria.EigenData:
-    """criteria.eigen_data(g, anchor), which is also the involution test:
-    fixed_and_antifixed raises NotAnInvolution unless the ranks of
-    ker(g - 1) and ker(g + 1) add up to the rank, which holds exactly when
-    g^2 = 1.  Here that is the InputError "not an involution"."""
-    try:
-        return criteria.eigen_data(g, anchor)
-    except NotAnInvolution:
-        raise InputError("not an involution") from None
 
 
 def _back(h_inv, coords: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -270,25 +258,24 @@ class Decomposition:
         return {"steps": [s.to_json() for s in self.steps], "leaf": self.leaf.to_json()}
 
 
-def _sub_isometry(sub: Sublattice, g: Isometry) -> List[List[int]]:
-    """Matrix of g restricted to an invariant sublattice, in its basis.
+def _sub_isometry(basis, g: Isometry) -> List[List[int]]:
+    """Matrix of g restricted to an invariant sublattice, in its basis of
+    ambient int tuples.
 
     The basis matrix is reduced once and every image solved against it.
     """
-    cols = xl.solve_integer_many(sub.basis_matrix(),
-                                 [g.apply(v).coords for v in sub.basis])
+    cols = xl.solve_integer_many(xl.transpose(basis), [xl.mat_vec(g.matrix, v) for v in basis])
     if any(c is None for c in cols):
         raise InputError("sublattice is not invariant under the involution")
-    r = len(sub.basis)
+    r = len(basis)
     return [[cols[j][i] for j in range(r)] for i in range(r)]
 
 
-def _leaf_type(sub: Sublattice) -> str:
-    gram = sub.gram()
+def _leaf_type(gram) -> str:
     pos, neg, zero = xl.sylvester_signature(gram)
-    if sub.rank == 1 and pos == 1:
+    if len(gram) == 1 and pos == 1:
         return "point"
-    if all(gram[i][i] % 2 == 0 for i in range(sub.rank)) and (pos, neg) == (1, 1):
+    if all(gram[i][i] % 2 == 0 for i in range(len(gram))) and (pos, neg) == (1, 1):
         return "quadric"
     return "blowup"
 
@@ -302,7 +289,7 @@ def decompose(g: Isometry, n: Optional[int] = None,
     (2 <= n <= 9) the splitting is computed for the chamber conjugate
     g' = h g h^-1 and its bases are mapped back with h^-1; the leaf matrix
     is the same in both bases.  As in check_reducible, g is not squared:
-    the first eigen data certifies g^2 = 1 (_eigen_data), or raises
+    the first eigen data certifies g^2 = 1 (lattice.eigenbases), or raises
     InputError("not an involution").
     """
     if n is not None and g.lattice.rank != n + 1:
@@ -326,12 +313,14 @@ def _decompose_in_basis(g: Isometry, bound: int,
 
     It starts from criteria.eigen_data(g, anchor), as check_reducible does,
     and narrows both sides to B^perp after each split block B.  The leaf is
-    the complement of everything peeled, built once.
+    the complement of everything peeled: one kernel of the products of the
+    peeled vectors, built once.
     """
-    data = _eigen_data(g, anchor)
+    data = criteria.eigen_data(g, anchor)
+    gram = g.lattice.gram
     steps: List[SplitStep] = []
-    peeled = []
-    while data.plus.sub.rank + data.minus.sub.rank:
+    peeled: List[Tuple[int, ...]] = []
+    while data.plus.basis or data.minus.basis:
         results = []
         # the first witness of routes c, d, e is the split
         for action, route in (("fix", criteria.route_c), ("swap", criteria.route_d),
@@ -342,27 +331,31 @@ def _decompose_in_basis(g: Isometry, bound: int,
         else:
             # no split left: Irreducible when routes c, d and e are closed
             closed = all(res.status == criteria.CLOSED for res in results)
-            leaf = orthogonal_complement(span(g.lattice, peeled))
+            rows = [xl.mat_vec(gram, b) for b in peeled]
+            leaf = tuple(map(tuple, xl.kernel(rows) if rows else xl.identity(len(gram))))
             return Decomposition(tuple(steps), DecompositionLeaf(
-                _leaf_type(leaf), tuple(v.coords for v in leaf.basis),
+                _leaf_type(gram_of(gram, leaf)), leaf,
                 tuple(tuple(r) for r in _sub_isometry(leaf, g)),
                 IRREDUCIBLE if closed else UNKNOWN))
         block = results[-1].witnesses
-        steps.append(SplitStep(action, tuple(v.coords for v in block)))
+        steps.append(SplitStep(action, block))
         peeled.extend(block)
-        data = criteria.EigenData(g, _narrow(data.plus, block), _narrow(data.minus, block))
+        data = criteria.EigenData(g, _narrow(data.plus, block, gram),
+                                  _narrow(data.minus, block, gram))
     return Decomposition(tuple(steps), DecompositionLeaf("point", (), (), IRREDUCIBLE))
 
 
-def _narrow(side: criteria._EigenSide, block) -> criteria._EigenSide:
-    """The search data of side & B^perp: one kernel, in side coordinates, of
-    the products b.v of the block vectors b with the side basis v.
+def _narrow(side: criteria._EigenSide, block, gram) -> criteria._EigenSide:
+    """The search data of side & B^perp, for the form gram: one kernel, in
+    side coordinates, of the products b.v of the block vectors b with the
+    side basis v.
 
     B is negative definite, unimodular and g-invariant, so M = B + B^perp
     and the side splits as (side & B) + (side & B^perp) with side & B
     negative definite: side & B^perp keeps the side's positive inertia, and
     its signature is handed to _side, which then runs no
-    sylvester_signature.
+    sylvester_signature.  A kernel basis is saturated in the side, so the
+    lifted basis spans a saturated sublattice again.
 
     When every product is zero (a fix block and the minus side, a negate
     block and the plus side), side & B^perp is the side itself, which is
@@ -370,12 +363,10 @@ def _narrow(side: criteria._EigenSide, block) -> criteria._EigenSide:
     and anchor: _side would re-run the box anchor search, and the one
     preferred anchor, K, sits on a plus side whose minus side lies in the
     even lattice K^perp, which no negate block splits."""
-    sub = side.sub
-    jbs = [xl.mat_vec(sub.ambient.gram, b.coords) for b in block]
-    rows = [[sum(map(mul, jb, v.coords)) for v in sub.basis] for jb in jbs]
+    jbs = [xl.mat_vec(gram, b) for b in block]
+    rows = [[sum(map(mul, jb, v)) for v in side.basis] for jb in jbs]
     if not any(map(any, rows)):
         return side
-    basis = tuple(sub.from_coords(x) for x in xl.kernel(rows))
+    basis = criteria._lift(side.basis, xl.kernel(rows))
     pos = side.positive
-    return criteria._side(Sublattice(sub.ambient, basis, saturated=True), None,
-                          (pos, len(basis) - pos))
+    return criteria._side(gram, basis, None, (pos, len(basis) - pos))

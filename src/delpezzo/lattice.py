@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .errors import InputError, NotAnInvolution
+from .errors import InputError, is_json_int
 from . import exactlinalg as xl
 
 Coords = Tuple[int, ...]
@@ -41,9 +41,13 @@ class Lattice:
         return len(self.gram)
 
     def vector(self, coords: Sequence[int]) -> "LatticeVector":
-        coords = tuple(int(c) for c in coords)
+        """The vector with the given coordinates, which must be ints (not
+        bools): anything else raises InputError, with nothing truncated."""
+        coords = tuple(coords)
         if len(coords) != self.rank:
             raise InputError("coordinate length does not match rank")
+        if not all(map(is_json_int, coords)):
+            raise InputError("coordinates must be integers")
         return LatticeVector(self, coords)
 
     def basis_vector(self, i: int) -> "LatticeVector":
@@ -130,7 +134,7 @@ def _is_degenerate(gram: Tuple[Tuple[int, ...], ...]) -> bool:
     return 0 in diag if diag is not None else xl.det(gram) == 0
 
 
-def _gram_of(gram: Tuple[Tuple[int, ...], ...], vecs: Sequence[Sequence[int]]):
+def gram_of(gram: Tuple[Tuple[int, ...], ...], vecs: Sequence[Sequence[int]]):
     """The Gram matrix (u_i . u_j) of the given vectors under the form gram.
 
     Each u_i is multiplied by the form once, by its diagonal when the form
@@ -218,33 +222,13 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def basis_matrix(self) -> List[List[int]]:
-        """Ambient coordinates of the basis, as matrix columns."""
-        return [list(row) for row in self._rows]
-
     def gram(self) -> Tuple[Tuple[int, ...], ...]:
-        return _gram_of(self.ambient.gram, [v.coords for v in self.basis])
+        return gram_of(self.ambient.gram, [v.coords for v in self.basis])
 
     @cached_property
     def _rows(self) -> Tuple[Coords, ...]:
         """Row i holds the i-th ambient coordinate of each basis vector."""
         return tuple(tuple(v.coords[i] for v in self.basis) for i in range(self.ambient.rank))
-
-    def lift(self, coords: Sequence[int]) -> Coords:
-        """Ambient coordinates of the vector with the given sublattice coordinates."""
-        return tuple([sum(map(mul, row, coords)) for row in self._rows])
-
-    def from_coords(self, coords: Sequence[int]) -> LatticeVector:
-        """Ambient vector with the given coordinates in the sublattice basis."""
-        return self.ambient.vector(self.lift(coords))
-
-    def coords_of(self, v: LatticeVector) -> Optional[Tuple[int, ...]]:
-        """Integer coordinates of an ambient vector in this basis, or None."""
-        sol = xl.solve_integer(self.basis_matrix(), list(v.coords))
-        return tuple(sol) if sol is not None else None
-
-    def determinant(self) -> int:
-        return xl.det(self.gram())
 
 
 def span(ambient: Lattice, vectors: Iterable[LatticeVector], *,
@@ -292,8 +276,9 @@ def has_even_products(gram: Sequence[Sequence[int]]) -> bool:
 class Isometry:
     """An integral isometry, stored column-wise (column j = image of basis j).
 
-    The constructor checks g^T G g = G as the Gram matrix of g's columns
-    (_gram_of: on a diagonal form, one product per column pair i <= j).
+    The constructor takes int entries only (not bools), and checks
+    g^T G g = G as the Gram matrix of g's columns (gram_of: on a diagonal
+    form, one product per column pair i <= j).
     On a nondegenerate form that already forces det(g)^2 = 1, since
     det(g)^2 det G = det G, so |det g| = 1 is tested only when det G = 0.
     """
@@ -305,8 +290,10 @@ class Isometry:
         n = self.lattice.rank
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise InputError("matrix size does not match lattice rank")
+        if not all(is_json_int(x) for row in self.matrix for x in row):
+            raise InputError("matrix entries must be integers")
         gram = self.lattice.gram
-        if _gram_of(gram, list(zip(*self.matrix))) != gram:
+        if gram_of(gram, list(zip(*self.matrix))) != gram:
             raise InputError("matrix does not preserve the intersection form")
         if _is_degenerate(gram) and abs(xl.det(self.matrix)) != 1:
             raise InputError("matrix is not unimodular")
@@ -364,28 +351,33 @@ def identity_isometry(lattice: Lattice) -> Isometry:
     return Isometry(lattice, tuple(tuple(row) for row in xl.identity(lattice.rank)))
 
 
-def fixed_and_antifixed(g: Isometry, along: Optional[LatticeVector] = None):
-    """Saturated (+1)- and (-1)-eigenlattices of an involution.
+def eigenbases(g: Isometry, along: Optional[Sequence[int]] = None):
+    """(plus, minus, coords): saturated bases of the (+1)- and
+    (-1)-eigenlattices of an involution, as tuples of ambient coordinate
+    tuples, and the coordinates of along in the plus basis, or None when
+    along is None or g does not fix it (carried through the kernel
+    reduction of g - 1).
 
-    This is the involution test of check_reducible and decompose: g^2 = 1
-    is read off the two kernels, with no squaring.  Over Q an involution is
-    diagonalizable with eigenvalues +-1, so the ranks add up to the lattice
-    rank, and when they do, g is +-1 on two complementary subspaces, so
-    g^2 = 1; otherwise NotAnInvolution (an InputError) is raised.  With
-    along, returns (plus, minus, coords): the coordinates of along in the
-    plus basis, or None when g does not fix it, carried through the kernel
-    reduction of g - 1.
+    This is the one involution test: g^2 = 1 is read off the two kernels,
+    with no squaring.  Over Q an involution is diagonalizable with
+    eigenvalues +-1, so the ranks add up to the lattice rank, and when they
+    do, g is +-1 on two complementary subspaces, so g^2 = 1; otherwise
+    InputError("not an involution") is raised.
     """
+    coords = None
     if along is None:
         plus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1))
     else:
-        plus, coords = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1), along.coords)
+        plus, coords = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1), along)
     minus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, 1))
+    if len(plus) + len(minus) != g.lattice.rank:
+        raise InputError("not an involution")
+    return tuple(map(tuple, plus)), tuple(map(tuple, minus)), coords
+
+
+def fixed_and_antifixed(g: Isometry) -> Tuple[Sublattice, Sublattice]:
+    """The saturated (+1)- and (-1)-eigenlattices of an involution, as
+    sublattices: the public view of eigenbases."""
     lat = g.lattice
-    if len(plus) + len(minus) != lat.rank:
-        raise NotAnInvolution("fixed_and_antifixed expects an involution")
-    sides = (
-        Sublattice(lat, tuple(LatticeVector(lat, tuple(c)) for c in plus), saturated=True),
-        Sublattice(lat, tuple(LatticeVector(lat, tuple(c)) for c in minus), saturated=True),
-    )
-    return sides if along is None else sides + (coords,)
+    return tuple(Sublattice(lat, tuple(LatticeVector(lat, c) for c in basis), saturated=True)
+                 for basis in eigenbases(g)[:2])

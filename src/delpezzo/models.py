@@ -229,9 +229,9 @@ def quadric_basis_change(n: int) -> BasisChange:
 
 
 def quotient_signature(g: Isometry) -> int:
-    """p - m of the form restricted to the fixed lattice of the involution."""
-    if not g.is_involution():
-        raise InputError("not an involution")
+    """p - m of the form restricted to the fixed lattice of the involution;
+    fixed_and_antifixed raises InputError("not an involution") unless its
+    kernels certify g^2 = 1."""
     plus, _ = fixed_and_antifixed(g)
     if plus.rank == 0:
         return 0

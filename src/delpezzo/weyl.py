@@ -224,10 +224,6 @@ class RootSystem:
     def __iter__(self):
         return iter(self.roots)
 
-    def positive(self) -> Tuple[LatticeVector, ...]:
-        """One representative per +-pair, canonical sign."""
-        return tuple(r for r in self.roots if sign_canonical_coords(r.coords) == r.coords)
-
 
 @lru_cache(maxsize=None)
 def enumerate_roots(n: int) -> RootSystem:

@@ -51,6 +51,19 @@ def bench_inputs():
     return module
 
 
+def lift(basis, x):
+    """Ambient coordinates of sum_i x_i basis_i, for a nonempty basis of
+    ambient coordinate tuples."""
+    return tuple(sum(c * b[i] for c, b in zip(x, basis)) for i in range(len(basis[0])))
+
+
+def coords_of(basis, v):
+    """Integer coordinates of the ambient vector v in a basis of ambient
+    coordinate tuples, or None when v is not in its span over Z."""
+    sol = xl.solve_integer(xl.transpose(basis), list(v))
+    return None if sol is None else tuple(sol)
+
+
 # The byte-permutation oracles.  A permutation of the sorted root list
 # (pg.root_action_context) is a bytes object, entry i the index of the image
 # of root i, so composition is one bytes.translate call.

@@ -1,14 +1,15 @@
 """The integer-tuple scans of routes b and d against their reference forms.
 
-_search_batches yields ambient int tuples; route_b pairs them and builds
-lattice vectors only for its witnesses; route_d searches only the congruent
-sublattices of _congruent_sublattice.  Here the batches are held against
-the side-coordinate enumeration lifted vector by vector, route_b against
-the scan it replaced, on sorted (LatticeVector, coords) pairs of
-partner-tested side coordinates with one matrix product per c1, and route_d
-against the route that listed every root of both sides and reduced each
-root against one F2 echelon, whose filter is held against one
-xl.f2_solvable call per root.
+Eigen sides are bases of ambient int tuples; _search_batches yields
+ambient int tuples; route_b pairs them and returns its witnesses as int
+tuples; route_d searches only the congruent sublattices of
+_congruent_sublattice.  Here the batches are held against the
+side-coordinate enumeration lifted vector by vector, route_b against the
+scan it replaced, on sorted (lifted, coords) pairs of partner-tested side
+coordinates with one matrix product per c1, and route_d against the route
+that listed every root of both sides, reduced each root against one F2
+echelon and built its witnesses as lattice vectors, whose filter is held
+against one xl.f2_solvable call per root.
 """
 import itertools
 import math
@@ -22,19 +23,17 @@ from hypothesis import strategies as st
 from delpezzo import classify_involutions, criteria, decompose
 from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
-from delpezzo.errors import InputError
 from delpezzo.lattice import (
     Isometry,
-    Sublattice,
     del_pezzo_lattice,
-    fixed_and_antifixed,
+    eigenbases,
     has_even_products,
     identity_isometry,
     sign_canonical_coords,
 )
 from delpezzo.weyl import canonical_class, chamber_conjugate, reflection, wall_generators
 
-from conftest import assert_slabs_ascend, bench_inputs
+from conftest import assert_slabs_ascend, bench_inputs, coords_of, lift
 
 
 def _reference_partner(gram, c1):
@@ -61,8 +60,8 @@ def _side_batches(side, target, t_bound):
 
 
 def _reference_route_b(data, t_bound):
-    """The pair scan on lattice vectors, as route_b ran it before."""
-    if data.plus.sub.rank < 2:
+    """The pair scan on sorted lifted vectors, as route_b ran it before."""
+    if len(data.plus.basis) < 2:
         return criteria.RouteResult(criteria.CLOSED, "plus_rank_below_2")
     if has_even_products(data.plus.gram):
         return criteria.RouteResult(criteria.CLOSED, "plus_even_products")
@@ -73,7 +72,7 @@ def _reference_route_b(data, t_bound):
     for coords in _side_batches(data.plus, 0, t_bound):
         for c in coords:
             assert criteria.has_partner(gram, c) == _reference_partner(gram, c)
-        batch = sorted((data.plus.sub.from_coords(c), c)
+        batch = sorted((lift(data.plus.basis, c), c)
                        for c in coords if _reference_partner(gram, c))
         pool = sorted(seen + batch)
         for c1, x in batch:
@@ -93,7 +92,7 @@ def _reference_congruent_roots(roots, other):
     The other side's basis mod 2 goes into one F2 echelon, and each root is
     reduced against it on packed ints.
     """
-    echelon = xl.f2_echelon(xl.f2_bits(v.coords) for v in other.sub.basis)
+    echelon = xl.f2_echelon(xl.f2_bits(v) for v in other.basis)
     return [a for a in roots if not xl.f2_reduce(echelon, xl.f2_bits(a))]
 
 
@@ -128,7 +127,7 @@ def _reference_route_d(data, t_bound):
         if best is not None:
             c1 = data.g.lattice.vector(best)
             return criteria.RouteResult(criteria.WITNESS, "swapped_minus1_pair",
-                                        (c1, data.g.apply(c1)))
+                                        (c1.coords, data.g.apply(c1).coords))
     if other.definite:
         return criteria.RouteResult(criteria.CLOSED, "definite_pairs_exhausted")
     return criteria.RouteResult(criteria.OPEN, f"searched(t<={t_bound})")
@@ -234,7 +233,7 @@ def test_lazy_route_b_draws_a_prefix_of_the_slab(monkeypatch):
     monkeypatch.setattr(en, "_walk", counted)
     witnesses = 0
     for data in _verify_eigen_data(101, (8,)):
-        if data.plus.sub.rank != 8 or data.plus.anchor is None:
+        if len(data.plus.basis) != 8 or data.plus.anchor is None:
             continue
         made[0] = 0
         res = criteria.route_b(data, 2)
@@ -338,9 +337,9 @@ def test_search_batches_lift_the_side_coordinate_enumeration(eigen_data, target)
     batches = {"definite": 0, "slab": 0}
     for data in eigen_data:
         for side in (data.plus, data.minus):
-            if side.sub.rank == 0:
+            if not side.basis:
                 continue
-            want = [[side.sub.lift(c) for c in batch]
+            want = [[lift(side.basis, c) for c in batch]
                     for batch in _side_batches(side, target, 2)]
             got = list(criteria._search_batches(side, target, 2))
             assert len(got) == len(want)
@@ -389,22 +388,11 @@ def test_anchor_frame_is_built_once_per_side(monkeypatch):
             for side in glue:
                 # the anchor 2p of the plus side's p, read in the sublattice basis
                 assert side.frame.g % 2 == 0
-                assert (side.sub.lift(side.anchor)
-                        == tuple(2 * x for x in data.plus.sub.lift(data.plus.anchor)))
+                assert (lift(side.basis, side.anchor)
+                        == tuple(2 * x for x in lift(data.plus.basis, data.plus.anchor)))
             frames += len(sides)
             glue_frames += len(glue)
     assert frames > 10 and glue_frames > 5
-
-
-def test_side_rejects_an_unsaturated_sublattice(eigen_data):
-    sub = eigen_data[0].plus.sub
-    assert criteria._side(sub).gram == sub.gram()
-    with pytest.raises(InputError):
-        criteria._side(Sublattice(sub.ambient, sub.basis))
-    # twice the basis spans a sublattice of index 2^rank, so it must not pass
-    doubled = tuple(2 * v for v in sub.basis)
-    with pytest.raises(InputError):
-        criteria._side(Sublattice(sub.ambient, doubled))
 
 
 @pytest.mark.parametrize("bound", (2, 4))
@@ -417,10 +405,10 @@ def test_congruent_roots_match_f2_solvable(eigen_data, bound):
             if not side.definite:
                 continue
             roots = _reference_roots(side, bound)
-            other_basis = [[x % 2 for x in row] for row in other.sub.basis_matrix()]
+            other_basis = [[x % 2 for x in row] for row in xl.transpose(other.basis)]
             want = [a for a in roots if xl.f2_solvable(other_basis, [x % 2 for x in a])]
             assert _reference_congruent_roots(roots, other) == want
-            lam = criteria._congruent_sublattice(side, other)
+            lam = criteria._congruent_sublattice(side, other, data.g.lattice.gram)
             got = [a for batch in criteria._search_batches(lam, -2, bound) for a in batch]
             assert len(got) == len(set(got)) and set(got) == set(want)
             checked += len(roots)
@@ -428,13 +416,14 @@ def test_congruent_roots_match_f2_solvable(eigen_data, bound):
 
 
 def _catalog_sides():
-    """(class, side, other) for both eigen sides of every catalog
-    representative, n = 2..8."""
+    """(class, side, other, ambient Gram) for both eigen sides of every
+    catalog representative, n = 2..8."""
     for n in range(2, 9):
+        gram = del_pezzo_lattice(n).gram
         for cls in classify_involutions(n):
             data = criteria.eigen_data(cls.representative, canonical_class(n))
-            yield cls, data.plus, data.minus
-            yield cls, data.minus, data.plus
+            yield cls, data.plus, data.minus, gram
+            yield cls, data.minus, data.plus, gram
 
 
 def test_congruent_sublattice_is_the_mod2_glue():
@@ -443,23 +432,25 @@ def test_congruent_sublattice_is_the_mod2_glue():
     # the r of the class's Z[G] splitting (t, c, r)
     rng = random.Random(2222)
     sides = 0
-    for cls, side, other in _catalog_sides():
-        lam = criteria._congruent_sublattice(side, other)
-        rank = side.sub.rank
-        assert lam.sub.rank == rank and lam.definite == side.definite
-        assert lam.gram == lam.sub.gram()
+    for cls, side, other, gram in _catalog_sides():
+        lam = criteria._congruent_sublattice(side, other, gram)
+        rank = len(side.basis)
+        assert len(lam.basis) == rank and lam.definite == side.definite
         if not rank:
             continue
-        coords = [side.sub.coords_of(v) for v in lam.sub.basis]
+        # B^T G B, with the basis vectors as the rows of B^T
+        want = xl.mat_mul(xl.mat_mul(lam.basis, gram), xl.transpose(lam.basis))
+        assert lam.gram == tuple(map(tuple, want))
+        coords = [coords_of(side.basis, v) for v in lam.basis]
         _, _, r = cls.invariant.zg
         assert abs(xl.det([list(c) for c in coords])) == 2 ** (rank - r)
-        for v in side.sub.basis:
-            assert lam.sub.coords_of(2 * v) is not None
-        echelon = xl.f2_echelon(xl.f2_bits(v.coords) for v in other.sub.basis)
+        for v in side.basis:
+            assert coords_of(lam.basis, [2 * x for x in v]) is not None
+        echelon = xl.f2_echelon(xl.f2_bits(v) for v in other.basis)
         for _ in range(20):
-            v = side.sub.from_coords([rng.randint(-3, 3) for _ in range(rank)])
-            assert ((lam.sub.coords_of(v) is not None)
-                    == (xl.f2_reduce(echelon, xl.f2_bits(v.coords)) == 0))
+            v = lift(side.basis, [rng.randint(-3, 3) for _ in range(rank)])
+            assert ((coords_of(lam.basis, v) is not None)
+                    == (xl.f2_reduce(echelon, xl.f2_bits(v)) == 0))
         sides += 1
     assert sides > 60
 
@@ -526,21 +517,24 @@ def test_route_d_matches_reference_on_decompose_streams(monkeypatch, seed):
 def test_anchored_signatures_match_sylvester(monkeypatch):
     # a K-fixing involution's sides have signatures (1, r - 1) and (0, r),
     # on the catalog and on three O(M_n) conjugates of each class; eigen_data
-    # then runs no sylvester_signature
+    # then runs no sylvester_signature.  Every side's positive inertia and
+    # definiteness are those sylvester_signature finds, inferred or not
     rng = random.Random(5151)
     inferred = 0
     for n in range(2, 9):
         k = canonical_class(n)
         for cls in classify_involutions(n):
             for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 3):
-                plus, minus, coords = fixed_and_antifixed(g, k)
-                known = criteria._anchored_signatures(plus, minus, k, coords)
-                if coords is None:
-                    assert known is None
-                    continue
-                for sub, sig in zip((plus, minus), known):
-                    assert xl.sylvester_signature(sub.gram()) == sig + (0,)
-                inferred += 1
+                _, _, coords = eigenbases(g, k.coords)
+                data = criteria.eigen_data(g, k)
+                plus, minus = len(data.plus.basis), len(data.minus.basis)
+                for side, known in ((data.plus, (1, plus - 1)), (data.minus, (0, minus))):
+                    pos, neg, zero = xl.sylvester_signature(side.gram)
+                    assert not zero and side.positive == pos
+                    assert side.definite == (pos == 0 or neg == 0)
+                    if coords is not None:
+                        assert (pos, neg) == known
+                inferred += coords is not None
     assert inferred > 100
     calls = []
     monkeypatch.setattr(xl, "sylvester_signature",

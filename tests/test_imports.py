@@ -37,6 +37,19 @@ def test_no_unused_module_imports():
     assert MODULES and TESTS and not unused, unused
 
 
+def test_search_modules_import_no_sublattice():
+    # the search engine runs on int tuples: Sublattice stays at the public
+    # boundary (lattice, models, weyl), and neither an import nor an
+    # attribute reference brings it into the search modules
+    for name in ("criteria.py", "enumeration.py", "irreducibility.py"):
+        tree = ast.parse((Path(delpezzo.__file__).parent / name).read_text())
+        names = {a.asname or a.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "Sublattice" not in names, name
+
+
 def test_every_export_has_a_library_caller_or_is_in_the_readme():
     init = ast.parse((Path(delpezzo.__file__).parent / "__init__.py").read_text())
     exports = [a.asname or a.name for node in init.body

@@ -14,6 +14,7 @@ from delpezzo import (
     classify_involutions,
     decompose,
     identity_isometry,
+    invariant_of,
     negation_twist,
 )
 from delpezzo import criteria
@@ -29,6 +30,8 @@ from delpezzo.lattice import (
     signature,
 )
 from delpezzo.weyl import canonical_class, reflection, wall_generators
+
+from conftest import canonical_generators, lift
 
 IRREDUCIBLE_LABELS = {2: [], 3: [], 4: [], 5: ["m4"], 6: [],
                       7: ["m6", "m7"], 8: ["m8"]}
@@ -190,6 +193,50 @@ def test_check_and_decompose_never_square_g(monkeypatch):
     assert calls == []
 
 
+def test_search_path_builds_no_sublattice(monkeypatch):
+    # check_reducible, decompose and invariant_of run on plain int tuples:
+    # on the catalog representatives and one wall-word conjugate of each (a
+    # word in the K-fixing walls for invariant_of), no Sublattice is built,
+    # and every route witness is a tuple of ints
+    rng = random.Random(2626)
+    cases = []
+    for n in range(2, 9):
+        lat = del_pezzo_lattice(n)
+        walls, k_walls = wall_generators(n).isometries(), canonical_generators(n)
+        for cls in classify_involutions(n):
+            g = cls.representative
+            h = w = identity_isometry(lat)
+            for _ in range(12):
+                h, w = h @ rng.choice(walls), w @ rng.choice(k_walls)
+            cases.append((n, (g, h @ g @ h.inverse()), (g, w @ g @ w.inverse())))
+    built, results = [], []
+    init = Sublattice.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def recording(route):
+        def run(*args):
+            results.append(route(*args))
+            return results[-1]
+        return run
+
+    monkeypatch.setattr(Sublattice, "__init__", counted)
+    for name in ("route_a", "route_b", "route_c", "route_d", "route_e"):
+        monkeypatch.setattr(criteria, name, recording(getattr(criteria, name)))
+    for n, checked, k_fixing in cases:
+        for g in checked:
+            check_reducible(g, n, 2)
+            decompose(g, n)
+        for g in k_fixing:
+            invariant_of(g, n, with_flags=True)
+    assert built == []
+    found = [w for res in results for w in res.witnesses]
+    assert len(found) > 100
+    assert all(type(w) is tuple and all(type(x) is int for x in w) for w in found)
+
+
 def test_decompose_identity_peels_to_a_point():
     # n = 1 is decomposed as written, with no chamber reduction; at n = 9
     # K^2 = 0, so K cannot anchor the fixed side
@@ -238,13 +285,14 @@ def test_peeled_sides_are_the_eigenlattices_of_the_complement(monkeypatch):
                 d, seen = _peeled_eigen_data(monkeypatch, g, n)
                 assert len(seen) == len(d.steps) + 1
                 for data, peeled in seen:
-                    jb = [xl.mat_vec(lat.gram, b.coords) for b in peeled]
+                    jb = [xl.mat_vec(lat.gram, b) for b in peeled]
                     for sign, side in ((1, data.plus), (-1, data.minus)):
-                        assert side.sub.saturated
+                        # each basis spans the other: the side is the
+                        # saturated reference kernel
                         rows = xl.mat_add_scaled_identity(data.g.matrix, -sign) + jb
                         ref = xl.kernel(rows)
-                        assert side.sub.rank == len(ref), (n, cls.label)
-                        mine = [v.coords for v in side.sub.basis]
+                        assert len(side.basis) == len(ref), (n, cls.label)
+                        mine = list(side.basis)
                         if ref:
                             ref_cols = xl.transpose(ref)
                             mine_cols = xl.transpose(mine)
@@ -263,18 +311,21 @@ def test_narrowed_sides_are_handed_their_signature(monkeypatch):
     handed = []
     side = criteria._side
 
-    def checked(sub, preferred=None, signature=None):
+    def checked(gram, basis, preferred=None, signature=None):
         if signature is not None:
-            assert xl.sylvester_signature(sub.gram()) == signature + (0,)
+            # B^T G B, with the basis vectors as the rows of B^T
+            sub_gram = xl.mat_mul(xl.mat_mul(basis, gram), xl.transpose(basis))
+            assert xl.sylvester_signature(sub_gram) == signature + (0,)
             handed.append(signature)
-        return side(sub, preferred, signature)
+        return side(gram, basis, preferred, signature)
 
     kept = []   # per narrowed side: whether _narrow kept it
     narrow = irreducibility._narrow
 
-    def recorded(old, block):
-        new = narrow(old, block)
-        touched = any(b.dot(v) for b in block for v in old.sub.basis)
+    def recorded(old, block, gram):
+        new = narrow(old, block, gram)
+        touched = any(sum(x * y for x, y in zip(xl.mat_vec(gram, b), v))
+                      for b in block for v in old.basis)
         assert (new is old) == (not touched)
         kept.append(new is old)
         return new
@@ -380,12 +431,11 @@ def _skewed_conjugates():
 
 def _leaf_eigenparts(d, lat):
     """(+1)- and (-1)-eigenlattices of the leaf involution, as sublattices."""
-    leaf = Sublattice(lat, tuple(lat.vector(c) for c in d.leaf.basis))
     m = [list(row) for row in d.leaf.matrix]
     parts = []
     for sign in (1, -1):
         eig = xl.kernel(xl.mat_add_scaled_identity(m, -sign)) if m else []
-        parts.append(Sublattice(lat, tuple(leaf.from_coords(e) for e in eig)))
+        parts.append(Sublattice(lat, tuple(lat.vector(lift(d.leaf.basis, e)) for e in eig)))
     return parts
 
 
@@ -398,7 +448,8 @@ def _has_congruent_root(definite, other):
         return False
     other_basis = [[v.coords[i] % 2 for v in other.basis]
                    for i in range(definite.ambient.rank)]
-    return any(xl.f2_solvable(other_basis, [x % 2 for x in definite.from_coords(c).coords])
+    basis = [v.coords for v in definite.basis]
+    return any(xl.f2_solvable(other_basis, [x % 2 for x in lift(basis, c)])
                for c in en.definite_vectors([[-x for x in r] for r in gram], 2))
 
 

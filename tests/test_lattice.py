@@ -23,8 +23,10 @@ from delpezzo import (
     signature,
     span,
 )
-from delpezzo.lattice import Lattice, Sublattice
+from delpezzo.lattice import Lattice, Sublattice, eigenbases
 from delpezzo.weyl import canonical_class, reflection, wall_generators
+
+from conftest import coords_of, lift
 
 
 def test_del_pezzo_gram_is_diagonal_one_minus_ones():
@@ -132,9 +134,24 @@ def test_sublattice_gram_matches_the_generic_product(lat):
         basis = tuple(lat.vector([rng.randrange(-3, 4) for _ in range(lat.rank)])
                       for _ in range(k))
         sub = Sublattice(lat, basis)
-        b = [list(r) for r in sub.basis_matrix()]
+        b = [[v.coords[i] for v in basis] for i in range(lat.rank)]
         want = xl.mat_mul(xl.mat_mul(xl.transpose(b), [list(r) for r in lat.gram]), b)
         assert sub.gram() == tuple(tuple(r) for r in want)
+
+
+def test_lattice_vector_and_isometry_take_ints_only():
+    # no coordinate or matrix entry is truncated or coerced: a float, a
+    # string or a bool raises InputError, where int() accepted them before
+    with pytest.raises(InputError, match="^coordinates must be integers$"):
+        del_pezzo_lattice(4).vector([1.7, 0.7, 0.7, 0.7, 0.7])
+    with pytest.raises(InputError, match="^coordinates must be integers$"):
+        del_pezzo_lattice(2).vector(['1', True, 0])
+    with pytest.raises(InputError, match="^matrix entries must be integers$"):
+        Isometry(del_pezzo_lattice(1), ((1.0, 0), (0, 1)))
+    with pytest.raises(InputError, match="^matrix entries must be integers$"):
+        Isometry(del_pezzo_lattice(1), ((True, 0), (0, 1)))
+    assert del_pezzo_lattice(2).vector([1, -1, 0]).coords == (1, -1, 0)
+    assert Isometry(del_pezzo_lattice(1), ((1, 0), (0, -1))).matrix == ((1, 0), (0, -1))
 
 
 def test_reflection_preserves_form_and_squares_to_identity():
@@ -175,8 +192,9 @@ def test_fixed_and_antifixed_rejects_non_involutions():
         assert not g.is_involution()
         ranks = [len(xl.kernel(xl.mat_add_scaled_identity(g.matrix, s))) for s in (-1, 1)]
         assert ranks == [2, 0]
-        with pytest.raises(InputError, match="^fixed_and_antifixed expects an involution$"):
-            fixed_and_antifixed(g)
+        for view in (fixed_and_antifixed, eigenbases):
+            with pytest.raises(InputError, match="^not an involution$"):
+                view(g)
     power = parabolic.matrix
     for _ in range(12):
         power = xl.mat_mul(power, parabolic.matrix)
@@ -196,12 +214,15 @@ def test_short_vectors_rejects_indefinite_and_degenerate_sublattices():
 
 
 def test_sublattice_determinant_and_from_coords():
+    # the lift and coordinate helpers the tests use on int-tuple bases
     lat = del_pezzo_lattice(2)
     sub = span(lat, (lat.vector((0, 1, -1)), lat.vector((0, 1, 1))))
-    assert abs(sub.determinant()) == 4
-    v = sub.from_coords((1, 1))
-    assert v.coords == (0, 2, 0)
-    assert sub.coords_of(v) == (1, 1)
+    assert abs(xl.det(sub.gram())) == 4
+    basis = [v.coords for v in sub.basis]
+    v = lift(basis, (1, 1))
+    assert v == (0, 2, 0)
+    assert coords_of(basis, v) == (1, 1)
+    assert coords_of(basis, (0, 1, 0)) is None
 
 
 def test_identity_isometry_fixes_everything():
@@ -374,7 +395,8 @@ def test_kernel_carries_coordinates_along(rows, cols, rnd):
 def test_fixed_side_coordinates_of_k_match_coords_of():
     # the kernel reduction of g - 1 gives K's fixed-side coordinates, as a
     # fresh Hermite solve in the fixed basis does, on the catalog and on
-    # O(M_n) conjugates by 12-wall words, which need not fix K
+    # O(M_n) conjugates by 12-wall words, which need not fix K; the bases
+    # are those of the public Sublattice view
     rng = random.Random(4040)
     seen = {True: 0, False: 0}
     for n in range(2, 9):
@@ -388,9 +410,11 @@ def test_fixed_side_coordinates_of_k_match_coords_of():
                     h = h @ rng.choice(walls)
                 gs.append(h @ cls.representative @ h.inverse())
             for g in gs:
-                plus, minus, coords = fixed_and_antifixed(g, k)
-                assert (plus, minus) == fixed_and_antifixed(g)
-                assert coords == plus.coords_of(k)
+                plus, minus, coords = eigenbases(g, k.coords)
+                assert eigenbases(g) == (plus, minus, None)
+                assert (plus, minus) == tuple(tuple(v.coords for v in side.basis)
+                                              for side in fixed_and_antifixed(g))
+                assert coords == coords_of(plus, k.coords)
                 seen[coords is not None] += 1
     assert seen[True] > 33 and seen[False] > 20
 

@@ -15,6 +15,7 @@ from delpezzo import (
     quotient_signature,
     zg_invariant,
 )
+from delpezzo import exactlinalg as xl
 from delpezzo.lattice import blowup_quadric_lattice, del_pezzo_lattice, fixed_and_antifixed
 from delpezzo.weyl import canonical_class, product_of_reflections
 
@@ -102,6 +103,26 @@ def test_quotient_signature_and_defect():
     assert defect_sum(g) == 2 * 1 - (1 - 7)
 
 
+def test_zg_and_quotient_signature_never_square_g(monkeypatch):
+    # the eigen kernels certify g^2 = 1, so neither squares g, and an
+    # isometry of order 3 fails their rank test with the one involution error
+    from delpezzo.lattice import Isometry
+    from delpezzo.weyl import reflection
+
+    calls = []
+    is_involution = Isometry.is_involution
+    monkeypatch.setattr(Isometry, "is_involution",
+                        lambda self: calls.append(self) or is_involution(self))
+    g = geiser().isometry
+    assert _zg(g) == (0, 6, 1) and quotient_signature(g) == 1
+    lat = del_pezzo_lattice(3)
+    order3 = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
+    for run in (zg_invariant, quotient_signature):
+        with pytest.raises(InputError, match="^not an involution$"):
+            run(order3)
+    assert calls == []
+
+
 def test_quadric_basis_change_intertwines_forms():
     for n in (2, 4, 6):
         change = quadric_basis_change(n)
@@ -136,4 +157,4 @@ def test_bertini_fixed_lattice_is_spanned_by_k():
     # the antifixed part is the even negative definite rank-8 lattice
     gram = minus.gram()
     assert all(gram[i][i] % 2 == 0 for i in range(8))
-    assert abs(minus.determinant()) == 1
+    assert abs(xl.det(gram)) == 1
