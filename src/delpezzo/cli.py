@@ -12,6 +12,7 @@ import sys
 from typing import List, Optional
 
 from .errors import InputError, UnsupportedError, is_json_int
+from . import criteria
 from . import exactlinalg as xl
 from .lattice import Isometry, blowup_quadric_lattice, del_pezzo_lattice
 from . import involutions as inv
@@ -69,9 +70,12 @@ def cmd_classify(args) -> int:
     n = args.n
     if not 1 <= n <= 8:
         raise InputError("classification requires 1 <= n <= 8")
+    bound = criteria.resolve_height_bound(None)
     rows = []
     for cls in inv.classify_involutions(n):
-        verdict = irr.check_reducible(cls.representative, n)
+        # the representative fixes K: its class keeps the eigen data
+        # check_reducible would build, with the invariant flags' route results
+        verdict = irr._verdict(cls._eigen_data, n, bound)
         name = _realizing_name(cls, verdict.status)
         cert = verdict.certificate
         rows.append({
@@ -300,9 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process: parse_args leaves it unchanged, and building it
+    # costs more than a small command
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, UnsupportedError) as exc:

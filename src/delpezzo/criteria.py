@@ -76,7 +76,13 @@ This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, decompose starts from the same eigen_data, splits
 with routes c, d and e and narrows both sides (_side) after each split, and
 invariant_of builds its eigenlattices with eigen_data and runs the flag
-routes a-d on them.  Every anchor search uses one box radius, ANCHOR_RADIUS.
+routes a-d on them at FLAG_BOUND.  classify_involutions builds each
+representative's eigen data once and keeps it on the class, and dpz
+classify decides the class from that same data: iter_routes keeps every
+route result on the eigen data with its bound and reuses each one that
+holds at the bound asked for, so a route runs again only where its flag
+result does not decide it.  Every anchor search uses one box radius,
+ANCHOR_RADIUS.
 """
 from __future__ import annotations
 
@@ -87,7 +93,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import InputError
 from . import enumeration as en
@@ -160,12 +166,16 @@ class _EigenSide:
 class EigenData:
     """Both eigen sides of g; glue is the congruent sublattice of route d's
     other side (_congruent_sublattice), built at its first search and kept,
-    with its AnchorFrame, for every later route_d call."""
+    with its AnchorFrame, for every later route_d call.  results holds, by
+    route name, the last RouteResult iter_routes got and the bound it ran
+    at, which iter_routes reuses by the rule its docstring states."""
 
     g: Isometry
     plus: _EigenSide
     minus: _EigenSide
     glue: Optional[_EigenSide] = field(default=None, repr=False, compare=False)
+    results: Dict[str, Tuple[RouteResult, int]] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
@@ -555,12 +565,30 @@ def route_e(data: EigenData, t_bound: int) -> RouteResult:
 
 
 def iter_routes(data: EigenData, n: int, t_bound: int):
-    """The five routes in priority order a..e, evaluated lazily."""
-    yield "a", route_a(data, n, t_bound)
-    yield "b", route_b(data, t_bound)
-    yield "c", route_c(data, t_bound)
-    yield "d", route_d(data, t_bound)
-    yield "e", route_e(data, t_bound)
+    """The five routes in priority order a..e, evaluated lazily, each result
+    kept on data with its bound and reused where it holds at t_bound.
+
+    A closed route stays closed at every bound: parity, mod 4, a complete
+    definite search, mod2_unsolvable and definite_pairs_exhausted never read
+    the bound.  A witness found at bound b is the witness at every bound
+    >= b, since every route returns from the first slab, in ascending order,
+    that holds a hit.  An open result, searched(t<=b), is reused at b only.
+    Any other request runs the route again on the same data, so on the same
+    anchor frames and glue, and keeps the new result in place of the old.
+    """
+    runs = (("a", lambda: route_a(data, n, t_bound)),
+            ("b", lambda: route_b(data, t_bound)),
+            ("c", lambda: route_c(data, t_bound)),
+            ("d", lambda: route_d(data, t_bound)),
+            ("e", lambda: route_e(data, t_bound)))
+    for name, run in runs:
+        res, bound = data.results.get(name, (None, None))
+        holds = res is not None and (res.status == CLOSED or bound == t_bound
+                                     or (res.status == WITNESS and bound < t_bound))
+        if not holds:
+            res = run()
+            data.results[name] = (res, t_bound)
+        yield name, res
 
 
 def route_flags(data: EigenData, n: int) -> Tuple[Optional[bool], ...]:

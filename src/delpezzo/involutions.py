@@ -24,7 +24,10 @@ whole group in it.  _class_triple reads the triple off g in one pass over
 the sign-canonical roots, and are_conjugate, find_class and
 classify_involutions all compare it.  The first key of each group in sorted
 order represents its class; the involution and its invariants are built
-for these representatives only.
+for these representatives only.  Each representative's eigen data,
+criteria.eigen_data(g, K), is built once: it gives the invariant, flags
+included, and stays on the class, from which dpz classify decides the
+class (irreducibility._verdict) with the flag routes' results reused.
 
 Class sizes are exact for every n = 2..8, with no orbit walked: the pairs
 (F', S') of a maximal orthogonal set and a subset whose involution is in a
@@ -188,12 +191,20 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False,
     both sides, and the flags run route_flags on that same data.  triple is
     g's class triple (|S|, |key|, fixed pairs) when the caller knows it
     already, as classify_involutions does from its frame table; else
-    _class_triple reads it off g.
+    _class_triple reads it off g.  classify_involutions calls _invariant on
+    eigen data it keeps, the one body both share.
     """
     if not stabilizes_canonical_class(g, n):
         raise InputError("isometry does not fix the canonical class")
     # eigen_data raises InputError when g is not an involution
-    data = criteria.eigen_data(g, canonical_class(n))
+    return _invariant(criteria.eigen_data(g, canonical_class(n)), n, with_flags, triple)
+
+
+def _invariant(data: criteria.EigenData, n: int, with_flags: bool,
+               triple: Optional[Tuple[int, int, int]]) -> InvolutionInvariant:
+    """invariant_of, from the eigen data criteria.eigen_data(g, K) of the
+    K-fixing involution g; the flag routes' results stay on data."""
+    g = data.g
     plus, minus = data.plus.gram, data.minus.gram
     kf = _kperp_fixed(data.plus, n)
     # the roots g negates are those of the antifixed lattice, and the roots
@@ -232,6 +243,10 @@ class InvolutionClass:
     invariant: InvolutionInvariant
     minus_root_key: RootSetKey     # canonical id of the class
     class_size: Optional[int] = None
+    # criteria.eigen_data(representative, K), as the invariant used it, with
+    # the flag routes' results on it; dpz classify decides the class from it
+    _eigen_data: Optional[criteria.EigenData] = field(default=None, compare=False,
+                                                       repr=False)
 
     @property
     def carter_exponent(self) -> int:
@@ -428,10 +443,11 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
     The candidates are the nonempty root-id subsets of the one maximal
     orthogonal frame, each known by its key.  The candidates with one
     triple (|S|, |key|, fixed pairs) form one class, and the first key of
-    each group in sorted order represents it.  The involution and its
-    invariants (flags included) are computed for the representatives only;
-    classes are ordered by (|S|, merge_key).  class_size is exact, by the
-    double count of the module docstring.
+    each group in sorted order represents it.  The involution, its eigen
+    data and its invariants (flags included) are computed for the
+    representatives only, and each class keeps its eigen data; classes are
+    ordered by (|S|, merge_key).  class_size is exact, by the double count
+    of the module docstring.
     """
     if not 1 <= n <= 8:
         raise InputError("classification supports 1 <= n <= 8")
@@ -465,16 +481,17 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
         if rest:
             raise RuntimeError("class size is not integral")
         triple = (len(sub), len(key), perp)
-        classes.append((key, rset, g, invariant_of(g, n, with_flags=True, triple=triple), size))
+        data = criteria.eigen_data(g, canonical_class(n))
+        classes.append((key, rset, data, _invariant(data, n, True, triple), size))
     # a stable sort: ties keep the key order
     classes.sort(key=lambda c: (len(c[1]), c[3].merge_key()))
 
     counts: Dict[int, int] = {}
-    for _key, rset, _g, _inv, _size in classes:
+    for _key, rset, _data, _inv, _size in classes:
         counts[len(rset)] = counts.get(len(rset), 0) + 1
     out = []
     by_m: Dict[int, int] = {}
-    for key, rset, g, inv, size in classes:
+    for key, rset, data, inv, size in classes:
         m = len(rset)
         by_m[m] = by_m.get(m, 0) + 1
         suffix = chr(ord("a") + by_m[m] - 1) if counts[m] > 1 else ""
@@ -482,10 +499,11 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
             n=n,
             label=f"m{m}{suffix}",
             roots=rset,
-            representative=g,
+            representative=data.g,
             invariant=inv,
             minus_root_key=key,
             class_size=size,
+            _eigen_data=data,
         ))
     return tuple(out)
 

@@ -17,6 +17,12 @@ check_reducible keeps an involution that fixes K as it is, with K as its
 anchor (the catalog and the invariant flags rest on that); decompose
 reduces every input, and anchors with K the same way when K^2 > 0.
 
+One verdict path.  check_reducible builds the eigen data and hands it to
+_verdict, which runs the routes and writes the certificate.  dpz classify
+hands _verdict the eigen data each class keeps from its invariant (the
+representative fixes K, so it is the data check_reducible would build), and
+the routes the invariant flags already decided are not run again.
+
 decompose starts from the eigen data check_reducible builds and runs routes
 c, d and e of the criteria search engine on it, in that order: the first
 witness is the split (a fixed class, a swapped pair c1, g(c1), or an
@@ -186,7 +192,16 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     if tuple(xl.mat_vec(g.matrix, k.coords)) != k.coords:
         # defined on any isometry; g' is an involution exactly when g is one
         g, h_inv = chamber_conjugate(g)
-    data = criteria.eigen_data(g, k)
+    return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
+
+
+def _verdict(data: criteria.EigenData, n: int, bound: int, h_inv=None) -> Verdict:
+    """The verdict and certificate of the involution of data, from routes
+    a..e at the bound: the first witness, mapped back with h_inv, makes it
+    Reducible; routes all closed make it Irreducible, with the obstruction
+    the closing reasons name; anything else is Unknown.  Route results
+    already on data are reused where they hold (criteria.iter_routes), as
+    dpz classify does with the eigen data of each class's invariant."""
     results = []
     for name, res in criteria.iter_routes(data, n, bound):
         results.append((name, res))

@@ -30,8 +30,11 @@ from .lattice import (
     span,
 )
 
+
+@lru_cache(maxsize=None)
 def canonical_class(n: int) -> LatticeVector:
-    """K = -3H + E_1 + ... + E_n in the rank n+1 blowup lattice."""
+    """K = -3H + E_1 + ... + E_n in the rank n+1 blowup lattice, built once
+    per n (LatticeVector is frozen)."""
     lat = del_pezzo_lattice(n)
     return lat.vector((-3,) + (1,) * n)
 

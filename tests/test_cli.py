@@ -269,3 +269,30 @@ def test_decompose_unknown_leaf_exits_3(monkeypatch, tmp_path, capsys):
     code, out, _ = run(capsys, "decompose", _swap_file(tmp_path), "--format", "json")
     assert code == EXIT_UNDECIDED == 3
     assert json.loads(out)["leaf"]["verdict"] == "Unknown"
+
+
+def test_classify_in_one_process_matches_fresh_verdicts(monkeypatch, capsys):
+    # the classes are cached with their eigen data, on which dpz classify
+    # reuses route results: at the default bound, then bounds 1 and 2, then
+    # the default again, every row's verdict and certificate are those of
+    # check_reducible on fresh eigen data at that bound
+    seen = set()
+    for bound in (None, 1, 2, None):
+        if bound is None:
+            monkeypatch.delenv("DPZ_HEIGHT_BOUND", raising=False)
+        else:
+            monkeypatch.setenv("DPZ_HEIGHT_BOUND", str(bound))
+        for n in range(2, 9):
+            code, out, _ = run(capsys, "classify", str(n), "--format", "json")
+            assert code == EXIT_OK
+            rows = {r["label"]: r for r in json.loads(out)["classes"]}
+            classes = classify_involutions(n)
+            assert sorted(rows) == sorted(c.label for c in classes)
+            for cls in classes:
+                verdict = irr.check_reducible(cls.representative, n, bound).to_json()
+                row = rows[cls.label]
+                assert (row["verdict"], row["certificate"]) == (
+                    verdict["status"], verdict["certificate"]), (bound, n, cls.label)
+                seen.add((bound, row["verdict"]))
+    # bound 1 leaves classes Unknown that the default bound decides
+    assert {(1, irr.UNKNOWN), (None, irr.REDUCIBLE), (None, irr.IRREDUCIBLE)} <= seen

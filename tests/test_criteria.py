@@ -617,3 +617,45 @@ def test_find_anchor_matches_reference_on_decompose_sides(monkeypatch):
     assert len(grams) > 20
     for gram, preferred in grams:
         assert find_anchor(gram, preferred) == _reference_find_anchor(gram, preferred)
+
+
+def test_iter_routes_reuses_results_only_where_they_hold(monkeypatch):
+    # one eigen data asked at bounds 4, 1, 2, 10 gives, at each bound, the
+    # routes of fresh eigen data: statuses, reasons and witnesses; a repeat
+    # at the last bound runs no route
+    routes = ("route_a", "route_b", "route_c", "route_d", "route_e")
+    ran = []
+
+    def counted(name):
+        route = getattr(criteria, name)
+
+        def run(*args):
+            ran.append(name)
+            return route(*args)
+        return run
+
+    rng = random.Random(2727)
+    statuses = {bound: set() for bound in (4, 1, 2, 10)}
+    reran = lower = 0
+    for n in range(2, 9):
+        k = canonical_class(n)
+        for cls in classify_involutions(n):
+            for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 1):
+                kept, got = criteria.eigen_data(g, k), {}
+                for bound in (4, 1, 2, 10):
+                    fresh = list(criteria.iter_routes(criteria.eigen_data(g, k), n, bound))
+                    assert list(criteria.iter_routes(kept, n, bound)) == fresh, (n, bound)
+                    statuses[bound].update(res.status for _, res in fresh)
+                    got[bound] = [res.status for _, res in fresh]
+                # a witness at bound 4 that bound 1 does not find
+                lower += sum(a == criteria.WITNESS != b for a, b in zip(got[4], got[1]))
+                with monkeypatch.context() as m:
+                    for name in routes:
+                        m.setattr(criteria, name, counted(name))
+                    before = len(ran)
+                    assert list(criteria.iter_routes(kept, n, 10)) == fresh
+                    reran += len(ran) - before
+    assert reran == 0 and lower > 0
+    # every kind of result is reused or re-run somewhere in the sequence
+    assert statuses[1] == {criteria.CLOSED, criteria.WITNESS, criteria.OPEN}
+    assert statuses[10] == {criteria.CLOSED, criteria.WITNESS}

@@ -1,8 +1,10 @@
 """Conjugacy classification of involutions in the canonical-class stabilizer."""
 import itertools
+import json
 
 import pytest
 
+import delpezzo.criteria as criteria
 import delpezzo.involutions as inv_mod
 import delpezzo.permgroup as pg
 import delpezzo.weyl as weyl_mod
@@ -16,6 +18,7 @@ from delpezzo import (
     orthogonal_root_set,
     zg_invariant,
 )
+from delpezzo.cli import main
 from delpezzo.lattice import del_pezzo_lattice, fixed_and_antifixed
 from delpezzo.weyl import canonical_class, product_of_reflections, weyl_order
 
@@ -248,45 +251,59 @@ def test_class_sizes_divide_the_group_order():
             assert weyl_order(n) % cls.class_size == 0, (n, cls.label)
 
 
-def test_invariants_are_built_for_representatives_only(monkeypatch):
-    calls = {"invariant_of": 0, "product_of_reflections": 0}
+def test_invariants_are_built_for_representatives_only(monkeypatch, capsys):
+    # one invariant computation (_invariant, the body invariant_of shares),
+    # one involution and one eigen data per class; dpz classify decides each
+    # class on that eigen data and builds none of its own
+    calls = {"_invariant": 0, "product_of_reflections": 0}
 
-    def counted(name):
-        fn = getattr(inv_mod, name)
+    def counted(owner, name, tally):
+        fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            tally[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(inv_mod, name, counted(name))
+        monkeypatch.setattr(inv_mod, name, counted(inv_mod, name, calls))
+    eigen = {"eigen_data": 0}
+    monkeypatch.setattr(criteria, "eigen_data", counted(criteria, "eigen_data", eigen))
     for n in range(2, 9):
-        for name in calls:
-            calls[name] = 0
+        for tally in (calls, eigen):
+            for name in tally:
+                tally[name] = 0
         # bypass the cache, so the classification really runs
         classes = inv_mod.classify_involutions.__wrapped__(n)
-        assert calls == {"invariant_of": len(classes),
+        assert calls == {"_invariant": len(classes),
                          "product_of_reflections": len(classes)}, n
+        assert eigen == {"eigen_data": len(classes)}, n
         assert [c.label for c in classes] == [c.label for c in classify_involutions(n)]
+        # one cold dpz classify n: the same count, verdicts included
+        eigen["eigen_data"] = 0
+        inv_mod.classify_involutions.cache_clear()
+        assert main(["classify", str(n), "--format", "json"]) == 0
+        assert eigen == {"eigen_data": len(classes)}, n
+        assert json.loads(capsys.readouterr().out)["classes"]
 
 
 def test_classify_hands_invariant_of_the_class_triple(monkeypatch):
-    # classify_involutions passes the triple of its frame table, so that
-    # invariant_of need not read it off g again
+    # classify_involutions passes the triple of its frame table to the
+    # invariant body invariant_of shares, so that it need not read it off g
+    # again, and asks for the flags
     handed = []
-    invariant_of = inv_mod.invariant_of
+    invariant = inv_mod._invariant
 
-    def recording(g, n, with_flags=False, triple=None):
-        handed.append((g, n, triple))
-        return invariant_of(g, n, with_flags, triple=triple)
+    def recording(data, n, with_flags, triple):
+        handed.append((data.g, n, with_flags, triple))
+        return invariant(data, n, with_flags, triple)
 
-    monkeypatch.setattr(inv_mod, "invariant_of", recording)
+    monkeypatch.setattr(inv_mod, "_invariant", recording)
     for n in range(2, 9):
         inv_mod.classify_involutions.__wrapped__(n)
     assert len(handed) == 33
-    for g, n, triple in handed:
-        assert triple == inv_mod._class_triple(g, n)[1]
+    for g, n, with_flags, triple in handed:
+        assert with_flags and triple == inv_mod._class_triple(g, n)[1]
 
 
 @pytest.mark.parametrize("n", range(2, 9))

@@ -24,6 +24,7 @@ from delpezzo import exactlinalg as xl
 from delpezzo.criteria import DEFAULT_HEIGHT_BOUND
 from delpezzo.irreducibility import _decompose_in_basis
 from delpezzo.lattice import (
+    LatticeVector,
     Sublattice,
     del_pezzo_lattice,
     is_even,
@@ -193,11 +194,9 @@ def test_check_and_decompose_never_square_g(monkeypatch):
     assert calls == []
 
 
-def test_search_path_builds_no_sublattice(monkeypatch):
-    # check_reducible, decompose and invariant_of run on plain int tuples:
-    # on the catalog representatives and one wall-word conjugate of each (a
-    # word in the K-fixing walls for invariant_of), no Sublattice is built,
-    # and every route witness is a tuple of ints
+def _search_path_cases():
+    """(n, (rep, wall-word conjugate), (rep, K-fixing wall-word conjugate))
+    for every catalog representative."""
     rng = random.Random(2626)
     cases = []
     for n in range(2, 9):
@@ -209,6 +208,15 @@ def test_search_path_builds_no_sublattice(monkeypatch):
             for _ in range(12):
                 h, w = h @ rng.choice(walls), w @ rng.choice(k_walls)
             cases.append((n, (g, h @ g @ h.inverse()), (g, w @ g @ w.inverse())))
+    return cases
+
+
+def test_search_path_builds_no_sublattice(monkeypatch):
+    # check_reducible, decompose and invariant_of run on plain int tuples:
+    # on the catalog representatives and one wall-word conjugate of each (a
+    # word in the K-fixing walls for invariant_of), no Sublattice is built,
+    # and every route witness is a tuple of ints
+    cases = _search_path_cases()
     built, results = [], []
     init = Sublattice.__init__
 
@@ -235,6 +243,28 @@ def test_search_path_builds_no_sublattice(monkeypatch):
     found = [w for res in results for w in res.witnesses]
     assert len(found) > 100
     assert all(type(w) is tuple and all(type(x) is int for x in w) for w in found)
+
+
+def test_search_path_builds_no_lattice_vector(monkeypatch):
+    # the anchor K is built once per n (weyl.canonical_class is cached): after
+    # one warm-up call per n, check_reducible and decompose on the catalog and
+    # on wall-word conjugates construct no LatticeVector at all
+    cases = _search_path_cases()
+    for n, (g, _), _ in cases:
+        check_reducible(g, n, 2)
+    built = []
+    init = LatticeVector.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticeVector, "__init__", counted)
+    for n, checked, _ in cases:
+        for g in checked:
+            check_reducible(g, n, 2)
+            decompose(g, n)
+    assert built == []
 
 
 def test_decompose_identity_peels_to_a_point():
