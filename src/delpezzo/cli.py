@@ -42,7 +42,8 @@ def _emit(payload, fmt: str, text_lines: List[str], csv_rows=None, csv_header=No
 
 
 def _realizing_name(cls, status: str) -> Optional[str]:
-    """The named model in the class of an irreducible representative."""
+    """The named model in the class of an irreducible representative: the
+    one whose class triple is the class's."""
     if status != irr.IRREDUCIBLE:
         return None
     n = cls.n
@@ -54,8 +55,10 @@ def _realizing_name(cls, status: str) -> Optional[str]:
         named.append(("Geiser", models.geiser().isometry))
     if n == 8:
         named.append(("Bertini", models.bertini().isometry))
+    triple = cls.invariant.class_triple()
     for label, g in named:
-        if inv.find_class(g, n).label == cls.label:
+        # the models fix K and square to 1, so their triples need no check
+        if inv._class_triple(g, n)[1] == triple:
             return label
     return None
 

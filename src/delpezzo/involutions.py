@@ -8,12 +8,14 @@ the full root list of that eigenlattice, its key.
 The maximal orthogonal root sets form a single orbit for every n = 2..8
 (tests/test_involutions.py::test_maximal_orthogonal_sets_form_one_orbit
 checks this against every maximal clique), so every class meets the
-candidates of one frame F, the first maximal clique of the root
-orthogonality graph: the nonempty subsets S of F, as root ids.  Their keys
-come from one table of integer dot products x . r, for the sign-canonical
-roots x and the r in F, with no matrix and no lattice algebra: K-perp is
-negative definite and r^2 = -2, so x lies in span_Q(S) exactly when
-sum_{r in S} (x . r)^2 = 4.
+candidates of one frame F: the maximal orthogonal root set FRAMES[n],
+pinned as root ids, whose nonempty subsets S are the candidates.  Their
+keys, like the class sizes, come from one table, the orthogonality bitmasks
+of the sign-canonical roots (_orthogonality), with no matrix and no lattice
+algebra.  A root x != r has |x . r| <= 1 for each r in F, since K-perp is
+negative definite and roots have square -2.  So by Bessel's inequality
+over F, x lies in span_Q(F) exactly when it is in F or is not orthogonal
+to four roots of F, and in span_Q(S) when those roots lie in S.
 
 Classes are told apart by the triple (|S|, |key|, fixed pairs), with fixed
 pairs the number of sign-canonical roots the involution fixes.  It is a
@@ -21,13 +23,15 @@ conjugation invariant, and it is complete for n = 2..8:
 tests/test_involutions.py::test_frame_triples_are_class_orbits walks the
 orbit of one key of each triple group of frame candidates and finds the
 whole group in it.  _class_triple reads the triple off g in one pass over
-the sign-canonical roots, and are_conjugate, find_class and
-classify_involutions all compare it.  The first key of each group in sorted
-order represents its class; the involution and its invariants are built
-for these representatives only.  Each representative's eigen data,
-criteria.eigen_data(g, K), is built once: it gives the invariant, flags
-included, and stays on the class, from which dpz classify decides the
-class (irreducibility._verdict) with the flag routes' results reused.
+the sign-canonical roots.  minus_root_key, are_conjugate, find_class and
+invariant_of all read it after one check, _check_fixes_k, and
+classify_involutions compares the frame triples.  The first key of each
+group in sorted order represents its class; the involution and its
+invariants are built for these representatives only.  Each
+representative's eigen data, criteria.eigen_data(g, K), is built once: it
+gives the invariant, flags included, and stays on the class, from which
+dpz classify decides the class (irreducibility._verdict) with the flag
+routes' results reused, and names it by comparing class triples.
 
 Class sizes are exact for every n = 2..8, with no orbit walked: the pairs
 (F', S') of a maximal orthogonal set and a subset whose involution is in a
@@ -41,7 +45,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import and_, mul
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from . import criteria
@@ -59,10 +63,22 @@ from .weyl import (
     canonical_class,
     enumerate_roots,
     product_of_reflections,
-    stabilizes_canonical_class,
 )
 
 RootSetKey = Tuple[int, ...]  # sorted canonical pair ids
+
+# The frame of each n: a maximal orthogonal root set, as sorted root ids
+# (indices into enumerate_roots(n).roots).  Every maximal orthogonal root set
+# lies in its orbit (test_maximal_orthogonal_sets_form_one_orbit).
+FRAMES: Dict[int, RootSetKey] = {
+    2: (1,),
+    3: (4, 7),
+    4: (10, 18),
+    5: (21, 25, 32, 33),
+    6: (36, 39, 61, 66),
+    7: (63, 73, 80, 93, 100, 118, 121),
+    8: (128, 131, 140, 153, 155, 161, 227, 237),
+}
 
 
 @dataclass(frozen=True)
@@ -182,35 +198,32 @@ def _kperp_fixed(plus: criteria._EigenSide, n: int) -> Tuple[Tuple[int, ...], ..
     return gram_of(gram, criteria._lift(plus.basis, ker))
 
 
-def invariant_of(g: Isometry, n: int, with_flags: bool = False,
-                 triple: Optional[Tuple[int, int, int]] = None) -> InvolutionInvariant:
+def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInvariant:
     """The conjugation invariants of a K-fixing involution.
 
     Both eigen sides come from criteria.eigen_data(g, K), as in
     check_reducible: K anchors the fixed side and fixes the signatures of
-    both sides, and the flags run route_flags on that same data.  triple is
-    g's class triple (|S|, |key|, fixed pairs) when the caller knows it
-    already, as classify_involutions does from its frame table; else
-    _class_triple reads it off g.  classify_involutions calls _invariant on
-    eigen data it keeps, the one body both share.
+    both sides, and the flags run route_flags on that same data.  g is not
+    squared: the eigen data's kernels certify g^2 = 1.  _class_triple reads
+    the class triple off g; classify_involutions calls _invariant, the one
+    body both share, with the triple of its frame table.
     """
-    if not stabilizes_canonical_class(g, n):
-        raise InputError("isometry does not fix the canonical class")
+    _check_fixes_k(g, n)
     # eigen_data raises InputError when g is not an involution
-    return _invariant(criteria.eigen_data(g, canonical_class(n)), n, with_flags, triple)
+    data = criteria.eigen_data(g, canonical_class(n))
+    return _invariant(data, n, with_flags, _class_triple(g, n)[1])
 
 
 def _invariant(data: criteria.EigenData, n: int, with_flags: bool,
-               triple: Optional[Tuple[int, int, int]]) -> InvolutionInvariant:
+               triple: Tuple[int, int, int]) -> InvolutionInvariant:
     """invariant_of, from the eigen data criteria.eigen_data(g, K) of the
-    K-fixing involution g; the flag routes' results stay on data."""
+    K-fixing involution g and its class triple (|S|, |key|, fixed pairs);
+    the flag routes' results stay on data."""
     g = data.g
     plus, minus = data.plus.gram, data.minus.gram
     kf = _kperp_fixed(data.plus, n)
     # the roots g negates are those of the antifixed lattice, and the roots
     # it fixes those of (fixed lattice) & K-perp: each pair counts two roots
-    if triple is None:
-        _, triple = _class_triple(g, n)
     _, minus_pairs, fixed_pairs = triple
     flags: Tuple[Optional[bool], ...] = (None,) * 4
     if with_flags:
@@ -301,14 +314,21 @@ def _class_triple(g: Isometry, n: int) -> Tuple[RootSetKey, Tuple[int, int, int]
     return tuple(key), ((n + 1 - g.trace()) // 2, len(key), fixed)
 
 
+def _check_fixes_k(g: Isometry, n: int) -> None:
+    """Raise InputError unless g is an isometry of M_n fixing K, read on
+    coordinates as check_reducible does."""
+    k = canonical_class(n).coords
+    if g.lattice != del_pezzo_lattice(n) or tuple(xl.mat_vec(g.matrix, k)) != k:
+        raise InputError("isometry does not fix the canonical class")
+
+
 def minus_root_key(g: Isometry, n: int) -> RootSetKey:
     """Sorted pair ids of the roots of the antifixed lattice, the roots g negates.
 
     This determines the involution completely and is permuted equivariantly
     under conjugation.
     """
-    if not stabilizes_canonical_class(g, n):
-        raise InputError("isometry does not fix the canonical class")
+    _check_fixes_k(g, n)
     if not g.is_involution():
         raise InputError("not an involution")
     return _class_triple(g, n)[0]
@@ -318,8 +338,7 @@ def are_conjugate(g: Isometry, h: Isometry, n: int) -> bool:
     """Whether two K-fixing involutions are conjugate in the K-stabilizer:
     whether their class triples agree, for every n = 2..8."""
     for x in (g, h):
-        if not stabilizes_canonical_class(x, n):
-            raise InputError("isometry does not fix the canonical class")
+        _check_fixes_k(x, n)
         if not x.is_involution():
             raise InputError("not an involution")
     return _class_triple(g, n)[1] == _class_triple(h, n)[1]
@@ -341,28 +360,6 @@ def _orthogonality(n: int) -> Tuple[List[int], List[int]]:
                 orth[i] |= 1 << j
                 orth[j] |= 1 << i
     return ids, orth
-
-
-def _maximal_orthogonal_reps(ids: Sequence[int], orth: Sequence[int]) -> List[FrozenSet[int]]:
-    """One maximal orthogonal root set per orbit, as sets of pair ids, from
-    the table of _orthogonality.
-
-    The maximal orthogonal root sets form one orbit for every n = 2..8
-    (test_involutions.py::test_maximal_orthogonal_sets_form_one_orbit checks
-    every maximal clique against the orbit of this frame), so the first
-    maximal clique of the root orthogonality graph is the only one taken:
-    the first branch of networkx's find_cliques pivot descent, on which the
-    subgraph and the candidates coincide, so it never backtracks.
-    """
-    # sets built in ascending order, so the pick is that of the pinned FRAMES
-    adj = {a: {b for j, b in enumerate(ids) if orth[i] >> j & 1} for i, a in enumerate(ids)}
-    cand, clique = set(ids), []
-    while cand:
-        u = max(cand, key=lambda u: len(cand & adj[u]))
-        q = (cand - adj[u]).pop()
-        clique.append(q)
-        cand &= adj[q]
-    return [frozenset(clique)]
 
 
 def _orthogonal_set_counter(orth: Sequence[int]) -> Callable[[int, int], int]:
@@ -405,34 +402,32 @@ def _orthogonal_set_counter(orth: Sequence[int]) -> Callable[[int, int], int]:
     return lambda mask, j: counts(mask, j)[j]
 
 
-def _frame_candidates(n: int, frame: FrozenSet[int]):
-    """Yield (subset, key, kperp_fixed_pairs) for each nonempty subset of a frame.
+def _frame_candidates(ids: Sequence[int], orth: Sequence[int], frame: RootSetKey):
+    """Yield (subset, key, kperp_fixed_pairs) for each nonempty subset of a
+    frame, from the table (ids, orth) of _orthogonality.
 
     Subsets come as sorted root ids, by size and then in combinations order.
     key is minus_root_key of the product of their reflections, and
     kperp_fixed_pairs counts the sign-canonical roots orthogonal to the
     subset, half of that involution's kperp_fixed_roots.  Both come from
     the masks of the sign-canonical roots x, bit i set when x . r_i != 0
-    for the i-th frame root r_i: x lies in the span of a subset S exactly
-    when sum_i (x . r_i)^2 = 4 and its mask lies in S.
+    for the i-th frame root r_i (x = r_i included: orth has no diagonal).
+    x lies in the span of a subset S exactly when it is a frame root or its
+    mask has four bits (the module docstring), and its mask lies in S.
     """
-    roots, _ = _roots_and_index(n)
-    gram = del_pezzo_lattice(n).gram
-    members = sorted(frame)
-    rows = [xl.mat_vec(gram, list(roots[i].coords)) for i in members]
+    at = [ids.index(r) for r in frame]
     spanned: List[Tuple[int, int]] = []   # (id, mask) of the roots in span_Q(frame)
     masks: List[int] = []
-    for x in sorted(set(_canon_table(n))):
-        dots = [sum(map(mul, roots[x].coords, row)) for row in rows]
-        mask = sum(1 << i for i, d in enumerate(dots) if d)
+    for x, row in zip(ids, orth):
+        mask = sum(1 << i for i, j in enumerate(at) if not row >> j & 1)
         masks.append(mask)
-        if sum(d * d for d in dots) == 4:
+        if x in frame or mask.bit_count() == 4:
             spanned.append((x, mask))
-    for size in range(1, len(members) + 1):
-        for bits in itertools.combinations(range(len(members)), size):
+    for size in range(1, len(frame) + 1):
+        for bits in itertools.combinations(range(len(frame)), size):
             s = sum(1 << b for b in bits)
             key = tuple(x for x, mask in spanned if not mask & ~s)
-            yield (tuple(members[b] for b in bits), key,
+            yield (tuple(frame[b] for b in bits), key,
                    sum(1 for mask in masks if not mask & s))
 
 
@@ -440,8 +435,8 @@ def _frame_candidates(n: int, frame: FrozenSet[int]):
 def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
     """All conjugacy classes of involutions fixing K, for 1 <= n <= 8.
 
-    The candidates are the nonempty root-id subsets of the one maximal
-    orthogonal frame, each known by its key.  The candidates with one
+    The candidates are the nonempty root-id subsets of the frame
+    FRAMES[n], each known by its key.  The candidates with one
     triple (|S|, |key|, fixed pairs) form one class, and the first key of
     each group in sorted order represents it.  The involution, its eigen
     data and its invariants (flags included) are computed for the
@@ -455,10 +450,10 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
         return ()
     roots, _ = _roots_and_index(n)
     ids, orth = _orthogonality(n)
-    [frame] = _maximal_orthogonal_reps(ids, orth)
+    frame = FRAMES[n]
 
     # key -> (root ids of the subset giving it, kperp root pairs), one each
-    candidates = {key: (sub, perp) for sub, key, perp in _frame_candidates(n, frame)}
+    candidates = {key: (sub, perp) for sub, key, perp in _frame_candidates(ids, orth, frame)}
     groups: Dict[Tuple[int, int, int], List[RootSetKey]] = {}
     for key in sorted(candidates):
         sub, perp = candidates[key]
@@ -511,8 +506,7 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
 def find_class(g: Isometry, n: int) -> InvolutionClass:
     """The classification entry conjugate to the given involution: the
     class whose invariant has its triple, for every n = 2..8."""
-    if not stabilizes_canonical_class(g, n):
-        raise InputError("isometry does not fix the canonical class")
+    _check_fixes_k(g, n)
     if not g.is_involution() or g.is_identity():
         raise InputError("expected a nontrivial involution")
     _, triple = _class_triple(g, n)

@@ -216,7 +216,6 @@ class Sublattice:
 
     ambient: Lattice
     basis: Tuple[LatticeVector, ...]
-    saturated: bool = False
 
     @property
     def rank(self) -> int:
@@ -231,8 +230,7 @@ class Sublattice:
         return tuple(tuple(v.coords[i] for v in self.basis) for i in range(self.ambient.rank))
 
 
-def span(ambient: Lattice, vectors: Iterable[LatticeVector], *,
-         saturated: bool = False) -> Sublattice:
+def span(ambient: Lattice, vectors: Iterable[LatticeVector]) -> Sublattice:
     vecs = tuple(vectors)
     for v in vecs:
         if v.lattice != ambient:
@@ -240,12 +238,11 @@ def span(ambient: Lattice, vectors: Iterable[LatticeVector], *,
     cols = [[v.coords[i] for v in vecs] for i in range(ambient.rank)]
     if vecs and xl.rational_rank(cols) != len(vecs):
         raise InputError("spanning vectors are linearly dependent")
-    return Sublattice(ambient, vecs, saturated)
+    return Sublattice(ambient, vecs)
 
 
 def full_sublattice(lattice: Lattice) -> Sublattice:
-    return Sublattice(lattice, tuple(lattice.basis_vector(i) for i in range(lattice.rank)),
-                      saturated=True)
+    return Sublattice(lattice, tuple(lattice.basis_vector(i) for i in range(lattice.rank)))
 
 
 def orthogonal_complement(sub: Sublattice) -> Sublattice:
@@ -254,7 +251,7 @@ def orthogonal_complement(sub: Sublattice) -> Sublattice:
     if not rows:
         return full_sublattice(sub.ambient)
     basis = tuple(sub.ambient.vector(col) for col in xl.kernel(rows))
-    return Sublattice(sub.ambient, basis, saturated=True)
+    return Sublattice(sub.ambient, basis)
 
 
 def signature(sub: Sublattice) -> Tuple[int, int, int]:
@@ -379,5 +376,5 @@ def fixed_and_antifixed(g: Isometry) -> Tuple[Sublattice, Sublattice]:
     """The saturated (+1)- and (-1)-eigenlattices of an involution, as
     sublattices: the public view of eigenbases."""
     lat = g.lattice
-    return tuple(Sublattice(lat, tuple(LatticeVector(lat, c) for c in basis), saturated=True)
+    return tuple(Sublattice(lat, tuple(LatticeVector(lat, c) for c in basis))
                  for basis in eigenbases(g)[:2])

@@ -218,9 +218,8 @@ def quadric_basis_change(n: int) -> BasisChange:
         raise InputError("basis change requires 2 <= n <= 8")
     src = blowup_quadric_lattice(n)
     tgt = del_pezzo_lattice(n)
-    images = [del_pezzo_vector(n, 1, {1: -1}), del_pezzo_vector(n, 1, {2: -1})]
-    if n >= 2:
-        images.append(del_pezzo_vector(n, 1, {1: -1, 2: -1}))
+    images = [del_pezzo_vector(n, 1, {1: -1}), del_pezzo_vector(n, 1, {2: -1}),
+              del_pezzo_vector(n, 1, {1: -1, 2: -1})]
     for j in range(2, n):
         images.append(del_pezzo_vector(n, 0, {j + 1: 1}))
     matrix = tuple(tuple(images[j].coords[i] for j in range(n + 1))

@@ -5,10 +5,10 @@ class is K = -3H + E_1 + ... + E_n.  The group of interest is the full
 integral isometry group fixing K; for 2 <= n <= 8 it is finite and
 generated by reflections in roots (norm -2 vectors orthogonal to K).
 
-The whole group O+(M_n), n <= 9, is the reflection group of a simplex
-(wall_generators); reduce_to_chamber moves a vector of positive square into
-its fundamental chamber, and chamber_conjugate uses that to put an
-involution into a normal basis.
+The group O+(M_n), n <= 9, is the reflection group of a simplex, and
+wall_generators gives reflections generating it; reduce_to_chamber moves a
+vector of positive square into its fundamental chamber, and
+chamber_conjugate uses that to put an involution into a normal basis.
 """
 from __future__ import annotations
 
@@ -65,10 +65,16 @@ class GeneratorSet:
 
 @lru_cache(maxsize=None)
 def wall_generators(n: int) -> GeneratorSet:
-    """Reflections generating the full isometry group of the blowup lattice.
+    """Reflections generating O+(M_n), the isometries keeping the positive
+    cone, for 2 <= n <= 9.
 
-    These include odd reflections (norm +-1 mirrors), so the group they
-    generate is the whole orthogonal group, not just the K-stabilizer.
+    They include odd reflections (norm -1 mirrors), so the group is larger
+    than the K-stabilizer.  Every vector has negative square, so each
+    reflection keeps the positive cone: the group is O+(M_n), of index 2 in
+    O(M_n) = O+(M_n) x {+-1}, and does not contain -1.  The first vector,
+    H+E1+E2+E3 (H+E1+E2 for n = 2), is not the chamber wall alpha0 of
+    reduce_to_chamber but its image under the sign changes of E1, E2, E3
+    (E1, E2), which the E_i - E_{i+1} and E_n reflections generate.
     """
     lat = del_pezzo_lattice(n)
     if n == 2:
@@ -272,11 +278,6 @@ def _reflection_group_order(vectors: Sequence[LatticeVector]) -> int:
         [w for w in vectors if w.dot(v) == 0])
 
 
-def stabilizes_canonical_class(g: Isometry, n: int) -> bool:
-    k = canonical_class(n)
-    return g.lattice == del_pezzo_lattice(n) and g.apply(k) == k
-
-
 def product_of_reflections(vectors: Sequence[LatticeVector]) -> Isometry:
     """Ref_{v_0} Ref_{v_1} ... Ref_{v_k}, each v_i of norm +-1 or +-2.
 
@@ -334,23 +335,23 @@ def orbit(seed, gens, limit: int = 10 ** 6) -> List[LatticeVector]:
 
 
 def coxeter_diagram(gens: GeneratorSet) -> Dict[Tuple[str, str], int]:
-    """Edge orders m(i, j) >= 3 between generator labels; 0 marks infinite."""
+    """Edge orders m(i, j) >= 3 between generator labels; 0 marks infinite.
+
+    s_a s_b has order m(a, b) with 4 (a.b)^2 / (a^2 b^2) = 4 cos^2(pi / m)
+    on a definite plane span(a, b): the values 0, 1, 2, 3 give m = 2, 3, 4,
+    6.  Four or more, or a^2 b^2 < 0 with a.b != 0, gives infinite order.
+    The ratio is an integer, since a^2 and b^2 are +-1 or +-2, as for any
+    integral reflection.
+    """
+    vecs = gens.vectors
+    norms = [v.norm() for v in vecs]
+    if not set(norms) <= {1, -1, 2, -2}:
+        raise InputError("reflection requires self-intersection in {+-1, +-2}")
     edges: Dict[Tuple[str, str], int] = {}
-    gi = gens.isometries()
-    n = len(gens)
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod = gi[i] @ gi[j]
-            m = _element_order(prod, cap=12)
-            if m >= 3 or m == 0:
-                edges[(gens.labels[i], gens.labels[j])] = m
+    for i, a in enumerate(vecs):
+        for j in range(i + 1, len(vecs)):
+            ab = a.dot(vecs[j])
+            if ab:
+                ratio = 4 * ab * ab // (norms[i] * norms[j])
+                edges[(gens.labels[i], gens.labels[j])] = {1: 3, 2: 4, 3: 6}.get(ratio, 0)
     return edges
-
-
-def _element_order(g: Isometry, cap: int = 10 ** 6) -> int:
-    acc = g
-    for k in range(1, cap + 1):
-        if acc.is_identity():
-            return k
-        acc = acc @ g
-    return 0

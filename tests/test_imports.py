@@ -1,6 +1,7 @@
 """Every module-level import of the library and of the tests is used in
 its module."""
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -91,3 +92,19 @@ def test_runtime_paths_never_import_permgroup(tmp_path):
     src = str(Path(delpezzo.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps TARGETS by attribute replacement; read them
+    # from its source, without importing it, and find each in the library
+    tracer = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    [targets] = [node.value for node in ast.parse(tracer.read_text()).body
+                 if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "TARGETS"]
+    targets = ast.literal_eval(targets)
+    assert len(targets) > 20
+    for _layer, module, attr, _kind in targets:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(owner, part), (module, attr)
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)

@@ -19,6 +19,7 @@ from delpezzo import (
     zg_invariant,
 )
 from delpezzo.cli import main
+from delpezzo.involutions import FRAMES
 from delpezzo.lattice import del_pezzo_lattice, fixed_and_antifixed
 from delpezzo.weyl import canonical_class, product_of_reflections, weyl_order
 
@@ -159,13 +160,12 @@ def test_invariant_json_is_serializable():
 
 def _frame_rows(n):
     """(subset, mask key, mask kperp pairs, involution) for every subset of
-    every frame the classification walks."""
+    the frame the classification walks."""
     roots, _ = inv_mod._roots_and_index(n)
     rows = []
-    for frame in inv_mod._maximal_orthogonal_reps(*inv_mod._orthogonality(n)):
-        for sub, key, perp in inv_mod._frame_candidates(n, frame):
-            rset = orthogonal_root_set(n, [roots[i] for i in sub])
-            rows.append((sub, key, perp, rset.involution()))
+    for sub, key, perp in inv_mod._frame_candidates(*inv_mod._orthogonality(n), FRAMES[n]):
+        rset = orthogonal_root_set(n, [roots[i] for i in sub])
+        rows.append((sub, key, perp, rset.involution()))
     return rows
 
 
@@ -226,9 +226,8 @@ def test_frame_triples_are_class_orbits(n):
     # in one class orbit, so equal triples mean conjugate involutions.  The
     # orbits also check the class sizes of the frame count.
     groups = {}
-    for frame in inv_mod._maximal_orthogonal_reps(*inv_mod._orthogonality(n)):
-        for sub, key, perp in inv_mod._frame_candidates(n, frame):
-            groups.setdefault((len(sub), len(key), perp), set()).add(key)
+    for sub, key, perp in inv_mod._frame_candidates(*inv_mod._orthogonality(n), FRAMES[n]):
+        groups.setdefault((len(sub), len(key), perp), set()).add(key)
     classes = {c.minus_root_key: c for c in classify_involutions(n)}
     assert len(groups) == len(classes) == CLASS_COUNTS[n]
     sizes = {}
@@ -314,18 +313,8 @@ def test_catalog_flags_are_decided(n):
         assert None not in cls.invariant.flags, cls.label
 
 
-# maximal cliques of the root orthogonality graph, and the frame the library
-# takes, for n = 2..8
+# maximal cliques of the root orthogonality graph, for n = 2..8
 MAXIMAL_CLIQUE_COUNTS = {2: 1, 3: 3, 4: 15, 5: 15, 6: 135, 7: 135, 8: 2025}
-FRAMES = {
-    2: (1,),
-    3: (4, 7),
-    4: (10, 18),
-    5: (21, 25, 32, 33),
-    6: (36, 39, 61, 66),
-    7: (63, 73, 80, 93, 100, 118, 121),
-    8: (128, 131, 140, 153, 155, 161, 227, 237),
-}
 
 
 def _all_maximal_cliques(n):
@@ -342,17 +331,12 @@ def _all_maximal_cliques(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_maximal_orthogonal_sets_form_one_orbit(n):
-    # classification takes the first maximal clique only; that is complete
-    # because every maximal orthogonal root set lies in the orbit of that frame
-    reps = inv_mod._maximal_orthogonal_reps(*inv_mod._orthogonality(n))
-    assert [tuple(sorted(f)) for f in reps] == [FRAMES[n]]
+    # classification takes the pinned frame only; that is complete because
+    # every maximal orthogonal root set lies in the orbit of that frame
     cliques = _all_maximal_cliques(n)
     assert len(cliques) == len(set(cliques)) == MAXIMAL_CLIQUE_COUNTS[n]
-    orbit = key_orbit(FRAMES[n], n)
-    assert {bytes(c) for c in cliques} == orbit
-    roots, _ = inv_mod._roots_and_index(n)
-    assert [r.coords for r in orthogonal_root_set(n, [roots[i] for i in reps[0]])] == sorted(
-        roots[i].coords for i in FRAMES[n])
+    assert {bytes(c) for c in cliques} == key_orbit(FRAMES[n], n)
+    assert FRAMES[n] in cliques
 
 
 def _reference_key_orbit(key, n):
@@ -380,9 +364,8 @@ def test_frame_count_equals_maximal_cliques(n):
     # N, the orthogonal |F|-sets of all roots, is the number of maximal
     # cliques networkx enumerates
     ids, orth = inv_mod._orthogonality(n)
-    [frame] = inv_mod._maximal_orthogonal_reps(ids, orth)
     count = inv_mod._orthogonal_set_counter(orth)
-    assert count((1 << len(ids)) - 1, len(frame)) == MAXIMAL_CLIQUE_COUNTS[n]
+    assert count((1 << len(ids)) - 1, len(FRAMES[n])) == MAXIMAL_CLIQUE_COUNTS[n]
 
 
 def _listed_set_counts(members, n):
@@ -405,11 +388,11 @@ def test_set_counter_matches_listed_orthogonal_sets():
     listed = {}
     for n in range(2, 8):
         ids, orth = inv_mod._orthogonality(n)
-        [frame] = inv_mod._maximal_orthogonal_reps(ids, orth)
+        frame = FRAMES[n]
         bit = {a: 1 << i for i, a in enumerate(ids)}
         count = inv_mod._orthogonal_set_counter(orth)
         roots, _ = inv_mod._roots_and_index(n)
-        for sub, key, perp in inv_mod._frame_candidates(n, frame):
+        for sub, key, perp in inv_mod._frame_candidates(ids, orth, frame):
             fixed = tuple(a for a in ids if all(roots[a].dot(roots[r]) == 0 for r in sub))
             assert len(fixed) == perp
             for members in (key, fixed):
@@ -471,3 +454,59 @@ def test_conjugacy_tests_square_g_once(monkeypatch, rng):
         are_conjugate(g, r, 3)
     with pytest.raises(InputError, match="^expected a nontrivial involution$"):
         find_class(r, 3)
+
+
+def test_cold_classify_looks_up_no_class(monkeypatch, capsys):
+    # dpz classify names a class by comparing class triples: one cold
+    # command runs classify_involutions once and find_class never
+    calls = {"classify_involutions": 0, "find_class": 0}
+    classify = inv_mod.classify_involutions
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(inv_mod, name, counted(name, getattr(inv_mod, name)))
+    for n in range(2, 9):
+        classify.cache_clear()
+        assert main(["classify", str(n), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert calls == {"classify_involutions": n - 1, "find_class": 0}, n
+
+
+def _bad_input(case):
+    """An isometry that each class query rejects at n = 3."""
+    from delpezzo.lattice import blowup_quadric_lattice, identity_isometry
+    from delpezzo.weyl import reflection
+
+    lat = del_pezzo_lattice(3)
+    if case == "other-lattice":
+        return identity_isometry(blowup_quadric_lattice(3))
+    if case == "moves-K":
+        return reflection(lat.vector((0, 1, 0, 0)))
+    return reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
+
+
+QUERIES = {
+    "minus_root_key": lambda g: minus_root_key(g, 3),
+    "are_conjugate": lambda g: are_conjugate(classify_involutions(3)[0].representative, g, 3),
+    "find_class": lambda g: find_class(g, 3),
+    "invariant_of": lambda g: invariant_of(g, 3),
+}
+
+
+@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("case", ["other-lattice", "moves-K", "non-involution"])
+def test_class_queries_reject_bad_input(query, case):
+    # one shared K check, and each query keeps its own non-involution message
+    if case != "non-involution":
+        message = "isometry does not fix the canonical class"
+    elif query == "find_class":
+        message = "expected a nontrivial involution"
+    else:
+        message = "not an involution"
+    with pytest.raises(InputError, match=f"^{message}$"):
+        QUERIES[query](_bad_input(case))

@@ -180,6 +180,29 @@ def test_coxeter_diagram_of_simple_roots():
     assert orders.count(3) == 4  # the rank-5 tree has four edges
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_coxeter_diagram_matches_element_orders(n):
+    # the diagram read off the Gram against the order of s_a s_b, found by
+    # matrix powers; no power up to 12 is the identity means infinite order
+    def order(g):
+        acc = g
+        for k in range(1, 13):
+            if acc.is_identity():
+                return k
+            acc = acc @ g
+        return 0
+
+    for gens in (weyl_generators(n), wall_generators(n)):
+        refl = gens.isometries()
+        want = {}
+        for i in range(len(gens)):
+            for j in range(i + 1, len(gens)):
+                m = order(refl[i] @ refl[j])
+                if m != 2:
+                    want[(gens.labels[i], gens.labels[j])] = m
+        assert coxeter_diagram(gens) == want, gens.labels
+
+
 def test_product_of_reflections_in_orthogonal_roots_is_involution():
     lat = del_pezzo_lattice(5)
     r1 = lat.vector((0, 1, -1, 0, 0, 0))
