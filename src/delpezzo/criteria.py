@@ -524,9 +524,10 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
     Lambda(other, complete), cached on the eigen data: definite, one batch;
     indefinite, slabs s = 2t against the anchor 2p, so slab s holds the
     vectors of slab t = s / 2 against p, and the odd slabs are empty.  The
-    pairs are compared as int tuples by parity; the witnesses are the
-    sign-canonical lex-min c1 = (a + b) / 2 of the first slab with a pair,
-    and g(c1).
+    pairs are compared as int tuples by parity, each +- class of pairs once
+    (a sign-canonical: definite batches and merged slabs t, -t are
+    symmetric); the witnesses are the sign-canonical lex-min
+    c1 = (a + b) / 2 of the first slab with a pair, and g(c1).
     """
     if data.minus.definite:
         complete_side, complete, other = "minus", data.minus, data.plus
@@ -541,9 +542,13 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
         return RouteResult(CLOSED, f"no_{complete_side}_roots")
     if data.glue is None:
         data.glue = _congruent_sublattice(other, complete, ambient)
+    # only the sign-canonical a (first nonzero coordinate positive): the
+    # pairs (-a, b) and (-a, -b) give -+ the c1 of (a, -b) and (a, b), and
+    # every batch holds -b with b
     by_parity: dict = {}
     for a in congruent:
-        by_parity.setdefault(xl.f2_bits(a), []).append(a)
+        if next(x for x in a if x) > 0:
+            by_parity.setdefault(xl.f2_bits(a), []).append(a)
     for batch in _search_batches(data.glue, -2, 2 * t_bound):
         best = None
         for b in batch:

@@ -22,8 +22,8 @@ pairs the number of sign-canonical roots the involution fixes.  It is a
 conjugation invariant, and it is complete for n = 2..8:
 tests/test_involutions.py::test_frame_triples_are_class_orbits walks the
 orbit of one key of each triple group of frame candidates and finds the
-whole group in it.  _class_triple reads the triple off g in one pass over
-the sign-canonical roots.  minus_root_key, are_conjugate, find_class and
+whole group in it.  _class_triple reads the triple off g for all the
+sign-canonical roots at once.  minus_root_key, are_conjugate, find_class and
 invariant_of all read it after one check, _check_fixes_k, and
 classify_involutions compares the frame triples.  The first key of each
 group in sorted order represents its class; the involution and its
@@ -32,6 +32,21 @@ representative's eigen data, criteria.eigen_data(g, K), is built once: it
 gives the invariant, flags included, and stays on the class, from which
 dpz classify decides the class (irreducibility._verdict) with the flag
 routes' results reused, and names it by comparing class triples.
+
+Both the orthogonality table and _class_triple run on root planes
+(_root_planes), not one root at a time: for each coordinate i one Python
+int whose 8-bit field j holds coordinate i of the j-th sign-canonical root
+x_j.  A combination sum_i c_i plane_i holds sum_i c_i (x_j)_i in field j, so
+one big-int multiply-add applies a row of J, or a row of g, to every root.
+Adding 128 to every field makes its byte the field's value plus 128
+exactly, as long as each field stays inside +-127; bytes.translate and
+int(..., 2) then turn "this field is 0" into a bitmask in the layout of the
+orthogonality table.
+The fields stay inside the bound _field_bound(n), twice the largest |root
+coordinate| (6 at n = 8, from 3H - 2E_1 - E_2 - ... - E_8): a product of
+two roots has |x . y| <= 2 in the negative definite K-perp, and an isometry
+fixing K permutes the roots, so each coordinate of g x -+ x has absolute
+value at most twice the largest.
 
 Class sizes are exact for every n = 2..8, with no orbit walked: the pairs
 (F', S') of a maximal orthogonal set and a subset whose involution is in a
@@ -294,24 +309,80 @@ def _canon_table(n: int) -> bytes:
     return bytes(out)
 
 
+# A field of a root plane is one byte, read after adding _OFFSET to it: exact
+# while every field v of the plane combination has |v| < _OFFSET.
+_OFFSET = 128
+# bytes.translate table: the byte of a field that is 0 to "1", any other to "0"
+_ZERO_DIGITS = bytes(ord("1") if b == _OFFSET else ord("0") for b in range(256))
+
+
+def _field_bound(n: int) -> int:
+    """The largest |v| a field of a plane combination holds for n: twice
+    the largest |root coordinate|.  It bounds each coordinate of g x -+ x
+    for an isometry g that permutes the roots, and each product x . y of
+    roots, since |x . y| <= 2 in the negative definite K-perp."""
+    roots, _ = _roots_and_index(n)
+    return 2 * max(abs(c) for r in roots for c in r.coords)
+
+
+@lru_cache(maxsize=None)
+def _root_planes(n: int) -> Tuple[List[int], Tuple[int, ...], int]:
+    """(ids, planes, offset): the sign-canonical root ids, sorted; for each
+    coordinate i the plane sum_j roots[ids[j]]_i 256^j; and sum_j 128 256^j.
+
+    A combination sum_i c_i plane_i holds sum_i c_i roots[ids[j]]_i in field
+    j, so one big-int multiply-add applies a row of J, or of g, to every
+    root.  With every field v_j in (-128, 128), x + offset =
+    sum_j (v_j + 128) 256^j has digits v_j + 128 in [0, 256), so its bytes
+    are the fields exactly (_zero_fields); _field_bound(n) < 128 is checked
+    here.  The root list in another layout, cached like it.
+    """
+    roots, _ = _roots_and_index(n)
+    if _field_bound(n) >= _OFFSET:
+        raise RuntimeError("root coordinates do not fit the plane fields")
+    ids = sorted(set(_canon_table(n)))
+    planes = tuple(sum(roots[a].coords[i] << (8 * j) for j, a in enumerate(ids))
+                   for i in range(n + 1))
+    return ids, planes, int.from_bytes(bytes([_OFFSET]) * len(ids), "big")
+
+
+def _zero_fields(x: int, offset: int, size: int) -> int:
+    """The bitmask of the fields of x that are 0, bit j for field j: x is a
+    plane combination with size fields, each inside the field bound."""
+    return int((x + offset).to_bytes(size, "big").translate(_ZERO_DIGITS), 2)
+
+
+def _ids_of(mask: int, ids: Sequence[int]) -> RootSetKey:
+    """The ids[j] for the bits j of mask, in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(ids[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
 def _class_triple(g: Isometry, n: int) -> Tuple[RootSetKey, Tuple[int, int, int]]:
     """(key, (|S|, |key|, fixed pairs)) of a K-fixing involution g.
 
-    One pass of g over the sign-canonical roots x: the key holds the ids of
-    the x that g negates, which are the roots of the antifixed lattice, and
-    fixed pairs counts the x that g fixes.  |S| = (n + 1 - tr g) / 2 is the
-    antifixed rank.  The caller has tested that g fixes K and g^2 = 1.
+    g acts on every sign-canonical root x at once, through the root planes
+    (_root_planes): row k of g applied to the planes gives coordinate k of
+    every g x, and its sum with or difference from plane k gives that
+    coordinate of g x + x or g x - x.  The key holds the ids of the x that
+    g negates, which are the roots of the antifixed lattice, and fixed
+    pairs counts the x that g fixes.  |S| = (n + 1 - tr g) / 2 is the
+    antifixed rank.  The caller has tested that g fixes K and g^2 = 1: g
+    then permutes the roots, so each field of g x -+ x lies within the
+    field bound of the planes.
     """
-    roots, _ = _roots_and_index(n)
-    key, fixed = [], 0
-    for x in sorted(set(_canon_table(n))):
-        v = roots[x].coords
-        gv = tuple(sum(map(mul, row, v)) for row in g.matrix)
-        if gv == v:
-            fixed += 1
-        elif all(a == -b for a, b in zip(gv, v)):
-            key.append(x)
-    return tuple(key), ((n + 1 - g.trace()) // 2, len(key), fixed)
+    ids, planes, offset = _root_planes(n)
+    fixed = negated = (1 << len(ids)) - 1
+    for row, plane in zip(g.matrix, planes):
+        image = sum(map(mul, row, planes))
+        fixed &= _zero_fields(image - plane, offset, len(ids))
+        negated &= _zero_fields(image + plane, offset, len(ids))
+    key = _ids_of(negated, ids)
+    return key, ((n + 1 - g.trace()) // 2, len(key), fixed.bit_count())
 
 
 def _check_fixes_k(g: Isometry, n: int) -> None:
@@ -346,19 +417,18 @@ def are_conjugate(g: Isometry, h: Isometry, n: int) -> bool:
 
 def _orthogonality(n: int) -> Tuple[List[int], List[int]]:
     """(ids, orth): the sign-canonical root ids, sorted, and for the i-th one
-    the bitmask of the j != i with roots[ids[j]] orthogonal to roots[ids[i]],
-    from one dot product per pair."""
+    the bitmask of the j != i with roots[ids[j]] orthogonal to roots[ids[i]].
+
+    Row i is one plane combination: J roots[ids[i]] applied to the root
+    planes holds roots[ids[i]] . roots[ids[j]] in field j, and its zero
+    fields are the bits of orth[i] (a root has square -2, so no diagonal).
+    """
+    ids, planes, offset = _root_planes(n)
     roots, _ = _roots_and_index(n)
     gram = del_pezzo_lattice(n).gram
-    ids = sorted(set(_canon_table(n)))
-    vecs = [roots[a].coords for a in ids]
-    orth = [0] * len(ids)
-    for i, v in enumerate(vecs):
-        row = xl.mat_vec(gram, list(v))
-        for j in range(i + 1, len(ids)):
-            if not sum(map(mul, row, vecs[j])):
-                orth[i] |= 1 << j
-                orth[j] |= 1 << i
+    orth = [_zero_fields(sum(map(mul, xl.mat_vec(gram, roots[a].coords), planes)),
+                         offset, len(ids))
+            for a in ids]
     return ids, orth
 
 
@@ -414,21 +484,31 @@ def _frame_candidates(ids: Sequence[int], orth: Sequence[int], frame: RootSetKey
     for the i-th frame root r_i (x = r_i included: orth has no diagonal).
     x lies in the span of a subset S exactly when it is a frame root or its
     mask has four bits (the module docstring), and its mask lies in S.
+
+    The roots are grouped by mask once: count[m] of them have mask m, and
+    span[m] is the bitmask (as in orth) of those in span_Q(frame).  One
+    sum over submasks per frame bit turns count[t] and span[t] into the
+    totals over the masks inside t, so S has key span[S] and
+    count[complement of S] roots orthogonal to it.
     """
-    at = [ids.index(r) for r in frame]
-    spanned: List[Tuple[int, int]] = []   # (id, mask) of the roots in span_Q(frame)
-    masks: List[int] = []
-    for x, row in zip(ids, orth):
-        mask = sum(1 << i for i, j in enumerate(at) if not row >> j & 1)
-        masks.append(mask)
+    rows = [orth[ids.index(r)] for r in frame]
+    full = (1 << len(frame)) - 1
+    count, span = [0] * (full + 1), [0] * (full + 1)
+    for i, x in enumerate(ids):
+        mask = sum(1 << b for b, row in enumerate(rows) if not row >> i & 1)
+        count[mask] += 1
         if x in frame or mask.bit_count() == 4:
-            spanned.append((x, mask))
+            span[mask] |= 1 << i
+    for b in range(len(frame)):
+        bit = 1 << b
+        for t in range(full + 1):
+            if t & bit:
+                count[t] += count[t ^ bit]
+                span[t] |= span[t ^ bit]
     for size in range(1, len(frame) + 1):
         for bits in itertools.combinations(range(len(frame)), size):
             s = sum(1 << b for b in bits)
-            key = tuple(x for x, mask in spanned if not mask & ~s)
-            yield (tuple(frame[b] for b in bits), key,
-                   sum(1 for mask in masks if not mask & s))
+            yield tuple(frame[b] for b in bits), _ids_of(span[s], ids), count[full ^ s]
 
 
 @lru_cache(maxsize=None)

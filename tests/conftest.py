@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 import importlib.util
+import itertools
 import random
 from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -160,6 +162,61 @@ def key_orbit(key, n, limit: int = 3 * 10 ** 6):
     tables = [_table(bytes(canon[j] for j in g)) for g in gens]
     return closure([bytes(key)], tables, lambda s, t: bytes(sorted(s.translate(t))),
                    limit, "class orbit")
+
+
+# The class-layer oracles: the per-root loops that the root planes of
+# delpezzo.involutions replace, one dot product or one g.v at a time.
+
+
+def orthogonality_oracle(n):
+    """(ids, orth) of involutions._orthogonality, from one dot product per
+    pair of sign-canonical roots."""
+    roots, _ = _roots_and_index(n)
+    gram = del_pezzo_lattice(n).gram
+    ids = sorted(set(_canon_table(n)))
+    vecs = [roots[a].coords for a in ids]
+    orth = [0] * len(ids)
+    for i, v in enumerate(vecs):
+        row = xl.mat_vec(gram, list(v))
+        for j in range(i + 1, len(ids)):
+            if not sum(map(mul, row, vecs[j])):
+                orth[i] |= 1 << j
+                orth[j] |= 1 << i
+    return ids, orth
+
+
+def frame_candidates_oracle(ids, orth, frame):
+    """involutions._frame_candidates as a scan over every root per subset:
+    each root's frame mask read off its own orth row."""
+    at = [ids.index(r) for r in frame]
+    spanned, masks = [], []
+    for x, row in zip(ids, orth):
+        mask = sum(1 << i for i, j in enumerate(at) if not row >> j & 1)
+        masks.append(mask)
+        if x in frame or mask.bit_count() == 4:
+            spanned.append((x, mask))
+    out = []
+    for size in range(1, len(frame) + 1):
+        for bits in itertools.combinations(range(len(frame)), size):
+            s = sum(1 << b for b in bits)
+            key = tuple(x for x, mask in spanned if not mask & ~s)
+            out.append((tuple(frame[b] for b in bits), key,
+                        sum(1 for mask in masks if not mask & s)))
+    return out
+
+
+def class_triple_oracle(g, n):
+    """involutions._class_triple by one g.v per sign-canonical root."""
+    roots, _ = _roots_and_index(n)
+    key, fixed = [], 0
+    for x in sorted(set(_canon_table(n))):
+        v = roots[x].coords
+        gv = tuple(sum(map(mul, row, v)) for row in g.matrix)
+        if gv == v:
+            fixed += 1
+        elif all(a == -b for a, b in zip(gv, v)):
+            key.append(x)
+    return tuple(key), ((n + 1 - g.trace()) // 2, len(key), fixed)
 
 
 def brute_force_root_count(n, coeff_bound: int = 3) -> int:

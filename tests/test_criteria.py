@@ -514,6 +514,45 @@ def test_route_d_matches_reference_on_decompose_streams(monkeypatch, seed):
     assert outcomes["mod2_unsolvable"] > 20 and outcomes["no_minus_roots"] > 10
 
 
+def test_route_d_pairs_each_sign_class_once(monkeypatch):
+    # one cold classify pass: route_d forms a pair product for a
+    # sign-canonical a only, half as many as the reference, which pairs
+    # every congruent root, and returns the reference's result
+    counts = {"route_d": 0, "reference": 0}
+    inside = []
+    canonical = sign_canonical_coords
+
+    def counted(coords):
+        if inside:
+            counts[inside[-1]] += 1
+        return canonical(coords)
+
+    route_d = criteria.route_d
+
+    def checked(data, bound):
+        before = dict(counts)
+        inside.append("route_d")
+        got = route_d(data, bound)
+        inside[-1] = "reference"
+        assert got == _reference_route_d(data, bound)
+        inside.pop()
+        assert (counts["reference"] - before["reference"]
+                == 2 * (counts["route_d"] - before["route_d"]))
+        return got
+
+    monkeypatch.setattr(criteria, "sign_canonical_coords", counted)
+    monkeypatch.setitem(globals(), "sign_canonical_coords", counted)
+    monkeypatch.setattr(criteria, "route_d", checked)
+    classify_involutions.cache_clear()
+    try:
+        for n in range(2, 9):
+            classify_involutions(n)
+    finally:
+        classify_involutions.cache_clear()
+    assert counts["route_d"] > 0
+    assert counts["reference"] == 2 * counts["route_d"]
+
+
 def test_anchored_signatures_match_sylvester(monkeypatch):
     # a K-fixing involution's sides have signatures (1, r - 1) and (0, r),
     # on the catalog and on three O(M_n) conjugates of each class; eigen_data

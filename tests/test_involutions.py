@@ -20,10 +20,18 @@ from delpezzo import (
 )
 from delpezzo.cli import main
 from delpezzo.involutions import FRAMES
-from delpezzo.lattice import del_pezzo_lattice, fixed_and_antifixed
+from delpezzo.lattice import Isometry, del_pezzo_lattice, fixed_and_antifixed
 from delpezzo.weyl import canonical_class, product_of_reflections, weyl_order
 
-from conftest import all_involutions, key_orbit, random_group_element
+from conftest import (
+    all_involutions,
+    bench_inputs,
+    class_triple_oracle,
+    frame_candidates_oracle,
+    key_orbit,
+    orthogonality_oracle,
+    random_group_element,
+)
 
 CLASS_COUNTS = {1: 0, 2: 1, 3: 3, 4: 2, 5: 5, 6: 4, 7: 9, 8: 9}
 
@@ -182,6 +190,51 @@ def test_mask_keys_equal_minus_root_keys(frame_rows):
     # 419 subsets over n = 2..8, each with its own key
     assert sum(len(rows) for rows in frame_rows.values()) == 419
     assert sum(len({row[1] for row in rows}) for rows in frame_rows.values()) == 419
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_orthogonality_matches_the_dot_product_oracle(n):
+    # the root-plane table against one dot product per pair
+    assert inv_mod._orthogonality(n) == orthogonality_oracle(n)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_frame_candidates_match_the_per_root_scan(n):
+    # the grouped masks against a scan over every root for every subset
+    ids, orth = orthogonality_oracle(n)
+    got = list(inv_mod._frame_candidates(ids, orth, FRAMES[n]))
+    assert got == frame_candidates_oracle(ids, orth, FRAMES[n])
+    assert len(got) == 2 ** len(FRAMES[n]) - 1
+
+
+def test_plane_field_bounds():
+    # twice the largest |root coordinate|: 2 (E_i - E_j, H - E_i - E_j - E_k),
+    # 4 from n = 6 (2H - E_1 - ... - E_6), 6 at n = 8 (3H - 2E_1 - E_2 - ...);
+    # each far inside the byte fields of the planes
+    bounds = {n: inv_mod._field_bound(n) for n in range(2, 9)}
+    assert bounds == {2: 2, 3: 2, 4: 2, 5: 2, 6: 4, 7: 4, 8: 6}
+    assert max(bounds.values()) < inv_mod._OFFSET
+
+
+def test_class_triple_matches_the_oracle_on_frame_candidates(frame_rows):
+    for n, rows in frame_rows.items():
+        for sub, key, perp, g in rows:
+            assert inv_mod._class_triple(g, n) == class_triple_oracle(g, n), (n, sub)
+
+
+def test_class_triple_matches_the_oracle_on_verify_streams():
+    # every input of verify seeds 101-103 whose chamber conjugate fixes K
+    inputs = bench_inputs()
+    checked = 0
+    for seed in (101, 102, 103):
+        for op in inputs.verify_stream(seed):
+            g, _ = weyl_mod.chamber_conjugate(Isometry(del_pezzo_lattice(op.n), op.matrix))
+            k = canonical_class(op.n)
+            if g.apply(k) != k:
+                continue
+            assert inv_mod._class_triple(g, op.n) == class_triple_oracle(g, op.n)
+            checked += 1
+    assert checked > 1700
 
 
 def test_mask_fields_equal_invariants(frame_rows):
@@ -510,3 +563,17 @@ def test_class_queries_reject_bad_input(query, case):
         message = "not an involution"
     with pytest.raises(InputError, match=f"^{message}$"):
         QUERIES[query](_bad_input(case))
+
+
+def test_class_queries_at_n1_name_the_root_range():
+    # M_1 has no roots: the queries that read the class triple stop at the
+    # root enumeration, and find_class first rejects the identity
+    from delpezzo.lattice import identity_isometry
+
+    g = identity_isometry(del_pezzo_lattice(1))
+    for query in (lambda: minus_root_key(g, 1), lambda: are_conjugate(g, g, 1),
+                  lambda: invariant_of(g, 1)):
+        with pytest.raises(InputError, match="^root enumeration requires 2 <= n <= 8$"):
+            query()
+    with pytest.raises(InputError, match="^expected a nontrivial involution$"):
+        find_class(g, 1)
