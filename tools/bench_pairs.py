@@ -1,24 +1,27 @@
 """Alternating benchmark pairs between two checkouts, summarised in a BENCH file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \
-        --workload classify --seed 101 --pairs 10 --seconds 10 \
+        --workload classify --seed 101 --pairs 10 \
         --out BENCH_name.json [--trace] [--what TEXT]
 
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once in each checkout, one run at a time, in that checkout's own
-directory, so each side imports its own `src`.  The parent runs first on odd
-pairs and the change first on even pairs, so a drift of the host's speed
-does not favour one side.  The last stdout line of every run (run.py's JSON
-result) is kept.  For each end-to-end metric of BENCHMARK.json the summary
-gives both sides' median and quartiles, the number of pairs the change won
-(strictly better in the metric's direction) and the change of the median as
-a fraction of the parent's.  With --trace, one traced pass per side
-(`--seconds 1 --trace 1`, parent first) adds its per-layer metrics.
+directory, so each side imports its own `src`.  T is the `run_seconds` of
+this repository's BENCHMARK.json, so both sides run as long as the benchmark
+does.  The parent runs first on odd pairs and the change first on even
+pairs, so a drift of the host's speed does not favour one side.  The last
+stdout line of every run (run.py's JSON result) is kept.  For each
+end-to-end metric of BENCHMARK.json the summary gives both sides' median and
+quartiles, the number of pairs the change won (strictly better in the
+metric's direction) and the change of the median as a fraction of the
+parent's.  With --trace, one traced pass per side (`--seconds 1 --trace 1`,
+parent first) adds its per-layer metrics.
 
 --workload and --seed may repeat; every (workload, seed) becomes one
-comparison, named WORKLOAD_seed_SEED.  When --out exists, its comparisons
-and runs are kept and the new ones added, so one file can collect several
-invocations.  A run that exits nonzero or prints no JSON stops the driver.
+comparison, named WORKLOAD_seed_SEED, whose summary records its own command,
+host and run order.  When --out exists, its other keys, comparisons and runs
+are kept; a comparison run again replaces its summary and runs.  A run that
+exits nonzero or prints no JSON stops the driver.
 """
 from __future__ import annotations
 
@@ -83,34 +86,38 @@ def main(argv=None) -> int:
                     choices=("classify", "verify", "decompose"))
     ap.add_argument("--seed", type=int, action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", action="store_true", help="add one traced pass per side")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--what", default=None, help="what the change is, for the file")
     args = ap.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     bench = json.loads(args.out.read_text()) if args.out.exists() else {
-        "what": "", "command": "", "host": "", "order": "", "summary": {}, "runs": []}
+        "what": "", "summary": {}, "runs": []}
     if args.what is not None:
         bench["what"] = args.what
-    bench["command"] = (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                        "--trace 0 (traced runs: --seconds 1 --trace 1), each side in its own "
-                        "checkout, one run at a time")
-    bench["host"] = (f"{platform.system()} {platform.machine()}, Python {platform.python_version()}; "
-                     "times in reference seconds (perfbench/speed.py), traced runs in wall seconds")
-    bench["order"] = ("alternating pairs per comparison, parent first on odd pairs and change "
-                      "first on even pairs; traced passes parent first")
+    about = {
+        "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+                    "--trace 0 (traced runs: --seconds 1 --trace 1), each side in its own "
+                    "checkout, one run at a time"),
+        "host": (f"{platform.system()} {platform.machine()}, Python {platform.python_version()}; "
+                 "times in reference seconds (perfbench/speed.py), traced runs in wall seconds"),
+        "order": (f"{args.pairs} alternating pairs, parent first on odd pairs and change first "
+                  "on even pairs" + ("; then one traced pass per side, parent first"
+                                     if args.trace else "")),
+    }
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for workload in args.workload:
         for seed in args.seed:
             name = f"{workload}_seed_{seed}"
+            bench["runs"] = [r for r in bench["runs"] if r["comparison"] != name]
             pairs = []
             for pair in range(1, args.pairs + 1):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 got = {}
                 for side in order:
-                    got[side] = run_once(sides[side], workload, seed, args.seconds, 0)
+                    got[side] = run_once(sides[side], workload, seed, seconds, 0)
                     bench["runs"].append({"comparison": name, "pair": pair, "side": side,
                                           "workload": workload, "seed": seed, "trace": 0,
                                           "last_line": got[side]})
@@ -118,7 +125,7 @@ def main(argv=None) -> int:
                 print(f"{name} pair {pair}: pass_s parent "
                       f"{got['parent']['metrics']['pass_s']['value']:.4f} change "
                       f"{got['change']['metrics']['pass_s']['value']:.4f}", flush=True)
-            bench["summary"][name] = summarise(pairs, metrics)
+            bench["summary"][name] = {**about, **summarise(pairs, metrics)}
             if args.trace:
                 traced = bench["summary"].setdefault("traced_wall_s_and_counts", {})
                 traced[name] = {side: {k: round(v["value"], 6) for k, v in
