@@ -38,10 +38,11 @@ Both the orthogonality table and _class_triple run on root planes
 int whose 8-bit field j holds coordinate i of the j-th sign-canonical root
 x_j.  A combination sum_i c_i plane_i holds sum_i c_i (x_j)_i in field j, so
 one big-int multiply-add applies a row of J, or a row of g, to every root.
-Adding 128 to every field makes its byte the field's value plus 128
-exactly, as long as each field stays inside +-127; bytes.translate and
-int(..., 2) then turn "this field is 0" into a bitmask in the layout of the
-orthogonality table.
+The plane layout lives in weyl (weyl._planes and weyl._zero_fields), which
+criteria's table of exceptional classes shares: adding 128 to every field
+makes its byte the field's value plus 128 exactly, as long as each field
+stays inside +-127, and bytes.translate and int(..., 2) then turn "this
+field is 0" into a bitmask in the layout of the orthogonality table.
 The fields stay inside the bound _field_bound(n), twice the largest |root
 coordinate| (6 at n = 8, from 3H - 2E_1 - E_2 - ... - E_8): a product of
 two roots has |x . y| <= 2 in the negative definite K-perp, and an isometry
@@ -75,9 +76,10 @@ from .lattice import (
     sign_canonical,
 )
 from .weyl import (
+    _planes,
+    _zero_fields,
     canonical_class,
     enumerate_roots,
-    product_of_reflections,
 )
 
 RootSetKey = Tuple[int, ...]  # sorted canonical pair ids
@@ -118,7 +120,21 @@ class OrthogonalRootSet:
         return iter(self.roots)
 
     def involution(self) -> Isometry:
-        return product_of_reflections(self.roots)
+        """The product of the reflections in the roots, x -> x + sum_r (x . r) r,
+        as the matrix I + sum_r r (J r)^T, one row update per root
+        coordinate: the reflection in a root r is x -> x + (x . r) r, and
+        reflections in orthogonal roots commute and add.  __post_init__ has
+        checked the roots, so the matrix needs no form check."""
+        if not self.roots:
+            raise InputError("empty reflection product")
+        lat = self.roots[0].lattice
+        rows = xl.identity(lat.rank)
+        for r in self.roots:
+            jr = xl.mat_vec(lat.gram, r.coords)
+            for i, x in enumerate(r.coords):
+                if x:
+                    rows[i] = [a + x * b for a, b in zip(rows[i], jr)]
+        return Isometry._trusted(lat, tuple(map(tuple, rows)))
 
 
 def orthogonal_root_set(n: int, roots: Sequence[LatticeVector]) -> OrthogonalRootSet:
@@ -309,13 +325,6 @@ def _canon_table(n: int) -> bytes:
     return bytes(out)
 
 
-# A field of a root plane is one byte, read after adding _OFFSET to it: exact
-# while every field v of the plane combination has |v| < _OFFSET.
-_OFFSET = 128
-# bytes.translate table: the byte of a field that is 0 to "1", any other to "0"
-_ZERO_DIGITS = bytes(ord("1") if b == _OFFSET else ord("0") for b in range(256))
-
-
 def _field_bound(n: int) -> int:
     """The largest |v| a field of a plane combination holds for n: twice
     the largest |root coordinate|.  It bounds each coordinate of g x -+ x
@@ -327,29 +336,17 @@ def _field_bound(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _root_planes(n: int) -> Tuple[List[int], Tuple[int, ...], int]:
-    """(ids, planes, offset): the sign-canonical root ids, sorted; for each
-    coordinate i the plane sum_j roots[ids[j]]_i 256^j; and sum_j 128 256^j.
+    """(ids, planes, offset): the sign-canonical root ids, sorted, and the
+    weyl._planes of their roots, for the field bound _field_bound(n).
 
-    A combination sum_i c_i plane_i holds sum_i c_i roots[ids[j]]_i in field
-    j, so one big-int multiply-add applies a row of J, or of g, to every
-    root.  With every field v_j in (-128, 128), x + offset =
-    sum_j (v_j + 128) 256^j has digits v_j + 128 in [0, 256), so its bytes
-    are the fields exactly (_zero_fields); _field_bound(n) < 128 is checked
-    here.  The root list in another layout, cached like it.
+    Row k of J, or of g, applied to the planes holds that row's product
+    with every root, one root per field (weyl._zero_fields reads them).
+    The root list in another layout, cached like it.
     """
     roots, _ = _roots_and_index(n)
-    if _field_bound(n) >= _OFFSET:
-        raise RuntimeError("root coordinates do not fit the plane fields")
     ids = sorted(set(_canon_table(n)))
-    planes = tuple(sum(roots[a].coords[i] << (8 * j) for j, a in enumerate(ids))
-                   for i in range(n + 1))
-    return ids, planes, int.from_bytes(bytes([_OFFSET]) * len(ids), "big")
-
-
-def _zero_fields(x: int, offset: int, size: int) -> int:
-    """The bitmask of the fields of x that are 0, bit j for field j: x is a
-    plane combination with size fields, each inside the field bound."""
-    return int((x + offset).to_bytes(size, "big").translate(_ZERO_DIGITS), 2)
+    planes, offset = _planes([roots[a].coords for a in ids], _field_bound(n))
+    return ids, planes, offset
 
 
 def _ids_of(mask: int, ids: Sequence[int]) -> RootSetKey:

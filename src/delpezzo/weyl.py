@@ -9,6 +9,14 @@ The group O+(M_n), n <= 9, is the reflection group of a simplex, and
 wall_generators gives reflections generating it; reduce_to_chamber moves a
 vector of positive square into its fundamental chamber, and
 chamber_conjugate uses that to put an involution into a normal basis.
+
+The plane layout (_planes) packs a list of small integer vectors x_j into
+one Python int per coordinate i, plane_i = sum_j (x_j)_i 256^j, so that one
+big-int multiply-add applies a row of a matrix to every x_j at once, and
+_zero_fields reads which fields of such a combination are 0.  The W_n
+class layer (involutions._root_planes) runs on the planes of the roots,
+and routes c and d (criteria._exceptional_table) on those of the
+exceptional classes.
 """
 from __future__ import annotations
 
@@ -245,6 +253,39 @@ def enumerate_roots(n: int) -> RootSystem:
     coords = en.definite_vectors(kperp.gram(), -2, kperp._rows)
     roots = sorted(lat.vector(c) for c in coords)
     return RootSystem(n, tuple(roots), weyl_generators(n).vectors)
+
+
+# A field of a plane is one byte, read after adding _OFFSET to it: exact
+# while every field v of the plane combination has |v| < _OFFSET.
+_OFFSET = 128
+# bytes.translate table: the byte of a field that is 0 to "1", any other to "0"
+_ZERO_DIGITS = bytes(ord("1") if b == _OFFSET else ord("0") for b in range(256))
+
+
+def _planes(vectors: Sequence[Sequence[int]], bound: int) -> Tuple[Tuple[int, ...], int]:
+    """(planes, offset): for each coordinate i the plane
+    sum_j vectors[j]_i 256^j, and sum_j _OFFSET 256^j.
+
+    A combination sum_i c_i plane_i holds sum_i c_i vectors[j]_i in field j.
+    With every field v_j in (-128, 128), x + offset = sum_j (v_j + 128) 256^j
+    has digits v_j + 128 in [0, 256), so its bytes are the fields exactly
+    (_zero_fields).  bound is the largest |v| a field of the combinations
+    the caller reads can hold; RuntimeError unless it is below _OFFSET.
+    Each plane is read from the bytes of its fields, which must lie within
+    +-127 themselves (bytes raises ValueError otherwise).
+    """
+    if bound >= _OFFSET:
+        raise RuntimeError("plane combinations do not fit the plane fields")
+    offset = int.from_bytes(bytes([_OFFSET]) * len(vectors), "little")
+    planes = tuple(int.from_bytes(bytes([x + _OFFSET for x in column]), "little") - offset
+                   for column in zip(*vectors))
+    return planes, offset
+
+
+def _zero_fields(x: int, offset: int, size: int) -> int:
+    """The bitmask of the fields of x that are 0, bit j for field j: x is a
+    plane combination with size fields, each inside the bound of _planes."""
+    return int((x + offset).to_bytes(size, "big").translate(_ZERO_DIGITS), 2)
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ that listed every root of both sides, reduced each root against one F2
 echelon and built its witnesses as lattice vectors, whose filter is held
 against one xl.f2_solvable call per root.
 """
+import dataclasses
 import itertools
 import math
 import operator
@@ -31,7 +32,15 @@ from delpezzo.lattice import (
     identity_isometry,
     sign_canonical_coords,
 )
-from delpezzo.weyl import canonical_class, chamber_conjugate, reflection, wall_generators
+from delpezzo import weyl as weyl_mod
+from delpezzo.weyl import (
+    canonical_class,
+    chamber_conjugate,
+    orbit,
+    reflection,
+    wall_generators,
+    weyl_generators,
+)
 
 from conftest import assert_slabs_ascend, bench_inputs, coords_of, lift
 
@@ -355,7 +364,9 @@ def test_search_batches_lift_the_side_coordinate_enumeration(eigen_data, target)
 def test_anchor_frame_is_built_once_per_side(monkeypatch):
     # every route on a side reads one AnchorFrame, built at its first slab;
     # route d's congruent sublattice of its other side (data.glue) builds at
-    # most one more per eigen data, and the second pass builds no frame
+    # most one more per eigen data, and the second pass builds no frame.
+    # The data carry no table of exceptional classes, so routes c and d
+    # search their slabs
     built = []
 
     class Counting(en.AnchorFrame):
@@ -369,7 +380,8 @@ def test_anchor_frame_is_built_once_per_side(monkeypatch):
     frames = glue_frames = 0
     for n in range(3, 9):
         for cls in classify_involutions(n):
-            data = criteria.eigen_data(cls.representative, canonical_class(n))
+            data = dataclasses.replace(
+                criteria.eigen_data(cls.representative, canonical_class(n)), exceptional=None)
             before = len(built)
             for _name, _res in criteria.iter_routes(data, n, 4):
                 pass
@@ -515,9 +527,10 @@ def test_route_d_matches_reference_on_decompose_streams(monkeypatch, seed):
 
 
 def test_route_d_pairs_each_sign_class_once(monkeypatch):
-    # one cold classify pass: route_d forms a pair product for a
-    # sign-canonical a only, half as many as the reference, which pairs
-    # every congruent root, and returns the reference's result
+    # one cold classify pass with no table of exceptional classes, so that
+    # route_d searches: it forms a pair product for a sign-canonical a only,
+    # half as many as the reference, which pairs every congruent root, and
+    # returns the reference's result
     counts = {"route_d": 0, "reference": 0}
     inside = []
     canonical = sign_canonical_coords
@@ -543,6 +556,7 @@ def test_route_d_pairs_each_sign_class_once(monkeypatch):
     monkeypatch.setattr(criteria, "sign_canonical_coords", counted)
     monkeypatch.setitem(globals(), "sign_canonical_coords", counted)
     monkeypatch.setattr(criteria, "route_d", checked)
+    monkeypatch.setattr(criteria, "_exceptional_table", lambda n: None)
     classify_involutions.cache_clear()
     try:
         for n in range(2, 9):
@@ -551,6 +565,146 @@ def test_route_d_pairs_each_sign_class_once(monkeypatch):
         classify_involutions.cache_clear()
     assert counts["route_d"] > 0
     assert counts["reference"] == 2 * counts["route_d"]
+
+
+def _exceptional_oracle(n):
+    """The sign-canonical classes of square -1 and K.c = +-1: the W_n-orbit
+    of E_n for n >= 3 (W_n is transitive on them), with their negatives,
+    and for n <= 4 a box search over coordinates in [-2, 2]."""
+    lat, k = del_pezzo_lattice(n), canonical_class(n)
+    found = set()
+    if n >= 3:
+        e_n = lat.basis_vector(n)
+        found |= {sign_canonical_coords(v.coords) for v in orbit(e_n, weyl_generators(n))}
+    if n <= 4:
+        box = set()
+        for c in itertools.product(range(-2, 3), repeat=n + 1):
+            v = lat.vector(c)
+            if v.norm() == -1 and abs(v.dot(k)) == 1:
+                box.add(sign_canonical_coords(c))
+        assert n < 3 or box == found
+        found = box
+    return sorted(found)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exceptional_table_is_the_orbit_of_e_n(n):
+    table = criteria._exceptional_table(n)
+    assert list(table.classes) == _exceptional_oracle(n)
+    assert len(table.classes) == {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}[n]
+    # the planes hold the classes' coordinates and their coordinate products
+    size = len(table.classes)
+    for i, plane in enumerate(table.planes):
+        fields = (plane + table.offset).to_bytes(size, "little")
+        assert [b - weyl_mod._OFFSET for b in fields] == [c[i] for c in table.classes]
+    for (a, b), plane in zip(table.pairs, table.products):
+        fields = (plane + table.offset).to_bytes(size, "little")
+        assert [f - weyl_mod._OFFSET for f in fields] == [c[a] * c[b] for c in table.classes]
+    assert len(table.pairs) == (n + 1) * (n + 2) // 2
+
+
+def test_exceptional_table_field_bounds():
+    # twice the largest |coordinate| bounds g c - c, and every product of two
+    # classes has |c . c'| <= 1 + 2 / K^2: both are attained, and far inside
+    # the byte fields of the planes
+    coords, products = {}, {}
+    for n in range(2, 9):
+        classes = criteria._exceptional_table(n).classes
+        gram = del_pezzo_lattice(n).gram
+        coords[n] = 2 * max(abs(x) for c in classes for x in c)
+        products[n] = max(abs(sum(map(operator.mul, xl.mat_vec(gram, c), d)))
+                          for c in classes for d in classes)
+        assert products[n] <= 1 + 2 // (9 - n)
+    assert coords == {2: 2, 3: 2, 4: 2, 5: 4, 6: 4, 7: 6, 8: 12}
+    assert products == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 3}
+    assert max(coords.values()) < weyl_mod._OFFSET
+
+
+def _table_routes_checked(data, bound, hits):
+    """routes c and d on data, asserted equal to the same routes on the
+    same data with the table removed; hits counts the witnesses that data
+    with a table got, by route."""
+    bare = dataclasses.replace(data, exceptional=None, results={})
+    for name, route in (("c", criteria.route_c), ("d", criteria.route_d)):
+        got = route(data, bound)
+        assert got == route(bare, bound), (name, bound)
+        if data.exceptional is not None and got.status == criteria.WITNESS:
+            hits[name] += 1
+
+
+@pytest.fixture(scope="module")
+def catalog_and_conjugate_data():
+    """Eigen data, anchored at K, of the catalog representatives, n = 2..8,
+    and of two wall-word conjugates of each, as check_reducible sees them."""
+    rng = random.Random(4343)
+    out = []
+    for n in range(2, 9):
+        k = canonical_class(n)
+        for cls in classify_involutions(n):
+            for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 2):
+                out.append(criteria.eigen_data(g, k))
+    return out
+
+
+@pytest.mark.parametrize("bound", (1, 2, 4, 10))
+def test_table_routes_match_the_search_on_catalog_and_conjugates(catalog_and_conjugate_data,
+                                                                 bound):
+    # the catalog representatives carry the table; their wall-word
+    # conjugates carry it when the chamber conjugate fixes K.  At bound 1
+    # route d may not read the table: its first pairing slab lies at bound 2
+    hits = {"c": 0, "d": 0}
+    for data in catalog_and_conjugate_data:
+        _table_routes_checked(data, bound, hits)
+    assert sum(d.exceptional is not None for d in catalog_and_conjugate_data) > 50
+    assert hits["c"] > 20
+    assert hits["d"] > 10 if bound >= 2 else hits["d"] == 0
+
+
+def test_table_routes_match_the_search_on_verify_inputs():
+    # every input of verify seed 101 whose chamber conjugate fixes K, as
+    # check_reducible sees it
+    hits, tabled = {"c": 0, "d": 0}, 0
+    for op in bench_inputs().verify_stream(101):
+        g, k = Isometry(del_pezzo_lattice(op.n), op.matrix), canonical_class(op.n)
+        if g.apply(k) != k:
+            g, _ = chamber_conjugate(g)
+        data = criteria.eigen_data(g, k)
+        if data.exceptional is None:
+            continue
+        tabled += 1
+        for bound in (2, 10):
+            _table_routes_checked(data, bound, hits)
+    assert tabled > 500 and hits["c"] > 200 and hits["d"] > 200
+
+
+def test_decompose_reads_the_table_only_on_its_first_eigen_data(monkeypatch):
+    # decompose's narrowed sides are anchored by the box search, not K, so
+    # the EigenData it builds after a split never carries the table.  first
+    # keeps each first eigen data alive, so that no later object takes its id
+    first, seen = {}, {"first": 0, "narrowed": 0}
+    eigen_data = criteria.eigen_data
+
+    def recorded(*args):
+        data = eigen_data(*args)
+        first[id(data)] = data
+        return data
+
+    def watched(route):
+        def run(data, bound):
+            if id(data) in first:
+                seen["first"] += data.exceptional is not None
+            else:
+                assert data.exceptional is None
+                seen["narrowed"] += 1
+            return route(data, bound)
+        return run
+
+    monkeypatch.setattr(criteria, "eigen_data", recorded)
+    for name in ("route_c", "route_d", "route_e"):
+        monkeypatch.setattr(criteria, name, watched(getattr(criteria, name)))
+    for op in bench_inputs().decompose_stream(101):
+        decompose(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n, height_bound=10)
+    assert seen["first"] > 100 and seen["narrowed"] > 100
 
 
 def test_anchored_signatures_match_sylvester(monkeypatch):

@@ -21,7 +21,7 @@ from delpezzo import (
 from delpezzo.cli import main
 from delpezzo.involutions import FRAMES
 from delpezzo.lattice import Isometry, del_pezzo_lattice, fixed_and_antifixed
-from delpezzo.weyl import canonical_class, product_of_reflections, weyl_order
+from delpezzo.weyl import canonical_class, enumerate_roots, product_of_reflections, weyl_order
 
 from conftest import (
     all_involutions,
@@ -213,7 +213,22 @@ def test_plane_field_bounds():
     # each far inside the byte fields of the planes
     bounds = {n: inv_mod._field_bound(n) for n in range(2, 9)}
     assert bounds == {2: 2, 3: 2, 4: 2, 5: 2, 6: 4, 7: 4, 8: 6}
-    assert max(bounds.values()) < inv_mod._OFFSET
+    assert max(bounds.values()) < weyl_mod._OFFSET
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_involution_is_the_product_of_reflections_on_frame_subsets(n):
+    # I + sum_r r (J r)^T, built directly, against the checked product of
+    # the reflections, on every nonempty subset of the frame
+    roots = enumerate_roots(n).roots
+    frame = FRAMES[n]
+    checked = 0
+    for size in range(1, len(frame) + 1):
+        for sub in itertools.combinations(frame, size):
+            rset = orthogonal_root_set(n, [roots[i] for i in sub])
+            assert rset.involution() == product_of_reflections(rset.roots), (n, sub)
+            checked += 1
+    assert checked == 2 ** len(frame) - 1
 
 
 def test_class_triple_matches_the_oracle_on_frame_candidates(frame_rows):
@@ -307,7 +322,7 @@ def test_invariants_are_built_for_representatives_only(monkeypatch, capsys):
     # one invariant computation (_invariant, the body invariant_of shares),
     # one involution and one eigen data per class; dpz classify decides each
     # class on that eigen data and builds none of its own
-    calls = {"_invariant": 0, "product_of_reflections": 0}
+    calls = {"_invariant": 0, "involution": 0}
 
     def counted(owner, name, tally):
         fn = getattr(owner, name)
@@ -317,8 +332,9 @@ def test_invariants_are_built_for_representatives_only(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(inv_mod, name, counted(inv_mod, name, calls))
+    monkeypatch.setattr(inv_mod, "_invariant", counted(inv_mod, "_invariant", calls))
+    monkeypatch.setattr(inv_mod.OrthogonalRootSet, "involution",
+                        counted(inv_mod.OrthogonalRootSet, "involution", calls))
     eigen = {"eigen_data": 0}
     monkeypatch.setattr(criteria, "eigen_data", counted(criteria, "eigen_data", eigen))
     for n in range(2, 9):
@@ -327,8 +343,7 @@ def test_invariants_are_built_for_representatives_only(monkeypatch, capsys):
                 tally[name] = 0
         # bypass the cache, so the classification really runs
         classes = inv_mod.classify_involutions.__wrapped__(n)
-        assert calls == {"_invariant": len(classes),
-                         "product_of_reflections": len(classes)}, n
+        assert calls == {"_invariant": len(classes), "involution": len(classes)}, n
         assert eigen == {"eigen_data": len(classes)}, n
         assert [c.label for c in classes] == [c.label for c in classify_involutions(n)]
         # one cold dpz classify n: the same count, verdicts included

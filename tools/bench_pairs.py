@@ -14,8 +14,11 @@ stdout line of every run (run.py's JSON result) is kept.  For each
 end-to-end metric of BENCHMARK.json the summary gives both sides' median and
 quartiles, the number of pairs the change won (strictly better in the
 metric's direction) and the change of the median as a fraction of the
-parent's.  With --trace, one traced pass per side (`--seconds 1 --trace 1`,
-parent first) adds its per-layer metrics.
+parent's.  With --trace, TRACE_PASSES traced passes per side
+(`--seconds 1 --trace 1`, one pass each, alternating as the pairs do) add
+the median and quartiles of every per-layer metric that is nonzero in
+some traced run: one traced pass varies as much as the host does, so a
+layer figure needs repeats before two sides can be compared.
 
 --workload and --seed may repeat; every (workload, seed) becomes one
 comparison, named WORKLOAD_seed_SEED, whose summary records its own command,
@@ -34,6 +37,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACE_PASSES = 5
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -48,13 +52,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return json.loads(lines[-1])
 
 
-def quartiles(values):
-    """Median and quartiles (statistics.quantiles, exclusive method)."""
+def side_order(pair: int):
+    """The run order of pair number pair (from 1): parent first on odd pairs."""
+    return ("parent", "change") if pair % 2 else ("change", "parent")
+
+
+def quartiles(values, digits=4):
+    """Median and quartiles (statistics.quantiles, exclusive method),
+    rounded to digits."""
     if len(values) == 1:
         q1 = med = q3 = values[0]
     else:
         q1, med, q3 = statistics.quantiles(values, n=4)
-    return {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4), "n": len(values)}
+    return {"median": round(med, digits), "q1": round(q1, digits), "q3": round(q3, digits),
+            "n": len(values)}
 
 
 def summarise(pairs, metrics):
@@ -78,6 +89,17 @@ def summarise(pairs, metrics):
     return out
 
 
+def summarise_traced(pairs):
+    """The median and quartiles, per side, of every metric of the traced
+    result lines in pairs, a list of (parent, change), that is nonzero in
+    at least one of them."""
+    names = sorted({k for pair in pairs for r in pair for k, v in r["metrics"].items()
+                    if v["value"]})
+    return {side: {k: quartiles([pair[i]["metrics"][k]["value"] for pair in pairs], 6)
+                   for k in names}
+            for i, side in enumerate(("parent", "change"))}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -86,7 +108,8 @@ def main(argv=None) -> int:
                     choices=("classify", "verify", "decompose"))
     ap.add_argument("--seed", type=int, action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--trace", action="store_true", help="add one traced pass per side")
+    ap.add_argument("--trace", action="store_true",
+                    help=f"add {TRACE_PASSES} traced passes per side")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--what", default=None, help="what the change is, for the file")
     args = ap.parse_args(argv)
@@ -104,8 +127,8 @@ def main(argv=None) -> int:
         "host": (f"{platform.system()} {platform.machine()}, Python {platform.python_version()}; "
                  "times in reference seconds (perfbench/speed.py), traced runs in wall seconds"),
         "order": (f"{args.pairs} alternating pairs, parent first on odd pairs and change first "
-                  "on even pairs" + ("; then one traced pass per side, parent first"
-                                     if args.trace else "")),
+                  "on even pairs" + (f"; then {TRACE_PASSES} traced passes per side, "
+                                     "alternating the same way" if args.trace else "")),
     }
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for workload in args.workload:
@@ -114,9 +137,8 @@ def main(argv=None) -> int:
             bench["runs"] = [r for r in bench["runs"] if r["comparison"] != name]
             pairs = []
             for pair in range(1, args.pairs + 1):
-                order = ("parent", "change") if pair % 2 else ("change", "parent")
                 got = {}
-                for side in order:
+                for side in side_order(pair):
                     got[side] = run_once(sides[side], workload, seed, seconds, 0)
                     bench["runs"].append({"comparison": name, "pair": pair, "side": side,
                                           "workload": workload, "seed": seed, "trace": 0,
@@ -127,11 +149,13 @@ def main(argv=None) -> int:
                       f"{got['change']['metrics']['pass_s']['value']:.4f}", flush=True)
             bench["summary"][name] = {**about, **summarise(pairs, metrics)}
             if args.trace:
+                traced_pairs = []
+                for pair in range(1, TRACE_PASSES + 1):
+                    got = {side: run_once(sides[side], workload, seed, 1, 1)
+                           for side in side_order(pair)}
+                    traced_pairs.append((got["parent"], got["change"]))
                 traced = bench["summary"].setdefault("traced_wall_s_and_counts", {})
-                traced[name] = {side: {k: round(v["value"], 6) for k, v in
-                                       run_once(sides[side], workload, seed, 1, 1)["metrics"].items()
-                                       if v["value"]}
-                                for side in ("parent", "change")}
+                traced[name] = summarise_traced(traced_pairs)
             args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 
