@@ -57,15 +57,15 @@ anchor p, so slab s = 2t holds the vectors of slab t against p and the odd
 slabs are empty.
 
 Routes c and d read their first witness off a table when K anchors the
-plus side (eigen_data puts _exceptional_table(n) on the data for a
+plus side (eigen_data puts weyl._slab_table(n, -1, 1) on the data for a
 K-fixing g on M_n, 2 <= n <= 8; decompose's narrowed data never carry it).
 The table holds the exceptional classes, c^2 = -1 and K.c = +-1, in the
-plane layout of weyl._planes, with the planes of their coordinate
-products.  Two parity facts make its first hit the search's witness.
-First, for n <= 8 K is characteristic and K-perp is even and negative
-definite, so a class of square -1 has K.c odd: slab 0 of route c is empty
-and slab |K.c| = 1, the first one searched, holds exactly the fixed
-entries.  Second, route d's pair (a, b) has c1 = (a + b) / 2 with a in
+plane layout of weyl._planes; route d adds the planes of their coordinate
+products (_exceptional_products).  Two parity facts make its first hit the
+search's witness.  First, for n <= 8 K is characteristic and K-perp is
+even and negative definite, so a class of square -1 has K.c odd: slab 0 of
+route c is empty and slab |K.c| = 1, the first one searched, holds exactly
+the fixed entries.  Second, route d's pair (a, b) has c1 = (a + b) / 2 with a in
 K-perp, so K.b = 2 K.c1 is twice an odd number: the first glue slab that
 can pair is |K.b| = 2, which the search reaches only at t_bound >= 2, so
 route d reads the table only at such bounds.  With no hit, each route runs
@@ -122,7 +122,7 @@ from .lattice import (
     has_even_products,
     sign_canonical_coords,
 )
-from .weyl import _planes, _zero_fields, canonical_class
+from .weyl import _planes, _slab_table, _zero_fields, canonical_class
 
 Coords = Tuple[int, ...]
 
@@ -179,46 +179,22 @@ class _EigenSide:
     frame: Optional[en.AnchorFrame] = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class _Exceptional:
-    """The exceptional classes of M_n, 2 <= n <= 8: the c with c^2 = -1 and
-    K.c = +-1, sign-canonical and sorted (3, 6, 10, 16, 27, 56 and 240 of
-    them), in the plane layout of weyl._planes.
-
-    planes[i] holds coordinate i of the j-th class in field j; products
-    holds one plane per coordinate pair (a, b), a <= b, in pairs order, with
-    c_a c_b in field j.  offset is the planes' common offset.
-    """
-
-    classes: Tuple[Coords, ...]
-    planes: Tuple[int, ...]
-    pairs: Tuple[Tuple[int, int], ...]
-    products: Tuple[int, ...]
-    offset: int
-
-
 @lru_cache(maxsize=None)
-def _exceptional_table(n: int) -> _Exceptional:
-    """The table of exceptional classes of M_n, built once per n from the
-    exact slab search: slab K.c = 1 of AnchorFrame(J, K) at square -1 holds
-    one class of each +-pair, and -1 the other.
+def _exceptional_products(n: int) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    """(pairs, products): the coordinate pairs (a, b), a <= b, of M_n and,
+    for each, the plane with c_a c_b in field j for the j-th exceptional
+    class c of weyl._slab_table(n, -1, 1), whose offset they share.
 
-    Field bounds, checked by weyl._planes: an isometry fixing K permutes
-    the classes up to sign, so each field of g c - c lies within twice the
-    largest |coordinate| (12 at n = 8); and with c = (K.c / K^2) K + e,
-    e^2 = -1 - 1/K^2 in the negative definite K-perp, so
-    |c . c'| <= 1/K^2 + |e| |e'| <= 1 + 2/K^2, at most 3, for any two
-    classes c, c' (Cauchy-Schwarz), which bounds every field of c . g c.
+    With c = (K.c / K^2) K + e, e^2 = -1 - 1/K^2 in the negative definite
+    K-perp, so |c . c'| <= 1/K^2 + |e| |e'| <= 1 + 2/K^2, at most 3, for any
+    two classes c, c' (Cauchy-Schwarz), which bounds every field of c . g c.
     """
-    lat = del_pezzo_lattice(n)
-    frame = en.AnchorFrame(lat.gram, canonical_class(n).coords)
-    m = frame.m
-    classes = tuple(sorted(sign_canonical_coords(tuple([x // m for x in c]))
-                           for c in frame.slab(-1, 1)))
-    planes, offset = _planes(classes, 2 * max(abs(x) for c in classes for x in c))
+    classes, _, _ = _slab_table(n, -1, 1)
     pairs = tuple((a, b) for a in range(n + 1) for b in range(a, n + 1))
-    products, _ = _planes([[c[a] * c[b] for a, b in pairs] for c in classes], 1 + 2 // m)
-    return _Exceptional(classes, planes, pairs, products, offset)
+    # the bound above, with K^2 = 9 - n
+    products, _ = _planes([[c[a] * c[b] for a, b in pairs] for c in classes],
+                          1 + 2 // (9 - n))
+    return pairs, products
 
 
 @dataclass
@@ -229,10 +205,11 @@ class EigenData:
     route name, the last RouteResult iter_routes got and the bound it ran
     at, which iter_routes reuses by the rule its docstring states.
 
-    exceptional is the table _exceptional_table(n) when the plus side is
-    anchored at K on M_n, 2 <= n <= 8 (eigen_data sets it, and no other
-    constructor does), else None: routes c and d read their first slab's
-    witness off it (route_c, route_d)."""
+    exceptional is the table of exceptional classes, the (classes, planes,
+    offset) of weyl._slab_table(n, -1, 1), when the plus side is anchored at
+    K on M_n, 2 <= n <= 8 (eigen_data sets it, and no other constructor
+    does), else None: routes c and d read their first slab's witness off it
+    (route_c, route_d)."""
 
     g: Isometry
     plus: _EigenSide
@@ -240,7 +217,7 @@ class EigenData:
     glue: Optional[_EigenSide] = field(default=None, repr=False, compare=False)
     results: Dict[str, Tuple[RouteResult, int]] = field(
         default_factory=dict, repr=False, compare=False)
-    exceptional: Optional[_Exceptional] = field(default=None, repr=False, compare=False)
+    exceptional: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
@@ -335,8 +312,8 @@ def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData
     runs only where the signatures are not known.
 
     When the anchor is K and g fixes it on M_n, 2 <= n <= 8, the data carry
-    the table of exceptional classes (_exceptional_table, built once per
-    n), from which routes c and d read their first witness.
+    the table of exceptional classes (weyl._slab_table(n, -1, 1), built once
+    per n), from which routes c and d read their first witness.
     """
     lat = g.lattice
     plus, minus, coords = eigenbases(g, None if anchor is None else anchor.coords)
@@ -348,7 +325,7 @@ def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData
     table = None
     if (coords is not None and 2 <= n <= 8 and lat == del_pezzo_lattice(n)
             and anchor.coords == canonical_class(n).coords):
-        table = _exceptional_table(n)
+        table = _slab_table(n, -1, 1)
     return EigenData(g, _side(lat.gram, plus, coords, known[0]),
                      _side(lat.gram, minus, None, known[1]), exceptional=table)
 
@@ -549,17 +526,17 @@ def route_c(data: EigenData, t_bound: int) -> RouteResult:
     neither the even nor the mod-4 closure could have fired.  With no fixed
     entry the route runs _norm_route as it stands.
     """
-    table = data.exceptional
-    if table is not None and t_bound >= 1:
-        size, planes = len(table.classes), table.planes
+    if data.exceptional is not None and t_bound >= 1:
+        classes, planes, offset = data.exceptional
+        size = len(classes)
         fixed = (1 << size) - 1
         for row, plane in zip(data.g.matrix, planes):
-            fixed &= _zero_fields(sum(map(mul, row, planes)) - plane, table.offset, size)
+            fixed &= _zero_fields(sum(map(mul, row, planes)) - plane, offset, size)
             if not fixed:
                 break
         if fixed:
             return RouteResult(WITNESS, "fixed_norm_minus1",
-                               (table.classes[(fixed & -fixed).bit_length() - 1],))
+                               (classes[(fixed & -fixed).bit_length() - 1],))
     return _norm_route(data.plus, -1, t_bound, "plus_even_norms", "plus_no_minus1_mod4",
                        "fixed_norm_minus1", "plus_definite_exhausted")
 
@@ -632,28 +609,28 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
     and the minus side, in K-perp, is the complete one) and t_bound >= 2,
     the witness is (c, g c) for the lowest table entry c with c . g c = 0,
     when there is one.  c . g c = c^T J g c for every entry at once is the
-    one combination sum_{a <= b} s_ab products_ab, with s_aa = (J g)_aa and
-    s_ab = (J g)_ab + (J g)_ba.  That is the search's witness: a pair has
-    c1^2 = -1 and a in K-perp, so K.b = 2 K.c1, and K.c1 is odd (route_c),
-    so the first glue slab that can pair is |K.b| = 2, slab s = 4 against
-    the anchor 2p, which _search_batches(glue, -2, 2 t_bound) reaches only
-    when t_bound >= 2.  Its pairs give c1 in {+-c, +-g c} over the entries c
-    with c . g c = 0 (a = c - g c, b = c + g c), a set closed under c -> g c
-    up to sign, so its sign-canonical minimum is the lowest such entry.
+    one combination sum_{a <= b} s_ab products_ab (_exceptional_products),
+    with s_aa = (J g)_aa and s_ab = (J g)_ab + (J g)_ba.  That is the
+    search's witness: a pair has c1^2 = -1 and a in K-perp, so
+    K.b = 2 K.c1, and K.c1 is odd (route_c), so the first glue slab that
+    can pair is |K.b| = 2, slab s = 4 against the anchor 2p, which
+    _search_batches(glue, -2, 2 t_bound) reaches only when t_bound >= 2.
+    Its pairs give c1 in {+-c, +-g c} over the entries c with c . g c = 0
+    (a = c - g c, b = c + g c), a set closed under c -> g c up to sign, so
+    its sign-canonical minimum is the lowest such entry.
     With no such entry the route runs the search as it stands.
     """
-    table = data.exceptional
-    if table is not None and t_bound >= 2:
+    if data.exceptional is not None and t_bound >= 2:
+        classes, _, offset = data.exceptional
         jg = xl.mat_mul(data.g.lattice.gram, data.g.matrix)
         total = 0
-        for (a, b), plane in zip(table.pairs, table.products):
+        for (a, b), plane in zip(*_exceptional_products(len(jg) - 1)):
             s = jg[a][a] if a == b else jg[a][b] + jg[b][a]
             if s:
                 total += s * plane
-        size = len(table.classes)
-        hit = _zero_fields(total, table.offset, size)
+        hit = _zero_fields(total, offset, len(classes))
         if hit:
-            c = table.classes[(hit & -hit).bit_length() - 1]
+            c = classes[(hit & -hit).bit_length() - 1]
             return RouteResult(WITNESS, "swapped_minus1_pair",
                                (c, tuple(xl.mat_vec(data.g.matrix, c))))
     if data.minus.definite:

@@ -33,21 +33,14 @@ gives the invariant, flags included, and stays on the class, from which
 dpz classify decides the class (irreducibility._verdict) with the flag
 routes' results reused, and names it by comparing class triples.
 
-Both the orthogonality table and _class_triple run on root planes
-(_root_planes), not one root at a time: for each coordinate i one Python
-int whose 8-bit field j holds coordinate i of the j-th sign-canonical root
-x_j.  A combination sum_i c_i plane_i holds sum_i c_i (x_j)_i in field j, so
-one big-int multiply-add applies a row of J, or a row of g, to every root.
-The plane layout lives in weyl (weyl._planes and weyl._zero_fields), which
-criteria's table of exceptional classes shares: adding 128 to every field
-makes its byte the field's value plus 128 exactly, as long as each field
-stays inside +-127, and bytes.translate and int(..., 2) then turn "this
-field is 0" into a bitmask in the layout of the orthogonality table.
-The fields stay inside the bound _field_bound(n), twice the largest |root
-coordinate| (6 at n = 8, from 3H - 2E_1 - E_2 - ... - E_8): a product of
-two roots has |x . y| <= 2 in the negative definite K-perp, and an isometry
-fixing K permutes the roots, so each coordinate of g x -+ x has absolute
-value at most twice the largest.
+Both the orthogonality table and _class_triple run on the root planes of
+weyl._slab_table(n, -2, 0), not one root at a time: for each coordinate i
+one Python int whose 8-bit field j holds coordinate i of the j-th
+sign-canonical root x_j, whose root id is _canonical_ids(n)[j].  A
+combination sum_i c_i plane_i holds sum_i c_i (x_j)_i in field j, so one
+big-int multiply-add applies a row of J, or a row of g, to every root, and
+weyl._zero_fields turns "this field is 0" into a bitmask in the layout of
+the orthogonality table.
 
 Class sizes are exact for every n = 2..8, with no orbit walked: the pairs
 (F', S') of a maximal orthogonal set and a subset whose involution is in a
@@ -76,7 +69,7 @@ from .lattice import (
     sign_canonical,
 )
 from .weyl import (
-    _planes,
+    _slab_table,
     _zero_fields,
     canonical_class,
     enumerate_roots,
@@ -316,37 +309,12 @@ def _roots_and_index(n: int):
 
 
 @lru_cache(maxsize=None)
-def _canon_table(n: int) -> bytes:
-    """Maps each root index to the index of its sign-canonical mate."""
-    roots, index = _roots_and_index(n)
-    out = bytearray(len(roots))
-    for i, r in enumerate(roots):
-        out[i] = index[sign_canonical(r).coords]
-    return bytes(out)
-
-
-def _field_bound(n: int) -> int:
-    """The largest |v| a field of a plane combination holds for n: twice
-    the largest |root coordinate|.  It bounds each coordinate of g x -+ x
-    for an isometry g that permutes the roots, and each product x . y of
-    roots, since |x . y| <= 2 in the negative definite K-perp."""
-    roots, _ = _roots_and_index(n)
-    return 2 * max(abs(c) for r in roots for c in r.coords)
-
-
-@lru_cache(maxsize=None)
-def _root_planes(n: int) -> Tuple[List[int], Tuple[int, ...], int]:
-    """(ids, planes, offset): the sign-canonical root ids, sorted, and the
-    weyl._planes of their roots, for the field bound _field_bound(n).
-
-    Row k of J, or of g, applied to the planes holds that row's product
-    with every root, one root per field (weyl._zero_fields reads them).
-    The root list in another layout, cached like it.
-    """
-    roots, _ = _roots_and_index(n)
-    ids = sorted(set(_canon_table(n)))
-    planes, offset = _planes([roots[a].coords for a in ids], _field_bound(n))
-    return ids, planes, offset
+def _canonical_ids(n: int) -> RootSetKey:
+    """The root ids of the vectors of weyl._slab_table(n, -2, 0), the
+    sign-canonical roots: field j of its planes is root id
+    _canonical_ids(n)[j], and the ids ascend as the vectors do."""
+    _, index = _roots_and_index(n)
+    return tuple(index[c] for c in _slab_table(n, -2, 0)[0])
 
 
 def _ids_of(mask: int, ids: Sequence[int]) -> RootSetKey:
@@ -363,16 +331,16 @@ def _class_triple(g: Isometry, n: int) -> Tuple[RootSetKey, Tuple[int, int, int]
     """(key, (|S|, |key|, fixed pairs)) of a K-fixing involution g.
 
     g acts on every sign-canonical root x at once, through the root planes
-    (_root_planes): row k of g applied to the planes gives coordinate k of
-    every g x, and its sum with or difference from plane k gives that
-    coordinate of g x + x or g x - x.  The key holds the ids of the x that
+    (weyl._slab_table(n, -2, 0)): row k of g applied to the planes gives
+    coordinate k of every g x, and its sum with or difference from plane k
+    gives that coordinate of g x + x or g x - x.  The key holds the ids of the x that
     g negates, which are the roots of the antifixed lattice, and fixed
     pairs counts the x that g fixes.  |S| = (n + 1 - tr g) / 2 is the
-    antifixed rank.  The caller has tested that g fixes K and g^2 = 1: g
-    then permutes the roots, so each field of g x -+ x lies within the
-    field bound of the planes.
+    antifixed rank.  The caller has tested that g fixes K and g^2 = 1,
+    which keeps each field of g x -+ x within the bound of the planes.
     """
-    ids, planes, offset = _root_planes(n)
+    ids = _canonical_ids(n)    # InputError from enumerate_roots outside 2 <= n <= 8
+    _, planes, offset = _slab_table(n, -2, 0)
     fixed = negated = (1 << len(ids)) - 1
     for row, plane in zip(g.matrix, planes):
         image = sum(map(mul, row, planes))
@@ -412,21 +380,21 @@ def are_conjugate(g: Isometry, h: Isometry, n: int) -> bool:
     return _class_triple(g, n)[1] == _class_triple(h, n)[1]
 
 
-def _orthogonality(n: int) -> Tuple[List[int], List[int]]:
+def _orthogonality(n: int) -> Tuple[RootSetKey, List[int]]:
     """(ids, orth): the sign-canonical root ids, sorted, and for the i-th one
     the bitmask of the j != i with roots[ids[j]] orthogonal to roots[ids[i]].
 
     Row i is one plane combination: J roots[ids[i]] applied to the root
     planes holds roots[ids[i]] . roots[ids[j]] in field j, and its zero
     fields are the bits of orth[i] (a root has square -2, so no diagonal).
+    Two roots have |x . y| <= 2 in the negative definite K-perp, inside
+    the field bound of the planes.
     """
-    ids, planes, offset = _root_planes(n)
-    roots, _ = _roots_and_index(n)
+    vectors, planes, offset = _slab_table(n, -2, 0)
     gram = del_pezzo_lattice(n).gram
-    orth = [_zero_fields(sum(map(mul, xl.mat_vec(gram, roots[a].coords), planes)),
-                         offset, len(ids))
-            for a in ids]
-    return ids, orth
+    orth = [_zero_fields(sum(map(mul, xl.mat_vec(gram, x), planes)), offset, len(vectors))
+            for x in vectors]
+    return _canonical_ids(n), orth
 
 
 def _orthogonal_set_counter(orth: Sequence[int]) -> Callable[[int, int], int]:

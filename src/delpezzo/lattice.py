@@ -8,7 +8,7 @@ basis (S_1, S_2, e_1, ..., e_{n-1}).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -223,11 +223,6 @@ class Sublattice:
 
     def gram(self) -> Tuple[Tuple[int, ...], ...]:
         return gram_of(self.ambient.gram, [v.coords for v in self.basis])
-
-    @cached_property
-    def _rows(self) -> Tuple[Coords, ...]:
-        """Row i holds the i-th ambient coordinate of each basis vector."""
-        return tuple(tuple(v.coords[i] for v in self.basis) for i in range(self.ambient.rank))
 
 
 def span(ambient: Lattice, vectors: Iterable[LatticeVector]) -> Sublattice:

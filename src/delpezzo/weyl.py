@@ -13,10 +13,11 @@ chamber_conjugate uses that to put an involution into a normal basis.
 The plane layout (_planes) packs a list of small integer vectors x_j into
 one Python int per coordinate i, plane_i = sum_j (x_j)_i 256^j, so that one
 big-int multiply-add applies a row of a matrix to every x_j at once, and
-_zero_fields reads which fields of such a combination are 0.  The W_n
-class layer (involutions._root_planes) runs on the planes of the roots,
-and routes c and d (criteria._exceptional_table) on those of the
-exceptional classes.
+_zero_fields reads which fields of such a combination are 0.  _slab_table
+builds every such table from the exact slab search: the roots (slab
+(-2, 0)), which enumerate_roots and the W_n class layer of involutions
+read, and the exceptional classes (slab (-1, 1)), from which routes c and
+d of criteria read their first witness.
 """
 from __future__ import annotations
 
@@ -33,9 +34,7 @@ from .lattice import (
     LatticeVector,
     del_pezzo_lattice,
     del_pezzo_vector,
-    orthogonal_complement,
     sign_canonical_coords,
-    span,
 )
 
 
@@ -244,15 +243,14 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def enumerate_roots(n: int) -> RootSystem:
-    """Complete list of roots, found by a definite search in K-perp."""
+    """Complete list of roots, sorted: the sign-canonical roots of
+    _slab_table(n, -2, 0) and their negatives."""
     if not 2 <= n <= 8:
         raise InputError("root enumeration requires 2 <= n <= 8")
     lat = del_pezzo_lattice(n)
-    k = canonical_class(n)
-    kperp = orthogonal_complement(span(lat, [k]))
-    coords = en.definite_vectors(kperp.gram(), -2, kperp._rows)
-    roots = sorted(lat.vector(c) for c in coords)
-    return RootSystem(n, tuple(roots), weyl_generators(n).vectors)
+    half, _, _ = _slab_table(n, -2, 0)
+    coords = sorted(half + tuple(tuple(-x for x in c) for c in half))
+    return RootSystem(n, tuple(lat.vector(c) for c in coords), weyl_generators(n).vectors)
 
 
 # A field of a plane is one byte, read after adding _OFFSET to it: exact
@@ -286,6 +284,28 @@ def _zero_fields(x: int, offset: int, size: int) -> int:
     """The bitmask of the fields of x that are 0, bit j for field j: x is a
     plane combination with size fields, each inside the bound of _planes."""
     return int((x + offset).to_bytes(size, "big").translate(_ZERO_DIGITS), 2)
+
+
+@lru_cache(maxsize=None)
+def _slab_table(n: int, square: int, t: int) -> Tuple[Tuple[Tuple[int, ...], ...],
+                                                      Tuple[int, ...], int]:
+    """(vectors, planes, offset) for 2 <= n <= 8: the vectors c of M_n with
+    c^2 = square and K.c = +-t, one of each +-pair, sign-canonical and
+    sorted, and their _planes, built once per (n, square, t).
+
+    The vectors come from the exact slab search, AnchorFrame(J, K).slab,
+    divided by m = K^2; slab t = 0 holds both signs of each vector and slab
+    t > 0 one.  Roots are slab (-2, 0), exceptional classes slab (-1, 1).
+    The field bound, checked by _planes, is twice the largest |coordinate|:
+    an isometry g fixing K preserves c^2 and K.c, so it permutes the
+    vectors up to sign, and each field of g c -+ c lies within that bound.
+    """
+    frame = en.AnchorFrame(del_pezzo_lattice(n).gram, canonical_class(n).coords)
+    m = frame.m
+    vectors = tuple(sorted({sign_canonical_coords(tuple([x // m for x in c]))
+                            for c in frame.slab(square, t)}))
+    planes, offset = _planes(vectors, 2 * max(abs(x) for c in vectors for x in c))
+    return vectors, planes, offset
 
 
 @lru_cache(maxsize=None)

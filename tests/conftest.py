@@ -12,7 +12,7 @@ import delpezzo.permgroup as pg
 from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.errors import InputError, UnsupportedError
-from delpezzo.involutions import _canon_table, _roots_and_index
+from delpezzo.involutions import _roots_and_index
 from delpezzo.lattice import Isometry, del_pezzo_lattice
 from delpezzo.weyl import canonical_class, closure, enumerate_roots, reflection, weyl_generators
 
@@ -148,6 +148,19 @@ def all_involutions(n: int):
             if p != ident and perm_compose(p, p) == ident]
 
 
+@lru_cache(maxsize=None)
+def canon_table(n: int) -> bytes:
+    """Entry i: the id of the sign-canonical mate (first nonzero coordinate
+    positive) of root id i, read off the coordinates here, not off the
+    library's root planes."""
+    roots, index = _roots_and_index(n)
+    out = bytearray(len(roots))
+    for i, r in enumerate(roots):
+        lead = next(x for x in r.coords if x)
+        out[i] = index[r.coords if lead > 0 else tuple(-x for x in r.coords)]
+    return bytes(out)
+
+
 def key_orbit(key, n, limit: int = 3 * 10 ** 6):
     """The census oracle: the orbit of a key (sorted sign-canonical root ids)
     under the group, each member as bytes of its sorted ids.
@@ -158,7 +171,7 @@ def key_orbit(key, n, limit: int = 3 * 10 ** 6):
     gives the image key.
     """
     _, _, gens = pg.root_action_context(n)
-    canon = _canon_table(n)
+    canon = canon_table(n)
     tables = [_table(bytes(canon[j] for j in g)) for g in gens]
     return closure([bytes(key)], tables, lambda s, t: bytes(sorted(s.translate(t))),
                    limit, "class orbit")
@@ -173,7 +186,7 @@ def orthogonality_oracle(n):
     pair of sign-canonical roots."""
     roots, _ = _roots_and_index(n)
     gram = del_pezzo_lattice(n).gram
-    ids = sorted(set(_canon_table(n)))
+    ids = tuple(sorted(set(canon_table(n))))
     vecs = [roots[a].coords for a in ids]
     orth = [0] * len(ids)
     for i, v in enumerate(vecs):
@@ -209,7 +222,7 @@ def class_triple_oracle(g, n):
     """involutions._class_triple by one g.v per sign-canonical root."""
     roots, _ = _roots_and_index(n)
     key, fixed = [], 0
-    for x in sorted(set(_canon_table(n))):
+    for x in sorted(set(canon_table(n))):
         v = roots[x].coords
         gv = tuple(sum(map(mul, row, v)) for row in g.matrix)
         if gv == v:

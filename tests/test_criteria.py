@@ -543,6 +543,7 @@ def test_route_d_pairs_each_sign_class_once(monkeypatch):
     route_d = criteria.route_d
 
     def checked(data, bound):
+        assert data.exceptional is None
         before = dict(counts)
         inside.append("route_d")
         got = route_d(data, bound)
@@ -556,7 +557,7 @@ def test_route_d_pairs_each_sign_class_once(monkeypatch):
     monkeypatch.setattr(criteria, "sign_canonical_coords", counted)
     monkeypatch.setitem(globals(), "sign_canonical_coords", counted)
     monkeypatch.setattr(criteria, "route_d", checked)
-    monkeypatch.setattr(criteria, "_exceptional_table", lambda n: None)
+    monkeypatch.setattr(criteria, "_slab_table", lambda n, square, t: None)
     classify_involutions.cache_clear()
     try:
         for n in range(2, 9):
@@ -589,35 +590,23 @@ def _exceptional_oracle(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exceptional_table_is_the_orbit_of_e_n(n):
-    table = criteria._exceptional_table(n)
-    assert list(table.classes) == _exceptional_oracle(n)
-    assert len(table.classes) == {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}[n]
-    # the planes hold the classes' coordinates and their coordinate products
-    size = len(table.classes)
-    for i, plane in enumerate(table.planes):
-        fields = (plane + table.offset).to_bytes(size, "little")
-        assert [b - weyl_mod._OFFSET for b in fields] == [c[i] for c in table.classes]
-    for (a, b), plane in zip(table.pairs, table.products):
-        fields = (plane + table.offset).to_bytes(size, "little")
-        assert [f - weyl_mod._OFFSET for f in fields] == [c[a] * c[b] for c in table.classes]
-    assert len(table.pairs) == (n + 1) * (n + 2) // 2
-
-
-def test_exceptional_table_field_bounds():
-    # twice the largest |coordinate| bounds g c - c, and every product of two
-    # classes has |c . c'| <= 1 + 2 / K^2: both are attained, and far inside
-    # the byte fields of the planes
-    coords, products = {}, {}
-    for n in range(2, 9):
-        classes = criteria._exceptional_table(n).classes
-        gram = del_pezzo_lattice(n).gram
-        coords[n] = 2 * max(abs(x) for c in classes for x in c)
-        products[n] = max(abs(sum(map(operator.mul, xl.mat_vec(gram, c), d)))
-                          for c in classes for d in classes)
-        assert products[n] <= 1 + 2 // (9 - n)
-    assert coords == {2: 2, 3: 2, 4: 2, 5: 4, 6: 4, 7: 6, 8: 12}
-    assert products == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 3}
-    assert max(coords.values()) < weyl_mod._OFFSET
+    # the table eigen_data puts on the data: weyl._slab_table(n, -1, 1)
+    classes, planes, offset = weyl_mod._slab_table(n, -1, 1)
+    assert list(classes) == _exceptional_oracle(n)
+    assert len(classes) == {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}[n]
+    assert criteria.eigen_data(identity_isometry(del_pezzo_lattice(n)),
+                               canonical_class(n)).exceptional == (classes, planes, offset)
+    # the planes hold the classes' coordinates, and route d's product planes,
+    # at the same offset, their coordinate products
+    size = len(classes)
+    for i, plane in enumerate(planes):
+        fields = (plane + offset).to_bytes(size, "little")
+        assert [b - weyl_mod._OFFSET for b in fields] == [c[i] for c in classes]
+    pairs, products = criteria._exceptional_products(n)
+    for (a, b), plane in zip(pairs, products):
+        fields = (plane + offset).to_bytes(size, "little")
+        assert [f - weyl_mod._OFFSET for f in fields] == [c[a] * c[b] for c in classes]
+    assert len(pairs) == (n + 1) * (n + 2) // 2
 
 
 def _table_routes_checked(data, bound, hits):

@@ -39,7 +39,9 @@ bound 10 on the 160 operations of decompose_stream(17).  The verify digest
 is as the code wrote it before the slab search moved to one coset per slab;
 the decompose digest as it wrote it once decompose peeled eigen sides (8 of
 the 160 action lists changed then, two fixes becoming one swap on 5 m1,
-7 m2 and 8 m2 conjugates, with the same leaf).
+7 m2 and 8 m2 conjugates, with the same leaf).  Both are entries of the
+table tools/digests.py checks (tools/digests.json), and
+test_digest_table_holds_the_pinned_stream_digests holds the two side by side.
 
 check_conjugates.jsonl pins check_reducible(g, n, height_bound=2) on two
 K-stabilizer and two O(M_n) wall-word conjugates of every catalog class,
@@ -120,10 +122,22 @@ def test_conjugate_verdicts_match_golden():
     assert _conjugate_checks() == (GOLDEN / "check_conjugates.jsonl").read_text()
 
 
-@pytest.mark.parametrize("stream, seed, want", [
+STREAM_DIGESTS = [
     ("verify", 101, "1275c5db61402b1e"),
     ("decompose", 17, "8183f5d7ed5e26d5"),
-])
+]
+
+
+def test_digest_table_holds_the_pinned_stream_digests():
+    # tools/digests.py names these two streams verify_seed101_bound2 and
+    # decompose_seed17; its checked-in table is read here, not recomputed
+    table = json.loads((GOLDEN.parent.parent / "tools" / "digests.json").read_text())
+    names = {"verify": "verify_seed{}_bound2", "decompose": "decompose_seed{}"}
+    for stream, seed, want in STREAM_DIGESTS:
+        assert table[names[stream].format(seed)] == want
+
+
+@pytest.mark.parametrize("stream, seed, want", STREAM_DIGESTS)
 def test_stream_digests(stream, seed, want):
     inputs = bench_inputs()
     outs = []

@@ -26,6 +26,7 @@ from delpezzo.weyl import canonical_class, enumerate_roots, product_of_reflectio
 from conftest import (
     all_involutions,
     bench_inputs,
+    canon_table,
     class_triple_oracle,
     frame_candidates_oracle,
     key_orbit,
@@ -207,15 +208,6 @@ def test_frame_candidates_match_the_per_root_scan(n):
     assert len(got) == 2 ** len(FRAMES[n]) - 1
 
 
-def test_plane_field_bounds():
-    # twice the largest |root coordinate|: 2 (E_i - E_j, H - E_i - E_j - E_k),
-    # 4 from n = 6 (2H - E_1 - ... - E_6), 6 at n = 8 (3H - 2E_1 - E_2 - ...);
-    # each far inside the byte fields of the planes
-    bounds = {n: inv_mod._field_bound(n) for n in range(2, 9)}
-    assert bounds == {2: 2, 3: 2, 4: 2, 5: 2, 6: 4, 7: 4, 8: 6}
-    assert max(bounds.values()) < weyl_mod._OFFSET
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_involution_is_the_product_of_reflections_on_frame_subsets(n):
     # I + sum_r r (J r)^T, built directly, against the checked product of
@@ -389,7 +381,7 @@ def _all_maximal_cliques(n):
     import networkx as nx
 
     roots, _ = inv_mod._roots_and_index(n)
-    pos_ids = sorted(set(inv_mod._canon_table(n)))
+    pos_ids = sorted(set(canon_table(n)))
     graph = nx.Graph()
     graph.add_nodes_from(pos_ids)
     graph.add_edges_from((a, b) for i, a in enumerate(pos_ids) for b in pos_ids[i + 1:]
@@ -412,7 +404,7 @@ def _reference_key_orbit(key, n):
     from delpezzo.weyl import closure
 
     _, _, gens = pg.root_action_context(n)
-    canon = inv_mod._canon_table(n)
+    canon = canon_table(n)
     return closure([key], gens, lambda s, g: tuple(sorted({canon[g[i]] for i in s})),
                    3 * 10 ** 6, "class orbit")
 

@@ -210,7 +210,7 @@ def test_short_vectors_rejects_indefinite_and_degenerate_sublattices():
         sub = span(lat, tuple(lat.vector(b) for b in basis))
         for target in (-1, 1):
             with pytest.raises(InputError):
-                en.definite_vectors(sub.gram(), target, sub._rows)
+                en.definite_vectors(sub.gram(), target, tuple(zip(*basis)))
 
 
 def test_sublattice_determinant_and_from_coords():

@@ -1,4 +1,5 @@
 """Roots, reflections, and the canonical-class stabilizer."""
+import operator
 import os
 import random
 import subprocess
@@ -8,11 +9,14 @@ from functools import reduce
 import pytest
 
 import delpezzo
+import delpezzo.enumeration as en
 import delpezzo.exactlinalg as xl
+import delpezzo.involutions as inv_mod
 import delpezzo.permgroup as pg
+import delpezzo.weyl as weyl_mod
 from delpezzo import InputError, UnsupportedError
-from delpezzo.involutions import _canon_table
-from delpezzo.lattice import del_pezzo_lattice
+from delpezzo.involutions import FRAMES
+from delpezzo.lattice import del_pezzo_lattice, orthogonal_complement, span
 from delpezzo.weyl import (
     canonical_class,
     coxeter_diagram,
@@ -28,6 +32,7 @@ from delpezzo.weyl import (
 from conftest import (
     bfs_closure,
     brute_force_root_count,
+    canon_table,
     conjugacy_orbit,
     key_orbit,
     perm_identity,
@@ -56,6 +61,55 @@ def test_roots_have_norm_minus_two_and_kill_k():
         for r in enumerate_roots(n).roots:
             assert r.norm() == -2
             assert r.dot(k) == 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_roots_equal_the_k_perp_search(n):
+    # the reference: the definite search in K-perp, the root search before
+    # the slab table, gives the same roots in the same (sorted) order
+    lat = del_pezzo_lattice(n)
+    kperp = orthogonal_complement(span(lat, [canonical_class(n)]))
+    rows = tuple(zip(*(v.coords for v in kperp.basis)))
+    found = en.definite_vectors(kperp.gram(), -2, rows)
+    assert enumerate_roots(n).roots == tuple(sorted(lat.vector(c) for c in found))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_root_slab_table_is_the_sign_canonical_half(n):
+    # the builder's root table holds the roots with first nonzero coordinate
+    # positive, ascending; their ids, the fields of the class layer, hold
+    # every root FRAMES indexes
+    roots = enumerate_roots(n).roots
+    half = tuple(i for i, r in enumerate(roots) if next(x for x in r.coords if x) > 0)
+    vectors, planes, offset = weyl_mod._slab_table(n, -2, 0)
+    assert vectors == tuple(roots[i].coords for i in half)
+    assert inv_mod._canonical_ids(n) == half
+    assert set(FRAMES[n]) <= set(half)
+    for i, plane in enumerate(planes):
+        fields = (plane + offset).to_bytes(len(vectors), "little")
+        assert [b - weyl_mod._OFFSET for b in fields] == [c[i] for c in vectors]
+
+
+def test_slab_table_field_bounds():
+    # twice the largest |coordinate| of each table.  Roots: 2 (E_i - E_j,
+    # H - E_i - E_j - E_k), 4 from n = 6 (2H - E_1 - ... - E_6), 6 at n = 8
+    # (3H - 2E_1 - E_2 - ...).  Exceptional classes: up to 12 at n = 8.
+    # Route d's coordinate products: every product of two exceptional
+    # classes has |c . c'| <= 1 + 2 / K^2, attained.  All far inside the
+    # byte fields of the planes
+    roots, coords, products = {}, {}, {}
+    for n in range(2, 9):
+        roots[n] = 2 * max(abs(x) for r in weyl_mod._slab_table(n, -2, 0)[0] for x in r)
+        classes = weyl_mod._slab_table(n, -1, 1)[0]
+        gram = del_pezzo_lattice(n).gram
+        coords[n] = 2 * max(abs(x) for c in classes for x in c)
+        products[n] = max(abs(sum(map(operator.mul, xl.mat_vec(gram, c), d)))
+                          for c in classes for d in classes)
+        assert products[n] <= 1 + 2 // (9 - n)
+    assert roots == {2: 2, 3: 2, 4: 2, 5: 2, 6: 4, 7: 4, 8: 6}
+    assert coords == {2: 2, 3: 2, 4: 2, 5: 4, 6: 4, 7: 6, 8: 12}
+    assert products == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 3}
+    assert max(*roots.values(), *coords.values()) < weyl_mod._OFFSET
 
 
 def test_reflection_requires_unit_or_root_norm():
@@ -113,7 +167,7 @@ def _n4_conjugacy_orbit(limit):
 
 def _n4_class_orbit(limit):
     # one root pair id; its class orbit is all 10 root pairs of A4
-    return key_orbit((_canon_table(4)[0],), 4, limit=limit)
+    return key_orbit((canon_table(4)[0],), 4, limit=limit)
 
 
 @pytest.mark.parametrize("build, size, what", [

@@ -92,7 +92,6 @@ def compute() -> dict:
         for n in range(1, 9):
             name = "default" if bound is None else f"bound{bound}"
             table[f"classify_n{n}_{name}"] = digest(classify_stdout(n, bound))
-    classify_involutions.cache_clear()
     inputs = bench_inputs()
     for seed in VERIFY_SEEDS:
         ops = [(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n)
