@@ -609,6 +609,23 @@ def test_exceptional_table_is_the_orbit_of_e_n(n):
     assert len(pairs) == (n + 1) * (n + 2) // 2
 
 
+def test_exceptional_table_field_bounds():
+    # twice the largest |coordinate| bounds g c - c, and every product of two
+    # classes has |c . c'| <= 1 + 2 / K^2: both are attained, and far inside
+    # the byte fields of the planes
+    coords, products = {}, {}
+    for n in range(2, 9):
+        classes = weyl_mod._slab_table(n, -1, 1)[0]
+        gram = del_pezzo_lattice(n).gram
+        coords[n] = 2 * max(abs(x) for c in classes for x in c)
+        products[n] = max(abs(sum(map(operator.mul, xl.mat_vec(gram, c), d)))
+                          for c in classes for d in classes)
+        assert products[n] <= 1 + 2 // (9 - n)
+    assert coords == {2: 2, 3: 2, 4: 2, 5: 4, 6: 4, 7: 6, 8: 12}
+    assert products == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 3}
+    assert max(coords.values()) < weyl_mod._OFFSET
+
+
 def _table_routes_checked(data, bound, hits):
     """routes c and d on data, asserted equal to the same routes on the
     same data with the table removed; hits counts the witnesses that data

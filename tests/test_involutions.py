@@ -208,6 +208,16 @@ def test_frame_candidates_match_the_per_root_scan(n):
     assert len(got) == 2 ** len(FRAMES[n]) - 1
 
 
+def test_plane_field_bounds():
+    # twice the largest |root coordinate|: 2 (E_i - E_j, H - E_i - E_j - E_k),
+    # 4 from n = 6 (2H - E_1 - ... - E_6), 6 at n = 8 (3H - 2E_1 - E_2 - ...);
+    # each far inside the byte fields of the planes
+    bounds = {n: 2 * max(abs(x) for r in weyl_mod._slab_table(n, -2, 0)[0] for x in r)
+              for n in range(2, 9)}
+    assert bounds == {2: 2, 3: 2, 4: 2, 5: 2, 6: 4, 7: 4, 8: 6}
+    assert max(bounds.values()) < weyl_mod._OFFSET
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_involution_is_the_product_of_reflections_on_frame_subsets(n):
     # I + sum_r r (J r)^T, built directly, against the checked product of

@@ -1,5 +1,4 @@
 """Roots, reflections, and the canonical-class stabilizer."""
-import operator
 import os
 import random
 import subprocess
@@ -88,28 +87,6 @@ def test_root_slab_table_is_the_sign_canonical_half(n):
     for i, plane in enumerate(planes):
         fields = (plane + offset).to_bytes(len(vectors), "little")
         assert [b - weyl_mod._OFFSET for b in fields] == [c[i] for c in vectors]
-
-
-def test_slab_table_field_bounds():
-    # twice the largest |coordinate| of each table.  Roots: 2 (E_i - E_j,
-    # H - E_i - E_j - E_k), 4 from n = 6 (2H - E_1 - ... - E_6), 6 at n = 8
-    # (3H - 2E_1 - E_2 - ...).  Exceptional classes: up to 12 at n = 8.
-    # Route d's coordinate products: every product of two exceptional
-    # classes has |c . c'| <= 1 + 2 / K^2, attained.  All far inside the
-    # byte fields of the planes
-    roots, coords, products = {}, {}, {}
-    for n in range(2, 9):
-        roots[n] = 2 * max(abs(x) for r in weyl_mod._slab_table(n, -2, 0)[0] for x in r)
-        classes = weyl_mod._slab_table(n, -1, 1)[0]
-        gram = del_pezzo_lattice(n).gram
-        coords[n] = 2 * max(abs(x) for c in classes for x in c)
-        products[n] = max(abs(sum(map(operator.mul, xl.mat_vec(gram, c), d)))
-                          for c in classes for d in classes)
-        assert products[n] <= 1 + 2 // (9 - n)
-    assert roots == {2: 2, 3: 2, 4: 2, 5: 2, 6: 4, 7: 4, 8: 6}
-    assert coords == {2: 2, 3: 2, 4: 2, 5: 4, 6: 4, 7: 6, 8: 12}
-    assert products == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 3}
-    assert max(*roots.values(), *coords.values()) < weyl_mod._OFFSET
 
 
 def test_reflection_requires_unit_or_root_norm():
