@@ -39,10 +39,7 @@ K is the anchor again when the conjugate fixes it.
 Route b skips every c1 without a hyperbolic partner, which an exact mod-2
 test (has_partner) detects, so only vectors that can pair scan for a c2;
 the scan order and the first pair found are those of the full scan.  It
-reads each slab lazily: the anchor frame's descent is ordered so that a
-slab comes out ascending, and AnchorFrame.ascending merges slabs t and -t
-as they are read, so the scan stops at its witness without enumerating the
-rest of the slab.
+scans the complete batches of _search_batches, as every route does.
 
 Route d rests on the Z[G] splitting Z^t + Z_-^c + Z[G]^r of M under g: a
 swapped pair lives in the Z[G]^r part, and since 1 - g = 1 + g mod 2, the
@@ -56,20 +53,25 @@ Lambda, and when that side is indefinite, against the anchor 2p for its
 anchor p, so slab s = 2t holds the vectors of slab t against p and the odd
 slabs are empty.
 
-Routes c and d read their first witness off a table when K anchors the
-plus side (eigen_data puts weyl._slab_table(n, -1, 1) on the data for a
-K-fixing g on M_n, 2 <= n <= 8; decompose's narrowed data never carry it).
-The table holds the exceptional classes, c^2 = -1 and K.c = +-1, in the
-plane layout of weyl._planes; route d adds the planes of their coordinate
-products (_exceptional_products).  Two parity facts make its first hit the
-search's witness.  First, for n <= 8 K is characteristic and K-perp is
-even and negative definite, so a class of square -1 has K.c odd: slab 0 of
-route c is empty and slab |K.c| = 1, the first one searched, holds exactly
-the fixed entries.  Second, route d's pair (a, b) has c1 = (a + b) / 2 with a in
-K-perp, so K.b = 2 K.c1 is twice an odd number: the first glue slab that
-can pair is |K.b| = 2, which the search reaches only at t_bound >= 2, so
-route d reads the table only at such bounds.  With no hit, each route runs
-its search as it stands.
+Routes a to d read their first witness off a K-slab table when K anchors
+the plus side (eigen_data puts weyl._slab_table(n, -1, 1) on the data for a
+K-fixing g on M_n, 2 <= n <= 8, which marks it; decompose's narrowed data
+never carry it).  A table holds the classes of one square and one |K.c|,
+one of each +- pair, in the plane layout of weyl._planes, so one reader
+(_fixed_entries) finds the fixed entries of all of them at once: the +1
+classes with |K.c| = 3 for route a (n <= 7), the conics (square 0,
+|K.c| = 2) for route b, the exceptional classes (square -1, |K.c| = 1) for
+routes c and d, to which route d adds their coordinate products
+(_exceptional_products).  Each is the first slab the search could fill.
+Parity: K is characteristic, so K.c = c^2 (mod 2), and K-perp is negative
+definite, so an isotropic c != 0 has K.c even and nonzero, and a class of
+square -1 has K.c odd.  Reverse Cauchy-Schwarz: a +1 class has
+(K.c)^2 >= K^2 = 9 - n >= 2 for n <= 7, so |K.c| >= 3.  Inside the plus
+side that slab holds exactly the fixed entries and their negatives.
+Route d's pair (a, b) has c1 = (a + b) / 2 with a in K-perp, so K.b =
+2 K.c1 is twice an odd number: the first glue slab that can pair is
+|K.b| = 2, which the search reaches only at t_bound >= 2.  With no hit,
+each route runs its search as it stands.
 
 The search engine runs on plain int tuples.  An eigen side is a basis of
 ambient coordinate tuples (lattice.eigenbases, one kernel per side) with its
@@ -82,8 +84,8 @@ basis; that holds on any sublattice, saturated or not.  The anchor frame
 behind it (complement, residues, scaled Cholesky data) is built once per
 eigen side and shared by every route on that side (_frame), and route d's
 frame of the other side's Lambda is built once per eigen data.  Route b
-runs the partner test only on the c1 it draws and computes J c1 only for
-the c1 that pass it; route d pairs the roots of the two Lambdas by parity.
+computes J c1 only for the c1 that pass the partner test; route d pairs
+the roots of the two Lambdas by parity.
 Witnesses are returned as ambient int tuples too, so no route builds a
 lattice vector.
 
@@ -105,12 +107,13 @@ import heapq
 import itertools
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError
+from .errors import InputError, is_json_int
 from . import enumeration as en
 from . import exactlinalg as xl
 from .lattice import (
@@ -137,7 +140,8 @@ OPEN = "open"
 
 def resolve_height_bound(height_bound: Optional[int]) -> int:
     """The given bound, else DPZ_HEIGHT_BOUND, else DEFAULT_HEIGHT_BOUND; a
-    bound below 1 raises InputError."""
+    bound that is not an int (errors.is_json_int: no bool, float or str) or
+    is below 1 raises InputError."""
     source = "height bound"
     if height_bound is None:
         raw = os.environ.get("DPZ_HEIGHT_BOUND")
@@ -148,6 +152,8 @@ def resolve_height_bound(height_bound: Optional[int]) -> int:
             height_bound = int(raw)
         except ValueError:
             raise InputError("DPZ_HEIGHT_BOUND must be an integer")
+    if not is_json_int(height_bound):
+        raise InputError(f"{source} must be an integer")
     if height_bound < 1:
         raise InputError(f"{source} must be positive")
     return height_bound
@@ -208,8 +214,9 @@ class EigenData:
     exceptional is the table of exceptional classes, the (classes, planes,
     offset) of weyl._slab_table(n, -1, 1), when the plus side is anchored at
     K on M_n, 2 <= n <= 8 (eigen_data sets it, and no other constructor
-    does), else None: routes c and d read their first slab's witness off it
-    (route_c, route_d)."""
+    does), else None: the one mark that K anchors the plus side.  Routes c
+    and d read their first slab's witness off it, routes a and b off the +1
+    and conic tables, weyl._slab_table(n, 1, 3) and (n, 0, 2)."""
 
     g: Isometry
     plus: _EigenSide
@@ -313,7 +320,7 @@ def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData
 
     When the anchor is K and g fixes it on M_n, 2 <= n <= 8, the data carry
     the table of exceptional classes (weyl._slab_table(n, -1, 1), built once
-    per n), from which routes c and d read their first witness.
+    per n), which marks the data for the routes that read K-slab tables.
     """
     lat = g.lattice
     plus, minus, coords = eigenbases(g, None if anchor is None else anchor.coords)
@@ -337,9 +344,12 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
     A definite eigenlattice gives a single exhaustive batch in
     definite_vectors order; an indefinite one is sliced against its anchor
     in order of increasing |<anchor, c>|, each slab as anchored_norm_slices
-    yields it, ascending, from the side's AnchorFrame (_frame).  Both
-    searches lift with the side's basis rows (the frame holds them), so
-    their vectors come out in ambient coordinates.
+    yields it, ascending and complete, from the side's AnchorFrame
+    (_frame).  Both searches lift with the side's basis rows (the frame
+    holds them), so their vectors come out in ambient coordinates.  Against
+    K, which is characteristic, an isotropic target has no odd slab and a
+    target of square -1 no even one, and slab 0, in the negative definite
+    K-perp, holds no isotropic vector: the K-slab tables rest on both.
     """
     if not side.basis:
         return
@@ -392,20 +402,54 @@ def _mod4_allows_partner(gram) -> bool:
     return any(q == 0 and w and w != diag for q, w in _classes_mod4(gram))
 
 
+# bytes.translate table: a binary digit to the byte 0 or 1, for itertools.compress
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _fixed_entries(g: Isometry, table) -> List[Coords]:
+    """The entries c with g c = c of a K-slab table, the (vectors, planes,
+    offset) of weyl._slab_table, ascending: row_k(g) . planes - plane_k
+    holds (g c - c)_k in the field of each entry, within the table's bound,
+    and the fixed entries are the fields that are 0 in every row k."""
+    vectors, planes, offset = table
+    size = len(vectors)
+    fixed = (1 << size) - 1
+    for row, plane in zip(g.matrix, planes):
+        fixed &= _zero_fields(sum(map(mul, row, planes)) - plane, offset, size)
+        if not fixed:
+            break
+    return list(itertools.compress(vectors, bin(fixed)[:1:-1].encode().translate(_BIT_VALUES)))
+
+
 def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
-                mod4: str, found: str, exhausted: str) -> RouteResult:
+                mod4: str, found: str, exhausted: str,
+                first: Optional[Tuple[Isometry, int]] = None) -> RouteResult:
     """Routes a, c and e, for an odd target: closed with reason even when the
     side's Gram has an even diagonal, as every square is then even; on an
     indefinite side, closed with reason mod4 when no class of L/2L has
     square target mod 4; else a witness, the sign-canonical lex-min vector
     of the first nonempty batch; else closed with reason exhausted on a
     definite side, open otherwise.  A definite side keeps its complete
-    search, so its closures stay the exhausted ones."""
+    search, so its closures stay the exhausted ones.
+
+    first = (g, t): K anchors the plus side of g on M_n, and |K.c| = t is
+    the first slab that can hold the target.  It holds exactly the fixed
+    entries of weyl._slab_table(n, target, t) and their negatives, so on an
+    indefinite side the route is open below bound t with no search, and
+    from t on its witness is the lowest fixed entry, when there is one.
+    """
     gram = side.gram
     if all(gram[i][i] % 2 == 0 for i in range(len(gram))):
         return RouteResult(CLOSED, even)
     if not side.definite and not _mod4_allows_square(gram, target):
         return RouteResult(CLOSED, mod4)
+    if first is not None and not side.definite:
+        g, t = first
+        if t_bound < t:
+            return RouteResult(OPEN, f"searched(t<={t_bound})")
+        fixed = _fixed_entries(g, _slab_table(len(g.matrix) - 1, target, t))
+        if fixed:
+            return RouteResult(WITNESS, found, (fixed[0],))
     for batch in _search_batches(side, target, t_bound):
         if batch:
             best = min(sign_canonical_coords(c) for c in batch)
@@ -416,10 +460,18 @@ def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
 
 
 def route_a(data: EigenData, n: int, t_bound: int) -> RouteResult:
+    """A fixed class of square +1 (_norm_route on the plus side), n <= 7.
+
+    With K anchoring the plus side (data.exceptional is set) the first slab
+    is |K.c| = 3, read off weyl._slab_table(n, 1, 3): K is characteristic,
+    so K.c = c^2 = 1 (mod 2), and in signature (1, n) the reverse
+    Cauchy-Schwarz inequality gives (K.c)^2 >= c^2 K^2 = 9 - n >= 2.
+    """
     if n > 7:
         return RouteResult(CLOSED, "not_applicable")
     return _norm_route(data.plus, 1, t_bound, "plus_even_norms", "plus_no_unit_mod4",
-                       "fixed_norm_plus1", "plus_definite_exhausted")
+                       "fixed_norm_plus1", "plus_definite_exhausted",
+                       None if data.exceptional is None else (data.g, 3))
 
 
 def has_partner(gram, c1) -> bool:
@@ -439,25 +491,47 @@ def _partner_test(gram, v) -> bool:
             and any((x - gram[i][i]) % 2 for i, x in enumerate(v)))
 
 
-def _drawn(got: List[Coords], batch) -> Iterator[Coords]:
-    """Yield the vectors of got, then those drawn from the iterator batch,
-    each appended to got as it is drawn: every scan of one lazy batch reads
-    it from the start, and the batch is computed only as far as the
-    furthest scan reads."""
-    i = 0
-    while True:
-        if i == len(got):
-            c = next(batch, None)
-            if c is None:
-                return
-            got.append(c)
-        yield got[i]
-        i += 1
+class _Signed(Sequence):
+    """The entries negated in reverse order, then the entries: ascending for
+    sign-canonical ascending entries, as a negated sign-canonical vector
+    precedes every sign-canonical one.  A negated entry is made when it is
+    read, and route b's scan of a conic table stops after a few."""
+
+    def __init__(self, entries: List[Coords]):
+        self.entries = entries
+
+    def __len__(self) -> int:
+        return 2 * len(self.entries)
+
+    def __getitem__(self, i: int) -> Coords:
+        k = len(self.entries)
+        return tuple([-x for x in self.entries[k - 1 - i]]) if i < k else self.entries[i - k]
+
+
+def _first_pair(side: _EigenSide, ambient, batches) -> Optional[RouteResult]:
+    """Route b's witness over the ascending batches of the side's isotropic
+    vectors, else None: the first c1 that passes the partner test, with the
+    first c2 of the merged batches up to its own that has c1.c2 = 1."""
+    gram = side.gram
+    j_basis = [xl.mat_vec(ambient, v) for v in side.basis]
+    seen: List[Coords] = []
+    for batch in batches:
+        for c1 in batch:
+            if not _partner_test(gram, [sum(map(mul, jb, c1)) for jb in j_basis]):
+                continue
+            w = [sum(map(mul, row, c1)) for row in ambient]
+            for c2 in heapq.merge(seen, batch):
+                if sum(map(mul, w, c2)) == 1:
+                    return RouteResult(WITNESS, "fixed_hyperbolic_pair",
+                                       tuple(sorted((c1, c2))))
+        seen = list(heapq.merge(seen, batch))
+    return None
 
 
 def route_b(data: EigenData, t_bound: int) -> RouteResult:
     """A fixed hyperbolic pair: the first c1 of a slab, in ambient order,
-    with a c2 of this or an earlier slab such that c1.c2 = 1.
+    with a c2 of this or an earlier slab such that c1.c2 = 1 (_first_pair),
+    over the complete batches of _search_batches.
 
     The scan runs on the ambient int tuples of the slabs, and only the c1
     visited are tested.  ((J b_k).c1)_k over the side basis b_k is G times
@@ -467,20 +541,19 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     c1.c2 = 1 has the partner c1, so the first hit is the one of the
     filtered scan.
 
-    The batch of |t| is read lazily from the side's AnchorFrame
-    (AnchorFrame.ascending), whose ordered descent gives the vectors of
-    slabs t and -t already ascending, so the scan stops at its witness
-    without computing the rest of the slab: c1 is the first vector, in
-    batch order, that passes the partner test, and c2 the first vector of
-    the merge of the earlier batches with this one that pairs with it; the
-    batch is drawn only as far as either scan reads (_drawn).  The witness
-    is the one of the scan over the complete sorted batches.
-
     Before any slab, the route closes by parity (rank below 2, even
     products, a definite side) and then mod 4 (plus_no_partner_mod4): the
     class of an isotropic c1 with a partner has c1^2 = 0 mod 4 and G c1 mod
     2 outside {0, diag(G)}, so when no class of L/2L does
     (_mod4_allows_partner), the side has no hyperbolic pair at all.
+
+    With K anchoring the plus side (data.exceptional is set) and
+    t_bound >= 2, the first batch is read off the conic table,
+    weyl._slab_table(n, 0, 2), after the closures, which spare it on the
+    sides they close.  K is characteristic, so K.c = c^2 = 0 (mod 2), and
+    K-perp is negative definite, so slabs 0 and 1 hold no isotropic vector
+    and slab 2 holds the fixed conics and their negatives, ascending
+    (_Signed).  With no pair in it the search runs as it stands.
     """
     side = data.plus
     if len(side.basis) < 2:
@@ -489,56 +562,28 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
         return RouteResult(CLOSED, "plus_even_products")
     if side.definite:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
-    gram = side.gram
-    if not _mod4_allows_partner(gram):
+    if not _mod4_allows_partner(side.gram):
         return RouteResult(CLOSED, "plus_no_partner_mod4")
-    if side.anchor is not None:
-        ambient = data.g.lattice.gram
-        frame = _frame(side)
-        j_basis = [xl.mat_vec(ambient, v) for v in side.basis]
-        seen: List[Coords] = []
-        for t in range(t_bound + 1):
-            batch, got = frame.ascending(0, t), []
-            for c1 in _drawn(got, batch):
-                if not _partner_test(gram, [sum(map(mul, jb, c1)) for jb in j_basis]):
-                    continue
-                w = [sum(map(mul, row, c1)) for row in ambient]
-                for c2 in heapq.merge(seen, _drawn(got, batch)):
-                    if sum(map(mul, w, c2)) == 1:
-                        return RouteResult(WITNESS, "fixed_hyperbolic_pair",
-                                           tuple(sorted((c1, c2))))
-            seen = list(heapq.merge(seen, got))
-    return RouteResult(OPEN, f"searched(t<={t_bound})")
+    ambient = data.g.lattice.gram
+    if data.exceptional is not None and t_bound >= 2:
+        fixed = _fixed_entries(data.g, _slab_table(len(ambient) - 1, 0, 2))
+        hit = _first_pair(side, ambient, [_Signed(fixed)])
+        if hit is not None:
+            return hit
+    hit = _first_pair(side, ambient, _search_batches(side, 0, t_bound))
+    return hit or RouteResult(OPEN, f"searched(t<={t_bound})")
 
 
 def route_c(data: EigenData, t_bound: int) -> RouteResult:
     """A fixed class of square -1 (_norm_route on the plus side).
 
-    With the table of exceptional classes on data (K anchors the plus side)
-    and t_bound >= 1, the witness is the lowest table entry c with g c = c,
-    when there is one: the fixed entries are the zero fields of
-    row_k(g) . planes - plane_k over every row k.  That is _norm_route's
-    witness.  K is characteristic and K-perp is even for n <= 8, so a class
-    of square -1 has K.c odd, slab 0 is empty and slab |K.c| = 1 comes
-    first; inside the plus side it holds exactly the fixed table entries
-    and their negatives, whose sign-canonical minimum is the lowest fixed
-    entry.  Such an entry is a vector of odd square -1 in the plus side, so
-    neither the even nor the mod-4 closure could have fired.  With no fixed
-    entry the route runs _norm_route as it stands.
+    With K anchoring the plus side (data.exceptional is set) the first slab
+    is |K.c| = 1, read off the table of exceptional classes: K is
+    characteristic, so K.c = c^2 = 1 (mod 2).
     """
-    if data.exceptional is not None and t_bound >= 1:
-        classes, planes, offset = data.exceptional
-        size = len(classes)
-        fixed = (1 << size) - 1
-        for row, plane in zip(data.g.matrix, planes):
-            fixed &= _zero_fields(sum(map(mul, row, planes)) - plane, offset, size)
-            if not fixed:
-                break
-        if fixed:
-            return RouteResult(WITNESS, "fixed_norm_minus1",
-                               (classes[(fixed & -fixed).bit_length() - 1],))
     return _norm_route(data.plus, -1, t_bound, "plus_even_norms", "plus_no_minus1_mod4",
-                       "fixed_norm_minus1", "plus_definite_exhausted")
+                       "fixed_norm_minus1", "plus_definite_exhausted",
+                       None if data.exceptional is None else (data.g, 1))
 
 
 def _congruent_sublattice(side: _EigenSide, other: _EigenSide, ambient_gram) -> _EigenSide:

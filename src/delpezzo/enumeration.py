@@ -43,16 +43,15 @@ coordinates.
 The descent is ordered: with the first pivot's column outermost, each slab
 comes out ascending in ambient coordinates (AnchorFrame), so
 anchored_norm_slices merges slab t with the reversed negation that is
-slab -t in linear time and sorts nothing, and AnchorFrame.ascending yields
-the same batch lazily, from a descent whose levels above 1 are generators
-(_walk_lazily), for a scan that stops at its first hit.
+slab -t in linear time and sorts nothing.  _walk is the only descent, and
+anchored_norm_slices, which yields whole slabs, the only batch API.
 """
 from __future__ import annotations
 
 import heapq
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import exactlinalg as xl
 from .errors import InputError
@@ -153,26 +152,6 @@ def _walk(i: int, rem: int, x: List[int], amb: List[int], diag: List[int],
                 out.append(tuple([a + x1 * c + x0 * d for a, c, d in zip(amb, col1, col0)]))
 
 
-def _walk_lazily(i: int, rem: int, x: List[int], amb: List[int], data,
-                 cols: Sequence[Coords], res: Sequence[int], mod: int) -> Iterator[Coords]:
-    """Yield what _walk(i, ...) appends, in the same order, computing it
-    only as far as it is read: the levels above 1 loop here, one generator
-    each, and each level-1 subtree is one _walk call."""
-    diag, upper, scale = data
-    if i < 2:
-        out: List[Coords] = []
-        _walk(i, rem, x, amb, diag, upper, scale, cols, res, mod, out)
-        yield from out
-        return
-    row, qi, col = upper[i], diag[i], cols[i]
-    s = sum(map(mul, row[i + 1:], x[i + 1:]))
-    for xi in _level(rem, qi, s, scale, res[i], mod):
-        x[i] = xi
-        y = scale * xi + s
-        yield from _walk_lazily(i - 1, rem - qi * y * y, x,
-                                [a + xi * c for a, c in zip(amb, col)], data, cols, res, mod)
-
-
 def _exact_norm(data, norm: int, res: Sequence[int], mod: int,
                 cols: Sequence[Coords], offset: Sequence[int]) -> List[Coords]:
     """offset + sum_j x_j cols[j] for each x with Q(x) == norm >= 0 and
@@ -229,7 +208,10 @@ class AnchorFrame:
     ambient complement columns and B p as the columns and step of the
     descent, the first pivot's column outermost; the scaled Cholesky data
     of the complement are computed at the first slab that needs them.
-    Every slab of every target reads the same frame.
+    Every slab of every target reads the same frame.  The canonical class
+    K of M_n, n <= 8, is a characteristic anchor: an isotropic target has
+    no odd slab and a target of square -1 no even one, and with K-perp
+    negative definite, slab 0 holds no vector of square 0 or +1.
 
     That order makes each slab come out ascending.  The descent runs every
     coordinate upwards with the outermost first (_walk), and in the echelon
@@ -261,9 +243,9 @@ class AnchorFrame:
         self.step = tuple(xl.mat_vec(rows, p))
         self._cholesky = None
 
-    def _coset(self, target: int, t: int):
-        """Slab t's descent, as the arguments of _exact_norm, or its vectors
-        when it needs none: [] or [t p].
+    def slab(self, target: int, t: int) -> List[Coords]:
+        """The vectors m c (B m c with basis rows) of the nonzero integral c
+        with c^2 = target and <p, c> = t, ascending.
 
         c = u (a, e) has <p, c> = g a and d = m c - t p = u (m a - t m / g,
         m e - t w), so the slab is empty unless g | t, and, for a
@@ -282,36 +264,7 @@ class AnchorFrame:
             return [tuple(offset)] if t and not cnorm and not any(res) else []
         if self._cholesky is None:
             self._cholesky = _scaled_cholesky(self.neg)
-        return self._cholesky, cnorm, res, m, self.cols, offset
-
-    def slab(self, target: int, t: int) -> List[Coords]:
-        """The vectors m c (B m c with basis rows) of the nonzero integral c
-        with c^2 = target and <p, c> = t, ascending (_coset)."""
-        coset = self._coset(target, t)
-        return coset if isinstance(coset, list) else _exact_norm(*coset)
-
-    def ascending(self, target: int, t: int) -> Iterator[Coords]:
-        """The c (B c with basis rows) of slabs t and -t, or of slab 0 when
-        t = 0, ascending: anchored_norm_slices's batch for t >= 0, computed
-        only as far as it is read.
-
-        Each slab is its own lazy descent (_walk_lazily), so a reader that
-        stops early leaves the rest of both trees unvisited, and the two
-        ascending streams are merged as they are read.
-        """
-        slabs = [self._lazy_slab(target, s) for s in ((t, -t) if t else (0,))]
-        merged = heapq.merge(*slabs) if t else slabs[0]
-        m = self.m
-        return merged if m == 1 else (tuple([x // m for x in c]) for c in merged)
-
-    def _lazy_slab(self, target: int, t: int) -> Iterator[Coords]:
-        """slab(target, t), one vector at a time."""
-        coset = self._coset(target, t)
-        if isinstance(coset, list):
-            return iter(coset)
-        data, norm, res, mod, cols, offset = coset
-        n = len(res)
-        return _walk_lazily(n - 1, norm * data[2] ** 3, [0] * n, offset, data, cols, res, mod)
+        return _exact_norm(self._cholesky, cnorm, res, m, self.cols, offset)
 
 
 def anchored_norm_slices(frame: AnchorFrame, target: int, t_bound: int):
@@ -328,7 +281,7 @@ def anchored_norm_slices(frame: AnchorFrame, target: int, t_bound: int):
     slab is its negation, so its ascending order is the negation read
     backwards, and one linear merge of the two gives the batch, with no
     sort; since c -> B c is injective and the two slabs are disjoint, no
-    vector repeats.  AnchorFrame.ascending yields the same batches lazily.
+    vector repeats.
     """
     m = frame.m
     for t in range(t_bound + 1):

@@ -42,7 +42,7 @@ from delpezzo.weyl import (
     weyl_generators,
 )
 
-from conftest import assert_slabs_ascend, bench_inputs, coords_of, lift
+from conftest import assert_slabs_ascend, bench_inputs, canonical_generators, coords_of, lift
 
 
 def _reference_partner(gram, c1):
@@ -207,7 +207,8 @@ def _verify_eigen_data(seed, ns):
 
 
 def test_lazy_route_b_matches_reference_on_verify_inputs():
-    # the lazy scan stops at the witness of the scan over complete sorted
+    # the scan over the conic table's fixed entries, then over the complete
+    # batches, finds the witness of the reference scan over complete sorted
     # slabs, on the inputs where route b costs most
     witnesses = 0
     closed = criteria.RouteResult(criteria.CLOSED, "plus_no_partner_mod4")
@@ -224,8 +225,10 @@ def test_lazy_route_b_matches_reference_on_verify_inputs():
 
 def test_lazy_route_b_draws_a_prefix_of_the_slab(monkeypatch):
     # at n = 8 with K as the anchor (K^2 = 1) slab 2 of a rank-8 plus side
-    # holds 1512 isotropic vectors; the witness is found after at most 10 of
-    # them have left the descent
+    # holds 1512 isotropic vectors; route b finds its witness among the
+    # fixed entries of the conic table and draws none of them from the
+    # descent.  The table is built first, so its own search is not counted
+    weyl_mod._slab_table(8, 0, 2)
     walk, depth, made = en._walk, [0], [0]
 
     def counted(*args):
@@ -246,19 +249,17 @@ def test_lazy_route_b_draws_a_prefix_of_the_slab(monkeypatch):
             continue
         made[0] = 0
         res = criteria.route_b(data, 2)
-        drawn = made[0]
-        assert res.status == criteria.WITNESS and data.plus.frame.m == 1
-        assert drawn <= 10
-        assert len(next(b for t, b in en.anchored_norm_slices(data.plus.frame, 0, 2)
-                        if t == 2)) == 1512
+        assert res.status == criteria.WITNESS and made[0] == 0
+        frame = criteria._frame(data.plus)
+        assert frame.m == 1
+        assert len(next(b for t, b in en.anchored_norm_slices(frame, 0, 2) if t == 2)) == 1512
         witnesses += 1
-    assert witnesses >= 10
+    assert witnesses == 20
 
 
 def test_lifted_slabs_come_out_ascending(eigen_data):
     # with basis rows the ambient slabs ascend as they leave the descent,
-    # and the lazy merged iterator yields the batches anchored_norm_slices
-    # yields
+    # and so do the merged batches anchored_norm_slices yields
     frames = 0
     for data in eigen_data:
         side = data.plus
@@ -624,14 +625,62 @@ def test_exceptional_table_field_bounds():
     assert coords == {2: 2, 3: 2, 4: 2, 5: 4, 6: 4, 7: 6, 8: 12}
     assert products == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 3}
     assert max(coords.values()) < weyl_mod._OFFSET
+    # the same bound on route b's conic table and route a's +1 table
+    firsts = {(square, t): {n: 2 * max(abs(x) for c in weyl_mod._slab_table(n, square, t)[0]
+                                       for x in c) for n in ns}
+              for square, t, ns in ((0, 2, range(2, 9)), (1, 3, range(2, 8)))}
+    assert firsts == {(0, 2): {2: 2, 3: 2, 4: 4, 5: 4, 6: 6, 7: 10, 8: 22},
+                      (1, 3): {2: 2, 3: 4, 4: 4, 5: 6, 6: 10, 7: 16}}
+    assert max(firsts[0, 2].values()) < weyl_mod._OFFSET
+
+
+def _slab_oracle(n, seed, square, t):
+    """The sign-canonical classes in the orbit of the coordinates seed under
+    the K-stabilizer, the reflections in the norm -2 generators of W_n
+    (<s_{E1-E2}> at n = 2), checked for n <= 4 against a box search for the
+    classes of the square with |K.c| = t over coordinates in [-2, 2]."""
+    lat, k = del_pezzo_lattice(n), canonical_class(n)
+    found = {sign_canonical_coords(v.coords)
+             for v in orbit(lat.vector(seed), canonical_generators(n))}
+    if n <= 4:
+        box = set()
+        for c in itertools.product(range(-2, 3), repeat=n + 1):
+            v = lat.vector(c)
+            if v.norm() == square and abs(v.dot(k)) == t:
+                box.add(sign_canonical_coords(c))
+        assert box == found
+    return sorted(found)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_conic_and_plus1_tables_are_the_orbits_of_h_minus_e1_and_h(n):
+    # route b's table, the conics (c^2 = 0, |K.c| = 2), is the orbit of
+    # H - E1, and route a's, the +1 classes with |K.c| = 3 (n <= 7), the
+    # orbit of H; the planes hold the coordinates
+    h, e1 = (1,) + (0,) * n, (0, 1) + (0,) * (n - 1)
+    tables = [((0, 2), tuple(a - b for a, b in zip(h, e1)),
+               {2: 2, 3: 3, 4: 5, 5: 10, 6: 27, 7: 126, 8: 2160})]
+    if n <= 7:
+        tables.append(((1, 3), h, {2: 1, 3: 2, 4: 5, 5: 16, 6: 72, 7: 576}))
+    for (square, t), seed, counts in tables:
+        vectors, planes, offset = weyl_mod._slab_table(n, square, t)
+        assert list(vectors) == _slab_oracle(n, seed, square, t)
+        assert len(vectors) == counts[n]
+        for i, plane in enumerate(planes):
+            fields = (plane + offset).to_bytes(len(vectors), "little")
+            assert [b - weyl_mod._OFFSET for b in fields] == [c[i] for c in vectors]
 
 
 def _table_routes_checked(data, bound, hits):
-    """routes c and d on data, asserted equal to the same routes on the
-    same data with the table removed; hits counts the witnesses that data
-    with a table got, by route."""
+    """routes a, b, c and d on data, asserted equal to the same routes on
+    the same data with the table removed, which is the mark that K anchors
+    the plus side; hits counts the witnesses that data with a table got, by
+    route."""
     bare = dataclasses.replace(data, exceptional=None, results={})
-    for name, route in (("c", criteria.route_c), ("d", criteria.route_d)):
+    n = len(data.g.matrix) - 1
+    routes = (("a", lambda d, b: criteria.route_a(d, n, b)), ("b", criteria.route_b),
+              ("c", criteria.route_c), ("d", criteria.route_d))
+    for name, route in routes:
         got = route(data, bound)
         assert got == route(bare, bound), (name, bound)
         if data.exceptional is not None and got.status == criteria.WITNESS:
@@ -652,24 +701,27 @@ def catalog_and_conjugate_data():
     return out
 
 
-@pytest.mark.parametrize("bound", (1, 2, 4, 10))
+@pytest.mark.parametrize("bound", (1, 2, 3, 4, 10))
 def test_table_routes_match_the_search_on_catalog_and_conjugates(catalog_and_conjugate_data,
                                                                  bound):
     # the catalog representatives carry the table; their wall-word
-    # conjugates carry it when the chamber conjugate fixes K.  At bound 1
-    # route d may not read the table: its first pairing slab lies at bound 2
-    hits = {"c": 0, "d": 0}
+    # conjugates carry it when the chamber conjugate fixes K.  The first
+    # slab that can hold a witness is |K.c| = 1 for route c, 2 for routes b
+    # and d and 3 for route a, so below it no data with a table witnesses
+    hits = {"a": 0, "b": 0, "c": 0, "d": 0}
     for data in catalog_and_conjugate_data:
         _table_routes_checked(data, bound, hits)
     assert sum(d.exceptional is not None for d in catalog_and_conjugate_data) > 50
     assert hits["c"] > 20
+    assert hits["a"] > 10 if bound >= 3 else hits["a"] == 0
+    assert hits["b"] > 10 if bound >= 2 else hits["b"] == 0
     assert hits["d"] > 10 if bound >= 2 else hits["d"] == 0
 
 
 def test_table_routes_match_the_search_on_verify_inputs():
     # every input of verify seed 101 whose chamber conjugate fixes K, as
     # check_reducible sees it
-    hits, tabled = {"c": 0, "d": 0}, 0
+    hits, tabled = {"a": 0, "b": 0, "c": 0, "d": 0}, 0
     for op in bench_inputs().verify_stream(101):
         g, k = Isometry(del_pezzo_lattice(op.n), op.matrix), canonical_class(op.n)
         if g.apply(k) != k:
@@ -680,7 +732,7 @@ def test_table_routes_match_the_search_on_verify_inputs():
         tabled += 1
         for bound in (2, 10):
             _table_routes_checked(data, bound, hits)
-    assert tabled > 500 and hits["c"] > 200 and hits["d"] > 200
+    assert tabled > 500 and hits["b"] > 200 and hits["c"] > 200 and hits["d"] > 200
 
 
 def test_decompose_reads_the_table_only_on_its_first_eigen_data(monkeypatch):

@@ -164,6 +164,17 @@ def test_height_bound_below_one_is_rejected(monkeypatch, bound):
         check_reducible(g, 6)
 
 
+@pytest.mark.parametrize("bound", [True, 2.5, "3"])
+def test_height_bound_that_is_not_an_int_is_rejected(bound):
+    # a bound is a JSON integer (errors.is_json_int): True is no bound of 1,
+    # and a float or a str is no bound at all
+    g = next(c for c in classify_involutions(6) if c.label == "m4").representative
+    with pytest.raises(InputError, match="height bound must be an integer"):
+        check_reducible(g, 6, height_bound=bound)
+    with pytest.raises(InputError, match="height bound must be an integer"):
+        decompose(g, 6, height_bound=bound)
+
+
 def test_check_and_decompose_never_square_g(monkeypatch):
     # the kernels of g - 1 and g + 1 certify g^2 = 1, so neither entry point
     # squares g, on a K-fixing input or on a chamber conjugate
