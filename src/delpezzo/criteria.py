@@ -34,7 +34,10 @@ The anchor rule: the canonical class K when the involution fixes it, else
 the first vector of positive square in coordinate boxes of growing radius
 (_find_anchor).  irreducibility hands in each involution that does not
 fix K as its chamber conjugate, so the box search runs in that basis, and
-K is the anchor again when the conjugate fixes it.
+K is the anchor again when the conjugate fixes it.  decompose anchors each
+piece B-perp of a K-fixing input at the piece's canonical class
+K' = K + sum (K.b) b, handed to _side in ambient coordinates, so the box
+search runs only for K-moving inputs and lattices other than M_n.
 
 Route b skips every c1 without a hyperbolic partner, which an exact mod-2
 test (has_partner) detects, so only vectors that can pair scan for a c2;
@@ -55,8 +58,12 @@ slabs are empty.
 
 Routes a to d read their first witness off a K-slab table when K anchors
 the plus side (eigen_data puts weyl._slab_table(n, -1, 1) on the data for a
-K-fixing g on M_n, 2 <= n <= 8, which marks it; decompose's narrowed data
-never carry it).  A table holds the classes of one square and one |K.c|,
+K-fixing g on M_n, 2 <= n <= 8, which marks it).  decompose's narrowed data
+of such a g keep it, with the mask of the entries orthogonal to the peeled
+blocks (EigenData.within): the piece is M_k with canonical class K', its
+exceptional classes are those entries, and every argument below holds on it
+with K' for K, so routes c and d read it under the mask; routes a and b
+read no table there.  A table holds the classes of one square and one |K.c|,
 one of each +- pair, in the plane layout of weyl._planes, so one reader
 (_fixed_entries) finds the fixed entries of all of them at once: the +1
 classes with |K.c| = 3 for route a (n <= 7), the conics (square 0,
@@ -91,7 +98,8 @@ lattice vector.
 
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, decompose starts from the same eigen_data, splits
-with routes c, d and e and narrows both sides (_side) after each split, and
+with routes c, d and e and narrows both sides (_side) and the table's mask
+after each split, and
 invariant_of builds its eigenlattices with eigen_data and runs the flag
 routes a-d on them at FLAG_BOUND.  classify_involutions builds each
 representative's eigen data once and keeps it on the class, and dpz
@@ -111,7 +119,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InputError, is_json_int
 from . import enumeration as en
@@ -174,7 +182,9 @@ class _EigenSide:
     An indefinite side with an anchor builds its enumeration.AnchorFrame
     (the anchor complement, its residue data and, at the first slab that
     needs them, its scaled Cholesky data) at its first slab (_frame), and
-    every route on the side reuses it.
+    every route on the side reuses it.  A side given its anchor in ambient
+    coordinates (ambient_anchor, _side's along) solves for the basis
+    coordinates at their first use (_anchor).
     """
 
     basis: Tuple[Coords, ...]
@@ -183,6 +193,7 @@ class _EigenSide:
     anchor: Optional[List[int]]  # coords in the basis, positive square
     positive: int         # the positive inertia of gram
     frame: Optional[en.AnchorFrame] = field(default=None, repr=False, compare=False)
+    ambient_anchor: Optional[Tuple[int, ...]] = field(default=None, repr=False, compare=False)
 
 
 @lru_cache(maxsize=None)
@@ -212,11 +223,20 @@ class EigenData:
     at, which iter_routes reuses by the rule its docstring states.
 
     exceptional is the table of exceptional classes, the (classes, planes,
-    offset) of weyl._slab_table(n, -1, 1), when the plus side is anchored at
-    K on M_n, 2 <= n <= 8 (eigen_data sets it, and no other constructor
-    does), else None: the one mark that K anchors the plus side.  Routes c
-    and d read their first slab's witness off it, routes a and b off the +1
-    and conic tables, weyl._slab_table(n, 1, 3) and (n, 0, 2)."""
+    offset) of weyl._slab_table(n, -1, 1), when a canonical class anchors
+    the plus side, else None: the one mark of that anchor.  eigen_data sets
+    it for a K-fixing g on M_n, 2 <= n <= 8, and decompose keeps it on each
+    piece B-perp of such an input, anchored at the piece's canonical class
+    K', while every block it peeled is a blow-down
+    (irreducibility._decompose_in_basis).  within is then the bitmask of the
+    entries orthogonal to B, the piece's exceptional classes; it is None on
+    the first eigen data, whose classes are all the entries.  Routes c and d
+    read their first slab's witness off the table under within, from the
+    masks of the fixed entries and of those with c . g c = 0: each is
+    computed at its first read (_table_mask) and kept in masks, which
+    decompose hands on from piece to piece, as neither depends on the
+    piece.  Routes a and b read the +1 and conic tables,
+    weyl._slab_table(n, 1, 3) and (n, 0, 2), on the first eigen data only."""
 
     g: Isometry
     plus: _EigenSide
@@ -225,6 +245,8 @@ class EigenData:
     results: Dict[str, Tuple[RouteResult, int]] = field(
         default_factory=dict, repr=False, compare=False)
     exceptional: Optional[tuple] = field(default=None, repr=False, compare=False)
+    within: Optional[int] = field(default=None, repr=False, compare=False)
+    masks: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
@@ -268,15 +290,20 @@ def _box_search(gram, box, k: int, square: int, lin: List[int],
 
 
 def _side(ambient_gram, basis: Tuple[Coords, ...], preferred: Optional[Coords] = None,
-          signature: Optional[Tuple[int, int]] = None) -> _EigenSide:
+          signature: Optional[Tuple[int, int]] = None,
+          along: Optional[Coords] = None) -> _EigenSide:
     """The search data of an eigenlattice, given by a basis of ambient int
     tuples under the form ambient_gram.  The basis must span a saturated
     sublattice, as every xl.kernel basis does: the routes search the whole
     eigenlattice, and a basis of smaller index would miss the classes
     outside its span.  preferred is the preferred anchor, in basis
-    coordinates (eigenbases gives K's); signature is the side's (positive,
-    negative) inertia when the caller knows it (eigen_data,
-    irreducibility._narrow), else sylvester_signature computes it."""
+    coordinates (eigenbases gives K's); along is one in ambient coordinates
+    (irreducibility._narrow gives a piece's K'), whose basis coordinates
+    are solved only where a search needs them (_anchor); with neither, an
+    indefinite side runs the box search (_find_anchor).  signature is the
+    side's (positive, negative) inertia when the caller knows it
+    (eigen_data, irreducibility._narrow), else sylvester_signature computes
+    it."""
     gram = gram_of(ambient_gram, basis)
     if not basis:
         return _EigenSide(basis, gram, True, None, 0)
@@ -287,10 +314,21 @@ def _side(ambient_gram, basis: Tuple[Coords, ...], preferred: Optional[Coords] =
     else:
         pos, neg = signature
     definite = pos == 0 or neg == 0
-    anchor = None
-    if not definite:
-        anchor = _find_anchor(gram, None if preferred is None else list(preferred))
-    return _EigenSide(basis, gram, definite, anchor, pos)
+    if definite:
+        return _EigenSide(basis, gram, definite, None, pos)
+    if along is not None:
+        return _EigenSide(basis, gram, definite, None, pos, ambient_anchor=tuple(along))
+    return _EigenSide(basis, gram, definite,
+                      _find_anchor(gram, None if preferred is None else list(preferred)), pos)
+
+
+def _anchor(side: _EigenSide) -> Optional[List[int]]:
+    """The side's anchor in basis coordinates: side.anchor, solved from
+    side.ambient_anchor at the first call and kept there.  The basis is
+    saturated and holds the ambient anchor, so the solution is integral."""
+    if side.anchor is None and side.ambient_anchor is not None:
+        side.anchor = xl.solve_integer(xl.transpose(side.basis), side.ambient_anchor)
+    return side.anchor
 
 
 def _lift(basis: Tuple[Coords, ...], xs) -> Tuple[Coords, ...]:
@@ -356,7 +394,7 @@ def _search_batches(side: _EigenSide, target: int, t_bound: int):
     if side.definite:
         yield en.definite_vectors(side.gram, target, tuple(zip(*side.basis)))
         return
-    if side.anchor is None:
+    if _anchor(side) is None:
         return
     for _, batch in en.anchored_norm_slices(_frame(side), target, t_bound):
         yield batch
@@ -366,7 +404,7 @@ def _frame(side: _EigenSide) -> en.AnchorFrame:
     """The AnchorFrame of an indefinite side with an anchor, built at its
     first use and kept on the side."""
     if side.frame is None:
-        side.frame = en.AnchorFrame(side.gram, side.anchor, tuple(zip(*side.basis)))
+        side.frame = en.AnchorFrame(side.gram, _anchor(side), tuple(zip(*side.basis)))
     return side.frame
 
 
@@ -406,11 +444,12 @@ def _mod4_allows_partner(gram) -> bool:
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _fixed_entries(g: Isometry, table) -> List[Coords]:
-    """The entries c with g c = c of a K-slab table, the (vectors, planes,
-    offset) of weyl._slab_table, ascending: row_k(g) . planes - plane_k
-    holds (g c - c)_k in the field of each entry, within the table's bound,
-    and the fixed entries are the fields that are 0 in every row k."""
+def _fixed_mask(g: Isometry, table) -> int:
+    """The bitmask of the entries c with g c = c of a K-slab table, the
+    (vectors, planes, offset) of weyl._slab_table, bit j for entry j:
+    row_k(g) . planes - plane_k holds (g c - c)_k in the field of each
+    entry, within the table's bound, and the fixed entries are the fields
+    that are 0 in every row k."""
     vectors, planes, offset = table
     size = len(vectors)
     fixed = (1 << size) - 1
@@ -418,12 +457,58 @@ def _fixed_entries(g: Isometry, table) -> List[Coords]:
         fixed &= _zero_fields(sum(map(mul, row, planes)) - plane, offset, size)
         if not fixed:
             break
-    return list(itertools.compress(vectors, bin(fixed)[:1:-1].encode().translate(_BIT_VALUES)))
+    return fixed
+
+
+def _fixed_entries(g: Isometry, table) -> List[Coords]:
+    """The entries c with g c = c of a K-slab table, ascending."""
+    return list(itertools.compress(
+        table[0], bin(_fixed_mask(g, table))[:1:-1].encode().translate(_BIT_VALUES)))
+
+
+def _paired_mask(g: Isometry, table) -> int:
+    """The bitmask of the entries c with c . g c = 0 of the table of
+    exceptional classes: c . g c = c^T J g c for every entry at once is the
+    one combination sum_{a <= b} s_ab products_ab (_exceptional_products),
+    with s_aa = (J g)_aa and s_ab = (J g)_ab + (J g)_ba."""
+    jg = xl.mat_mul(g.lattice.gram, g.matrix)
+    total = 0
+    for (a, b), plane in zip(*_exceptional_products(len(jg) - 1)):
+        s = jg[a][a] if a == b else jg[a][b] + jg[b][a]
+        if s:
+            total += s * plane
+    return _zero_fields(total, table[2], len(table[0]))
+
+
+def _orthogonal_mask(table, jb: Sequence[int]) -> int:
+    """The bitmask of the entries c with c . b = 0 of the table of
+    exceptional classes, for jb = J b and b an exceptional class:
+    jb . planes holds c . b in the field of each entry, and |c . b| <= 3
+    (_exceptional_products), inside the fields of _planes."""
+    vectors, planes, offset = table
+    return _zero_fields(sum(map(mul, jb, planes)), offset, len(vectors))
+
+
+def _table_mask(data: EigenData, name: str) -> int:
+    """The mask name ("fixed", _fixed_mask, or "paired", _paired_mask) of
+    data.exceptional, computed at its first read and kept in data.masks,
+    under data.within."""
+    mask = data.masks.get(name)
+    if mask is None:
+        build = _fixed_mask if name == "fixed" else _paired_mask
+        mask = data.masks[name] = build(data.g, data.exceptional)
+    return mask if data.within is None else mask & data.within
+
+
+def _lowest(table, mask: int) -> Optional[Coords]:
+    """The table entry of the lowest set bit of mask, else None."""
+    return table[0][(mask & -mask).bit_length() - 1] if mask else None
 
 
 def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
                 mod4: str, found: str, exhausted: str,
-                first: Optional[Tuple[Isometry, int]] = None) -> RouteResult:
+                first: Optional[Tuple[int, Callable[[], Optional[Coords]]]] = None
+                ) -> RouteResult:
     """Routes a, c and e, for an odd target: closed with reason even when the
     side's Gram has an even diagonal, as every square is then even; on an
     indefinite side, closed with reason mod4 when no class of L/2L has
@@ -432,11 +517,12 @@ def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
     definite side, open otherwise.  A definite side keeps its complete
     search, so its closures stay the exhausted ones.
 
-    first = (g, t): K anchors the plus side of g on M_n, and |K.c| = t is
-    the first slab that can hold the target.  It holds exactly the fixed
-    entries of weyl._slab_table(n, target, t) and their negatives, so on an
-    indefinite side the route is open below bound t with no search, and
-    from t on its witness is the lowest fixed entry, when there is one.
+    first = (t, lowest): K anchors the plus side, and |K.c| = t is the
+    first slab that can hold the target.  It holds exactly the fixed
+    entries of weyl._slab_table(n, target, t) in the lattice and their
+    negatives, so on an indefinite side the route is open below bound t
+    with no search, and from t on its witness is the lowest of them,
+    lowest(), when there is one.
     """
     gram = side.gram
     if all(gram[i][i] % 2 == 0 for i in range(len(gram))):
@@ -444,12 +530,12 @@ def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
     if not side.definite and not _mod4_allows_square(gram, target):
         return RouteResult(CLOSED, mod4)
     if first is not None and not side.definite:
-        g, t = first
+        t, lowest = first
         if t_bound < t:
             return RouteResult(OPEN, f"searched(t<={t_bound})")
-        fixed = _fixed_entries(g, _slab_table(len(g.matrix) - 1, target, t))
-        if fixed:
-            return RouteResult(WITNESS, found, (fixed[0],))
+        c = lowest()
+        if c is not None:
+            return RouteResult(WITNESS, found, (c,))
     for batch in _search_batches(side, target, t_bound):
         if batch:
             best = min(sign_canonical_coords(c) for c in batch)
@@ -462,16 +548,22 @@ def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
 def route_a(data: EigenData, n: int, t_bound: int) -> RouteResult:
     """A fixed class of square +1 (_norm_route on the plus side), n <= 7.
 
-    With K anchoring the plus side (data.exceptional is set) the first slab
-    is |K.c| = 3, read off weyl._slab_table(n, 1, 3): K is characteristic,
-    so K.c = c^2 = 1 (mod 2), and in signature (1, n) the reverse
-    Cauchy-Schwarz inequality gives (K.c)^2 >= c^2 K^2 = 9 - n >= 2.
+    With K anchoring the plus side of the first eigen data (data.exceptional
+    is set, data.within is None) the first slab is |K.c| = 3, read off
+    weyl._slab_table(n, 1, 3): K is characteristic, so K.c = c^2 = 1
+    (mod 2), and in signature (1, n) the reverse Cauchy-Schwarz inequality
+    gives (K.c)^2 >= c^2 K^2 = 9 - n >= 2.  A narrowed piece reads no table.
     """
     if n > 7:
         return RouteResult(CLOSED, "not_applicable")
+    first = None
+    if data.exceptional is not None and data.within is None:
+        def lowest_fixed():
+            table = _slab_table(len(data.g.matrix) - 1, 1, 3)
+            return _lowest(table, _fixed_mask(data.g, table))
+        first = (3, lowest_fixed)
     return _norm_route(data.plus, 1, t_bound, "plus_even_norms", "plus_no_unit_mod4",
-                       "fixed_norm_plus1", "plus_definite_exhausted",
-                       None if data.exceptional is None else (data.g, 3))
+                       "fixed_norm_plus1", "plus_definite_exhausted", first)
 
 
 def has_partner(gram, c1) -> bool:
@@ -547,7 +639,8 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     2 outside {0, diag(G)}, so when no class of L/2L does
     (_mod4_allows_partner), the side has no hyperbolic pair at all.
 
-    With K anchoring the plus side (data.exceptional is set) and
+    With K anchoring the plus side of the first eigen data (data.exceptional
+    is set, data.within is None; a narrowed piece reads no table) and
     t_bound >= 2, the first batch is read off the conic table,
     weyl._slab_table(n, 0, 2), after the closures, which spare it on the
     sides they close.  K is characteristic, so K.c = c^2 = 0 (mod 2), and
@@ -565,7 +658,7 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     if not _mod4_allows_partner(side.gram):
         return RouteResult(CLOSED, "plus_no_partner_mod4")
     ambient = data.g.lattice.gram
-    if data.exceptional is not None and t_bound >= 2:
+    if data.exceptional is not None and data.within is None and t_bound >= 2:
         fixed = _fixed_entries(data.g, _slab_table(len(ambient) - 1, 0, 2))
         hit = _first_pair(side, ambient, [_Signed(fixed)])
         if hit is not None:
@@ -577,13 +670,19 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
 def route_c(data: EigenData, t_bound: int) -> RouteResult:
     """A fixed class of square -1 (_norm_route on the plus side).
 
-    With K anchoring the plus side (data.exceptional is set) the first slab
-    is |K.c| = 1, read off the table of exceptional classes: K is
-    characteristic, so K.c = c^2 = 1 (mod 2).
+    With the canonical class K anchoring the plus side (data.exceptional is
+    set) the first slab is |K.c| = 1, read off the table of exceptional
+    classes under data.within (_table_mask "fixed"): K is characteristic,
+    so K.c = c^2 = 1 (mod 2).  On a piece B-perp, anchored at its canonical
+    class K', the same holds with K' for K, and for c in B-perp,
+    K'.c = K.c, so the piece's classes in that slab are the entries
+    orthogonal to B.
     """
+    first = None
+    if data.exceptional is not None:
+        first = (1, lambda: _lowest(data.exceptional, _table_mask(data, "fixed")))
     return _norm_route(data.plus, -1, t_bound, "plus_even_norms", "plus_no_minus1_mod4",
-                       "fixed_norm_minus1", "plus_definite_exhausted",
-                       None if data.exceptional is None else (data.g, 1))
+                       "fixed_norm_minus1", "plus_definite_exhausted", first)
 
 
 def _congruent_sublattice(side: _EigenSide, other: _EigenSide, ambient_gram) -> _EigenSide:
@@ -618,8 +717,9 @@ def _congruent_sublattice(side: _EigenSide, other: _EigenSide, ambient_gram) -> 
             cols.append([(comb >> j) & 1 for j in range(rank)])
     basis = _lift(side.basis, cols)
     anchor = None
-    if side.anchor is not None:
-        p, free = side.anchor, [j for j in range(rank) if cols[j][j] == 1]
+    p = _anchor(side)
+    if p is not None:
+        free = [j for j in range(rank) if cols[j][j] == 1]
         anchor = [2 * p[i] if cols[i][i] == 1 else p[i] - sum(cols[j][i] * p[j] for j in free)
                   for i in range(rank)]
     return _EigenSide(basis, gram_of(ambient_gram, basis), side.definite, anchor, side.positive)
@@ -652,30 +752,22 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
 
     With the table of exceptional classes on data (K anchors the plus side,
     and the minus side, in K-perp, is the complete one) and t_bound >= 2,
-    the witness is (c, g c) for the lowest table entry c with c . g c = 0,
-    when there is one.  c . g c = c^T J g c for every entry at once is the
-    one combination sum_{a <= b} s_ab products_ab (_exceptional_products),
-    with s_aa = (J g)_aa and s_ab = (J g)_ab + (J g)_ba.  That is the
-    search's witness: a pair has c1^2 = -1 and a in K-perp, so
+    the witness is (c, g c) for the lowest table entry c with c . g c = 0
+    under data.within (_table_mask "paired"), when there is one.  That is
+    the search's witness: a pair has c1^2 = -1 and a in K-perp, so
     K.b = 2 K.c1, and K.c1 is odd (route_c), so the first glue slab that
     can pair is |K.b| = 2, slab s = 4 against the anchor 2p, which
     _search_batches(glue, -2, 2 t_bound) reaches only when t_bound >= 2.
     Its pairs give c1 in {+-c, +-g c} over the entries c with c . g c = 0
     (a = c - g c, b = c + g c), a set closed under c -> g c up to sign, so
-    its sign-canonical minimum is the lowest such entry.
+    its sign-canonical minimum is the lowest such entry.  On a narrowed
+    piece B-perp the same holds with its canonical class K' for K: for c in
+    B-perp, K'.c = K.c, and g c lies in B-perp with c.
     With no such entry the route runs the search as it stands.
     """
     if data.exceptional is not None and t_bound >= 2:
-        classes, _, offset = data.exceptional
-        jg = xl.mat_mul(data.g.lattice.gram, data.g.matrix)
-        total = 0
-        for (a, b), plane in zip(*_exceptional_products(len(jg) - 1)):
-            s = jg[a][a] if a == b else jg[a][b] + jg[b][a]
-            if s:
-                total += s * plane
-        hit = _zero_fields(total, offset, len(classes))
-        if hit:
-            c = classes[(hit & -hit).bit_length() - 1]
+        c = _lowest(data.exceptional, _table_mask(data, "paired"))
+        if c is not None:
             return RouteResult(WITNESS, "swapped_minus1_pair",
                                (c, tuple(xl.mat_vec(data.g.matrix, c))))
     if data.minus.definite:

@@ -31,12 +31,18 @@ what is left are the old sides cut to B^perp, one kernel each; the leaf's
 basis, the kernel of the peeled vectors' products, and its matrix are
 computed once, at the end.  A leaf is Irreducible exactly when routes c, d
 and e are all closed on it, the same exact closure that check_reducible
-uses.
+uses.  On an involution that fixes K, K' = K + sum (K.b) b over the peeled
+b anchors the fixed side of each piece B^perp.  While every split is an
+equivariant blow-down (each peeled b an exceptional class, |K.b| = 1, as on
+the catalog and the benchmark streams), B^perp is M_k (U in rank 2) with
+canonical class K', and routes c and d read the piece's first witness off
+the table of exceptional classes of M_n, under the mask of the entries
+orthogonal to B (_decompose_in_basis).
 
 Both run on the criteria engine's plain int tuples: eigen bases, route
 witnesses, split blocks and leaf bases are ambient coordinate tuples, no
 sublattice is built on the way, and the anchor K is the one lattice vector
-read.
+read (K' is its int tuple, moved by each split).
 
 An Irreducible verdict names its obstruction by the closing reasons, in
 priority order: an even eigenlattice (EvenFixedLatticeObstruction), an
@@ -330,9 +336,24 @@ def _decompose_in_basis(g: Isometry, bound: int,
     and narrows both sides to B^perp after each split block B.  The leaf is
     the complement of everything peeled: one kernel of the products of the
     peeled vectors, built once.
+
+    When the anchor is K and g fixes it on M_n (the first eigen data carry
+    the table of exceptional classes), every piece B^perp keeps an anchor,
+    K' = K + sum (K.b) b over the peeled b: the projection of K to B^perp,
+    as each b has b^2 = -1 and the b are orthogonal.  K' is fixed by g,
+    since B is g-invariant, and for c in B^perp, c.K' = c.K = c^2 (mod 2),
+    so K' is characteristic in the unimodular B^perp, and K'^2 =
+    K^2 + sum (K.b)^2 > 0.  While every b is a blow-down, |K.b| = 1 (all of
+    them on the catalog and the benchmark streams), K'^2 = 9 - k on the
+    piece of rank k + 1: B^perp is M_k (or U, in rank 2) with canonical
+    class K', its exceptional classes are the table entries orthogonal to
+    B, and the narrowed data keep the table with that mask
+    (EigenData.within), one criteria._orthogonal_mask per peeled vector.
+    Any other split drops the table, and K' stays the anchor.
     """
     data = criteria.eigen_data(g, anchor)
     gram = g.lattice.gram
+    k_prime = None if data.exceptional is None else list(anchor.coords)
     steps: List[SplitStep] = []
     peeled: List[Tuple[int, ...]] = []
     while data.plus.basis or data.minus.basis:
@@ -355,15 +376,33 @@ def _decompose_in_basis(g: Isometry, bound: int,
         block = results[-1].witnesses
         steps.append(SplitStep(action, block))
         peeled.extend(block)
-        data = criteria.EigenData(g, _narrow(data.plus, block, gram),
-                                  _narrow(data.minus, block, gram))
+        jbs = [xl.mat_vec(gram, b) for b in block]
+        table, within = data.exceptional, data.within
+        if k_prime is not None:
+            ts = [sum(map(mul, jb, anchor.coords)) for jb in jbs]     # K.b
+            for t, b in zip(ts, block):
+                k_prime = [x + t * y for x, y in zip(k_prime, b)]
+            if table is not None and all(abs(t) == 1 for t in ts):
+                if within is None:
+                    within = (1 << len(table[0])) - 1
+                for jb in jbs:
+                    within &= criteria._orthogonal_mask(table, jb)
+            else:
+                table = within = None
+        plus, minus = _narrow(data.plus, jbs, gram, k_prime), _narrow(data.minus, jbs, gram)
+        if plus is data.plus and minus is data.minus:
+            # a witness lies in a side, so a split always narrows one
+            raise RuntimeError("split block is orthogonal to both eigen sides")
+        data = criteria.EigenData(g, plus, minus, exceptional=table, within=within,
+                                  masks=data.masks)
     return Decomposition(tuple(steps), DecompositionLeaf("point", (), (), IRREDUCIBLE))
 
 
-def _narrow(side: criteria._EigenSide, block, gram) -> criteria._EigenSide:
+def _narrow(side: criteria._EigenSide, jbs, gram,
+            anchor: Optional[List[int]] = None) -> criteria._EigenSide:
     """The search data of side & B^perp, for the form gram: one kernel, in
-    side coordinates, of the products b.v of the block vectors b with the
-    side basis v.
+    side coordinates, of the products b.v of the block vectors b, given as
+    jbs = J b, with the side basis v.
 
     B is negative definite, unimodular and g-invariant, so M = B + B^perp
     and the side splits as (side & B) + (side & B^perp) with side & B
@@ -372,16 +411,22 @@ def _narrow(side: criteria._EigenSide, block, gram) -> criteria._EigenSide:
     sylvester_signature.  A kernel basis is saturated in the side, so the
     lifted basis spans a saturated sublattice again.
 
+    anchor is the ambient K' of the piece (_decompose_in_basis) on the plus
+    side of a K-fixing input, else None.  It lies in side & B^perp and is
+    handed to _side as the preferred anchor in ambient coordinates, which
+    are solved for basis coordinates only where a search needs them
+    (criteria._anchor), so the box search of criteria._find_anchor runs
+    only on sides with no such anchor.
+
     When every product is zero (a fix block and the minus side, a negate
     block and the plus side), side & B^perp is the side itself, which is
-    kept with its anchor frame.  Rebuilding it would give the same basis
-    and anchor: _side would re-run the box anchor search, and the one
-    preferred anchor, K, sits on a plus side whose minus side lies in the
-    even lattice K^perp, which no negate block splits."""
-    jbs = [xl.mat_vec(gram, b) for b in block]
+    kept with its anchor and frame.  Rebuilding it would give the same
+    basis and anchor: the box search would find its anchor again, and K'
+    has not moved, as K'.b = 0 for every b of a block orthogonal to the
+    side that holds K'."""
     rows = [[sum(map(mul, jb, v)) for v in side.basis] for jb in jbs]
     if not any(map(any, rows)):
         return side
     basis = criteria._lift(side.basis, xl.kernel(rows))
     pos = side.positive
-    return criteria._side(gram, basis, None, (pos, len(basis) - pos))
+    return criteria._side(gram, basis, None, (pos, len(basis) - pos), anchor)

@@ -66,6 +66,28 @@ def coords_of(basis, v):
     return None if sol is None else tuple(sol)
 
 
+def decompose_pieces(g, bound: int = 10):
+    """(decomposition, pieces) of irreducibility._decompose_in_basis(g,
+    bound, K) for an involution g of M_n, n = 2..8: pieces are the eigen
+    data each split loop starts from, in order, so piece i is B-perp for the
+    blocks of the first i steps and piece 0 is the first eigen data.  Each
+    loop runs route c first, which records its data."""
+    from delpezzo import criteria, irreducibility
+    pieces = []
+    route_c = criteria.route_c
+
+    def recorded(data, t_bound):
+        pieces.append(data)
+        return route_c(data, t_bound)
+
+    criteria.route_c = recorded
+    try:
+        d = irreducibility._decompose_in_basis(g, bound, canonical_class(len(g.matrix) - 1))
+    finally:
+        criteria.route_c = route_c
+    return d, pieces
+
+
 # The byte-permutation oracles.  A permutation of the sorted root list
 # (pg.root_action_context) is a bytes object, entry i the index of the image
 # of root i, so composition is one bytes.translate call.

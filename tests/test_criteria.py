@@ -42,7 +42,14 @@ from delpezzo.weyl import (
     weyl_generators,
 )
 
-from conftest import assert_slabs_ascend, bench_inputs, canonical_generators, coords_of, lift
+from conftest import (
+    assert_slabs_ascend,
+    bench_inputs,
+    canonical_generators,
+    coords_of,
+    decompose_pieces,
+    lift,
+)
 
 
 def _reference_partner(gram, c1):
@@ -735,25 +742,36 @@ def test_table_routes_match_the_search_on_verify_inputs():
     assert tabled > 500 and hits["b"] > 200 and hits["c"] > 200 and hits["d"] > 200
 
 
-def test_decompose_reads_the_table_only_on_its_first_eigen_data(monkeypatch):
-    # decompose's narrowed sides are anchored by the box search, not K, so
-    # the EigenData it builds after a split never carries the table.  first
-    # keeps each first eigen data alive, so that no later object takes its id
-    first, seen = {}, {"first": 0, "narrowed": 0}
+def test_decompose_narrowed_data_carry_the_table_only_on_k_fixing_inputs(monkeypatch):
+    # after a split of a K-fixing input, the narrowed data are anchored at
+    # the piece's canonical class K' and keep the first eigen data's table,
+    # its masks and a mask of the entries orthogonal to the peeled blocks;
+    # the pieces of a K-moving input carry neither.  first keeps each first
+    # eigen data alive, so that no later object takes its id
+    first, seen = {}, {"first": 0, "k_fixing": 0, "k_moving": 0}
+    current = []
     eigen_data = criteria.eigen_data
 
     def recorded(*args):
         data = eigen_data(*args)
         first[id(data)] = data
+        current[:] = [data]
         return data
 
     def watched(route):
         def run(data, bound):
-            if id(data) in first:
+            head = current[0]
+            if data is head:
                 seen["first"] += data.exceptional is not None
+                assert data.within is None
+            elif head.exceptional is not None:
+                assert id(data) not in first
+                assert data.exceptional is head.exceptional and data.masks is head.masks
+                assert data.within is not None
+                seen["k_fixing"] += 1
             else:
-                assert data.exceptional is None
-                seen["narrowed"] += 1
+                assert data.exceptional is None and data.within is None
+                seen["k_moving"] += 1
             return route(data, bound)
         return run
 
@@ -762,7 +780,57 @@ def test_decompose_reads_the_table_only_on_its_first_eigen_data(monkeypatch):
         monkeypatch.setattr(criteria, name, watched(getattr(criteria, name)))
     for op in bench_inputs().decompose_stream(101):
         decompose(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n, height_bound=10)
-    assert seen["first"] > 100 and seen["narrowed"] > 100
+    assert seen["first"] > 100 and seen["k_fixing"] > 100 and seen["k_moving"] > 10
+
+
+@pytest.fixture(scope="module")
+def narrowed_data():
+    """The narrowed pieces (every piece after the first) of decompose at
+    bound 10 on the catalog representatives, n = 2..8, and on two wall-word
+    conjugates of each (_wall_conjugates), where they fix K."""
+    rng = random.Random(6161)
+    out = []
+    for n in range(2, 9):
+        k = canonical_class(n)
+        for cls in classify_involutions(n):
+            for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 2):
+                if g.apply(k) == k:
+                    out.extend(decompose_pieces(g)[1][1:])
+    return out
+
+
+@pytest.mark.parametrize("bound", (1, 2, 4, 10))
+def test_masked_table_routes_match_the_search_at_k_prime(narrowed_data, bound):
+    # on each narrowed piece routes c and d read the table under its mask;
+    # with the table removed they search the piece, anchored at K'.  Routes
+    # a and b read no table there (next test), so they match trivially
+    hits = {"a": 0, "b": 0, "c": 0, "d": 0}
+    for data in narrowed_data:
+        assert data.exceptional is not None and data.within is not None
+        _table_routes_checked(data, bound, hits)
+    assert len(narrowed_data) > 100
+    assert hits["c"] > 50
+    assert hits["d"] > 10 if bound >= 2 else hits["d"] == 0
+
+
+def test_routes_a_and_b_read_no_table_on_narrowed_data(narrowed_data, monkeypatch):
+    # the +1 and conic tables hold classes of M_n, not of the piece, so
+    # routes a and b search a narrowed piece; on first eigen data they read
+    # the tables, which shows the recorder sees a read
+    reads = []
+    slab_table = criteria._slab_table
+    monkeypatch.setattr(criteria, "_slab_table", lambda *key: reads.append(key) or slab_table(*key))
+    for data in narrowed_data:
+        n = len(data.g.matrix) - 1
+        for bound in (3, 10):
+            criteria.route_a(data, n, bound)
+            criteria.route_b(data, bound)
+    assert not reads
+    for n in (4, 6):
+        data = criteria.eigen_data(classify_involutions(n)[0].representative, canonical_class(n))
+        criteria.route_a(data, n, 3)
+        criteria.route_b(data, 3)
+    assert {key[1:] for key in reads} == {(-1, 1), (1, 3), (0, 2)}
 
 
 def test_anchored_signatures_match_sylvester(monkeypatch):
@@ -854,19 +922,26 @@ def test_find_anchor_matches_reference_on_seeded_indefinite_forms():
 
 
 def test_find_anchor_matches_reference_on_decompose_sides(monkeypatch):
-    grams = []
+    # the box search runs on the sides of K-moving inputs only: a K-fixing
+    # input and its pieces are anchored at K and K'.  Its calls on
+    # decompose_stream(101) are held against the reference, and none comes
+    # from a K-fixing input
+    calls, k_fixing = [], []
     find_anchor = criteria._find_anchor
 
     def recording(gram, preferred):
-        grams.append((gram, preferred))
+        calls.append((gram, preferred, k_fixing[-1]))
         return find_anchor(gram, preferred)
 
     monkeypatch.setattr(criteria, "_find_anchor", recording)
-    for n in range(3, 9):
-        for cls in classify_involutions(n):
-            decompose(cls.representative, n)
-    assert len(grams) > 20
-    for gram, preferred in grams:
+    for op in bench_inputs().decompose_stream(101):
+        g = Isometry(del_pezzo_lattice(op.n), op.matrix)
+        g_red, _ = chamber_conjugate(g)
+        k_fixing.append(g_red.apply(canonical_class(op.n)) == canonical_class(op.n))
+        decompose(g, op.n)
+    boxed = [(gram, fixing) for gram, preferred, fixing in calls if preferred is None]
+    assert len(boxed) >= 10 and not any(fixing for _, fixing in boxed)
+    for gram, preferred, _ in calls:
         assert find_anchor(gram, preferred) == _reference_find_anchor(gram, preferred)
 
 

@@ -62,6 +62,14 @@ was regenerated: its nine class_size fields moved from null to 120, 3780,
 37800, 113400, 3150, 37800, 3780, 120 and 1 (m1 .. m8), the class orbit
 sizes of the census.  Nothing else in it moved, and classify_n2..n7.json did
 not move.
+
+Since decompose anchors every piece of a K-fixing input at the piece's
+canonical class K' = K + sum (K.b) b and reads routes c and d off the table
+of exceptional classes under the mask of the piece, the decompose digest was
+rewritten: on decompose_stream(17) the operations 57 (8 m3, K), 89 (8 m3,
+O), 114 (7 m4a, K), 121 (8 m3, K) and 153 (8 m3, O) moved their split and
+leaf basis vectors, and every action, leaf type, leaf rank and verdict
+stayed as written before.  decompose.jsonl did not move.
 """
 import hashlib
 import json
@@ -124,7 +132,7 @@ def test_conjugate_verdicts_match_golden():
 
 STREAM_DIGESTS = [
     ("verify", 101, "1275c5db61402b1e"),
-    ("decompose", 17, "8183f5d7ed5e26d5"),
+    ("decompose", 17, "85f67b1bbba50490"),
 ]
 
 

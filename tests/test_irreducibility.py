@@ -24,15 +24,16 @@ from delpezzo import exactlinalg as xl
 from delpezzo.criteria import DEFAULT_HEIGHT_BOUND
 from delpezzo.irreducibility import _decompose_in_basis
 from delpezzo.lattice import (
+    Isometry,
     LatticeVector,
     Sublattice,
     del_pezzo_lattice,
     is_even,
     signature,
 )
-from delpezzo.weyl import canonical_class, reflection, wall_generators
+from delpezzo.weyl import canonical_class, chamber_conjugate, reflection, wall_generators
 
-from conftest import canonical_generators, lift
+from conftest import bench_inputs, canonical_generators, coords_of, decompose_pieces, lift
 
 IRREDUCIBLE_LABELS = {2: [], 3: [], 4: [], 5: ["m4"], 6: [],
                       7: ["m6", "m7"], 8: ["m8"]}
@@ -352,21 +353,20 @@ def test_narrowed_sides_are_handed_their_signature(monkeypatch):
     handed = []
     side = criteria._side
 
-    def checked(gram, basis, preferred=None, signature=None):
+    def checked(gram, basis, preferred=None, signature=None, along=None):
         if signature is not None:
             # B^T G B, with the basis vectors as the rows of B^T
             sub_gram = xl.mat_mul(xl.mat_mul(basis, gram), xl.transpose(basis))
             assert xl.sylvester_signature(sub_gram) == signature + (0,)
             handed.append(signature)
-        return side(gram, basis, preferred, signature)
+        return side(gram, basis, preferred, signature, along)
 
     kept = []   # per narrowed side: whether _narrow kept it
     narrow = irreducibility._narrow
 
-    def recorded(old, block, gram):
-        new = narrow(old, block, gram)
-        touched = any(sum(x * y for x, y in zip(xl.mat_vec(gram, b), v))
-                      for b in block for v in old.basis)
+    def recorded(old, jbs, gram, anchor=None):
+        new = narrow(old, jbs, gram, anchor)
+        touched = any(sum(x * y for x, y in zip(jb, v)) for jb in jbs for v in old.basis)
         assert (new is old) == (not touched)
         kept.append(new is old)
         return new
@@ -388,6 +388,86 @@ def test_narrowed_sides_are_handed_their_signature(monkeypatch):
                 assert len(handed) - before >= kept[narrowed:].count(False) >= steps
                 splits += steps
     assert splits > 100 and 0 < kept.count(True) < len(kept)
+
+
+def _k_fixing_chamber_conjugates():
+    """(n, g') for the chamber conjugates g' that fix K, as decompose sees
+    them, of the catalog representatives, n = 2..8, of two wall-word
+    conjugates of each and of the operations of decompose_stream(101)."""
+    rng = random.Random(3131)
+    gs = []
+    for n in range(2, 9):
+        gens = wall_generators(n).isometries()
+        for cls in classify_involutions(n):
+            gs.append((n, cls.representative))
+            for _ in range(2):
+                h = identity_isometry(del_pezzo_lattice(n))
+                for _ in range(12):
+                    h = h @ rng.choice(gens)
+                gs.append((n, h @ cls.representative @ h.inverse()))
+    for op in bench_inputs().decompose_stream(101):
+        if 2 <= op.n <= 8:
+            gs.append((op.n, Isometry(del_pezzo_lattice(op.n), op.matrix)))
+    out = []
+    for n, g in gs:
+        g, _ = chamber_conjugate(g)
+        if g.apply(canonical_class(n)) == canonical_class(n):
+            out.append((n, g))
+    return out
+
+
+def test_every_piece_is_anchored_at_its_canonical_class():
+    # on a K-fixing input every split is a blow-down (|K.b| = 1), so each
+    # piece B-perp is M_k (or U in rank 2) with canonical class
+    # K' = K + sum (K.b) b: K' is
+    # fixed by g, orthogonal to B, of square 9 - k and characteristic on
+    # the piece (c.K' = c^2 mod 2 on a basis of B-perp); it anchors the plus
+    # side, and the piece keeps the table of exceptional classes under the
+    # mask of the entries orthogonal to B
+    inputs = _k_fixing_chamber_conjugates()
+    assert len(inputs) > 200
+    narrowed = 0
+    for n, g in inputs:
+        gram = g.lattice.gram
+        jk = xl.mat_vec(gram, canonical_class(n).coords)
+        d, pieces = decompose_pieces(g)
+        assert len(pieces) == len(d.steps) + 1
+        table = pieces[0].exceptional
+        assert table is not None and pieces[0].within is None
+        peeled = []
+        for i, data in enumerate(pieces):
+            if i:
+                peeled.extend(d.steps[i - 1].basis)
+            jbs = [xl.mat_vec(gram, b) for b in peeled]
+            k_prime = list(canonical_class(n).coords)
+            for jb, b in zip(jbs, peeled):
+                t = sum(x * y for x, y in zip(jk, b))
+                assert abs(t) == 1
+                k_prime = [x + t * y for x, y in zip(k_prime, b)]
+            rank = n + 1 - len(peeled)
+            assert sum(x * y for x, y in zip(xl.mat_vec(gram, k_prime), k_prime)) == 10 - rank
+            assert xl.mat_vec(g.matrix, k_prime) == k_prime
+            assert not any(sum(x * y for x, y in zip(jb, k_prime)) for jb in jbs)
+            piece = xl.kernel(jbs) if jbs else xl.identity(n + 1)
+            assert len(piece) == rank
+            for c in piece:
+                jc = xl.mat_vec(gram, c)
+                assert (sum(x * y for x, y in zip(jc, k_prime))
+                        - sum(x * y for x, y in zip(jc, c))) % 2 == 0
+            plus = data.plus
+            if plus.definite:
+                # rank 1, spanned by K' or, on U, by K' / 2
+                assert coords_of(plus.basis, k_prime) is not None
+            else:
+                assert list(lift(plus.basis, criteria._anchor(plus))) == k_prime
+            # one table per n, and one set of masks per input
+            assert data.exceptional is table and data.masks is pieces[0].masks
+            if i:
+                want = sum(1 << j for j, c in enumerate(table[0])
+                           if not any(sum(x * y for x, y in zip(jb, c)) for jb in jbs))
+                assert data.within == want
+                narrowed += 1
+    assert narrowed > 500
 
 
 def test_decompose_blocks_are_orthogonal_and_norm_minus_one():
