@@ -59,17 +59,17 @@ slabs are empty.
 Routes a to d read their first witness off a K-slab table when K anchors
 the plus side (eigen_data puts weyl._slab_table(n, -1, 1) on the data for a
 K-fixing g on M_n, 2 <= n <= 8, which marks it).  decompose's narrowed data
-of such a g keep it, with the mask of the entries orthogonal to the peeled
-blocks (EigenData.within): the piece is M_k with canonical class K', its
-exceptional classes are those entries, and every argument below holds on it
-with K' for K, so routes c and d read it under the mask; routes a and b
-read no table there.  A table holds the classes of one square and one |K.c|,
-one of each +- pair, in the plane layout of weyl._planes, so one reader
-(_fixed_entries) finds the fixed entries of all of them at once: the +1
-classes with |K.c| = 3 for route a (n <= 7), the conics (square 0,
-|K.c| = 2) for route b, the exceptional classes (square -1, |K.c| = 1) for
-routes c and d, to which route d adds their coordinate products
-(_exceptional_products).  Each is the first slab the search could fill.
+of such a g keep it while every split is a blow-down, with the mask of the
+entries orthogonal to the peeled blocks (EigenData.within): the piece is
+M_k with canonical class K', its exceptional classes are those entries, and
+every argument below holds on it with K' for K, so routes c and d read it
+under the mask; routes a and b read no table there.  A table holds the
+classes of one square and one |K.c|, one of each +- pair, in the plane
+layout of weyl._planes, so one reader (_fixed_mask) finds the fixed entries
+of all of them at once: the +1 classes with |K.c| = 3 for route a (n <= 7),
+the conics (square 0, |K.c| = 2) for route b, the exceptional classes
+(square -1, |K.c| = 1) for routes c and d, to which route d adds their
+coordinate products (_exceptional_products).  Each is the first slab the search could fill.
 Parity: K is characteristic, so K.c = c^2 (mod 2), and K-perp is negative
 definite, so an isotropic c != 0 has K.c even and nonzero, and a class of
 square -1 has K.c odd.  Reverse Cauchy-Schwarz: a +1 class has
@@ -99,11 +99,10 @@ lattice vector.
 This is the one search engine of the package: check_reducible runs the
 routes on eigen_data, decompose starts from the same eigen_data, splits
 with routes c, d and e and narrows both sides (_side) and the table's mask
-after each split, and
-invariant_of builds its eigenlattices with eigen_data and runs the flag
-routes a-d on them at FLAG_BOUND.  classify_involutions builds each
-representative's eigen data once and keeps it on the class, and dpz
-classify decides the class from that same data: iter_routes keeps every
+after each split, and invariant_of builds its eigenlattices with eigen_data
+and runs the flag routes a-d on them at FLAG_BOUND.  classify_involutions
+builds each representative's eigen data once and keeps it on the class, and
+dpz classify decides the class from that same data: iter_routes keeps every
 route result on the eigen data with its bound and reuses each one that
 holds at the bound asked for, so a route runs again only where its flag
 result does not decide it.  Every anchor search uses one box radius,

@@ -819,7 +819,8 @@ def test_routes_a_and_b_read_no_table_on_narrowed_data(narrowed_data, monkeypatc
     # the tables, which shows the recorder sees a read
     reads = []
     slab_table = criteria._slab_table
-    monkeypatch.setattr(criteria, "_slab_table", lambda *key: reads.append(key) or slab_table(*key))
+    monkeypatch.setattr(criteria, "_slab_table",
+                        lambda *key: reads.append(key) or slab_table(*key))
     for data in narrowed_data:
         n = len(data.g.matrix) - 1
         for bound in (3, 10):
