@@ -97,7 +97,11 @@ Witnesses are returned as ambient int tuples too, so no route builds a
 lattice vector.
 
 This is the one search engine of the package: check_reducible runs the
-routes on eigen_data, decompose starts from the same eigen_data, splits
+routes on eigen_data for the first member of each class of K-fixing
+involutions it meets and for every input whose chamber conjugate moves K.
+Other members take each route's status and reason from irreducibility's
+class record and their own witness from table_witnesses, which calls the
+routes' own table readers.  decompose starts from the same eigen_data, splits
 with routes c, d and e and narrows both sides (_side) and the table's mask
 after each split, and invariant_of builds its eigenlattices with eigen_data
 and runs the flag routes a-d on them at FLAG_BOUND.  classify_involutions
@@ -232,7 +236,7 @@ class EigenData:
     the first eigen data, whose classes are all the entries.  Routes c and d
     read their first slab's witness off the table under within, from the
     masks of the fixed entries and of those with c . g c = 0: each is
-    computed at its first read (_table_mask) and kept in masks, which
+    computed at its first read (_table_entry) and kept in masks, which
     decompose hands on from piece to piece, as neither depends on the
     piece.  Routes a and b read the +1 and conic tables,
     weyl._slab_table(n, 1, 3) and (n, 0, 2), on the first eigen data only."""
@@ -488,15 +492,17 @@ def _orthogonal_mask(table, jb: Sequence[int]) -> int:
     return _zero_fields(sum(map(mul, jb, planes)), offset, len(vectors))
 
 
-def _table_mask(data: EigenData, name: str) -> int:
-    """The mask name ("fixed", _fixed_mask, or "paired", _paired_mask) of
-    data.exceptional, computed at its first read and kept in data.masks,
-    under data.within."""
-    mask = data.masks.get(name)
+def _table_entry(g: Isometry, table, name: str, masks: Dict[str, int],
+                 within: Optional[int] = None) -> Optional[Coords]:
+    """The lowest entry, under within, of the table of exceptional classes
+    in the mask name of g: "fixed" (_fixed_mask) or "paired" (_paired_mask),
+    computed at its first read and kept in masks.  Routes c and d read their
+    first slab with it, and so does table_witnesses."""
+    mask = masks.get(name)
     if mask is None:
         build = _fixed_mask if name == "fixed" else _paired_mask
-        mask = data.masks[name] = build(data.g, data.exceptional)
-    return mask if data.within is None else mask & data.within
+        mask = masks[name] = build(g, table)
+    return _lowest(table, mask if within is None else mask & within)
 
 
 def _lowest(table, mask: int) -> Optional[Coords]:
@@ -557,12 +563,16 @@ def route_a(data: EigenData, n: int, t_bound: int) -> RouteResult:
         return RouteResult(CLOSED, "not_applicable")
     first = None
     if data.exceptional is not None and data.within is None:
-        def lowest_fixed():
-            table = _slab_table(len(data.g.matrix) - 1, 1, 3)
-            return _lowest(table, _fixed_mask(data.g, table))
-        first = (3, lowest_fixed)
+        first = (3, lambda: _fixed_unit(data.g, n))
     return _norm_route(data.plus, 1, t_bound, "plus_even_norms", "plus_no_unit_mod4",
                        "fixed_norm_plus1", "plus_definite_exhausted", first)
+
+
+def _fixed_unit(g: Isometry, n: int) -> Optional[Coords]:
+    """Route a's first slab on M_n, n <= 7: the lowest fixed entry of
+    weyl._slab_table(n, 1, 3), else None."""
+    table = _slab_table(n, 1, 3)
+    return _lowest(table, _fixed_mask(g, table))
 
 
 def has_partner(gram, c1) -> bool:
@@ -619,6 +629,15 @@ def _first_pair(side: _EigenSide, ambient, batches) -> Optional[RouteResult]:
     return None
 
 
+def _conic_pair(side: _EigenSide, g: Isometry) -> Optional[RouteResult]:
+    """Route b's first slab on M_n: _first_pair over the fixed conics of
+    weyl._slab_table(n, 0, 2) and their negatives, ascending (_Signed), with
+    the partner test on side, the plus side of the K-fixing g; else None."""
+    ambient = g.lattice.gram
+    fixed = _fixed_entries(g, _slab_table(len(ambient) - 1, 0, 2))
+    return _first_pair(side, ambient, [_Signed(fixed)])
+
+
 def route_b(data: EigenData, t_bound: int) -> RouteResult:
     """A fixed hyperbolic pair: the first c1 of a slab, in ambient order,
     with a c2 of this or an earlier slab such that c1.c2 = 1 (_first_pair),
@@ -656,13 +675,11 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
     if not _mod4_allows_partner(side.gram):
         return RouteResult(CLOSED, "plus_no_partner_mod4")
-    ambient = data.g.lattice.gram
     if data.exceptional is not None and data.within is None and t_bound >= 2:
-        fixed = _fixed_entries(data.g, _slab_table(len(ambient) - 1, 0, 2))
-        hit = _first_pair(side, ambient, [_Signed(fixed)])
+        hit = _conic_pair(side, data.g)
         if hit is not None:
             return hit
-    hit = _first_pair(side, ambient, _search_batches(side, 0, t_bound))
+    hit = _first_pair(side, data.g.lattice.gram, _search_batches(side, 0, t_bound))
     return hit or RouteResult(OPEN, f"searched(t<={t_bound})")
 
 
@@ -671,7 +688,7 @@ def route_c(data: EigenData, t_bound: int) -> RouteResult:
 
     With the canonical class K anchoring the plus side (data.exceptional is
     set) the first slab is |K.c| = 1, read off the table of exceptional
-    classes under data.within (_table_mask "fixed"): K is characteristic,
+    classes under data.within (_table_entry "fixed"): K is characteristic,
     so K.c = c^2 = 1 (mod 2).  On a piece B-perp, anchored at its canonical
     class K', the same holds with K' for K, and for c in B-perp,
     K'.c = K.c, so the piece's classes in that slab are the entries
@@ -679,7 +696,8 @@ def route_c(data: EigenData, t_bound: int) -> RouteResult:
     """
     first = None
     if data.exceptional is not None:
-        first = (1, lambda: _lowest(data.exceptional, _table_mask(data, "fixed")))
+        first = (1, lambda: _table_entry(data.g, data.exceptional, "fixed", data.masks,
+                                         data.within))
     return _norm_route(data.plus, -1, t_bound, "plus_even_norms", "plus_no_minus1_mod4",
                        "fixed_norm_minus1", "plus_definite_exhausted", first)
 
@@ -732,6 +750,11 @@ def _has_root(side: _EigenSide) -> bool:
                            or bool(en.definite_vectors(gram, -2)))
 
 
+def _swapped_pair(g: Isometry, c1: Coords) -> RouteResult:
+    """Route d's witness (c1, g c1)."""
+    return RouteResult(WITNESS, "swapped_minus1_pair", (c1, tuple(xl.mat_vec(g.matrix, c1))))
+
+
 def route_d(data: EigenData, t_bound: int) -> RouteResult:
     """Swapped (-1)-pair via roots a in L_minus, b in L_plus, a = b mod 2M.
 
@@ -740,7 +763,9 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
     the congruent sublattices can pair: the complete side searches
     Lambda(complete, other) for its roots, one definite_vectors call; when
     it has none, the route closes as mod2_unsolvable if the side has a root
-    at all (_has_root), else as no_{side}_roots.  The other side searches
+    at all (_has_root), else as no_{side}_roots.  A positive definite other
+    side has no vector of square -2, so the route then closes as
+    definite_pairs_exhausted with no glue built.  Else the other side searches
     Lambda(other, complete), cached on the eigen data: definite, one batch;
     indefinite, slabs s = 2t against the anchor 2p, so slab s holds the
     vectors of slab t = s / 2 against p, and the odd slabs are empty.  The
@@ -752,7 +777,7 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
     With the table of exceptional classes on data (K anchors the plus side,
     and the minus side, in K-perp, is the complete one) and t_bound >= 2,
     the witness is (c, g c) for the lowest table entry c with c . g c = 0
-    under data.within (_table_mask "paired"), when there is one.  That is
+    under data.within (_table_entry "paired"), when there is one.  That is
     the search's witness: a pair has c1^2 = -1 and a in K-perp, so
     K.b = 2 K.c1, and K.c1 is odd (route_c), so the first glue slab that
     can pair is |K.b| = 2, slab s = 4 against the anchor 2p, which
@@ -765,10 +790,9 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
     With no such entry the route runs the search as it stands.
     """
     if data.exceptional is not None and t_bound >= 2:
-        c = _lowest(data.exceptional, _table_mask(data, "paired"))
+        c = _table_entry(data.g, data.exceptional, "paired", data.masks, data.within)
         if c is not None:
-            return RouteResult(WITNESS, "swapped_minus1_pair",
-                               (c, tuple(xl.mat_vec(data.g.matrix, c))))
+            return _swapped_pair(data.g, c)
     if data.minus.definite:
         complete_side, complete, other = "minus", data.minus, data.plus
     else:
@@ -780,6 +804,9 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
         if _has_root(complete):
             return RouteResult(CLOSED, "mod2_unsolvable")
         return RouteResult(CLOSED, f"no_{complete_side}_roots")
+    if other.positive == len(other.basis):
+        # a positive definite side has no b with b^2 = -2 to pair
+        return RouteResult(CLOSED, "definite_pairs_exhausted")
     if data.glue is None:
         data.glue = _congruent_sublattice(other, complete, ambient)
     # only the sign-canonical a (first nonzero coordinate positive): the
@@ -797,8 +824,7 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
                 if best is None or c1 < best:
                     best = c1
         if best is not None:
-            return RouteResult(WITNESS, "swapped_minus1_pair",
-                               (best, tuple(xl.mat_vec(data.g.matrix, best))))
+            return _swapped_pair(data.g, best)
     if other.definite:
         return RouteResult(CLOSED, "definite_pairs_exhausted")
     return RouteResult(OPEN, f"searched(t<={t_bound})")
@@ -828,12 +854,55 @@ def iter_routes(data: EigenData, n: int, t_bound: int):
             ("e", lambda: route_e(data, t_bound)))
     for name, run in runs:
         res, bound = data.results.get(name, (None, None))
-        holds = res is not None and (res.status == CLOSED or bound == t_bound
-                                     or (res.status == WITNESS and bound < t_bound))
-        if not holds:
+        if res is None or not result_holds(res, bound, t_bound):
             res = run()
             data.results[name] = (res, t_bound)
         yield name, res
+
+
+def result_holds(res: RouteResult, bound: int, t_bound: int) -> bool:
+    """Whether the route result res, got at bound, is the route's result at
+    t_bound, by the rule of iter_routes: closed at every bound, a witness at
+    every bound >= its own, open at its own bound only."""
+    return (res.status == CLOSED or bound == t_bound
+            or (res.status == WITNESS and bound < t_bound))
+
+
+def table_witnesses(name: str, g: Isometry, n: int, t_bound: int) -> Optional[Tuple[Coords, ...]]:
+    """The witnesses route name returns at t_bound for the K-fixing
+    involution g of M_n, 2 <= n <= 8, when it reads them off its first
+    K-slab table, else None: what the route reads on eigen_data(g, K),
+    through the same reader, with no eigen data built.  Route a reads
+    _fixed_unit (n <= 7, t_bound >= 3), route c and route d (t_bound >= 2)
+    the lowest fixed and paired entries of the table of exceptional classes
+    (_table_entry), and route b scans the fixed conics (_conic_pair,
+    t_bound >= 2) against the plus side alone: one kernel of g - 1 with K's
+    coordinates, and the signature (1, r - 1) that eigen_data gives it.
+
+    Each route reads its table after its closures, and routes a and c only
+    on an indefinite plus side (a definite one is Z K, which holds no class
+    of square +-1 for n <= 7), so what is read here is the route's witness
+    whenever the route ends in a witness at t_bound, and not otherwise:
+    irreducibility's class record, which knows that of g's class, is the
+    one caller."""
+    if name == "b":
+        if t_bound < 2:
+            return None
+        plus, coords = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1),
+                                 canonical_class(n).coords)
+        side = _side(g.lattice.gram, tuple(map(tuple, plus)), coords, (1, len(plus) - 1))
+        hit = _conic_pair(side, g)
+        return None if hit is None else hit.witnesses
+    if name == "a" and n <= 7 and t_bound >= 3:
+        c = _fixed_unit(g, n)
+    elif name == "c":
+        c = _table_entry(g, _slab_table(n, -1, 1), "fixed", {})
+    elif name == "d" and t_bound >= 2:
+        c = _table_entry(g, _slab_table(n, -1, 1), "paired", {})
+        return None if c is None else _swapped_pair(g, c).witnesses
+    else:
+        return None
+    return None if c is None else (c,)
 
 
 def route_flags(data: EigenData, n: int) -> Tuple[Optional[bool], ...]:

@@ -23,15 +23,16 @@ conjugation invariant, and it is complete for n = 2..8:
 tests/test_involutions.py::test_frame_triples_are_class_orbits walks the
 orbit of one key of each triple group of frame candidates and finds the
 whole group in it.  _class_triple reads the triple off g for all the
-sign-canonical roots at once.  minus_root_key, are_conjugate, find_class and
-invariant_of all read it after one check, _check_fixes_k, and
-classify_involutions compares the frame triples.  The first key of each
-group in sorted order represents its class; the involution and its
-invariants are built for these representatives only.  Each
-representative's eigen data, criteria.eigen_data(g, K), is built once: it
-gives the invariant, flags included, and stays on the class, from which
-dpz classify decides the class (irreducibility._verdict) with the flag
-routes' results reused, and names it by comparing class triples.
+sign-canonical roots at once; _root_triple, its body, reads it with no
+root id, as irreducibility's class record does.  minus_root_key,
+are_conjugate, find_class and invariant_of all read it after one check,
+_check_fixes_k, and classify_involutions compares the frame triples.  The
+first key of each group in sorted order represents its class; the
+involution and its invariants are built for these representatives only.
+Each representative's eigen data, criteria.eigen_data(g, K), is built
+once: it gives the invariant, flags included, and stays on the class, from
+which dpz classify decides the class (irreducibility._verdict) with the
+flag routes' results reused, and names it by comparing class triples.
 
 Both the orthogonality table and _class_triple run on the root planes of
 weyl._slab_table(n, -2, 0), not one root at a time: for each coordinate i
@@ -330,24 +331,38 @@ def _ids_of(mask: int, ids: Sequence[int]) -> RootSetKey:
 def _class_triple(g: Isometry, n: int) -> Tuple[RootSetKey, Tuple[int, int, int]]:
     """(key, (|S|, |key|, fixed pairs)) of a K-fixing involution g.
 
+    The key holds the ids of the sign-canonical roots x that g negates,
+    which are the roots of the antifixed lattice (_root_triple).  The
+    caller has tested that g fixes K and g^2 = 1.
+    """
+    ids = _canonical_ids(n)    # InputError from enumerate_roots outside 2 <= n <= 8
+    negated, triple = _root_triple(g, n)
+    return _ids_of(negated, ids), triple
+
+
+def _root_triple(g: Isometry, n: int) -> Tuple[int, Tuple[int, int, int]]:
+    """(negated, (|S|, |key|, fixed pairs)) of a K-fixing involution g, with
+    negated the bitmask of the sign-canonical roots x that g negates and no
+    root id read: the class triple of _class_triple, which needs only the
+    root planes, not the sorted root list.
+
     g acts on every sign-canonical root x at once, through the root planes
     (weyl._slab_table(n, -2, 0)): row k of g applied to the planes gives
     coordinate k of every g x, and its sum with or difference from plane k
-    gives that coordinate of g x + x or g x - x.  The key holds the ids of the x that
-    g negates, which are the roots of the antifixed lattice, and fixed
-    pairs counts the x that g fixes.  |S| = (n + 1 - tr g) / 2 is the
-    antifixed rank.  The caller has tested that g fixes K and g^2 = 1,
-    which keeps each field of g x -+ x within the bound of the planes.
+    gives that coordinate of g x + x or g x - x.  |key| counts the x that g
+    negates, and fixed pairs the x that g fixes.  |S| = (n + 1 - tr g) / 2
+    is the antifixed rank.  The caller has tested that g fixes K and
+    g^2 = 1, which keeps each field of g x -+ x within the bound of the
+    planes.
     """
-    ids = _canonical_ids(n)    # InputError from enumerate_roots outside 2 <= n <= 8
-    _, planes, offset = _slab_table(n, -2, 0)
-    fixed = negated = (1 << len(ids)) - 1
+    vectors, planes, offset = _slab_table(n, -2, 0)
+    size = len(vectors)
+    fixed = negated = (1 << size) - 1
     for row, plane in zip(g.matrix, planes):
         image = sum(map(mul, row, planes))
-        fixed &= _zero_fields(image - plane, offset, len(ids))
-        negated &= _zero_fields(image + plane, offset, len(ids))
-    key = _ids_of(negated, ids)
-    return key, ((n + 1 - g.trace()) // 2, len(key), fixed.bit_count())
+        fixed &= _zero_fields(image - plane, offset, size)
+        negated &= _zero_fields(image + plane, offset, size)
+    return negated, ((n + 1 - g.trace()) // 2, negated.bit_count(), fixed.bit_count())
 
 
 def _check_fixes_k(g: Isometry, n: int) -> None:

@@ -14,14 +14,36 @@ bases and leaf bases of g' are mapped back with h^-1, so what is returned
 belongs to g.  A decided verdict is exact, hence the same in every basis;
 the reduction is what keeps the bounded searches decided in any basis.
 check_reducible keeps an involution that fixes K as it is, with K as its
-anchor (the catalog and the invariant flags rest on that); decompose
-reduces every input, and anchors with K the same way when K^2 > 0.
+anchor (the catalog and the invariant flags rest on that), and decides it
+by its class record (below); decompose reduces every input, and anchors
+with K the same way when K^2 > 0.
 
-One verdict path.  check_reducible builds the eigen data and hands it to
-_verdict, which runs the routes and writes the certificate.  dpz classify
-hands _verdict the eigen data each class keeps from its invariant (the
-representative fixes K, so it is the data check_reducible would build), and
-the routes the invariant flags already decided are not run again.
+One verdict path.  _certify turns route results, in order a..e, into the
+verdict and its certificate.  check_reducible hands it the class record's
+results where they hold, and otherwise calls _verdict, which runs the
+routes on the eigen data.  dpz classify hands _verdict the eigen data each
+class keeps from its invariant (the representative fixes K, so it is the
+data check_reducible would build), and the routes the invariant flags
+already decided are not run again.
+
+The class record.  Every route outcome on a K-fixing involution g is a
+class invariant.  Conjugation by an isometry h that fixes K maps both
+eigenlattices of g onto those of h g h^-1 and fixes the anchor K.  So the
+parity, mod-4 and mod-2 closures, the complete searches and the anchored
+slab searches end the same way on every member of g's class.  Only the
+witness vector belongs to the basis.  _CLASS_RECORD keeps, by n and class
+triple (involutions._root_triple, complete on the K-fixing classes), each
+route's status and reason with the bound it ran at, and never a witness.
+A result is reused where criteria.result_holds says it holds, the rule of
+criteria.iter_routes.  The first member of a class fills the record from
+its eigen data; the first check at each n is keyed at the second
+(_class_record), so a process that checks one involution builds no root
+planes.  A later member is certified an involution by the symmetry of J g
+(_squares_to_one) and reads its own witness off its K-slab tables
+(criteria.table_witnesses), so it builds no eigenlattice, except the plus
+side that route b's conic scan reads.  A record miss, a result that does
+not hold at the bound, or a witness beyond the tables falls back to the
+eigen data.  So does every input whose chamber conjugate moves K.
 
 decompose starts from the eigen data check_reducible builds and runs routes
 c, d and e of the criteria search engine on it, in that order: the first
@@ -56,11 +78,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, is_json_int
 from . import criteria
 from . import exactlinalg as xl
+from .involutions import _root_triple
 from .lattice import Isometry, LatticeVector, del_pezzo_lattice, gram_of
 from .weyl import canonical_class, chamber_conjugate
 
@@ -175,6 +198,16 @@ def _obstruction_kind(results) -> str:
     return "ExhaustedSearchObstruction"
 
 
+# The class record: by (n, class triple) of a K-fixing involution, each
+# route's last result on a member of the class, as (RouteResult with its
+# status and reason and no witness, the bound it was got at)
+_CLASS_RECORD: Dict[Tuple[int, Tuple[int, int, int]],
+                    Dict[str, Tuple[criteria.RouteResult, int]]] = {}
+# By n, the first K-fixing involution checked at n with its record, until
+# the second check at n keys it (_class_record); None once keyed
+_UNKEYED: Dict[int, Optional[Tuple[Isometry, Dict[str, Tuple[criteria.RouteResult, int]]]]] = {}
+
+
 def check_reducible(g: Isometry, n: Optional[int] = None,
                     height_bound: Optional[int] = None) -> Verdict:
     """Decide reducibility of any involution of the blowup lattice M_n.
@@ -182,8 +215,12 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     An involution that fixes K is decided as given, with K as the anchor of
     its fixed side.  Any other one is decided as its chamber conjugate
     g' = h g h^-1, and the witnesses are mapped back with h^-1.  g is not
-    squared: the eigen data's two kernels certify g^2 = 1
-    (lattice.eigenbases), and an isometry that fails their rank test raises
+    squared.  A K-fixing g (or g') is an involution exactly when J g is
+    symmetric (_squares_to_one), which is tested before its class triple is
+    read; the route statuses then come from the class record where it holds
+    (_recorded_routes), and otherwise from the eigen data, which fill the
+    record.  On any other g' the eigen data's two kernels certify g^2 = 1
+    (lattice.eigenbases).  Either test raises
     InputError("not an involution").
     """
     if n is None:
@@ -198,18 +235,92 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     if tuple(xl.mat_vec(g.matrix, k.coords)) != k.coords:
         # defined on any isometry; g' is an involution exactly when g is one
         g, h_inv = chamber_conjugate(g)
-    return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
+        if tuple(xl.mat_vec(g.matrix, k.coords)) != k.coords:
+            return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
+    if not _squares_to_one(g):
+        raise InputError("not an involution")
+    record = _class_record(g, n)
+    results = _recorded_routes(record, g, n, bound)
+    if results is not None:
+        return _certify(results, bound, h_inv)
+    data = criteria.eigen_data(g, k)
+    verdict = _verdict(data, n, bound, h_inv)
+    record.update((name, (criteria.RouteResult(res.status, res.reason), at))
+                  for name, (res, at) in data.results.items())
+    return verdict
+
+
+def _class_record(g: Isometry, n: int):
+    """The record of the class of the K-fixing involution g, kept in
+    _CLASS_RECORD by n and class triple.  The triple reads the root planes
+    of M_n (involutions._root_triple), which a process that checks one
+    involution at n never needs otherwise: so the first check at n gets a
+    record of its own, and the second check at n keys it by the first
+    involution's triple."""
+    if n not in _UNKEYED:
+        _UNKEYED[n] = (g, {})
+        return _UNKEYED[n][1]
+    first = _UNKEYED[n]
+    if first is not None:
+        _UNKEYED[n] = None
+        _CLASS_RECORD.setdefault((n, _root_triple(first[0], n)[1]), {}).update(first[1])
+    return _CLASS_RECORD.setdefault((n, _root_triple(g, n)[1]), {})
+
+
+def _clear_class_record() -> None:
+    """Empty the class record, as a fresh process has it."""
+    _CLASS_RECORD.clear()
+    _UNKEYED.clear()
+
+
+def _squares_to_one(g: Isometry) -> bool:
+    """Whether the isometry g of M_n has g^2 = 1, with no product formed:
+    g^-1 = J^-1 g^T J for the Gram J = diag(1, -1, ..., -1), so g^2 = 1
+    exactly when J g is symmetric, J_ii g_ij = J_jj g_ji for i > j."""
+    m, gram = g.matrix, g.lattice.gram
+    return all(gram[i][i] * m[i][j] == gram[j][j] * m[j][i]
+               for i in range(len(m)) for j in range(i))
+
+
+def _recorded_routes(record, g: Isometry, n: int, bound: int):
+    """The (name, RouteResult) of routes a..e at the bound for the K-fixing
+    involution g, up to the first witness, from the record of g's class
+    (the class record of the module docstring), else None.  A recorded
+    result is used where criteria.result_holds says it holds at the bound,
+    and a witness is g's own, read off its tables
+    (criteria.table_witnesses).  None, when a route has no result that
+    holds or a witness that no table holds, sends g to the eigen data."""
+    results = []
+    for name in "abcde":
+        entry = record.get(name)
+        if entry is None or not criteria.result_holds(*entry, bound):
+            return None
+        res = entry[0]
+        if res.status == criteria.WITNESS:
+            witnesses = criteria.table_witnesses(name, g, n, bound)
+            if witnesses is None:
+                return None
+            results.append((name, dataclasses.replace(res, witnesses=witnesses)))
+            break
+        results.append((name, res))
+    return results
 
 
 def _verdict(data: criteria.EigenData, n: int, bound: int, h_inv=None) -> Verdict:
     """The verdict and certificate of the involution of data, from routes
-    a..e at the bound: the first witness, mapped back with h_inv, makes it
-    Reducible; routes all closed make it Irreducible, with the obstruction
-    the closing reasons name; anything else is Unknown.  Route results
-    already on data are reused where they hold (criteria.iter_routes), as
-    dpz classify does with the eigen data of each class's invariant."""
+    a..e at the bound (_certify).  Route results already on data are reused
+    where they hold (criteria.iter_routes), as dpz classify does with the
+    eigen data of each class's invariant."""
+    return _certify(criteria.iter_routes(data, n, bound), bound, h_inv)
+
+
+def _certify(routes, bound: int, h_inv=None) -> Verdict:
+    """The verdict and certificate of the (name, RouteResult) of routes, in
+    order a..e, read lazily: the first witness, mapped back with h_inv,
+    makes it Reducible; routes all closed make it Irreducible, with the
+    obstruction the closing reasons name; anything else is Unknown."""
     results = []
-    for name, res in criteria.iter_routes(data, n, bound):
+    for name, res in routes:
         results.append((name, res))
         if res.status == criteria.WITNESS:
             cert = ReducibilityCertificate(

@@ -521,16 +521,23 @@ def test_route_d_matches_reference_on_wall_conjugates(bound):
 @pytest.mark.parametrize("seed", (101, 17))
 def test_route_d_matches_reference_on_decompose_streams(monkeypatch, seed):
     # every route_d call decompose makes, on its chamber conjugates and on
-    # the narrowed sides after each split
+    # the narrowed sides after each split; a positive definite other side
+    # closes the route with no glue built
     route_d, outcomes = criteria.route_d, {}
 
     def checked(data, bound):
-        return _route_d_checked(data, bound, outcomes, route_d)
+        got = _route_d_checked(data, bound, outcomes, route_d)
+        other = data.plus if data.minus.definite else data.minus
+        if got.reason == "definite_pairs_exhausted" and other.positive == len(other.basis):
+            assert data.glue is None
+            outcomes["positive_other"] = outcomes.get("positive_other", 0) + 1
+        return got
 
     monkeypatch.setattr(criteria, "route_d", checked)
     for op in bench_inputs().decompose_stream(seed):
         decompose(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n, height_bound=10)
     assert outcomes["witness"] > 100 and outcomes["definite_pairs_exhausted"] > 50
+    assert outcomes["positive_other"] > 50
     assert outcomes["mod2_unsolvable"] > 20 and outcomes["no_minus_roots"] > 10
 
 

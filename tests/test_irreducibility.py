@@ -177,8 +177,10 @@ def test_height_bound_that_is_not_an_int_is_rejected(bound):
 
 
 def test_check_and_decompose_never_square_g(monkeypatch):
-    # the kernels of g - 1 and g + 1 certify g^2 = 1, so neither entry point
-    # squares g, on a K-fixing input or on a chamber conjugate
+    # neither entry point squares g, on a K-fixing input or on a chamber
+    # conjugate: check_reducible certifies g^2 = 1 on a K-fixing g by the
+    # symmetry of J g, before it reads the class triple, and the kernels of
+    # g - 1 and g + 1 certify it everywhere else, decompose included
     from delpezzo.lattice import Isometry
 
     calls = []
@@ -203,7 +205,146 @@ def test_check_and_decompose_never_square_g(monkeypatch):
         for run in (check_reducible, decompose):
             with pytest.raises(InputError, match="^not an involution$"):
                 run(bad, 3)
+    # order 3 and fixes K, met once every n = 8 class is in the record
+    for cls in classify_involutions(8):
+        check_reducible(cls.representative, 8, 2)
+    lat = del_pezzo_lattice(8)
+    r = reflection(lat.vector((0, 0, 0, 0, 0, 0, 1, -1, 0))) @ reflection(
+        lat.vector((0, 0, 0, 0, 0, 0, 0, 1, -1)))
+    assert r.apply(canonical_class(8)) == canonical_class(8)
+    for run in (check_reducible, decompose):
+        with pytest.raises(InputError, match="^not an involution$"):
+            run(r, 8, 2)
+    # the test comes before the record is read: given the triple of m8,
+    # whose routes all close, r would otherwise be Irreducible
+    m8 = irreducibility._root_triple(classify_involutions(8)[-1].representative, 8)
+    monkeypatch.setattr(irreducibility, "_root_triple", lambda g, n: m8)
+    with pytest.raises(InputError, match="^not an involution$"):
+        check_reducible(r, 8, 2)
     assert calls == []
+
+
+RECORD_BOUNDS = (1, 2, 3, 4, 10)
+
+
+def _record_cases():
+    """(n, g, {bound: verdict json}) for the inputs check_reducible decides
+    by the class record: the operations of verify_stream(101) that fix K or
+    whose chamber conjugate does, then the catalog representatives and their
+    wall-word conjugates (_search_path_cases).  The json is the verdict of
+    _verdict on fresh eigen data of g, or of its chamber conjugate with the
+    witnesses mapped back: check_reducible's path with no record."""
+    gs = [(op.n, Isometry(del_pezzo_lattice(op.n), op.matrix))
+          for op in bench_inputs().verify_stream(101)]
+    gs += [(n, g) for n, *pairs in _search_path_cases() for pair in pairs for g in pair]
+    cases = []
+    for n, g in gs:
+        k = canonical_class(n)
+        g_red, h_inv = (g, None) if g.apply(k) == k else chamber_conjugate(g)
+        if g_red.apply(k) == k:
+            cases.append((n, g, {b: irreducibility._verdict(criteria.eigen_data(g_red, k), n, b,
+                                                            h_inv).to_json()
+                                 for b in RECORD_BOUNDS}))
+    return cases
+
+
+def test_class_record_gives_each_input_its_own_verdict(monkeypatch):
+    # whatever order fills the record, every input it decides gets the
+    # verdict of its own eigen data, witnesses and narrative included:
+    # stream order bound by bound, the reverse, and each input at bounds
+    # 10, 1, 2, 10 in turn, the record emptied before each
+    cases = _record_cases()
+    assert len(cases) > 650
+    orders = {
+        "stream": [(i, b) for b in RECORD_BOUNDS for i in range(len(cases))],
+        "reversed": [(i, b) for b in reversed(RECORD_BOUNDS)
+                     for i in reversed(range(len(cases)))],
+        "interleaved": [(i, b) for i in range(len(cases)) for b in (10, 1, 2, 10)],
+    }
+    eigen_data, built = criteria.eigen_data, []
+
+    def counted(*args):
+        built.append(args)
+        return eigen_data(*args)
+
+    monkeypatch.setattr(criteria, "eigen_data", counted)
+    for name, order in orders.items():
+        monkeypatch.setattr(irreducibility, "_CLASS_RECORD", {})
+        monkeypatch.setattr(irreducibility, "_UNKEYED", {})
+        built.clear()
+        for i, b in order:
+            n, g, want = cases[i]
+            assert check_reducible(g, n, b).to_json() == want[b], (name, i, b)
+        # bound by bound, the record decides most calls: one member per
+        # class and bound fills it, and few witnesses lie beyond the tables.
+        # Interleaved bounds replace each other's open results, as
+        # criteria.iter_routes replaces them, and half the calls fall back
+        assert len(built) < len(order) // (2 if name == "interleaved" else 8), name
+
+
+def test_first_check_at_each_n_reads_no_class_triple(monkeypatch):
+    # the class triple reads the root planes of M_n: the first check at n
+    # fills a record of its own, and the second check at n keys it by the
+    # first involution's triple, so the second class member reuses it
+    monkeypatch.setattr(irreducibility, "_CLASS_RECORD", {})
+    monkeypatch.setattr(irreducibility, "_UNKEYED", {})
+    root_triple, keyed = irreducibility._root_triple, []
+
+    def counted(g, n):
+        keyed.append(g)
+        return root_triple(g, n)
+
+    monkeypatch.setattr(irreducibility, "_root_triple", counted)
+    g = classify_involutions(6)[1].representative
+    w = reflection(del_pezzo_lattice(6).vector((0, 1, -1, 0, 0, 0, 0)))
+    first = check_reducible(g, 6, 2)
+    assert keyed == [] and irreducibility._CLASS_RECORD == {}
+    eigen_data, built = criteria.eigen_data, []
+    monkeypatch.setattr(criteria, "eigen_data", lambda *a: built.append(a) or eigen_data(*a))
+    second = check_reducible(w @ g @ w, 6, 2)
+    assert keyed == [g, w @ g @ w] and built == []
+    assert list(irreducibility._CLASS_RECORD) == [(6, root_triple(g, 6)[1])]
+    assert first.certificate.kind == second.certificate.kind
+
+
+def test_warm_record_builds_no_eigen_data(monkeypatch):
+    # once its class is in the record, a K-fixing input decided by closures
+    # or by a table read calls neither eigen_data nor xl.kernel, and one
+    # with a route-b witness calls xl.kernel once, for the plus side that
+    # the conic scan's partner test reads
+    monkeypatch.setattr(irreducibility, "_CLASS_RECORD", {})
+    monkeypatch.setattr(irreducibility, "_UNKEYED", {})
+    rng = random.Random(3535)
+    counts = {}
+
+    def counted(name, f):
+        def run(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return run
+
+    kinds = set()
+    for bound in (2, 3):
+        for n in range(2, 9):
+            walls = canonical_generators(n)
+            for cls in classify_involutions(n):
+                check_reducible(cls.representative, n, bound)
+                w = identity_isometry(del_pezzo_lattice(n))
+                for _ in range(12):
+                    w = w @ rng.choice(walls)
+                g = w @ cls.representative @ w.inverse()
+                counts.update(eigen_data=0, kernel=0)
+                with monkeypatch.context() as m:
+                    m.setattr(criteria, "eigen_data", counted("eigen_data", criteria.eigen_data))
+                    m.setattr(xl, "kernel", counted("kernel", xl.kernel))
+                    verdict = check_reducible(g, n, bound)
+                kind = verdict.certificate.kind
+                kinds.add(kind)
+                assert counts == {"eigen_data": 0,
+                                  "kernel": int(kind == "FixedHyperbolicPair")}, (n, cls.label)
+    assert kinds == {"FixedNormPlus1", "FixedHyperbolicPair", "FixedNormMinus1",
+                     "SwappedOrFixedMinus1Pair", "EvenFixedLatticeObstruction",
+                     "Mod2Obstruction"}
 
 
 def _search_path_cases():

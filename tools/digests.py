@@ -17,15 +17,22 @@ json.dumps(outs, sort_keys=True), for outs:
                          decompose_stream(S), for S = 101..110, 17 and 211.
 
 verify_seed101_bound2 and decompose_seed17 are the two digests that
-tests/test_golden.py::test_stream_digests pins.  perfbench/inputs.py is
-read, not changed, and the package is imported from this checkout's src.
+tests/test_golden.py::test_stream_digests pins.
+
+check_reducible keeps a record of route outcomes per class of K-fixing
+involutions, which the stream fills in its own order.  So the tool also
+empties that record and recomputes each verify_seed<S>_bound2 over the
+reversed stream of S in the same process, the outputs put back in stream
+order, and names every seed whose digest differs from the forward one.
+perfbench/inputs.py is read, not changed, and the package is imported from
+this checkout's src.
 
 The tool prints the table and compares it with tools/digests.json: it exits
 1 naming every entry that differs from the file, or is missing from it or
-from the table, and 0 when all agree.  When the file does not exist it is
-written from the table.  A change that moves an output rewrites the
-affected entries of the file (delete it and run the tool once) and lists
-them.
+from the table, or whose reversed stream differs, and 0 when all agree.
+When the file does not exist it is written from the table.  A change that
+moves an output rewrites the affected entries of the file (delete it and
+run the tool once) and lists them.
 """
 from __future__ import annotations
 
@@ -42,13 +49,14 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).with_name("digests.json")
 sys.path.insert(0, str(ROOT / "src"))
 
-from delpezzo import cli  # noqa: E402
+from delpezzo import cli, irreducibility  # noqa: E402
 from delpezzo.involutions import classify_involutions  # noqa: E402
 from delpezzo.irreducibility import check_reducible, decompose  # noqa: E402
 from delpezzo.lattice import Isometry, del_pezzo_lattice  # noqa: E402
 
 CLASSIFY_BOUNDS = (None, 1, 2, 3, 4, 5)
 VERIFY_SEEDS, VERIFY_BOUNDS = (101, 102, 103), (1, 2, 10)
+REVERSED_BOUND = 2
 DECOMPOSE_SEEDS = tuple(range(101, 111)) + (17, 211)
 
 
@@ -94,8 +102,7 @@ def compute() -> dict:
             table[f"classify_n{n}_{name}"] = digest(classify_stdout(n, bound))
     inputs = bench_inputs()
     for seed in VERIFY_SEEDS:
-        ops = [(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n)
-               for op in inputs.verify_stream(seed)]
+        ops = verify_ops(inputs, seed)
         for bound in VERIFY_BOUNDS:
             table[f"verify_seed{seed}_bound{bound}"] = digest(
                 [check_reducible(g, n, height_bound=bound).to_json() for g, n in ops])
@@ -106,10 +113,35 @@ def compute() -> dict:
     return table
 
 
+def verify_ops(inputs, seed: int):
+    """(g, n) for every operation of verify_stream(seed)."""
+    return [(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n)
+            for op in inputs.verify_stream(seed)]
+
+
+def reversed_differences(table: dict):
+    """The verify_seed<S>_bound2 names whose digest over the reversed stream,
+    from an empty class record and put back in stream order, is not the
+    table's."""
+    inputs = bench_inputs()
+    names = []
+    for seed in VERIFY_SEEDS:
+        irreducibility._clear_class_record()
+        outs = [check_reducible(g, n, height_bound=REVERSED_BOUND).to_json()
+                for g, n in reversed(verify_ops(inputs, seed))]
+        name = f"verify_seed{seed}_bound{REVERSED_BOUND}"
+        if digest(outs[::-1]) != table[name]:
+            names.append(name)
+    return names
+
+
 def main() -> int:
     if len(sys.argv) > 1:
         raise SystemExit("usage: python3 tools/digests.py (it takes no option)")
     got = compute()
+    reordered = reversed_differences(got)
+    for name in reordered:
+        print(f"{name:26s} DIFFERS over the reversed stream")
     recorded = json.loads(TABLE.read_text()) if TABLE.exists() else None
     differs = []
     for name, value in got.items():
@@ -121,14 +153,16 @@ def main() -> int:
     if recorded is None:
         TABLE.write_text(json.dumps(got, indent=1) + "\n")
         print(f"wrote {len(got)} entries to {TABLE.relative_to(ROOT)}")
-        return 0
+        return int(bool(reordered))
     for name in sorted(set(recorded) - set(got)):
         print(f"{name:26s} {'-' * 16}  DIFFERS (recorded {recorded[name]}, not computed)")
         differs.append(name)
     if differs:
         print(f"{len(differs)} of {len(got)} entries differ: {' '.join(differs)}")
+    if differs or reordered:
         return 1
-    print(f"all {len(got)} entries match {TABLE.relative_to(ROOT)}")
+    print(f"all {len(got)} entries match {TABLE.relative_to(ROOT)}, "
+          f"and each verify stream reversed at bound {REVERSED_BOUND}")
     return 0
 
 
