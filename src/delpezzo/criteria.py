@@ -96,21 +96,23 @@ the roots of the two Lambdas by parity.
 Witnesses are returned as ambient int tuples too, so no route builds a
 lattice vector.
 
-This is the one search engine of the package: check_reducible runs the
-routes on eigen_data for the first member of each class of K-fixing
-involutions it meets and for every input whose chamber conjugate moves K.
-Other members take each route's status and reason from irreducibility's
-class record and their own witness from table_witnesses, which calls the
-routes' own table readers.  decompose starts from the same eigen_data, splits
-with routes c, d and e and narrows both sides (_side) and the table's mask
-after each split, and invariant_of builds its eigenlattices with eigen_data
-and runs the flag routes a-d on them at FLAG_BOUND.  classify_involutions
-builds each representative's eigen data once and keeps it on the class, and
-dpz classify decides the class from that same data: iter_routes keeps every
-route result on the eigen data with its bound and reuses each one that
-holds at the bound asked for, so a route runs again only where its flag
-result does not decide it.  Every anchor search uses one box radius,
-ANCHOR_RADIUS.
+This is the one search engine of the package, and iter_routes is its one
+rule of reuse: every route result is kept on the eigen data it ran on, with
+its bound, and reused at any bound where it still holds.  check_reducible
+keeps the eigen data of the first member of each class of K-fixing
+involutions it meets (irreducibility's class record) and runs the routes on
+it through iter_routes.  Every other member of the class takes each route's
+status and reason from that data and its own witness from table_witnesses,
+which calls the routes' own table readers; an input whose chamber conjugate
+moves K runs the routes on its own eigen_data.  decompose starts from the
+same eigen_data, splits with routes c, d and e and narrows both sides
+(_side) and the table's mask after each split, and invariant_of builds its
+eigenlattices with eigen_data and runs the flag routes a-d on them at
+FLAG_BOUND through iter_routes.  classify_involutions builds each
+representative's eigen data once and keeps it on the class, and dpz
+classify decides the class from that same data, so a route runs again only
+where its flag result does not decide it.  Every anchor search uses one
+box radius, ANCHOR_RADIUS.
 """
 from __future__ import annotations
 
@@ -223,7 +225,10 @@ class EigenData:
     other side (_congruent_sublattice), built at its first search and kept,
     with its AnchorFrame, for every later route_d call.  results holds, by
     route name, the last RouteResult iter_routes got and the bound it ran
-    at, which iter_routes reuses by the rule its docstring states.
+    at, which iter_routes reuses by the rule its docstring states.  On the
+    eigen data of a K-fixing involution, every status and reason in results
+    is also that of each conjugate of g under the stabilizer of K; only the
+    witnesses are g's own (irreducibility's class record).
 
     exceptional is the table of exceptional classes, the (classes, planes,
     offset) of weyl._slab_table(n, -1, 1), when a canonical class anchors
@@ -837,7 +842,9 @@ def route_e(data: EigenData, t_bound: int) -> RouteResult:
 
 def iter_routes(data: EigenData, n: int, t_bound: int):
     """The five routes in priority order a..e, evaluated lazily, each result
-    kept on data with its bound and reused where it holds at t_bound.
+    kept on data with its bound and reused where it holds at t_bound: the
+    one rule of reuse of the package, for dpz classify's class data and
+    check_reducible's class record alike.
 
     A closed route stays closed at every bound: parity, mod 4, a complete
     definite search, mod2_unsolvable and definite_pairs_exhausted never read
@@ -854,18 +861,11 @@ def iter_routes(data: EigenData, n: int, t_bound: int):
             ("e", lambda: route_e(data, t_bound)))
     for name, run in runs:
         res, bound = data.results.get(name, (None, None))
-        if res is None or not result_holds(res, bound, t_bound):
+        if res is None or not (res.status == CLOSED or bound == t_bound
+                               or (res.status == WITNESS and bound < t_bound)):
             res = run()
             data.results[name] = (res, t_bound)
         yield name, res
-
-
-def result_holds(res: RouteResult, bound: int, t_bound: int) -> bool:
-    """Whether the route result res, got at bound, is the route's result at
-    t_bound, by the rule of iter_routes: closed at every bound, a witness at
-    every bound >= its own, open at its own bound only."""
-    return (res.status == CLOSED or bound == t_bound
-            or (res.status == WITNESS and bound < t_bound))
 
 
 def table_witnesses(name: str, g: Isometry, n: int, t_bound: int) -> Optional[Tuple[Coords, ...]]:
@@ -882,9 +882,11 @@ def table_witnesses(name: str, g: Isometry, n: int, t_bound: int) -> Optional[Tu
     Each route reads its table after its closures, and routes a and c only
     on an indefinite plus side (a definite one is Z K, which holds no class
     of square +-1 for n <= 7), so what is read here is the route's witness
-    whenever the route ends in a witness at t_bound, and not otherwise:
-    irreducibility's class record, which knows that of g's class, is the
-    one caller."""
+    whenever the route ends in a witness at t_bound, and not otherwise.
+    Whether it does is a class invariant, which the caller reads off
+    iter_routes on the eigen data of another member of g's class:
+    irreducibility's class record is the one caller, and a witness that is
+    not read here sends g to its own eigen data."""
     if name == "b":
         if t_bound < 2:
             return None

@@ -19,12 +19,14 @@ by its class record (below); decompose reduces every input, and anchors
 with K the same way when K^2 > 0.
 
 One verdict path.  _certify turns route results, in order a..e, into the
-verdict and its certificate.  check_reducible hands it the class record's
-results where they hold, and otherwise calls _verdict, which runs the
-routes on the eigen data.  dpz classify hands _verdict the eigen data each
-class keeps from its invariant (the representative fixes K, so it is the
-data check_reducible would build), and the routes the invariant flags
-already decided are not run again.
+verdict and its certificate, and criteria.iter_routes gives them: every
+route result is kept on the eigen data it ran on, with its bound, and
+reused where it holds.  _verdict hands _certify iter_routes on an
+involution's own eigen data, and check_reducible reads iter_routes on the
+eigen data its class record keeps (below).  dpz classify hands _verdict the
+eigen data each class keeps from its invariant (the representative fixes K,
+so it is the data check_reducible would build), and the routes the
+invariant flags already decided are not run again.
 
 The class record.  Every route outcome on a K-fixing involution g is a
 class invariant.  Conjugation by an isometry h that fixes K maps both
@@ -32,18 +34,17 @@ eigenlattices of g onto those of h g h^-1 and fixes the anchor K.  So the
 parity, mod-4 and mod-2 closures, the complete searches and the anchored
 slab searches end the same way on every member of g's class.  Only the
 witness vector belongs to the basis.  _CLASS_RECORD keeps, by n and class
-triple (involutions._root_triple, complete on the K-fixing classes), each
-route's status and reason with the bound it ran at, and never a witness.
-A result is reused where criteria.result_holds says it holds, the rule of
-criteria.iter_routes.  The first member of a class fills the record from
-its eigen data; the first check at each n is keyed at the second
-(_class_record), so a process that checks one involution builds no root
-planes.  A later member is certified an involution by the symmetry of J g
-(_squares_to_one) and reads its own witness off its K-slab tables
-(criteria.table_witnesses), so it builds no eigenlattice, except the plus
-side that route b's conic scan reads.  A record miss, a result that does
-not hold at the bound, or a witness beyond the tables falls back to the
-eigen data.  So does every input whose chamber conjugate moves K.
+triple (involutions._root_triple, complete on the K-fixing classes), the
+eigen data of the first member of each class that check_reducible meets.
+That member is decided by _verdict on it.  Every later member is certified
+an involution by Isometry.is_involution (the symmetry of J g), takes each
+route's status and reason from iter_routes on the stored data, and reads
+its own witness off its K-slab tables (criteria.table_witnesses), so it
+builds no eigenlattice, except the plus side that route b's conic scan
+reads.  A bound the class has not met runs the route again on the stored
+data, on its anchor frames and glue.  Only a witness beyond the tables
+sends a member to its own eigen data, as every input whose chamber
+conjugate moves K goes to its own.
 
 decompose starts from the eigen data check_reducible builds and runs routes
 c, d and e of the criteria search engine on it, in that order: the first
@@ -198,14 +199,9 @@ def _obstruction_kind(results) -> str:
     return "ExhaustedSearchObstruction"
 
 
-# The class record: by (n, class triple) of a K-fixing involution, each
-# route's last result on a member of the class, as (RouteResult with its
-# status and reason and no witness, the bound it was got at)
-_CLASS_RECORD: Dict[Tuple[int, Tuple[int, int, int]],
-                    Dict[str, Tuple[criteria.RouteResult, int]]] = {}
-# By n, the first K-fixing involution checked at n with its record, until
-# the second check at n keys it (_class_record); None once keyed
-_UNKEYED: Dict[int, Optional[Tuple[Isometry, Dict[str, Tuple[criteria.RouteResult, int]]]]] = {}
+# The class record: by (n, class triple) of a K-fixing involution, the
+# eigen data of the first member of the class that check_reducible met
+_CLASS_RECORD: Dict[Tuple[int, Tuple[int, int, int]], criteria.EigenData] = {}
 
 
 def check_reducible(g: Isometry, n: Optional[int] = None,
@@ -215,13 +211,14 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     An involution that fixes K is decided as given, with K as the anchor of
     its fixed side.  Any other one is decided as its chamber conjugate
     g' = h g h^-1, and the witnesses are mapped back with h^-1.  g is not
-    squared.  A K-fixing g (or g') is an involution exactly when J g is
-    symmetric (_squares_to_one), which is tested before its class triple is
-    read; the route statuses then come from the class record where it holds
-    (_recorded_routes), and otherwise from the eigen data, which fill the
-    record.  On any other g' the eigen data's two kernels certify g^2 = 1
-    (lattice.eigenbases).  Either test raises
-    InputError("not an involution").
+    squared.  A K-fixing g (or g') is tested by Isometry.is_involution,
+    which reads the symmetry of J g, before its class triple is read; it is
+    then decided on the eigen data of its class's first member, kept in the
+    class record: by _verdict when it is that member, else by the route
+    statuses of that data and its own witness (_member_routes).  On any
+    other g' the eigen data's two kernels certify g^2 = 1
+    (lattice.eigenbases).  Either test raises InputError("not an
+    involution").
     """
     if n is None:
         n = g.lattice.rank - 1
@@ -237,65 +234,35 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
         g, h_inv = chamber_conjugate(g)
         if tuple(xl.mat_vec(g.matrix, k.coords)) != k.coords:
             return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
-    if not _squares_to_one(g):
+    if not g.is_involution():
         raise InputError("not an involution")
-    record = _class_record(g, n)
-    results = _recorded_routes(record, g, n, bound)
-    if results is not None:
-        return _certify(results, bound, h_inv)
-    data = criteria.eigen_data(g, k)
-    verdict = _verdict(data, n, bound, h_inv)
-    record.update((name, (criteria.RouteResult(res.status, res.reason), at))
-                  for name, (res, at) in data.results.items())
-    return verdict
-
-
-def _class_record(g: Isometry, n: int):
-    """The record of the class of the K-fixing involution g, kept in
-    _CLASS_RECORD by n and class triple.  The triple reads the root planes
-    of M_n (involutions._root_triple), which a process that checks one
-    involution at n never needs otherwise: so the first check at n gets a
-    record of its own, and the second check at n keys it by the first
-    involution's triple."""
-    if n not in _UNKEYED:
-        _UNKEYED[n] = (g, {})
-        return _UNKEYED[n][1]
-    first = _UNKEYED[n]
-    if first is not None:
-        _UNKEYED[n] = None
-        _CLASS_RECORD.setdefault((n, _root_triple(first[0], n)[1]), {}).update(first[1])
-    return _CLASS_RECORD.setdefault((n, _root_triple(g, n)[1]), {})
+    key = (n, _root_triple(g, n)[1])
+    data = _CLASS_RECORD.get(key)
+    if data is None:
+        data = _CLASS_RECORD[key] = criteria.eigen_data(g, k)
+    if data.g.matrix == g.matrix:
+        return _verdict(data, n, bound, h_inv)
+    results = _member_routes(data, g, n, bound)
+    if results is None:
+        return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
+    return _certify(results, bound, h_inv)
 
 
 def _clear_class_record() -> None:
     """Empty the class record, as a fresh process has it."""
     _CLASS_RECORD.clear()
-    _UNKEYED.clear()
 
 
-def _squares_to_one(g: Isometry) -> bool:
-    """Whether the isometry g of M_n has g^2 = 1, with no product formed:
-    g^-1 = J^-1 g^T J for the Gram J = diag(1, -1, ..., -1), so g^2 = 1
-    exactly when J g is symmetric, J_ii g_ij = J_jj g_ji for i > j."""
-    m, gram = g.matrix, g.lattice.gram
-    return all(gram[i][i] * m[i][j] == gram[j][j] * m[j][i]
-               for i in range(len(m)) for j in range(i))
-
-
-def _recorded_routes(record, g: Isometry, n: int, bound: int):
+def _member_routes(data: criteria.EigenData, g: Isometry, n: int, bound: int):
     """The (name, RouteResult) of routes a..e at the bound for the K-fixing
-    involution g, up to the first witness, from the record of g's class
-    (the class record of the module docstring), else None.  A recorded
-    result is used where criteria.result_holds says it holds at the bound,
+    involution g, up to the first witness, from the eigen data of another
+    member of g's class (the class record of the module docstring), else
+    None.  Each status and reason is that of criteria.iter_routes on data,
     and a witness is g's own, read off its tables
-    (criteria.table_witnesses).  None, when a route has no result that
-    holds or a witness that no table holds, sends g to the eigen data."""
+    (criteria.table_witnesses); None, for a witness that no table holds,
+    sends g to its own eigen data."""
     results = []
-    for name in "abcde":
-        entry = record.get(name)
-        if entry is None or not criteria.result_holds(*entry, bound):
-            return None
-        res = entry[0]
+    for name, res in criteria.iter_routes(data, n, bound):
         if res.status == criteria.WITNESS:
             witnesses = criteria.table_witnesses(name, g, n, bound)
             if witnesses is None:

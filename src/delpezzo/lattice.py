@@ -128,6 +128,13 @@ def _diagonal(gram: Tuple[Tuple[int, ...], ...]) -> Optional[Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _unit_diagonal(gram: Tuple[Tuple[int, ...], ...]) -> Optional[Tuple[int, ...]]:
+    """The diagonal of a diagonal +-1 form, else None."""
+    diag = _diagonal(gram)
+    return diag if diag is not None and all(d in (1, -1) for d in diag) else None
+
+
+@lru_cache(maxsize=None)
 def _is_degenerate(gram: Tuple[Tuple[int, ...], ...]) -> bool:
     """Whether det gram == 0; a diagonal form is read off its diagonal."""
     diag = _diagonal(gram)
@@ -313,8 +320,8 @@ class Isometry:
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        diag = _diagonal(self.lattice.gram)
-        if diag is not None and all(d in (1, -1) for d in diag):
+        diag = _unit_diagonal(self.lattice.gram)
+        if diag is not None:
             # g^-1 = G^-1 g^T G, and G^-1 = G for a diagonal +-1 form
             size = len(diag)
             m = tuple(tuple(diag[i] * self.matrix[j][i] * diag[j] for j in range(size))
@@ -328,8 +335,15 @@ class Isometry:
                    for i in range(self.lattice.rank) for j in range(self.lattice.rank))
 
     def is_involution(self) -> bool:
-        sq = xl.mat_mul(self.matrix, self.matrix)
-        return xl.mat_eq(sq, xl.identity(self.lattice.rank))
+        """Whether g^2 = 1.  On a diagonal +-1 form G no product is formed:
+        g^-1 = G g^T G (inverse), so g^2 = 1 exactly when G g is symmetric,
+        G_ii g_ij = G_jj g_ji for i > j.  Other forms square g."""
+        m = self.matrix
+        diag = _unit_diagonal(self.lattice.gram)
+        if diag is not None:
+            return all(diag[i] * m[i][j] == diag[j] * m[j][i]
+                       for i in range(len(m)) for j in range(i))
+        return xl.mat_eq(xl.mat_mul(m, m), xl.identity(self.lattice.rank))
 
     def trace(self) -> int:
         return sum(self.matrix[i][i] for i in range(self.lattice.rank))

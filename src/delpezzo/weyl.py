@@ -184,7 +184,7 @@ def chamber_conjugate(g: Isometry) -> Tuple[Isometry, Tuple[Tuple[int, ...], ...
     x = H + g(H), or H - g(H) when Q(H, gH) < 0, so x^2 = 2 + 2|g_00| > 0
     and its H coefficient is 1 + |g_00| > 0: the reduction runs on any
     isometry, and the caller tests g^2 = 1 on g' (the eigen data of
-    criteria.eigen_data, or irreducibility._squares_to_one).  For an
+    criteria.eigen_data, or Isometry.is_involution).  For an
     involution g(x) = +-x, so the reduced x' is fixed or negated by g'.
     g' is carried along the wall word (_wall_word).  A vector w' of g'
     belongs to g as h^-1 w'.  h^-1 = J h^T J with J = diag(1, -1, ...).

@@ -17,9 +17,11 @@ from delpezzo.lattice import Isometry, del_pezzo_lattice
 from delpezzo.weyl import canonical_class, closure, enumerate_roots, reflection, weyl_generators
 
 
+@lru_cache(maxsize=None)
 def canonical_generators(n):
-    """The reflections in the norm -2 generator vectors (they all fix K)."""
-    return [reflection(v) for v in weyl_generators(n).vectors if v.norm() == -2]
+    """The reflections in the norm -2 generator vectors (they all fix K),
+    built once per n."""
+    return tuple(reflection(v) for v in weyl_generators(n).vectors if v.norm() == -2)
 
 
 def random_group_element(n, rng: random.Random, length: int = 8) -> Isometry:

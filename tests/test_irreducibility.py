@@ -178,25 +178,26 @@ def test_height_bound_that_is_not_an_int_is_rejected(bound):
 
 def test_check_and_decompose_never_square_g(monkeypatch):
     # neither entry point squares g, on a K-fixing input or on a chamber
-    # conjugate: check_reducible certifies g^2 = 1 on a K-fixing g by the
-    # symmetry of J g, before it reads the class triple, and the kernels of
-    # g - 1 and g + 1 certify it everywhere else, decompose included
-    from delpezzo.lattice import Isometry
+    # conjugate: check_reducible certifies g^2 = 1 on a K-fixing g by
+    # Isometry.is_involution, which reads the symmetry of J g on M_n, before
+    # it reads the class triple, and the kernels of g - 1 and g + 1 certify
+    # it everywhere else, decompose included.  A squaring is an xl.mat_mul
+    # call of a matrix by itself
+    squared = []
+    mat_mul = xl.mat_mul
 
-    calls = []
-    is_involution = Isometry.is_involution
+    def counted(a, b):
+        if [list(r) for r in a] == [list(r) for r in b]:
+            squared.append(a)
+        return mat_mul(a, b)
 
-    def counted(self):
-        calls.append(self)
-        return is_involution(self)
-
-    monkeypatch.setattr(Isometry, "is_involution", counted)
+    monkeypatch.setattr(xl, "mat_mul", counted)
     g = classify_involutions(5)[2].representative
     # the negation twist moves K, so both calls also work on a chamber conjugate
     for h in (g, negation_twist(g)):
         for run in (check_reducible, decompose):
             run(h, 5)
-    assert calls == []
+    assert squared == []
     lat = del_pezzo_lattice(3)
     r = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
     # order 4 and moves K: the kernel test runs on its chamber conjugate
@@ -221,7 +222,7 @@ def test_check_and_decompose_never_square_g(monkeypatch):
     monkeypatch.setattr(irreducibility, "_root_triple", lambda g, n: m8)
     with pytest.raises(InputError, match="^not an involution$"):
         check_reducible(r, 8, 2)
-    assert calls == []
+    assert squared == []
 
 
 RECORD_BOUNDS = (1, 2, 3, 4, 10)
@@ -270,50 +271,24 @@ def test_class_record_gives_each_input_its_own_verdict(monkeypatch):
     monkeypatch.setattr(criteria, "eigen_data", counted)
     for name, order in orders.items():
         monkeypatch.setattr(irreducibility, "_CLASS_RECORD", {})
-        monkeypatch.setattr(irreducibility, "_UNKEYED", {})
         built.clear()
         for i, b in order:
             n, g, want = cases[i]
             assert check_reducible(g, n, b).to_json() == want[b], (name, i, b)
-        # bound by bound, the record decides most calls: one member per
-        # class and bound fills it, and few witnesses lie beyond the tables.
-        # Interleaved bounds replace each other's open results, as
-        # criteria.iter_routes replaces them, and half the calls fall back
-        assert len(built) < len(order) // (2 if name == "interleaved" else 8), name
-
-
-def test_first_check_at_each_n_reads_no_class_triple(monkeypatch):
-    # the class triple reads the root planes of M_n: the first check at n
-    # fills a record of its own, and the second check at n keys it by the
-    # first involution's triple, so the second class member reuses it
-    monkeypatch.setattr(irreducibility, "_CLASS_RECORD", {})
-    monkeypatch.setattr(irreducibility, "_UNKEYED", {})
-    root_triple, keyed = irreducibility._root_triple, []
-
-    def counted(g, n):
-        keyed.append(g)
-        return root_triple(g, n)
-
-    monkeypatch.setattr(irreducibility, "_root_triple", counted)
-    g = classify_involutions(6)[1].representative
-    w = reflection(del_pezzo_lattice(6).vector((0, 1, -1, 0, 0, 0, 0)))
-    first = check_reducible(g, 6, 2)
-    assert keyed == [] and irreducibility._CLASS_RECORD == {}
-    eigen_data, built = criteria.eigen_data, []
-    monkeypatch.setattr(criteria, "eigen_data", lambda *a: built.append(a) or eigen_data(*a))
-    second = check_reducible(w @ g @ w, 6, 2)
-    assert keyed == [g, w @ g @ w] and built == []
-    assert list(irreducibility._CLASS_RECORD) == [(6, root_triple(g, 6)[1])]
-    assert first.certificate.kind == second.certificate.kind
+        # in every order, each class met builds the eigen data of its first
+        # member and no more: a bound the class has not met runs the route
+        # again on that data, and every other member's witness is read off
+        # its own tables
+        assert len(built) == len(irreducibility._CLASS_RECORD), name
 
 
 def test_warm_record_builds_no_eigen_data(monkeypatch):
     # once its class is in the record, a K-fixing input decided by closures
     # or by a table read calls neither eigen_data nor xl.kernel, and one
     # with a route-b witness calls xl.kernel once, for the plus side that
-    # the conic scan's partner test reads
+    # the conic scan's partner test reads, unless it is the member whose
+    # eigen data the record keeps
     monkeypatch.setattr(irreducibility, "_CLASS_RECORD", {})
-    monkeypatch.setattr(irreducibility, "_UNKEYED", {})
     rng = random.Random(3535)
     counts = {}
 
@@ -323,7 +298,7 @@ def test_warm_record_builds_no_eigen_data(monkeypatch):
             return f(*args, **kwargs)
         return run
 
-    kinds = set()
+    kinds, stored = set(), 0
     for bound in (2, 3):
         for n in range(2, 9):
             walls = canonical_generators(n)
@@ -340,11 +315,14 @@ def test_warm_record_builds_no_eigen_data(monkeypatch):
                     verdict = check_reducible(g, n, bound)
                 kind = verdict.certificate.kind
                 kinds.add(kind)
-                assert counts == {"eigen_data": 0,
-                                  "kernel": int(kind == "FixedHyperbolicPair")}, (n, cls.label)
+                pair, same = kind == "FixedHyperbolicPair", g.matrix == cls.representative.matrix
+                stored += pair and same
+                assert counts == {"eigen_data": 0, "kernel": int(pair and not same)}, (n, cls.label)
     assert kinds == {"FixedNormPlus1", "FixedHyperbolicPair", "FixedNormMinus1",
                      "SwappedOrFixedMinus1Pair", "EvenFixedLatticeObstruction",
                      "Mod2Obstruction"}
+    # some route-b conjugates are the stored member itself
+    assert stored > 0
 
 
 def _search_path_cases():

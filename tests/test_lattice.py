@@ -201,6 +201,42 @@ def test_fixed_and_antifixed_rejects_non_involutions():
         assert power != xl.identity(4)
 
 
+def _quadric_walls(n):
+    """Reflections of the blown-up quadric in S1 - S2, S1 - e1, the
+    e_i - e_{i+1} and e_{n-1}, of square -2 or -1."""
+    lat = blowup_quadric_lattice(n)
+    rank = lat.rank
+    vecs = [(1, -1) + (0,) * (rank - 2), (1, 0, -1) + (0,) * (rank - 3)]
+    vecs += [tuple(int(k == i) - int(k == i + 1) for k in range(rank)) for i in range(2, rank - 1)]
+    vecs.append(tuple(int(k == rank - 1) for k in range(rank)))
+    return tuple(reflection(lat.vector(v)) for v in vecs)
+
+
+def test_is_involution_agrees_with_the_square():
+    # on M_n, a diagonal +-1 form, is_involution reads the symmetry of J g;
+    # the blown-up quadric's form is not diagonal, and there it squares g.
+    # Both agree with g @ g == 1 on wall-word products, h r h^-1 for a wall
+    # or a product of two walls r (involutions or not) and bare words
+    rng = random.Random(3535)
+    groups = [wall_generators(n).isometries() for n in range(2, 9)]
+    groups += [_quadric_walls(n) for n in (2, 3, 5, 8)]
+    for walls in groups:
+        one = xl.identity(walls[0].lattice.rank)
+        seen = set()
+        for _ in range(40):
+            h = identity_isometry(walls[0].lattice)
+            for _ in range(rng.randrange(1, 9)):
+                h = h @ rng.choice(walls)
+            r = rng.choice(walls)
+            if rng.random() < 0.5:
+                r = r @ rng.choice(walls)
+            for g in (h @ r @ h.inverse(), h, h.negated()):
+                square = xl.mat_eq(xl.mat_mul(g.matrix, g.matrix), one)
+                assert g.is_involution() == square
+                seen.add(square)
+        assert seen == {True, False}
+
+
 def test_short_vectors_rejects_indefinite_and_degenerate_sublattices():
     # the sublattice search lifts with the basis rows, as the eigenlattice
     # search does; an indefinite or degenerate form is refused either way

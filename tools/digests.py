@@ -21,15 +21,17 @@ tests/test_golden.py::test_stream_digests pins.
 
 check_reducible keeps a record of route outcomes per class of K-fixing
 involutions, which the stream fills in its own order.  So the tool also
-empties that record and recomputes each verify_seed<S>_bound2 over the
-reversed stream of S in the same process, the outputs put back in stream
-order, and names every seed whose digest differs from the forward one.
+replays each verify stream S in the same process, twice, from an empty
+record each time: reversed at bound 2, the outputs put back in stream
+order, and forward with each input at bounds 10, 1, 2 and 10 in turn.  It
+compares each replay's outputs at a bound with verify_seed<S>_bound<B> and
+names every one that differs.
 perfbench/inputs.py is read, not changed, and the package is imported from
 this checkout's src.
 
 The tool prints the table and compares it with tools/digests.json: it exits
 1 naming every entry that differs from the file, or is missing from it or
-from the table, or whose reversed stream differs, and 0 when all agree.
+from the table, or whose replay differs, and 0 when all agree.
 When the file does not exist it is written from the table.  A change that
 moves an output rewrites the affected entries of the file (delete it and
 run the tool once) and lists them.
@@ -56,7 +58,7 @@ from delpezzo.lattice import Isometry, del_pezzo_lattice  # noqa: E402
 
 CLASSIFY_BOUNDS = (None, 1, 2, 3, 4, 5)
 VERIFY_SEEDS, VERIFY_BOUNDS = (101, 102, 103), (1, 2, 10)
-REVERSED_BOUND = 2
+REVERSED_BOUND, INTERLEAVED_BOUNDS = 2, (10, 1, 2, 10)
 DECOMPOSE_SEEDS = tuple(range(101, 111)) + (17, 211)
 
 
@@ -120,19 +122,31 @@ def verify_ops(inputs, seed: int):
 
 
 def reversed_differences(table: dict):
-    """The verify_seed<S>_bound2 names whose digest over the reversed stream,
-    from an empty class record and put back in stream order, is not the
-    table's."""
+    """(name, replay) for every verify_seed<S>_bound<B> whose digest over a
+    replay of the stream, from an empty class record, is not the table's:
+    the reversed stream at REVERSED_BOUND, put back in stream order, and
+    the stream with each input at INTERLEAVED_BOUNDS in turn, one digest
+    per position."""
     inputs = bench_inputs()
-    names = []
+    differs = []
     for seed in VERIFY_SEEDS:
+        ops = verify_ops(inputs, seed)
         irreducibility._clear_class_record()
         outs = [check_reducible(g, n, height_bound=REVERSED_BOUND).to_json()
-                for g, n in reversed(verify_ops(inputs, seed))]
+                for g, n in reversed(ops)]
         name = f"verify_seed{seed}_bound{REVERSED_BOUND}"
         if digest(outs[::-1]) != table[name]:
-            names.append(name)
-    return names
+            differs.append((name, "over the reversed stream"))
+        irreducibility._clear_class_record()
+        streams = [[] for _ in INTERLEAVED_BOUNDS]
+        for g, n in ops:
+            for stream, bound in zip(streams, INTERLEAVED_BOUNDS):
+                stream.append(check_reducible(g, n, height_bound=bound).to_json())
+        for i, (stream, bound) in enumerate(zip(streams, INTERLEAVED_BOUNDS)):
+            name = f"verify_seed{seed}_bound{bound}"
+            if digest(stream) != table[name]:
+                differs.append((name, f"interleaved, at position {i + 1} of {len(streams)}"))
+    return differs
 
 
 def main() -> int:
@@ -140,8 +154,8 @@ def main() -> int:
         raise SystemExit("usage: python3 tools/digests.py (it takes no option)")
     got = compute()
     reordered = reversed_differences(got)
-    for name in reordered:
-        print(f"{name:26s} DIFFERS over the reversed stream")
+    for name, replay in reordered:
+        print(f"{name:26s} DIFFERS {replay}")
     recorded = json.loads(TABLE.read_text()) if TABLE.exists() else None
     differs = []
     for name, value in got.items():
@@ -161,8 +175,9 @@ def main() -> int:
         print(f"{len(differs)} of {len(got)} entries differ: {' '.join(differs)}")
     if differs or reordered:
         return 1
-    print(f"all {len(got)} entries match {TABLE.relative_to(ROOT)}, "
-          f"and each verify stream reversed at bound {REVERSED_BOUND}")
+    bounds = ", ".join(map(str, INTERLEAVED_BOUNDS))
+    print(f"all {len(got)} entries match {TABLE.relative_to(ROOT)}, and each verify "
+          f"stream reversed at bound {REVERSED_BOUND} and interleaved at bounds {bounds}")
     return 0
 
 
