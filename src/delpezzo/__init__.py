@@ -24,6 +24,7 @@ from .weyl import (
     canonical_class,
     coxeter_diagram,
     enumerate_roots,
+    normal_form,
     orbit,
     product_of_reflections,
     reflection,

@@ -33,16 +33,20 @@ anchor-preserving isometries.
 The anchor rule: the canonical class K when the involution fixes it, else
 the first vector of positive square in coordinate boxes of growing radius
 (_find_anchor).  irreducibility hands in each involution that does not
-fix K as its chamber conjugate, so the box search runs in that basis, and
-K is the anchor again when the conjugate fixes it.  decompose anchors each
+fix K as its chamber conjugate, or as its normal form w_I where that fixes
+K and the chamber conjugate does not, so K is the anchor again whenever
+one of the two fixes it, and the box search runs in the chamber basis
+otherwise.  decompose anchors each
 piece B-perp of a K-fixing input at the piece's canonical class
 K' = K + sum (K.b) b, handed to _side in ambient coordinates, so the box
 search runs only for K-moving inputs and lattices other than M_n.
 
-Route b skips every c1 without a hyperbolic partner, which an exact mod-2
-test (has_partner) detects, so only vectors that can pair scan for a c2;
-the scan order and the first pair found are those of the full scan.  It
-scans the complete batches of _search_batches, as every route does.
+Route b's search skips every c1 without a hyperbolic partner, which an
+exact mod-2 test (has_partner) detects, so only vectors that can pair scan
+for a c2; the scan order and the first pair found are those of the full
+scan.  It scans the complete batches of _search_batches, as every route
+does.  Its first slab, the fixed conics of a K-slab table, is scanned in
+full (_conic_pair), with no eigen side read.
 
 Route d rests on the Z[G] splitting Z^t + Z_-^c + Z[G]^r of M under g: a
 swapped pair lives in the Z[G]^r part, and since 1 - g = 1 + g mod 2, the
@@ -103,8 +107,10 @@ keeps the eigen data of the first member of each class of K-fixing
 involutions it meets (irreducibility's class record) and runs the routes on
 it through iter_routes.  Every other member of the class takes each route's
 status and reason from that data and its own witness from table_witnesses,
-which calls the routes' own table readers; an input whose chamber conjugate
-moves K runs the routes on its own eigen_data.  decompose starts from the
+which calls the routes' own table readers, so it builds no eigen side.  An
+input whose chamber conjugate moves K joins the record as its normal form
+w_I when w_I fixes K (weyl.normal_form), and runs the routes on its own
+eigen_data otherwise.  decompose starts from the
 same eigen_data, splits with routes c, d and e and narrows both sides
 (_side) and the table's mask after each split, and invariant_of builds its
 eigenlattices with eigen_data and runs the flag routes a-d on them at
@@ -634,13 +640,22 @@ def _first_pair(side: _EigenSide, ambient, batches) -> Optional[RouteResult]:
     return None
 
 
-def _conic_pair(side: _EigenSide, g: Isometry) -> Optional[RouteResult]:
-    """Route b's first slab on M_n: _first_pair over the fixed conics of
-    weyl._slab_table(n, 0, 2) and their negatives, ascending (_Signed), with
-    the partner test on side, the plus side of the K-fixing g; else None."""
+def _conic_pair(g: Isometry) -> Optional[RouteResult]:
+    """Route b's first slab on M_n for the K-fixing g: the first c1 of the
+    fixed conics of weyl._slab_table(n, 0, 2) and their negatives, ascending
+    (_Signed), with the first c2 of them that has c1.c2 = 1, else None.
+
+    That is _first_pair's pair on the one batch, with no partner test: a c1
+    that the test skips has no hyperbolic partner in the plus side, so no
+    c2 of the batch, which lies in the plus side, has c1.c2 = 1 with it."""
     ambient = g.lattice.gram
-    fixed = _fixed_entries(g, _slab_table(len(ambient) - 1, 0, 2))
-    return _first_pair(side, ambient, [_Signed(fixed)])
+    conics = _Signed(_fixed_entries(g, _slab_table(len(ambient) - 1, 0, 2)))
+    for c1 in conics:
+        w = [sum(map(mul, row, c1)) for row in ambient]
+        for c2 in conics:
+            if sum(map(mul, w, c2)) == 1:
+                return RouteResult(WITNESS, "fixed_hyperbolic_pair", tuple(sorted((c1, c2))))
+    return None
 
 
 def route_b(data: EigenData, t_bound: int) -> RouteResult:
@@ -669,7 +684,8 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     sides they close.  K is characteristic, so K.c = c^2 = 0 (mod 2), and
     K-perp is negative definite, so slabs 0 and 1 hold no isotropic vector
     and slab 2 holds the fixed conics and their negatives, ascending
-    (_Signed).  With no pair in it the search runs as it stands.
+    (_Signed), which _conic_pair scans with no partner test.  With no pair
+    in it the search runs as it stands.
     """
     side = data.plus
     if len(side.basis) < 2:
@@ -681,7 +697,7 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     if not _mod4_allows_partner(side.gram):
         return RouteResult(CLOSED, "plus_no_partner_mod4")
     if data.exceptional is not None and data.within is None and t_bound >= 2:
-        hit = _conic_pair(side, data.g)
+        hit = _conic_pair(data.g)
         if hit is not None:
             return hit
     hit = _first_pair(side, data.g.lattice.gram, _search_batches(side, 0, t_bound))
@@ -850,9 +866,13 @@ def iter_routes(data: EigenData, n: int, t_bound: int):
     definite search, mod2_unsolvable and definite_pairs_exhausted never read
     the bound.  A witness found at bound b is the witness at every bound
     >= b, since every route returns from the first slab, in ascending order,
-    that holds a hit.  An open result, searched(t<=b), is reused at b only.
-    Any other request runs the route again on the same data, so on the same
-    anchor frames and glue, and keeps the new result in place of the old.
+    that holds a hit.  An open result at bound b, searched(t<=b), means that
+    no closure applies and that the slabs up to b, and the tables read from
+    bound 2 or 3 on, hold no witness, so the route is open at every bound
+    <= b too: it gives searched(t<=t_bound) there and keeps the result at
+    b.  Any other request runs the route again on the same data, so on the
+    same anchor frames and glue, and keeps the new result in place of the
+    old.
     """
     runs = (("a", lambda: route_a(data, n, t_bound)),
             ("b", lambda: route_b(data, t_bound)),
@@ -861,8 +881,10 @@ def iter_routes(data: EigenData, n: int, t_bound: int):
             ("e", lambda: route_e(data, t_bound)))
     for name, run in runs:
         res, bound = data.results.get(name, (None, None))
-        if res is None or not (res.status == CLOSED or bound == t_bound
-                               or (res.status == WITNESS and bound < t_bound)):
+        if res is not None and res.status == OPEN and t_bound < bound:
+            res = RouteResult(OPEN, f"searched(t<={t_bound})")
+        elif res is None or not (res.status == CLOSED or bound == t_bound
+                                 or (res.status == WITNESS and bound < t_bound)):
             res = run()
             data.results[name] = (res, t_bound)
         yield name, res
@@ -876,8 +898,7 @@ def table_witnesses(name: str, g: Isometry, n: int, t_bound: int) -> Optional[Tu
     _fixed_unit (n <= 7, t_bound >= 3), route c and route d (t_bound >= 2)
     the lowest fixed and paired entries of the table of exceptional classes
     (_table_entry), and route b scans the fixed conics (_conic_pair,
-    t_bound >= 2) against the plus side alone: one kernel of g - 1 with K's
-    coordinates, and the signature (1, r - 1) that eigen_data gives it.
+    t_bound >= 2), which reads no eigen side: no kernel is formed.
 
     Each route reads its table after its closures, and routes a and c only
     on an indefinite plus side (a definite one is Z K, which holds no class
@@ -888,12 +909,7 @@ def table_witnesses(name: str, g: Isometry, n: int, t_bound: int) -> Optional[Tu
     irreducibility's class record is the one caller, and a witness that is
     not read here sends g to its own eigen data."""
     if name == "b":
-        if t_bound < 2:
-            return None
-        plus, coords = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1),
-                                 canonical_class(n).coords)
-        side = _side(g.lattice.gram, tuple(map(tuple, plus)), coords, (1, len(plus) - 1))
-        hit = _conic_pair(side, g)
+        hit = _conic_pair(g) if t_bound >= 2 else None
         return None if hit is None else hit.witnesses
     if name == "a" and n <= 7 and t_bound >= 3:
         c = _fixed_unit(g, n)

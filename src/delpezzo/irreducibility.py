@@ -16,7 +16,15 @@ the reduction is what keeps the bounded searches decided in any basis.
 check_reducible keeps an involution that fixes K as it is, with K as its
 anchor (the catalog and the invariant flags rest on that), and decides it
 by its class record (below); decompose reduces every input, and anchors
-with K the same way when K^2 > 0.
+with K the same way when K^2 > 0.  Where the chamber conjugate still moves
+K and g_00 > 0, check_reducible goes on to the normal form of
+weyl.normal_form, h g h^-1 = w_I, from the reduced x and g' it already
+holds.  w_I fixes K unless a wall of I is not orthogonal to K (E_n, or
+H - E1 - E2 at n = 2), and then it too is decided by its class record and
+its witnesses are mapped back with h^-1.  The rest, g_00 < 0 (there
+h g h^-1 = -w_I, which never fixes K), a w_I that moves K, and a normal
+form with no generic draw, are decided as their chamber conjugate, on
+their own eigen data.
 
 One verdict path.  _certify turns route results, in order a..e, into the
 verdict and its certificate, and criteria.iter_routes gives them: every
@@ -40,11 +48,12 @@ That member is decided by _verdict on it.  Every later member is certified
 an involution by Isometry.is_involution (the symmetry of J g), takes each
 route's status and reason from iter_routes on the stored data, and reads
 its own witness off its K-slab tables (criteria.table_witnesses), so it
-builds no eigenlattice, except the plus side that route b's conic scan
-reads.  A bound the class has not met runs the route again on the stored
-data, on its anchor frames and glue.  Only a witness beyond the tables
-sends a member to its own eigen data, as every input whose chamber
-conjugate moves K goes to its own.
+builds no eigenlattice.  A bound the class has not met runs the route
+again on the stored data, on its anchor frames and glue.  Only a witness
+beyond the tables sends a member to its own eigen data.  A member may be
+an input's chamber conjugate or its normal form w_I, so an input with a
+K-fixing one of the two takes its route outcomes, and with them its
+certificate kind, from that conjugate's class.
 
 decompose starts from the eigen data check_reducible builds and runs routes
 c, d and e of the criteria search engine on it, in that order: the first
@@ -81,8 +90,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError, is_json_int
+from .errors import InputError, UnsupportedError, is_json_int
 from . import criteria
+from . import weyl
 from . import exactlinalg as xl
 from .involutions import _root_triple
 from .lattice import Isometry, LatticeVector, del_pezzo_lattice, gram_of
@@ -210,15 +220,17 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
 
     An involution that fixes K is decided as given, with K as the anchor of
     its fixed side.  Any other one is decided as its chamber conjugate
-    g' = h g h^-1, and the witnesses are mapped back with h^-1.  g is not
-    squared.  A K-fixing g (or g') is tested by Isometry.is_involution,
-    which reads the symmetry of J g, before its class triple is read; it is
-    then decided on the eigen data of its class's first member, kept in the
-    class record: by _verdict when it is that member, else by the route
-    statuses of that data and its own witness (_member_routes).  On any
-    other g' the eigen data's two kernels certify g^2 = 1
-    (lattice.eigenbases).  Either test raises InputError("not an
-    involution").
+    g' = h g h^-1 when g' fixes K; else, when g_00 > 0, as its normal form
+    w_I = h g h^-1 (weyl.normal_form, built from the chamber data) when w_I
+    fixes K; else as g' on its own eigen data.  The witnesses are mapped
+    back with h^-1.  g is not squared.  A K-fixing g (or g', or w_I) is
+    tested by Isometry.is_involution, which reads the symmetry of J g,
+    before its class triple is read; it is then decided on the eigen data
+    of its class's first member, kept in the class record: by _verdict when
+    it is that member, else by the route statuses of that data and its own
+    witness (_member_routes).  On a g' decided on its own eigen data the
+    two kernels certify g^2 = 1 (lattice.eigenbases).  Either test raises
+    InputError("not an involution").
     """
     if n is None:
         n = g.lattice.rank - 1
@@ -229,11 +241,18 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     bound = criteria.resolve_height_bound(height_bound)
     k = canonical_class(n)
     h_inv = None
-    if tuple(xl.mat_vec(g.matrix, k.coords)) != k.coords:
-        # defined on any isometry; g' is an involution exactly when g is one
-        g, h_inv = chamber_conjugate(g)
-        if tuple(xl.mat_vec(g.matrix, k.coords)) != k.coords:
-            return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
+    if not _fixes(g.matrix, k):
+        # defined on any isometry; g' and w_I are conjugates of g, so each is
+        # an involution exactly when g is one
+        chamber = weyl._chamber(g)
+        sign, _, h, conj = chamber
+        g_red, h_inv = Isometry._trusted(g.lattice, conj), weyl._inverse(h)
+        if not _fixes(conj, k):
+            form = _k_fixing_normal_form(g.lattice, chamber, k) if sign > 0 else None
+            if form is None:
+                return _verdict(criteria.eigen_data(g_red, k), n, bound, h_inv)
+            g_red, h_inv = form
+        g = g_red
     if not g.is_involution():
         raise InputError("not an involution")
     key = (n, _root_triple(g, n)[1])
@@ -246,6 +265,25 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     if results is None:
         return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
     return _certify(results, bound, h_inv)
+
+
+def _fixes(matrix, k: LatticeVector) -> bool:
+    """Whether the matrix fixes K."""
+    return tuple(xl.mat_vec(matrix, k.coords)) == k.coords
+
+
+def _k_fixing_normal_form(lattice, chamber, k: LatticeVector):
+    """(w_I, h^-1) of weyl.normal_form(g), from the weyl._chamber data of g
+    with g_00 > 0, when w_I fixes K, else None: when w_I moves K (E_n in
+    I), or when no draw was generic.  g is not tested here: w_I = h g h^-1
+    is an involution exactly when g is one, and check_reducible tests the
+    K-fixing w_I (Isometry.is_involution) and the chamber conjugate of the
+    rest (its eigen data's kernels)."""
+    try:
+        _, _, _, h_inv, w = weyl._normal_form(lattice, *chamber)
+    except UnsupportedError:
+        return None
+    return (w, h_inv) if _fixes(w.matrix, k) else None
 
 
 def _clear_class_record() -> None:

@@ -9,6 +9,12 @@ The group O+(M_n), n <= 9, is the reflection group of a simplex, and
 wall_generators gives reflections generating it; reduce_to_chamber moves a
 vector of positive square into its fundamental chamber, and
 chamber_conjugate uses that to put an involution into a normal basis.
+normal_form goes one step further, to one normal form per conjugacy class
+of involutions of O(M_n) = O+(M_n) x {+-1} (Richardson 1982): it reduces a
+generic vector of the fixed lattice of +-g, from chamber_conjugate's
+reduced vector, so that h g h^-1 = s w_I, with s = +-1 and w_I the
+isometry that is -1 on the span of a set I of chamber walls
+(_chamber_walls) and 1 on its orthogonal complement.
 
 The plane layout (_planes) packs a list of small integer vectors x_j into
 one Python int per coordinate i, plane_i = sum_j (x_j)_i 256^j, so that one
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, UnsupportedError
@@ -119,9 +126,12 @@ def reduce_to_chamber(x: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[Tuple[in
     return reduced, h
 
 
-def _wall_word(x: Sequence[int], g: Optional[Sequence[Sequence[int]]]):
+def _wall_word(x: Sequence[int], g: Optional[Sequence[Sequence[int]]],
+               start: Optional[Sequence[Sequence[int]]] = None):
     """(x', h, g') for reduce_to_chamber(x), with g' = h g h^-1 when g (the
-    rows of a matrix) is given, else None.
+    rows of a matrix) is given, else None.  With start (the rows of h0) the
+    returned h is the word times h0: every step acts on the rows of h from
+    the left.
 
     g' is carried along the word one wall at a time, with no matrix
     product: a sign flip in E_i negates row and column i, a sort permutes
@@ -138,7 +148,8 @@ def _wall_word(x: Sequence[int], g: Optional[Sequence[Sequence[int]]]):
         raise InputError("chamber reduction needs x^2 > 0 and a positive H coefficient")
     m = min(n, 3)
     step = 2 if n == 2 else 1    # -2 / Q(alpha0, alpha0)
-    rows = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    rows = ([[int(i == j) for j in range(n + 1)] for i in range(n + 1)] if start is None
+            else [list(r) for r in start])
     conj = None if g is None else [list(r) for r in g]
     while True:
         for i in range(n):
@@ -189,15 +200,131 @@ def chamber_conjugate(g: Isometry) -> Tuple[Isometry, Tuple[Tuple[int, ...], ...
     g' is carried along the wall word (_wall_word).  A vector w' of g'
     belongs to g as h^-1 w'.  h^-1 = J h^T J with J = diag(1, -1, ...).
     """
-    mat = g.matrix
-    size = len(mat)
-    sign = 1 if mat[0][0] > 0 else -1
-    x = [int(i == 0) + sign * mat[i][0] for i in range(size)]
-    _, h, conj = _wall_word(x, mat)
-    j = [1] + [-1] * (size - 1)
-    h_inv = tuple(tuple(j[r] * h[c][r] * j[c] for c in range(size)) for r in range(size))
+    _, _, h, conj = _chamber(g)
     # h is a product of wall reflections, so h g h^-1 needs no form check
-    return Isometry._trusted(g.lattice, conj), h_inv
+    return Isometry._trusted(g.lattice, conj), _inverse(h)
+
+
+def _chamber(g: Isometry):
+    """(s, x', h, g') of chamber_conjugate as plain int tuples: s the sign
+    of g_00, x' = h x the reduced x = H + s g(H), h and g' = h g h^-1 by
+    their rows."""
+    mat = g.matrix
+    sign = 1 if mat[0][0] > 0 else -1
+    x = [int(i == 0) + sign * mat[i][0] for i in range(len(mat))]
+    reduced, h, conj = _wall_word(x, mat)
+    return sign, reduced, h, conj
+
+
+def _inverse(h: Sequence[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """h^-1 = J h^T J for an isometry h of M_n, J = diag(1, -1, ...)."""
+    first, *rest = zip(*h)     # the columns of h, the rows of h^T
+    return ((first[0], *(-y for y in first[1:])),
+            *((-row[0], *row[1:]) for row in rest))
+
+
+# normal_form draws at most this many perturbations before it gives up
+NORMAL_FORM_DRAWS = 64
+# the entries of a draw lie in [-_DRAW_RADIUS, _DRAW_RADIUS]
+_DRAW_RADIUS = 10 ** 5
+
+
+def _draws(size: int):
+    """Yield the fixed draw sequence of normal_form on M_n, size = n + 1:
+    NORMAL_FORM_DRAWS integer vectors of that size, entries in
+    [-_DRAW_RADIUS, _DRAW_RADIUS], from a 64-bit linear congruential
+    generator seeded with size, so every process and Python version draws
+    the same.  Each draw is made when it is read."""
+    state = size
+    for _ in range(NORMAL_FORM_DRAWS):
+        draw = []
+        for _ in range(size):
+            state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+            draw.append((state >> 33) % (2 * _DRAW_RADIUS + 1) - _DRAW_RADIUS)
+        yield draw
+
+
+@lru_cache(maxsize=None)
+def _chamber_walls(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The walls of the fundamental chamber of reduce_to_chamber, in order:
+    alpha0 = H - E1 - E2 - E3 (H - E1 - E2 for n = 2), E_i - E_{i+1} for
+    i = 1..n-1, and E_n, as coordinate tuples, 2 <= n <= 9.  A vector x of
+    the chamber has Q(x, alpha) >= 0 for each."""
+    m = min(n, 3)
+    walls = [(1,) + (-1,) * m + (0,) * (n - m)]
+    walls += [(0,) * i + (1, -1) + (0,) * (n - i - 1) for i in range(1, n)]
+    walls.append((0,) * n + (1,))
+    return tuple(walls)
+
+
+def normal_form(g: Isometry):
+    """(s, I, h, h^-1, g') for an involution g of M_n, 2 <= n <= 9, with
+    h g h^-1 = s g' and g' = w_I: s = +-1 the sign of g_00, I a tuple of
+    walls of the fundamental chamber (_chamber_walls, in that order), w_I
+    the isometry that is -1 on the span of I and 1 on its orthogonal
+    complement, h an isometry of O+(M_n) and h^-1 = J h^T J by their rows,
+    and g' an Isometry.
+
+    g^2 = 1 is tested before any draw (Isometry.is_involution), else
+    InputError("not an involution"), as is a lattice other than M_n.  Every
+    involution of O(M_n) = O+(M_n) x {+-1} is conjugate to such an s w_I
+    (Richardson 1982; Vinberg 1972).  The method:
+
+    - g~ = s g lies in O+, and its +1 eigenspace L+ holds the x' of
+      chamber_conjugate, x' = h0 x with x^2 > 0, fixed by g~' = h0 g~ h0^-1.
+    - A draw u (_draws) gives v = N x' + (1 + g~') u, with N doubled from 1
+      until v^2 > 0 and v_0 > 0.  v lies in L+(g~'), and the vectors
+      (1 + g~') u span a full-rank sublattice of it, as it holds 2 L+.
+    - _wall_word carries g~' along the word h1 that reduces v, from the
+      rows of h0, so h = h1 h0 and g' = h g~ h^-1 fixes v' = h1 v.
+      v' lies in the closed chamber, and I is the set of walls through it.
+    - For a generic v, Stab(v') = W_I is finite (v' is timelike) and holds
+      g', and W_I is the identity on the orthogonal complement of span I,
+      so the -1 eigenspace of g' lies in span I.  It is all of span I, and
+      g' is w_I, exactly when |I| = rank L-(g~) = (n + 1 - tr g~) / 2; the
+      draw is accepted when that holds and g' alpha = -alpha for every
+      alpha in I, which checks it.  A draw that fails (v' on a further
+      wall) is followed by the next, and after NORMAL_FORM_DRAWS failed
+      draws UnsupportedError is raised, so no input loops.
+
+    Everything is exact integer arithmetic, and there is no second
+    reduction loop: _wall_word goes on from h0 and the reduced x', next to
+    which v starts.  w_I fixes K exactly when K is orthogonal to every wall
+    of I: for n >= 3 when E_n is not in I, as alpha0 and the E_i - E_{i+1}
+    are orthogonal to K (at n = 2, alpha0 = H - E1 - E2 is not).
+    """
+    if g.lattice != del_pezzo_lattice(g.lattice.rank - 1):
+        raise InputError("the normal form is defined on the blowup lattice M_n")
+    if not g.is_involution():
+        raise InputError("not an involution")
+    return _normal_form(g.lattice, *_chamber(g))
+
+
+def _normal_form(lattice: Lattice, sign: int, x: Sequence[int], h: Sequence[Sequence[int]],
+                 conj: Sequence[Sequence[int]]):
+    """normal_form from the (s, x', h0, g') of _chamber, for an involution."""
+    size = len(x)
+    walls = _chamber_walls(size - 1)
+    tilde = conj if sign > 0 else [[-y for y in row] for row in conj]
+    rank = (size - sum(tilde[i][i] for i in range(size))) // 2
+    for u in _draws(size):
+        w = [a + sum(map(mul, row, u)) for a, row in zip(u, tilde)]
+        scale = 1
+        while True:
+            v = [scale * a + b for a, b in zip(x, w)]
+            if v[0] > 0 and v[0] * v[0] > sum(y * y for y in v[1:]):
+                break
+            scale *= 2
+        reduced, word, g_nf = _wall_word(v, tilde, h)
+        # Q(v', alpha) = 0, and then g' alpha = -alpha
+        through = [alpha for alpha in walls
+                   if reduced[0] * alpha[0] == sum(map(mul, reduced[1:], alpha[1:]))]
+        if len(through) == rank and all(
+                tuple(-sum(map(mul, row, alpha)) for row in g_nf) == alpha
+                for alpha in through):
+            return (sign, tuple(through), word, _inverse(word),
+                    Isometry._trusted(lattice, g_nf))
+    raise UnsupportedError(f"normal form: no generic draw in {NORMAL_FORM_DRAWS}")
 
 
 @lru_cache(maxsize=None)

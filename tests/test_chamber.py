@@ -6,6 +6,8 @@ Involutions are decided in their chamber conjugates, so conjugating one by
 a word in the wall reflections must not change the outcome.
 """
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -13,12 +15,15 @@ from delpezzo import (
     IRREDUCIBLE,
     InputError,
     UNKNOWN,
+    UnsupportedError,
     check_reducible,
     classify_involutions,
     decompose,
     identity_isometry,
+    normal_form,
 )
 from delpezzo import criteria
+from delpezzo import weyl
 from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.irreducibility import _decompose_in_basis
@@ -126,6 +131,110 @@ def test_chamber_conjugate_matches_the_matrix_products_on_wall_words(n):
         for g in (w @ s @ w.inverse(), (w @ s @ w.inverse()).negated(), w):
             moved += _assert_conjugated_along_the_word(g)[0][0] > 1
     assert moved >= 20
+
+
+@lru_cache(maxsize=None)
+def _w_i(n, walls):
+    """1 - 2 A (A^T J A)^-1 A^T J for the walls of I as the columns of A, in
+    Fractions: -1 on span I and 1 on its orthogonal complement."""
+    size = n + 1
+    j = [1] + [-1] * n
+    ja = [[j[r] * a[r] for r in range(size)] for a in walls]     # rows: (J a)^T
+    k = len(walls)
+    # (A^T J A)^-1 by Gauss-Jordan on [A^T J A | 1]
+    m = [[Fraction(sum(x * y for x, y in zip(ja[p], walls[q]))) for q in range(k)]
+         + [Fraction(int(p == q)) for q in range(k)] for p in range(k)]
+    for c in range(k):
+        piv = next(r for r in range(c, k) if m[r][c])
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(k):
+            if r != c and m[r][c]:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    inv = [row[k:] for row in m]
+    w = [[Fraction(int(r == c)) - 2 * sum(walls[p][r] * inv[p][q] * ja[q][c]
+                                         for p in range(k) for q in range(k))
+          for c in range(size)] for r in range(size)]
+    assert all(x.denominator == 1 for row in w for x in row)
+    return [[int(x) for x in row] for row in w]
+
+
+def _assert_normal_form(g):
+    """h g h^-1 = s w_I as a matrix identity, with w_I built independently
+    (_w_i), h an isometry of O+ with the inverse h^-1, I in wall order, and
+    s the sign of g_00; returns (s, I)."""
+    n = g.lattice.rank - 1
+    s, walls, h, h_inv, w = normal_form(g)
+    size = n + 1
+    j = [1] + [-1] * n
+    assert s == (1 if g.matrix[0][0] > 0 else -1)
+    assert list(walls) == [a for a in _walls(n) if a in walls]
+    # h^-1 = J h^T J is the inverse of h, so h^T J h = J; h_00 > 0 keeps the cone
+    assert h_inv == tuple(tuple(j[r] * h[c][r] * j[c] for c in range(size))
+                          for r in range(size))
+    assert xl.mat_mul(h, h_inv) == xl.identity(size) and h[0][0] > 0
+    assert [list(r) for r in w.matrix] == _w_i(n, walls)
+    assert xl.mat_mul(xl.mat_mul(h, g.matrix), h_inv) == [[s * x for x in r]
+                                                          for r in _w_i(n, walls)]
+    return s, walls, h
+
+
+def test_normal_form_is_s_w_i_on_the_streams():
+    # every operation of verify seeds 101-103 and decompose seeds 101-110
+    # (all with g_00 > 0), and its negation, which has s = -1 and the same
+    # I and h
+    inputs = bench_inputs()
+    ops = [op for seed in (101, 102, 103) for op in inputs.verify_stream(seed)]
+    ops += [op for seed in range(101, 111) for op in inputs.decompose_stream(seed)]
+    for op in ops:
+        g = Isometry(del_pezzo_lattice(op.n), op.matrix)
+        s, walls, h = _assert_normal_form(g)
+        assert s == 1 and _assert_normal_form(g.negated()) == (-1, walls, h)
+    assert len(ops) == 3520
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_normal_form_of_the_reflections_in_e_n_and_e_1(n):
+    lat = del_pezzo_lattice(n)
+    e_n = tuple(int(i == n) for i in range(n + 1))
+    for i in (n, 1):
+        g = reflection(lat.vector(tuple(int(j == i) for j in range(n + 1))))
+        assert _assert_normal_form(g)[:2] == (1, (e_n,))
+
+
+def test_normal_form_rejects_a_non_involution():
+    lat = del_pezzo_lattice(3)
+    # order 3 fixing K, and order 4 moving it
+    r = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
+    s = reflection(lat.vector((0, 1, 0, 0))) @ reflection(lat.vector((0, 1, -1, 0)))
+    for bad in (r, s, s.negated()):
+        with pytest.raises(InputError, match="^not an involution$"):
+            normal_form(bad)
+
+
+def test_normal_form_gives_up_when_every_draw_lands_on_a_wall(monkeypatch):
+    # with every draw 0, v is a multiple of the reduced x', which for these
+    # inputs lies on more walls than the rank of L-: 2H for the identity
+    # and for the reflection in E_1, whose chamber x' is fixed by every E_i
+    # and E_i - E_{i+1}
+    monkeypatch.setattr(weyl, "_draws", lambda size: ((0,) * size,) * weyl.NORMAL_FORM_DRAWS)
+    lat = del_pezzo_lattice(4)
+    for g in (identity_isometry(lat), reflection(lat.vector((0, 1, 0, 0, 0)))):
+        with pytest.raises(UnsupportedError, match="no generic draw"):
+            normal_form(g)
+    # check_reducible then decides the chamber conjugate, as it did before
+    # the normal form: the verdict is still the representative's
+    rng = random.Random(6063)
+    moved = 0
+    for n, cls, g in _conjugates(rng):
+        conj, _ = chamber_conjugate(g)
+        k = canonical_class(n)
+        if conj.apply(k) != k and g.matrix[0][0] > 0:
+            moved += 1
+            verdict = check_reducible(g, n, height_bound=2)
+            assert verdict.status == check_reducible(cls.representative, n, 2).status
+            assert verdict.certificate.verify(g)
+    assert moved > 0
 
 
 def test_reduction_rejects_vectors_outside_the_positive_cone():

@@ -956,7 +956,9 @@ def test_find_anchor_matches_reference_on_decompose_sides(monkeypatch):
 def test_iter_routes_reuses_results_only_where_they_hold(monkeypatch):
     # one eigen data asked at bounds 4, 1, 2, 10 gives, at each bound, the
     # routes of fresh eigen data: statuses, reasons and witnesses; a repeat
-    # at the last bound runs no route
+    # at the last bound runs no route.  Another, asked at bounds 10, 4, 2, 1,
+    # gives them too, and an open result at a higher bound is reused below
+    # it with no route run, and kept as it was
     routes = ("route_a", "route_b", "route_c", "route_d", "route_e")
     ran = []
 
@@ -970,17 +972,32 @@ def test_iter_routes_reuses_results_only_where_they_hold(monkeypatch):
 
     rng = random.Random(2727)
     statuses = {bound: set() for bound in (4, 1, 2, 10)}
-    reran = lower = 0
+    reran = lower = open_reused = 0
     for n in range(2, 9):
         k = canonical_class(n)
         for cls in classify_involutions(n):
             for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 1):
-                kept, got = criteria.eigen_data(g, k), {}
+                kept, got, fresh_at = criteria.eigen_data(g, k), {}, {}
                 for bound in (4, 1, 2, 10):
-                    fresh = list(criteria.iter_routes(criteria.eigen_data(g, k), n, bound))
+                    fresh = fresh_at[bound] = list(
+                        criteria.iter_routes(criteria.eigen_data(g, k), n, bound))
                     assert list(criteria.iter_routes(kept, n, bound)) == fresh, (n, bound)
                     statuses[bound].update(res.status for _, res in fresh)
                     got[bound] = [res.status for _, res in fresh]
+                descending = criteria.eigen_data(g, k)
+                for bound in (10, 4, 2, 1):
+                    opened = {name: kept_at for name, kept_at in descending.results.items()
+                              if kept_at[0].status == criteria.OPEN and bound < kept_at[1]}
+                    with monkeypatch.context() as m:
+                        for name in routes:
+                            m.setattr(criteria, name, counted(name))
+                        before = len(ran)
+                        assert list(criteria.iter_routes(descending, n, bound)) == \
+                            fresh_at[bound], (n, bound)
+                    assert not set(opened) & {name[-1] for name in ran[before:]}
+                    assert all(descending.results[name] == kept_at
+                               for name, kept_at in opened.items())
+                    open_reused += len(opened)
                 # a witness at bound 4 that bound 1 does not find
                 lower += sum(a == criteria.WITNESS != b for a, b in zip(got[4], got[1]))
                 with monkeypatch.context() as m:
@@ -989,7 +1006,7 @@ def test_iter_routes_reuses_results_only_where_they_hold(monkeypatch):
                     before = len(ran)
                     assert list(criteria.iter_routes(kept, n, 10)) == fresh
                     reran += len(ran) - before
-    assert reran == 0 and lower > 0
+    assert reran == 0 and lower > 0 and open_reused > 0
     # every kind of result is reused or re-run somewhere in the sequence
     assert statuses[1] == {criteria.CLOSED, criteria.WITNESS, criteria.OPEN}
     assert statuses[10] == {criteria.CLOSED, criteria.WITNESS}

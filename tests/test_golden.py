@@ -70,6 +70,18 @@ rewritten: on decompose_stream(17) the operations 57 (8 m3, K), 89 (8 m3,
 O), 114 (7 m4a, K), 121 (8 m3, K) and 153 (8 m3, O) moved their split and
 leaf basis vectors, and every action, leaf type, leaf rank and verdict
 stayed as written before.  decompose.jsonl did not move.
+
+Since check_reducible decides an involution whose chamber conjugate moves K
+as its normal form w_I (weyl.normal_form) when w_I fixes K, on its class
+record, 11 of the 128 check_conjugates.jsonl lines were regenerated (44,
+48, 51, 59, 60, 67, 72, 95, 100, 104 and 107, all O(M_n) conjugates at
+n = 6..8), and so was the verify digest.  Every verdict stayed as written
+before.  Five certificate kinds moved, each to its representative's kind:
+44, 48, 59 and 60 from FixedNormPlus1 to FixedHyperbolicPair, and 67 from
+FixedNormPlus1 to FixedNormMinus1, with their witnesses and narratives;
+the other six lines kept their kind and narrative and moved their
+witnesses only.  The classify goldens,
+decompose.jsonl and the decompose digest did not move.
 """
 import hashlib
 import json
@@ -131,7 +143,7 @@ def test_conjugate_verdicts_match_golden():
 
 
 STREAM_DIGESTS = [
-    ("verify", 101, "1275c5db61402b1e"),
+    ("verify", 101, "fd4b6198454c868c"),
     ("decompose", 17, "85f67b1bbba50490"),
 ]
 

@@ -1,6 +1,7 @@
 """Reducibility verdicts, certificates, and orthogonal splittings."""
 import json
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -31,7 +32,9 @@ from delpezzo.lattice import (
     is_even,
     signature,
 )
-from delpezzo.weyl import canonical_class, chamber_conjugate, reflection, wall_generators
+from delpezzo import weyl
+from delpezzo.weyl import (canonical_class, chamber_conjugate, normal_form, reflection,
+                           wall_generators)
 
 from conftest import bench_inputs, canonical_generators, coords_of, decompose_pieces, lift
 
@@ -193,16 +196,26 @@ def test_check_and_decompose_never_square_g(monkeypatch):
 
     monkeypatch.setattr(xl, "mat_mul", counted)
     g = classify_involutions(5)[2].representative
-    # the negation twist moves K, so both calls also work on a chamber conjugate
-    for h in (g, negation_twist(g)):
+    # the negation twist moves K, so both calls also work on a chamber
+    # conjugate; the wall-word conjugate's chamber conjugate moves K too,
+    # and check_reducible decides it as its normal form w_I, which fixes K
+    normal = _normal_form_input()
+    normal_forms = []
+    monkeypatch.setattr(weyl, "_normal_form", _counted(weyl._normal_form, normal_forms))
+    for h, n in ((g, 5), (negation_twist(g), 5), normal):
         for run in (check_reducible, decompose):
-            run(h, 5)
-    assert squared == []
+            run(h, n)
+    assert squared == [] and len(normal_forms) == 1
     lat = del_pezzo_lattice(3)
     r = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
     # order 4 and moves K: the kernel test runs on its chamber conjugate
     s = reflection(lat.vector((0, 1, 0, 0))) @ reflection(lat.vector((0, 1, -1, 0)))
-    for bad in (r, s, s.negated()):
+    # not an involution, g_00 > 0, and its chamber conjugate moves K: a draw
+    # of the normal form passes the wall count on it, and the conjugate it
+    # gives moves K, so the kernel test runs on the chamber conjugate
+    t = Isometry(lat, ((2, -1, 1, -1), (1, 0, 1, -1), (1, -1, 0, -1), (-1, 1, -1, 0)))
+    assert weyl._normal_form(lat, *weyl._chamber(t))[1] == ((0, 1, -1, 0),)
+    for bad in (r, s, s.negated(), t):
         for run in (check_reducible, decompose):
             with pytest.raises(InputError, match="^not an involution$"):
                 run(bad, 3)
@@ -225,16 +238,58 @@ def test_check_and_decompose_never_square_g(monkeypatch):
     assert squared == []
 
 
+def _counted(f, calls):
+    """f, appending its arguments to calls at each call."""
+    def run(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+    return run
+
+
+@lru_cache(maxsize=None)
+def _normal_form_input():
+    """(g, n): the first operation of verify_stream(101) whose chamber
+    conjugate moves K and whose normal form w_I fixes it."""
+    for op in bench_inputs().verify_stream(101):
+        g, k = Isometry(del_pezzo_lattice(op.n), op.matrix), canonical_class(op.n)
+        if chamber_conjugate(g)[0].apply(k) != k and normal_form(g)[4].apply(k) == k:
+            return g, op.n
+    raise AssertionError("no normal-form input in the stream")
+
+
+def test_inputs_whose_normal_form_moves_k_keep_the_chamber_path():
+    # g_00 < 0 (h g h^-1 = -w_I), and a w_I that moves K (E_n in I, or
+    # H - E1 - E2 at n = 2), are decided as their chamber conjugate on its
+    # own eigen data, with no class record
+    g, n = _normal_form_input()
+    cases = [(g.negated(), n)]
+    for n in range(2, 9):
+        lat = del_pezzo_lattice(n)
+        cases += [(reflection(lat.vector(tuple(int(j == i) for j in range(n + 1)))), n)
+                  for i in (1, n)]
+    lat = del_pezzo_lattice(2)
+    cases.append((reflection(lat.vector((1, -1, -1))), 2))
+    for g, n in cases:
+        k = canonical_class(n)
+        g_red, h_inv = chamber_conjugate(g)
+        s, walls, *_, w = normal_form(g)
+        assert g_red.apply(k) != k and (s < 0 or w.apply(k) != k)
+        for bound in (1, 2, 10):
+            want = irreducibility._verdict(criteria.eigen_data(g_red, k), n, bound, h_inv)
+            assert check_reducible(g, n, bound) == want, (n, walls)
+
+
 RECORD_BOUNDS = (1, 2, 3, 4, 10)
 
 
 def _record_cases():
     """(n, g, {bound: verdict json}) for the inputs check_reducible decides
-    by the class record: the operations of verify_stream(101) that fix K or
-    whose chamber conjugate does, then the catalog representatives and their
-    wall-word conjugates (_search_path_cases).  The json is the verdict of
-    _verdict on fresh eigen data of g, or of its chamber conjugate with the
-    witnesses mapped back: check_reducible's path with no record."""
+    by the class record: the operations of verify_stream(101) that fix K, or
+    whose chamber conjugate or normal form w_I (g_00 > 0) does, then the
+    catalog representatives and their wall-word conjugates
+    (_search_path_cases).  The json is the verdict of _verdict on fresh
+    eigen data of g, or of its chamber conjugate or w_I with the witnesses
+    mapped back: check_reducible's path with no record."""
     gs = [(op.n, Isometry(del_pezzo_lattice(op.n), op.matrix))
           for op in bench_inputs().verify_stream(101)]
     gs += [(n, g) for n, *pairs in _search_path_cases() for pair in pairs for g in pair]
@@ -242,6 +297,8 @@ def _record_cases():
     for n, g in gs:
         k = canonical_class(n)
         g_red, h_inv = (g, None) if g.apply(k) == k else chamber_conjugate(g)
+        if g_red.apply(k) != k and g.matrix[0][0] > 0:
+            _, _, _, h_inv, g_red = normal_form(g)
         if g_red.apply(k) == k:
             cases.append((n, g, {b: irreducibility._verdict(criteria.eigen_data(g_red, k), n, b,
                                                             h_inv).to_json()
@@ -255,7 +312,7 @@ def test_class_record_gives_each_input_its_own_verdict(monkeypatch):
     # stream order bound by bound, the reverse, and each input at bounds
     # 10, 1, 2, 10 in turn, the record emptied before each
     cases = _record_cases()
-    assert len(cases) > 650
+    assert len(cases) > 700
     orders = {
         "stream": [(i, b) for b in RECORD_BOUNDS for i in range(len(cases))],
         "reversed": [(i, b) for b in reversed(RECORD_BOUNDS)
@@ -284,10 +341,8 @@ def test_class_record_gives_each_input_its_own_verdict(monkeypatch):
 
 def test_warm_record_builds_no_eigen_data(monkeypatch):
     # once its class is in the record, a K-fixing input decided by closures
-    # or by a table read calls neither eigen_data nor xl.kernel, and one
-    # with a route-b witness calls xl.kernel once, for the plus side that
-    # the conic scan's partner test reads, unless it is the member whose
-    # eigen data the record keeps
+    # or by a table read calls neither eigen_data nor xl.kernel, route b's
+    # conic scan included, which reads no plus side
     monkeypatch.setattr(irreducibility, "_CLASS_RECORD", {})
     rng = random.Random(3535)
     counts = {}
@@ -317,12 +372,40 @@ def test_warm_record_builds_no_eigen_data(monkeypatch):
                 kinds.add(kind)
                 pair, same = kind == "FixedHyperbolicPair", g.matrix == cls.representative.matrix
                 stored += pair and same
-                assert counts == {"eigen_data": 0, "kernel": int(pair and not same)}, (n, cls.label)
+                assert counts == {"eigen_data": 0, "kernel": 0}, (n, cls.label)
     assert kinds == {"FixedNormPlus1", "FixedHyperbolicPair", "FixedNormMinus1",
                      "SwappedOrFixedMinus1Pair", "EvenFixedLatticeObstruction",
                      "Mod2Obstruction"}
     # some route-b conjugates are the stored member itself
     assert stored > 0
+    # and so does an input decided as its normal form w_I, whose class the
+    # representatives above put in the record
+    g, n = _normal_form_input()
+    counts.update(eigen_data=0, kernel=0)
+    with monkeypatch.context() as m:
+        m.setattr(criteria, "eigen_data", counted("eigen_data", criteria.eigen_data))
+        m.setattr(xl, "kernel", counted("kernel", xl.kernel))
+        check_reducible(g, n, 2)
+    assert counts == {"eigen_data": 0, "kernel": 0}
+
+
+def test_verify_stream_kinds_are_the_representatives():
+    # the certificate kind is a class invariant on the benchmark's checks:
+    # on all 1920 operations of verify seeds 101-103 at its bound 2, the
+    # verdict is the pinned one and the kind is the representative's, O(M_n)
+    # conjugates whose chamber conjugate moves K included (decided as their
+    # normal form w_I)
+    inputs = bench_inputs()
+    kinds = {(n, cls.label): check_reducible(cls.representative, n, 2).certificate.kind
+             for n in range(3, 9) for cls in classify_involutions(n)}
+    checks = 0
+    for seed in (101, 102, 103):
+        for op in inputs.verify_stream(seed):
+            verdict = check_reducible(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n, 2)
+            assert verdict.status == inputs.PINNED_VERDICT[op.n, op.label], (seed, op)
+            assert verdict.certificate.kind == kinds[op.n, op.label], (seed, op)
+            checks += 1
+    assert checks == 1920
 
 
 def _search_path_cases():

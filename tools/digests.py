@@ -14,7 +14,13 @@ json.dumps(outs, sort_keys=True), for outs:
                          every operation of perfbench/inputs.py's
                          verify_stream(S), for S = 101..103 and B = 1, 2, 10;
   decompose_seed<S>      decompose(g, n).to_json() on every operation of
-                         decompose_stream(S), for S = 101..110, 17 and 211.
+                         decompose_stream(S), for S = 101..110, 17 and 211;
+  normal_form_verify_seed<S>, normal_form_decompose_seed<S>
+                         (s, I, h) of weyl.normal_form(g) on every operation
+                         of verify_stream(S), S = 101..103, and of
+                         decompose_stream(S), S = 101..110.  The tool also
+                         prints how many draws the normal forms made beyond
+                         the first of each input (its redraw count).
 
 verify_seed101_bound2 and decompose_seed17 are the two digests that
 tests/test_golden.py::test_stream_digests pins.
@@ -51,7 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).with_name("digests.json")
 sys.path.insert(0, str(ROOT / "src"))
 
-from delpezzo import cli, irreducibility  # noqa: E402
+from delpezzo import cli, irreducibility, weyl  # noqa: E402
 from delpezzo.involutions import classify_involutions  # noqa: E402
 from delpezzo.irreducibility import check_reducible, decompose  # noqa: E402
 from delpezzo.lattice import Isometry, del_pezzo_lattice  # noqa: E402
@@ -60,6 +66,7 @@ CLASSIFY_BOUNDS = (None, 1, 2, 3, 4, 5)
 VERIFY_SEEDS, VERIFY_BOUNDS = (101, 102, 103), (1, 2, 10)
 REVERSED_BOUND, INTERLEAVED_BOUNDS = 2, (10, 1, 2, 10)
 DECOMPOSE_SEEDS = tuple(range(101, 111)) + (17, 211)
+NORMAL_FORM_SEEDS = {"verify": VERIFY_SEEDS, "decompose": tuple(range(101, 111))}
 
 
 def digest(outs) -> str:
@@ -94,8 +101,9 @@ def classify_stdout(n: int, bound) -> str:
     return out.getvalue()
 
 
-def compute() -> dict:
-    """The digest table, in the order of the module docstring."""
+def compute():
+    """(the digest table, in the order of the module docstring, and the
+    normal forms' redraw count)."""
     table = {}
     for bound in CLASSIFY_BOUNDS:
         classify_involutions.cache_clear()
@@ -112,7 +120,33 @@ def compute() -> dict:
         table[f"decompose_seed{seed}"] = digest(
             [decompose(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n).to_json()
              for op in inputs.decompose_stream(seed)])
-    return table
+    redraws = 0
+    for stream, seeds in NORMAL_FORM_SEEDS.items():
+        for seed in seeds:
+            ops = getattr(inputs, f"{stream}_stream")(seed)
+            table[f"normal_form_{stream}_seed{seed}"], extra = normal_forms(
+                [Isometry(del_pezzo_lattice(op.n), op.matrix) for op in ops])
+            redraws += extra
+    return table, redraws
+
+
+def normal_forms(gs):
+    """(digest of (s, I, h) of weyl.normal_form(g) over gs, the draws made
+    beyond one per g), the draws counted by wrapping weyl._draws."""
+    draws, drawn = weyl._draws, 0
+
+    def counted(size):
+        nonlocal drawn
+        for u in draws(size):
+            drawn += 1
+            yield u
+
+    weyl._draws = counted
+    try:
+        forms = [weyl.normal_form(g)[:3] for g in gs]
+    finally:
+        weyl._draws = draws
+    return digest(forms), drawn - len(gs)
 
 
 def verify_ops(inputs, seed: int):
@@ -152,10 +186,10 @@ def reversed_differences(table: dict):
 def main() -> int:
     if len(sys.argv) > 1:
         raise SystemExit("usage: python3 tools/digests.py (it takes no option)")
-    got = compute()
+    got, redraws = compute()
     reordered = reversed_differences(got)
     for name, replay in reordered:
-        print(f"{name:26s} DIFFERS {replay}")
+        print(f"{name:30s} DIFFERS {replay}")
     recorded = json.loads(TABLE.read_text()) if TABLE.exists() else None
     differs = []
     for name, value in got.items():
@@ -163,13 +197,14 @@ def main() -> int:
         note = "" if recorded is None or was == value else f"  DIFFERS (recorded {was})"
         if note:
             differs.append(name)
-        print(f"{name:26s} {value}{note}")
+        print(f"{name:30s} {value}{note}")
+    print(f"normal forms: {redraws} redraws")
     if recorded is None:
         TABLE.write_text(json.dumps(got, indent=1) + "\n")
         print(f"wrote {len(got)} entries to {TABLE.relative_to(ROOT)}")
         return int(bool(reordered))
     for name in sorted(set(recorded) - set(got)):
-        print(f"{name:26s} {'-' * 16}  DIFFERS (recorded {recorded[name]}, not computed)")
+        print(f"{name:30s} {'-' * 16}  DIFFERS (recorded {recorded[name]}, not computed)")
         differs.append(name)
     if differs:
         print(f"{len(differs)} of {len(got)} entries differ: {' '.join(differs)}")
