@@ -32,21 +32,24 @@ anchor-preserving isometries.
 
 The anchor rule: the canonical class K when the involution fixes it, else
 the first vector of positive square in coordinate boxes of growing radius
-(_find_anchor).  irreducibility hands in each involution that does not
-fix K as its chamber conjugate, or as its normal form w_I where that fixes
-K and the chamber conjugate does not, so K is the anchor again whenever
-one of the two fixes it, and the box search runs in the chamber basis
-otherwise.  decompose anchors each
-piece B-perp of a K-fixing input at the piece's canonical class
-K' = K + sum (K.b) b, handed to _side in ambient coordinates, so the box
-search runs only for K-moving inputs and lattices other than M_n.
+(_find_anchor).  irreducibility picks one basis for check_reducible and
+decompose alike (_k_fixing_conjugate): an involution that fixes K as it
+is, else its chamber conjugate, or its normal form w_I where that fixes K
+and the chamber conjugate does not, so K is the anchor whenever one of the
+three fixes it, and the box search runs in the chamber basis otherwise.
+decompose anchors each piece B-perp of a K-fixing involution at the
+piece's canonical class K' = K + sum (K.b) b, handed to _side in ambient
+coordinates.  So the box search runs only where no K-fixing basis is
+found (g_00 < 0, a w_I that moves K, a normal form with no generic draw),
+at n = 9, where K^2 = 0, and on lattices other than M_n.
 
 Route b's search skips every c1 without a hyperbolic partner, which an
 exact mod-2 test (has_partner) detects, so only vectors that can pair scan
 for a c2; the scan order and the first pair found are those of the full
 scan.  It scans the complete batches of _search_batches, as every route
 does.  Its first slab, the fixed conics of a K-slab table, is scanned in
-full (_conic_pair), with no eigen side read.
+full by the same pair scan (_first_pair) with no partner test, and with no
+eigen side read.
 
 Route d rests on the Z[G] splitting Z^t + Z_-^c + Z[G]^r of M under g: a
 swapped pair lives in the Z[G]^r part, and since 1 - g = 1 + g mod 2, the
@@ -62,9 +65,11 @@ slabs are empty.
 
 Routes a to d read their first witness off a K-slab table when K anchors
 the plus side (eigen_data puts weyl._slab_table(n, -1, 1) on the data for a
-K-fixing g on M_n, 2 <= n <= 8, which marks it).  decompose's narrowed data
-of such a g keep it while every split is a blow-down, with the mask of the
-entries orthogonal to the peeled blocks (EigenData.within): the piece is
+K-fixing g on M_n, 2 <= n <= 8, which marks it), after their closures and
+through one reader, table_witnesses, which holds every gate of a read.
+decompose's narrowed data of such a g keep it while every split is a
+blow-down, with the mask of the entries orthogonal to the peeled blocks
+(EigenData.within): the piece is
 M_k with canonical class K', its exceptional classes are those entries, and
 every argument below holds on it with K' for K, so routes c and d read it
 under the mask; routes a and b read no table there.  A table holds the
@@ -107,11 +112,11 @@ keeps the eigen data of the first member of each class of K-fixing
 involutions it meets (irreducibility's class record) and runs the routes on
 it through iter_routes.  Every other member of the class takes each route's
 status and reason from that data and its own witness from table_witnesses,
-which calls the routes' own table readers, so it builds no eigen side.  An
-input whose chamber conjugate moves K joins the record as its normal form
-w_I when w_I fixes K (weyl.normal_form), and runs the routes on its own
-eigen_data otherwise.  decompose starts from the
-same eigen_data, splits with routes c, d and e and narrows both sides
+the routes' own first-slab reader, so it builds no eigen side.  An input
+that moves K joins the record as its chamber conjugate or its normal form
+w_I when that fixes K (weyl.normal_form), and runs the routes on its own
+eigen_data otherwise.  decompose starts from the same eigen_data, in the
+same basis, splits with routes c, d and e and narrows both sides
 (_side) and the table's mask after each split, and invariant_of builds its
 eigenlattices with eigen_data and runs the flag routes a-d on them at
 FLAG_BOUND through iter_routes.  classify_involutions builds each
@@ -265,7 +270,12 @@ class EigenData:
 
 def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
     """The preferred coordinates, else the first vector of positive square
-    in coordinate boxes of growing radius up to ANCHOR_RADIUS."""
+    in coordinate boxes of growing radius up to ANCHOR_RADIUS.
+
+    The box search runs on the indefinite sides of involutions with no
+    K-fixing basis in irreducibility's rule: inputs with g_00 < 0, inputs
+    whose w_I moves K, inputs with no generic normal-form draw, every input
+    at n = 9, and involutions of lattices other than M_n."""
     if preferred is not None:
         return preferred
     n = len(gram)
@@ -522,8 +532,8 @@ def _lowest(table, mask: int) -> Optional[Coords]:
 
 
 def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
-                mod4: str, found: str, exhausted: str,
-                first: Optional[Tuple[int, Callable[[], Optional[Coords]]]] = None
+                mod4: str, found: str, exhausted: str, first: int = 0,
+                read: Optional[Callable[[], Optional[Tuple[Coords, ...]]]] = None
                 ) -> RouteResult:
     """Routes a, c and e, for an odd target: closed with reason even when the
     side's Gram has an even diagonal, as every square is then even; on an
@@ -533,25 +543,24 @@ def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
     definite side, open otherwise.  A definite side keeps its complete
     search, so its closures stay the exhausted ones.
 
-    first = (t, lowest): K anchors the plus side, and |K.c| = t is the
-    first slab that can hold the target.  It holds exactly the fixed
-    entries of weyl._slab_table(n, target, t) in the lattice and their
-    negatives, so on an indefinite side the route is open below bound t
-    with no search, and from t on its witness is the lowest of them,
-    lowest(), when there is one.
+    read is given when K anchors the plus side (_table_reader), and
+    |K.c| = first is the first slab that can hold the target.  It holds
+    exactly the fixed entries of weyl._slab_table(n, target, first) in the
+    lattice and their negatives, so on an indefinite side the route is
+    open below bound first with no search, and from there on its witness
+    is the lowest of them, which read() returns when it reads the table.
     """
     gram = side.gram
     if all(gram[i][i] % 2 == 0 for i in range(len(gram))):
         return RouteResult(CLOSED, even)
     if not side.definite and not _mod4_allows_square(gram, target):
         return RouteResult(CLOSED, mod4)
-    if first is not None and not side.definite:
-        t, lowest = first
-        if t_bound < t:
+    if read is not None and not side.definite:
+        if t_bound < first:
             return RouteResult(OPEN, f"searched(t<={t_bound})")
-        c = lowest()
-        if c is not None:
-            return RouteResult(WITNESS, found, (c,))
+        witnesses = read()
+        if witnesses is not None:
+            return RouteResult(WITNESS, found, witnesses)
     for batch in _search_batches(side, target, t_bound):
         if batch:
             best = min(sign_canonical_coords(c) for c in batch)
@@ -564,26 +573,28 @@ def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
 def route_a(data: EigenData, n: int, t_bound: int) -> RouteResult:
     """A fixed class of square +1 (_norm_route on the plus side), n <= 7.
 
-    With K anchoring the plus side of the first eigen data (data.exceptional
-    is set, data.within is None) the first slab is |K.c| = 3, read off
-    weyl._slab_table(n, 1, 3): K is characteristic, so K.c = c^2 = 1
-    (mod 2), and in signature (1, n) the reverse Cauchy-Schwarz inequality
-    gives (K.c)^2 >= c^2 K^2 = 9 - n >= 2.  A narrowed piece reads no table.
+    With K anchoring the plus side (data.exceptional is set; K' on a
+    piece B-perp) the first slab is |K.c| = 3: K is characteristic, so
+    K.c = c^2 = 1 (mod 2), and in signature (1, n) the reverse
+    Cauchy-Schwarz inequality gives (K.c)^2 >= c^2 K^2 = 9 - n >= 2.  The
+    first eigen data read it off weyl._slab_table(n, 1, 3).
     """
     if n > 7:
         return RouteResult(CLOSED, "not_applicable")
-    first = None
-    if data.exceptional is not None and data.within is None:
-        first = (3, lambda: _fixed_unit(data.g, n))
     return _norm_route(data.plus, 1, t_bound, "plus_even_norms", "plus_no_unit_mod4",
-                       "fixed_norm_plus1", "plus_definite_exhausted", first)
+                       "fixed_norm_plus1", "plus_definite_exhausted",
+                       3, _table_reader("a", data, t_bound))
 
 
-def _fixed_unit(g: Isometry, n: int) -> Optional[Coords]:
-    """Route a's first slab on M_n, n <= 7: the lowest fixed entry of
-    weyl._slab_table(n, 1, 3), else None."""
-    table = _slab_table(n, 1, 3)
-    return _lowest(table, _fixed_mask(g, table))
+def _table_reader(name: str, data: EigenData, t_bound: int):
+    """table_witnesses for route name on data's g, within and masks, as a
+    call, when the canonical class anchors data's plus side (data.exceptional
+    is set), else None."""
+    if data.exceptional is None:
+        return None
+    g = data.g
+    return lambda: table_witnesses(name, g, len(g.matrix) - 1, t_bound, data.within,
+                                   data.masks)
 
 
 def has_partner(gram, c1) -> bool:
@@ -620,41 +631,22 @@ class _Signed(Sequence):
         return tuple([-x for x in self.entries[k - 1 - i]]) if i < k else self.entries[i - k]
 
 
-def _first_pair(side: _EigenSide, ambient, batches) -> Optional[RouteResult]:
-    """Route b's witness over the ascending batches of the side's isotropic
-    vectors, else None: the first c1 that passes the partner test, with the
-    first c2 of the merged batches up to its own that has c1.c2 = 1."""
-    gram = side.gram
-    j_basis = [xl.mat_vec(ambient, v) for v in side.basis]
+def _first_pair(ambient, batches, passes: Optional[Callable[[Coords], bool]] = None
+                ) -> Optional[Tuple[Coords, Coords]]:
+    """Route b's pair (c1, c2), sorted, over ascending batches of isotropic
+    vectors in ambient coordinates, else None: the first c1 that passes
+    (every c1 when passes is None), with the first c2 of the merged batches
+    up to its own that has c1.c2 = 1."""
     seen: List[Coords] = []
     for batch in batches:
         for c1 in batch:
-            if not _partner_test(gram, [sum(map(mul, jb, c1)) for jb in j_basis]):
+            if passes is not None and not passes(c1):
                 continue
             w = [sum(map(mul, row, c1)) for row in ambient]
             for c2 in heapq.merge(seen, batch):
                 if sum(map(mul, w, c2)) == 1:
-                    return RouteResult(WITNESS, "fixed_hyperbolic_pair",
-                                       tuple(sorted((c1, c2))))
+                    return tuple(sorted((c1, c2)))
         seen = list(heapq.merge(seen, batch))
-    return None
-
-
-def _conic_pair(g: Isometry) -> Optional[RouteResult]:
-    """Route b's first slab on M_n for the K-fixing g: the first c1 of the
-    fixed conics of weyl._slab_table(n, 0, 2) and their negatives, ascending
-    (_Signed), with the first c2 of them that has c1.c2 = 1, else None.
-
-    That is _first_pair's pair on the one batch, with no partner test: a c1
-    that the test skips has no hyperbolic partner in the plus side, so no
-    c2 of the batch, which lies in the plus side, has c1.c2 = 1 with it."""
-    ambient = g.lattice.gram
-    conics = _Signed(_fixed_entries(g, _slab_table(len(ambient) - 1, 0, 2)))
-    for c1 in conics:
-        w = [sum(map(mul, row, c1)) for row in ambient]
-        for c2 in conics:
-            if sum(map(mul, w, c2)) == 1:
-                return RouteResult(WITNESS, "fixed_hyperbolic_pair", tuple(sorted((c1, c2))))
     return None
 
 
@@ -681,11 +673,12 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     is set, data.within is None; a narrowed piece reads no table) and
     t_bound >= 2, the first batch is read off the conic table,
     weyl._slab_table(n, 0, 2), after the closures, which spare it on the
-    sides they close.  K is characteristic, so K.c = c^2 = 0 (mod 2), and
-    K-perp is negative definite, so slabs 0 and 1 hold no isotropic vector
-    and slab 2 holds the fixed conics and their negatives, ascending
-    (_Signed), which _conic_pair scans with no partner test.  With no pair
-    in it the search runs as it stands.
+    sides they close (table_witnesses).  K is characteristic, so
+    K.c = c^2 = 0 (mod 2), and K-perp is negative definite, so slabs 0 and
+    1 hold no isotropic vector and slab 2 holds the fixed conics and their
+    negatives, ascending (_Signed), scanned as one batch with no partner
+    test: a c1 it would skip has no partner among them, as they lie in the
+    plus side.  With no pair in it the search runs as it stands.
     """
     side = data.plus
     if len(side.basis) < 2:
@@ -696,12 +689,16 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
         return RouteResult(CLOSED, "plus_definite_no_isotropic")
     if not _mod4_allows_partner(side.gram):
         return RouteResult(CLOSED, "plus_no_partner_mod4")
-    if data.exceptional is not None and data.within is None and t_bound >= 2:
-        hit = _conic_pair(data.g)
-        if hit is not None:
-            return hit
-    hit = _first_pair(side, data.g.lattice.gram, _search_batches(side, 0, t_bound))
-    return hit or RouteResult(OPEN, f"searched(t<={t_bound})")
+    read = _table_reader("b", data, t_bound)
+    pair = read() if read else None
+    if pair is None:
+        ambient, gram = data.g.lattice.gram, side.gram
+        j_basis = [xl.mat_vec(ambient, v) for v in side.basis]
+        pair = _first_pair(ambient, _search_batches(side, 0, t_bound), lambda c1: _partner_test(
+            gram, [sum(map(mul, jb, c1)) for jb in j_basis]))
+    if pair is None:
+        return RouteResult(OPEN, f"searched(t<={t_bound})")
+    return RouteResult(WITNESS, "fixed_hyperbolic_pair", pair)
 
 
 def route_c(data: EigenData, t_bound: int) -> RouteResult:
@@ -715,12 +712,9 @@ def route_c(data: EigenData, t_bound: int) -> RouteResult:
     K'.c = K.c, so the piece's classes in that slab are the entries
     orthogonal to B.
     """
-    first = None
-    if data.exceptional is not None:
-        first = (1, lambda: _table_entry(data.g, data.exceptional, "fixed", data.masks,
-                                         data.within))
     return _norm_route(data.plus, -1, t_bound, "plus_even_norms", "plus_no_minus1_mod4",
-                       "fixed_norm_minus1", "plus_definite_exhausted", first)
+                       "fixed_norm_minus1", "plus_definite_exhausted",
+                       1, _table_reader("c", data, t_bound))
 
 
 def _congruent_sublattice(side: _EigenSide, other: _EigenSide, ambient_gram) -> _EigenSide:
@@ -771,9 +765,9 @@ def _has_root(side: _EigenSide) -> bool:
                            or bool(en.definite_vectors(gram, -2)))
 
 
-def _swapped_pair(g: Isometry, c1: Coords) -> RouteResult:
-    """Route d's witness (c1, g c1)."""
-    return RouteResult(WITNESS, "swapped_minus1_pair", (c1, tuple(xl.mat_vec(g.matrix, c1))))
+def _swapped_pair(g: Isometry, c1: Coords) -> Tuple[Coords, Coords]:
+    """Route d's witnesses (c1, g c1)."""
+    return c1, tuple(xl.mat_vec(g.matrix, c1))
 
 
 def route_d(data: EigenData, t_bound: int) -> RouteResult:
@@ -810,10 +804,10 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
     B-perp, K'.c = K.c, and g c lies in B-perp with c.
     With no such entry the route runs the search as it stands.
     """
-    if data.exceptional is not None and t_bound >= 2:
-        c = _table_entry(data.g, data.exceptional, "paired", data.masks, data.within)
-        if c is not None:
-            return _swapped_pair(data.g, c)
+    read = _table_reader("d", data, t_bound)
+    pair = read() if read else None
+    if pair is not None:
+        return RouteResult(WITNESS, "swapped_minus1_pair", pair)
     if data.minus.definite:
         complete_side, complete, other = "minus", data.minus, data.plus
     else:
@@ -845,7 +839,7 @@ def route_d(data: EigenData, t_bound: int) -> RouteResult:
                 if best is None or c1 < best:
                     best = c1
         if best is not None:
-            return _swapped_pair(data.g, best)
+            return RouteResult(WITNESS, "swapped_minus1_pair", _swapped_pair(data.g, best))
     if other.definite:
         return RouteResult(CLOSED, "definite_pairs_exhausted")
     return RouteResult(OPEN, f"searched(t<={t_bound})")
@@ -890,34 +884,38 @@ def iter_routes(data: EigenData, n: int, t_bound: int):
         yield name, res
 
 
-def table_witnesses(name: str, g: Isometry, n: int, t_bound: int) -> Optional[Tuple[Coords, ...]]:
+def table_witnesses(name: str, g: Isometry, n: int, t_bound: int,
+                    within: Optional[int] = None, masks: Optional[Dict[str, int]] = None
+                    ) -> Optional[Tuple[Coords, ...]]:
     """The witnesses route name returns at t_bound for the K-fixing
     involution g of M_n, 2 <= n <= 8, when it reads them off its first
-    K-slab table, else None: what the route reads on eigen_data(g, K),
-    through the same reader, with no eigen data built.  Route a reads
-    _fixed_unit (n <= 7, t_bound >= 3), route c and route d (t_bound >= 2)
-    the lowest fixed and paired entries of the table of exceptional classes
-    (_table_entry), and route b scans the fixed conics (_conic_pair,
-    t_bound >= 2), which reads no eigen side: no kernel is formed.
+    K-slab table, else None: the one first-slab reader, called by routes
+    a..d after their closures (_table_reader), and the one place of every
+    gate.  Route a reads the lowest fixed entry of weyl._slab_table(n, 1, 3)
+    (n <= 7, t_bound >= 3) and route b the pair of _first_pair on the fixed
+    conics of weyl._slab_table(n, 0, 2) (t_bound >= 2), on the first eigen
+    data only (within None); routes c and d (t_bound >= 2) the lowest fixed
+    and paired entries of the table of exceptional classes under within,
+    with the masks kept in masks (_table_entry).  No kernel is formed.
 
-    Each route reads its table after its closures, and routes a and c only
-    on an indefinite plus side (a definite one is Z K, which holds no class
-    of square +-1 for n <= 7), so what is read here is the route's witness
-    whenever the route ends in a witness at t_bound, and not otherwise.
-    Whether it does is a class invariant, which the caller reads off
-    iter_routes on the eigen data of another member of g's class:
-    irreducibility's class record is the one caller, and a witness that is
-    not read here sends g to its own eigen data."""
-    if name == "b":
-        hit = _conic_pair(g) if t_bound >= 2 else None
-        return None if hit is None else hit.witnesses
-    if name == "a" and n <= 7 and t_bound >= 3:
-        c = _fixed_unit(g, n)
+    Routes a and c read only on an indefinite plus side (a definite one is
+    Z K, which holds no class of square +-1 for n <= 7), so on the first
+    eigen data this is the route's witness whenever the route ends in a
+    witness at t_bound, and not otherwise: a class invariant, which
+    irreducibility's class record reads off iter_routes on another member's
+    eigen data; a witness not read here sends g to its own eigen data."""
+    masks = {} if masks is None else masks
+    if name == "a" and n <= 7 and t_bound >= 3 and within is None:
+        table = _slab_table(n, 1, 3)
+        c = _lowest(table, _fixed_mask(g, table))
+    elif name == "b" and t_bound >= 2 and within is None:
+        conics = _Signed(_fixed_entries(g, _slab_table(n, 0, 2)))
+        return _first_pair(g.lattice.gram, [conics])
     elif name == "c":
-        c = _table_entry(g, _slab_table(n, -1, 1), "fixed", {})
+        c = _table_entry(g, _slab_table(n, -1, 1), "fixed", masks, within)
     elif name == "d" and t_bound >= 2:
-        c = _table_entry(g, _slab_table(n, -1, 1), "paired", {})
-        return None if c is None else _swapped_pair(g, c).witnesses
+        c = _table_entry(g, _slab_table(n, -1, 1), "paired", masks, within)
+        return None if c is None else _swapped_pair(g, c)
     else:
         return None
     return None if c is None else (c,)

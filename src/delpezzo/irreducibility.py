@@ -9,22 +9,20 @@ Chamber reduction.  For n <= 9, O+(M_n) is the reflection group of a
 simplex with walls H - E1 - E2 - E3, E_i - E_{i+1} and E_n.  The vector
 x = H + g(H) (or H - g(H)) is fixed or negated by g and has x^2 > 0;
 weyl.chamber_conjugate moves it into the fundamental chamber by a wall
-word h, and the involution is decided as g' = h g h^-1.  Witnesses, split
-bases and leaf bases of g' are mapped back with h^-1, so what is returned
-belongs to g.  A decided verdict is exact, hence the same in every basis;
-the reduction is what keeps the bounded searches decided in any basis.
-check_reducible keeps an involution that fixes K as it is, with K as its
-anchor (the catalog and the invariant flags rest on that), and decides it
-by its class record (below); decompose reduces every input, and anchors
-with K the same way when K^2 > 0.  Where the chamber conjugate still moves
-K and g_00 > 0, check_reducible goes on to the normal form of
-weyl.normal_form, h g h^-1 = w_I, from the reduced x and g' it already
-holds.  w_I fixes K unless a wall of I is not orthogonal to K (E_n, or
-H - E1 - E2 at n = 2), and then it too is decided by its class record and
-its witnesses are mapped back with h^-1.  The rest, g_00 < 0 (there
-h g h^-1 = -w_I, which never fixes K), a w_I that moves K, and a normal
-form with no generic draw, are decided as their chamber conjugate, on
-their own eigen data.
+word h, and the involution can be decided as g' = h g h^-1.  Witnesses,
+split bases and leaf bases of g' are mapped back with h^-1, so what is
+returned belongs to g.  A decided verdict is exact, hence the same in every
+basis; the reduction is what keeps the bounded searches decided in any
+basis.  One rule (_k_fixing_conjugate) picks the basis of check_reducible
+and decompose: an involution that fixes K as it is (the catalog and the
+invariant flags rest on that), else its chamber conjugate if that fixes K,
+else, for g_00 > 0, its normal form h g h^-1 = w_I (weyl.normal_form, from
+the chamber data) if w_I fixes K, as it does unless a wall of I is not
+orthogonal to K (E_n, or H - E1 - E2 at n = 2).  A K-fixing g' is anchored
+at K where K^2 > 0 (n <= 8).  The rest (g_00 < 0, where h g h^-1 = -w_I
+never fixes K, a w_I that moves K, no generic draw, n = 9) are decided and
+split as their chamber conjugate, on their own eigen data, with box
+anchors (criteria._find_anchor).
 
 One verdict path.  _certify turns route results, in order a..e, into the
 verdict and its certificate, and criteria.iter_routes gives them: every
@@ -44,32 +42,31 @@ slab searches end the same way on every member of g's class.  Only the
 witness vector belongs to the basis.  _CLASS_RECORD keeps, by n and class
 triple (involutions._root_triple, complete on the K-fixing classes), the
 eigen data of the first member of each class that check_reducible meets.
-That member is decided by _verdict on it.  Every later member is certified
-an involution by Isometry.is_involution (the symmetry of J g), takes each
-route's status and reason from iter_routes on the stored data, and reads
-its own witness off its K-slab tables (criteria.table_witnesses), so it
-builds no eigenlattice.  A bound the class has not met runs the route
-again on the stored data, on its anchor frames and glue.  Only a witness
-beyond the tables sends a member to its own eigen data.  A member may be
-an input's chamber conjugate or its normal form w_I, so an input with a
-K-fixing one of the two takes its route outcomes, and with them its
-certificate kind, from that conjugate's class.
+That member is decided by _verdict on it.  Every later member, certified an
+involution by the basis rule above, takes each route's status and reason
+from iter_routes on the stored data, and reads its own witness off its
+K-slab tables (criteria.table_witnesses), so it builds no eigenlattice.  A
+bound the class has not met runs the route again on the stored data, on its
+anchor frames and glue.  Only a witness beyond the tables sends a member to
+its own eigen data.  A member may be an input's chamber conjugate or its
+normal form w_I, so an input with a K-fixing one of the two takes its route
+outcomes, and with them its certificate kind, from that conjugate's class.
 
-decompose starts from the eigen data check_reducible builds and runs routes
-c, d and e of the criteria search engine on it, in that order: the first
-witness is the split (a fixed class, a swapped pair c1, g(c1), or an
-antifixed class).  A split block B is unimodular, so the eigen sides of
-what is left are the old sides cut to B^perp, one kernel each; the leaf's
-basis, the kernel of the peeled vectors' products, and its matrix are
-computed once, at the end.  A leaf is Irreducible exactly when routes c, d
-and e are all closed on it, the same exact closure that check_reducible
-uses.  On an involution that fixes K, K' = K + sum (K.b) b over the peeled
-b anchors the fixed side of each piece B^perp.  While every split is an
-equivariant blow-down (each peeled b an exceptional class, |K.b| = 1, as on
-the catalog and the benchmark streams), B^perp is M_k (U in rank 2) with
-canonical class K', and routes c and d read the piece's first witness off
-the table of exceptional classes of M_n, under the mask of the entries
-orthogonal to B (_decompose_in_basis).
+decompose starts, in the basis check_reducible picks, from the eigen data
+check_reducible builds there and runs routes c, d and e of the criteria
+search engine on it, in that order: the first witness is the split (a fixed
+class, a swapped pair c1, g(c1), or an antifixed class).  A split block B
+is unimodular, so the eigen sides of what is left are the old sides cut to
+B^perp, one kernel each; the leaf's basis, the kernel of the peeled
+vectors' products, and its matrix are computed once, at the end.  A leaf is
+Irreducible exactly when routes c, d and e are all closed on it, the same
+exact closure that check_reducible uses.  On a K-fixing involution, K' = K
++ sum (K.b) b over the peeled b anchors the fixed side of each piece
+B^perp.  While every split is an equivariant blow-down (each peeled b an
+exceptional class, |K.b| = 1, as on the catalog and the benchmark streams),
+B^perp is M_k (U in rank 2) with canonical class K', and routes c and d
+read the piece's first witness off the table of exceptional classes of M_n,
+under the mask of the entries orthogonal to B (_decompose_in_basis).
 
 Both run on the criteria engine's plain int tuples: eigen bases, route
 witnesses, split blocks and leaf bases are ambient coordinate tuples, no
@@ -96,7 +93,7 @@ from . import weyl
 from . import exactlinalg as xl
 from .involutions import _root_triple
 from .lattice import Isometry, LatticeVector, del_pezzo_lattice, gram_of
-from .weyl import canonical_class, chamber_conjugate
+from .weyl import canonical_class
 
 REDUCIBLE = "Reducible"
 IRREDUCIBLE = "Irreducible"
@@ -218,19 +215,13 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
                     height_bound: Optional[int] = None) -> Verdict:
     """Decide reducibility of any involution of the blowup lattice M_n.
 
-    An involution that fixes K is decided as given, with K as the anchor of
-    its fixed side.  Any other one is decided as its chamber conjugate
-    g' = h g h^-1 when g' fixes K; else, when g_00 > 0, as its normal form
-    w_I = h g h^-1 (weyl.normal_form, built from the chamber data) when w_I
-    fixes K; else as g' on its own eigen data.  The witnesses are mapped
-    back with h^-1.  g is not squared.  A K-fixing g (or g', or w_I) is
-    tested by Isometry.is_involution, which reads the symmetry of J g,
-    before its class triple is read; it is then decided on the eigen data
-    of its class's first member, kept in the class record: by _verdict when
-    it is that member, else by the route statuses of that data and its own
-    witness (_member_routes).  On a g' decided on its own eigen data the
-    two kernels certify g^2 = 1 (lattice.eigenbases).  Either test raises
-    InputError("not an involution").
+    It is decided as the g' = h g h^-1 of _k_fixing_conjugate (g itself
+    when it fixes K; its witnesses mapped back with h^-1), which tests g^2
+    = 1 by Isometry.is_involution, the symmetry of J g, and never squares
+    g.  A g' that moves K is decided on its own eigen data.  A K-fixing g'
+    is decided on the eigen data of its class's first member, kept in the
+    class record: by _verdict when it is that member, else by the route
+    statuses of that data and its own witness (_member_routes).
     """
     if n is None:
         n = g.lattice.rank - 1
@@ -240,21 +231,9 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
         raise InputError("reducibility check supports 2 <= n <= 8")
     bound = criteria.resolve_height_bound(height_bound)
     k = canonical_class(n)
-    h_inv = None
-    if not _fixes(g.matrix, k):
-        # defined on any isometry; g' and w_I are conjugates of g, so each is
-        # an involution exactly when g is one
-        chamber = weyl._chamber(g)
-        sign, _, h, conj = chamber
-        g_red, h_inv = Isometry._trusted(g.lattice, conj), weyl._inverse(h)
-        if not _fixes(conj, k):
-            form = _k_fixing_normal_form(g.lattice, chamber, k) if sign > 0 else None
-            if form is None:
-                return _verdict(criteria.eigen_data(g_red, k), n, bound, h_inv)
-            g_red, h_inv = form
-        g = g_red
-    if not g.is_involution():
-        raise InputError("not an involution")
+    g, h_inv, fixes_k = _k_fixing_conjugate(g, k)
+    if not fixes_k:
+        return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
     key = (n, _root_triple(g, n)[1])
     data = _CLASS_RECORD.get(key)
     if data is None:
@@ -272,18 +251,31 @@ def _fixes(matrix, k: LatticeVector) -> bool:
     return tuple(xl.mat_vec(matrix, k.coords)) == k.coords
 
 
-def _k_fixing_normal_form(lattice, chamber, k: LatticeVector):
-    """(w_I, h^-1) of weyl.normal_form(g), from the weyl._chamber data of g
-    with g_00 > 0, when w_I fixes K, else None: when w_I moves K (E_n in
-    I), or when no draw was generic.  g is not tested here: w_I = h g h^-1
-    is an involution exactly when g is one, and check_reducible tests the
-    K-fixing w_I (Isometry.is_involution) and the chamber conjugate of the
-    rest (its eigen data's kernels)."""
-    try:
-        _, _, _, h_inv, w = weyl._normal_form(lattice, *chamber)
-    except UnsupportedError:
-        return None
-    return (w, h_inv) if _fixes(w.matrix, k) else None
+def _k_fixing_conjugate(g: Isometry, k: Optional[LatticeVector]):
+    """(g', h^-1, fixes_K) for the involution g of M_n, 2 <= n <= 9, with
+    g' = h g h^-1: g itself (h^-1 None) when it fixes K, else the chamber
+    conjugate when that fixes K, else, for g_00 > 0, the normal form w_I
+    from the same chamber data when w_I fixes K, else the chamber
+    conjugate; k None (n = 9, where K^2 = 0) gives the chamber conjugate.
+    g^2 = 1 is tested first (Isometry.is_involution), as a normal-form
+    draw may pass on a non-involution; else InputError("not an involution")."""
+    if not g.is_involution():
+        raise InputError("not an involution")
+    if k is not None and _fixes(g.matrix, k):
+        return g, None, True
+    chamber = weyl._chamber(g)
+    sign, _, h, conj = chamber
+    g_red, h_inv = Isometry._trusted(g.lattice, conj), weyl._inverse(h)
+    if k is None or _fixes(conj, k):
+        return g_red, h_inv, k is not None
+    if sign > 0:
+        try:
+            _, _, _, w_inv, w = weyl._normal_form(g.lattice, *chamber)
+        except UnsupportedError:
+            w = None
+        if w is not None and _fixes(w.matrix, k):
+            return w, w_inv, True
+    return g_red, h_inv, False
 
 
 def _clear_class_record() -> None:
@@ -423,10 +415,11 @@ def decompose(g: Isometry, n: Optional[int] = None,
 
     Each split peels a unimodular negative definite block, so the ambient
     lattice is an orthogonal sum of the peeled blocks and the leaf.  On M_n
-    (2 <= n <= 9) the splitting is computed for the chamber conjugate
-    g' = h g h^-1 and its bases are mapped back with h^-1; the leaf matrix
-    is the same in both bases.  As in check_reducible, g is not squared:
-    the first eigen data certifies g^2 = 1 (lattice.eigenbases), or raises
+    (2 <= n <= 9) it is computed for check_reducible's g' = h g h^-1
+    (_k_fixing_conjugate), anchored at K and K' when g' fixes K, and its
+    bases are mapped back with h^-1; the leaf matrix is the same in both.
+    g is not squared: that rule tests it by Isometry.is_involution, and on
+    other lattices the first eigen data do (lattice.eigenbases), else
     InputError("not an involution").
     """
     if n is not None and g.lattice.rank != n + 1:
@@ -435,9 +428,10 @@ def decompose(g: Isometry, n: Optional[int] = None,
     rank = g.lattice.rank
     if not 3 <= rank <= 10 or g.lattice != del_pezzo_lattice(rank - 1):
         return _decompose_in_basis(g, bound)
-    g_red, h_inv = chamber_conjugate(g)
     # K anchors the fixed side only where K^2 = 9 - n > 0
-    d = _decompose_in_basis(g_red, bound, canonical_class(rank - 1) if rank <= 9 else None)
+    k = canonical_class(rank - 1) if rank <= 9 else None
+    g_red, h_inv, _ = _k_fixing_conjugate(g, k)
+    d = _decompose_in_basis(g_red, bound, k)
     steps = tuple(SplitStep(s.action, tuple(_back(h_inv, b) for b in s.basis))
                   for s in d.steps)
     leaf = dataclasses.replace(d.leaf, basis=tuple(_back(h_inv, b) for b in d.leaf.basis))

@@ -46,13 +46,29 @@ def assert_slabs_ascend(frame, targets, t_bound):
             assert all(a < b for a, b in zip(batch, batch[1:]))
 
 
+@lru_cache(maxsize=None)
 def bench_inputs():
-    """perfbench/inputs.py as a module: the benchmark's input streams."""
+    """perfbench/inputs.py as a module: the benchmark's input streams,
+    loaded once per session.  Its verify_stream and decompose_stream are
+    cached by seed and return tuples, so no test rebuilds a stream or
+    changes one that another test reads."""
     path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("_bench_inputs", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    for name in ("verify_stream", "decompose_stream"):
+        build = getattr(module, name)
+        setattr(module, name, lru_cache(maxsize=None)(lambda seed, build=build: tuple(build(seed))))
     return module
+
+
+def e_reflections(n):
+    """The reflections in E_1 and E_n of M_n.  Each has g_00 = 1, and its
+    chamber conjugate and its normal form w_I (I = {E_n}) both move K, so
+    irreducibility decides and splits it on its chamber conjugate's own
+    eigen data, with box anchors."""
+    lat = del_pezzo_lattice(n)
+    return [reflection(lat.vector(tuple(int(j == i) for j in range(n + 1)))) for i in (1, n)]
 
 
 def lift(basis, x):

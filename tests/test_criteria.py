@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo import classify_involutions, criteria, decompose
+from delpezzo import classify_involutions, criteria, decompose, irreducibility
 from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.lattice import (
@@ -48,6 +48,7 @@ from conftest import (
     canonical_generators,
     coords_of,
     decompose_pieces,
+    e_reflections,
     lift,
 )
 
@@ -749,6 +750,17 @@ def test_table_routes_match_the_search_on_verify_inputs():
     assert tabled > 500 and hits["b"] > 200 and hits["c"] > 200 and hits["d"] > 200
 
 
+def _decompose_sides_inputs():
+    """(g, n) for the operations of decompose_stream(101), each of which
+    decompose splits on a K-fixing conjugate, then for the K-moving inputs
+    that keep the box anchor: their negations (g_00 < 0) and the
+    reflections in E_1 and E_n, n = 2..8."""
+    ops = [(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n)
+           for op in bench_inputs().decompose_stream(101)]
+    return (ops + [(g.negated(), n) for g, n in ops]
+            + [(r, n) for n in range(2, 9) for r in e_reflections(n)])
+
+
 def test_decompose_narrowed_data_carry_the_table_only_on_k_fixing_inputs(monkeypatch):
     # after a split of a K-fixing input, the narrowed data are anchored at
     # the piece's canonical class K' and keep the first eigen data's table,
@@ -785,8 +797,8 @@ def test_decompose_narrowed_data_carry_the_table_only_on_k_fixing_inputs(monkeyp
     monkeypatch.setattr(criteria, "eigen_data", recorded)
     for name in ("route_c", "route_d", "route_e"):
         monkeypatch.setattr(criteria, name, watched(getattr(criteria, name)))
-    for op in bench_inputs().decompose_stream(101):
-        decompose(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n, height_bound=10)
+    for g, n in _decompose_sides_inputs():
+        decompose(g, n, height_bound=10)
     assert seen["first"] > 100 and seen["k_fixing"] > 100 and seen["k_moving"] > 10
 
 
@@ -930,10 +942,10 @@ def test_find_anchor_matches_reference_on_seeded_indefinite_forms():
 
 
 def test_find_anchor_matches_reference_on_decompose_sides(monkeypatch):
-    # the box search runs on the sides of K-moving inputs only: a K-fixing
-    # input and its pieces are anchored at K and K'.  Its calls on
-    # decompose_stream(101) are held against the reference, and none comes
-    # from a K-fixing input
+    # the box search runs on the sides of K-moving inputs only: an input
+    # with a K-fixing conjugate and its pieces are anchored at K and K'.
+    # Its calls on _decompose_sides_inputs are held against the reference,
+    # and none comes from an input with a K-fixing conjugate
     calls, k_fixing = [], []
     find_anchor = criteria._find_anchor
 
@@ -942,11 +954,9 @@ def test_find_anchor_matches_reference_on_decompose_sides(monkeypatch):
         return find_anchor(gram, preferred)
 
     monkeypatch.setattr(criteria, "_find_anchor", recording)
-    for op in bench_inputs().decompose_stream(101):
-        g = Isometry(del_pezzo_lattice(op.n), op.matrix)
-        g_red, _ = chamber_conjugate(g)
-        k_fixing.append(g_red.apply(canonical_class(op.n)) == canonical_class(op.n))
-        decompose(g, op.n)
+    for g, n in _decompose_sides_inputs():
+        k_fixing.append(irreducibility._k_fixing_conjugate(g, canonical_class(n))[2])
+        decompose(g, n)
     boxed = [(gram, fixing) for gram, preferred, fixing in calls if preferred is None]
     assert len(boxed) >= 10 and not any(fixing for _, fixing in boxed)
     for gram, preferred, _ in calls:

@@ -82,6 +82,15 @@ FixedNormPlus1 to FixedNormMinus1, with their witnesses and narratives;
 the other six lines kept their kind and narrative and moved their
 witnesses only.  The classify goldens,
 decompose.jsonl and the decompose digest did not move.
+
+Since decompose picks its basis by check_reducible's rule (an input that
+fixes K is split as given, anchored at K, not as its chamber conjugate),
+14 of the 33 decompose.jsonl lines were regenerated (n = 4 m2; 5 m2b, m3;
+6 m3, m4; 7 m3b, m4a, m4b, m5; 8 m4a, m4b, m5, m6, m7), the
+representatives whose chamber conjugate is another matrix, and so was the
+decompose digest.  Every action, leaf type, leaf rank and verdict stayed
+as written before.  The classify goldens, check_conjugates.jsonl and the
+verify digest did not move.
 """
 import hashlib
 import json
@@ -144,7 +153,7 @@ def test_conjugate_verdicts_match_golden():
 
 STREAM_DIGESTS = [
     ("verify", 101, "fd4b6198454c868c"),
-    ("decompose", 17, "85f67b1bbba50490"),
+    ("decompose", 17, "0067af49f069fe44"),
 ]
 
 

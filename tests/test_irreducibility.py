@@ -36,7 +36,8 @@ from delpezzo import weyl
 from delpezzo.weyl import (canonical_class, chamber_conjugate, normal_form, reflection,
                            wall_generators)
 
-from conftest import bench_inputs, canonical_generators, coords_of, decompose_pieces, lift
+from conftest import (bench_inputs, canonical_generators, coords_of, decompose_pieces,
+                      e_reflections, lift)
 
 IRREDUCIBLE_LABELS = {2: [], 3: [], 4: [], 5: ["m4"], 6: [],
                       7: ["m6", "m7"], 8: ["m8"]}
@@ -180,12 +181,12 @@ def test_height_bound_that_is_not_an_int_is_rejected(bound):
 
 
 def test_check_and_decompose_never_square_g(monkeypatch):
-    # neither entry point squares g, on a K-fixing input or on a chamber
-    # conjugate: check_reducible certifies g^2 = 1 on a K-fixing g by
-    # Isometry.is_involution, which reads the symmetry of J g on M_n, before
-    # it reads the class triple, and the kernels of g - 1 and g + 1 certify
-    # it everywhere else, decompose included.  A squaring is an xl.mat_mul
-    # call of a matrix by itself
+    # neither entry point squares g, on a K-fixing input, on one decided as
+    # its normal form w_I, or on a K-moving one split on its chamber
+    # conjugate with box anchors: both certify g^2 = 1 on M_n by
+    # Isometry.is_involution, which reads the symmetry of J g, before any
+    # chamber step (irreducibility._k_fixing_conjugate).  A squaring is an
+    # xl.mat_mul call of a matrix by itself
     squared = []
     mat_mul = xl.mat_mul
 
@@ -196,26 +197,29 @@ def test_check_and_decompose_never_square_g(monkeypatch):
 
     monkeypatch.setattr(xl, "mat_mul", counted)
     g = classify_involutions(5)[2].representative
-    # the negation twist moves K, so both calls also work on a chamber
-    # conjugate; the wall-word conjugate's chamber conjugate moves K too,
-    # and check_reducible decides it as its normal form w_I, which fixes K
+    # the negation twist (g_00 < 0) and the reflections in E_1 and E_5 (whose
+    # w_I moves K) take the chamber path with box anchors; the wall-word
+    # conjugate's chamber conjugate moves K, and both entry points decide
+    # it as its normal form w_I, which fixes K.  Both entry points draw the
+    # normal form of the last three
     normal = _normal_form_input()
-    normal_forms = []
+    normal_forms, boxed = [], []
     monkeypatch.setattr(weyl, "_normal_form", _counted(weyl._normal_form, normal_forms))
-    for h, n in ((g, 5), (negation_twist(g), 5), normal):
+    find_anchor = criteria._find_anchor
+    monkeypatch.setattr(criteria, "_find_anchor", lambda gram, preferred: (
+        preferred is None and boxed.append(gram)) or find_anchor(gram, preferred))
+    for h, n in [(g, 5), (negation_twist(g), 5), normal] + [(r, 5) for r in e_reflections(5)]:
         for run in (check_reducible, decompose):
             run(h, n)
-    assert squared == [] and len(normal_forms) == 1
+    assert squared == [] and len(normal_forms) == 6 and boxed
     lat = del_pezzo_lattice(3)
     r = reflection(lat.vector((0, 1, -1, 0))) @ reflection(lat.vector((0, 0, 1, -1)))
     # order 4 and moves K: the kernel test runs on its chamber conjugate
     s = reflection(lat.vector((0, 1, 0, 0))) @ reflection(lat.vector((0, 1, -1, 0)))
     # not an involution, g_00 > 0, and its chamber conjugate moves K: a draw
     # of the normal form passes the wall count on it, and the conjugate it
-    # gives moves K, so the kernel test runs on the chamber conjugate
-    t = Isometry(lat, ((2, -1, 1, -1), (1, 0, 1, -1), (1, -1, 0, -1), (-1, 1, -1, 0)))
-    assert weyl._normal_form(lat, *weyl._chamber(t))[1] == ((0, 1, -1, 0),)
-    for bad in (r, s, s.negated(), t):
+    # gives moves K; is_involution rejects it before any draw
+    for bad in (r, s, s.negated(), _non_involution_a_draw_accepts()):
         for run in (check_reducible, decompose):
             with pytest.raises(InputError, match="^not an involution$"):
                 run(bad, 3)
@@ -236,6 +240,63 @@ def test_check_and_decompose_never_square_g(monkeypatch):
     with pytest.raises(InputError, match="^not an involution$"):
         check_reducible(r, 8, 2)
     assert squared == []
+
+
+def _non_involution_a_draw_accepts():
+    """The n = 3 isometry, not an involution, with g_00 > 0 and a chamber
+    conjugate that moves K, on which the first normal-form draw passes the
+    wall count (I = {E1 - E2}) and gives a conjugate that moves K."""
+    lat = del_pezzo_lattice(3)
+    t = Isometry(lat, ((2, -1, 1, -1), (1, 0, 1, -1), (1, -1, 0, -1), (-1, 1, -1, 0)))
+    assert weyl._normal_form(lat, *weyl._chamber(t))[1] == ((0, 1, -1, 0),)
+    return t
+
+
+def test_involution_test_runs_before_any_normal_form_draw(monkeypatch):
+    # a normal-form draw may pass its acceptance test on a non-involution,
+    # so the basis rule tests g^2 = 1 first, once, in both entry points:
+    # on such a non-involution both raise with no draw made
+    events = []
+    is_involution, draw = Isometry.is_involution, weyl._normal_form
+    monkeypatch.setattr(Isometry, "is_involution",
+                        lambda self: events.append("is_involution") or is_involution(self))
+    monkeypatch.setattr(weyl, "_normal_form",
+                        lambda *args: events.append("_normal_form") or draw(*args))
+    for run in (check_reducible, decompose):
+        for h, n in (_normal_form_input(), (e_reflections(4)[1], 4)):
+            events.clear()
+            run(h, n)
+            assert events[:2] == ["is_involution", "_normal_form"], (run, events)
+            assert events.count("is_involution") == 1
+    bad = _non_involution_a_draw_accepts()
+    events.clear()
+    for run in (check_reducible, decompose):
+        with pytest.raises(InputError, match="^not an involution$"):
+            run(bad, 3)
+    assert events == ["is_involution"] * 2
+
+
+@pytest.mark.parametrize("seed", (101, 17))
+def test_decompose_streams_take_no_box_anchor(monkeypatch, seed):
+    # every input of the decompose streams has a K-fixing conjugate, which
+    # decompose splits with K and K' as anchors: no box search runs, and an
+    # input that fixes K is split as given, with no chamber reduction
+    boxed, chambers = [], []
+    find_anchor, chamber = criteria._find_anchor, weyl._chamber
+    monkeypatch.setattr(criteria, "_find_anchor", lambda gram, preferred: (
+        preferred is None and boxed.append(gram)) or find_anchor(gram, preferred))
+    monkeypatch.setattr(weyl, "_chamber", lambda g: chambers.append(g) or chamber(g))
+    k_fixing = 0
+    for op in bench_inputs().decompose_stream(seed):
+        g, k = Isometry(del_pezzo_lattice(op.n), op.matrix), canonical_class(op.n)
+        chambers.clear()
+        decompose(g, op.n)
+        if g.apply(k) == k:
+            k_fixing += 1
+            assert not chambers, op
+        else:
+            assert chambers, op
+    assert not boxed and k_fixing >= 32
 
 
 def _counted(f, calls):
