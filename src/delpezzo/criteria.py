@@ -47,9 +47,10 @@ Route b's search skips every c1 without a hyperbolic partner, which an
 exact mod-2 test (has_partner) detects, so only vectors that can pair scan
 for a c2; the scan order and the first pair found are those of the full
 scan.  It scans the complete batches of _search_batches, as every route
-does.  Its first slab, the fixed conics of a K-slab table, is scanned in
-full by the same pair scan (_first_pair) with no partner test, and with no
-eigen side read.
+does.  Its first slab, the fixed conics of a K-slab table, is scanned by
+the same pair scan (_first_pair) with no partner test, and with no eigen
+side read; the table is read from its top chunk down only as far as the
+scan reaches (_FixedConics).
 
 Route d rests on the Z[G] splitting Z^t + Z_-^c + Z[G]^r of M under g: a
 swapped pair lives in the Z[G]^r part, and since 1 - g = 1 + g mod 2, the
@@ -74,11 +75,18 @@ M_k with canonical class K', its exceptional classes are those entries, and
 every argument below holds on it with K' for K, so routes c and d read it
 under the mask; routes a and b read no table there.  A table holds the
 classes of one square and one |K.c|, one of each +- pair, in the plane
-layout of weyl._planes, so one reader (_fixed_mask) finds the fixed entries
-of all of them at once: the +1 classes with |K.c| = 3 for route a (n <= 7),
-the conics (square 0, |K.c| = 2) for route b, the exceptional classes
-(square -1, |K.c| = 1) for routes c and d, to which route d adds their
-coordinate products (_exceptional_products).  Each is the first slab the search could fill.
+layout of weyl._planes: the +1 classes with |K.c| = 3 for route a
+(n <= 7), the conics (square 0, |K.c| = 2) for route b, the exceptional
+classes (square -1, |K.c| = 1) for routes c and d, to which route d adds
+their coordinate products (_exceptional_products).  Each is the first slab
+the search could fill.  A read sees a table through its chunks (_view):
+blocks of _CHUNK entries, each with its own planes, the byte slices of the
+table's, so one reader (_fixed_bits, and _paired_bits for route d) finds
+the fixed entries of a whole chunk at once, and a read evaluates only the
+chunks it needs.  Routes a, c and d want the lowest entry and read from the
+bottom chunk up to the first with a hit (_table_entry); route b's scan
+starts at the highest fixed conic, negated, and reads from the top chunk
+down.
 Parity: K is characteristic, so K.c = c^2 (mod 2), and K-perp is negative
 definite, so an isotropic c != 0 has K.c even and nonzero, and a class of
 square -1 has K.c odd.  Reverse Cauchy-Schwarz: a +1 class has
@@ -149,7 +157,7 @@ from .lattice import (
     has_even_products,
     sign_canonical_coords,
 )
-from .weyl import _planes, _slab_table, _zero_fields, canonical_class
+from .weyl import _OFFSET, _planes, _slab_table, _zero_fields, canonical_class
 
 Coords = Tuple[int, ...]
 
@@ -251,11 +259,14 @@ class EigenData:
     entries orthogonal to B, the piece's exceptional classes; it is None on
     the first eigen data, whose classes are all the entries.  Routes c and d
     read their first slab's witness off the table under within, from the
-    masks of the fixed entries and of those with c . g c = 0: each is
-    computed at its first read (_table_entry) and kept in masks, which
-    decompose hands on from piece to piece, as neither depends on the
-    piece.  Routes a and b read the +1 and conic tables,
-    weyl._slab_table(n, 1, 3) and (n, 0, 2), on the first eigen data only."""
+    masks of the fixed entries and of those with c . g c = 0, read chunk by
+    chunk from the bottom up (_table_entry).  masks keeps, by name, each
+    mask of the chunks read so far with their count (route a's too, of the
+    +1 table), and decompose hands it on from piece to piece, as no mask
+    depends on the piece: a piece's read extends the mask from the chunk
+    where the last read stopped.  Routes a and b read the +1 and conic
+    tables, weyl._slab_table(n, 1, 3) and (n, 0, 2), on the first eigen
+    data only."""
 
     g: Isometry
     plus: _EigenSide
@@ -265,7 +276,7 @@ class EigenData:
         default_factory=dict, repr=False, compare=False)
     exceptional: Optional[tuple] = field(default=None, repr=False, compare=False)
     within: Optional[int] = field(default=None, repr=False, compare=False)
-    masks: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    masks: Dict[str, Tuple[int, int]] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
@@ -464,44 +475,74 @@ def _mod4_allows_partner(gram) -> bool:
     return any(q == 0 and w and w != diag for q, w in _classes_mod4(gram))
 
 
-# bytes.translate table: a binary digit to the byte 0 or 1, for itertools.compress
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+# entries per chunk of a K-slab table's view (_view): each chunk has its own
+# planes, so a read evaluates g on the chunks it needs and no more
+_CHUNK = 64
+# the chunk views, by table key (_view)
+_VIEWS: Dict[tuple, Tuple[tuple, ...]] = {}
 
 
-def _fixed_mask(g: Isometry, table) -> int:
-    """The bitmask of the entries c with g c = c of a K-slab table, the
-    (vectors, planes, offset) of weyl._slab_table, bit j for entry j:
-    row_k(g) . planes - plane_k holds (g c - c)_k in the field of each
-    entry, within the table's bound, and the fixed entries are the fields
-    that are 0 in every row k."""
-    vectors, planes, offset = table
-    size = len(vectors)
-    fixed = (1 << size) - 1
-    for row, plane in zip(g.matrix, planes):
-        fixed &= _zero_fields(sum(map(mul, row, planes)) - plane, offset, size)
+def _chunked(planes: Sequence[int], offset: int, size: int) -> Tuple[tuple, ...]:
+    """The chunks (start, count, planes, offset) of a plane layout of size
+    fields (weyl._planes), _CHUNK entries each, the last one short: each
+    chunk's planes are the byte slices of plane + offset over its entries,
+    so a combination of them holds, in field j, field start + j of the same
+    combination of the whole planes."""
+    fields = [(plane + offset).to_bytes(size, "little") for plane in planes]
+    chunks = []
+    for start in range(0, size, _CHUNK):
+        count = min(_CHUNK, size - start)
+        base = int.from_bytes(bytes([_OFFSET]) * count, "little")
+        chunks.append((start, count, tuple(int.from_bytes(f[start:start + count], "little")
+                                           - base for f in fields), base))
+    return tuple(chunks)
+
+
+def _view(n: int, square: int, t: int, products: bool = False):
+    """(vectors, chunks) of weyl._slab_table(n, square, t): the chunks of its
+    planes, or with products those of the planes of the coordinate products
+    of the table of exceptional classes (_exceptional_products), built at
+    the first read and kept in _VIEWS."""
+    vectors, planes, offset = _slab_table(n, square, t)
+    key = (n, square, t, products)
+    chunks = _VIEWS.get(key)
+    if chunks is None:
+        if products:
+            planes = _exceptional_products(n)[1]
+        chunks = _VIEWS[key] = _chunked(planes, offset, len(vectors))
+    return vectors, chunks
+
+
+def _fixed_bits(rows, chunk) -> int:
+    """The bitmask of the entries c with g c = c of one chunk, for the rows
+    of g, bit start + j for its entry j: row_k(g) . planes - plane_k holds
+    (g c - c)_k in the field of each entry, within the table's bound, and
+    the fixed entries are the fields that are 0 in every row k."""
+    start, count, planes, offset = chunk
+    fixed = (1 << count) - 1
+    for row, plane in zip(rows, planes):
+        fixed &= _zero_fields(sum(map(mul, row, planes)) - plane, offset, count)
         if not fixed:
             break
-    return fixed
+    return fixed << start
 
 
-def _fixed_entries(g: Isometry, table) -> List[Coords]:
-    """The entries c with g c = c of a K-slab table, ascending."""
-    return list(itertools.compress(
-        table[0], bin(_fixed_mask(g, table))[:1:-1].encode().translate(_BIT_VALUES)))
+def _paired_bits(scales, chunk) -> int:
+    """The bitmask of the entries c with c . g c = 0 of one chunk of the
+    product planes, bit start + j for its entry j: c . g c = c^T J g c is
+    the one combination sum_{a <= b} s_ab products_ab, the scales s_ab of
+    _pair_scales."""
+    start, count, planes, offset = chunk
+    total = sum(s * plane for s, plane in zip(scales, planes) if s)
+    return _zero_fields(total, offset, count) << start
 
 
-def _paired_mask(g: Isometry, table) -> int:
-    """The bitmask of the entries c with c . g c = 0 of the table of
-    exceptional classes: c . g c = c^T J g c for every entry at once is the
-    one combination sum_{a <= b} s_ab products_ab (_exceptional_products),
-    with s_aa = (J g)_aa and s_ab = (J g)_ab + (J g)_ba."""
+def _pair_scales(g: Isometry) -> List[int]:
+    """s_aa = (J g)_aa and s_ab = (J g)_ab + (J g)_ba, a < b, in the order of
+    the pairs of _exceptional_products."""
     jg = xl.mat_mul(g.lattice.gram, g.matrix)
-    total = 0
-    for (a, b), plane in zip(*_exceptional_products(len(jg) - 1)):
-        s = jg[a][a] if a == b else jg[a][b] + jg[b][a]
-        if s:
-            total += s * plane
-    return _zero_fields(total, table[2], len(table[0]))
+    return [jg[a][a] if a == b else jg[a][b] + jg[b][a]
+            for a, b in _exceptional_products(len(jg) - 1)[0]]
 
 
 def _orthogonal_mask(table, jb: Sequence[int]) -> int:
@@ -513,22 +554,44 @@ def _orthogonal_mask(table, jb: Sequence[int]) -> int:
     return _zero_fields(sum(map(mul, jb, planes)), offset, len(vectors))
 
 
-def _table_entry(g: Isometry, table, name: str, masks: Dict[str, int],
+def _table_entry(g: Isometry, n: int, name: str, masks: Dict[str, Tuple[int, int]],
                  within: Optional[int] = None) -> Optional[Coords]:
-    """The lowest entry, under within, of the table of exceptional classes
-    in the mask name of g: "fixed" (_fixed_mask) or "paired" (_paired_mask),
-    computed at its first read and kept in masks.  Routes c and d read their
-    first slab with it, and so does table_witnesses."""
-    mask = masks.get(name)
-    if mask is None:
-        build = _fixed_mask if name == "fixed" else _paired_mask
-        mask = masks[name] = build(g, table)
-    return _lowest(table, mask if within is None else mask & within)
+    """The lowest entry, under within (every entry when None), in the mask
+    name of g: the fixed entries (_fixed_bits) of the +1 table
+    weyl._slab_table(n, 1, 3) for "plus1", and for "fixed" those of the
+    table of exceptional classes, whose entries c with c . g c = 0
+    (_paired_bits) are "paired".  The table's chunks (_view) are read from
+    the bottom up to the first chunk with a bit under within.  masks[name]
+    keeps (mask, read), the mask of the first read chunks, so a later read,
+    as of decompose's pieces, which hand masks on, goes on where the last
+    one stopped.  Routes a, c and d read their first slab with it, through
+    table_witnesses."""
+    if name == "paired":
+        vectors, chunks = _view(n, -1, 1, products=True)
+        scales: List[int] = []
+
+        def bits(chunk):
+            if not scales:     # at the first chunk read
+                scales.extend(_pair_scales(g))
+            return _paired_bits(scales, chunk)
+    else:
+        vectors, chunks = _view(n, *((1, 3) if name == "plus1" else (-1, 1)))
+        rows = g.matrix
+        bits = lambda chunk: _fixed_bits(rows, chunk)
+    mask, read = masks.get(name, (0, 0))
+    under = mask if within is None else mask & within
+    while not under and read < len(chunks):
+        got = bits(chunks[read])
+        mask |= got
+        read += 1
+        under = got if within is None else got & within
+    masks[name] = mask, read
+    return _lowest(vectors, under)
 
 
-def _lowest(table, mask: int) -> Optional[Coords]:
-    """The table entry of the lowest set bit of mask, else None."""
-    return table[0][(mask & -mask).bit_length() - 1] if mask else None
+def _lowest(vectors, mask: int) -> Optional[Coords]:
+    """The entry of the lowest set bit of mask, else None."""
+    return vectors[(mask & -mask).bit_length() - 1] if mask else None
 
 
 def _norm_route(side: _EigenSide, target: int, t_bound: int, even: str,
@@ -614,21 +677,47 @@ def _partner_test(gram, v) -> bool:
             and any((x - gram[i][i]) % 2 for i, x in enumerate(v)))
 
 
-class _Signed(Sequence):
-    """The entries negated in reverse order, then the entries: ascending for
-    sign-canonical ascending entries, as a negated sign-canonical vector
-    precedes every sign-canonical one.  A negated entry is made when it is
-    read, and route b's scan of a conic table stops after a few."""
+class _FixedConics:
+    """Route b's first batch on a K-fixing g: its fixed conics, entries of
+    the conic table with g c = c, negated in descending order, then as they
+    are, ascending, which is ascending for sign-canonical ascending
+    entries, as a negated sign-canonical vector precedes every
+    sign-canonical one.  The chunks of the table (_view) are read from the
+    top down as an iteration needs their entries, each once (_fixed_bits),
+    and the entries read are kept for every later iteration: the negated
+    half reads the chunks down to its last entry read, the positive half
+    every chunk."""
 
-    def __init__(self, entries: List[Coords]):
-        self.entries = entries
+    def __init__(self, g: Isometry, n: int):
+        self.rows = g.matrix
+        self.vectors, self.chunks = _view(n, 0, 2)
+        self.read = 0
+        self.fixed: List[Coords] = []      # of the chunks read, descending
+        self.negated: List[Coords] = []    # their negations, in that order
 
-    def __len__(self) -> int:
-        return 2 * len(self.entries)
+    def _read_chunk(self) -> bool:
+        """Read the next chunk down; False when every chunk is read."""
+        if self.read == len(self.chunks):
+            return False
+        self.read += 1
+        mask = _fixed_bits(self.rows, self.chunks[-self.read])
+        while mask:
+            top = mask.bit_length() - 1
+            c = self.vectors[top]
+            self.fixed.append(c)
+            self.negated.append(tuple([-x for x in c]))
+            mask ^= 1 << top
+        return True
 
-    def __getitem__(self, i: int) -> Coords:
-        k = len(self.entries)
-        return tuple([-x for x in self.entries[k - 1 - i]]) if i < k else self.entries[i - k]
+    def __iter__(self):
+        negated, i = self.negated, 0
+        while True:
+            while i < len(negated):
+                yield negated[i]
+                i += 1
+            if not self._read_chunk():
+                break
+        yield from reversed(self.fixed)
 
 
 def _first_pair(ambient, batches, passes: Optional[Callable[[Coords], bool]] = None
@@ -676,9 +765,12 @@ def route_b(data: EigenData, t_bound: int) -> RouteResult:
     sides they close (table_witnesses).  K is characteristic, so
     K.c = c^2 = 0 (mod 2), and K-perp is negative definite, so slabs 0 and
     1 hold no isotropic vector and slab 2 holds the fixed conics and their
-    negatives, ascending (_Signed), scanned as one batch with no partner
-    test: a c1 it would skip has no partner among them, as they lie in the
-    plus side.  With no pair in it the search runs as it stands.
+    negatives, ascending (_FixedConics), scanned as one batch with no
+    partner test: a c1 it would skip has no partner among them, as they lie
+    in the plus side.  The batch starts with the highest fixed conics,
+    negated, and is read from the top chunk of the table down only as far
+    as the scan goes, which on a hit is the top chunk or two at n = 8.
+    With no pair in it the search runs as it stands.
     """
     side = data.plus
     if len(side.basis) < 2:
@@ -896,7 +988,12 @@ def table_witnesses(name: str, g: Isometry, n: int, t_bound: int,
     conics of weyl._slab_table(n, 0, 2) (t_bound >= 2), on the first eigen
     data only (within None); routes c and d (t_bound >= 2) the lowest fixed
     and paired entries of the table of exceptional classes under within,
-    with the masks kept in masks (_table_entry).  No kernel is formed.
+    with the masks of the chunks read kept in masks (_table_entry, as route
+    a's).  Each
+    reads a table's chunks (_view) only as far as its witness: routes a, c
+    and d from the bottom chunk up to the first with a hit, route b from
+    the top chunk down (_FixedConics), every chunk only when it finds no
+    pair.  No kernel is formed.
 
     Routes a and c read only on an indefinite plus side (a definite one is
     Z K, which holds no class of square +-1 for n <= 7), so on the first
@@ -906,15 +1003,13 @@ def table_witnesses(name: str, g: Isometry, n: int, t_bound: int,
     eigen data; a witness not read here sends g to its own eigen data."""
     masks = {} if masks is None else masks
     if name == "a" and n <= 7 and t_bound >= 3 and within is None:
-        table = _slab_table(n, 1, 3)
-        c = _lowest(table, _fixed_mask(g, table))
+        c = _table_entry(g, n, "plus1", masks)
     elif name == "b" and t_bound >= 2 and within is None:
-        conics = _Signed(_fixed_entries(g, _slab_table(n, 0, 2)))
-        return _first_pair(g.lattice.gram, [conics])
+        return _first_pair(g.lattice.gram, [_FixedConics(g, n)])
     elif name == "c":
-        c = _table_entry(g, _slab_table(n, -1, 1), "fixed", masks, within)
+        c = _table_entry(g, n, "fixed", masks, within)
     elif name == "d" and t_bound >= 2:
-        c = _table_entry(g, _slab_table(n, -1, 1), "paired", masks, within)
+        c = _table_entry(g, n, "paired", masks, within)
         return None if c is None else _swapped_pair(g, c)
     else:
         return None

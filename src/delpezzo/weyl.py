@@ -265,7 +265,7 @@ def normal_form(g: Isometry):
     complement, h an isometry of O+(M_n) and h^-1 = J h^T J by their rows,
     and g' an Isometry.
 
-    g^2 = 1 is tested before any draw (Isometry.is_involution), else
+    g^2 = 1 is tested before any draw (_normal_form), else
     InputError("not an involution"), as is a lattice other than M_n.  Every
     involution of O(M_n) = O+(M_n) x {+-1} is conjugate to such an s w_I
     (Richardson 1982; Vinberg 1972).  The method:
@@ -295,15 +295,21 @@ def normal_form(g: Isometry):
     """
     if g.lattice != del_pezzo_lattice(g.lattice.rank - 1):
         raise InputError("the normal form is defined on the blowup lattice M_n")
-    if not g.is_involution():
-        raise InputError("not an involution")
     return _normal_form(g.lattice, *_chamber(g))
 
 
 def _normal_form(lattice: Lattice, sign: int, x: Sequence[int], h: Sequence[Sequence[int]],
                  conj: Sequence[Sequence[int]]):
-    """normal_form from the (s, x', h0, g') of _chamber, for an involution."""
+    """normal_form from the (s, x', h0, g') of _chamber.  Before any draw,
+    InputError("not an involution") unless J g' is symmetric: g' is an
+    isometry, so g'^-1 = J g'^T J, and g'^2 = 1 exactly when J g' = g'^T J
+    (as Isometry.is_involution reads it, on the rows held here).  A draw
+    can pass the acceptance test below on a non-involution."""
     size = len(x)
+    # J = diag(1, -1, ..., -1): (J g')_ij = (J g')_ji
+    if any(conj[i][j] != (conj[j][i] if j else -conj[j][i])
+           for i in range(1, size) for j in range(i)):
+        raise InputError("not an involution")
     walls = _chamber_walls(size - 1)
     tilde = conj if sign > 0 else [[-y for y in row] for row in conj]
     rank = (size - sum(tilde[i][i] for i in range(size))) // 2

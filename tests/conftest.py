@@ -106,6 +106,54 @@ def decompose_pieces(g, bound: int = 10):
     return d, pieces
 
 
+@lru_cache(maxsize=None)
+def _full_table_reads(matrix, n):
+    """(a, pair, fixed, paired) for the K-fixing involution of M_n with
+    these rows, from every entry of its K-slab tables, one g c at a time:
+    the lowest fixed entry of weyl._slab_table(n, 1, 3) (n <= 7, else
+    None); route b's pair, the first (c1, c2), in a plain double loop over
+    the fixed entries of the conic table (n, 0, 2) negated in descending
+    order and then as they are, with c1 . c2 = 1, else None; and the
+    indices of the entries c of the table of exceptional classes with
+    g c = c and with c . g c = 0."""
+    from delpezzo.weyl import _slab_table
+    gram = del_pezzo_lattice(n).gram
+
+    def fixes(c):
+        return all(sum(map(mul, row, c)) == x for row, x in zip(matrix, c))
+
+    a = None if n > 7 else next((c for c in _slab_table(n, 1, 3)[0] if fixes(c)), None)
+    conics = [c for c in _slab_table(n, 0, 2)[0] if fixes(c)]
+    batch = [tuple(-x for x in c) for c in reversed(conics)] + conics
+    pair = next((tuple(sorted((c1, c2))) for c1 in batch for w in [xl.mat_vec(gram, c1)]
+                 for c2 in batch if sum(map(mul, w, c2)) == 1), None)
+    classes = _slab_table(n, -1, 1)[0]
+    fixed = [j for j, c in enumerate(classes) if fixes(c)]
+    paired = [j for j, c in enumerate(classes)
+              if sum(map(mul, xl.mat_vec(gram, c), xl.mat_vec(matrix, c))) == 0]
+    return a, pair, fixed, paired
+
+
+def full_table_witnesses(name, g, n, t_bound, within=None):
+    """The witnesses of criteria.table_witnesses(name, g, n, t_bound,
+    within), with its gates, read off the whole K-slab tables entry by entry
+    (_full_table_reads): no planes, no chunks, no state."""
+    from delpezzo.weyl import _slab_table
+    a, pair, fixed, paired = _full_table_reads(g.matrix, n)
+    if name == "a":
+        return (a,) if n <= 7 and t_bound >= 3 and within is None and a is not None else None
+    if name == "b":
+        return pair if t_bound >= 2 and within is None else None
+    if name == "d" and t_bound < 2:
+        return None
+    found = [j for j in (fixed if name == "c" else paired)
+             if within is None or within >> j & 1]
+    if not found:
+        return None
+    c = _slab_table(n, -1, 1)[0][found[0]]
+    return (c,) if name == "c" else (c, tuple(xl.mat_vec(g.matrix, c)))
+
+
 # The byte-permutation oracles.  A permutation of the sorted root list
 # (pg.root_action_context) is a bytes object, entry i the index of the image
 # of root i, so composition is one bytes.translate call.

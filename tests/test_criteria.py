@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delpezzo import classify_involutions, criteria, decompose, irreducibility
+from delpezzo import check_reducible, classify_involutions, criteria, decompose, irreducibility
 from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.lattice import (
@@ -49,6 +49,7 @@ from conftest import (
     coords_of,
     decompose_pieces,
     e_reflections,
+    full_table_witnesses,
     lift,
 )
 
@@ -851,6 +852,109 @@ def test_routes_a_and_b_read_no_table_on_narrowed_data(narrowed_data, monkeypatc
         criteria.route_a(data, n, 3)
         criteria.route_b(data, 3)
     assert {key[1:] for key in reads} == {(-1, 1), (1, 3), (0, 2)}
+
+
+def _k_fixing(g, n):
+    """check_reducible's K-fixing conjugate of g (irreducibility's basis
+    rule), else None."""
+    g_red, _, fixes_k = irreducibility._k_fixing_conjugate(g, canonical_class(n))
+    return g_red if fixes_k else None
+
+
+@pytest.fixture(scope="module")
+def table_read_inputs():
+    """(g, n, withins, verify) for chunked table reads: the catalog
+    representatives, n = 2..8, and the distinct K-fixing conjugates of
+    verify seeds 101-103 (verify True), each read on its first eigen data
+    (within None); and the K-fixing conjugates of decompose seeds 101 and 17
+    with the within of each piece decompose reads the table on, in order."""
+    out, seen = [], set()
+    for n in range(2, 9):
+        for cls in classify_involutions(n):
+            seen.add(cls.representative.matrix)
+            out.append((cls.representative, n, (None,), False))
+    for seed in (101, 102, 103):
+        for op in bench_inputs().verify_stream(seed):
+            g = _k_fixing(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n)
+            if g is not None and g.matrix not in seen:
+                seen.add(g.matrix)
+                out.append((g, op.n, (None,), True))
+    for seed in (101, 17):
+        for op in bench_inputs().decompose_stream(seed):
+            g = _k_fixing(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n)
+            if g is not None:
+                pieces = decompose_pieces(g)[1]
+                out.append((g, op.n, tuple(d.within for d in pieces
+                                           if d.exceptional is not None), False))
+    return out
+
+
+@pytest.mark.parametrize("chunk", (1, 64, 2160))
+def test_chunked_table_reads_match_the_full_table_oracle(table_read_inputs, monkeypatch,
+                                                         chunk):
+    # table_witnesses reads the K-slab tables chunk by chunk (criteria._view),
+    # with chunks of one entry, of the default 64 and of the largest table
+    # (the n = 8 conics: every table is one chunk).  Each answer, at bounds
+    # 1, 2, 3 and 10, is the full-table oracle's.  One masks dict serves
+    # every read of an input, the pieces of a decomposition in order as
+    # decompose hands it on, so the reads of c and d go on from the chunks
+    # an earlier read left.  With one-entry chunks an n = 8 conic read that
+    # finds no pair evaluates 2160 chunks, so that run leaves out the n = 8
+    # verify conjugates; the catalog and the decompose pieces cover n = 8
+    assert len(weyl_mod._slab_table(8, 0, 2)[0]) == 2160
+    monkeypatch.setattr(criteria, "_CHUNK", chunk)
+    monkeypatch.setattr(criteria, "_VIEWS", {})
+    hits = {"a": 0, "b": 0, "c": 0, "d": 0}
+    narrowed = exhausted = 0
+    for g, n, withins, verify in table_read_inputs:
+        if chunk == 1 and n == 8 and verify:
+            continue
+        masks = {}
+        for bound in (1, 2, 3, 10):
+            for within in withins:
+                narrowed += within is not None
+                for name in "abcd" if bound <= 2 else "acd":
+                    # route b's read is gated at t >= 2 only: bounds 3 and
+                    # 10 repeat bound 2
+                    got = criteria.table_witnesses(name, g, n, bound, within, masks)
+                    assert got == full_table_witnesses(name, g, n, bound, within), (
+                        name, n, bound, g.matrix)
+                    hits[name] += got is not None
+                    # a pair from the negated half is found there, so a
+                    # read that returns None has walked both halves
+                    exhausted += (name == "b" and bound >= 2 and within is None
+                                  and got is None)
+    assert min(hits.values()) > 10 and narrowed > 100 and exhausted > 10
+
+
+def test_route_b_conic_read_evaluates_at_most_two_chunks(monkeypatch):
+    # on the n = 8 inputs of verify seed 101 whose K-fixing conjugate
+    # check_reducible certifies by a fixed hyperbolic pair, the pair is
+    # among the highest fixed conics, negated: the conic read evaluates at
+    # most the top two of the 34 chunks of the n = 8 conic table, and its
+    # pair, mapped back, is the certificate's
+    calls = []
+    fixed_bits = criteria._fixed_bits
+    monkeypatch.setattr(criteria, "_fixed_bits",
+                        lambda rows, chunk: calls.append(chunk[0]) or fixed_bits(rows, chunk))
+    k, checked = canonical_class(8), 0
+    # the chunk starts of the conic table, from the top down
+    top = [chunk[0] for chunk in reversed(criteria._view(8, 0, 2)[1])]
+    assert len(top) == 34
+    for op in bench_inputs().verify_stream(101):
+        if op.n != 8:
+            continue
+        g = Isometry(del_pezzo_lattice(8), op.matrix)
+        cert = check_reducible(g, 8, 2).certificate
+        g_red, h_inv, fixes_k = irreducibility._k_fixing_conjugate(g, k)
+        if not fixes_k or cert.kind != "FixedHyperbolicPair":
+            continue
+        calls.clear()
+        pair = criteria.table_witnesses("b", g_red, 8, 2)
+        assert 1 <= len(calls) <= 2 and calls == top[:len(calls)], (op, calls)
+        assert tuple(irreducibility._back(h_inv, c) for c in pair) == cert.witnesses
+        checked += 1
+    assert checked >= 40
 
 
 def test_anchored_signatures_match_sylvester(monkeypatch):

@@ -217,8 +217,8 @@ def test_check_and_decompose_never_square_g(monkeypatch):
     # order 4 and moves K: the kernel test runs on its chamber conjugate
     s = reflection(lat.vector((0, 1, 0, 0))) @ reflection(lat.vector((0, 1, -1, 0)))
     # not an involution, g_00 > 0, and its chamber conjugate moves K: a draw
-    # of the normal form passes the wall count on it, and the conjugate it
-    # gives moves K; is_involution rejects it before any draw
+    # of the normal form would pass the wall count on it, which
+    # weyl._normal_form refuses; is_involution rejects it before any draw
     for bad in (r, s, s.negated(), _non_involution_a_draw_accepts()):
         for run in (check_reducible, decompose):
             with pytest.raises(InputError, match="^not an involution$"):
@@ -244,11 +244,13 @@ def test_check_and_decompose_never_square_g(monkeypatch):
 
 def _non_involution_a_draw_accepts():
     """The n = 3 isometry, not an involution, with g_00 > 0 and a chamber
-    conjugate that moves K, on which the first normal-form draw passes the
-    wall count (I = {E1 - E2}) and gives a conjugate that moves K."""
+    conjugate that moves K, on which the first normal-form draw would pass
+    the wall count (I = {E1 - E2}) and give a conjugate that moves K:
+    weyl._normal_form tests the symmetry of J g' first and raises."""
     lat = del_pezzo_lattice(3)
     t = Isometry(lat, ((2, -1, 1, -1), (1, 0, 1, -1), (1, -1, 0, -1), (-1, 1, -1, 0)))
-    assert weyl._normal_form(lat, *weyl._chamber(t))[1] == ((0, 1, -1, 0),)
+    with pytest.raises(InputError, match="^not an involution$"):
+        weyl._normal_form(lat, *weyl._chamber(t))
     return t
 
 
