@@ -74,19 +74,14 @@ blow-down, with the mask of the entries orthogonal to the peeled blocks
 M_k with canonical class K', its exceptional classes are those entries, and
 every argument below holds on it with K' for K, so routes c and d read it
 under the mask; routes a and b read no table there.  A table holds the
-classes of one square and one |K.c|, one of each +- pair, in the plane
-layout of weyl._planes: the +1 classes with |K.c| = 3 for route a
-(n <= 7), the conics (square 0, |K.c| = 2) for route b, the exceptional
-classes (square -1, |K.c| = 1) for routes c and d, to which route d adds
-their coordinate products (_exceptional_products).  Each is the first slab
-the search could fill.  A read sees a table through its chunks (_view):
-blocks of _CHUNK entries, each with its own planes, the byte slices of the
-table's, so one reader (_fixed_bits, and _paired_bits for route d) finds
-the fixed entries of a whole chunk at once, and a read evaluates only the
-chunks it needs.  Routes a, c and d want the lowest entry and read from the
-bottom chunk up to the first with a hit (_table_entry); route b's scan
-starts at the highest fixed conic, negated, and reads from the top chunk
-down.
+classes of one square and one |K.c|, one of each +- pair: the +1 classes
+with |K.c| = 3 for route a (n <= 7), the conics (square 0, |K.c| = 2) for
+route b, the exceptional classes (square -1, |K.c| = 1) for routes c and
+d, to which route d adds their coordinate products
+(weyl._exceptional_products).  Each is the first slab the search could
+fill.  weyl keeps each table's layout and chunks, and every read goes
+through its two readers: routes a, c and d read chunks from the bottom up
+(_table_entry), route b from the top down (_FixedConics).
 Parity: K is characteristic, so K.c = c^2 (mod 2), and K-perp is negative
 definite, so an isotropic c != 0 has K.c even and nonzero, and a class of
 square -1 has K.c odd.  Reverse Cauchy-Schwarz: a +1 class has
@@ -139,9 +134,8 @@ import heapq
 import itertools
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -157,7 +151,14 @@ from .lattice import (
     has_even_products,
     sign_canonical_coords,
 )
-from .weyl import _OFFSET, _planes, _slab_table, _zero_fields, canonical_class
+from .weyl import (
+    _Table,
+    _exceptional_products,
+    _slab_table,
+    canonical_class,
+    fixed_entries,
+    zero_entries,
+)
 
 Coords = Tuple[int, ...]
 
@@ -220,24 +221,6 @@ class _EigenSide:
     ambient_anchor: Optional[Tuple[int, ...]] = field(default=None, repr=False, compare=False)
 
 
-@lru_cache(maxsize=None)
-def _exceptional_products(n: int) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
-    """(pairs, products): the coordinate pairs (a, b), a <= b, of M_n and,
-    for each, the plane with c_a c_b in field j for the j-th exceptional
-    class c of weyl._slab_table(n, -1, 1), whose offset they share.
-
-    With c = (K.c / K^2) K + e, e^2 = -1 - 1/K^2 in the negative definite
-    K-perp, so |c . c'| <= 1/K^2 + |e| |e'| <= 1 + 2/K^2, at most 3, for any
-    two classes c, c' (Cauchy-Schwarz), which bounds every field of c . g c.
-    """
-    classes, _, _ = _slab_table(n, -1, 1)
-    pairs = tuple((a, b) for a in range(n + 1) for b in range(a, n + 1))
-    # the bound above, with K^2 = 9 - n
-    products, _ = _planes([[c[a] * c[b] for a, b in pairs] for c in classes],
-                          1 + 2 // (9 - n))
-    return pairs, products
-
-
 @dataclass
 class EigenData:
     """Both eigen sides of g; glue is the congruent sublattice of route d's
@@ -249,24 +232,26 @@ class EigenData:
     is also that of each conjugate of g under the stabilizer of K; only the
     witnesses are g's own (irreducibility's class record).
 
-    exceptional is the table of exceptional classes, the (classes, planes,
-    offset) of weyl._slab_table(n, -1, 1), when a canonical class anchors
-    the plus side, else None: the one mark of that anchor.  eigen_data sets
-    it for a K-fixing g on M_n, 2 <= n <= 8, and decompose keeps it on each
+    exceptional is the table of exceptional classes,
+    weyl._slab_table(n, -1, 1), when a canonical class anchors the plus
+    side, else None: the one mark of that anchor.  eigen_data sets it for
+    a K-fixing g on M_n, 2 <= n <= 8, and decompose keeps it on each
     piece B-perp of such an input, anchored at the piece's canonical class
     K', while every block it peeled is a blow-down
     (irreducibility._decompose_in_basis).  within is then the bitmask of the
-    entries orthogonal to B, the piece's exceptional classes; it is None on
-    the first eigen data, whose classes are all the entries.  Routes c and d
+    entries orthogonal to B (weyl.zero_entries of J b over the whole table,
+    one per peeled b), the piece's exceptional classes; it is None on the
+    first eigen data, whose classes are all the entries.  Routes c and d
     read their first slab's witness off the table under within, from the
     masks of the fixed entries and of those with c . g c = 0, read chunk by
-    chunk from the bottom up (_table_entry).  masks keeps, by name, each
-    mask of the chunks read so far with their count (route a's too, of the
-    +1 table), and decompose hands it on from piece to piece, as no mask
-    depends on the piece: a piece's read extends the mask from the chunk
-    where the last read stopped.  Routes a and b read the +1 and conic
-    tables, weyl._slab_table(n, 1, 3) and (n, 0, 2), on the first eigen
-    data only."""
+    chunk from the bottom up (_table_entry).  masks keeps, by name, the
+    state of each such read (route a's too, of the +1 table): the mask of
+    the chunks read so far, their count, the table and g's chunk reader,
+    with route d's scales (_pair_scales) computed once.  decompose hands it
+    on from piece to piece, as none of it depends on the piece: a piece's
+    read extends the mask from the chunk where the last read stopped.
+    Routes a and b read the +1 and conic tables, weyl._slab_table(n, 1, 3)
+    and (n, 0, 2), on the first eigen data only."""
 
     g: Isometry
     plus: _EigenSide
@@ -274,9 +259,9 @@ class EigenData:
     glue: Optional[_EigenSide] = field(default=None, repr=False, compare=False)
     results: Dict[str, Tuple[RouteResult, int]] = field(
         default_factory=dict, repr=False, compare=False)
-    exceptional: Optional[tuple] = field(default=None, repr=False, compare=False)
+    exceptional: Optional[_Table] = field(default=None, repr=False, compare=False)
     within: Optional[int] = field(default=None, repr=False, compare=False)
-    masks: Dict[str, Tuple[int, int]] = field(default_factory=dict, repr=False, compare=False)
+    masks: Dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
@@ -475,118 +460,45 @@ def _mod4_allows_partner(gram) -> bool:
     return any(q == 0 and w and w != diag for q, w in _classes_mod4(gram))
 
 
-# entries per chunk of a K-slab table's view (_view): each chunk has its own
-# planes, so a read evaluates g on the chunks it needs and no more
-_CHUNK = 64
-# the chunk views, by table key (_view)
-_VIEWS: Dict[tuple, Tuple[tuple, ...]] = {}
-
-
-def _chunked(planes: Sequence[int], offset: int, size: int) -> Tuple[tuple, ...]:
-    """The chunks (start, count, planes, offset) of a plane layout of size
-    fields (weyl._planes), _CHUNK entries each, the last one short: each
-    chunk's planes are the byte slices of plane + offset over its entries,
-    so a combination of them holds, in field j, field start + j of the same
-    combination of the whole planes."""
-    fields = [(plane + offset).to_bytes(size, "little") for plane in planes]
-    chunks = []
-    for start in range(0, size, _CHUNK):
-        count = min(_CHUNK, size - start)
-        base = int.from_bytes(bytes([_OFFSET]) * count, "little")
-        chunks.append((start, count, tuple(int.from_bytes(f[start:start + count], "little")
-                                           - base for f in fields), base))
-    return tuple(chunks)
-
-
-def _view(n: int, square: int, t: int, products: bool = False):
-    """(vectors, chunks) of weyl._slab_table(n, square, t): the chunks of its
-    planes, or with products those of the planes of the coordinate products
-    of the table of exceptional classes (_exceptional_products), built at
-    the first read and kept in _VIEWS."""
-    vectors, planes, offset = _slab_table(n, square, t)
-    key = (n, square, t, products)
-    chunks = _VIEWS.get(key)
-    if chunks is None:
-        if products:
-            planes = _exceptional_products(n)[1]
-        chunks = _VIEWS[key] = _chunked(planes, offset, len(vectors))
-    return vectors, chunks
-
-
-def _fixed_bits(rows, chunk) -> int:
-    """The bitmask of the entries c with g c = c of one chunk, for the rows
-    of g, bit start + j for its entry j: row_k(g) . planes - plane_k holds
-    (g c - c)_k in the field of each entry, within the table's bound, and
-    the fixed entries are the fields that are 0 in every row k."""
-    start, count, planes, offset = chunk
-    fixed = (1 << count) - 1
-    for row, plane in zip(rows, planes):
-        fixed &= _zero_fields(sum(map(mul, row, planes)) - plane, offset, count)
-        if not fixed:
-            break
-    return fixed << start
-
-
-def _paired_bits(scales, chunk) -> int:
-    """The bitmask of the entries c with c . g c = 0 of one chunk of the
-    product planes, bit start + j for its entry j: c . g c = c^T J g c is
-    the one combination sum_{a <= b} s_ab products_ab, the scales s_ab of
-    _pair_scales."""
-    start, count, planes, offset = chunk
-    total = sum(s * plane for s, plane in zip(scales, planes) if s)
-    return _zero_fields(total, offset, count) << start
-
-
 def _pair_scales(g: Isometry) -> List[int]:
     """s_aa = (J g)_aa and s_ab = (J g)_ab + (J g)_ba, a < b, in the order of
-    the pairs of _exceptional_products."""
+    the pairs of weyl._exceptional_products."""
     jg = xl.mat_mul(g.lattice.gram, g.matrix)
     return [jg[a][a] if a == b else jg[a][b] + jg[b][a]
             for a, b in _exceptional_products(len(jg) - 1)[0]]
 
 
-def _orthogonal_mask(table, jb: Sequence[int]) -> int:
-    """The bitmask of the entries c with c . b = 0 of the table of
-    exceptional classes, for jb = J b and b an exceptional class:
-    jb . planes holds c . b in the field of each entry, and |c . b| <= 3
-    (_exceptional_products), inside the fields of _planes."""
-    vectors, planes, offset = table
-    return _zero_fields(sum(map(mul, jb, planes)), offset, len(vectors))
-
-
-def _table_entry(g: Isometry, n: int, name: str, masks: Dict[str, Tuple[int, int]],
+def _table_entry(g: Isometry, n: int, name: str, masks: Dict[str, tuple],
                  within: Optional[int] = None) -> Optional[Coords]:
     """The lowest entry, under within (every entry when None), in the mask
-    name of g: the fixed entries (_fixed_bits) of the +1 table
+    name of g: the fixed entries (weyl.fixed_entries) of the +1 table
     weyl._slab_table(n, 1, 3) for "plus1", and for "fixed" those of the
     table of exceptional classes, whose entries c with c . g c = 0
-    (_paired_bits) are "paired".  The table's chunks (_view) are read from
-    the bottom up to the first chunk with a bit under within.  masks[name]
-    keeps (mask, read), the mask of the first read chunks, so a later read,
-    as of decompose's pieces, which hand masks on, goes on where the last
-    one stopped.  Routes a, c and d read their first slab with it, through
-    table_witnesses."""
-    if name == "paired":
-        vectors, chunks = _view(n, -1, 1, products=True)
-        scales: List[int] = []
-
-        def bits(chunk):
-            if not scales:     # at the first chunk read
-                scales.extend(_pair_scales(g))
-            return _paired_bits(scales, chunk)
-    else:
-        vectors, chunks = _view(n, *((1, 3) if name == "plus1" else (-1, 1)))
-        rows = g.matrix
-        bits = lambda chunk: _fixed_bits(rows, chunk)
-    mask, read = masks.get(name, (0, 0))
+    (weyl.zero_entries of _pair_scales on the product table) are "paired".
+    The table's chunks are read from the bottom up to the first chunk with
+    a bit under within.  masks[name] keeps (mask, read, table, reader), the
+    mask of the first read chunks and g's reader of a chunk, so a later
+    read, as of decompose's pieces, which hand masks on, goes on where the
+    last one stopped.  Routes a, c and d read their first slab with it,
+    through table_witnesses."""
+    state = masks.get(name)
+    if state is None:
+        if name == "paired":
+            table, reader = _exceptional_products(n)[1], partial(zero_entries, _pair_scales(g))
+        else:
+            table = _slab_table(n, *((1, 3) if name == "plus1" else (-1, 1)))
+            reader = partial(fixed_entries, g.matrix)
+        state = 0, 0, table, reader
+    mask, read, table, reader = state
+    chunks = table.chunks
     under = mask if within is None else mask & within
     while not under and read < len(chunks):
-        got = bits(chunks[read])
+        got = reader(chunks[read])
         mask |= got
         read += 1
         under = got if within is None else got & within
-    masks[name] = mask, read
-    return _lowest(vectors, under)
+    masks[name] = mask, read, table, reader
+    return _lowest(table.vectors, under)
 
 
 def _lowest(vectors, mask: int) -> Optional[Coords]:
@@ -682,28 +594,29 @@ class _FixedConics:
     the conic table with g c = c, negated in descending order, then as they
     are, ascending, which is ascending for sign-canonical ascending
     entries, as a negated sign-canonical vector precedes every
-    sign-canonical one.  The chunks of the table (_view) are read from the
-    top down as an iteration needs their entries, each once (_fixed_bits),
+    sign-canonical one.  The chunks of the table are read from the top down
+    as an iteration needs their entries, each once (weyl.fixed_entries),
     and the entries read are kept for every later iteration: the negated
     half reads the chunks down to its last entry read, the positive half
     every chunk."""
 
     def __init__(self, g: Isometry, n: int):
         self.rows = g.matrix
-        self.vectors, self.chunks = _view(n, 0, 2)
+        self.table = _slab_table(n, 0, 2)
         self.read = 0
         self.fixed: List[Coords] = []      # of the chunks read, descending
         self.negated: List[Coords] = []    # their negations, in that order
 
     def _read_chunk(self) -> bool:
         """Read the next chunk down; False when every chunk is read."""
-        if self.read == len(self.chunks):
+        chunks = self.table.chunks
+        if self.read == len(chunks):
             return False
         self.read += 1
-        mask = _fixed_bits(self.rows, self.chunks[-self.read])
+        mask = fixed_entries(self.rows, chunks[-self.read])
         while mask:
             top = mask.bit_length() - 1
-            c = self.vectors[top]
+            c = self.table.vectors[top]
             self.fixed.append(c)
             self.negated.append(tuple([-x for x in c]))
             mask ^= 1 << top
@@ -977,7 +890,7 @@ def iter_routes(data: EigenData, n: int, t_bound: int):
 
 
 def table_witnesses(name: str, g: Isometry, n: int, t_bound: int,
-                    within: Optional[int] = None, masks: Optional[Dict[str, int]] = None
+                    within: Optional[int] = None, masks: Optional[Dict[str, tuple]] = None
                     ) -> Optional[Tuple[Coords, ...]]:
     """The witnesses route name returns at t_bound for the K-fixing
     involution g of M_n, 2 <= n <= 8, when it reads them off its first
@@ -988,12 +901,11 @@ def table_witnesses(name: str, g: Isometry, n: int, t_bound: int,
     conics of weyl._slab_table(n, 0, 2) (t_bound >= 2), on the first eigen
     data only (within None); routes c and d (t_bound >= 2) the lowest fixed
     and paired entries of the table of exceptional classes under within,
-    with the masks of the chunks read kept in masks (_table_entry, as route
-    a's).  Each
-    reads a table's chunks (_view) only as far as its witness: routes a, c
-    and d from the bottom chunk up to the first with a hit, route b from
-    the top chunk down (_FixedConics), every chunk only when it finds no
-    pair.  No kernel is formed.
+    with the state of the chunks read kept in masks (_table_entry, as route
+    a's).  Each reads a table's chunks only as far as its witness: routes
+    a, c and d from the bottom chunk up to the first with a hit, route b
+    from the top chunk down (_FixedConics), every chunk only when it finds
+    no pair.  No kernel is formed.
 
     Routes a and c read only on an indefinite plus side (a definite one is
     Z K, which holds no class of square +-1 for n <= 7), so on the first

@@ -34,14 +34,10 @@ once: it gives the invariant, flags included, and stays on the class, from
 which dpz classify decides the class (irreducibility._verdict) with the
 flag routes' results reused, and names it by comparing class triples.
 
-Both the orthogonality table and _class_triple run on the root planes of
-weyl._slab_table(n, -2, 0), not one root at a time: for each coordinate i
-one Python int whose 8-bit field j holds coordinate i of the j-th
-sign-canonical root x_j, whose root id is _canonical_ids(n)[j].  A
-combination sum_i c_i plane_i holds sum_i c_i (x_j)_i in field j, so one
-big-int multiply-add applies a row of J, or a row of g, to every root, and
-weyl._zero_fields turns "this field is 0" into a bitmask in the layout of
-the orthogonality table.
+Both the orthogonality table and _class_triple read every sign-canonical
+root at once, in one pass over the root table weyl._slab_table(n, -2, 0)
+(weyl.zero_entries and weyl.fixed_entries): bit j of their masks is the
+j-th root, whose root id is _canonical_ids(n)[j].
 
 Class sizes are exact for every n = 2..8, with no orbit walked: the pairs
 (F', S') of a maximal orthogonal set and a subset whose involution is in a
@@ -71,9 +67,10 @@ from .lattice import (
 )
 from .weyl import (
     _slab_table,
-    _zero_fields,
     canonical_class,
     enumerate_roots,
+    fixed_entries,
+    zero_entries,
 )
 
 RootSetKey = Tuple[int, ...]  # sorted canonical pair ids
@@ -312,10 +309,10 @@ def _roots_and_index(n: int):
 @lru_cache(maxsize=None)
 def _canonical_ids(n: int) -> RootSetKey:
     """The root ids of the vectors of weyl._slab_table(n, -2, 0), the
-    sign-canonical roots: field j of its planes is root id
+    sign-canonical roots: entry j of the table is root id
     _canonical_ids(n)[j], and the ids ascend as the vectors do."""
     _, index = _roots_and_index(n)
-    return tuple(index[c] for c in _slab_table(n, -2, 0)[0])
+    return tuple(index[c] for c in _slab_table(n, -2, 0).vectors)
 
 
 def _ids_of(mask: int, ids: Sequence[int]) -> RootSetKey:
@@ -344,24 +341,17 @@ def _root_triple(g: Isometry, n: int) -> Tuple[int, Tuple[int, int, int]]:
     """(negated, (|S|, |key|, fixed pairs)) of a K-fixing involution g, with
     negated the bitmask of the sign-canonical roots x that g negates and no
     root id read: the class triple of _class_triple, which needs only the
-    root planes, not the sorted root list.
+    root table, not the sorted root list.
 
-    g acts on every sign-canonical root x at once, through the root planes
-    (weyl._slab_table(n, -2, 0)): row k of g applied to the planes gives
-    coordinate k of every g x, and its sum with or difference from plane k
-    gives that coordinate of g x + x or g x - x.  |key| counts the x that g
-    negates, and fixed pairs the x that g fixes.  |S| = (n + 1 - tr g) / 2
-    is the antifixed rank.  The caller has tested that g fixes K and
-    g^2 = 1, which keeps each field of g x -+ x within the bound of the
-    planes.
+    g acts on every sign-canonical root x at once, in one pass over the
+    whole root table (weyl._slab_table(n, -2, 0)) that reads the x it
+    fixes and the x it negates (weyl.fixed_entries).  |key| counts the x
+    that g negates, and fixed pairs the x that g fixes.  |S| =
+    (n + 1 - tr g) / 2 is the antifixed rank.  The caller has tested that g
+    fixes K and g^2 = 1, which keeps each field of g x -+ x within the
+    bound of the table.
     """
-    vectors, planes, offset = _slab_table(n, -2, 0)
-    size = len(vectors)
-    fixed = negated = (1 << size) - 1
-    for row, plane in zip(g.matrix, planes):
-        image = sum(map(mul, row, planes))
-        fixed &= _zero_fields(image - plane, offset, size)
-        negated &= _zero_fields(image + plane, offset, size)
+    fixed, negated = fixed_entries(g.matrix, _slab_table(n, -2, 0).whole, negated=True)
     return negated, ((n + 1 - g.trace()) // 2, negated.bit_count(), fixed.bit_count())
 
 
@@ -399,16 +389,15 @@ def _orthogonality(n: int) -> Tuple[RootSetKey, List[int]]:
     """(ids, orth): the sign-canonical root ids, sorted, and for the i-th one
     the bitmask of the j != i with roots[ids[j]] orthogonal to roots[ids[i]].
 
-    Row i is one plane combination: J roots[ids[i]] applied to the root
-    planes holds roots[ids[i]] . roots[ids[j]] in field j, and its zero
-    fields are the bits of orth[i] (a root has square -2, so no diagonal).
-    Two roots have |x . y| <= 2 in the negative definite K-perp, inside
-    the field bound of the planes.
+    Row i is one read of the whole root table (weyl.zero_entries): the
+    combination J roots[ids[i]] sends roots[ids[j]] to their product, and
+    the entries it sends to 0 are the bits of orth[i] (a root has square
+    -2, so no diagonal).  Two roots have |x . y| <= 2 in the negative
+    definite K-perp, inside the field bound of the table.
     """
-    vectors, planes, offset = _slab_table(n, -2, 0)
+    table = _slab_table(n, -2, 0)
     gram = del_pezzo_lattice(n).gram
-    orth = [_zero_fields(sum(map(mul, xl.mat_vec(gram, x), planes)), offset, len(vectors))
-            for x in vectors]
+    orth = [zero_entries(xl.mat_vec(gram, x), table.whole) for x in table.vectors]
     return _canonical_ids(n), orth
 
 

@@ -458,7 +458,7 @@ def _decompose_in_basis(g: Isometry, bound: int,
     piece of rank k + 1: B^perp is M_k (or U, in rank 2) with canonical
     class K', its exceptional classes are the table entries orthogonal to
     B, and the narrowed data keep the table with that mask
-    (EigenData.within), one criteria._orthogonal_mask per peeled vector.
+    (EigenData.within), one weyl.zero_entries per peeled vector.
     Any other split drops the table, and K' stays the anchor.
     """
     data = criteria.eigen_data(g, anchor)
@@ -494,9 +494,11 @@ def _decompose_in_basis(g: Isometry, bound: int,
                 k_prime = [x + t * y for x, y in zip(k_prime, b)]
             if table is not None and all(abs(t) == 1 for t in ts):
                 if within is None:
-                    within = (1 << len(table[0])) - 1
+                    within = (1 << len(table.vectors)) - 1
                 for jb in jbs:
-                    within &= criteria._orthogonal_mask(table, jb)
+                    # |c . b| <= 3 (weyl._exceptional_products), inside the
+                    # table's bound
+                    within &= weyl.zero_entries(jb, table.whole)
             else:
                 table = within = None
         plus, minus = _narrow(data.plus, jbs, gram, k_prime), _narrow(data.minus, jbs, gram)

@@ -16,19 +16,28 @@ reduced vector, so that h g h^-1 = s w_I, with s = +-1 and w_I the
 isometry that is -1 on the span of a set I of chamber walls
 (_chamber_walls) and 1 on its orthogonal complement.
 
-The plane layout (_planes) packs a list of small integer vectors x_j into
-one Python int per coordinate i, plane_i = sum_j (x_j)_i 256^j, so that one
-big-int multiply-add applies a row of a matrix to every x_j at once, and
-_zero_fields reads which fields of such a combination are 0.  _slab_table
-builds every such table from the exact slab search: the roots (slab
-(-2, 0)), which enumerate_roots and the W_n class layer of involutions
-read, and the exceptional classes (slab (-1, 1)), from which routes c and
-d of criteria read their first witness.
+The K-slab tables are this module's alone to lay out.  _slab_table builds
+each from the exact slab search: the roots (slab (-2, 0)), which
+enumerate_roots and the W_n class layer of involutions read, the +1
+classes (1, 3), the conics (0, 2) and the exceptional classes (-1, 1),
+from which routes a to d of criteria read their first witness, and
+_exceptional_products lays out the exceptional classes by their
+coordinate products for route d.  A table (_Table) packs its entries x_j
+into one Python int per coordinate i, plane_i = sum_j (x_j)_i 256^j
+(_planes), so that one big-int multiply-add applies a row of a matrix to
+every x_j at once, and _zero_fields reads which fields of such a
+combination are 0.  Its chunks are blocks of _CHUNK entries with planes of
+their own, the byte slices of the table's, built at the first lazy read,
+so a read evaluates only the chunks it needs: the root table is read
+whole, in one pass, and the others chunk by chunk.  Two readers take a
+block, the whole table or a chunk, and are the only way any module reads
+a table: fixed_entries, the entries g fixes (and those it negates, in the
+same pass), and zero_entries, the entries a row combination sends to 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +49,6 @@ from .lattice import (
     Lattice,
     LatticeVector,
     del_pezzo_lattice,
-    del_pezzo_vector,
     sign_canonical_coords,
 )
 
@@ -90,24 +98,26 @@ def wall_generators(n: int) -> GeneratorSet:
     reduce_to_chamber but its image under the sign changes of E1, E2, E3
     (E1, E2), which the E_i - E_{i+1} and E_n reflections generate.
     """
+    return _wall_set(n, True)
+
+
+def _wall_set(n: int, flipped: bool) -> GeneratorSet:
+    """The walls of _chamber_walls(n), labelled: every wall but E_n, or
+    with flipped every wall, with the signs of the E_i of alpha0 flipped;
+    InputError outside 2 <= n <= 9."""
     lat = del_pezzo_lattice(n)
-    if n == 2:
-        vecs = (del_pezzo_vector(2, 1, {1: 1, 2: 1}), del_pezzo_vector(2, 0, {1: 1, 2: -1}),
-                del_pezzo_vector(2, 0, {2: 1}))
-        labels = ("H+E1+E2", "E1-E2", "E2")
-    elif 3 <= n <= 9:
-        vecs = [del_pezzo_vector(n, 1, {1: 1, 2: 1, 3: 1})]
-        labels = ["H+E1+E2+E3"]
-        for i in range(1, n):
-            vecs.append(del_pezzo_vector(n, 0, {i: 1, i + 1: -1}))
-            labels.append(f"E{i}-E{i + 1}")
-        vecs.append(del_pezzo_vector(n, 0, {n: 1}))
-        labels.append(f"E{n}")
-        vecs = tuple(vecs)
-        labels = tuple(labels)
+    if not 2 <= n <= 9:
+        raise InputError(("wall generators" if flipped else "simple roots")
+                         + " are defined for 2 <= n <= 9")
+    walls = list(_chamber_walls(n))
+    if flipped:
+        walls[0] = (1,) + tuple(-x for x in walls[0][1:])
     else:
-        raise InputError("wall generators are defined for 2 <= n <= 9")
-    return GeneratorSet(lat, vecs, labels)
+        walls.pop()
+    sign = "+" if flipped else "-"
+    labels = ["H" + "".join(f"{sign}E{i}" for i in range(1, min(n, 3) + 1))]
+    labels += [f"E{i}-E{i + 1}" for i in range(1, n)] + [f"E{n}"]
+    return GeneratorSet(lat, tuple(lat.vector(w) for w in walls), tuple(labels[:len(walls)]))
 
 
 def reduce_to_chamber(x: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
@@ -341,22 +351,7 @@ def weyl_generators(n: int) -> GeneratorSet:
     reflection moves K; the two reflections generate a group of order 4
     that contains the K-stabilizer <s_{E1-E2}> with index 2.
     """
-    lat = del_pezzo_lattice(n)
-    if n == 2:
-        vecs = (del_pezzo_vector(2, 1, {1: -1, 2: -1}),
-                del_pezzo_vector(2, 0, {1: 1, 2: -1}))
-        labels = ("H-E1-E2", "E1-E2")
-    elif 3 <= n <= 9:
-        vecs = [del_pezzo_vector(n, 1, {1: -1, 2: -1, 3: -1})]
-        labels = ["H-E1-E2-E3"]
-        for i in range(1, n):
-            vecs.append(del_pezzo_vector(n, 0, {i: 1, i + 1: -1}))
-            labels.append(f"E{i}-E{i + 1}")
-        vecs = tuple(vecs)
-        labels = tuple(labels)
-    else:
-        raise InputError("simple roots are defined for 2 <= n <= 9")
-    return GeneratorSet(lat, vecs, labels)
+    return _wall_set(n, False)
 
 
 @dataclass(frozen=True)
@@ -381,7 +376,7 @@ def enumerate_roots(n: int) -> RootSystem:
     if not 2 <= n <= 8:
         raise InputError("root enumeration requires 2 <= n <= 8")
     lat = del_pezzo_lattice(n)
-    half, _, _ = _slab_table(n, -2, 0)
+    half = _slab_table(n, -2, 0).vectors
     coords = sorted(half + tuple(tuple(-x for x in c) for c in half))
     return RootSystem(n, tuple(lat.vector(c) for c in coords), weyl_generators(n).vectors)
 
@@ -391,6 +386,8 @@ def enumerate_roots(n: int) -> RootSystem:
 _OFFSET = 128
 # bytes.translate table: the byte of a field that is 0 to "1", any other to "0"
 _ZERO_DIGITS = bytes(ord("1") if b == _OFFSET else ord("0") for b in range(256))
+# entries per chunk of a table (_Table.chunks)
+_CHUNK = 64
 
 
 def _planes(vectors: Sequence[Sequence[int]], bound: int) -> Tuple[Tuple[int, ...], int]:
@@ -419,12 +416,75 @@ def _zero_fields(x: int, offset: int, size: int) -> int:
     return int((x + offset).to_bytes(size, "big").translate(_ZERO_DIGITS), 2)
 
 
+def _chunked(block) -> Tuple[tuple, ...]:
+    """The blocks of _CHUNK entries of a block, the last one short: each
+    one's planes are the byte slices of plane + offset over its entries,
+    so a combination of them holds, in field j, field start + j of the same
+    combination of the whole planes."""
+    _, size, planes, offset = block
+    fields = [(plane + offset).to_bytes(size, "little") for plane in planes]
+    chunks = []
+    for start in range(0, size, _CHUNK):
+        count = min(_CHUNK, size - start)
+        base = int.from_bytes(bytes([_OFFSET]) * count, "little")
+        chunks.append((start, count, tuple(int.from_bytes(f[start:start + count], "little")
+                                           - base for f in fields), base))
+    return tuple(chunks)
+
+
+class _Table:
+    """The entries vectors of a table, laid out in planes (_planes) from
+    fields, one row per entry (the vectors themselves when None), whose
+    combinations the readers take within bound: whole, the block of every
+    entry, and chunks, the blocks of _CHUNK entries each, built at the
+    first lazy read (_chunked).  A block is (start, count, planes, offset),
+    with entry start + j in field j of its planes."""
+
+    def __init__(self, vectors, bound: int, fields=None):
+        planes, offset = _planes(vectors if fields is None else fields, bound)
+        self.vectors = vectors
+        self.whole = (0, len(vectors), planes, offset)
+
+    @cached_property
+    def chunks(self) -> Tuple[tuple, ...]:
+        return _chunked(self.whole)
+
+
+def fixed_entries(rows, block, negated: bool = False):
+    """The bitmask of the entries x of a table block with g x = x, for the
+    rows of g, bit start + j for its entry j: row_k(g) . planes - plane_k
+    holds (g x - x)_k in each field, and the fixed entries are the fields
+    that are 0 in every row k.  With negated, the pair (fixed, negated) of
+    that mask and the one of the x with g x = -x, from row_k(g) . planes +
+    plane_k in the same pass.  The caller keeps every field of g x -+ x
+    within the table's bound, as an isometry fixing K does on a K-slab
+    table (_slab_table)."""
+    start, count, planes, offset = block
+    fixed = minus = (1 << count) - 1
+    for row, plane in zip(rows, planes):
+        image = sum(map(mul, row, planes))
+        fixed &= _zero_fields(image - plane, offset, count)
+        if negated:
+            minus &= _zero_fields(image + plane, offset, count)
+        elif not fixed:
+            break
+    return (fixed << start, minus << start) if negated else fixed << start
+
+
+def zero_entries(scales, block) -> int:
+    """The bitmask of the entries of a table block that the combination
+    sum_i scales_i plane_i sends to 0, bit start + j for its entry j.  The
+    caller keeps every field of the combination within the table's
+    bound."""
+    start, count, planes, offset = block
+    return _zero_fields(sum(map(mul, scales, planes)), offset, count) << start
+
+
 @lru_cache(maxsize=None)
-def _slab_table(n: int, square: int, t: int) -> Tuple[Tuple[Tuple[int, ...], ...],
-                                                      Tuple[int, ...], int]:
-    """(vectors, planes, offset) for 2 <= n <= 8: the vectors c of M_n with
-    c^2 = square and K.c = +-t, one of each +-pair, sign-canonical and
-    sorted, and their _planes, built once per (n, square, t).
+def _slab_table(n: int, square: int, t: int) -> _Table:
+    """The _Table of the vectors c of M_n with c^2 = square and K.c = +-t,
+    one of each +-pair, sign-canonical and sorted, for 2 <= n <= 8, built
+    once per (n, square, t).
 
     The vectors come from the exact slab search, AnchorFrame(J, K).slab,
     divided by m = K^2; slab t = 0 holds both signs of each vector and slab
@@ -437,8 +497,24 @@ def _slab_table(n: int, square: int, t: int) -> Tuple[Tuple[Tuple[int, ...], ...
     m = frame.m
     vectors = tuple(sorted({sign_canonical_coords(tuple([x // m for x in c]))
                             for c in frame.slab(square, t)}))
-    planes, offset = _planes(vectors, 2 * max(abs(x) for c in vectors for x in c))
-    return vectors, planes, offset
+    return _Table(vectors, 2 * max(abs(x) for c in vectors for x in c))
+
+
+@lru_cache(maxsize=None)
+def _exceptional_products(n: int) -> Tuple[Tuple[Tuple[int, int], ...], _Table]:
+    """(pairs, products): the coordinate pairs (a, b), a <= b, of M_n and
+    the _Table of the exceptional classes c of _slab_table(n, -1, 1) laid
+    out by their coordinate products, c_a c_b in plane (a, b).
+
+    With c = (K.c / K^2) K + e, e^2 = -1 - 1/K^2 in the negative definite
+    K-perp, so |c . c'| <= 1/K^2 + |e| |e'| <= 1 + 2/K^2, at most 3, for any
+    two classes c, c' (Cauchy-Schwarz), which bounds every field of c . g c.
+    """
+    classes = _slab_table(n, -1, 1).vectors
+    pairs = tuple((a, b) for a in range(n + 1) for b in range(a, n + 1))
+    # the bound above, with K^2 = 9 - n
+    return pairs, _Table(classes, 1 + 2 // (9 - n),
+                         [[c[a] * c[b] for a, b in pairs] for c in classes])
 
 
 @lru_cache(maxsize=None)

@@ -122,12 +122,12 @@ def _full_table_reads(matrix, n):
     def fixes(c):
         return all(sum(map(mul, row, c)) == x for row, x in zip(matrix, c))
 
-    a = None if n > 7 else next((c for c in _slab_table(n, 1, 3)[0] if fixes(c)), None)
-    conics = [c for c in _slab_table(n, 0, 2)[0] if fixes(c)]
+    a = None if n > 7 else next((c for c in _slab_table(n, 1, 3).vectors if fixes(c)), None)
+    conics = [c for c in _slab_table(n, 0, 2).vectors if fixes(c)]
     batch = [tuple(-x for x in c) for c in reversed(conics)] + conics
     pair = next((tuple(sorted((c1, c2))) for c1 in batch for w in [xl.mat_vec(gram, c1)]
                  for c2 in batch if sum(map(mul, w, c2)) == 1), None)
-    classes = _slab_table(n, -1, 1)[0]
+    classes = _slab_table(n, -1, 1).vectors
     fixed = [j for j, c in enumerate(classes) if fixes(c)]
     paired = [j for j, c in enumerate(classes)
               if sum(map(mul, xl.mat_vec(gram, c), xl.mat_vec(matrix, c))) == 0]
@@ -150,7 +150,7 @@ def full_table_witnesses(name, g, n, t_bound, within=None):
              if within is None or within >> j & 1]
     if not found:
         return None
-    c = _slab_table(n, -1, 1)[0][found[0]]
+    c = _slab_table(n, -1, 1).vectors[found[0]]
     return (c,) if name == "c" else (c, tuple(xl.mat_vec(g.matrix, c)))
 
 

@@ -58,3 +58,17 @@ def test_summarise_traced_keeps_metrics_nonzero_somewhere():
     assert set(got) == {"parent", "change"}
     assert set(got["parent"]) == set(got["change"]) == {"pass_s"}
     assert got["parent"]["pass_s"]["median"] == 1.0 and got["change"]["pass_s"]["n"] == 5
+
+
+def test_host_bytecode_records_the_variable_and_each_pycache(tmp_path, monkeypatch):
+    bp = _bench_pairs()
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    (sides["parent"] / "src" / "delpezzo" / "__pycache__").mkdir(parents=True)
+    (sides["change"] / "src" / "delpezzo").mkdir(parents=True)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bp.host_bytecode(sides) == {"PYTHONDONTWRITEBYTECODE": "1",
+                                       "pycache": {"parent": True, "change": False}}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    (sides["change"] / "src" / "delpezzo" / "__pycache__").mkdir()
+    assert bp.host_bytecode(sides) == {"PYTHONDONTWRITEBYTECODE": None,
+                                       "pycache": {"parent": True, "change": True}}

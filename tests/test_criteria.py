@@ -608,19 +608,21 @@ def _exceptional_oracle(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exceptional_table_is_the_orbit_of_e_n(n):
     # the table eigen_data puts on the data: weyl._slab_table(n, -1, 1)
-    classes, planes, offset = weyl_mod._slab_table(n, -1, 1)
+    table = weyl_mod._slab_table(n, -1, 1)
+    classes, (_, size, planes, offset) = table.vectors, table.whole
     assert list(classes) == _exceptional_oracle(n)
     assert len(classes) == {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}[n]
     assert criteria.eigen_data(identity_isometry(del_pezzo_lattice(n)),
-                               canonical_class(n)).exceptional == (classes, planes, offset)
+                               canonical_class(n)).exceptional is table
     # the planes hold the classes' coordinates, and route d's product planes,
     # at the same offset, their coordinate products
-    size = len(classes)
+    assert size == len(classes)
     for i, plane in enumerate(planes):
         fields = (plane + offset).to_bytes(size, "little")
         assert [b - weyl_mod._OFFSET for b in fields] == [c[i] for c in classes]
-    pairs, products = criteria._exceptional_products(n)
-    for (a, b), plane in zip(pairs, products):
+    pairs, products = weyl_mod._exceptional_products(n)
+    assert products.vectors is classes and products.whole[3] == offset
+    for (a, b), plane in zip(pairs, products.whole[2]):
         fields = (plane + offset).to_bytes(size, "little")
         assert [f - weyl_mod._OFFSET for f in fields] == [c[a] * c[b] for c in classes]
     assert len(pairs) == (n + 1) * (n + 2) // 2
@@ -632,7 +634,7 @@ def test_exceptional_table_field_bounds():
     # the byte fields of the planes
     coords, products = {}, {}
     for n in range(2, 9):
-        classes = weyl_mod._slab_table(n, -1, 1)[0]
+        classes = weyl_mod._slab_table(n, -1, 1).vectors
         gram = del_pezzo_lattice(n).gram
         coords[n] = 2 * max(abs(x) for c in classes for x in c)
         products[n] = max(abs(sum(map(operator.mul, xl.mat_vec(gram, c), d)))
@@ -642,7 +644,7 @@ def test_exceptional_table_field_bounds():
     assert products == {2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2, 8: 3}
     assert max(coords.values()) < weyl_mod._OFFSET
     # the same bound on route b's conic table and route a's +1 table
-    firsts = {(square, t): {n: 2 * max(abs(x) for c in weyl_mod._slab_table(n, square, t)[0]
+    firsts = {(square, t): {n: 2 * max(abs(x) for c in weyl_mod._slab_table(n, square, t).vectors
                                        for x in c) for n in ns}
               for square, t, ns in ((0, 2, range(2, 9)), (1, 3, range(2, 8)))}
     assert firsts == {(0, 2): {2: 2, 3: 2, 4: 4, 5: 4, 6: 6, 7: 10, 8: 22},
@@ -679,7 +681,8 @@ def test_conic_and_plus1_tables_are_the_orbits_of_h_minus_e1_and_h(n):
     if n <= 7:
         tables.append(((1, 3), h, {2: 1, 3: 2, 4: 5, 5: 16, 6: 72, 7: 576}))
     for (square, t), seed, counts in tables:
-        vectors, planes, offset = weyl_mod._slab_table(n, square, t)
+        table = weyl_mod._slab_table(n, square, t)
+        vectors, (_, _, planes, offset) = table.vectors, table.whole
         assert list(vectors) == _slab_oracle(n, seed, square, t)
         assert len(vectors) == counts[n]
         for i, plane in enumerate(planes):
@@ -892,7 +895,7 @@ def table_read_inputs():
 @pytest.mark.parametrize("chunk", (1, 64, 2160))
 def test_chunked_table_reads_match_the_full_table_oracle(table_read_inputs, monkeypatch,
                                                          chunk):
-    # table_witnesses reads the K-slab tables chunk by chunk (criteria._view),
+    # table_witnesses reads the K-slab tables chunk by chunk (weyl._Table),
     # with chunks of one entry, of the default 64 and of the largest table
     # (the n = 8 conics: every table is one chunk).  Each answer, at bounds
     # 1, 2, 3 and 10, is the full-table oracle's.  One masks dict serves
@@ -901,9 +904,14 @@ def test_chunked_table_reads_match_the_full_table_oracle(table_read_inputs, monk
     # an earlier read left.  With one-entry chunks an n = 8 conic read that
     # finds no pair evaluates 2160 chunks, so that run leaves out the n = 8
     # verify conjugates; the catalog and the decompose pieces cover n = 8
-    assert len(weyl_mod._slab_table(8, 0, 2)[0]) == 2160
-    monkeypatch.setattr(criteria, "_CHUNK", chunk)
-    monkeypatch.setattr(criteria, "_VIEWS", {})
+    assert len(weyl_mod._slab_table(8, 0, 2).vectors) == 2160
+    monkeypatch.setattr(weyl_mod, "_CHUNK", chunk)
+    for n in range(2, 9):
+        # the tables table_witnesses reads by chunks, rechunked
+        tables = [weyl_mod._slab_table(n, 0, 2), weyl_mod._slab_table(n, -1, 1),
+                  weyl_mod._exceptional_products(n)[1]]
+        for table in tables + ([weyl_mod._slab_table(n, 1, 3)] if n <= 7 else []):
+            monkeypatch.setitem(vars(table), "chunks", weyl_mod._chunked(table.whole))
     hits = {"a": 0, "b": 0, "c": 0, "d": 0}
     narrowed = exhausted = 0
     for g, n, withins, verify in table_read_inputs:
@@ -934,12 +942,12 @@ def test_route_b_conic_read_evaluates_at_most_two_chunks(monkeypatch):
     # most the top two of the 34 chunks of the n = 8 conic table, and its
     # pair, mapped back, is the certificate's
     calls = []
-    fixed_bits = criteria._fixed_bits
-    monkeypatch.setattr(criteria, "_fixed_bits",
-                        lambda rows, chunk: calls.append(chunk[0]) or fixed_bits(rows, chunk))
+    fixed_entries = weyl_mod.fixed_entries
+    monkeypatch.setattr(criteria, "fixed_entries",
+                        lambda rows, chunk: calls.append(chunk[0]) or fixed_entries(rows, chunk))
     k, checked = canonical_class(8), 0
     # the chunk starts of the conic table, from the top down
-    top = [chunk[0] for chunk in reversed(criteria._view(8, 0, 2)[1])]
+    top = [chunk[0] for chunk in reversed(weyl_mod._slab_table(8, 0, 2).chunks)]
     assert len(top) == 34
     for op in bench_inputs().verify_stream(101):
         if op.n != 8:

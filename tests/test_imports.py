@@ -51,6 +51,21 @@ def test_search_modules_import_no_sublattice():
         assert "Sublattice" not in names, name
 
 
+def test_only_weyl_knows_the_table_layout():
+    # weyl owns the plane layout of the K-slab tables and their chunks:
+    # every other module reads a table through weyl's readers, and neither
+    # an import, a reference nor a definition brings the layout in
+    layout = {"_planes", "_zero_fields", "_OFFSET", "_ZERO_DIGITS", "_CHUNK", "_chunked"}
+    for p in MODULES:
+        tree = ast.parse(p.read_text())
+        names = {a.asname or a.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert (names & layout == layout) if p.name == "weyl.py" else not names & layout, p.name
+
+
 def test_every_export_has_a_library_caller_or_is_in_the_readme():
     init = ast.parse((Path(delpezzo.__file__).parent / "__init__.py").read_text())
     exports = [a.asname or a.name for node in init.body

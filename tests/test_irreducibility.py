@@ -728,7 +728,7 @@ def test_every_piece_is_anchored_at_its_canonical_class():
             # one table per n, and one set of masks per input
             assert data.exceptional is table and data.masks is pieces[0].masks
             if i:
-                want = sum(1 << j for j, c in enumerate(table[0])
+                want = sum(1 << j for j, c in enumerate(table.vectors)
                            if not any(sum(x * y for x, y in zip(jb, c)) for jb in jbs))
                 assert data.within == want
                 narrowed += 1

@@ -80,7 +80,8 @@ def test_root_slab_table_is_the_sign_canonical_half(n):
     # every root FRAMES indexes
     roots = enumerate_roots(n).roots
     half = tuple(i for i, r in enumerate(roots) if next(x for x in r.coords if x) > 0)
-    vectors, planes, offset = weyl_mod._slab_table(n, -2, 0)
+    table = weyl_mod._slab_table(n, -2, 0)
+    vectors, (_, _, planes, offset) = table.vectors, table.whole
     assert vectors == tuple(roots[i].coords for i in half)
     assert inv_mod._canonical_ids(n) == half
     assert set(FRAMES[n]) <= set(half)

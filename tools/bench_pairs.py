@@ -22,14 +22,19 @@ layer figure needs repeats before two sides can be compared.
 
 --workload and --seed may repeat; every (workload, seed) becomes one
 comparison, named WORKLOAD_seed_SEED, whose summary records its own command,
-host and run order.  When --out exists, its other keys, comparisons and runs
-are kept; a comparison run again replaces its summary and runs.  A run that
-exits nonzero or prints no JSON stops the driver.
+host and run order, and the bytecode condition its runs start in
+(host_bytecode): run.py imports the package several times in its set-up,
+so without .pyc files every import compiles the source again, and setup_s
+and peak_rss_mb then grow with the size of the source.  When --out exists,
+its other keys, comparisons and runs are kept; a comparison run again
+replaces its summary and runs.  A run that exits nonzero or prints no JSON
+stops the driver.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -50,6 +55,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}")
     return json.loads(lines[-1])
+
+
+def host_bytecode(sides) -> dict:
+    """The bytecode condition of the runs: PYTHONDONTWRITEBYTECODE as the
+    runs inherit it (None when unset), and, for each side of sides (a dict
+    of checkout paths), whether its src/delpezzo/__pycache__ exists."""
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "pycache": {side: (path / "src" / "delpezzo" / "__pycache__").is_dir()
+                        for side, path in sides.items()}}
 
 
 def side_order(pair: int):
@@ -135,6 +149,7 @@ def main(argv=None) -> int:
         for seed in args.seed:
             name = f"{workload}_seed_{seed}"
             bench["runs"] = [r for r in bench["runs"] if r["comparison"] != name]
+            bytecode = host_bytecode(sides)
             pairs = []
             for pair in range(1, args.pairs + 1):
                 got = {}
@@ -147,7 +162,8 @@ def main(argv=None) -> int:
                 print(f"{name} pair {pair}: pass_s parent "
                       f"{got['parent']['metrics']['pass_s']['value']:.4f} change "
                       f"{got['change']['metrics']['pass_s']['value']:.4f}", flush=True)
-            bench["summary"][name] = {**about, **summarise(pairs, metrics)}
+            bench["summary"][name] = {**about, "host_bytecode": bytecode,
+                                      **summarise(pairs, metrics)}
             if args.trace:
                 traced_pairs = []
                 for pair in range(1, TRACE_PASSES + 1):
