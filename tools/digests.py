@@ -15,12 +15,27 @@ json.dumps(outs, sort_keys=True), for outs:
                          verify_stream(S), for S = 101..103 and B = 1, 2, 10;
   decompose_seed<S>      decompose(g, n).to_json() on every operation of
                          decompose_stream(S), for S = 101..110, 17 and 211;
+  negated_verify_seed101_bound<B>, negated_decompose_seed101
+                         check_reducible(-g, n, height_bound=B).to_json(),
+                         B = 2, 10, on every operation of verify_stream(101),
+                         and decompose(-g, n).to_json() on every operation of
+                         decompose_stream(101): -g has g_00 < 0, so no basis
+                         of it fixes K and every indefinite side takes a box
+                         anchor (criteria._find_anchor);
+  e_reflections          for the reflections in E_1 and E_n of M_n, n = 2..8,
+                         in that order, one list each of check_reducible at
+                         bounds 1, 2 and 10 and decompose, to_json(): their
+                         chamber conjugates and normal forms move K, so they
+                         take box anchors too;
   normal_form_verify_seed<S>, normal_form_decompose_seed<S>
                          (s, I, h) of weyl.normal_form(g) on every operation
                          of verify_stream(S), S = 101..103, and of
                          decompose_stream(S), S = 101..110.  The tool also
                          prints how many draws the normal forms made beyond
                          the first of each input (its redraw count).
+
+The verify and decompose streams make no box search; the negated and
+e_reflections entries make 1783 and build 1135 anchored glue frames.
 
 verify_seed101_bound2 and decompose_seed17 are the two digests that
 tests/test_golden.py::test_stream_digests pins.
@@ -61,11 +76,14 @@ from delpezzo import cli, irreducibility, weyl  # noqa: E402
 from delpezzo.involutions import classify_involutions  # noqa: E402
 from delpezzo.irreducibility import check_reducible, decompose  # noqa: E402
 from delpezzo.lattice import Isometry, del_pezzo_lattice  # noqa: E402
+from delpezzo.weyl import reflection  # noqa: E402
 
 CLASSIFY_BOUNDS = (None, 1, 2, 3, 4, 5)
 VERIFY_SEEDS, VERIFY_BOUNDS = (101, 102, 103), (1, 2, 10)
 REVERSED_BOUND, INTERLEAVED_BOUNDS = 2, (10, 1, 2, 10)
 DECOMPOSE_SEEDS = tuple(range(101, 111)) + (17, 211)
+NEGATED_SEED, NEGATED_BOUNDS = 101, (2, 10)
+REFLECTION_BOUNDS = (1, 2, 10)
 NORMAL_FORM_SEEDS = {"verify": VERIFY_SEEDS, "decompose": tuple(range(101, 111))}
 
 
@@ -120,6 +138,16 @@ def compute():
         table[f"decompose_seed{seed}"] = digest(
             [decompose(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n).to_json()
              for op in inputs.decompose_stream(seed)])
+    ops = verify_ops(inputs, NEGATED_SEED)
+    for bound in NEGATED_BOUNDS:
+        table[f"negated_verify_seed{NEGATED_SEED}_bound{bound}"] = digest(
+            [check_reducible(g.negated(), n, height_bound=bound).to_json() for g, n in ops])
+    table[f"negated_decompose_seed{NEGATED_SEED}"] = digest(
+        [decompose(Isometry(del_pezzo_lattice(op.n), op.matrix).negated(), op.n).to_json()
+         for op in inputs.decompose_stream(NEGATED_SEED)])
+    table["e_reflections"] = digest(
+        [[check_reducible(r, n, height_bound=bound).to_json() for bound in REFLECTION_BOUNDS]
+         + [decompose(r, n).to_json()] for n in range(2, 9) for r in e_reflections(n)])
     redraws = 0
     for stream, seeds in NORMAL_FORM_SEEDS.items():
         for seed in seeds:
@@ -147,6 +175,12 @@ def normal_forms(gs):
     finally:
         weyl._draws = draws
     return digest(forms), drawn - len(gs)
+
+
+def e_reflections(n: int):
+    """The reflections in E_1 and E_n of M_n."""
+    lat = del_pezzo_lattice(n)
+    return [reflection(lat.vector(tuple(int(j == i) for j in range(n + 1)))) for i in (1, n)]
 
 
 def verify_ops(inputs, seed: int):
