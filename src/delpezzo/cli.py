@@ -179,10 +179,7 @@ def _load_matrix(path: str):
 def _to_basis(coords, n: int, basis: str):
     if basis == "HE":
         return list(coords)
-    m = models.quadric_basis_change(n).matrix
-    inv_m = xl.inverse([list(r) for r in m])
-    out = xl.mat_vec(inv_m, list(coords))
-    return [int(x) for x in out]
+    return xl.mat_vec(models.quadric_basis_change(n).inverse, coords)
 
 
 def cmd_check(args) -> int:

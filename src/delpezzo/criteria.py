@@ -32,14 +32,16 @@ anchor-preserving isometries.
 
 The anchor rule: the canonical class K when the involution fixes it, else
 the first vector of positive square in coordinate boxes of growing radius
-(_find_anchor).  irreducibility picks one basis for check_reducible and
-decompose alike (_k_fixing_conjugate): an involution that fixes K as it
-is, else its chamber conjugate, or its normal form w_I where that fixes K
-and the chamber conjugate does not, so K is the anchor whenever one of the
-three fixes it, and the box search runs in the chamber basis otherwise.
-decompose anchors each piece B-perp of a K-fixing involution at the
-piece's canonical class K' = K + sum (K.b) b, handed to _side in ambient
-coordinates.  So the box search runs only where no K-fixing basis is
+(_find_anchor).  An exact anchor enters one way: _side's along, a vector
+in ambient coordinates, whose basis coordinates _anchor alone solves, and
+only where a search needs them.  irreducibility picks one basis for
+check_reducible and decompose alike (_k_fixing_conjugate): an involution
+that fixes K as it is, else its chamber conjugate, or its normal form w_I
+where that fixes K and the chamber conjugate does not, so K is the anchor
+whenever one of the three fixes it, and the box search runs in the chamber
+basis otherwise.  decompose anchors each piece B-perp of a K-fixing
+involution at the piece's canonical class K' = K + sum (K.b) b, handed to
+_side as K is.  So the box search runs only where no K-fixing basis is
 found (g_00 < 0, a w_I that moves K, a normal form with no generic draw),
 at n = 9, where K^2 = 0, and on lattices other than M_n.
 
@@ -93,8 +95,9 @@ Route d's pair (a, b) has c1 = (a + b) / 2 with a in K-perp, so K.b =
 each route runs its search as it stands.
 
 The search engine runs on plain int tuples.  An eigen side is a basis of
-ambient coordinate tuples (lattice.eigenbases, one kernel per side) with its
-Gram matrix, and the exact-norm descent of enumeration lifts each vector as
+ambient coordinate tuples (lattice.eigenbases, one kernel per side, which
+carries no anchor) with its Gram matrix and its anchor in ambient
+coordinates, and the exact-norm descent of enumeration lifts each vector as
 it finds it, from the side's basis columns, so _search_batches passes the
 batches on as they come and no consumer lifts.  A slab vector's lift is
 divided by the anchor's square, which is exact because the descent visits
@@ -135,9 +138,9 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from operator import mul
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, is_json_int
 from . import enumeration as en
@@ -155,7 +158,6 @@ from .weyl import (
     _Table,
     _exceptional_products,
     _slab_table,
-    canonical_class,
     fixed_entries,
     zero_entries,
 )
@@ -204,12 +206,13 @@ class _EigenSide:
     """One eigenlattice, by a basis of ambient int tuples, with its
     restricted Gram and search anchor.
 
-    An indefinite side with an anchor builds its enumeration.AnchorFrame
-    (the anchor complement, its residue data and, at the first slab that
-    needs them, its scaled Cholesky data) at its first slab (_frame), and
-    every route on the side reuses it.  A side given its anchor in ambient
-    coordinates (ambient_anchor, _side's along) solves for the basis
-    coordinates at their first use (_anchor).
+    An indefinite side keeps its anchor, a vector of positive square, in
+    ambient coordinates (ambient_anchor); its basis coordinates (anchor)
+    are the box search's hit, or else solved at their first use (_anchor).
+    A side with an anchor builds its enumeration.AnchorFrame (the anchor
+    complement, its residue data and, at the first slab that needs them,
+    its scaled Cholesky data) at its first slab (_frame), and every route
+    on the side reuses it.
     """
 
     basis: Tuple[Coords, ...]
@@ -218,7 +221,7 @@ class _EigenSide:
     anchor: Optional[List[int]]  # coords in the basis, positive square
     positive: int         # the positive inertia of gram
     frame: Optional[en.AnchorFrame] = field(default=None, repr=False, compare=False)
-    ambient_anchor: Optional[Tuple[int, ...]] = field(default=None, repr=False, compare=False)
+    ambient_anchor: Optional[Coords] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -264,16 +267,14 @@ class EigenData:
     masks: Dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
 
 
-def _find_anchor(gram, preferred: Optional[List[int]]) -> Optional[List[int]]:
-    """The preferred coordinates, else the first vector of positive square
-    in coordinate boxes of growing radius up to ANCHOR_RADIUS.
+def _find_anchor(gram) -> Optional[List[int]]:
+    """The first vector of positive square in coordinate boxes of growing
+    radius up to ANCHOR_RADIUS, else None.
 
     The box search runs on the indefinite sides of involutions with no
     K-fixing basis in irreducibility's rule: inputs with g_00 < 0, inputs
     whose w_I moves K, inputs with no generic normal-form draw, every input
     at n = 9, and involutions of lattices other than M_n."""
-    if preferred is not None:
-        return preferred
     n = len(gram)
     for radius in range(1, ANCHOR_RADIUS + 1):
         if (2 * radius + 1) ** n > 5 * 10 ** 6:
@@ -309,21 +310,23 @@ def _box_search(gram, box, k: int, square: int, lin: List[int],
     return None
 
 
-def _side(ambient_gram, basis: Tuple[Coords, ...], preferred: Optional[Coords] = None,
+def _side(ambient_gram, basis: Tuple[Coords, ...],
           signature: Optional[Tuple[int, int]] = None,
-          along: Optional[Coords] = None) -> _EigenSide:
+          along: Optional[Sequence[int]] = None) -> _EigenSide:
     """The search data of an eigenlattice, given by a basis of ambient int
     tuples under the form ambient_gram.  The basis must span a saturated
     sublattice, as every xl.kernel basis does: the routes search the whole
     eigenlattice, and a basis of smaller index would miss the classes
-    outside its span.  preferred is the preferred anchor, in basis
-    coordinates (eigenbases gives K's); along is one in ambient coordinates
-    (irreducibility._narrow gives a piece's K'), whose basis coordinates
-    are solved only where a search needs them (_anchor); with neither, an
-    indefinite side runs the box search (_find_anchor).  signature is the
-    side's (positive, negative) inertia when the caller knows it
-    (eigen_data, irreducibility._narrow), else sylvester_signature computes
-    it."""
+    outside its span.
+
+    along is the side's anchor in ambient coordinates, a vector of the side
+    of positive square (eigen_data gives K, irreducibility._narrow a
+    piece's K'), whose basis coordinates are solved only where a search
+    needs them (_anchor).  Without it an indefinite side runs the box
+    search (_find_anchor) and keeps the hit with its ambient lift.
+    signature is the side's (positive, negative) inertia when the caller
+    knows it (eigen_data, irreducibility._narrow), else
+    sylvester_signature computes it."""
     gram = gram_of(ambient_gram, basis)
     if not basis:
         return _EigenSide(basis, gram, True, None, 0)
@@ -333,19 +336,23 @@ def _side(ambient_gram, basis: Tuple[Coords, ...], preferred: Optional[Coords] =
             raise InputError("degenerate eigenlattice; input is not an isometry")
     else:
         pos, neg = signature
-    definite = pos == 0 or neg == 0
-    if definite:
-        return _EigenSide(basis, gram, definite, None, pos)
-    if along is not None:
-        return _EigenSide(basis, gram, definite, None, pos, ambient_anchor=tuple(along))
-    return _EigenSide(basis, gram, definite,
-                      _find_anchor(gram, None if preferred is None else list(preferred)), pos)
+    if pos == 0 or neg == 0:
+        return _EigenSide(basis, gram, True, None, pos)
+    anchor = None
+    if along is None:
+        anchor = _find_anchor(gram)
+        along = None if anchor is None else _lift(basis, [anchor])[0]
+    return _EigenSide(basis, gram, False, anchor, pos,
+                      ambient_anchor=None if along is None else tuple(along))
 
 
 def _anchor(side: _EigenSide) -> Optional[List[int]]:
-    """The side's anchor in basis coordinates: side.anchor, solved from
+    """The side's anchor in basis coordinates, the one place they are
+    formed apart from the box search: side.anchor, solved from
     side.ambient_anchor at the first call and kept there.  The basis is
-    saturated and holds the ambient anchor, so the solution is integral."""
+    independent and holds the ambient anchor (a saturated side holds its
+    vectors, and a congruent sublattice Lambda, which is not saturated,
+    holds 2p as it holds 2L), so the solution is unique and integral."""
     if side.anchor is None and side.ambient_anchor is not None:
         side.anchor = xl.solve_integer(xl.transpose(side.basis), side.ambient_anchor)
     return side.anchor
@@ -357,42 +364,37 @@ def _lift(basis: Tuple[Coords, ...], xs) -> Tuple[Coords, ...]:
     return tuple(tuple([sum(map(mul, row, x)) for row in rows]) for x in xs)
 
 
-@lru_cache(maxsize=None)
-def _lattice_signature(gram: Tuple[Tuple[int, ...], ...]) -> Tuple[int, int, int]:
-    return xl.sylvester_signature(gram)
+def fixes(matrix, v: Sequence[int]) -> bool:
+    """Whether the matrix fixes the vector of coordinates v: one
+    matrix-vector product."""
+    return xl.mat_vec(matrix, v) == list(v)
 
 
-def eigen_data(g: Isometry, anchor: Optional[LatticeVector] = None) -> EigenData:
+def eigen_data(g: Isometry, k: Optional[LatticeVector] = None) -> EigenData:
     """Eigenlattice data, the one constructor of both eigen sides, from the
     bases of lattice.eigenbases, which is also the involution test (no g^2
-    is formed); the anchor is used only when g fixes it.
+    is formed).  k is the canonical class K of g's lattice M_n, or None.
 
-    When g fixes an anchor of positive square in a lattice of signature
-    (1, n), the plus side is anchored at its coordinates and both
-    signatures are known.  The sides are nondegenerate (they are orthogonal
-    and span a subgroup of finite index), so plus, which holds the anchor,
-    has signature (1, r - 1), and minus lies in the anchor's orthogonal
-    complement, which is negative definite.  For K, with K^2 = 9 - n > 0 on
-    M_n, n <= 8, that is every K-fixing involution.  sylvester_signature
-    runs only where the signatures are not known.
-
-    When the anchor is K and g fixes it on M_n, 2 <= n <= 8, the data carry
-    the table of exceptional classes (weyl._slab_table(n, -1, 1), built once
-    per n), which marks the data for the routes that read K-slab tables.
+    One condition, g fixes the K of M_n with 2 <= n <= 8 (fixes), decides
+    three things.  K anchors the plus side, handed to _side in ambient
+    coordinates.  Both signatures are known: K^2 = 9 - n > 0 in signature
+    (1, n), and the sides are nondegenerate (they are orthogonal and span a
+    subgroup of finite index), so plus, which holds K, has signature
+    (1, r - 1), and minus lies in K-perp, which is negative definite.  And
+    the data carry the table of exceptional classes
+    (weyl._slab_table(n, -1, 1), built once per n), which marks the data
+    for the routes that read K-slab tables.  Otherwise sylvester_signature
+    gives the signatures, and an indefinite side runs the box search.
     """
     lat = g.lattice
-    plus, minus, coords = eigenbases(g, None if anchor is None else anchor.coords)
-    known = (None, None)
-    if (coords is not None and anchor.norm() > 0
-            and _lattice_signature(lat.gram) == (1, lat.rank - 1, 0)):
-        known = ((1, len(plus) - 1), (0, len(minus)))
+    plus, minus = eigenbases(g)
     n = lat.rank - 1
-    table = None
-    if (coords is not None and 2 <= n <= 8 and lat == del_pezzo_lattice(n)
-            and anchor.coords == canonical_class(n).coords):
-        table = _slab_table(n, -1, 1)
-    return EigenData(g, _side(lat.gram, plus, coords, known[0]),
-                     _side(lat.gram, minus, None, known[1]), exceptional=table)
+    if (k is None or not 2 <= n <= 8 or lat != del_pezzo_lattice(n)
+            or not fixes(g.matrix, k.coords)):
+        return EigenData(g, _side(lat.gram, plus), _side(lat.gram, minus))
+    return EigenData(g, _side(lat.gram, plus, (1, len(plus) - 1), k.coords),
+                     _side(lat.gram, minus, (0, len(minus))),
+                     exceptional=_slab_table(n, -1, 1))
 
 
 def _search_batches(side: _EigenSide, target: int, t_bound: int):
@@ -732,11 +734,11 @@ def _congruent_sublattice(side: _EigenSide, other: _EigenSide, ambient_gram) -> 
     exactly when the residues with x_i odd sum to 0, so Lambda has the basis,
     in index order, of 2 e_i at each pivot i and, at every other i, the 0/1
     kernel combination (1 at i, its other entries at pivots): 2L lies in
-    Lambda and the index is 2^pivots, with no HNF.  An anchor p of L becomes
-    2p, which lies in Lambda because 2L does: 2 p_j at a non-pivot j, and
-    p_i - sum_j k_j[i] p_j at a pivot i.  Lambda is not saturated, which the
-    search does not need: the slab descent tests integrality in the basis
-    of its own frame.
+    Lambda and the index is 2^pivots, with no HNF.  The anchor p of L
+    becomes the ambient 2p, which lies in Lambda because 2L does; _anchor
+    solves its coordinates where a search needs them.  Lambda is not
+    saturated, which the search does not need: the slab descent tests
+    integrality in the basis of its own frame.
     """
     echelon = xl.f2_echelon(map(xl.f2_bits, other.basis))
     rank = len(side.basis)
@@ -753,13 +755,9 @@ def _congruent_sublattice(side: _EigenSide, other: _EigenSide, ambient_gram) -> 
         else:
             cols.append([(comb >> j) & 1 for j in range(rank)])
     basis = _lift(side.basis, cols)
-    anchor = None
-    p = _anchor(side)
-    if p is not None:
-        free = [j for j in range(rank) if cols[j][j] == 1]
-        anchor = [2 * p[i] if cols[i][i] == 1 else p[i] - sum(cols[j][i] * p[j] for j in free)
-                  for i in range(rank)]
-    return _EigenSide(basis, gram_of(ambient_gram, basis), side.definite, anchor, side.positive)
+    p = side.ambient_anchor
+    return _EigenSide(basis, gram_of(ambient_gram, basis), side.definite, None, side.positive,
+                      ambient_anchor=None if p is None else tuple(2 * x for x in p))
 
 
 def _has_root(side: _EigenSide) -> bool:

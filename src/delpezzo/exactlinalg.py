@@ -175,27 +175,18 @@ def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
     return h, u, pivots, y
 
 
-def kernel(a: IntMatrix, along: Optional[Sequence[int]] = None):
-    """Basis of the integer kernel {x : a @ x == 0}, as a list of vectors.
+def kernel(a: IntMatrix):
+    """Basis of the integer kernel {x : a @ x == 0}, as a list of vectors:
+    the columns of u past the pivots of hnf_columns.
 
-    The returned basis spans a saturated sublattice of Z^ncols.  With along,
-    returns (basis, coords): the coordinates of along in that basis, or None
-    when a @ along != 0.  The reduction carries y = u^-1 along (_hnf); the
-    basis is the columns of u past the pivots, and a @ along = h y vanishes
-    exactly when the entries of y at the pivot columns, which are
-    independent, are zero, so coords are the trailing entries of y.
+    The returned basis spans a saturated sublattice of Z^ncols.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if ncols == 0 or nrows == 0:
-        basis = [row[:] for row in identity(ncols)]
-        return basis if along is None else (basis, tuple(along))
-    _, u, pivots, y = _hnf(a, along)
-    rank = len(pivots)
-    basis = [[u[i][j] for i in range(ncols)] for j in range(rank, ncols)]
-    if along is None:
-        return basis
-    return basis, (None if any(y[:rank]) else tuple(y[rank:]))
+        return identity(ncols)
+    _, u, pivots = hnf_columns(a)
+    return [[u[i][j] for i in range(ncols)] for j in range(len(pivots), ncols)]
 
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[List[int]]:

@@ -154,7 +154,7 @@ class ZGInvariant:
 def zg_invariant(g: Isometry) -> ZGInvariant:
     """The ranks (t, c, r); eigenbases raises InputError("not an
     involution") unless its kernels certify g^2 = 1."""
-    plus, minus, _ = eigenbases(g)
+    plus, minus = eigenbases(g)
     return _zg(g, len(plus), len(minus))
 
 
@@ -359,7 +359,7 @@ def _check_fixes_k(g: Isometry, n: int) -> None:
     """Raise InputError unless g is an isometry of M_n fixing K, read on
     coordinates as check_reducible does."""
     k = canonical_class(n).coords
-    if g.lattice != del_pezzo_lattice(n) or tuple(xl.mat_vec(g.matrix, k)) != k:
+    if g.lattice != del_pezzo_lattice(n) or not criteria.fixes(g.matrix, k):
         raise InputError("isometry does not fix the canonical class")
 
 

@@ -246,11 +246,6 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     return _certify(results, bound, h_inv)
 
 
-def _fixes(matrix, k: LatticeVector) -> bool:
-    """Whether the matrix fixes K."""
-    return tuple(xl.mat_vec(matrix, k.coords)) == k.coords
-
-
 def _k_fixing_conjugate(g: Isometry, k: Optional[LatticeVector]):
     """(g', h^-1, fixes_K) for the involution g of M_n, 2 <= n <= 9, with
     g' = h g h^-1: g itself (h^-1 None) when it fixes K, else the chamber
@@ -261,19 +256,19 @@ def _k_fixing_conjugate(g: Isometry, k: Optional[LatticeVector]):
     draw may pass on a non-involution; else InputError("not an involution")."""
     if not g.is_involution():
         raise InputError("not an involution")
-    if k is not None and _fixes(g.matrix, k):
+    if k is not None and criteria.fixes(g.matrix, k.coords):
         return g, None, True
     chamber = weyl._chamber(g)
     sign, _, h, conj = chamber
     g_red, h_inv = Isometry._trusted(g.lattice, conj), weyl._inverse(h)
-    if k is None or _fixes(conj, k):
+    if k is None or criteria.fixes(conj, k.coords):
         return g_red, h_inv, k is not None
     if sign > 0:
         try:
             _, _, _, w_inv, w = weyl._normal_form(g.lattice, *chamber)
         except UnsupportedError:
             w = None
-        if w is not None and _fixes(w.matrix, k):
+        if w is not None and criteria.fixes(w.matrix, k.coords):
             return w, w_inv, True
     return g_red, h_inv, False
 
@@ -439,16 +434,17 @@ def decompose(g: Isometry, n: Optional[int] = None,
 
 
 def _decompose_in_basis(g: Isometry, bound: int,
-                        anchor: Optional[LatticeVector] = None) -> Decomposition:
-    """decompose for g as written, with no chamber reduction.
+                        k: Optional[LatticeVector] = None) -> Decomposition:
+    """decompose for g as written, with no chamber reduction; k is the
+    canonical class K of M_n, or None.
 
-    It starts from criteria.eigen_data(g, anchor), as check_reducible does,
+    It starts from criteria.eigen_data(g, k), as check_reducible does,
     and narrows both sides to B^perp after each split block B.  The leaf is
     the complement of everything peeled: one kernel of the products of the
     peeled vectors, built once.
 
-    When the anchor is K and g fixes it on M_n (the first eigen data carry
-    the table of exceptional classes), every piece B^perp keeps an anchor,
+    When g fixes K on M_n (the first eigen data carry the table of
+    exceptional classes), every piece B^perp keeps an anchor,
     K' = K + sum (K.b) b over the peeled b: the projection of K to B^perp,
     as each b has b^2 = -1 and the b are orthogonal.  K' is fixed by g,
     since B is g-invariant, and for c in B^perp, c.K' = c.K = c^2 (mod 2),
@@ -461,9 +457,9 @@ def _decompose_in_basis(g: Isometry, bound: int,
     (EigenData.within), one weyl.zero_entries per peeled vector.
     Any other split drops the table, and K' stays the anchor.
     """
-    data = criteria.eigen_data(g, anchor)
+    data = criteria.eigen_data(g, k)
     gram = g.lattice.gram
-    k_prime = None if data.exceptional is None else list(anchor.coords)
+    k_prime = None if data.exceptional is None else list(k.coords)
     steps: List[SplitStep] = []
     peeled: List[Tuple[int, ...]] = []
     while data.plus.basis or data.minus.basis:
@@ -489,7 +485,7 @@ def _decompose_in_basis(g: Isometry, bound: int,
         jbs = [xl.mat_vec(gram, b) for b in block]
         table, within = data.exceptional, data.within
         if k_prime is not None:
-            ts = [sum(map(mul, jb, anchor.coords)) for jb in jbs]     # K.b
+            ts = [sum(map(mul, jb, k.coords)) for jb in jbs]     # K.b
             for t, b in zip(ts, block):
                 k_prime = [x + t * y for x, y in zip(k_prime, b)]
             if table is not None and all(abs(t) == 1 for t in ts):
@@ -525,10 +521,9 @@ def _narrow(side: criteria._EigenSide, jbs, gram,
 
     anchor is the ambient K' of the piece (_decompose_in_basis) on the plus
     side of a K-fixing input, else None.  It lies in side & B^perp and is
-    handed to _side as the preferred anchor in ambient coordinates, which
-    are solved for basis coordinates only where a search needs them
-    (criteria._anchor), so the box search of criteria._find_anchor runs
-    only on sides with no such anchor.
+    handed to _side as its anchor, in ambient coordinates, as eigen_data
+    hands it K, so the box search of criteria._find_anchor runs only on
+    sides with no such anchor.
 
     When every product is zero (a fix block and the minus side, a negate
     block and the plus side), side & B^perp is the side itself, which is
@@ -541,4 +536,4 @@ def _narrow(side: criteria._EigenSide, jbs, gram,
         return side
     basis = criteria._lift(side.basis, xl.kernel(rows))
     pos = side.positive
-    return criteria._side(gram, basis, None, (pos, len(basis) - pos), anchor)
+    return criteria._side(gram, basis, (pos, len(basis) - pos), anchor)

@@ -357,12 +357,9 @@ def identity_isometry(lattice: Lattice) -> Isometry:
     return Isometry(lattice, tuple(tuple(row) for row in xl.identity(lattice.rank)))
 
 
-def eigenbases(g: Isometry, along: Optional[Sequence[int]] = None):
-    """(plus, minus, coords): saturated bases of the (+1)- and
-    (-1)-eigenlattices of an involution, as tuples of ambient coordinate
-    tuples, and the coordinates of along in the plus basis, or None when
-    along is None or g does not fix it (carried through the kernel
-    reduction of g - 1).
+def eigenbases(g: Isometry):
+    """(plus, minus): saturated bases of the (+1)- and (-1)-eigenlattices
+    of an involution, as tuples of ambient coordinate tuples.
 
     This is the one involution test: g^2 = 1 is read off the two kernels,
     with no squaring.  Over Q an involution is diagonalizable with
@@ -370,15 +367,11 @@ def eigenbases(g: Isometry, along: Optional[Sequence[int]] = None):
     do, g is +-1 on two complementary subspaces, so g^2 = 1; otherwise
     InputError("not an involution") is raised.
     """
-    coords = None
-    if along is None:
-        plus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1))
-    else:
-        plus, coords = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1), along)
+    plus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, -1))
     minus = xl.kernel(xl.mat_add_scaled_identity(g.matrix, 1))
     if len(plus) + len(minus) != g.lattice.rank:
         raise InputError("not an involution")
-    return tuple(map(tuple, plus)), tuple(map(tuple, minus)), coords
+    return tuple(map(tuple, plus)), tuple(map(tuple, minus))
 
 
 def fixed_and_antifixed(g: Isometry) -> Tuple[Sublattice, Sublattice]:
@@ -386,4 +379,4 @@ def fixed_and_antifixed(g: Isometry) -> Tuple[Sublattice, Sublattice]:
     sublattices: the public view of eigenbases."""
     lat = g.lattice
     return tuple(Sublattice(lat, tuple(LatticeVector(lat, c) for c in basis))
-                 for basis in eigenbases(g)[:2])
+                 for basis in eigenbases(g))

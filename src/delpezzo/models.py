@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Tuple
 
 from .errors import InputError
@@ -194,14 +194,18 @@ class BasisChange:
             raise InputError("vector is not in the source basis")
         return self.target.vector(xl.mat_vec(self.matrix, list(v.coords)))
 
+    @cached_property
+    def inverse(self) -> Tuple[Tuple[int, ...], ...]:
+        """The inverse matrix, integral as the matrix is unimodular: target
+        coordinates to source ones.  It is inverted once per basis change."""
+        return tuple(tuple(int(x) for x in row) for row in xl.inverse(self.matrix))
+
     def conjugate(self, g: Isometry) -> Isometry:
         """Push an isometry from the source basis to the target basis."""
         if g.lattice != self.source:
             raise InputError("isometry is not in the source basis")
-        m = [list(r) for r in self.matrix]
-        prod = xl.mat_mul(xl.mat_mul(m, [list(r) for r in g.matrix]), xl.inverse(m))
-        out = tuple(tuple(int(x) for x in row) for row in prod)
-        return Isometry(self.target, out)
+        prod = xl.mat_mul(xl.mat_mul(self.matrix, g.matrix), self.inverse)
+        return Isometry(self.target, tuple(map(tuple, prod)))
 
     def to_json(self) -> dict:
         return {

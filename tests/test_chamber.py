@@ -321,11 +321,11 @@ def test_partner_test_matches_hnf_oracle_on_catalog_plus_sides():
     for n in (6, 7, 8):
         for cls in classify_involutions(n):
             plus = criteria.eigen_data(cls.representative, canonical_class(n)).plus
-            if plus.definite or plus.anchor is None:
+            if plus.definite or criteria._anchor(plus) is None:
                 continue
             gram = [list(r) for r in plus.gram]
             # the side-coordinate slicer: the partner test reads G c1
-            frame = en.AnchorFrame(gram, plus.anchor)
+            frame = en.AnchorFrame(gram, criteria._anchor(plus))
             for _, batch in en.anchored_norm_slices(frame, 0, 3):
                 for c1 in batch:
                     partner = _partner_oracle(gram, list(c1))

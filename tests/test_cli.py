@@ -124,12 +124,15 @@ def test_decompose_file(tmp_path, capsys):
     assert data["leaf"]["verdict"] == "Irreducible"
 
 
-@pytest.mark.parametrize("label", ["m1", "m2a", "m2b", "m3", "m4"])
-def test_decompose_quadric_basis_maps_back(tmp_path, capsys, label):
+@pytest.mark.parametrize("n, label", [pytest.param(5, label, id=label) for label in
+                                      ("m1", "m2a", "m2b", "m3", "m4")]
+                         + [pytest.param(8, label, id=f"n8-{label}") for label in
+                            ("m1", "m4b", "m8")])
+def test_decompose_quadric_basis_maps_back(tmp_path, capsys, n, label):
     # the quadric file holds m^-1 g m, and its output vectors are m^-1 times
     # those of the HE file of g
-    g = next(c for c in classify_involutions(5) if c.label == label).representative
-    m = [list(r) for r in quadric_basis_change(5).matrix]
+    g = next(c for c in classify_involutions(n) if c.label == label).representative
+    m = [list(r) for r in quadric_basis_change(n).matrix]
     g_q = xl.mat_mul(xl.mat_mul(xl.inverse(m), [list(r) for r in g.matrix]), m)
     out = {}
     for basis, matrix in (("HE", g.matrix), ("quadric", g_q)):

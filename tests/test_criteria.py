@@ -27,7 +27,6 @@ from delpezzo import exactlinalg as xl
 from delpezzo.lattice import (
     Isometry,
     del_pezzo_lattice,
-    eigenbases,
     has_even_products,
     identity_isometry,
     sign_canonical_coords,
@@ -70,9 +69,10 @@ def _side_batches(side, target, t_bound):
         else:
             yield en.definite_vectors([[-x for x in r] for r in gram], -target)
         return
-    if side.anchor is None:
+    anchor = criteria._anchor(side)
+    if anchor is None:
         return
-    frame = en.AnchorFrame(gram, side.anchor)
+    frame = en.AnchorFrame(gram, anchor)
     for _, batch in en.anchored_norm_slices(frame, target, t_bound):
         yield batch
 
@@ -254,7 +254,7 @@ def test_lazy_route_b_draws_a_prefix_of_the_slab(monkeypatch):
     monkeypatch.setattr(en, "_walk", counted)
     witnesses = 0
     for data in _verify_eigen_data(101, (8,)):
-        if len(data.plus.basis) != 8 or data.plus.anchor is None:
+        if len(data.plus.basis) != 8 or criteria._anchor(data.plus) is None:
             continue
         made[0] = 0
         res = criteria.route_b(data, 2)
@@ -272,7 +272,7 @@ def test_lifted_slabs_come_out_ascending(eigen_data):
     frames = 0
     for data in eigen_data:
         side = data.plus
-        if side.definite or side.anchor is None:
+        if side.definite or criteria._anchor(side) is None:
             continue
         assert_slabs_ascend(criteria._frame(side), (0, -1, -2), 3)
         frames += 1
@@ -303,7 +303,7 @@ def test_mod4_closures_find_nothing_a_slab_search_finds(form):
     # hyperbolic pair for route b, no vector of square +-1 for routes a, c, e
     sign, g = form
     gram = [[sign * x for x in row] for row in g]
-    frame = en.AnchorFrame(g, criteria._find_anchor(g, None))
+    frame = en.AnchorFrame(g, criteria._find_anchor(g))
 
     def slab_vectors(target):
         return [c for _, batch in en.anchored_norm_slices(frame, sign * target, 6)
@@ -411,10 +411,41 @@ def test_anchor_frame_is_built_once_per_side(monkeypatch):
                 # the anchor 2p of the plus side's p, read in the sublattice basis
                 assert side.frame.g % 2 == 0
                 assert (lift(side.basis, side.anchor)
-                        == tuple(2 * x for x in lift(data.plus.basis, data.plus.anchor)))
+                        == tuple(2 * x for x in lift(data.plus.basis, criteria._anchor(data.plus))))
             frames += len(sides)
             glue_frames += len(glue)
     assert frames > 10 and glue_frames > 5
+
+
+def test_ambient_anchors_are_solved_only_for_a_search(monkeypatch):
+    # a side handed its anchor in ambient coordinates (K, a piece's K', a
+    # glue's 2p) forms its basis coordinates only where a search reads
+    # them: nowhere on verify seed 101 at bound 2, where the K-slab tables
+    # give every witness, and somewhere at bound 1, below their first
+    # slabs.  Each solution is the fresh Hermite solve in the side's basis
+    solved = []
+    anchor = criteria._anchor
+
+    def recorded(side):
+        fresh = side.anchor is None and side.ambient_anchor is not None
+        got = anchor(side)
+        if fresh:
+            solved.append((side, got))
+        return got
+
+    monkeypatch.setattr(criteria, "_anchor", recorded)
+    ops = [(Isometry(del_pezzo_lattice(op.n), op.matrix), op.n)
+           for op in bench_inputs().verify_stream(101)]
+    for bound in (2, 1):
+        monkeypatch.setattr(irreducibility, "_CLASS_RECORD", {})
+        solved.clear()
+        for g, n in ops:
+            check_reducible(g, n, height_bound=bound)
+        if bound == 2:
+            assert not solved
+    assert solved
+    for side, got in solved:
+        assert tuple(got) == coords_of(side.basis, side.ambient_anchor)
 
 
 @pytest.mark.parametrize("bound", (2, 4))
@@ -976,16 +1007,16 @@ def test_anchored_signatures_match_sylvester(monkeypatch):
         k = canonical_class(n)
         for cls in classify_involutions(n):
             for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 3):
-                _, _, coords = eigenbases(g, k.coords)
+                fixed = criteria.fixes(g.matrix, k.coords)
                 data = criteria.eigen_data(g, k)
                 plus, minus = len(data.plus.basis), len(data.minus.basis)
                 for side, known in ((data.plus, (1, plus - 1)), (data.minus, (0, minus))):
                     pos, neg, zero = xl.sylvester_signature(side.gram)
                     assert not zero and side.positive == pos
                     assert side.definite == (pos == 0 or neg == 0)
-                    if coords is not None:
+                    if fixed:
                         assert (pos, neg) == known
-                inferred += coords is not None
+                inferred += fixed
     assert inferred > 100
     calls = []
     monkeypatch.setattr(xl, "sylvester_signature",
@@ -1007,10 +1038,8 @@ def test_f2_echelon_reduces_exactly_its_span():
         assert (xl.f2_reduce(echelon, r) == 0) == (r in span)
 
 
-def _reference_find_anchor(gram, preferred):
+def _reference_find_anchor(gram):
     """_find_anchor as it was: the square of every box prefix from scratch."""
-    if preferred is not None:
-        return preferred
     n = len(gram)
     last = n - 1
     col, d = [gram[i][last] for i in range(last)], gram[last][last]
@@ -1043,14 +1072,13 @@ def test_find_anchor_matches_reference_on_seeded_indefinite_forms():
             if not (pos and neg):
                 continue
             made += 1
-            want = _reference_find_anchor(g, None)
-            assert criteria._find_anchor(g, None) == want
+            want = _reference_find_anchor(g)
+            assert criteria._find_anchor(g) == want
             late += max(map(abs, want)) > 1
     assert late >= 2   # some first hits lie past the radius-1 box
     # positive vectors only outside the box: both give up
-    assert criteria._find_anchor([[-100, 10], [10, 0]], None) is None
-    assert _reference_find_anchor([[-100, 10], [10, 0]], None) is None
-    assert criteria._find_anchor([[1, 0], [0, -1]], [0, 5]) == [0, 5]
+    assert criteria._find_anchor([[-100, 10], [10, 0]]) is None
+    assert _reference_find_anchor([[-100, 10], [10, 0]]) is None
 
 
 def test_find_anchor_matches_reference_on_decompose_sides(monkeypatch):
@@ -1061,18 +1089,17 @@ def test_find_anchor_matches_reference_on_decompose_sides(monkeypatch):
     calls, k_fixing = [], []
     find_anchor = criteria._find_anchor
 
-    def recording(gram, preferred):
-        calls.append((gram, preferred, k_fixing[-1]))
-        return find_anchor(gram, preferred)
+    def recording(gram):
+        calls.append((gram, k_fixing[-1]))
+        return find_anchor(gram)
 
     monkeypatch.setattr(criteria, "_find_anchor", recording)
     for g, n in _decompose_sides_inputs():
         k_fixing.append(irreducibility._k_fixing_conjugate(g, canonical_class(n))[2])
         decompose(g, n)
-    boxed = [(gram, fixing) for gram, preferred, fixing in calls if preferred is None]
-    assert len(boxed) >= 10 and not any(fixing for _, fixing in boxed)
-    for gram, preferred, _ in calls:
-        assert find_anchor(gram, preferred) == _reference_find_anchor(gram, preferred)
+    assert len(calls) >= 10 and not any(fixing for _, fixing in calls)
+    for gram, _ in calls:
+        assert find_anchor(gram) == _reference_find_anchor(gram)
 
 
 def test_iter_routes_reuses_results_only_where_they_hold(monkeypatch):

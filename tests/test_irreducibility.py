@@ -206,8 +206,8 @@ def test_check_and_decompose_never_square_g(monkeypatch):
     normal_forms, boxed = [], []
     monkeypatch.setattr(weyl, "_normal_form", _counted(weyl._normal_form, normal_forms))
     find_anchor = criteria._find_anchor
-    monkeypatch.setattr(criteria, "_find_anchor", lambda gram, preferred: (
-        preferred is None and boxed.append(gram)) or find_anchor(gram, preferred))
+    monkeypatch.setattr(criteria, "_find_anchor", lambda gram: (
+        boxed.append(gram) or find_anchor(gram)))
     for h, n in [(g, 5), (negation_twist(g), 5), normal] + [(r, 5) for r in e_reflections(5)]:
         for run in (check_reducible, decompose):
             run(h, n)
@@ -285,8 +285,8 @@ def test_decompose_streams_take_no_box_anchor(monkeypatch, seed):
     # input that fixes K is split as given, with no chamber reduction
     boxed, chambers = [], []
     find_anchor, chamber = criteria._find_anchor, weyl._chamber
-    monkeypatch.setattr(criteria, "_find_anchor", lambda gram, preferred: (
-        preferred is None and boxed.append(gram)) or find_anchor(gram, preferred))
+    monkeypatch.setattr(criteria, "_find_anchor", lambda gram: (
+        boxed.append(gram) or find_anchor(gram)))
     monkeypatch.setattr(weyl, "_chamber", lambda g: chambers.append(g) or chamber(g))
     k_fixing = 0
     for op in bench_inputs().decompose_stream(seed):
@@ -618,13 +618,13 @@ def test_narrowed_sides_are_handed_their_signature(monkeypatch):
     handed = []
     side = criteria._side
 
-    def checked(gram, basis, preferred=None, signature=None, along=None):
+    def checked(gram, basis, signature=None, along=None):
         if signature is not None:
             # B^T G B, with the basis vectors as the rows of B^T
             sub_gram = xl.mat_mul(xl.mat_mul(basis, gram), xl.transpose(basis))
             assert xl.sylvester_signature(sub_gram) == signature + (0,)
             handed.append(signature)
-        return side(gram, basis, preferred, signature, along)
+        return side(gram, basis, signature, along)
 
     kept = []   # per narrowed side: whether _narrow kept it
     narrow = irreducibility._narrow

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delpezzo.criteria as criteria
 import delpezzo.enumeration as en
 import delpezzo.exactlinalg as xl
 from delpezzo import (
@@ -388,17 +389,13 @@ def _hnf_inputs(draw):
 @settings(max_examples=200, deadline=None)
 def test_hnf_and_kernel_match_the_reference_loop(case):
     # the in-place loop returns exactly what the old one did: (h, u, pivots)
-    # and u^-1 along, and hence the same kernel basis and coordinates
+    # and u^-1 along, and hence the same kernel basis
     a, x = case
     h, u, pivots, y = _reference_hnf(a, x)
     assert xl.hnf_columns(a) == (h, u, pivots)
     assert xl.hnf_columns(a, x) == (h, u, pivots, y)
     if a and a[0]:
-        rank = len(pivots)
-        basis = [[row[j] for row in u] for j in range(rank, len(u))]
-        coords = None if any(y[:rank]) else tuple(y[rank:])
-        assert xl.kernel(a) == basis
-        assert xl.kernel(a, x) == (basis, coords)
+        assert xl.kernel(a) == [[row[j] for row in u] for j in range(len(pivots), len(u))]
 
 
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
@@ -410,29 +407,12 @@ def test_kernel_vectors_annihilate(m):
                    for i in range(2))
 
 
-@given(st.integers(1, 5), st.integers(0, 4), st.randoms(use_true_random=False))
-@settings(max_examples=60, deadline=None)
-def test_kernel_carries_coordinates_along(rows, cols, rnd):
-    a = [[rnd.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-    basis = xl.kernel(a)
-    # a kernel vector, or one pushed off the kernel when there is room
-    x = [sum(rnd.randint(-2, 2) * b[i] for b in basis) for i in range(cols)]
-    if basis and rnd.random() < 0.3:
-        x[rnd.randrange(cols)] += 1
-    got, coords = xl.kernel(a, x)
-    assert got == basis
-    if any(sum(r * y for r, y in zip(row, x)) for row in a):
-        assert coords is None
-    else:
-        assert coords is not None and len(coords) == len(basis)
-        assert [sum(c * b[i] for c, b in zip(coords, basis)) for i in range(cols)] == x
-
-
 def test_fixed_side_coordinates_of_k_match_coords_of():
-    # the kernel reduction of g - 1 gives K's fixed-side coordinates, as a
-    # fresh Hermite solve in the fixed basis does, on the catalog and on
-    # O(M_n) conjugates by 12-wall words, which need not fix K; the bases
-    # are those of the public Sublattice view
+    # eigen data anchored at K solve K's fixed-side coordinates as a fresh
+    # Hermite solve in the fixed basis does, on the catalog and on O(M_n)
+    # conjugates by 12-wall words; a conjugate that moves K, whose fixed
+    # side does not hold it, is not anchored at K.  The bases are those of
+    # the public Sublattice view
     rng = random.Random(4040)
     seen = {True: 0, False: 0}
     for n in range(2, 9):
@@ -446,11 +426,17 @@ def test_fixed_side_coordinates_of_k_match_coords_of():
                     h = h @ rng.choice(walls)
                 gs.append(h @ cls.representative @ h.inverse())
             for g in gs:
-                plus, minus, coords = eigenbases(g, k.coords)
-                assert eigenbases(g) == (plus, minus, None)
+                data = criteria.eigen_data(g, k)
+                plus, minus = eigenbases(g)
+                assert (plus, minus) == (data.plus.basis, data.minus.basis)
                 assert (plus, minus) == tuple(tuple(v.coords for v in side.basis)
                                               for side in fixed_and_antifixed(g))
-                assert coords == coords_of(plus, k.coords)
+                coords = coords_of(plus, k.coords)
+                if coords is None:
+                    assert data.exceptional is None and data.plus.ambient_anchor != k.coords
+                elif not data.plus.definite:
+                    assert data.plus.anchor is None
+                    assert tuple(criteria._anchor(data.plus)) == coords
                 seen[coords is not None] += 1
     assert seen[True] > 33 and seen[False] > 20
 
