@@ -410,8 +410,8 @@ def test_anchor_frame_is_built_once_per_side(monkeypatch):
             for side in glue:
                 # the anchor 2p of the plus side's p, read in the sublattice basis
                 assert side.frame.g % 2 == 0
-                assert (lift(side.basis, side.anchor)
-                        == tuple(2 * x for x in lift(data.plus.basis, criteria._anchor(data.plus))))
+                p = lift(data.plus.basis, criteria._anchor(data.plus))
+                assert lift(side.basis, side.anchor) == tuple(2 * x for x in p)
             frames += len(sides)
             glue_frames += len(glue)
     assert frames > 10 and glue_frames > 5
