@@ -11,7 +11,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .errors import InputError, UnsupportedError, is_json_int
+from .errors import InputError, UnsupportedError, all_json_ints, is_json_int
 from . import criteria
 from . import exactlinalg as xl
 from .lattice import Isometry, blowup_quadric_lattice, del_pezzo_lattice
@@ -160,7 +160,7 @@ def _load_matrix(path: str):
     if basis not in ("HE", "quadric"):
         raise InputError('basis must be "HE" or "quadric"')
     if not isinstance(raw, list) or not all(
-            isinstance(row, list) and all(is_json_int(x) for x in row) for row in raw):
+            isinstance(row, list) and all_json_ints(row) for row in raw):
         raise InputError("matrix must be a list of rows of integers")
     matrix = tuple(tuple(row) for row in raw)
     rank = len(matrix)

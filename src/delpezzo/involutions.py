@@ -226,14 +226,16 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInv
     Both eigen sides come from criteria.eigen_data(g, K), as in
     check_reducible: K anchors the fixed side and fixes the signatures of
     both sides, and the flags run route_flags on that same data.  g is not
-    squared: the eigen data's kernels certify g^2 = 1.  _class_triple reads
-    the class triple off g; classify_involutions calls _invariant, the one
-    body both share, with the triple of its frame table.
+    squared (Isometry.is_involution), and _class_triple reads the class
+    triple off g before any eigen data is built, so n outside 2..8 is
+    refused first; classify_involutions calls _invariant, the one body both
+    share, with the triple of its frame table.
     """
     _check_fixes_k(g, n)
-    # eigen_data raises InputError when g is not an involution
-    data = criteria.eigen_data(g, canonical_class(n))
-    return _invariant(data, n, with_flags, _class_triple(g, n)[1])
+    if not g.is_involution():
+        raise InputError("not an involution")
+    triple = _class_triple(g, n)[1]
+    return _invariant(criteria.eigen_data(g, canonical_class(n)), n, with_flags, triple)
 
 
 def _invariant(data: criteria.EigenData, n: int, with_flags: bool,

@@ -87,7 +87,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError, UnsupportedError, is_json_int
+from .errors import InputError, UnsupportedError, all_json_ints
 from . import criteria
 from . import weyl
 from . import exactlinalg as xl
@@ -140,7 +140,7 @@ class ReducibilityCertificate:
         if not isinstance(kind, str) or not isinstance(narrative, str):
             raise InputError('certificate "kind" and "narrative" must be strings')
         if not isinstance(witnesses, list) or not all(
-                isinstance(w, list) and all(is_json_int(x) for x in w) for w in witnesses):
+                isinstance(w, list) and all_json_ints(w) for w in witnesses):
             raise InputError('certificate "witnesses" must be a list of lists of integers')
         return ReducibilityCertificate(kind, tuple(tuple(w) for w in witnesses), narrative)
 
@@ -292,7 +292,7 @@ def _member_routes(data: criteria.EigenData, g: Isometry, n: int, bound: int):
             witnesses = criteria.table_witnesses(name, g, n, bound)
             if witnesses is None:
                 return None
-            results.append((name, dataclasses.replace(res, witnesses=witnesses)))
+            results.append((name, criteria.RouteResult(res.status, res.reason, witnesses)))
             break
         results.append((name, res))
     return results

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .errors import InputError, is_json_int
+from .errors import InputError, all_json_ints
 from . import exactlinalg as xl
 
 Coords = Tuple[int, ...]
@@ -46,7 +47,7 @@ class Lattice:
         coords = tuple(coords)
         if len(coords) != self.rank:
             raise InputError("coordinate length does not match rank")
-        if not all(map(is_json_int, coords)):
+        if not all_json_ints(coords):
             raise InputError("coordinates must be integers")
         return LatticeVector(self, coords)
 
@@ -159,6 +160,29 @@ def gram_of(gram: Tuple[Tuple[int, ...], ...], vecs: Sequence[Sequence[int]]):
         for j in range(i, k):
             row[j] = out[j][i] = sum(map(mul, gu, vecs[j]))
     return tuple(tuple(row) for row in out)
+
+
+def _preserves_unit_form(diag: Tuple[int, ...], rows, top: int) -> bool:
+    """Whether g^T J g = J for J = diag(diag), a diagonal +-1 form, and g
+    given by its rows with every |entry| <= top, as one big-int identity.
+
+    Row k packed as a_k = sum_i g_ki 2^(w i) and as b_k = sum_j g_kj
+    2^(w size j) gives sum_k J_kk a_k b_k = sum_ij (g^T J g)_ij
+    2^(w (i + size j)), and J packs as sum_i J_ii 2^((w size + w) i).  Every
+    field of either side is at most size top^2 + 1 < 2^(w-1) in absolute
+    value, so the balanced base-2^w digits of each side are its fields, and
+    the two sides are equal exactly when every field is."""
+    size = len(diag)
+    w = (size * top * top + 1).bit_length() + 1
+    wide = w * size
+    total = 0
+    for d, row in zip(diag, rows):
+        a = b = 0
+        for x in reversed(row):
+            a = (a << w) + x
+            b = (b << wide) + x
+        total += a * b if d > 0 else -a * b
+    return total == sum(d << ((wide + w) * i) for i, d in enumerate(diag))
 
 
 def inner(lattice: Lattice, u: LatticeVector, v: LatticeVector) -> int:
@@ -275,11 +299,13 @@ def has_even_products(gram: Sequence[Sequence[int]]) -> bool:
 class Isometry:
     """An integral isometry, stored column-wise (column j = image of basis j).
 
-    The constructor takes int entries only (not bools), and checks
-    g^T G g = G as the Gram matrix of g's columns (gram_of: on a diagonal
-    form, one product per column pair i <= j).
-    On a nondegenerate form that already forces det(g)^2 = 1, since
-    det(g)^2 det G = det G, so |det g| = 1 is tested only when det G = 0.
+    The constructor takes int entries only (not bools, errors.all_json_ints),
+    and checks g^T G g = G: on a diagonal +-1 form as one packed big-int
+    identity, with one product per row at field width w, the least with
+    2^(w-1) > rank max|g_ij|^2 + 1 (_preserves_unit_form), and on other
+    forms as the Gram matrix of g's columns (gram_of).  On a nondegenerate
+    form that already forces det(g)^2 = 1, since det(g)^2 det G = det G, so
+    |det g| = 1 is tested only when det G = 0.
     """
 
     lattice: Lattice
@@ -289,10 +315,17 @@ class Isometry:
         n = self.lattice.rank
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise InputError("matrix size does not match lattice rank")
-        if not all(is_json_int(x) for row in self.matrix for x in row):
+        entries = tuple(chain.from_iterable(self.matrix))
+        if not all_json_ints(entries):
             raise InputError("matrix entries must be integers")
         gram = self.lattice.gram
-        if gram_of(gram, list(zip(*self.matrix))) != gram:
+        diag = _unit_diagonal(gram)
+        if diag is not None:
+            top = max(map(abs, entries), default=0)
+            preserved = _preserves_unit_form(diag, self.matrix, top)
+        else:
+            preserved = gram_of(gram, list(zip(*self.matrix))) == gram
+        if not preserved:
             raise InputError("matrix does not preserve the intersection form")
         if _is_degenerate(gram) and abs(xl.det(self.matrix)) != 1:
             raise InputError("matrix is not unimodular")

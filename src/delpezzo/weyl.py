@@ -26,13 +26,15 @@ coordinate products for route d.  A table (_Table) packs its entries x_j
 into one Python int per coordinate i, plane_i = sum_j (x_j)_i 256^j
 (_planes), so that one big-int multiply-add applies a row of a matrix to
 every x_j at once, and _zero_fields reads which fields of such a
-combination are 0.  Its chunks are blocks of _CHUNK entries with planes of
-their own, the byte slices of the table's, built at the first lazy read,
-so a read evaluates only the chunks it needs: the root table is read
-whole, in one pass, and the others chunk by chunk.  Two readers take a
-block, the whole table or a chunk, and are the only way any module reads
-a table: fixed_entries, the entries g fixes (and those it negates, in the
-same pass), and zero_entries, the entries a row combination sends to 0.
+combination are 0: one byte-string read per mask, for all the rows of a
+matrix at once, as their combinations' bytes are ORed first.  Its chunks
+are blocks of _CHUNK entries with planes of their own, the byte slices of
+the table's, built at the first lazy read, so a read evaluates only the
+chunks it needs: the root table is read whole, in one pass, and the
+others chunk by chunk.  Two readers take a block, the whole table or a
+chunk, and are the only way any module reads a table: fixed_entries, the
+entries g fixes (and those it negates, in the same pass), and
+zero_entries, the entries a row combination sends to 0.
 """
 from __future__ import annotations
 
@@ -384,8 +386,8 @@ def enumerate_roots(n: int) -> RootSystem:
 # A field of a plane is one byte, read after adding _OFFSET to it: exact
 # while every field v of the plane combination has |v| < _OFFSET.
 _OFFSET = 128
-# bytes.translate table: the byte of a field that is 0 to "1", any other to "0"
-_ZERO_DIGITS = bytes(ord("1") if b == _OFFSET else ord("0") for b in range(256))
+# bytes.translate table: a zero byte to "1", any other to "0"
+_ZERO_DIGITS = bytes(ord("1") if b == 0 else ord("0") for b in range(256))
 # entries per chunk of a table (_Table.chunks)
 _CHUNK = 64
 
@@ -410,10 +412,12 @@ def _planes(vectors: Sequence[Sequence[int]], bound: int) -> Tuple[Tuple[int, ..
     return planes, offset
 
 
-def _zero_fields(x: int, offset: int, size: int) -> int:
-    """The bitmask of the fields of x that are 0, bit j for field j: x is a
-    plane combination with size fields, each inside the bound of _planes."""
-    return int((x + offset).to_bytes(size, "big").translate(_ZERO_DIGITS), 2)
+def _zero_fields(mask: int, size: int) -> int:
+    """The bitmask of the zero bytes of mask, bit j for byte j, of its size
+    low bytes.  (x + offset) ^ offset, for a plane combination x within the
+    bound of _planes, has byte j zero exactly when field j of x is 0, and
+    the OR of several such masks exactly when field j is 0 in each."""
+    return int(mask.to_bytes(size, "big").translate(_ZERO_DIGITS), 2)
 
 
 def _chunked(block) -> Tuple[tuple, ...]:
@@ -454,21 +458,21 @@ def fixed_entries(rows, block, negated: bool = False):
     """The bitmask of the entries x of a table block with g x = x, for the
     rows of g, bit start + j for its entry j: row_k(g) . planes - plane_k
     holds (g x - x)_k in each field, and the fixed entries are the fields
-    that are 0 in every row k.  With negated, the pair (fixed, negated) of
-    that mask and the one of the x with g x = -x, from row_k(g) . planes +
-    plane_k in the same pass.  The caller keeps every field of g x -+ x
-    within the table's bound, as an isometry fixing K does on a K-slab
-    table (_slab_table)."""
+    that are 0 in every row k.  The rows' masks (x + offset) ^ offset are
+    ORed together and their zero bytes read once (_zero_fields).  With
+    negated, the pair (fixed, negated) of that mask and the one of the x
+    with g x = -x, from row_k(g) . planes + plane_k in the same pass.  The
+    caller keeps every field of g x -+ x within the table's bound, as an
+    isometry fixing K does on a K-slab table (_slab_table)."""
     start, count, planes, offset = block
-    fixed = minus = (1 << count) - 1
+    moved = flipped = 0
     for row, plane in zip(rows, planes):
-        image = sum(map(mul, row, planes))
-        fixed &= _zero_fields(image - plane, offset, count)
+        image = sum(map(mul, row, planes)) + offset
+        moved |= (image - plane) ^ offset
         if negated:
-            minus &= _zero_fields(image + plane, offset, count)
-        elif not fixed:
-            break
-    return (fixed << start, minus << start) if negated else fixed << start
+            flipped |= (image + plane) ^ offset
+    fixed = _zero_fields(moved, count) << start
+    return (fixed, _zero_fields(flipped, count) << start) if negated else fixed
 
 
 def zero_entries(scales, block) -> int:
@@ -477,7 +481,7 @@ def zero_entries(scales, block) -> int:
     caller keeps every field of the combination within the table's
     bound."""
     start, count, planes, offset = block
-    return _zero_fields(sum(map(mul, scales, planes)), offset, count) << start
+    return _zero_fields((sum(map(mul, scales, planes)) + offset) ^ offset, count) << start
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,9 @@ import pytest
 import delpezzo.permgroup as pg
 from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
-from delpezzo.errors import InputError, UnsupportedError
+from delpezzo.errors import InputError, UnsupportedError, is_json_int
 from delpezzo.involutions import _roots_and_index
-from delpezzo.lattice import Isometry, del_pezzo_lattice
+from delpezzo.lattice import Isometry, del_pezzo_lattice, gram_of
 from delpezzo.weyl import canonical_class, closure, enumerate_roots, reflection, weyl_generators
 
 
@@ -152,6 +152,40 @@ def full_table_witnesses(name, g, n, t_bound, within=None):
         return None
     c = _slab_table(n, -1, 1).vectors[found[0]]
     return (c,) if name == "c" else (c, tuple(xl.mat_vec(g.matrix, c)))
+
+
+def isometry_oracle(lattice, matrix):
+    """The message of the InputError that Isometry(lattice, matrix) raises,
+    None when it accepts: the size, a per-entry is_json_int test, g^T G g
+    = G as the Gram matrix of g's columns (lattice.gram_of) and, on a
+    degenerate form, |det g| = 1."""
+    size = lattice.rank
+    if len(matrix) != size or any(len(row) != size for row in matrix):
+        return "matrix size does not match lattice rank"
+    if not all(is_json_int(x) for row in matrix for x in row):
+        return "matrix entries must be integers"
+    if gram_of(lattice.gram, list(zip(*matrix))) != lattice.gram:
+        return "matrix does not preserve the intersection form"
+    if xl.det(lattice.gram) == 0 and abs(xl.det(matrix)) != 1:
+        return "matrix is not unimodular"
+    return None
+
+
+def fixed_entries_oracle(rows, block, negated=False):
+    """weyl.fixed_entries(rows, block, negated), one row at a time: entry j
+    is kept while byte j of row_k . planes - plane_k + offset is _OFFSET,
+    field j = 0, for every row k, and likewise for the negated mask with
+    + plane_k."""
+    from delpezzo.weyl import _OFFSET
+    start, count, planes, offset = block
+    masks = []
+    for sign in ((-1, 1) if negated else (-1,)):
+        kept = range(count)
+        for row, plane in zip(rows, planes):
+            fields = (sum(map(mul, row, planes)) + sign * plane + offset).to_bytes(count, "little")
+            kept = [j for j in kept if fields[j] == _OFFSET]
+        masks.append(sum(1 << (start + j) for j in kept))
+    return tuple(masks) if negated else masks[0]
 
 
 # The byte-permutation oracles.  A permutation of the sorted root list

@@ -582,15 +582,21 @@ def test_class_queries_reject_bad_input(query, case):
         QUERIES[query](_bad_input(case))
 
 
-def test_class_queries_at_n1_name_the_root_range():
+def test_class_queries_at_n1_name_the_root_range(monkeypatch):
     # M_1 has no roots: the queries that read the class triple stop at the
-    # root enumeration, and find_class first rejects the identity
+    # root enumeration, and find_class first rejects the identity.  At
+    # n = 0, 1 and 9 the refusal comes before any eigen data is built
     from delpezzo.lattice import identity_isometry
 
-    g = identity_isometry(del_pezzo_lattice(1))
-    for query in (lambda: minus_root_key(g, 1), lambda: are_conjugate(g, g, 1),
-                  lambda: invariant_of(g, 1)):
-        with pytest.raises(InputError, match="^root enumeration requires 2 <= n <= 8$"):
-            query()
+    eigen_data, calls = criteria.eigen_data, []
+    monkeypatch.setattr(criteria, "eigen_data",
+                        lambda *args: calls.append(args) or eigen_data(*args))
+    for n in (0, 1, 9):
+        g = identity_isometry(del_pezzo_lattice(n))
+        for query in (lambda: minus_root_key(g, n), lambda: are_conjugate(g, g, n),
+                      lambda: invariant_of(g, n)):
+            with pytest.raises(InputError, match="^root enumeration requires 2 <= n <= 8$"):
+                query()
+        assert calls == [], n
     with pytest.raises(InputError, match="^expected a nontrivial involution$"):
-        find_class(g, 1)
+        find_class(identity_isometry(del_pezzo_lattice(1)), 1)

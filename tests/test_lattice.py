@@ -27,7 +27,7 @@ from delpezzo import (
 from delpezzo.lattice import Lattice, Sublattice, eigenbases
 from delpezzo.weyl import canonical_class, reflection, wall_generators
 
-from conftest import coords_of, lift
+from conftest import coords_of, isometry_oracle, lift
 
 
 def test_del_pezzo_gram_is_diagonal_one_minus_ones():
@@ -116,6 +116,79 @@ def test_isometry_accepts_what_the_generic_product_accepts(n):
             assert got == want
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+class _Int(int):
+    """An int subclass: the constructor takes its values as it takes ints."""
+
+
+def _constructor_message(lat, matrix):
+    """The message of the InputError Isometry(lat, matrix) raises, else None."""
+    try:
+        Isometry(lat, matrix)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def _bumped(matrix, rng):
+    """matrix with one entry, drawn by rng, moved by +-1."""
+    rows = [list(r) for r in matrix]
+    rows[rng.randrange(len(rows))][rng.randrange(len(rows))] += rng.choice((-1, 1))
+    return tuple(map(tuple, rows))
+
+
+def test_packed_form_test_matches_the_gram_of_oracle():
+    # every input is accepted or refused, with the oracle's message, exactly
+    # as isometry_oracle says: wall words of M_n (n = 2..9) and the identity
+    # of M_0 and M_1, each also with one entry moved by +-1; a power of two
+    # walls of M_2 with entries above 2^64; the zero matrix and rank-1
+    # lattices; bool, float and int-subclass entries; the two non-diagonal
+    # forms
+    rng = random.Random(4101)
+    cases = []
+    for n in range(10):
+        lat = del_pezzo_lattice(n)
+        words = [identity_isometry(lat)]
+        walls = wall_generators(n).isometries() if n >= 2 else ()
+        for _ in range(8 if walls else 0):
+            g = words[0]
+            for _ in range(rng.randrange(1, 16)):
+                g = g @ rng.choice(walls)
+            words.append(g)
+        cases += [(lat, m) for g in words for m in (g.matrix, _bumped(g.matrix, rng),
+                                                    _bumped(g.matrix, rng))]
+    lat = del_pezzo_lattice(2)
+    walls = wall_generators(2).isometries()
+    big = walls[0] @ walls[2]
+    for _ in range(32):
+        big = big @ big
+    assert max(abs(x) for row in big.matrix for x in row) > 2 ** 64
+    cases += [(lat, big.matrix), (lat, _bumped(big.matrix, rng)), (lat, ((0,) * 3,) * 3),
+              (lat, ((1, 0, 0), (0, 1, 0)))]
+    for gram in (((1,),), ((-1,),), ((2,),), ((0,),)):
+        cases += [(Lattice(gram, ("x",)), ((x,),)) for x in range(-2, 3)]
+    lat = del_pezzo_lattice(1)
+    for one in (True, 1.0, _Int(1), _Int(2)):
+        cases += [(lat, ((one, 0), (0, 1))), (lat, ((1, 0), (0, one)))]
+    for lat, vecs in ((quadric_lattice(), [(1, 1), (1, -1)]),
+                      (blowup_quadric_lattice(4), [(1, -1, 0, 0, 0), (0, 0, 1, -1, 0),
+                                                   (0, 0, 0, 0, 1), (1, 0, -1, 0, 0)])):
+        reflections = [reflection(lat.vector(v)) for v in vecs]
+        for _ in range(8):
+            g = identity_isometry(lat)
+            for _ in range(rng.randrange(1, 10)):
+                g = g @ rng.choice(reflections)
+            cases += [(lat, g.matrix), (lat, _bumped(g.matrix, rng))]
+    messages = []
+    for lat, matrix in cases:
+        want = isometry_oracle(lat, matrix)
+        assert _constructor_message(lat, matrix) == want, (lat.gram, matrix)
+        messages.append(want)
+    assert set(messages) == {None, "matrix size does not match lattice rank",
+                             "matrix entries must be integers",
+                             "matrix does not preserve the intersection form",
+                             "matrix is not unimodular"}
 
 
 def test_isometry_of_a_degenerate_form_must_be_unimodular():

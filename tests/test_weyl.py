@@ -15,7 +15,13 @@ import delpezzo.permgroup as pg
 import delpezzo.weyl as weyl_mod
 from delpezzo import InputError, UnsupportedError
 from delpezzo.involutions import FRAMES
-from delpezzo.lattice import del_pezzo_lattice, orthogonal_complement, span
+from delpezzo.lattice import (
+    Isometry,
+    del_pezzo_lattice,
+    identity_isometry,
+    orthogonal_complement,
+    span,
+)
 from delpezzo.weyl import (
     canonical_class,
     coxeter_diagram,
@@ -29,10 +35,12 @@ from delpezzo.weyl import (
 )
 
 from conftest import (
+    bench_inputs,
     bfs_closure,
     brute_force_root_count,
     canon_table,
     conjugacy_orbit,
+    fixed_entries_oracle,
     key_orbit,
     perm_identity,
     perm_to_isometry,
@@ -282,3 +290,47 @@ def test_root_action_is_faithful_for_n_at_least_3(rng):
             g = random_group_element(n, rng)
             if pg.isometry_to_perm(g, n) == ident:
                 assert g.is_identity()
+
+
+def test_fused_fixed_entries_match_the_per_row_oracle():
+    # fixed_entries ORs its rows' masks and reads their zero bytes once; on
+    # every K-slab table of M_n, n = 2..8, whole and chunk by chunk, with
+    # negated off and on, its masks are those of the per-row oracle for the
+    # K-fixing conjugate of every input of verify seed 101
+    from delpezzo import irreducibility
+
+    matrices = {}
+    for op in bench_inputs().verify_stream(101):
+        g = Isometry(del_pezzo_lattice(op.n), op.matrix)
+        g_red, _, fixes_k = irreducibility._k_fixing_conjugate(g, canonical_class(op.n))
+        if fixes_k:
+            matrices.setdefault(op.n, set()).add(g_red.matrix)
+    assert sorted(matrices) == list(range(3, 9))
+    marked = 0
+    for n in range(2, 9):
+        tables = [weyl_mod._slab_table(n, *slab) for slab in ((-2, 0), (1, 3), (0, 2), (-1, 1))]
+        identity = identity_isometry(del_pezzo_lattice(n)).matrix
+        for rows in [identity] + sorted(matrices.get(n, ())):
+            for table in tables:
+                fixed, negated = fixed_entries_oracle(rows, table.whole, negated=True)
+                assert weyl_mod.fixed_entries(rows, table.whole) == fixed
+                assert weyl_mod.fixed_entries(rows, table.whole, negated=True) == (fixed, negated)
+                for chunk in table.chunks:
+                    start, count = chunk[:2]
+                    low = ((1 << count) - 1) << start
+                    assert weyl_mod.fixed_entries(rows, chunk) == fixed & low
+                    assert (weyl_mod.fixed_entries(rows, chunk, negated=True)
+                            == (fixed & low, negated & low))
+                marked += bool(fixed) + bool(negated)
+    assert marked > 1000
+    # rows that fix the entry H - E1 - E2 of the exceptional classes of M_8
+    # in every row but the last, which adds the H coordinate to the E_8 one:
+    # it is not fixed, while E_1, with no H part, is
+    table = weyl_mod._slab_table(8, -1, 1)
+    rows = [tuple(int(i == j) for j in range(9)) for i in range(8)] + [(1,) + (0,) * 7 + (1,)]
+    moved, kept = (table.vectors.index(c) for c in ((1, -1, -1) + (0,) * 6, (0, 1) + (0,) * 7))
+    for block in (table.whole, table.chunks[moved // weyl_mod._CHUNK]):
+        fixed = weyl_mod.fixed_entries(rows, block)
+        assert fixed == fixed_entries_oracle(rows, block)
+        assert not fixed >> moved & 1
+    assert weyl_mod.fixed_entries(rows, table.whole) >> kept & 1
