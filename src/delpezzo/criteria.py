@@ -148,7 +148,7 @@ from . import exactlinalg as xl
 from .lattice import (
     Isometry,
     LatticeVector,
-    _diagonal,
+    _unit_diagonal,
     del_pezzo_lattice,
     eigenbases,
     gram_of,
@@ -465,11 +465,10 @@ def _mod4_allows_partner(gram) -> bool:
 
 def _pair_scales(g: Isometry) -> List[int]:
     """s_aa = (J g)_aa and s_ab = (J g)_ab + (J g)_ba, a < b, in the order of
-    the pairs of weyl._exceptional_products.  A diagonal J scales the rows
-    of g; another form takes the product."""
-    diag = _diagonal(g.lattice.gram)
-    jg = (xl.mat_mul(g.lattice.gram, g.matrix) if diag is None
-          else [[d * x for x in row] for d, row in zip(diag, g.matrix)])
+    the pairs of weyl._exceptional_products.  J, the form of M_n, is
+    diagonal, so J g scales the rows of g."""
+    jg = [[d * x for x in row]
+          for d, row in zip(_unit_diagonal(g.lattice.gram), g.matrix)]
     return [jg[a][a] if a == b else jg[a][b] + jg[b][a]
             for a, b in _exceptional_products(len(jg) - 1)[0]]
 

@@ -292,7 +292,8 @@ def _member_routes(data: criteria.EigenData, g: Isometry, n: int, bound: int):
             witnesses = criteria.table_witnesses(name, g, n, bound)
             if witnesses is None:
                 return None
-            results.append((name, criteria.RouteResult(res.status, res.reason, witnesses)))
+            results.append((name, criteria.RouteResult(status=res.status, reason=res.reason,
+                                                        witnesses=witnesses)))
             break
         results.append((name, res))
     return results
