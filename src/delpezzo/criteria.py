@@ -147,7 +147,6 @@ from . import enumeration as en
 from . import exactlinalg as xl
 from .lattice import (
     Isometry,
-    LatticeVector,
     _unit_diagonal,
     del_pezzo_lattice,
     eigenbases,
@@ -159,6 +158,7 @@ from .weyl import (
     _Table,
     _exceptional_products,
     _slab_table,
+    canonical_class,
     fixed_entries,
     zero_entries,
 )
@@ -177,17 +177,19 @@ OPEN = "open"
 def resolve_height_bound(height_bound: Optional[int]) -> int:
     """The given bound, else DPZ_HEIGHT_BOUND, else DEFAULT_HEIGHT_BOUND; a
     bound that is not an int (errors.is_json_int: no bool, float or str) or
-    is below 1 raises InputError."""
+    is below 1 raises InputError.  DPZ_HEIGHT_BOUND must be ASCII decimal
+    digits, after a minus sign that makes it negative: int() alone would
+    also take a plus sign, spaces, underscores and non-ASCII digits."""
     source = "height bound"
     if height_bound is None:
         raw = os.environ.get("DPZ_HEIGHT_BOUND")
         if raw is None:
             return DEFAULT_HEIGHT_BOUND
         source = "DPZ_HEIGHT_BOUND"
-        try:
-            height_bound = int(raw)
-        except ValueError:
+        digits = raw[1:] if raw.startswith("-") else raw
+        if not (digits.isascii() and digits.isdigit()):
             raise InputError("DPZ_HEIGHT_BOUND must be an integer")
+        height_bound = int(raw)
     if not is_json_int(height_bound):
         raise InputError(f"{source} must be an integer")
     if height_bound < 1:
@@ -371,31 +373,41 @@ def fixes(matrix, v: Sequence[int]) -> bool:
     return xl.mat_vec(matrix, v) == list(v)
 
 
-def eigen_data(g: Isometry, k: Optional[LatticeVector] = None) -> EigenData:
+def _canonical_coords(lat) -> Optional[Coords]:
+    """The coordinates of the canonical class K when lat is M_n with
+    2 <= n <= 8, where K^2 = 9 - n > 0, else None: the one place the engine
+    decides whether K can anchor an involution of lat."""
+    n = lat.rank - 1
+    if 2 <= n <= 8 and lat == del_pezzo_lattice(n):
+        return canonical_class(n).coords
+    return None
+
+
+def eigen_data(g: Isometry) -> EigenData:
     """Eigenlattice data, the one constructor of both eigen sides, from the
     bases of lattice.eigenbases, which is also the involution test (no g^2
-    is formed).  k is the canonical class K of g's lattice M_n, or None.
+    is formed).
 
-    One condition, g fixes the K of M_n with 2 <= n <= 8 (fixes), decides
-    three things.  K anchors the plus side, handed to _side in ambient
-    coordinates.  Both signatures are known: K^2 = 9 - n > 0 in signature
-    (1, n), and the sides are nondegenerate (they are orthogonal and span a
-    subgroup of finite index), so plus, which holds K, has signature
-    (1, r - 1), and minus lies in K-perp, which is negative definite.  And
-    the data carry the table of exceptional classes
-    (weyl._slab_table(n, -1, 1), built once per n), which marks the data
-    for the routes that read K-slab tables.  Otherwise sylvester_signature
-    gives the signatures, and an indefinite side runs the box search.
+    One condition, g fixes the K of M_n with 2 <= n <= 8 (_canonical_coords
+    and fixes, one matrix-vector product), decides three things.  K anchors
+    the plus side, handed to _side in ambient coordinates.  Both signatures
+    are known: K^2 = 9 - n > 0 in signature (1, n), and the sides are
+    nondegenerate (they are orthogonal and span a subgroup of finite
+    index), so plus, which holds K, has signature (1, r - 1), and minus lies
+    in K-perp, which is negative definite.  And the data carry the table of
+    exceptional classes (weyl._slab_table(n, -1, 1), built once per n),
+    which marks the data for the routes that read K-slab tables.  Otherwise
+    sylvester_signature gives the signatures, and an indefinite side runs
+    the box search.
     """
     lat = g.lattice
     plus, minus = eigenbases(g)
-    n = lat.rank - 1
-    if (k is None or not 2 <= n <= 8 or lat != del_pezzo_lattice(n)
-            or not fixes(g.matrix, k.coords)):
+    k = _canonical_coords(lat)
+    if k is None or not fixes(g.matrix, k):
         return EigenData(g, _side(lat.gram, plus), _side(lat.gram, minus))
-    return EigenData(g, _side(lat.gram, plus, (1, len(plus) - 1), k.coords),
+    return EigenData(g, _side(lat.gram, plus, (1, len(plus) - 1), k),
                      _side(lat.gram, minus, (0, len(minus))),
-                     exceptional=_slab_table(n, -1, 1))
+                     exceptional=_slab_table(lat.rank - 1, -1, 1))
 
 
 def _search_batches(side: _EigenSide, target: int, t_bound: int):

@@ -201,13 +201,15 @@ class AnchorFrame:
     gives h = [G p; B] u with u unimodular: column 0 of h carries
     g = gcd(G p), columns 1.. are a complement basis of p in column echelon
     form with positive pivots, and their rows past the first are its
-    ambient columns; u^-1 p gives p's coordinates (m / g, w) in the basis of
-    u's columns.  The frame keeps m, g, whether p is characteristic
-    (G p = diag G mod 2, so that <p, c> = c^2 mod 2), the residues w mod m,
-    the negated complement Gram (one G b per complement vector b) and the
-    ambient complement columns and B p as the columns and step of the
-    descent, the first pivot's column outermost; the scaled Cholesky data
-    of the complement are computed at the first slab that needs them.
+    ambient columns; one exactlinalg.solve_integer of u y = p, whose
+    solution is unique and integral as u is unimodular, gives p's
+    coordinates y = (m / g, w) in the basis of u's columns.  The frame
+    keeps m, g, whether p is characteristic (G p = diag G mod 2, so that
+    <p, c> = c^2 mod 2), the residues w mod m, the negated complement Gram
+    (one G b per complement vector b) and the ambient complement columns
+    and B p as the columns and step of the descent, the first pivot's
+    column outermost; the scaled Cholesky data of the complement are
+    computed at the first slab that needs them.
     Every slab of every target reads the same frame.  The canonical class
     K of M_n, n <= 8, is a characteristic anchor: an isotropic target has
     no odd slab and a target of square -1 no even one, and with K-perp
@@ -230,7 +232,8 @@ class AnchorFrame:
         if m <= 0:
             raise InputError("anchor vector must have positive self-intersection")
         rows = xl.identity(n) if basis_rows is None else basis_rows
-        h, u, _, coords = xl.hnf_columns([gp, *rows], p)
+        h, u, _ = xl.hnf_columns([gp, *rows])
+        coords = xl.solve_integer(u, p)
         order = range(n - 1, 0, -1)     # the first pivot's column outermost
         comp = [[u[i][j] for i in range(n)] for j in order]
         self.m, self.g = m, h[0][0]

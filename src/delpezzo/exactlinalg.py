@@ -86,7 +86,7 @@ def inverse(a: IntMatrix) -> List[List[Fraction]]:
     return [row[n:] for row in m]
 
 
-def hnf_columns(a: IntMatrix, along: Optional[Sequence[int]] = None):
+def hnf_columns(a: IntMatrix):
     """Column-style Hermite reduction.
 
     Returns (h, u, pivots) with a @ u == h, u unimodular, the columns of h
@@ -94,15 +94,6 @@ def hnf_columns(a: IntMatrix, along: Optional[Sequence[int]] = None):
     positions with positive pivot entries, one per row that has one, in
     increasing row and column order; h is in column echelon form, since each
     column past a pivot is zero in that pivot's row and in every earlier row.
-    With along, returns (h, u, pivots, y) with y = u^-1 along, the
-    coordinates of along in the basis of the columns of u.
-    """
-    h, u, pivots, y = _hnf(a, along)
-    return (h, u, pivots) if along is None else (h, u, pivots, y)
-
-
-def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
-    """hnf_columns, plus u^-1 x when x is given.
 
     One in-place loop (Cohen, A Course in Computational Algebraic Number
     Theory, 2.4).  At each row, while the row has a nonzero entry in the
@@ -113,15 +104,12 @@ def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
     where the rows above are zero already, so they run on the rows from the
     current one on and on those of u.  The subtractions of one step all
     read column c and none writes it, so each row makes them in one pass,
-    and a row that is zero in column c is skipped.  Each column step on u
-    acts on u^-1 as the inverse row step, so x is carried along in O(1) a
-    step.
+    and a row that is zero in column c is skipped.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     h = [list(row) for row in a]
     u = identity(ncols)
-    y = None if x is None else list(x)
     pivots: List[Tuple[int, int]] = []
     col = 0
     for row in range(nrows):
@@ -145,18 +133,12 @@ def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
                 if hr[col] < 0:
                     for r in rows:
                         r[col] = -r[col]
-                    if y is not None:
-                        y[col] = -y[col]
             elif hr[j0] < 0:
                 for r in rows:
                     r[col], r[j0] = -r[j0], r[col]
-                if y is not None:
-                    y[col], y[j0] = -y[j0], y[col]
             else:
                 for r in rows:
                     r[col], r[j0] = r[j0], r[col]
-                if y is not None:
-                    y[col], y[j0] = y[j0], y[col]
             p = hr[col]
             steps = [(j, hr[j] // p) for j in range(col + 1, ncols) if hr[j]]
             if steps:
@@ -165,14 +147,12 @@ def _hnf(a: IntMatrix, x: Optional[Sequence[int]]):
                     if c:
                         for j, q in steps:
                             r[j] -= q * c
-                if y is not None:
-                    y[col] += sum(q * y[j] for j, q in steps)
                 if any(hr[j] for j, _ in steps):
                     continue
             pivots.append((row, col))
             col += 1
             break
-    return h, u, pivots, y
+    return h, u, pivots
 
 
 def kernel(a: IntMatrix):

@@ -29,7 +29,7 @@ are_conjugate, find_class and invariant_of all read it after one check,
 _check_fixes_k, and classify_involutions compares the frame triples.  The
 first key of each group in sorted order represents its class; the
 involution and its invariants are built for these representatives only.
-Each representative's eigen data, criteria.eigen_data(g, K), is built
+Each representative's eigen data, criteria.eigen_data(g), is built
 once: it gives the invariant, flags included, and stays on the class, from
 which dpz classify decides the class (irreducibility._verdict) with the
 flag routes' results reused, and names it by comparing class triples.
@@ -48,7 +48,7 @@ among the roots an involution of C negates and fixes (_orthogonal_set_counter).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, reduce
 from operator import and_, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -188,26 +188,15 @@ class InvolutionInvariant:
 
     def merge_key(self):
         # everything except the bounded-search flags
-        return (self.n, self.carter_exponent, self.trace, self.zg,
-                self.plus_even, self.plus_products_even, self.plus_det,
-                self.minus_det, self.minus_root_count,
-                self.kperp_fixed_det, self.kperp_fixed_roots)
+        return tuple(getattr(self, name) for name in _INVARIANT_FIELDS if name != "flags")
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "carter_exponent": self.carter_exponent,
-            "trace": self.trace,
-            "zg": list(self.zg),
-            "plus_even": self.plus_even,
-            "plus_products_even": self.plus_products_even,
-            "plus_det": self.plus_det,
-            "minus_det": self.minus_det,
-            "minus_root_count": self.minus_root_count,
-            "kperp_fixed_det": self.kperp_fixed_det,
-            "kperp_fixed_roots": self.kperp_fixed_roots,
-            "flags": list(self.flags),
-        }
+        # every field in declaration order, the tuples (zg, flags) as lists
+        values = ((name, getattr(self, name)) for name in _INVARIANT_FIELDS)
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+
+
+_INVARIANT_FIELDS = tuple(f.name for f in fields(InvolutionInvariant))
 
 
 def _kperp_fixed(plus: criteria._EigenSide, n: int) -> Tuple[Tuple[int, ...], ...]:
@@ -223,7 +212,7 @@ def _kperp_fixed(plus: criteria._EigenSide, n: int) -> Tuple[Tuple[int, ...], ..
 def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInvariant:
     """The conjugation invariants of a K-fixing involution.
 
-    Both eigen sides come from criteria.eigen_data(g, K), as in
+    Both eigen sides come from criteria.eigen_data(g), as in
     check_reducible: K anchors the fixed side and fixes the signatures of
     both sides, and the flags run route_flags on that same data.  g is not
     squared (Isometry.is_involution), and _class_triple reads the class
@@ -235,12 +224,12 @@ def invariant_of(g: Isometry, n: int, with_flags: bool = False) -> InvolutionInv
     if not g.is_involution():
         raise InputError("not an involution")
     triple = _class_triple(g, n)[1]
-    return _invariant(criteria.eigen_data(g, canonical_class(n)), n, with_flags, triple)
+    return _invariant(criteria.eigen_data(g), n, with_flags, triple)
 
 
 def _invariant(data: criteria.EigenData, n: int, with_flags: bool,
                triple: Tuple[int, int, int]) -> InvolutionInvariant:
-    """invariant_of, from the eigen data criteria.eigen_data(g, K) of the
+    """invariant_of, from the eigen data criteria.eigen_data(g) of the
     K-fixing involution g and its class triple (|S|, |key|, fixed pairs);
     the flag routes' results stay on data."""
     g = data.g
@@ -280,7 +269,7 @@ class InvolutionClass:
     invariant: InvolutionInvariant
     minus_root_key: RootSetKey     # canonical id of the class
     class_size: Optional[int] = None
-    # criteria.eigen_data(representative, K), as the invariant used it, with
+    # criteria.eigen_data(representative), as the invariant used it, with
     # the flag routes' results on it; dpz classify decides the class from it
     _eigen_data: Optional[criteria.EigenData] = field(default=None, compare=False,
                                                        repr=False)
@@ -527,7 +516,7 @@ def classify_involutions(n: int) -> Tuple[InvolutionClass, ...]:
         if rest:
             raise RuntimeError("class size is not integral")
         triple = (len(sub), len(key), perp)
-        data = criteria.eigen_data(g, canonical_class(n))
+        data = criteria.eigen_data(g)
         classes.append((key, rset, data, _invariant(data, n, True, triple), size))
     # a stable sort: ties keep the key order
     classes.sort(key=lambda c: (len(c[1]), c[3].merge_key()))

@@ -28,11 +28,12 @@ One verdict path.  _certify turns route results, in order a..e, into the
 verdict and its certificate, and criteria.iter_routes gives them: every
 route result is kept on the eigen data it ran on, with its bound, and
 reused where it holds.  _verdict hands _certify iter_routes on an
-involution's own eigen data, and check_reducible reads iter_routes on the
-eigen data its class record keeps (below).  dpz classify hands _verdict the
-eigen data each class keeps from its invariant (the representative fixes K,
-so it is the data check_reducible would build), and the routes the
-invariant flags already decided are not run again.
+involution's own eigen data, and check_reducible hands it every K-fixing
+input's route results read off the eigen data its class record keeps
+(below).  dpz classify hands _verdict the eigen data each class keeps from
+its invariant (the representative fixes K, so it is the data
+check_reducible would build), and the routes the invariant flags already
+decided are not run again.
 
 The class record.  Every route outcome on a K-fixing involution g is a
 class invariant.  Conjugation by an isometry h that fixes K maps both
@@ -42,15 +43,17 @@ slab searches end the same way on every member of g's class.  Only the
 witness vector belongs to the basis.  _CLASS_RECORD keeps, by n and class
 triple (involutions._root_triple, complete on the K-fixing classes), the
 eigen data of the first member of each class that check_reducible meets.
-That member is decided by _verdict on it.  Every later member, certified an
-involution by the basis rule above, takes each route's status and reason
-from iter_routes on the stored data, and reads its own witness off its
-K-slab tables (criteria.table_witnesses), so it builds no eigenlattice.  A
-bound the class has not met runs the route again on the stored data, on its
-anchor frames and glue.  Only a witness beyond the tables sends a member to
-its own eigen data.  A member may be an input's chamber conjugate or its
-normal form w_I, so an input with a K-fixing one of the two takes its route
-outcomes, and with them its certificate kind, from that conjugate's class.
+Every member, the first one included, certified an involution by the basis
+rule above, takes each route's status and reason from iter_routes on the
+stored data, and reads its own witness off its K-slab tables
+(criteria.table_witnesses), so no member after the first builds an
+eigenlattice.  A bound the class has not met runs the route again on the
+stored data, on its anchor frames and glue.  Only a witness beyond the
+tables sends a member to _verdict on its own eigen data, which for the
+first member are the stored data.  A member may be an input's chamber
+conjugate or its normal form w_I, so an input with a K-fixing one of the
+two takes its route outcomes, and with them its certificate kind, from
+that conjugate's class.
 
 decompose starts, in the basis check_reducible picks, from the eigen data
 check_reducible builds there and runs routes c, d and e of the criteria
@@ -92,8 +95,7 @@ from . import criteria
 from . import weyl
 from . import exactlinalg as xl
 from .involutions import _root_triple
-from .lattice import Isometry, LatticeVector, del_pezzo_lattice, gram_of
-from .weyl import canonical_class
+from .lattice import Isometry, del_pezzo_lattice, gram_of
 
 REDUCIBLE = "Reducible"
 IRREDUCIBLE = "Irreducible"
@@ -220,8 +222,9 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     = 1 by Isometry.is_involution, the symmetry of J g, and never squares
     g.  A g' that moves K is decided on its own eigen data.  A K-fixing g'
     is decided on the eigen data of its class's first member, kept in the
-    class record: by _verdict when it is that member, else by the route
-    statuses of that data and its own witness (_member_routes).
+    class record, by the route statuses of that data and its own witness
+    (_member_routes), and by _verdict on its own eigen data when no table
+    holds the witness.
     """
     if n is None:
         n = g.lattice.rank - 1
@@ -230,45 +233,46 @@ def check_reducible(g: Isometry, n: Optional[int] = None,
     if not 2 <= n <= 8:
         raise InputError("reducibility check supports 2 <= n <= 8")
     bound = criteria.resolve_height_bound(height_bound)
-    k = canonical_class(n)
-    g, h_inv, fixes_k = _k_fixing_conjugate(g, k)
+    g, h_inv, fixes_k = _k_fixing_conjugate(g)
     if not fixes_k:
-        return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
+        return _verdict(criteria.eigen_data(g), n, bound, h_inv)
     key = (n, _root_triple(g, n)[1])
     data = _CLASS_RECORD.get(key)
     if data is None:
-        data = _CLASS_RECORD[key] = criteria.eigen_data(g, k)
-    if data.g.matrix == g.matrix:
-        return _verdict(data, n, bound, h_inv)
+        data = _CLASS_RECORD[key] = criteria.eigen_data(g)
     results = _member_routes(data, g, n, bound)
     if results is None:
-        return _verdict(criteria.eigen_data(g, k), n, bound, h_inv)
+        own = data if data.g.matrix == g.matrix else criteria.eigen_data(g)
+        return _verdict(own, n, bound, h_inv)
     return _certify(results, bound, h_inv)
 
 
-def _k_fixing_conjugate(g: Isometry, k: Optional[LatticeVector]):
+def _k_fixing_conjugate(g: Isometry):
     """(g', h^-1, fixes_K) for the involution g of M_n, 2 <= n <= 9, with
     g' = h g h^-1: g itself (h^-1 None) when it fixes K, else the chamber
     conjugate when that fixes K, else, for g_00 > 0, the normal form w_I
     from the same chamber data when w_I fixes K, else the chamber
-    conjugate; k None (n = 9, where K^2 = 0) gives the chamber conjugate.
-    g^2 = 1 is tested first (Isometry.is_involution), as a normal-form
-    draw may pass on a non-involution; else InputError("not an involution")."""
+    conjugate.  K is read off g's lattice (criteria._canonical_coords); at
+    n = 9, where K^2 = 0 and K anchors nothing, the rule gives the chamber
+    conjugate.  g^2 = 1 is tested first (Isometry.is_involution), as a
+    normal-form draw may pass on a non-involution; else
+    InputError("not an involution")."""
     if not g.is_involution():
         raise InputError("not an involution")
-    if k is not None and criteria.fixes(g.matrix, k.coords):
+    k = criteria._canonical_coords(g.lattice)
+    if k is not None and criteria.fixes(g.matrix, k):
         return g, None, True
     chamber = weyl._chamber(g)
     sign, _, h, conj = chamber
     g_red, h_inv = Isometry._trusted(g.lattice, conj), weyl._inverse(h)
-    if k is None or criteria.fixes(conj, k.coords):
+    if k is None or criteria.fixes(conj, k):
         return g_red, h_inv, k is not None
     if sign > 0:
         try:
             _, _, _, w_inv, w = weyl._normal_form(g.lattice, *chamber)
         except UnsupportedError:
             w = None
-        if w is not None and criteria.fixes(w.matrix, k.coords):
+        if w is not None and criteria.fixes(w.matrix, k):
             return w, w_inv, True
     return g_red, h_inv, False
 
@@ -280,9 +284,9 @@ def _clear_class_record() -> None:
 
 def _member_routes(data: criteria.EigenData, g: Isometry, n: int, bound: int):
     """The (name, RouteResult) of routes a..e at the bound for the K-fixing
-    involution g, up to the first witness, from the eigen data of another
-    member of g's class (the class record of the module docstring), else
-    None.  Each status and reason is that of criteria.iter_routes on data,
+    involution g, up to the first witness, from the eigen data of a member
+    of g's class, g itself or another (the class record of the module
+    docstring), else None.  Each status and reason is that of criteria.iter_routes on data,
     and a witness is g's own, read off its tables
     (criteria.table_witnesses); None, for a witness that no table holds,
     sends g to its own eigen data."""
@@ -424,22 +428,18 @@ def decompose(g: Isometry, n: Optional[int] = None,
     rank = g.lattice.rank
     if not 3 <= rank <= 10 or g.lattice != del_pezzo_lattice(rank - 1):
         return _decompose_in_basis(g, bound)
-    # K anchors the fixed side only where K^2 = 9 - n > 0
-    k = canonical_class(rank - 1) if rank <= 9 else None
-    g_red, h_inv, _ = _k_fixing_conjugate(g, k)
-    d = _decompose_in_basis(g_red, bound, k)
+    g_red, h_inv, _ = _k_fixing_conjugate(g)
+    d = _decompose_in_basis(g_red, bound)
     steps = tuple(SplitStep(s.action, tuple(_back(h_inv, b) for b in s.basis))
                   for s in d.steps)
     leaf = dataclasses.replace(d.leaf, basis=tuple(_back(h_inv, b) for b in d.leaf.basis))
     return Decomposition(steps, leaf)
 
 
-def _decompose_in_basis(g: Isometry, bound: int,
-                        k: Optional[LatticeVector] = None) -> Decomposition:
-    """decompose for g as written, with no chamber reduction; k is the
-    canonical class K of M_n, or None.
+def _decompose_in_basis(g: Isometry, bound: int) -> Decomposition:
+    """decompose for g as written, with no chamber reduction.
 
-    It starts from criteria.eigen_data(g, k), as check_reducible does,
+    It starts from criteria.eigen_data(g), as check_reducible does,
     and narrows both sides to B^perp after each split block B.  The leaf is
     the complement of everything peeled: one kernel of the products of the
     peeled vectors, built once.
@@ -458,9 +458,10 @@ def _decompose_in_basis(g: Isometry, bound: int,
     (EigenData.within), one weyl.zero_entries per peeled vector.
     Any other split drops the table, and K' stays the anchor.
     """
-    data = criteria.eigen_data(g, k)
+    data = criteria.eigen_data(g)
     gram = g.lattice.gram
-    k_prime = None if data.exceptional is None else list(k.coords)
+    k = None if data.exceptional is None else criteria._canonical_coords(g.lattice)
+    k_prime = None if k is None else list(k)
     steps: List[SplitStep] = []
     peeled: List[Tuple[int, ...]] = []
     while data.plus.basis or data.minus.basis:
@@ -486,7 +487,7 @@ def _decompose_in_basis(g: Isometry, bound: int,
         jbs = [xl.mat_vec(gram, b) for b in block]
         table, within = data.exceptional, data.within
         if k_prime is not None:
-            ts = [sum(map(mul, jb, k.coords)) for jb in jbs]     # K.b
+            ts = [sum(map(mul, jb, k)) for jb in jbs]     # K.b
             for t, b in zip(ts, block):
                 k_prime = [x + t * y for x, y in zip(k_prime, b)]
             if table is not None and all(abs(t) == 1 for t in ts):

@@ -92,18 +92,12 @@ def de_jonquieres_model(C: LatticeVector, v: Sequence[LatticeVector]) -> Isometr
     lam = (n - 1) // 2
     g_c = c - sum(v, lat.zero()) + lam * C
     images = [C, g_c] + [C - vk for vk in v]
-    b = [[w.coords[i] for w in basis] for i in range(lat.rank)]
-    bi = [[w.coords[i] for w in images] for i in range(lat.rank)]
-    prod = xl.mat_mul(bi, xl.inverse(b))
-    matrix = []
-    for row in prod:
-        out = []
-        for x in row:
-            if getattr(x, "denominator", 1) != 1:
-                raise InputError("completion basis is not unimodular")
-            out.append(int(x))
-        matrix.append(tuple(out))
-    g = Isometry(lat, tuple(matrix))
+    # row i of g is the r with w . r = (g w)_i for each basis vector w
+    rows = xl.solve_integer_many([w.coords for w in basis],
+                                 [[w.coords[i] for w in images] for i in range(lat.rank)])
+    if any(row is None for row in rows):
+        raise InputError("completion basis is not unimodular")
+    g = Isometry(lat, tuple(map(tuple, rows)))
     if not g.is_involution():
         raise InputError("model construction failed to close up")
     return g

@@ -100,7 +100,7 @@ def decompose_pieces(g, bound: int = 10):
 
     criteria.route_c = recorded
     try:
-        d = irreducibility._decompose_in_basis(g, bound, canonical_class(len(g.matrix) - 1))
+        d = irreducibility._decompose_in_basis(g, bound)
     finally:
         criteria.route_c = route_c
     return d, pieces

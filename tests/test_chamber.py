@@ -320,7 +320,7 @@ def test_partner_test_matches_hnf_oracle_on_catalog_plus_sides():
     checked = 0
     for n in (6, 7, 8):
         for cls in classify_involutions(n):
-            plus = criteria.eigen_data(cls.representative, canonical_class(n)).plus
+            plus = criteria.eigen_data(cls.representative).plus
             if plus.definite or criteria._anchor(plus) is None:
                 continue
             gram = [list(r) for r in plus.gram]
@@ -366,8 +366,11 @@ def test_seed17_op50_leaf_is_not_called_irreducible_early():
     assert len(d.leaf.basis) == 2 and d.leaf.verdict == IRREDUCIBLE
     # as written, every plus side is even and indefinite; route d's pairs
     # leave pieces whose plus sides have an anchor, so the unreduced
-    # splitting reaches the same rank-2 leaf
-    raw = _decompose_in_basis(g, criteria.DEFAULT_HEIGHT_BOUND)
+    # splitting reaches the same rank-2 leaf.  On M_7 g fixes K, which
+    # anchors it; the same form under other labels is not M_7, so there the
+    # splitting takes box anchors
+    plain = Lattice(g.lattice.gram, tuple(f"b{i}" for i in range(8)))
+    raw = _decompose_in_basis(Isometry(plain, SEED17_OP50), criteria.DEFAULT_HEIGHT_BOUND)
     assert [s.action for s in raw.steps] == ["swap"] * 3
     assert len(raw.leaf.basis) == 2 and raw.leaf.verdict == IRREDUCIBLE
 

@@ -244,7 +244,12 @@ def _swap_file(tmp_path):
 
 
 @pytest.mark.parametrize("value, message", [("0", "must be positive"),
-                                            ("x", "must be an integer")])
+                                            ("-3", "must be positive"),
+                                            ("x", "must be an integer"),
+                                            ("1_0", "must be an integer"),
+                                            (" 3 ", "must be an integer"),
+                                            ("+4", "must be an integer"),
+                                            ("\u0663", "must be an integer")])
 def test_height_bound_env_must_be_a_positive_integer(monkeypatch, tmp_path, capsys,
                                                      value, message):
     # the documented contract: any other value exits 2, whichever command

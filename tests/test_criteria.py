@@ -26,9 +26,11 @@ from delpezzo import enumeration as en
 from delpezzo import exactlinalg as xl
 from delpezzo.lattice import (
     Isometry,
+    blowup_quadric_lattice,
     del_pezzo_lattice,
     has_even_products,
     identity_isometry,
+    quadric_lattice,
     sign_canonical_coords,
 )
 from delpezzo import weyl as weyl_mod
@@ -170,12 +172,12 @@ def _eigen_data():
     """Eigen data of the catalog representatives, n = 3..8, then of 40
     chamber conjugates of wall-word conjugates, as check_reducible sees them."""
     reps = [(n, cls.representative) for n in range(3, 9) for cls in classify_involutions(n)]
-    out = [criteria.eigen_data(g, canonical_class(n)) for n, g in reps]
+    out = [criteria.eigen_data(g) for n, g in reps]
     rng = random.Random(8081)
     for _ in range(40):
         n, g = rng.choice(reps)
         conj, = _wall_conjugates(n, g, rng, 1)
-        out.append(criteria.eigen_data(conj, canonical_class(n)))
+        out.append(criteria.eigen_data(conj))
     return out
 
 
@@ -211,7 +213,7 @@ def _verify_eigen_data(seed, ns):
             g, k = Isometry(del_pezzo_lattice(op.n), op.matrix), canonical_class(op.n)
             if g.apply(k) != k:
                 g, _ = chamber_conjugate(g)
-            out.append(criteria.eigen_data(g, k))
+            out.append(criteria.eigen_data(g))
     return out
 
 
@@ -391,7 +393,7 @@ def test_anchor_frame_is_built_once_per_side(monkeypatch):
     for n in range(3, 9):
         for cls in classify_involutions(n):
             data = dataclasses.replace(
-                criteria.eigen_data(cls.representative, canonical_class(n)), exceptional=None)
+                criteria.eigen_data(cls.representative), exceptional=None)
             before = len(built)
             for _name, _res in criteria.iter_routes(data, n, 4):
                 pass
@@ -474,7 +476,7 @@ def _catalog_sides():
     for n in range(2, 9):
         gram = del_pezzo_lattice(n).gram
         for cls in classify_involutions(n):
-            data = criteria.eigen_data(cls.representative, canonical_class(n))
+            data = criteria.eigen_data(cls.representative)
             yield cls, data.plus, data.minus, gram
             yield cls, data.minus, data.plus, gram
 
@@ -523,7 +525,7 @@ def test_route_d_matches_reference_on_catalog(bound):
     outcomes = {}
     for n in range(2, 9):
         for cls in classify_involutions(n):
-            data = criteria.eigen_data(cls.representative, canonical_class(n))
+            data = criteria.eigen_data(cls.representative)
             _route_d_checked(data, bound, outcomes)
             # a second call reads the cached congruent sublattice
             _route_d_checked(data, bound, outcomes)
@@ -546,7 +548,7 @@ def test_route_d_matches_reference_on_wall_conjugates(bound):
     for n in range(2, 9):
         for cls in classify_involutions(n):
             for conj in _wall_conjugates(n, cls.representative, rng, 3):
-                data = criteria.eigen_data(conj, canonical_class(n))
+                data = criteria.eigen_data(conj)
                 _route_d_checked(data, bound, outcomes)
     assert outcomes["witness"] > 50 and outcomes["mod2_unsolvable"] > 20
 
@@ -643,8 +645,7 @@ def test_exceptional_table_is_the_orbit_of_e_n(n):
     classes, (_, size, planes, offset) = table.vectors, table.whole
     assert list(classes) == _exceptional_oracle(n)
     assert len(classes) == {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}[n]
-    assert criteria.eigen_data(identity_isometry(del_pezzo_lattice(n)),
-                               canonical_class(n)).exceptional is table
+    assert criteria.eigen_data(identity_isometry(del_pezzo_lattice(n))).exceptional is table
     # the planes hold the classes' coordinates, and route d's product planes,
     # at the same offset, their coordinate products
     assert size == len(classes)
@@ -657,6 +658,26 @@ def test_exceptional_table_is_the_orbit_of_e_n(n):
         fields = (plane + offset).to_bytes(size, "little")
         assert [f - weyl_mod._OFFSET for f in fields] == [c[a] * c[b] for c in classes]
     assert len(pairs) == (n + 1) * (n + 2) // 2
+
+
+def test_eigen_data_derives_k_from_the_lattice():
+    # eigen_data carries the table of exceptional classes, and anchors the
+    # plus side at K, exactly when g is on M_n with 2 <= n <= 8 and fixes K
+    m5 = del_pezzo_lattice(5)
+    cases = [(identity_isometry(del_pezzo_lattice(n)), 2 <= n <= 8) for n in (1, 2, 8, 9)]
+    cases += [(identity_isometry(quadric_lattice()), False),
+              (identity_isometry(blowup_quadric_lattice(5)), False),
+              (reflection(m5.basis_vector(1)), False)]
+    assert reflection(m5.basis_vector(1)).apply(canonical_class(5)) != canonical_class(5)
+    for g, tabled in cases:
+        data = criteria.eigen_data(g)
+        n = g.lattice.rank - 1
+        assert (data.exceptional is not None) == tabled, g.lattice
+        if tabled:
+            assert data.exceptional is weyl_mod._slab_table(n, -1, 1)
+            assert data.plus.ambient_anchor == canonical_class(n).coords
+        elif g.lattice == del_pezzo_lattice(n):
+            assert data.plus.ambient_anchor != canonical_class(n).coords
 
 
 def test_exceptional_table_field_bounds():
@@ -744,10 +765,9 @@ def catalog_and_conjugate_data():
     rng = random.Random(4343)
     out = []
     for n in range(2, 9):
-        k = canonical_class(n)
         for cls in classify_involutions(n):
             for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 2):
-                out.append(criteria.eigen_data(g, k))
+                out.append(criteria.eigen_data(g))
     return out
 
 
@@ -776,7 +796,7 @@ def test_table_routes_match_the_search_on_verify_inputs():
         g, k = Isometry(del_pezzo_lattice(op.n), op.matrix), canonical_class(op.n)
         if g.apply(k) != k:
             g, _ = chamber_conjugate(g)
-        data = criteria.eigen_data(g, k)
+        data = criteria.eigen_data(g)
         if data.exceptional is None:
             continue
         tabled += 1
@@ -882,7 +902,7 @@ def test_routes_a_and_b_read_no_table_on_narrowed_data(narrowed_data, monkeypatc
             criteria.route_b(data, bound)
     assert not reads
     for n in (4, 6):
-        data = criteria.eigen_data(classify_involutions(n)[0].representative, canonical_class(n))
+        data = criteria.eigen_data(classify_involutions(n)[0].representative)
         criteria.route_a(data, n, 3)
         criteria.route_b(data, 3)
     assert {key[1:] for key in reads} == {(-1, 1), (1, 3), (0, 2)}
@@ -891,7 +911,7 @@ def test_routes_a_and_b_read_no_table_on_narrowed_data(narrowed_data, monkeypatc
 def _k_fixing(g, n):
     """check_reducible's K-fixing conjugate of g (irreducibility's basis
     rule), else None."""
-    g_red, _, fixes_k = irreducibility._k_fixing_conjugate(g, canonical_class(n))
+    g_red, _, fixes_k = irreducibility._k_fixing_conjugate(g)
     return g_red if fixes_k else None
 
 
@@ -976,7 +996,7 @@ def test_route_b_conic_read_evaluates_at_most_two_chunks(monkeypatch):
     fixed_entries = weyl_mod.fixed_entries
     monkeypatch.setattr(criteria, "fixed_entries",
                         lambda rows, chunk: calls.append(chunk[0]) or fixed_entries(rows, chunk))
-    k, checked = canonical_class(8), 0
+    checked = 0
     # the chunk starts of the conic table, from the top down
     top = [chunk[0] for chunk in reversed(weyl_mod._slab_table(8, 0, 2).chunks)]
     assert len(top) == 34
@@ -985,7 +1005,7 @@ def test_route_b_conic_read_evaluates_at_most_two_chunks(monkeypatch):
             continue
         g = Isometry(del_pezzo_lattice(8), op.matrix)
         cert = check_reducible(g, 8, 2).certificate
-        g_red, h_inv, fixes_k = irreducibility._k_fixing_conjugate(g, k)
+        g_red, h_inv, fixes_k = irreducibility._k_fixing_conjugate(g)
         if not fixes_k or cert.kind != "FixedHyperbolicPair":
             continue
         calls.clear()
@@ -1008,7 +1028,7 @@ def test_anchored_signatures_match_sylvester(monkeypatch):
         for cls in classify_involutions(n):
             for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 3):
                 fixed = criteria.fixes(g.matrix, k.coords)
-                data = criteria.eigen_data(g, k)
+                data = criteria.eigen_data(g)
                 plus, minus = len(data.plus.basis), len(data.minus.basis)
                 for side, known in ((data.plus, (1, plus - 1)), (data.minus, (0, minus))):
                     pos, neg, zero = xl.sylvester_signature(side.gram)
@@ -1023,7 +1043,7 @@ def test_anchored_signatures_match_sylvester(monkeypatch):
                         lambda gram: calls.append(gram) or (_ for _ in ()).throw(AssertionError))
     for n in range(2, 9):
         for cls in classify_involutions(n):
-            criteria.eigen_data(cls.representative, canonical_class(n))
+            criteria.eigen_data(cls.representative)
     assert not calls
 
 
@@ -1095,7 +1115,7 @@ def test_find_anchor_matches_reference_on_decompose_sides(monkeypatch):
 
     monkeypatch.setattr(criteria, "_find_anchor", recording)
     for g, n in _decompose_sides_inputs():
-        k_fixing.append(irreducibility._k_fixing_conjugate(g, canonical_class(n))[2])
+        k_fixing.append(irreducibility._k_fixing_conjugate(g)[2])
         decompose(g, n)
     assert len(calls) >= 10 and not any(fixing for _, fixing in calls)
     for gram, _ in calls:
@@ -1123,17 +1143,16 @@ def test_iter_routes_reuses_results_only_where_they_hold(monkeypatch):
     statuses = {bound: set() for bound in (4, 1, 2, 10)}
     reran = lower = open_reused = 0
     for n in range(2, 9):
-        k = canonical_class(n)
         for cls in classify_involutions(n):
             for g in [cls.representative] + _wall_conjugates(n, cls.representative, rng, 1):
-                kept, got, fresh_at = criteria.eigen_data(g, k), {}, {}
+                kept, got, fresh_at = criteria.eigen_data(g), {}, {}
                 for bound in (4, 1, 2, 10):
                     fresh = fresh_at[bound] = list(
-                        criteria.iter_routes(criteria.eigen_data(g, k), n, bound))
+                        criteria.iter_routes(criteria.eigen_data(g), n, bound))
                     assert list(criteria.iter_routes(kept, n, bound)) == fresh, (n, bound)
                     statuses[bound].update(res.status for _, res in fresh)
                     got[bound] = [res.status for _, res in fresh]
-                descending = criteria.eigen_data(g, k)
+                descending = criteria.eigen_data(g)
                 for bound in (10, 4, 2, 1):
                     opened = {name: kept_at for name, kept_at in descending.results.items()
                               if kept_at[0].status == criteria.OPEN and bound < kept_at[1]}

@@ -26,6 +26,7 @@ from delpezzo.criteria import DEFAULT_HEIGHT_BOUND
 from delpezzo.irreducibility import _decompose_in_basis
 from delpezzo.lattice import (
     Isometry,
+    Lattice,
     LatticeVector,
     Sublattice,
     del_pezzo_lattice,
@@ -338,7 +339,7 @@ def test_inputs_whose_normal_form_moves_k_keep_the_chamber_path():
         s, walls, *_, w = normal_form(g)
         assert g_red.apply(k) != k and (s < 0 or w.apply(k) != k)
         for bound in (1, 2, 10):
-            want = irreducibility._verdict(criteria.eigen_data(g_red, k), n, bound, h_inv)
+            want = irreducibility._verdict(criteria.eigen_data(g_red), n, bound, h_inv)
             assert check_reducible(g, n, bound) == want, (n, walls)
 
 
@@ -363,7 +364,7 @@ def _record_cases():
         if g_red.apply(k) != k and g.matrix[0][0] > 0:
             _, _, _, h_inv, g_red = normal_form(g)
         if g_red.apply(k) == k:
-            cases.append((n, g, {b: irreducibility._verdict(criteria.eigen_data(g_red, k), n, b,
+            cases.append((n, g, {b: irreducibility._verdict(criteria.eigen_data(g_red), n, b,
                                                             h_inv).to_json()
                                  for b in RECORD_BOUNDS}))
     return cases
@@ -450,6 +451,67 @@ def test_warm_record_builds_no_eigen_data(monkeypatch):
         m.setattr(xl, "kernel", counted("kernel", xl.kernel))
         check_reducible(g, n, 2)
     assert counts == {"eigen_data": 0, "kernel": 0}
+
+
+@pytest.mark.parametrize("bound", (2, 10))
+def test_record_fallback_gives_each_input_its_own_verdict(monkeypatch, bound):
+    # with no table witness, every K-fixing input of verify seed 101 whose
+    # routes end in a witness falls back to _verdict on its own eigen data,
+    # which for the first member of a class are the record's; each gets the
+    # verdict _verdict gives on its own eigen data, witnesses mapped back
+    cases = []
+    for op in bench_inputs().verify_stream(101):
+        g = Isometry(del_pezzo_lattice(op.n), op.matrix)
+        g_red, h_inv, fixes_k = irreducibility._k_fixing_conjugate(g)
+        if fixes_k:
+            want = irreducibility._verdict(criteria.eigen_data(g_red), op.n, bound, h_inv)
+            cases.append((op.n, g, want))
+    verdict, fallbacks = irreducibility._verdict, []
+
+    def recorded(data, *args):
+        fallbacks.append(any(data is d for d in irreducibility._CLASS_RECORD.values()))
+        return verdict(data, *args)
+
+    monkeypatch.setattr(irreducibility, "_CLASS_RECORD", {})
+    monkeypatch.setattr(criteria, "table_witnesses", lambda *args: None)
+    monkeypatch.setattr(irreducibility, "_verdict", recorded)
+    for n, g, want in cases:
+        assert check_reducible(g, n, bound) == want, (n, g.matrix)
+    reducible = sum(want.status == REDUCIBLE for _, _, want in cases)
+    assert len(fallbacks) == reducible > 300
+    # an input whose basis is its class's first member reuses the record's
+    # data, every other one builds its own
+    assert 0 < sum(fallbacks) < len(fallbacks)
+
+
+def test_obstruction_kind_follows_the_priority_order():
+    # closed route results made by hand, as no input closes every route by
+    # the antifixed lattice's parity or by complete searches alone: even
+    # reasons, then mod-2 reasons, then minus_even_norms, then exhausted
+    # searches name the obstruction
+    exhausted = {"a": "plus_definite_exhausted", "b": "plus_definite_no_isotropic",
+                 "c": "plus_definite_exhausted", "d": "definite_pairs_exhausted",
+                 "e": "minus_definite_exhausted"}
+    steps = [({}, "ExhaustedSearchObstruction"),
+             ({"e": "minus_even_norms"}, "AntiFixedObstruction"),
+             ({"d": "mod2_unsolvable"}, "Mod2Obstruction"),
+             ({"a": "plus_even_norms"}, "EvenFixedLatticeObstruction")]
+    reasons = dict(exhausted)
+    for change, kind in steps:
+        reasons.update(change)
+        routes = [(name, criteria.RouteResult(status=criteria.CLOSED, reason=reasons[name]))
+                  for name in "abcde"]
+        got = irreducibility._certify(routes, 10)
+        assert got.status == IRREDUCIBLE and got.height_bound == 10
+        assert got.certificate == ReducibilityCertificate(
+            kind, (), ";".join(f"{name}:{reasons[name]}" for name in "abcde"))
+    # each kind also wins over every lower one alone
+    for i, (change, kind) in enumerate(steps[1:], 1):
+        for lower, _ in steps[:i]:
+            reasons = {**exhausted, **lower, **change}
+            routes = [(name, criteria.RouteResult(status=criteria.CLOSED, reason=reasons[name]))
+                      for name in "abcde"]
+            assert irreducibility._certify(routes, 10).certificate.kind == kind
 
 
 def test_verify_stream_kinds_are_the_representatives():
@@ -841,10 +903,13 @@ def _has_congruent_root(definite, other):
 
 def test_leaf_verdict_on_skewed_bases():
     # decompose reduces every input to its chamber conjugate first, and then
-    # no leaf stays Unknown; the leaf rule is checked on the bases as given
+    # no leaf stays Unknown; the leaf rule is checked on the bases as given,
+    # with box anchors: the same form under other labels is not M_n, so K
+    # anchors none of them, not even the conjugates that fix it
     verdicts = set()
     for n, g in _skewed_conjugates():
-        d = _decompose_in_basis(g, DEFAULT_HEIGHT_BOUND)
+        plain = Lattice(g.lattice.gram, tuple(f"b{i}" for i in range(n + 1)))
+        d = _decompose_in_basis(Isometry(plain, g.matrix), DEFAULT_HEIGHT_BOUND)
         verdicts.add(d.leaf.verdict)
         parts = _leaf_eigenparts(d, g.lattice)
         kinds = []

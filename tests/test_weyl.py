@@ -302,7 +302,7 @@ def test_fused_fixed_entries_match_the_per_row_oracle():
     matrices = {}
     for op in bench_inputs().verify_stream(101):
         g = Isometry(del_pezzo_lattice(op.n), op.matrix)
-        g_red, _, fixes_k = irreducibility._k_fixing_conjugate(g, canonical_class(op.n))
+        g_red, _, fixes_k = irreducibility._k_fixing_conjugate(g)
         if fixes_k:
             matrices.setdefault(op.n, set()).add(g_red.matrix)
     assert sorted(matrices) == list(range(3, 9))
