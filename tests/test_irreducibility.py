@@ -489,6 +489,11 @@ def test_obstruction_kind_follows_the_priority_order():
     # the antifixed lattice's parity or by complete searches alone: even
     # reasons, then mod-2 reasons, then minus_even_norms, then exhausted
     # searches name the obstruction
+    def certify(reasons):
+        return irreducibility._certify(
+            [(name, criteria.RouteResult(status=criteria.CLOSED, reason=reasons[name]))
+             for name in "abcde"], 10)
+
     exhausted = {"a": "plus_definite_exhausted", "b": "plus_definite_no_isotropic",
                  "c": "plus_definite_exhausted", "d": "definite_pairs_exhausted",
                  "e": "minus_definite_exhausted"}
@@ -499,19 +504,14 @@ def test_obstruction_kind_follows_the_priority_order():
     reasons = dict(exhausted)
     for change, kind in steps:
         reasons.update(change)
-        routes = [(name, criteria.RouteResult(status=criteria.CLOSED, reason=reasons[name]))
-                  for name in "abcde"]
-        got = irreducibility._certify(routes, 10)
+        got = certify(reasons)
         assert got.status == IRREDUCIBLE and got.height_bound == 10
         assert got.certificate == ReducibilityCertificate(
             kind, (), ";".join(f"{name}:{reasons[name]}" for name in "abcde"))
     # each kind also wins over every lower one alone
     for i, (change, kind) in enumerate(steps[1:], 1):
         for lower, _ in steps[:i]:
-            reasons = {**exhausted, **lower, **change}
-            routes = [(name, criteria.RouteResult(status=criteria.CLOSED, reason=reasons[name]))
-                      for name in "abcde"]
-            assert irreducibility._certify(routes, 10).certificate.kind == kind
+            assert certify({**exhausted, **lower, **change}).certificate.kind == kind
 
 
 def test_verify_stream_kinds_are_the_representatives():
